@@ -2,12 +2,15 @@
 
 Every type here is built once (by ingest, training, or a re-ranker) and then
 treated as an immutable value: nothing in this package mutates a constructed
-instance, which makes them safe to share across threads.
+instance, which makes them safe to share across threads.  A score matrix
+caches its read-only array view on first use; threads racing there at worst
+build the same view twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -139,11 +142,44 @@ class InteractionLog:
         return len(self.records)
 
 
+class DenseScores:
+    """Read-only array view of score rows (``user -> {item: score}``).
+
+    Users and items are in ascending id order.  ``S`` is -inf where a user
+    has no score for an item, ``valid`` marks the scored entries and
+    ``n_valid`` counts them per user.  ``order`` ranks each row's items by
+    (score desc, item id asc), unscored last; it is computed on first use.
+    """
+
+    def __init__(self, rows: Mapping[str, Mapping[str, float]]) -> None:
+        self.users = sorted(rows)
+        self.items = sorted(set().union(*rows.values()))
+        self.user_pos = {user: i for i, user in enumerate(self.users)}
+        item_pos = {item: i for i, item in enumerate(self.items)}
+        self.S = np.full((len(self.users), len(self.items)), -np.inf)
+        for ui, user in enumerate(self.users):
+            row = rows[user]
+            cols = np.fromiter(map(item_pos.__getitem__, row), np.intp, len(row))
+            self.S[ui, cols] = np.fromiter(row.values(), float, len(row))
+        self.valid = np.isfinite(self.S)
+        self.n_valid = self.valid.sum(axis=1)
+        for array in (self.S, self.valid, self.n_valid):
+            array.flags.writeable = False
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        order = np.argsort(-self.S, axis=1, kind="stable")
+        order.flags.writeable = False
+        return order
+
+
 class ScoreMatrix:
     """Per-user candidate relevance scores.
 
     Rows are stored as ``user -> {item: score}``; row candidate sets may
-    differ between users (e.g. after excluding training items).
+    differ between users (e.g. after excluding training items).  The array
+    view from :meth:`dense` is built on first use and kept with the matrix,
+    so every re-ranker and metric run on one matrix shares it.
 
     Attributes:
         semantics: ``"raw"`` for unbounded model scores, ``"probability"``
@@ -165,6 +201,7 @@ class ScoreMatrix:
                     raise InvariantViolation(f"probability score {s} outside [0, 1]")
                 clean[item] = s
             self._rows[user] = clean
+        self._dense: DenseScores | None = None
 
     def users(self) -> list[str]:
         return list(self._rows)
@@ -185,13 +222,20 @@ class ScoreMatrix:
     def has(self, user: str, item: str) -> bool:
         return user in self._rows and item in self._rows[user]
 
+    def dense(self) -> DenseScores:
+        """The array view of this matrix (see :class:`DenseScores`)."""
+        if self._dense is None:
+            self._dense = DenseScores(self._rows)
+        return self._dense
+
     def validate_against(self, catalog: Catalog) -> None:
-        for user, row in self._rows.items():
+        view = self.dense()
+        for user in view.users:
             if not catalog.has_user(user):
                 raise UnknownEntity(f"user {user!r} not in catalog")
-            for item in row:
-                if not catalog.has_item(item):
-                    raise UnknownEntity(f"item {item!r} not in catalog")
+        for item in view.items:
+            if not catalog.has_item(item):
+                raise UnknownEntity(f"item {item!r} not in catalog")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreMatrix):

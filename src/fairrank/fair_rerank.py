@@ -5,6 +5,15 @@ All algorithms consume a :class:`RerankContext` and emit a
 item id ascending) everywhere, so every algorithm is deterministic; with its
 fairness knob at zero each one reduces exactly to :func:`topk`.
 
+Every slate is a top-k under one tie contract: entries rank by a primary
+key descending, then by the relevance score descending, then by item id
+ascending, and a user's slate holds ``min(K, candidates)`` items.  The
+batched kernel (:func:`_top_mask`, :func:`_ranked`) keeps that contract
+exactly: one partition finds each row's K-th value, and only rows whose
+ties at that value overflow the slate are resolved one by one.  The dense
+user x item arrays come from :meth:`ScoreMatrix.dense`, which is built
+once per score matrix and shared by every (model, K) run on it.
+
 ``min_regularizer`` and ``pmmf`` are online: they process users strictly in
 ``arrival_order`` and carry running state, so they must not be parallelised
 over users.  The remaining algorithms are order-free.
@@ -14,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import Catalog, DualState, RankingSlate, ScoreMatrix
-from .errors import EmptyCandidates, InvariantViolation, UnknownEntity
+from .errors import EmptyCandidates, InvariantViolation
 
 _TINY = 1e-12
 
@@ -83,62 +92,34 @@ def proportional_shares(catalog: Catalog) -> dict[str, float]:
 
 
 class _Dense:
-    """Dense user x item view of a score matrix with group membership."""
+    """The score matrix's shared arrays plus this context's group data."""
 
     def __init__(self, ctx: RerankContext) -> None:
-        self.users = sorted(ctx.scores.users())
-        item_set: set[str] = set()
-        for u in self.users:
-            item_set.update(ctx.scores.row(u))
-        self.items = sorted(item_set)
-        self.groups = sorted(ctx.catalog.groups)
-        self.user_pos = {u: i for i, u in enumerate(self.users)}
-        self.item_pos = {it: i for i, it in enumerate(self.items)}
-        self.group_pos = {g: i for i, g in enumerate(self.groups)}
-
-        n_u, n_i, n_g = len(self.users), len(self.items), len(self.groups)
-        self.S = np.full((n_u, n_i), -np.inf)
-        self.valid = np.zeros((n_u, n_i), dtype=bool)
-        for u in self.users:
-            ui = self.user_pos[u]
-            for item, s in ctx.scores.row(u).items():
-                ii = self.item_pos[item]
-                self.S[ui, ii] = s
-                self.valid[ui, ii] = True
-        self.n_valid = self.valid.sum(axis=1)
+        self.view = view = ctx.scores.dense()
+        self.users, self.items, self.user_pos = view.users, view.items, view.user_pos
+        self.S, self.valid, self.n_valid = view.S, view.valid, view.n_valid
         empty = [self.users[i] for i in np.flatnonzero(self.n_valid == 0)]
         if empty:
             raise EmptyCandidates(f"users without candidates: {empty[:5]}")
 
-        self.member = np.zeros((n_i, n_g), dtype=bool)
-        for item in self.items:
+        self.groups = sorted(ctx.catalog.groups)
+        group_pos = {g: i for i, g in enumerate(self.groups)}
+        self.member = np.zeros((len(self.items), len(self.groups)), dtype=bool)
+        for ii, item in enumerate(self.items):
             for g in ctx.catalog.groups_of(item):
-                self.member[self.item_pos[item], self.group_pos[g]] = True
+                self.member[ii, group_pos[g]] = True
         self.member_f = self.member.astype(float)
         self.beta = np.array([ctx.target_shares[g] for g in self.groups])
-        self._idx = np.arange(n_i)
         # Clamped click weights; exposure mode uses unit weights.
         if ctx.mode == "click":
             self.W = np.where(self.valid, np.clip(self.S, 0.0, 1.0), 0.0)
         else:
             self.W = self.valid.astype(float)
-        self.k = ctx.k
 
-    def top_slate(self, ui: int, primary: np.ndarray, tie: np.ndarray | None = None) -> np.ndarray:
-        """Indices of the top-k entries of ``primary`` for user row ``ui``.
-
-        Primary must be -inf at invalid entries.  Ties fall back to ``tie``
-        (descending) and then item id (ascending).
-        """
-        if tie is None:
-            order = np.lexsort((self._idx, -primary))
-        else:
-            order = np.lexsort((self._idx, -tie, -primary))
-        depth = min(self.k, int(self.n_valid[ui]))
-        return order[:depth]
-
-    def slate_of(self, ui: int, indices: Sequence[int]) -> list[str]:
-        return [self.items[i] for i in indices]
+    def ranked(self, k: int) -> list[np.ndarray]:
+        """Each user's relevance top-k: the original ranking cut to depth."""
+        order = self.view.order
+        return [order[ui, :depth] for ui, depth in enumerate(np.minimum(k, self.n_valid))]
 
     def exposure_of(self, indices: Sequence[int]) -> np.ndarray:
         """Per-group exposure counts of a slate (each membership credited once)."""
@@ -148,16 +129,49 @@ class _Dense:
         return e
 
 
-def _build_slates(dense: _Dense, per_user: Mapping[int, Sequence[int]], k: int, meta: dict | None = None) -> RankingSlate:
-    slates = {dense.users[ui]: dense.slate_of(ui, idxs) for ui, idxs in sorted(per_user.items())}
+def _top_mask(primary: np.ndarray, tie: np.ndarray, k: int, n_valid: np.ndarray) -> np.ndarray:
+    """Mask of each row's ``min(k, n_valid)`` best entries of ``primary``.
+
+    Entries rank by (primary desc, tie desc, column asc); primary must be
+    -inf exactly at invalid entries.  Entries above the row's k-th value are
+    taken, and those equal to it fill the remaining slots.
+    """
+    m = primary.shape[1]
+    cut = m - min(k, m)
+    kth = np.partition(primary, cut, axis=1)[:, cut, None]
+    take = primary > kth
+    at = primary == kth
+    need = np.minimum(k, n_valid) - take.sum(axis=1)
+    n_at = at.sum(axis=1)
+    take |= at & (need == n_at)[:, None]
+    for r in np.flatnonzero((need > 0) & (need < n_at)):
+        cols = np.flatnonzero(at[r])
+        take[r, cols[np.argsort(-tie[r, cols], kind="stable")[: need[r]]]] = True
+    return take
+
+
+def _ranked(mask: np.ndarray, primary: np.ndarray, tie: np.ndarray) -> list[np.ndarray]:
+    """Each row's masked columns ordered by (primary desc, tie desc, column asc)."""
+    rows, cols = np.nonzero(mask)
+    order = np.lexsort((cols, -tie[rows, cols], -primary[rows, cols], rows))
+    return np.split(cols[order], np.cumsum(mask.sum(axis=1))[:-1])
+
+
+def _top_row(dense: _Dense, ui: int, primary: np.ndarray, k: int) -> np.ndarray:
+    """One user's top-k of ``primary`` with relevance as the tie key."""
+    primary, tie = primary[None], dense.S[ui : ui + 1]
+    return _ranked(_top_mask(primary, tie, k, dense.n_valid[ui : ui + 1]), primary, tie)[0]
+
+
+def _build_slates(dense: _Dense, per_user: Sequence[Sequence[int]], k: int, meta: dict | None = None) -> RankingSlate:
+    slates = {dense.users[ui]: [dense.items[i] for i in idxs] for ui, idxs in enumerate(per_user)}
     return RankingSlate(k=k, slates=slates, meta=meta or {})
 
 
 def topk(ctx: RerankContext) -> RankingSlate:
     """Relevance-only baseline: per-user top-k by score, ties by item id."""
     dense = _Dense(ctx)
-    chosen = {ui: dense.top_slate(ui, dense.S[ui]) for ui in range(len(dense.users))}
-    return _build_slates(dense, chosen, ctx.k)
+    return _build_slates(dense, dense.ranked(ctx.k), ctx.k)
 
 
 def min_regularizer(ctx: RerankContext, lam: float) -> RankingSlate:
@@ -172,7 +186,7 @@ def min_regularizer(ctx: RerankContext, lam: float) -> RankingSlate:
         raise InvariantViolation("lam must be non-negative")
     dense = _Dense(ctx)
     util = np.zeros(len(dense.groups))
-    chosen: dict[int, np.ndarray] = {}
+    chosen: list[np.ndarray] = [None] * len(dense.users)
     for t, user in enumerate(ctx.arrival_order, start=1):
         ui = dense.user_pos[user]
         if lam > 0:
@@ -183,7 +197,7 @@ def min_regularizer(ctx: RerankContext, lam: float) -> RankingSlate:
             adjusted = dense.S[ui] + lam * (norm.min() - item_pen)
         else:
             adjusted = dense.S[ui]
-        slate = dense.top_slate(ui, adjusted, tie=dense.S[ui])
+        slate = _top_row(dense, ui, adjusted, ctx.k)
         chosen[ui] = slate
         for i in slate:
             util += dense.member_f[i] * dense.W[ui, i]
@@ -199,31 +213,19 @@ def _deviation(e: np.ndarray, beta: np.ndarray) -> float:
     return float(np.abs(e - beta * e.sum()).sum())
 
 
-def _group_key(member_row: np.ndarray) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(member_row))
+def _reps(S: np.ndarray, mask: np.ndarray, gid: np.ndarray, n_sets: int, pick) -> np.ndarray:
+    """Per (row, group-set id), the masked column that ``pick`` selects.
 
-
-def _out_reps(dense: _Dense, ui: int, slate: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """Per member-group-set, the slate item with minimal (score, id)."""
-    reps: dict[tuple[int, ...], int] = {}
-    row = dense.S[ui]
-    for i in sorted(slate):
-        key = _group_key(dense.member[i])
-        cur = reps.get(key)
-        if cur is None or row[i] < row[cur]:
-            reps[key] = i
-    return reps
-
-
-def _in_reps(dense: _Dense, ui: int, in_slate: np.ndarray) -> dict[tuple[int, ...], int]:
-    """Per member-group-set, the non-slate candidate with maximal (score, -id)."""
-    reps: dict[tuple[int, ...], int] = {}
-    row = dense.S[ui]
-    for i in np.flatnonzero(dense.valid[ui] & ~in_slate):
-        key = _group_key(dense.member[i])
-        cur = reps.get(key)
-        if cur is None or row[i] > row[cur]:
-            reps[key] = i
+    ``pick`` is ``np.argmax`` or ``np.argmin`` over the row's scores; both
+    return the first extremum, so ties go to the smallest item index.  Rows
+    with no masked column in a group set get -1.
+    """
+    fill = -np.inf if pick is np.argmax else np.inf
+    reps = np.full((S.shape[0], n_sets), -1)
+    for g in range(n_sets):
+        vals = np.where(mask & (gid == g), S, fill)
+        best = pick(vals, axis=1)
+        reps[:, g] = np.where(vals[np.arange(len(best)), best] != fill, best, -1)
     return reps
 
 
@@ -236,78 +238,59 @@ def cpfair(ctx: RerankContext, lam: float, swap_budget: int) -> RankingSlate:
     and a total ``swap_budget``.  Ties prefer smaller loss, then the
     lexicographically smallest (user, out item, in item).  Modified slates
     are re-sorted by (score desc, item id asc).
+
+    Items with the same member-group set are interchangeable for the
+    deviation, so each user offers one out-item per group set (the lowest
+    scored slate item) and one in-item per group set (the highest scored
+    candidate), and all users' swaps are scored at once: an array of
+    users x group sets^2 per swap.
     """
     if lam < 0:
         raise InvariantViolation("lam must be non-negative")
     if swap_budget < 0:
         raise InvariantViolation("swap_budget must be non-negative")
     dense = _Dense(ctx)
-    n_users = len(dense.users)
-    slates: dict[int, list[int]] = {}
+    S = dense.S
     in_slate = np.zeros_like(dense.valid)
-    for ui in range(n_users):
-        slate = list(dense.top_slate(ui, dense.S[ui]))
-        slates[ui] = slate
+    for ui, slate in enumerate(dense.ranked(ctx.k)):
         in_slate[ui, slate] = True
-
-    e = np.zeros(len(dense.groups))
-    for slate in slates.values():
-        e += dense.exposure_of(slate)
+    e = in_slate.sum(axis=0) @ dense.member_f
     dev = _deviation(e, dense.beta)
 
-    # Candidate representatives per user; only the swapped user's change.
-    out_reps = {ui: _out_reps(dense, ui, slates[ui]) for ui in range(n_users)}
-    in_reps = {ui: _in_reps(dense, ui, in_slate[ui]) for ui in range(n_users)}
+    sets, gid = np.unique(dense.member, axis=0, return_inverse=True)
+    sets_f, n_sets = sets.astype(float), len(sets)
+    out_reps = _reps(S, in_slate, gid, n_sets, np.argmin)
+    in_reps = _reps(S, dense.valid & ~in_slate, gid, n_sets, np.argmax)
+    rows = np.arange(len(dense.users))[:, None]
 
     swaps_done = 0
     while swaps_done < swap_budget:
-        # The deviation delta depends only on the (out, in) group-set pair,
-        # so it is computed once per pair and iteration.
-        delta_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, float]] = {}
-        best = None  # (ratio, loss, ui, out_i, in_i, new_dev)
-        for ui in range(n_users):
-            row = dense.S[ui]
-            for out_key in sorted(out_reps[ui]):
-                out_i = out_reps[ui][out_key]
-                for in_key in sorted(in_reps[ui]):
-                    if in_key == out_key:
-                        continue
-                    in_i = in_reps[ui][in_key]
-                    loss = row[out_i] - row[in_i]
-                    if loss > lam + _TINY:
-                        continue
-                    pair = (out_key, in_key)
-                    cached = delta_cache.get(pair)
-                    if cached is None:
-                        e2 = e - dense.member_f[out_i] + dense.member_f[in_i]
-                        new_dev = _deviation(e2, dense.beta)
-                        cached = (dev - new_dev, new_dev)
-                        delta_cache[pair] = cached
-                    gain, new_dev = cached
-                    if gain <= _TINY:
-                        continue
-                    ratio = gain / max(loss, _TINY)
-                    cand = (ratio, -loss, -ui, -out_i, -in_i)
-                    if best is None or cand > (best[0], -best[1], -best[2], -best[3], -best[4]):
-                        best = (ratio, loss, ui, out_i, in_i, new_dev)
-        if best is None:
+        # The deviation after a swap depends only on the (out, in) group-set
+        # pair; a swap within one group set leaves it unchanged (zero gain).
+        e2 = e - sets_f[:, None, :] + sets_f[None, :, :]
+        new_dev = np.abs(e2 - dense.beta * e2.sum(axis=2, keepdims=True)).sum(axis=2)
+        gain = dev - new_dev
+        s_out = np.where(out_reps >= 0, S[rows, out_reps], np.nan)
+        s_in = np.where(in_reps >= 0, S[rows, in_reps], np.nan)
+        loss = s_out[:, :, None] - s_in[:, None, :]
+        users, go, gi = np.nonzero((loss <= lam + _TINY) & (gain > _TINY))
+        if users.size == 0:
             break
-        _, _, ui, out_i, in_i, new_dev = best
-        slates[ui].remove(out_i)
-        slates[ui].append(in_i)
-        in_slate[ui, out_i] = False
-        in_slate[ui, in_i] = True
-        e = e - dense.member_f[out_i] + dense.member_f[in_i]
-        dev = new_dev
-        out_reps[ui] = _out_reps(dense, ui, slates[ui])
-        in_reps[ui] = _in_reps(dense, ui, in_slate[ui])
+        loss = loss[users, go, gi]
+        ratio = gain[go, gi] / np.maximum(loss, _TINY)
+        out_i, in_i = out_reps[users, go], in_reps[users, gi]
+        b = np.lexsort((in_i, out_i, users, loss, -ratio))[0]
+        ui = users[b]
+        in_slate[ui, out_i[b]] = False
+        in_slate[ui, in_i[b]] = True
+        e = e - dense.member_f[out_i[b]] + dense.member_f[in_i[b]]
+        dev = float(new_dev[go[b], gi[b]])
+        one = slice(ui, ui + 1)
+        out_reps[one] = _reps(S[one], in_slate[one], gid, n_sets, np.argmin)
+        in_reps[one] = _reps(S[one], dense.valid[one] & ~in_slate[one], gid, n_sets, np.argmax)
         swaps_done += 1
 
-    chosen = {
-        ui: sorted(slate, key=lambda i: (-dense.S[ui, i], i))
-        for ui, slate in slates.items()
-    }
-    return _build_slates(dense, chosen, ctx.k, meta={"swaps": swaps_done, "deviation": dev})
+    return _build_slates(dense, _ranked(in_slate, S, S), ctx.k, meta={"swaps": swaps_done, "deviation": dev})
 
 
 def fairrec(ctx: RerankContext, phi: float) -> RankingSlate:
@@ -327,7 +310,7 @@ def fairrec(ctx: RerankContext, phi: float) -> RankingSlate:
     n_groups = len(dense.groups)
     floor_exposure = math.floor(phi * ctx.k * n_users / n_groups + 1e-9)
 
-    slates: dict[int, list[int]] = {ui: [] for ui in range(n_users)}
+    placed = np.zeros(n_users, dtype=int)
     in_slate = np.zeros_like(dense.valid)
     e = np.zeros(n_groups)
 
@@ -339,13 +322,13 @@ def fairrec(ctx: RerankContext, phi: float) -> RankingSlate:
             done = False
             for user in ctx.arrival_order:
                 ui = dense.user_pos[user]
-                if len(slates[ui]) >= min(ctx.k, int(dense.n_valid[ui])):
+                if placed[ui] >= min(ctx.k, dense.n_valid[ui]):
                     continue
                 cand = np.where(dense.valid[ui] & ~in_slate[ui] & items_below, dense.S[ui], -np.inf)
                 best = int(np.argmax(cand))
                 if cand[best] == -np.inf:
                     continue
-                slates[ui].append(best)
+                placed[ui] += 1
                 in_slate[ui, best] = True
                 e += dense.member_f[best]
                 progress = True
@@ -360,23 +343,14 @@ def fairrec(ctx: RerankContext, phi: float) -> RankingSlate:
                 break
 
     for ui in range(n_users):
-        depth = min(ctx.k, int(dense.n_valid[ui]))
-        if len(slates[ui]) >= depth:
-            continue
-        cand = np.where(dense.valid[ui] & ~in_slate[ui], dense.S[ui], -np.inf)
-        order = np.lexsort((dense._idx, -cand))
-        for i in order:
-            if len(slates[ui]) >= depth:
-                break
-            if cand[i] == -np.inf:
-                break
-            slates[ui].append(int(i))
-            in_slate[ui, i] = True
-            e += dense.member_f[i]
+        # The user's original ranking, minus what phase 1 already placed.
+        ranked = dense.view.order[ui]
+        fill = ranked[~in_slate[ui, ranked]][: min(ctx.k, dense.n_valid[ui]) - placed[ui]]
+        in_slate[ui, fill] = True
+        e += dense.member_f[fill].sum(axis=0)
 
-    chosen = {ui: sorted(slate, key=lambda i: (-dense.S[ui, i], i)) for ui, slate in slates.items()}
     meta = {"mms_floor": floor_exposure, "min_group_exposure": float(e.min())}
-    return _build_slates(dense, chosen, ctx.k, meta=meta)
+    return _build_slates(dense, _ranked(in_slate, dense.S, dense.S), ctx.k, meta=meta)
 
 
 def pmmf(
@@ -399,14 +373,14 @@ def pmmf(
     dense = _Dense(ctx)
     state = DualState.uniform(lam, dense.groups, eta)
     mu = np.array([state.prices[g] for g in dense.groups])
-    chosen: dict[int, np.ndarray] = {}
+    chosen: list[np.ndarray] = [None] * len(dense.users)
     for user in ctx.arrival_order:
         ui = dense.user_pos[user]
         if lam > 0:
             adjusted = dense.S[ui] - dense.member_f @ mu
         else:
             adjusted = dense.S[ui]
-        slate = dense.top_slate(ui, adjusted, tie=dense.S[ui])
+        slate = _top_row(dense, ui, adjusted, ctx.k)
         chosen[ui] = slate
         exposure = dense.exposure_of(slate)
         gradient = dense.beta * ctx.k - exposure
@@ -438,11 +412,7 @@ def welf(ctx: RerankContext, lam: float, alpha: float = 0.5, iters: int = 50) ->
         raise InvariantViolation("iters must be >= 1")
     eps = 1e-3
     dense = _Dense(ctx)
-    n_users, n_items = dense.S.shape
-
-    pi = np.zeros((n_users, n_items))
-    for ui in range(n_users):
-        pi[ui, dense.top_slate(ui, dense.S[ui])] = 1.0
+    pi = _top_mask(dense.S, dense.S, ctx.k, dense.n_valid).astype(float)
     expected_row = np.minimum(ctx.k, dense.n_valid).astype(float)
 
     exposure = pi.sum(axis=0) @ dense.member_f
@@ -457,9 +427,7 @@ def welf(ctx: RerankContext, lam: float, alpha: float = 0.5, iters: int = 50) ->
             grad = dense.S + bonus
         else:
             grad = dense.S
-        head = np.zeros_like(pi)
-        for ui in range(n_users):
-            head[ui, dense.top_slate(ui, grad[ui], tie=dense.S[ui])] = 1.0
+        head = _top_mask(grad, dense.S, ctx.k, dense.n_valid).astype(float)
         grad0 = np.where(dense.valid, grad, 0.0)
         gaps.append(float(np.sum(grad0 * (head - pi))))
         gamma = 2.0 / (t + 2.0)
@@ -473,10 +441,8 @@ def welf(ctx: RerankContext, lam: float, alpha: float = 0.5, iters: int = 50) ->
     if lam > 0:
         objective += float(lam * np.sum((exposure + eps) ** (1.0 - alpha) / (1.0 - alpha)))
 
-    chosen: dict[int, np.ndarray] = {}
-    for ui in range(n_users):
-        primary = np.where(dense.valid[ui], pi[ui], -np.inf)
-        chosen[ui] = dense.top_slate(ui, primary, tie=dense.S[ui])
+    primary = np.where(dense.valid, pi, -np.inf)
+    chosen = _ranked(_top_mask(primary, dense.S, ctx.k, dense.n_valid), primary, dense.S)
     meta = {
         "duality_gaps": gaps,
         "objective": objective,
@@ -486,21 +452,3 @@ def welf(ctx: RerankContext, lam: float, alpha: float = 0.5, iters: int = 50) ->
     }
     return _build_slates(dense, chosen, ctx.k, meta=meta)
 
-
-def welf_objective(ctx: RerankContext, slates: RankingSlate, lam: float, alpha: float = 0.5) -> float:
-    """Welfare objective of a deterministic slate assignment (for reference checks)."""
-    eps = 1e-3
-    dense = _Dense(ctx)
-    total = 0.0
-    exposure = np.zeros(len(dense.groups))
-    for user, items in slates.slates.items():
-        ui = dense.user_pos[user]
-        for item in items:
-            ii = dense.item_pos.get(item)
-            if ii is None or not dense.valid[ui, ii]:
-                raise UnknownEntity(f"slate item {item!r} has no score for user {user!r}")
-            total += dense.S[ui, ii]
-            exposure += dense.member_f[ii]
-    if lam > 0:
-        total += float(lam * np.sum((exposure + eps) ** (1.0 - alpha) / (1.0 - alpha)))
-    return total

@@ -136,18 +136,17 @@ def hit_at_k(slates: RankingSlate, relevant: Mapping[str, set[str]], k: int) -> 
     return float(np.mean(vals))
 
 
-def _original_topk(row: Mapping[str, float], k: int) -> list[str]:
-    return [item for item, _ in sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))[:k]]
-
-
 def rerank_quality(new_slates: RankingSlate, orig_scores: ScoreMatrix, k: int) -> tuple[float, float]:
     """Re-ranking quality vs. the score-ordered original top-k.
 
     Returns ``(r_ndcg, u_loss)`` averaged over users: the DCG ratio with
     original scores as gains, and the relative drop in retained score mass.
+    The original top-k is the score matrix's shared ranking (score desc,
+    item id asc) cut to depth.
     """
     if k > new_slates.k:
         raise InvariantViolation(f"k={k} exceeds slate size {new_slates.k}")
+    view = orig_scores.dense()
     r_vals = []
     loss_vals = []
     for user in sorted(new_slates.slates):
@@ -156,9 +155,10 @@ def rerank_quality(new_slates: RankingSlate, orig_scores: ScoreMatrix, k: int) -
         for item in new_items:
             if item not in row:
                 raise UnknownEntity(f"re-ranked item {item!r} has no original score for {user!r}")
-        orig_items = _original_topk(row, k)
-        denom_dcg = sum(row[item] * _log2_discount(r) for r, item in enumerate(orig_items, start=1))
-        denom_sum = sum(row[item] for item in orig_items)
+        ui = view.user_pos[user]
+        orig = view.S[ui, view.order[ui, : min(k, len(row))]].tolist()
+        denom_dcg = sum(s * _log2_discount(r) for r, s in enumerate(orig, start=1))
+        denom_sum = sum(orig)
         if denom_dcg == 0.0 or denom_sum == 0.0:
             raise UndefinedMetric(f"zero original top-{k} mass for user {user!r}")
         num_dcg = sum(row[item] * _log2_discount(r) for r, item in enumerate(new_items, start=1))

@@ -26,19 +26,37 @@ def make_catalog(item_groups: dict[str, set[str]], users: list[str], user_groups
     )
 
 
-def random_instance(rng: np.random.Generator, n_users: int, n_items: int, n_groups: int):
-    """Random catalog + positive score matrix with single-group items."""
+def random_instance(rng: np.random.Generator, n_users: int, n_items: int, n_groups: int, tie_heavy: bool = False):
+    """Random catalog + non-negative score matrix.
+
+    By default items belong to one group, every user scores every item and
+    scores are distinct.  ``tie_heavy`` rounds scores to one decimal, gives
+    items up to three groups and lets each user score as few as one item,
+    so slates meet score ties, shared group sets and rows shorter than K.
+    """
     users = [f"u{i:03d}" for i in range(n_users)]
     items = [f"i{i:03d}" for i in range(n_items)]
     groups = [f"g{i}" for i in range(n_groups)]
     item_groups = {item: frozenset({groups[int(rng.integers(0, n_groups))]}) for item in items}
+    if tie_heavy:
+        for item in items:
+            extra = rng.integers(0, n_groups, size=int(rng.integers(0, 3)))
+            item_groups[item] |= {groups[int(g)] for g in extra}
     # Ensure every group owns at least one item.
     for gi, g in enumerate(groups):
         item_groups[items[gi % n_items]] = frozenset({g})
     catalog = Catalog(users=users, items=items, groups=groups, item_groups=item_groups)
     scores = rng.uniform(0.01, 1.0, size=(n_users, n_items))
+    scored = np.ones((n_users, n_items), dtype=bool)
+    if tie_heavy:
+        scores = np.round(scores, 1)
+        sizes = rng.integers(1, n_items + 1, size=(n_users, 1))
+        scored = rng.random((n_users, n_items)).argsort(axis=1) < sizes
     matrix = ScoreMatrix(
-        {u: {it: float(scores[ui, ii]) for ii, it in enumerate(items)} for ui, u in enumerate(users)}
+        {
+            u: {it: float(scores[ui, ii]) for ii, it in enumerate(items) if scored[ui, ii]}
+            for ui, u in enumerate(users)
+        }
     )
     return catalog, matrix
 

@@ -24,7 +24,6 @@ from fairrank.fair_rerank import (
     pmmf,
     topk,
     welf,
-    welf_objective,
 )
 from fairrank.ingest import parse_diversity_qrels, read_dataset, write_dataset
 from fairrank.metrics import (
@@ -40,6 +39,7 @@ from fairrank.synth import init_workspace, synthetic_dataset
 from fairrank.trainer import TrainConfig, TrainHooks, bpr_triple_loss, train
 
 from conftest import full_coverage_instance, make_catalog, make_judgments, random_diversity_instance, random_instance
+from reference_rerank import welf_objective
 from test_diverse_rerank import pm2_oracle, xquad_oracle
 from test_trainer import biased_dataset, pairwise_auc, planted_dataset, reference_bpr
 
@@ -279,6 +279,16 @@ def test_c10_ingestion_round_trips(tmp_path, rng):
     passed(10, "canonical round-trips identical; qrels fixture has 3-8 intents per query")
 
 
+# Report hashes of the c11 run, recorded before the re-rankers were
+# vectorised; a change that moves them changes behaviour.
+C11_SHA256 = {
+    "records.jsonl": "c0edc4985c1f1be4e43294a7bfa09f0c105ca69315439f221b7179f4f38141ef",
+    "table.txt": "9b95be0d19ab163687c4daef4bf51f409110020112acbbc5cfa7354b1cb066c0",
+    "allocations.tsv": "a7bc8c0af26ce97b092964139f97b5ca25346ff267b68b2c9b7e250e693fb767",
+    "config.yaml": "32a9e72f1f969e23aa3f9d9c8be86e668271da830d4d37dd53db308c42daaa30",
+}
+
+
 def test_c11_end_to_end_benchmark(tmp_path):
     started = time.perf_counter()
     init_workspace(tmp_path, name="synth", n_users=1000, n_items=500, n_groups=10, seed=77, per_user=(10, 20))
@@ -302,6 +312,7 @@ def test_c11_end_to_end_benchmark(tmp_path):
     log_dir = tmp_path / "log" / "bench"
     stable = ["records.jsonl", "table.txt", "allocations.tsv", "config.yaml"]
     first = {name: hashlib.sha256((log_dir / name).read_bytes()).hexdigest() for name in stable}
+    assert first == C11_SHA256
 
     table = (log_dir / "table.txt").read_text()
     sections = {}
@@ -320,4 +331,4 @@ def test_c11_end_to_end_benchmark(tmp_path):
     assert first == second
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
-    passed(11, f"benchmark over 6 re-rankers byte-identical across runs ({elapsed:.1f}s)")
+    passed(11, f"benchmark over 6 re-rankers byte-identical across runs and to the recorded hashes ({elapsed:.1f}s)")

@@ -17,10 +17,10 @@ from fairrank.fair_rerank import (
     proportional_shares,
     topk,
     welf,
-    welf_objective,
 )
 
 from conftest import full_coverage_instance, make_catalog, random_instance
+from reference_rerank import welf_objective
 
 _TINY = 1e-12
 
