@@ -39,6 +39,7 @@ from .ingest import (
     parse_interactions,
     parse_item_groups,
     parse_run_file,
+    parse_user_groups,
     read_dataset,
     read_scores,
     write_dataset,
@@ -192,13 +193,7 @@ def _run_process(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
     else:
         interactions = parse_interactions(data_root / raw["interactions"], raw.get("columns"))
         item_groups = parse_item_groups(data_root / raw["item_groups"])
-        user_groups = None
-        if raw.get("user_groups"):
-            user_groups = {}
-            for line in (data_root / raw["user_groups"]).read_text(encoding="utf-8").splitlines():
-                if line:
-                    user, group = line.split("\t")
-                    user_groups[user] = group
+        user_groups = parse_user_groups(data_root / raw["user_groups"]) if raw.get("user_groups") else None
         catalog = build_catalog(interactions, item_groups, user_groups)
         dataset = filter_and_split(
             interactions,

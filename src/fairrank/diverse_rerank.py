@@ -1,20 +1,25 @@
 """Intent-aware search-result diversification over run lists.
 
 Both algorithms greedily rebuild the top of a ranked list from a candidate
-pool (default: top 50 of the original run).  Scoring loops are written out
-explicitly so that a step-wise re-computation of the argmax reproduces the
-selection bit-for-bit; ties always fall back to the original rank order.
-Queries are independent and may be processed in parallel; the greedy loop
-within a query is sequential.
+pool (default: top 50 of the original run).  Queries are independent, so
+each greedy step runs for all queries at once over one padded
+queries x pool array per intent; the steps within a query stay sequential.
+Every per-doc score adds its per-intent terms in the query's declared intent
+order with the same operands as the one-query loop in
+``tests/reference_diverse.py``, and padded intents add an exact ``+0.0``, so
+the selections are bit-identical to that loop.  Ties fall back to the
+original rank order: ``np.argmax`` over the pool with taken docs masked to
+``-inf`` returns the first maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+
+import numpy as np
 
 from .errors import EmptyCandidates, InvariantViolation
-from .ingest import IntentJudgments, QueryJudgments, RunList
+from .ingest import IntentJudgments, RunList
 
 
 @dataclass
@@ -26,7 +31,9 @@ class DiversifyContext:
         judgments: per-query intents, priors, and binary relevance (the
             oracle diversification signal).
         intent_relevance: optional predicted relevance overriding the binary
-            judgments, as ``qid -> (doc, intent) -> [0, 1]``.
+            judgments, as ``qid -> (doc, intent) -> [0, 1]``; a query absent
+            from it keeps its binary judgments, a pair absent from its table
+            counts as 0.
         lam: mixing weight between relevance and diversification.
         k: output depth.
         pool_size: candidate pool truncation depth.
@@ -50,12 +57,6 @@ class DiversifyContext:
                     if not (0.0 <= value <= 1.0):
                         raise InvariantViolation(f"intent relevance {value} outside [0, 1] for {key}")
 
-    def relevance_fn(self, qid: str, judg: QueryJudgments):
-        if self.intent_relevance is not None and qid in self.intent_relevance:
-            table = self.intent_relevance[qid]
-            return lambda doc, intent: table.get((doc, intent), 0.0)
-        return judg.relevance
-
 
 def _normalized_pool(run: RunList, qid: str, pool_size: int) -> tuple[list[str], dict[str, float]]:
     entries = run.queries.get(qid, [])[:pool_size]
@@ -71,93 +72,110 @@ def _normalized_pool(run: RunList, qid: str, pool_size: int) -> tuple[list[str],
     return docs, norm
 
 
-def xquad_query(
-    docs: list[str],
-    norm_scores: Mapping[str, float],
-    judg: QueryJudgments,
-    rel,
-    lam: float,
-    k: int,
-) -> list[str]:
-    """Greedy explicit-intent diversification of one query's pool."""
-    intents = judg.intents
-    priors = judg.priors
-    not_covered = {i: 1.0 for i in intents}
-    selected: list[str] = []
-    remaining = list(docs)
-    for _ in range(min(k, len(docs))):
-        best_doc = None
-        best_score = -float("inf")
-        for doc in remaining:  # original rank order; strict > keeps the earlier doc on ties
-            div = 0.0
-            for intent in intents:
-                div += priors[intent] * rel(doc, intent) * not_covered[intent]
-            score = (1.0 - lam) * norm_scores[doc] + lam * div
-            if score > best_score:
-                best_score = score
-                best_doc = doc
-        selected.append(best_doc)
-        remaining.remove(best_doc)
-        for intent in intents:
-            not_covered[intent] *= 1.0 - rel(best_doc, intent)
-    return selected
+class _Batch:
+    """Every query's pool as padded arrays, queries in ascending id order.
 
+    ``rel[j, q, d]`` is the relevance of pool position ``d`` of query ``q``
+    to its ``j``-th declared intent and ``prior[q, j]`` is that intent's
+    prior.  ``norm`` holds the normalised run scores and ``taken`` starts
+    True on padded positions.  Padding is 0 everywhere else.
+    """
 
-def pm2_query(
-    docs: list[str],
-    judg: QueryJudgments,
-    rel,
-    lam: float,
-    k: int,
-) -> list[str]:
-    """Proportional (Sainte-Lague) seat allocation over intents for one query."""
-    intents = judg.intents
-    votes = dict(judg.priors)
-    seats = {i: 0.0 for i in intents}
-    selected: list[str] = []
-    remaining = list(docs)
-    for _ in range(min(k, len(docs))):
-        target = None
-        best_qt = -float("inf")
-        for intent in intents:  # ascending id; strict > keeps the smaller id on ties
-            qt = votes[intent] / (2.0 * seats[intent] + 1.0)
-            if qt > best_qt:
-                best_qt = qt
-                target = intent
-        best_doc = None
-        best_score = -float("inf")
-        for doc in remaining:
-            score = lam * best_qt * rel(doc, target)
-            for intent in intents:
-                if intent != target:
-                    score += (1.0 - lam) * (votes[intent] / (2.0 * seats[intent] + 1.0)) * rel(doc, intent)
-            if score > best_score:
-                best_score = score
-                best_doc = doc
-        selected.append(best_doc)
-        remaining.remove(best_doc)
-        coverage = sum(rel(best_doc, intent) for intent in intents)
-        if coverage > 0.0:
-            for intent in intents:
-                seats[intent] += rel(best_doc, intent) / coverage
-    return selected
+    def __init__(self, ctx: DiversifyContext) -> None:
+        self.qids = sorted(ctx.run.queries)
+        judgs = []
+        self.docs: list[list[str]] = []
+        norms = []
+        for qid in self.qids:  # same error order as one query at a time
+            judgs.append(ctx.judgments.query(qid))
+            docs, norm = _normalized_pool(ctx.run, qid, ctx.pool_size)
+            self.docs.append(docs)
+            norms.append(norm)
+        n_q = len(self.qids)
+        n_pool = max((len(docs) for docs in self.docs), default=0)
+        n_int = max((len(judg.intents) for judg in judgs), default=0)
+        self.norm = np.zeros((n_q, n_pool))
+        self.taken = np.ones((n_q, n_pool), dtype=bool)
+        self.prior = np.zeros((n_q, n_int))
+        self.rel = np.zeros((n_int, n_q, n_pool))
+        tables = ctx.intent_relevance or {}
+        for q, (qid, judg, docs, norm) in enumerate(zip(self.qids, judgs, self.docs, norms)):
+            n = len(docs)
+            self.norm[q, :n] = [norm[doc] for doc in docs]
+            self.taken[q, :n] = False
+            self.prior[q, : len(judg.intents)] = [judg.priors[intent] for intent in judg.intents]
+            if qid in tables:
+                table = tables[qid]
+                for j, intent in enumerate(judg.intents):
+                    self.rel[j, q, :n] = [table.get((doc, intent), 0.0) for doc in docs]
+            else:
+                col = {intent: (j * n_q + q) * n_pool for j, intent in enumerate(judg.intents)}
+                hits = [col[intent] + d for d, doc in enumerate(docs) for intent in judg.doc_intents.get(doc, ())]
+                self.rel.flat[hits] = 1.0
+        self.steps = np.minimum(ctx.k, [len(docs) for docs in self.docs])
+        self.rows = np.arange(n_q)
+
+    def take_best(self, score: np.ndarray) -> np.ndarray:
+        """Each query's first untaken position of maximal score; mark it taken."""
+        best = np.argmax(np.where(self.taken, -np.inf, score), axis=1)
+        self.taken[self.rows, best] = True
+        return best
+
+    def slates(self, picks: list[np.ndarray]) -> dict[str, list[str]]:
+        order = np.array(picks, dtype=np.intp).T.tolist()
+        return {
+            qid: [docs[d] for d in order[q][:n]]
+            for q, (qid, docs, n) in enumerate(zip(self.qids, self.docs, self.steps.tolist()))
+        }
 
 
 def xquad(ctx: DiversifyContext) -> dict[str, list[str]]:
-    """Diversify every query of the run with the explicit-intent greedy."""
-    out: dict[str, list[str]] = {}
-    for qid in sorted(ctx.run.queries):
-        judg = ctx.judgments.query(qid)
-        docs, norm = _normalized_pool(ctx.run, qid, ctx.pool_size)
-        out[qid] = xquad_query(docs, norm, judg, ctx.relevance_fn(qid, judg), ctx.lam, ctx.k)
-    return out
+    """Diversify every query of the run with the explicit-intent greedy.
+
+    A doc scores ``(1 - lam) * norm + lam * sum_i (prior_i * rel_i) * not_covered_i``;
+    picking it multiplies each intent's ``not_covered`` by ``1 - rel_i``.
+    """
+    b = _Batch(ctx)
+    not_covered = np.ones_like(b.prior)
+    base = (1.0 - ctx.lam) * b.norm
+    picks = []
+    for _ in range(int(b.steps.max(initial=0))):
+        div = np.zeros_like(b.norm)
+        for j in range(len(b.rel)):  # declared intent order
+            div += (b.prior[:, j, None] * b.rel[j]) * not_covered[:, j, None]
+        best = b.take_best(base + ctx.lam * div)
+        picks.append(best)
+        not_covered *= 1.0 - b.rel[:, b.rows, best].T
+    return b.slates(picks)
 
 
 def pm2(ctx: DiversifyContext) -> dict[str, list[str]]:
-    """Diversify every query of the run with proportional seat allocation."""
-    out: dict[str, list[str]] = {}
-    for qid in sorted(ctx.run.queries):
-        judg = ctx.judgments.query(qid)
-        docs, _ = _normalized_pool(ctx.run, qid, ctx.pool_size)
-        out[qid] = pm2_query(docs, judg, ctx.relevance_fn(qid, judg), ctx.lam, ctx.k)
-    return out
+    """Diversify every query of the run with proportional (Sainte-Lague) seat allocation.
+
+    Each step gives the seat to the intent with the largest quotient
+    ``prior / (2 * seats + 1)`` (first in declared order on ties), scores a
+    doc ``(lam * qt_target) * rel_target + sum_{i != target} ((1 - lam) * qt_i) * rel_i``
+    and splits one seat over the picked doc's intents in proportion to its
+    relevance.
+    """
+    b = _Batch(ctx)
+    seats = np.zeros_like(b.prior)
+    picks = []
+    for _ in range(int(b.steps.max(initial=0))):
+        qt = b.prior / (2.0 * seats + 1.0)
+        # Priors sum to 1, so a padded intent's quotient 0 is below the largest.
+        target = np.argmax(qt, axis=1)
+        score = (ctx.lam * qt[b.rows, target])[:, None] * b.rel[target, b.rows]
+        others = (1.0 - ctx.lam) * qt
+        others[b.rows, target] = 0.0  # the target's term was added first
+        for j in range(len(b.rel)):  # declared intent order
+            score += others[:, j, None] * b.rel[j]
+        best = b.take_best(score)
+        picks.append(best)
+        chosen = b.rel[:, b.rows, best]
+        coverage = np.zeros(len(b.qids))
+        for j in range(len(chosen)):
+            coverage += chosen[j]
+        covered = coverage > 0.0
+        seats[covered] += chosen.T[covered] / coverage[covered, None]
+    return b.slates(picks)

@@ -14,7 +14,7 @@ Formats handled here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -63,7 +63,8 @@ class QueryJudgments:
 
     Attributes:
         intents: declared intents in ascending id order.
-        priors: intent -> probability, summing to 1.
+        priors: intent -> probability in [0, 1], keyed by exactly the
+            declared intents and summing to 1.
         doc_intents: doc -> set of intents the doc is relevant to (docs with
             no positive judgment are absent).
     """
@@ -75,6 +76,11 @@ class QueryJudgments:
     def __post_init__(self) -> None:
         if not self.intents:
             raise InvariantViolation("query declares no intents")
+        if sorted(self.priors) != sorted(self.intents):
+            raise InvariantViolation("intent priors are not keyed by exactly the declared intents")
+        for intent, prior in self.priors.items():
+            if not (0.0 <= prior <= 1.0):
+                raise InvariantViolation(f"prior {prior} of intent {intent!r} outside [0, 1]")
         if abs(sum(self.priors.values()) - 1.0) > 1e-9:
             raise InvariantViolation("intent priors do not sum to 1")
         declared = set(self.intents)
@@ -92,10 +98,17 @@ class QueryJudgments:
 
 @dataclass
 class IntentJudgments:
-    """Per-query intent sets, priors, and binary doc relevance."""
+    """Per-query intent sets, priors, and binary doc relevance.
+
+    ``ideal_dcg`` holds the greedy ideal alpha-DCG tables that
+    ``metrics.alpha_ndcg`` computes on first use, one per alpha, and keeps
+    for the lifetime of the judgments; the judgments are read-only once a
+    metric has seen them.
+    """
 
     queries: dict[str, QueryJudgments]
     duplicate_count: int = 0
+    ideal_dcg: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def query(self, qid: str) -> QueryJudgments:
         try:
@@ -183,6 +196,26 @@ def parse_item_groups(path: str | Path) -> dict[str, frozenset[str]]:
             if not groups:
                 raise ParseError(f"line {lineno}: item {item!r} has no groups")
             out[item] = groups
+    return out
+
+
+def _user_group_fields(path: Path, lineno: int, line: str) -> tuple[str, str]:
+    fields = line.split("\t")
+    if len(fields) != 2:
+        raise ParseError(f"{path}: line {lineno}: expected 'user<TAB>group', got {len(fields)} fields")
+    return fields[0], fields[1]
+
+
+def parse_user_groups(path: str | Path) -> dict[str, str]:
+    """Parse a TSV ``user_id<TAB>group`` file (no header)."""
+    path = Path(path)
+    if not path.exists():
+        raise IoError(f"user-group file not found: {path}")
+    out: dict[str, str] = {}
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if line:
+            user, group = _user_group_fields(path, lineno, line)
+            out[user] = group
     return out
 
 
@@ -431,11 +464,11 @@ def read_dataset(directory: str | Path) -> SplitDataset:
     user_groups: dict[str, str] = {}
     with (directory / "users.tsv").open("r", encoding="utf-8") as fh:
         fh.readline()
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            user, group = line.split("\t")
+            user, group = _user_group_fields(directory / "users.tsv", lineno, line)
             users.append(user)
             if group:
                 user_groups[user] = group

@@ -240,28 +240,53 @@ def _alpha_dcg(docs: Sequence[str], judg: QueryJudgments, alpha: float, k: int) 
     return dcg
 
 
+def _greedy_ideal_table(queries: Sequence[QueryJudgments], alpha: float, depth: int) -> np.ndarray:
+    """Running greedy ideal alpha-DCG of each query, all queries at once.
+
+    Entry ``[q, r]`` is the DCG of the first ``r`` docs of query ``q``'s
+    greedy ideal ordering, for ``r = 0..depth``; past the query's judged
+    pool the entry stays at the full pool's DCG.  Each step picks, per
+    query, the first judged doc (ascending id) of maximal gain, where a
+    doc's gain adds ``(1 - alpha) ** covered`` over its intents in ascending
+    id order (other intents add an exact ``+0.0``).  The DCG adds
+    ``gain * 1 / log2(rank + 1)`` rank by rank.  Greedy orderings at two
+    depths agree on their common prefix, so one table serves every K up to
+    ``depth``.
+    """
+    pools = [judg.judged_docs() for judg in queries]
+    n_pool = np.array([len(pool) for pool in pools], dtype=np.intp)
+    n_int = max((len(judg.intents) for judg in queries), default=0)
+    n_q, width = len(queries), int(n_pool.max(initial=0))
+    member = np.zeros((n_int, n_q, width), dtype=bool)
+    for q, (judg, pool) in enumerate(zip(queries, pools)):
+        col = {intent: (j * n_q + q) * width for j, intent in enumerate(sorted(judg.intents))}
+        hits = [col[intent] + d for d, doc in enumerate(pool) for intent in judg.doc_intents[doc]]
+        member.flat[hits] = True
+    available = np.arange(width) < n_pool[:, None]
+    decay = np.array([(1.0 - alpha) ** c for c in range(depth + 1)])
+    covered = np.zeros((n_q, n_int), dtype=np.intp)
+    rows = np.arange(n_q)
+    table = np.zeros((n_q, depth + 1))
+    for step in range(depth):
+        weight = decay[covered]
+        gain = np.zeros(available.shape)
+        for j in range(n_int):
+            gain += member[j] * weight[:, j, None]
+        best = np.argmax(np.where(available, gain, -np.inf), axis=1)
+        gained = table[:, step] + gain[rows, best] * _log2_discount(step + 1)
+        table[:, step + 1] = np.where(step < n_pool, gained, table[:, step])
+        available[rows, best] = False
+        covered += member[:, rows, best].T
+    return table
+
+
 def _ideal_alpha_dcg(judg: QueryJudgments, alpha: float, k: int, ideal: str) -> float:
     pool = judg.judged_docs()
     depth = min(k, len(pool))
     if depth == 0:
         return 0.0
     if ideal == "greedy":
-        chosen: list[str] = []
-        covered: dict[str, int] = {}
-        remaining = list(pool)
-        for _ in range(depth):
-            best_doc = None
-            best_gain = -1.0
-            for doc in remaining:
-                gain = sum((1.0 - alpha) ** covered.get(i, 0) for i in sorted(judg.doc_intents[doc]))
-                if gain > best_gain:
-                    best_gain = gain
-                    best_doc = doc
-            chosen.append(best_doc)
-            remaining.remove(best_doc)
-            for intent in judg.doc_intents[best_doc]:
-                covered[intent] = covered.get(intent, 0) + 1
-        return _alpha_dcg(chosen, judg, alpha, k)
+        return float(_greedy_ideal_table([judg], alpha, depth)[0, depth])
     if ideal == "exhaustive":
         if len(pool) > 8:
             raise InvariantViolation("exhaustive ideal limited to <= 8 judged docs")
@@ -272,21 +297,60 @@ def _ideal_alpha_dcg(judg: QueryJudgments, alpha: float, k: int, ideal: str) -> 
     raise InvariantViolation(f"unknown ideal mode {ideal!r}")
 
 
-def alpha_ndcg_query(docs: Sequence[str], judg: QueryJudgments, alpha: float = 0.5, k: int = 10, ideal: str = "greedy") -> float:
-    """alpha-nDCG@k for one query; gains decay by (1-alpha) per redundant intent."""
+def _greedy_ideal(judgments: IntentJudgments, alpha: float, k: int) -> dict[str, float]:
+    """Greedy ideal alpha-DCG@k per query, from the table kept on the judgments.
+
+    The table for ``alpha`` is computed once for every query of the
+    judgments and recomputed only when a deeper ``k`` needs more ranks.
+    """
+    entry = judgments.ideal_dcg.get(alpha)
+    if entry is None or entry[1].shape[1] - 1 < min(k, entry[2]):
+        qids = sorted(judgments.queries)
+        queries = [judgments.queries[qid] for qid in qids]
+        max_pool = max((len(judg.doc_intents) for judg in queries), default=0)
+        table = _greedy_ideal_table(queries, alpha, min(k, max_pool))
+        entry = judgments.ideal_dcg[alpha] = (qids, table, max_pool)
+    qids, table, _ = entry
+    return dict(zip(qids, table[:, min(k, table.shape[1] - 1)].tolist()))
+
+
+def _check_alpha(alpha: float) -> None:
     if not (0.0 <= alpha < 1.0):
         raise InvariantViolation("alpha must lie in [0, 1)")
-    ideal_dcg = _ideal_alpha_dcg(judg, alpha, k, ideal)
+
+
+def _alpha_ndcg_given(docs: Sequence[str], judg: QueryJudgments, alpha: float, k: int, ideal_dcg: float) -> float:
     if ideal_dcg == 0.0:
         return 0.0
     return _alpha_dcg(docs, judg, alpha, k) / ideal_dcg
 
 
+def alpha_ndcg_query(docs: Sequence[str], judg: QueryJudgments, alpha: float = 0.5, k: int = 10, ideal: str = "greedy") -> float:
+    """alpha-nDCG@k for one query; gains decay by (1-alpha) per redundant intent."""
+    _check_alpha(alpha)
+    return _alpha_ndcg_given(docs, judg, alpha, k, _ideal_alpha_dcg(judg, alpha, k, ideal))
+
+
 def alpha_ndcg(run: RunList, judg: IntentJudgments, alpha: float = 0.5, k: int = 10, ideal: str = "greedy") -> float:
-    """Mean alpha-nDCG@k over the queries of the run."""
-    vals = [alpha_ndcg_query(run.docs(qid), judg.query(qid), alpha, k, ideal) for qid in sorted(run.queries)]
-    if not vals:
+    """Mean alpha-nDCG@k over the queries of the run.
+
+    The greedy ideal comes from the table kept on ``judg`` (see
+    :func:`_greedy_ideal`), so repeated calls do not redo the greedy.
+    """
+    qids = sorted(run.queries)
+    queries = [judg.query(qid) for qid in qids]
+    if not queries:
         raise UndefinedMetric("run contains no queries")
+    _check_alpha(alpha)
+    if ideal == "greedy":
+        ideals = _greedy_ideal(judg, alpha, k)
+        ideal_dcgs = [ideals[qid] for qid in qids]
+    else:
+        ideal_dcgs = [_ideal_alpha_dcg(query, alpha, k, ideal) for query in queries]
+    vals = [
+        _alpha_ndcg_given(run.docs(qid), query, alpha, k, ideal_dcg)
+        for qid, query, ideal_dcg in zip(qids, queries, ideal_dcgs)
+    ]
     return float(np.mean(vals))
 
 

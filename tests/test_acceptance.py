@@ -39,8 +39,8 @@ from fairrank.synth import init_workspace, synthetic_dataset
 from fairrank.trainer import TrainConfig, TrainHooks, bpr_triple_loss, train
 
 from conftest import full_coverage_instance, make_catalog, make_judgments, random_diversity_instance, random_instance
+from reference_diverse import pm2_oracle, xquad_oracle
 from reference_rerank import welf_objective
-from test_diverse_rerank import pm2_oracle, xquad_oracle
 from test_trainer import biased_dataset, pairwise_auc, planted_dataset, reference_bpr
 
 

@@ -354,33 +354,7 @@ class TestCliRecommendation:
 
     def test_process_then_post(self, tmp_path):
         # Raw files -> process stage -> canonical dataset on disk.
-        root = tmp_path / "root"
-        raw = root / "raw"
-        raw.mkdir(parents=True)
-        lines = ["user_id\titem_id\tlabel\ttimestamp"]
-        ts = 0
-        for ui in range(8):
-            for j in range(6):
-                ts += 1
-                lines.append(f"u{ui}\ti{(ui + j) % 10}\t1.0\t{ts}")
-        (raw / "inter.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        (raw / "groups.tsv").write_text(
-            "\n".join(f"i{j}\tg{j % 2}" for j in range(10)) + "\n", encoding="utf-8"
-        )
-        props = root / "properties" / "dataset"
-        props.mkdir(parents=True)
-        (props / "tiny.yaml").write_text(
-            yaml.safe_dump(
-                {
-                    "type": "recommendation",
-                    "interactions": "raw/inter.tsv",
-                    "item_groups": "raw/groups.tsv",
-                    "min_interactions": 5,
-                    "ratios": [0.8, 0.1, 0.1],
-                }
-            ),
-            encoding="utf-8",
-        )
+        root = raw_rec_root(tmp_path)
         cfg = user_config(tmp_path, "p.yaml", {"log_name": "proc"})
         code = cli.run(
             ["--task", "recommendation", "--stage", "process", "--dataset", "tiny",
@@ -388,6 +362,73 @@ class TestCliRecommendation:
         )
         assert code == 0
         assert (root / "datasets" / "tiny" / "manifest.yaml").exists()
+
+    def test_malformed_user_groups_line_fails_with_error_record(self, tmp_path):
+        root = raw_rec_root(tmp_path, user_groups="raw/users.tsv")
+        (root / "raw" / "users.tsv").write_text("u0\tg0\nu1\tg1\tg0\n", encoding="utf-8")
+        cfg = user_config(tmp_path, "p.yaml", {"log_name": "ug"})
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "process", "--dataset", "tiny",
+             "--config", cfg, "--data-dir", str(root)]
+        )
+        assert code == 1
+        record = (root / "log" / "ug" / "error.txt").read_text()
+        assert record.startswith("ParseError:") and "users.tsv: line 2" in record
+
+    def test_malformed_dataset_users_line_fails_with_error_record(self, workspace, tmp_path):
+        users = workspace / "datasets" / "synth" / "users.tsv"
+        lines = users.read_text(encoding="utf-8").splitlines()
+        lines[3] = lines[3].split("\t")[0]  # drop the group column
+        users.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = user_config(tmp_path, "c.yaml", {"model": "topk", "K": [5], "log_name": "badusers"})
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+             "--config", cfg, "--data-dir", str(workspace)]
+        )
+        assert code == 1
+        record = (workspace / "log" / "badusers" / "error.txt").read_text()
+        assert record.startswith("ParseError:") and "users.tsv: line 4" in record
+
+
+def raw_rec_root(tmp_path, **props):
+    """Raw interaction and item-group files for a process stage on dataset ``tiny``."""
+    root = tmp_path / "root"
+    raw = root / "raw"
+    raw.mkdir(parents=True)
+    lines = ["user_id\titem_id\tlabel\ttimestamp"]
+    ts = 0
+    for ui in range(8):
+        for j in range(6):
+            ts += 1
+            lines.append(f"u{ui}\ti{(ui + j) % 10}\t1.0\t{ts}")
+    (raw / "inter.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (raw / "groups.tsv").write_text(
+        "\n".join(f"i{j}\tg{j % 2}" for j in range(10)) + "\n", encoding="utf-8"
+    )
+    dataset_props = root / "properties" / "dataset"
+    dataset_props.mkdir(parents=True)
+    (dataset_props / "tiny.yaml").write_text(
+        yaml.safe_dump(
+            {
+                "type": "recommendation",
+                "interactions": "raw/inter.tsv",
+                "item_groups": "raw/groups.tsv",
+                "min_interactions": 5,
+                "ratios": [0.8, 0.1, 0.1],
+                **props,
+            }
+        ),
+        encoding="utf-8",
+    )
+    return root
+
+
+# Report hashes of the xquad/pm2 run below, recorded before the search path
+# was batched across queries; a change that moves them changes behaviour.
+SEARCH_SHA256 = {
+    "records.jsonl": "d94ae4ad1885a6e64c76cf6dfa62ed1b76a03cc560cf9536abcea664f02df67a",
+    "table.txt": "bb401dfb178e374c618eb4780493698e0bf1910aa3737cdb3cf21b6f634ec1de",
+}
 
 
 class TestCliSearch:
@@ -423,6 +464,8 @@ class TestCliSearch:
              "--config", cfg, "--data-dir", str(search_root)]
         )
         assert code == 0
+        log_dir = search_root / "log" / "s1"
+        assert {name: hashlib.sha256((log_dir / name).read_bytes()).hexdigest() for name in SEARCH_SHA256} == SEARCH_SHA256
         table = (search_root / "log" / "s1" / "table.txt").read_text()
         for col in ("ERR-IA", "alpha-nDCG", "S-rec"):
             assert col in table

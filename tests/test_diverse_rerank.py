@@ -3,73 +3,16 @@
 import numpy as np
 import pytest
 
-from fairrank.diverse_rerank import DiversifyContext, pm2, pm2_query, xquad
+from fairrank.diverse_rerank import DiversifyContext, pm2, xquad
 from fairrank.errors import EmptyCandidates, InvariantViolation
 from fairrank.ingest import IntentJudgments, RunList
 
 from conftest import make_judgments, random_diversity_instance
+from reference_diverse import pm2_oracle, pm2_query, xquad_oracle
 
 
 def run_of(docs_scores: list[tuple[str, float]]) -> RunList:
     return RunList(queries={"q1": docs_scores})
-
-
-def norm_scores(entries: list[tuple[str, float]]) -> dict[str, float]:
-    raw = [s for _, s in entries]
-    lo, hi = min(raw), max(raw)
-    if hi > lo:
-        return {d: (s - lo) / (hi - lo) for d, s in entries}
-    return {d: 0.5 for d, _ in entries}
-
-
-def xquad_oracle(entries, judg, lam, k):
-    """Step-wise brute-force recomputation of each greedy pick."""
-    docs = [d for d, _ in entries]
-    norm = norm_scores(entries)
-    not_covered = {i: 1.0 for i in judg.intents}
-    selected, remaining = [], list(docs)
-    for _ in range(min(k, len(docs))):
-        best, best_score = None, -float("inf")
-        for d in remaining:
-            div = 0.0
-            for i in judg.intents:
-                div += judg.priors[i] * judg.relevance(d, i) * not_covered[i]
-            s = (1.0 - lam) * norm[d] + lam * div
-            if s > best_score:
-                best, best_score = d, s
-        selected.append(best)
-        remaining.remove(best)
-        for i in judg.intents:
-            not_covered[i] *= 1.0 - judg.relevance(best, i)
-    return selected
-
-
-def pm2_oracle(entries, judg, lam, k):
-    docs = [d for d, _ in entries]
-    votes = dict(judg.priors)
-    seats = {i: 0.0 for i in judg.intents}
-    selected, remaining = [], list(docs)
-    for _ in range(min(k, len(docs))):
-        target, best_qt = None, -float("inf")
-        for i in judg.intents:
-            qt = votes[i] / (2.0 * seats[i] + 1.0)
-            if qt > best_qt:
-                target, best_qt = i, qt
-        best, best_score = None, -float("inf")
-        for d in remaining:
-            s = lam * best_qt * judg.relevance(d, target)
-            for i in judg.intents:
-                if i != target:
-                    s += (1.0 - lam) * (votes[i] / (2.0 * seats[i] + 1.0)) * judg.relevance(d, i)
-            if s > best_score:
-                best, best_score = d, s
-        selected.append(best)
-        remaining.remove(best)
-        denom = sum(judg.relevance(best, i) for i in judg.intents)
-        if denom > 0:
-            for i in judg.intents:
-                seats[i] += judg.relevance(best, i) / denom
-    return selected
 
 
 class TestXquad:

@@ -6,18 +6,21 @@ from fairrank.core import Interaction, InteractionLog
 from fairrank.errors import (
     EmptyDataset,
     FormatError,
+    InvariantViolation,
     IoError,
     ParseError,
     SchemaError,
     VersionError,
 )
 from fairrank.ingest import (
+    QueryJudgments,
     build_catalog,
     filter_and_split,
     parse_diversity_qrels,
     parse_interactions,
     parse_item_groups,
     parse_run_file,
+    parse_user_groups,
     read_dataset,
     read_scores,
     write_dataset,
@@ -196,6 +199,24 @@ class TestDiversityQrels:
             assert abs(sum(q.priors.values()) - 1.0) < 1e-9
 
 
+class TestQueryJudgments:
+    def test_priors_keyed_by_other_intents_rejected(self):
+        # Summing to 1 is not enough: the priors must cover exactly the declared intents.
+        with pytest.raises(InvariantViolation, match="declared intents"):
+            QueryJudgments(intents=["a", "b"], priors={"a": 0.5, "c": 0.5}, doc_intents={"d1": frozenset({"a"})})
+        with pytest.raises(InvariantViolation, match="declared intents"):
+            QueryJudgments(intents=["a", "b"], priors={"a": 1.0}, doc_intents={})
+
+    @pytest.mark.parametrize("priors", [{"a": 1.5, "b": -0.5}, {"a": float("nan"), "b": 1.0}])
+    def test_prior_outside_unit_interval_rejected(self, priors):
+        with pytest.raises(InvariantViolation, match="outside"):
+            QueryJudgments(intents=["a", "b"], priors=priors, doc_intents={})
+
+    def test_valid_priors_accepted(self):
+        judg = QueryJudgments(intents=["a", "b"], priors={"a": 0.0, "b": 1.0}, doc_intents={"d1": frozenset({"b"})})
+        assert judg.relevance("d1", "b") == 1.0
+
+
 class TestRunFile:
     def _write_run(self, path, n, qid="1"):
         lines = [f"{qid} Q0 d{j} {j} {100 - j}.0 tag" for j in range(1, n + 1)]
@@ -273,3 +294,31 @@ class TestItemGroups:
         catalog = build_catalog(log, {"i1": frozenset({"g1"}), "i2": frozenset({"g2"})})
         assert catalog.users == ["u1"]
         assert catalog.groups == ["g1", "g2"]
+
+
+class TestUserGroups:
+    def test_parse(self, tmp_path):
+        path = tmp_path / "users.tsv"
+        path.write_text("u1\tg1\n\nu2\tg2\n", encoding="utf-8")
+        assert parse_user_groups(path) == {"u1": "g1", "u2": "g2"}
+
+    @pytest.mark.parametrize("bad", ["u3", "u3\tg1\textra"])
+    def test_malformed_line_named(self, tmp_path, bad):
+        path = tmp_path / "users.tsv"
+        path.write_text(f"u1\tg1\nu2\tg2\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"users\.tsv: line 3"):
+            parse_user_groups(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(IoError):
+            parse_user_groups(tmp_path / "absent.tsv")
+
+    def test_malformed_dataset_users_line_named(self, tmp_path):
+        dataset, _ = synthetic_dataset(n_users=10, n_items=12, n_groups=2, seed=3, per_user=(6, 8))
+        write_dataset(dataset, tmp_path)
+        users = tmp_path / "users.tsv"
+        lines = users.read_text(encoding="utf-8").splitlines()
+        lines[2] += "\textra"
+        users.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"users\.tsv: line 3"):
+            read_dataset(tmp_path)
