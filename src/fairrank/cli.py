@@ -12,16 +12,18 @@ from __future__ import annotations
 import argparse
 import os
 import time
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import metrics as M
-from .config import RunConfig, load_config_file, resolve_config
-from .core import GroupUtilityVector, group_utility
+from .config import MODELS, STAGES, TASKS, RunConfig, load_config_file, resolve_config
+from .core import group_utility
 from .errors import FairrankError, IoError, UnsupportedStage
-from .diverse_rerank import DiversifyContext, pm2, xquad
-from .fair_rerank import (
+from .diverse_rerank import DiversifyContext, pm2, xquad  # noqa: F401 (see _layer)
+from .fair_rerank import (  # noqa: F401 (see _layer)
     RerankContext,
     cpfair,
     fairrec,
@@ -47,21 +49,16 @@ from .ingest import (
     write_scores,
 )
 from .report import BenchmarkReport, emit_report
-from .trainer import TrainConfig, TrainHooks, exclude_train_items, predict, save_model, train
+from .trainer import TrainConfig, TrainHooks, exclude_train_items, predict, save_model, train  # noqa: F401
 
-RANKING_SECTION = ["ndcg", "mrr", "hr", "mmf", "gini", "entropy"]
-RERANK_SECTION = ["r_ndcg", "u_loss", "mmf", "gini", "entropy", "min_max_ratio"]
-DIVERSITY_SECTION = ["err_ia", "alpha_ndcg", "s_rec"]
+_HOOK_PARAMS = {f.name for f in fields(TrainHooks)}
+_CONFIG_FIELDS = {"smooth": "ips_smooth"}  # trainer param -> TrainConfig field, where the names differ
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairrank", description="Fairness- and diversity-aware ranking benchmarks.")
-    parser.add_argument("--task", required=True, choices=["recommendation", "search"])
-    parser.add_argument(
-        "--stage",
-        required=True,
-        choices=["process", "pre-processing", "in-processing", "post-processing", "evaluate"],
-    )
+    parser.add_argument("--task", required=True, choices=TASKS)
+    parser.add_argument("--stage", required=True, choices=STAGES)
     parser.add_argument("--dataset", required=True)
     parser.add_argument("--config", "--train_config_file", dest="config", default=None)
     parser.add_argument("--data-dir", dest="data_dir", default=None)
@@ -71,11 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _data_root(arg: str | None) -> Path:
     return Path(arg or os.environ.get("FAIRRANK_DATA_DIR", "data"))
-
-
-def _sections(names: list[tuple[str, list[str]]], requested: list[str]) -> list[tuple[str, list[str]]]:
-    wanted = set(requested)
-    return [(title, [m for m in cols if m in wanted]) for title, cols in names]
 
 
 def _relevant_items(dataset) -> dict[str, set[str]]:
@@ -103,84 +95,36 @@ def _target_shares(cfg: RunConfig, catalog) -> dict[str, float] | None:
     raise FairrankError(f"unknown target_shares choice {choice!r}")
 
 
-def _rerank_model(name: str, ctx: RerankContext, params: dict):
-    if name == "topk":
-        return topk(ctx)
-    if name == "min_regularizer":
-        return min_regularizer(ctx, lam=float(params.get("lam", 1.0)))
-    if name == "cpfair":
-        return cpfair(ctx, lam=float(params.get("lam", 1.0)), swap_budget=int(params.get("swap_budget", 20)))
-    if name == "fairrec":
-        return fairrec(ctx, phi=float(params.get("phi", 0.5)))
-    if name == "pmmf":
-        return pmmf(ctx, lam=float(params.get("lam", 1.0)), eta=float(params.get("eta", 0.1)))
-    if name == "welf":
-        return welf(
-            ctx,
-            lam=float(params.get("lam", 1.0)),
-            alpha=float(params.get("alpha", 0.5)),
-            iters=int(params.get("iters", 50)),
-        )
-    raise FairrankError(f"no re-ranker named {name!r}")
+def _layer(fn: Callable) -> Callable:
+    """``fn`` as bound in this module, where perfbench/child.py rebinds each layer's name to time it."""
+    return globals().get(fn.__name__, fn)
 
 
-def _hooks_for(name: str, params: dict, fair_rank: bool) -> TrainHooks:
-    if not fair_rank or name == "bpr":
-        return TrainHooks()
-    if name == "ips":
-        return TrainHooks(weight_provider="ips")
-    if name == "fairdual":
-        return TrainHooks(
-            weight_provider="fairdual",
-            dual_budget=float(params.get("dual_budget", 1.0)),
-            dual_step=float(params.get("dual_step", 0.1)),
-        )
-    if name == "minmax_sgd":
-        return TrainHooks(group_sampler="minmax", sampler_step=float(params.get("sampler_step", 1.0)))
-    if name in ("focf", "reg"):
-        return TrainHooks(regularizer=name, reg_weight=float(params.get("reg_weight", 1.0)))
-    raise FairrankError(f"no in-processing model named {name!r}")
+def _report(cfg: RunConfig, rows: list, allocations: list, titles: tuple[str, ...]) -> BenchmarkReport:
+    """The run's report; each section shows the requested metrics it holds, in ``METRICS`` order."""
+    sections = [(t, [n for n, m in M.METRICS.items() if t in m.sections and n in cfg.metrics]) for t in titles]
+    return BenchmarkReport(cfg.task, cfg.stage, cfg.dataset, rows, allocations, sections, dict(cfg.raw))
 
 
-def _rec_metric_rows(
-    cfg: RunConfig,
-    model: str,
-    k: int,
-    slates,
-    scores,
-    catalog,
-    relevant,
-    mode: str,
-) -> tuple[M.MetricReport, GroupUtilityVector]:
-    guv = group_utility(slates, scores, catalog, axis="item", mode=mode)
-    quality: tuple[float, float] | None = None
-    if "r_ndcg" in cfg.metrics or "u_loss" in cfg.metrics:
-        quality = M.rerank_quality(slates, scores, k)
-    values: dict[str, float] = {}
-    for name in cfg.metrics:
-        key = f"{name}@{k}"
-        if name == "ndcg":
-            values[key] = M.ndcg_at_k(slates, relevant, k)
-        elif name == "mrr":
-            values[key] = M.mrr_at_k(slates, relevant, k)
-        elif name == "hr":
-            values[key] = M.hit_at_k(slates, relevant, k)
-        elif name == "r_ndcg":
-            values[key] = quality[0]
-        elif name == "u_loss":
-            values[key] = quality[1]
-        elif name == "gini":
-            values[key] = M.gini(guv)
-        elif name == "entropy":
-            values[key] = M.entropy(guv)
-        elif name == "mmf":
-            values[key] = M.mmf(guv)
-        elif name == "min_max_ratio":
-            values[key] = M.min_max_ratio(guv)
-        else:
-            raise FairrankError(f"metric {name!r} not available for recommendation stages")
-    report = M.MetricReport(values=values, provenance={"model": model, "dataset": cfg.dataset, "k": k, "mode": mode})
-    return report, guv
+def _measure(cfg: RunConfig, dataset, relevant, model: str, rank: Callable, params: dict, scores, shares=None):
+    """Rank ``scores`` with ``rank`` at every K: a ``(model, K, metric report, group utility)`` per slate."""
+    mode = cfg.raw.get("mode", "exposure")
+    arrival = _arrival_order(cfg, scores.users())
+    measured = []
+    for k in cfg.k_values:
+        target = dict(shares) if shares else None
+        ctx = RerankContext(scores, dataset.catalog, k, arrival_order=list(arrival), target_shares=target, mode=mode)
+        slates = rank(ctx, **params)
+        guv = group_utility(slates, scores, dataset.catalog, axis="item", mode=mode)
+        result = M.Evaluation(k, slates=slates, scores=scores, relevant=relevant, utility=guv)
+        provenance = {"model": model, "dataset": cfg.dataset, "k": k, "mode": mode}
+        measured.append((model, k, result.report(cfg.metrics, provenance), guv))
+    return measured
+
+
+def _rec_report(cfg: RunConfig, measured: list, titles: tuple[str, ...]) -> BenchmarkReport:
+    rows = [(model, k, report) for model, k, report, _ in measured]
+    return _report(cfg, rows, [(model, k, guv) for model, k, _, guv in measured], titles)
 
 
 def _run_process(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
@@ -202,103 +146,44 @@ def _run_process(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
             catalog=catalog,
         )
         write_dataset(dataset, data_root / "datasets" / cfg.dataset)
-    return BenchmarkReport(
-        task=cfg.task,
-        stage=cfg.stage,
-        dataset=cfg.dataset,
-        rows=[],
-        allocations=[],
-        sections=[],
-        config_snapshot=dict(cfg.raw),
-    )
+    return _report(cfg, [], [], ())
 
 
-def _run_rec_rerank(cfg: RunConfig, data_root: Path, rerank: bool) -> BenchmarkReport:
+def _run_rec_rerank(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
     ds_dir = data_root / "datasets" / cfg.dataset
     dataset = read_dataset(ds_dir)
     scores = read_scores(Path(cfg.raw["scores"]) if cfg.raw.get("scores") else ds_dir)
     relevant = _relevant_items(dataset)
-    mode = cfg.raw.get("mode", "exposure")
-    arrival = _arrival_order(cfg, scores.users())
     shares = _target_shares(cfg, dataset.catalog)
-
-    rows = []
-    allocations = []
+    measured = []
     for model in cfg.models:
-        params = cfg.params.get(model, {})
-        for k in cfg.k_values:
-            ctx = RerankContext(
-                scores,
-                dataset.catalog,
-                k,
-                arrival_order=list(arrival),
-                target_shares=dict(shares) if shares else None,
-                mode=mode,
-            )
-            slates = _rerank_model(model, ctx, params) if rerank else topk(ctx)
-            report, guv = _rec_metric_rows(cfg, model, k, slates, scores, dataset.catalog, relevant, mode)
-            rows.append((model, k, report))
-            allocations.append((model, k, guv))
-
-    section_spec = [("ranking", RANKING_SECTION), ("rerank", RERANK_SECTION)] if rerank else [("ranking", RANKING_SECTION)]
-    return BenchmarkReport(
-        task=cfg.task,
-        stage=cfg.stage,
-        dataset=cfg.dataset,
-        rows=rows,
-        allocations=allocations,
-        sections=_sections(section_spec, cfg.metrics),
-        config_snapshot=dict(cfg.raw),
-    )
+        rank = _layer(MODELS[cfg.task, cfg.stage][model].fn)
+        measured += _measure(cfg, dataset, relevant, model, rank, cfg.params[model], scores, shares)
+    return _rec_report(cfg, measured, ("ranking", "rerank") if cfg.stage == "post-processing" else ("ranking",))
 
 
 def _run_rec_inproc(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkReport:
     ds_dir = data_root / "datasets" / cfg.dataset
     dataset = read_dataset(ds_dir)
     relevant = _relevant_items(dataset)
-    mode = cfg.raw.get("mode", "exposure")
     fair_rank = bool(cfg.raw.get("fair_rank", True))
-
-    rows = []
-    allocations = []
+    measured = []
     for model in cfg.models:
-        params = cfg.params.get(model, {})
-        tc = TrainConfig(
-            dim=int(params.get("dim", 32)),
-            epochs=int(params.get("epochs", 30)),
-            lr=float(params.get("lr", 0.05)),
-            l2=float(params.get("l2", 1e-4)),
-            batch_size=int(params.get("batch_size", 256)),
-            seed=cfg.seed,
-            use_item_bias=bool(params.get("use_item_bias", False)),
-            ips_smooth=float(params.get("smooth", 0.0)),
-        )
-        hooks = _hooks_for(model, params, fair_rank)
-        fitted = train(dataset, tc, hooks)
+        entry = MODELS[cfg.task, cfg.stage][model]
+        params = cfg.params[model]
+        hook_params = {key: value for key, value in params.items() if key in _HOOK_PARAMS}
+        config = {_CONFIG_FIELDS.get(key, key): value for key, value in params.items() if key not in hook_params}
+        hooks = TrainHooks(**entry.hooks, **hook_params) if fair_rank else TrainHooks()
+        fitted = _layer(entry.fn)(dataset, TrainConfig(seed=cfg.seed, **config), hooks)
         save_model(fitted, log_dir / f"model-{model}", hooks=hooks)
         scores = predict(fitted, dataset.catalog.users, exclude=exclude_train_items(dataset))
         write_scores(scores, ds_dir)
         write_scores(scores, log_dir / f"scores-{model}")
-        arrival = _arrival_order(cfg, scores.users())
-        for k in cfg.k_values:
-            ctx = RerankContext(scores, dataset.catalog, k, arrival_order=list(arrival), mode=mode)
-            slates = topk(ctx)
-            report, guv = _rec_metric_rows(cfg, model, k, slates, scores, dataset.catalog, relevant, mode)
-            rows.append((model, k, report))
-            allocations.append((model, k, guv))
-
-    return BenchmarkReport(
-        task=cfg.task,
-        stage=cfg.stage,
-        dataset=cfg.dataset,
-        rows=rows,
-        allocations=allocations,
-        sections=_sections([("ranking", RANKING_SECTION)], cfg.metrics),
-        config_snapshot=dict(cfg.raw),
-    )
+        measured += _measure(cfg, dataset, relevant, model, topk, {}, scores)
+    return _rec_report(cfg, measured, ("ranking",))
 
 
-def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path, rerank: bool) -> BenchmarkReport:
+def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkReport:
     raw = cfg.raw
     pool_size = int(raw.get("pool_size", 50))
     alpha = float(raw.get("alpha", 0.5))
@@ -308,48 +193,21 @@ def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path, rerank: bool) ->
     depth = max(cfg.k_values)
     rows = []
     for model in cfg.models:
-        params = cfg.params.get(model, {})
-        if not rerank or model == "original":
+        diversify = MODELS[cfg.task, cfg.stage][model].fn
+        if diversify is None:
             reranked = {qid: run.docs(qid)[:depth] for qid in sorted(run.queries)}
         else:
-            ctx = DiversifyContext(
-                run=run,
-                judgments=judgments,
-                lam=float(params.get("lam", 0.5)),
-                k=depth,
-                pool_size=pool_size,
-            )
-            reranked = xquad(ctx) if model == "xquad" else pm2(ctx)
+            ctx = DiversifyContext(run=run, judgments=judgments, k=depth, pool_size=pool_size, **cfg.params[model])
+            reranked = _layer(diversify)(ctx)
         scored = {
             qid: [(doc, float(len(docs) - i)) for i, doc in enumerate(docs)] for qid, docs in reranked.items()
         }
         write_run_file(scored, log_dir / f"rerank-{model}.run", tag=model)
         rerun = RunList(queries=scored)
-        values: dict[str, float] = {}
         for k in cfg.k_values:
-            for name in cfg.metrics:
-                key = f"{name}@{k}"
-                if name == "err_ia":
-                    values[key] = M.err_ia(rerun, judgments, k)
-                elif name == "alpha_ndcg":
-                    values[key] = M.alpha_ndcg(rerun, judgments, alpha=alpha, k=k)
-                elif name == "s_rec":
-                    values[key] = M.s_recall(rerun, judgments, k)
-                else:
-                    raise FairrankError(f"metric {name!r} not available for search stages")
-        for k in cfg.k_values:
-            row_values = {f"{name}@{k}": values[f"{name}@{k}"] for name in cfg.metrics}
-            rows.append((model, k, M.MetricReport(values=row_values, provenance={"model": model, "dataset": cfg.dataset, "k": k})))
-
-    return BenchmarkReport(
-        task=cfg.task,
-        stage=cfg.stage,
-        dataset=cfg.dataset,
-        rows=rows,
-        allocations=[],
-        sections=_sections([("diversity", DIVERSITY_SECTION)], cfg.metrics),
-        config_snapshot=dict(cfg.raw),
-    )
+            result = M.Evaluation(k, run=rerun, judgments=judgments, alpha=alpha)
+            rows.append((model, k, result.report(cfg.metrics, {"model": model, "dataset": cfg.dataset, "k": k})))
+    return _report(cfg, rows, [], ("diversity",))
 
 
 def run(argv=None) -> int:
@@ -379,13 +237,11 @@ def run(argv=None) -> int:
         if cfg.stage == "process":
             report = _run_process(cfg, data_root)
         elif cfg.stage == "in-processing":
-            if cfg.task != "recommendation":
-                raise UnsupportedStage("in-processing is only implemented for recommendation")
             report = _run_rec_inproc(cfg, data_root, log_dir)
         elif cfg.task == "recommendation":
-            report = _run_rec_rerank(cfg, data_root, rerank=(cfg.stage == "post-processing"))
+            report = _run_rec_rerank(cfg, data_root)
         else:
-            report = _run_search(cfg, data_root, log_dir, rerank=(cfg.stage == "post-processing"))
+            report = _run_search(cfg, data_root, log_dir)
 
         report.wall_clock = time.perf_counter() - started
         paths = emit_report(report, log_dir)

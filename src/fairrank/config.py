@@ -4,30 +4,84 @@ Resolution order is dataset defaults, then stage defaults, then model
 defaults, then the user file; later layers override earlier ones key by key
 (dicts merge recursively, scalars and lists are replaced whole).  The merged
 mapping is validated into a :class:`RunConfig`.
+
+:data:`MODELS` declares each model once per (task, stage).  A re-ranker's
+params are its signature's keyword defaults.  Validation rejects metrics
+:data:`~fairrank.metrics.METRICS` does not give the task, treats undeclared
+params like unknown keys and casts each param to its default's type.
 """
 
 from __future__ import annotations
 
+import inspect
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import yaml
 
+from .diverse_rerank import DiversifyContext, pm2, xquad
 from .errors import ConfigError, UnknownKeyError
+from .fair_rerank import cpfair, fairrec, min_regularizer, pmmf, topk, welf
+from .metrics import METRICS, TASK_SECTIONS
+from .trainer import TrainConfig, TrainHooks, train
 
 TASKS = ("recommendation", "search")
 STAGES = ("process", "pre-processing", "in-processing", "post-processing", "evaluate")
 
-MODEL_REGISTRY: dict[tuple[str, str], tuple[str, ...]] = {
-    ("recommendation", "process"): ("none",),
-    ("recommendation", "in-processing"): ("bpr", "ips", "fairdual", "minmax_sgd", "focf", "reg"),
-    ("recommendation", "post-processing"): ("topk", "min_regularizer", "cpfair", "fairrec", "pmmf", "welf"),
-    ("recommendation", "evaluate"): ("topk",),
-    ("search", "process"): ("none",),
-    ("search", "post-processing"): ("xquad", "pm2"),
-    ("search", "evaluate"): ("original",),
+
+@dataclass(frozen=True)
+class Model:
+    """A registered model.
+
+    ``fn`` is what the stage calls (``None``: run nothing, or keep the
+    original ranking); ``params`` are the declared params with their defaults,
+    as the config snapshot shows them; ``hooks`` is an in-processing model's
+    :class:`TrainHooks` slot selection; ``optional`` are params accepted with
+    a default but left out of the snapshot.
+    """
+
+    fn: Callable | None = None
+    params: Mapping = field(default_factory=dict)
+    hooks: Mapping | None = None
+    optional: Mapping = field(default_factory=dict)
+
+
+def _defaults(cls, *names: str) -> dict:
+    """The defaults the dataclass ``cls`` declares for its fields ``names``."""
+    return {name: getattr(cls, name) for name in names}
+
+
+def _reranker(fn: Callable) -> Model:
+    """Params are the keyword defaults of ``fn``, less callbacks (default ``None``)."""
+    sig = inspect.signature(fn).parameters.values()
+    return Model(fn, {p.name: p.default for p in sig if p.default is not p.empty and p.default is not None})
+
+
+def _trainer(hooks: Mapping, **params) -> Model:
+    base = _defaults(TrainConfig, "dim", "epochs", "lr", "l2", "batch_size")
+    return Model(train, {**base, **params}, hooks, _defaults(TrainConfig, "use_item_bias"))
+
+
+MODELS: dict[tuple[str, str], dict[str, Model]] = {
+    ("recommendation", "process"): {"none": Model()},
+    ("recommendation", "in-processing"): {
+        "bpr": _trainer({}),
+        # smooth and reg_weight default to 1 here but to 0 in TrainConfig/TrainHooks.
+        "ips": _trainer({"weight_provider": "ips"}, smooth=1.0),
+        "fairdual": _trainer({"weight_provider": "fairdual"}, **_defaults(TrainHooks, "dual_budget", "dual_step")),
+        "minmax_sgd": _trainer({"group_sampler": "minmax"}, **_defaults(TrainHooks, "sampler_step")),
+        "focf": _trainer({"regularizer": "focf"}, reg_weight=1.0),
+        "reg": _trainer({"regularizer": "reg"}, reg_weight=1.0),
+    },
+    ("recommendation", "post-processing"): {
+        fn.__name__: _reranker(fn) for fn in (topk, min_regularizer, cpfair, fairrec, pmmf, welf)
+    },
+    ("recommendation", "evaluate"): {"topk": _reranker(topk)},
+    ("search", "process"): {"none": Model()},
+    ("search", "post-processing"): {fn.__name__: Model(fn, _defaults(DiversifyContext, "lam")) for fn in (xquad, pm2)},
+    ("search", "evaluate"): {"original": Model()},
 }
 
 STAGE_DEFAULTS: dict[tuple[str, str], dict] = {
@@ -66,45 +120,6 @@ STAGE_DEFAULTS: dict[tuple[str, str], dict] = {
         "alpha": 0.5,
         "pool_size": 50,
     },
-}
-
-MODEL_DEFAULTS: dict[str, dict] = {
-    "bpr": {"params": {"bpr": {"dim": 32, "epochs": 30, "lr": 0.05, "l2": 1e-4, "batch_size": 256}}},
-    "ips": {"params": {"ips": {"dim": 32, "epochs": 30, "lr": 0.05, "l2": 1e-4, "batch_size": 256, "smooth": 1.0}}},
-    "fairdual": {
-        "params": {
-            "fairdual": {
-                "dim": 32,
-                "epochs": 30,
-                "lr": 0.05,
-                "l2": 1e-4,
-                "batch_size": 256,
-                "dual_budget": 1.0,
-                "dual_step": 0.1,
-            }
-        }
-    },
-    "minmax_sgd": {
-        "params": {
-            "minmax_sgd": {"dim": 32, "epochs": 30, "lr": 0.05, "l2": 1e-4, "batch_size": 256, "sampler_step": 1.0}
-        }
-    },
-    "focf": {
-        "params": {"focf": {"dim": 32, "epochs": 30, "lr": 0.05, "l2": 1e-4, "batch_size": 256, "reg_weight": 1.0}}
-    },
-    "reg": {
-        "params": {"reg": {"dim": 32, "epochs": 30, "lr": 0.05, "l2": 1e-4, "batch_size": 256, "reg_weight": 1.0}}
-    },
-    "topk": {"params": {"topk": {}}},
-    "min_regularizer": {"params": {"min_regularizer": {"lam": 1.0}}},
-    "cpfair": {"params": {"cpfair": {"lam": 1.0, "swap_budget": 20}}},
-    "fairrec": {"params": {"fairrec": {"phi": 0.5}}},
-    "pmmf": {"params": {"pmmf": {"lam": 1.0, "eta": 0.1}}},
-    "welf": {"params": {"welf": {"lam": 1.0, "alpha": 0.5, "iters": 50}}},
-    "xquad": {"params": {"xquad": {"lam": 0.5}}},
-    "pm2": {"params": {"pm2": {"lam": 0.5}}},
-    "original": {"params": {"original": {}}},
-    "none": {"params": {}},
 }
 
 KNOWN_KEYS = frozenset(
@@ -187,11 +202,32 @@ def config_merge(*layers: Mapping, strict: bool = False, known: frozenset[str] =
             continue
         for key in layer:
             if key not in known:
-                if strict:
-                    raise UnknownKeyError(f"unknown configuration key {key!r}")
-                warnings.warn(f"unknown configuration key {key!r}", stacklevel=2)
+                _unknown(f"unknown configuration key {key!r}", strict)
         merged = merge_into(merged, layer)
     return merged
+
+
+def _unknown(message: str, strict: bool) -> None:
+    if strict:
+        raise UnknownKeyError(message)
+    warnings.warn(message, stacklevel=3)
+
+
+def _model_params(name: str, model: Model, given, strict: bool) -> dict:
+    """``model``'s params overlaid with ``given``, cast to their defaults' types; undeclared keys are dropped."""
+    if not isinstance(given, Mapping):
+        raise ConfigError(f"params of model {name!r} must be a mapping")
+    params = {**model.params, **model.optional}
+    for key, value in given.items():
+        if key not in params:
+            _unknown(f"unknown parameter {key!r} for model {name!r}", strict)
+            continue
+        kind = type(params[key])
+        try:
+            params[key] = kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"parameter {key!r} of model {name!r} must be {kind.__name__}, got {value!r}") from None
+    return params
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -209,13 +245,13 @@ def load_config_file(path: str | Path) -> dict:
     return data
 
 
-def validate_config(merged: Mapping, task: str, stage: str, dataset: str) -> RunConfig:
+def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict: bool = False) -> RunConfig:
     """Check RunConfig invariants on a merged mapping."""
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
-    registry = MODEL_REGISTRY.get((task, stage))
+    registry = MODELS.get((task, stage))
     if registry is None and stage != "pre-processing":
         raise ConfigError(f"stage {stage!r} not available for task {task!r}")
 
@@ -232,6 +268,17 @@ def validate_config(merged: Mapping, task: str, stage: str, dataset: str) -> Run
     if not k_values or any((not isinstance(k, int)) or k < 1 for k in k_values):
         raise ConfigError("K entries must be positive integers")
 
+    metrics = list(merged.get("metrics", []))
+    offered = [name for name, metric in METRICS.items() if set(metric.sections) & set(TASK_SECTIONS[task])]
+    for name in metrics:
+        if name not in offered:
+            raise ConfigError(f"metric {name!r} not available for task {task!r}")
+
+    given = merged.get("params", {})
+    if not isinstance(given, Mapping):
+        raise ConfigError("params must be a mapping")
+    params = {m: _model_params(m, registry[m], given.get(m) or {}, strict) for m in models} if registry else {}
+
     log_name = merged.get("log_name", "")
     if not log_name:
         raise ConfigError("log_name must be non-empty")
@@ -245,8 +292,8 @@ def validate_config(merged: Mapping, task: str, stage: str, dataset: str) -> Run
         dataset=dataset,
         models=models,
         k_values=list(k_values),
-        metrics=list(merged.get("metrics", [])),
-        params=dict(merged.get("params", {})),
+        metrics=metrics,
+        params=params,
         log_name=str(log_name),
         seed=int(merged.get("seed", 42)),
         raw=dict(merged),
@@ -272,10 +319,12 @@ def resolve_config(
     models_raw = user_config.get("models", user_config.get("model", stage_defaults.get("model", "none")))
     models = [models_raw] if isinstance(models_raw, str) else list(models_raw)
 
+    registry = MODELS.get((task, stage), {})
     model_layers = []
     for m in models:
-        defaults = MODEL_DEFAULTS.get(m, {"params": {m: {}}})
-        model_layers.append(defaults)
+        if m in registry:
+            # "none", the process stage's model, runs nothing and has no params section.
+            model_layers.append({"params": {} if m == "none" else {m: dict(registry[m].params)}})
         model_props = data_root / "properties" / "models" / f"{m}.yaml"
         if model_props.exists():
             model_layers.append({"params": {m: load_config_file(model_props)}})
@@ -289,4 +338,4 @@ def resolve_config(
         strict=strict,
     )
     merged["models"] = models
-    return validate_config(merged, task, stage, dataset)
+    return validate_config(merged, task, stage, dataset, strict=strict)

@@ -174,7 +174,7 @@ def topk(ctx: RerankContext) -> RankingSlate:
     return _build_slates(dense, dense.ranked(ctx.k), ctx.k)
 
 
-def min_regularizer(ctx: RerankContext, lam: float) -> RankingSlate:
+def min_regularizer(ctx: RerankContext, lam: float = 1.0) -> RankingSlate:
     """Online score adjustment toward the worst-off group.
 
     Processing users in arrival order, each item's score receives a bonus
@@ -229,7 +229,7 @@ def _reps(S: np.ndarray, mask: np.ndarray, gid: np.ndarray, n_sets: int, pick) -
     return reps
 
 
-def cpfair(ctx: RerankContext, lam: float, swap_budget: int) -> RankingSlate:
+def cpfair(ctx: RerankContext, lam: float = 1.0, swap_budget: int = 20) -> RankingSlate:
     """Greedy knapsack-style swaps that shrink the group-exposure deviation.
 
     Starting from the :func:`topk` slates, repeatedly applies the single
@@ -293,7 +293,7 @@ def cpfair(ctx: RerankContext, lam: float, swap_budget: int) -> RankingSlate:
     return _build_slates(dense, _ranked(in_slate, S, S), ctx.k, meta={"swaps": swaps_done, "deviation": dev})
 
 
-def fairrec(ctx: RerankContext, phi: float) -> RankingSlate:
+def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
     """Round-robin allocation guaranteeing each group a max-min exposure share.
 
     Phase 1 walks the arrival order round-robin; each user adds its
@@ -355,7 +355,7 @@ def fairrec(ctx: RerankContext, phi: float) -> RankingSlate:
 
 def pmmf(
     ctx: RerankContext,
-    lam: float,
+    lam: float = 1.0,
     eta: float = 0.1,
     on_update: Callable[[DualState], None] | None = None,
 ) -> RankingSlate:
@@ -394,7 +394,7 @@ def pmmf(
     return _build_slates(dense, chosen, ctx.k)
 
 
-def welf(ctx: RerankContext, lam: float, alpha: float = 0.5, iters: int = 50) -> RankingSlate:
+def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 50) -> RankingSlate:
     """Frank-Wolfe maximisation of relevance plus concave group welfare.
 
     Maximises ``sum(pi * s) + lam * sum_g psi(E_g + eps)`` with

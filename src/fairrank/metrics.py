@@ -1,7 +1,10 @@
 """Accuracy, fairness, and diversity metrics over slates, utilities, and runs.
 
 All functions are pure; averages reduce in a fixed (sorted) order so results
-are reproducible bit-for-bit.
+are reproducible bit-for-bit.  :data:`METRICS` declares each reportable
+metric once (label, direction, report sections, value function over one
+(model, K) :class:`Evaluation`); its order is every section's column order,
+and :data:`TASK_SECTIONS` gives the sections, and so the metrics, of a task.
 """
 
 from __future__ import annotations
@@ -9,7 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -17,42 +21,59 @@ from .core import GroupUtilityVector, RankingSlate, ScoreMatrix
 from .errors import InvariantViolation, UndefinedMetric, UnknownEntity
 from .ingest import IntentJudgments, QueryJudgments, RunList
 
-REGISTERED_METRICS = frozenset(
-    {
-        "ndcg",
-        "mrr",
-        "hr",
-        "r_ndcg",
-        "u_loss",
-        "gini",
-        "entropy",
-        "mmf",
-        "min_max_ratio",
-        "alpha_ndcg",
-        "err_ia",
-        "s_rec",
-        "exposure_parity",
-        "igf",
-    }
-)
 
-# Recorded as report metadata: does a larger value mean better?
-METRIC_DIRECTIONS = {
-    "ndcg": "up",
-    "mrr": "up",
-    "hr": "up",
-    "r_ndcg": "up",
-    "u_loss": "down",
-    "gini": "down",
-    "entropy": "up",
-    "mmf": "up",
-    "min_max_ratio": "up",
-    "alpha_ndcg": "up",
-    "err_ia": "up",
-    "s_rec": "up",
-    "exposure_parity": "down",
-    "igf": "up",
+@dataclass
+class Evaluation:
+    """One (model, K) result, as the metric value functions read it.
+
+    Recommendation rows set ``slates``, ``scores``, ``relevant`` and
+    ``utility``; search rows set ``run``, ``judgments`` and ``alpha``.
+    """
+
+    k: int
+    slates: RankingSlate | None = None
+    scores: ScoreMatrix | None = None
+    relevant: Mapping[str, set[str]] | None = None
+    utility: GroupUtilityVector | None = None
+    run: RunList | None = None
+    judgments: IntentJudgments | None = None
+    alpha: float | None = None
+
+    @cached_property
+    def quality(self) -> tuple[float, float]:
+        """``(r_ndcg, u_loss)``: one :func:`rerank_quality` call serves both metrics."""
+        return rerank_quality(self.slates, self.scores, self.k)
+
+    def report(self, names: Sequence[str], provenance: dict[str, object]) -> MetricReport:
+        return MetricReport({f"{name}@{self.k}": METRICS[name].value(self) for name in names}, provenance)
+
+
+@dataclass(frozen=True)
+class Metric:
+    """A reportable metric: table label, ``"up"`` if larger is better else ``"down"``, sections, value."""
+
+    label: str
+    direction: str
+    sections: tuple[str, ...]
+    value: Callable[[Evaluation], float]
+
+
+METRICS: dict[str, Metric] = {
+    "ndcg": Metric("NDCG", "up", ("ranking",), lambda e: ndcg_at_k(e.slates, e.relevant, e.k)),
+    "mrr": Metric("MRR", "up", ("ranking",), lambda e: mrr_at_k(e.slates, e.relevant, e.k)),
+    "hr": Metric("HR", "up", ("ranking",), lambda e: hit_at_k(e.slates, e.relevant, e.k)),
+    "r_ndcg": Metric("R-NDCG", "up", ("rerank",), lambda e: e.quality[0]),
+    "u_loss": Metric("u-loss", "down", ("rerank",), lambda e: e.quality[1]),
+    "mmf": Metric("MMF", "up", ("ranking", "rerank"), lambda e: mmf(e.utility)),
+    "gini": Metric("GINI", "down", ("ranking", "rerank"), lambda e: gini(e.utility)),
+    "entropy": Metric("Entropy", "up", ("ranking", "rerank"), lambda e: entropy(e.utility)),
+    "min_max_ratio": Metric("MinMaxRatio", "up", ("rerank",), lambda e: min_max_ratio(e.utility)),
+    "err_ia": Metric("ERR-IA", "up", ("diversity",), lambda e: err_ia(e.run, e.judgments, e.k)),
+    "alpha_ndcg": Metric("alpha-nDCG", "up", ("diversity",), lambda e: alpha_ndcg(e.run, e.judgments, e.alpha, e.k)),
+    "s_rec": Metric("S-rec", "up", ("diversity",), lambda e: s_recall(e.run, e.judgments, e.k)),
 }
+
+TASK_SECTIONS = {"recommendation": ("ranking", "rerank"), "search": ("diversity",)}
 
 
 @dataclass
@@ -65,7 +86,7 @@ class MetricReport:
     def __post_init__(self) -> None:
         for name, value in self.values.items():
             base = name.split("@", 1)[0]
-            if base not in REGISTERED_METRICS:
+            if base not in METRICS:
                 raise InvariantViolation(f"unregistered metric {name!r}")
             if not math.isfinite(value):
                 raise InvariantViolation(f"non-finite value for metric {name!r}")

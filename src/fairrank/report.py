@@ -16,24 +16,7 @@ import yaml
 
 from .core import GroupUtilityVector
 from .errors import InvariantViolation, IoError
-from .metrics import METRIC_DIRECTIONS, MetricReport
-
-METRIC_LABELS = {
-    "ndcg": "NDCG",
-    "mrr": "MRR",
-    "hr": "HR",
-    "mmf": "MMF",
-    "gini": "GINI",
-    "entropy": "Entropy",
-    "r_ndcg": "R-NDCG",
-    "u_loss": "u-loss",
-    "min_max_ratio": "MinMaxRatio",
-    "err_ia": "ERR-IA",
-    "alpha_ndcg": "alpha-nDCG",
-    "s_rec": "S-rec",
-    "exposure_parity": "ExpParity",
-    "igf": "IGF",
-}
+from .metrics import METRICS, MetricReport
 
 
 def fmt4(value: float) -> str:
@@ -72,7 +55,7 @@ def _records_lines(report: BenchmarkReport) -> list[str]:
         "stage": report.stage,
         "dataset": report.dataset,
         "seed": report.config_snapshot.get("seed"),
-        "directions": {m: METRIC_DIRECTIONS[m] for m in metric_names},
+        "directions": {m: METRICS[m].direction for m in metric_names},
     }
     lines = [json.dumps(meta, sort_keys=True)]
     for model, k, rep in report.rows:
@@ -92,7 +75,7 @@ def _table_lines(report: BenchmarkReport) -> list[str]:
         if not names:
             continue
         lines.append(f"## {title}")
-        header = ["Model", "K"] + [METRIC_LABELS[m] for m in names]
+        header = ["Model", "K"] + [METRICS[m].label for m in names]
         body = []
         for model, k, rep in report.rows:
             body.append([model, str(k)] + [fmt4(rep.values[f"{m}@{k}"]) for m in names])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairrank import cli
+from fairrank import metrics as M
 from fairrank.config import config_merge, resolve_config, validate_config
 from fairrank.core import GroupUtilityVector
 from fairrank.errors import ConfigError, UnknownKeyError
@@ -23,6 +25,59 @@ def _hash_dir(paths):
     for path in sorted(paths):
         digest.update(Path(path).read_bytes())
     return digest.hexdigest()
+
+
+# Every registered model, per (task, stage).
+STAGE_MODELS = {
+    ("recommendation", "process"): ["none"],
+    ("recommendation", "in-processing"): ["bpr", "ips", "fairdual", "minmax_sgd", "focf", "reg"],
+    ("recommendation", "post-processing"): ["topk", "min_regularizer", "cpfair", "fairrec", "pmmf", "welf"],
+    ("recommendation", "evaluate"): ["topk"],
+    ("search", "process"): ["none"],
+    ("search", "post-processing"): ["xquad", "pm2"],
+    ("search", "evaluate"): ["original"],
+}
+
+# sha256 of the resolved config snapshot, ``yaml.safe_dump(raw, sort_keys=True)``,
+# for each registered model alone and for each stage's full model list, and
+# of the in-processing and evaluate reports below, all recorded before models
+# and metrics were each declared in one table; a change that moves them
+# changes behaviour.
+SNAPSHOT_SHA256 = {
+    "recommendation/process/none": "ef366e5503a9ae65a5d3edcaf95f5569dc6dca1bad835d46e7b0f9221933da6a",
+    "recommendation/in-processing/bpr": "0dbb6a2367c31561dac001ca558ed05982e8e749f4dab3bd3f7dbb4de0b1c59f",
+    "recommendation/in-processing/ips": "6d12f03a9ccd806f9e10b37783d186e6de639c28e24772e6eb19b1f0af31cf72",
+    "recommendation/in-processing/fairdual": "dbbef303e6e9b986ca41ec71346fbe15db0182a61867a505a840e3b1553b7bc6",
+    "recommendation/in-processing/minmax_sgd": "05a50c65124175e845492a90905218bc04e98d33c510664425adbf5e8f940014",
+    "recommendation/in-processing/focf": "58d089aa9a4f239a3e6c407c14132b8ea156d89d11e45ce0c46ed1901f92ed94",
+    "recommendation/in-processing/reg": "71a68ad8db075c93e2b911d0d2accbd45e741302eb517186c1c99070cb4647ab",
+    "recommendation/in-processing/[bpr,ips,fairdual,minmax_sgd,focf,reg]": "b52fe7634be3ffbc76ff76fed221011ca506823294f37947ca72d25bafb0d7fb",
+    "recommendation/post-processing/topk": "7e8d5ada3c9ae3a7bba29bbf41b40e8f622a023dd75bda25e6b645cdb7b9ce0c",
+    "recommendation/post-processing/min_regularizer": "07ba9a9a7e2f91a3db5efbc63d3133b92a8fb0c34205c2466d3334cec630e9d7",
+    "recommendation/post-processing/cpfair": "f252588420ec20ed4f6fe32756bea61444dae839c02b5f11334b6479849ac019",
+    "recommendation/post-processing/fairrec": "9ffd1780452f89372979ed694eaeac9fe4e2ff3e90709024356372b86a27a2ef",
+    "recommendation/post-processing/pmmf": "61a7a0219b45cbd9f31b40a4b2908ebe7b2b83bd29072624f61d0a5d17b848cd",
+    "recommendation/post-processing/welf": "40bdd6df5e5121a28fd406ba5b491be3d3c317963545585f891ed38640819510",
+    "recommendation/post-processing/[topk,min_regularizer,cpfair,fairrec,pmmf,welf]": "79e209835fbd8f96c9ba840b71c445351ca612fb241689eabeed71b553504f3b",
+    "recommendation/evaluate/topk": "fad78b5bdc1bd93a84e7ba0a365fa86560b19af562b2e8a2f54e68e31af9d959",
+    "search/process/none": "f84af628fdc7723f548b71ef5c27948cf9528180e824ae4522e7661e39374c05",
+    "search/post-processing/xquad": "1b95cc1e99332fddfdfff51dc91c90d7e5393e93cbddd3e515d99dd1c2c152c1",
+    "search/post-processing/pm2": "d4339b2d173c542fdcd776b0a7eac55d00d63a18ceb79743580ad8071c43ee60",
+    "search/post-processing/[xquad,pm2]": "cd23f56cccc0808b39905dfdca8c9c3aee77da6a06ae69e8a301ea4b9f8ab706",
+    "search/evaluate/original": "95fda97ca86a6a6a2320e8bb5929a95bec7a8706d6c1fcf8b9bef6b4881012d8",
+}
+INPROC_SHA256 = {
+    "records.jsonl": "8febf0711ee5cc1f2681842a64cc36a7f2d934d05cd4849c4bf7480ccae837ec",
+    "table.txt": "26d2d2596ccc62f8293fce1149b29b0cc32395a517bae78c54e5c1b81a75cd1e",
+    "allocations.tsv": "6aad6ff51fa547480665aff72694e535705fe42dcd4b6baddec340f448e4570b",
+    "config.yaml": "9c7ddef1d7c27bcd4991465bec84f92724909d559b12d99beac045167b6cef04",
+}
+EVALUATE_SHA256 = {
+    "records.jsonl": "1e58e6740f863addc0eedc2b681076612c1ecf6a4e27e73a66fbc78179b092e3",
+    "table.txt": "6394a74e3f2f0a0911f24ae1746ab0ba21f91bd865239578e1f12ef067d6d630",
+    "allocations.tsv": "9348dcfbe38d465053f2a08626f7c5bbd3775be432feab0ed45e42ef39f38b7d",
+    "config.yaml": "6f70d6cfc4c952bc3b81cf990861282e2da6a1969a1d7cf1a902fe9cb4893e67",
+}
 
 
 class TestConfigMerge:
@@ -107,6 +162,39 @@ class TestValidateConfig:
         assert cfg.models == ["topk", "pmmf"]
 
 
+    def test_metric_outside_task_rejected(self):
+        for task, stage, model, metrics, bad in [
+            ("recommendation", "in-processing", "bpr", ["ndcg", "alpha_ndcg"], "alpha_ndcg"),
+            ("recommendation", "post-processing", "topk", ["ndcg", "ndgc"], "ndgc"),
+            ("search", "post-processing", "xquad", ["err_ia", "ndcg"], "ndcg"),
+        ]:
+            merged = {"model": model, "K": [5], "log_name": "x", "metrics": metrics}
+            with pytest.raises(ConfigError, match=bad):
+                validate_config(merged, task, stage, "d")
+
+    def test_undeclared_param_key(self):
+        merged = {"model": "cpfair", "K": [5], "log_name": "x", "params": {"cpfair": {"lamda": 2, "lam": 2}}}
+        with pytest.raises(UnknownKeyError, match="lamda"):
+            validate_config(merged, "recommendation", "post-processing", "d", strict=True)
+        with pytest.warns(UserWarning, match="lamda"):
+            cfg = validate_config(merged, "recommendation", "post-processing", "d")
+        assert cfg.params["cpfair"] == {"lam": 2.0, "swap_budget": 20}
+
+    def test_param_values_cast_to_declared_type(self):
+        merged = {"model": "welf", "K": [5], "log_name": "x", "params": {"welf": {"iters": 50.0, "lam": 2}}}
+        params = validate_config(merged, "recommendation", "post-processing", "d").params["welf"]
+        assert params == {"lam": 2.0, "alpha": 0.5, "iters": 50}
+        assert type(params["iters"]) is int and type(params["lam"]) is float
+        merged = {"model": "bpr", "K": [5], "log_name": "x", "params": {"bpr": {"use_item_bias": True, "epochs": 3.0}}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = validate_config(merged, "recommendation", "in-processing", "d").params["bpr"]
+        assert params["use_item_bias"] is True and params["epochs"] == 3
+        merged = {"model": "pmmf", "K": [5], "log_name": "x", "params": {"pmmf": {"eta": "fast"}}}
+        with pytest.raises(ConfigError, match="eta"):
+            validate_config(merged, "recommendation", "post-processing", "d")
+
+
 class TestResolveConfig:
     def test_defaults_flow_through(self, tmp_path):
         cfg = resolve_config("recommendation", "post-processing", "synth", {"log_name": "t"}, tmp_path)
@@ -126,6 +214,22 @@ class TestResolveConfig:
         (props / "pmmf.yaml").write_text("lam: 3.5\n", encoding="utf-8")
         cfg = resolve_config("recommendation", "post-processing", "synth", {"model": "pmmf", "log_name": "t"}, tmp_path)
         assert cfg.params["pmmf"]["lam"] == 3.5
+
+
+    def test_config_snapshots_pinned(self, tmp_path):
+        got = {}
+        for (task, stage), models in STAGE_MODELS.items():
+            users = {f"{task}/{stage}/{m}": {"model": m} for m in models}
+            if len(models) > 1:
+                users[f"{task}/{stage}/[{','.join(models)}]"] = {"models": models}
+            for key, user in users.items():
+                raw = resolve_config(task, stage, "synth", {**user, "log_name": "pin"}, tmp_path).raw
+                got[key] = hashlib.sha256(yaml.safe_dump(raw, sort_keys=True).encode()).hexdigest()
+                if stage == "process":
+                    assert raw["params"] == {}
+                if stage == "in-processing":
+                    assert raw["data_type"] == "pair"
+        assert got == SNAPSHOT_SHA256
 
 
 class TestEmitReport:
@@ -242,6 +346,17 @@ class TestCliRecommendation:
         record = (workspace / "log" / "bad" / "error.txt").read_text()
         assert "ConfigError" in record and "mystery" in record
 
+    def test_one_rerank_quality_call_per_model_and_k(self, workspace, tmp_path, monkeypatch):
+        calls = []
+        original = M.rerank_quality
+        monkeypatch.setattr(M, "rerank_quality", lambda *args: calls.append(args[2]) or original(*args))
+        cfg = user_config(tmp_path, "c.yaml", {"models": ["topk", "pmmf"], "K": [5, 10], "log_name": "rq"})
+        assert cli.run(
+            ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+             "--config", cfg, "--data-dir", str(workspace)]
+        ) == 0
+        assert calls == [5, 10, 5, 10]
+
     def test_post_processing_leaves_scores_untouched(self, workspace, tmp_path):
         scores_path = workspace / "datasets" / "synth" / "scores.tsv"
         before = scores_path.read_bytes()
@@ -278,7 +393,9 @@ class TestCliRecommendation:
              "--config", cfg, "--data-dir", str(workspace)]
         )
         assert code == 0
-        table = (workspace / "log" / "ev" / "table.txt").read_text()
+        log_dir = workspace / "log" / "ev"
+        assert {name: hashlib.sha256((log_dir / name).read_bytes()).hexdigest() for name in EVALUATE_SHA256} == EVALUATE_SHA256
+        table = (log_dir / "table.txt").read_text()
         assert "R-NDCG" not in table
         assert "NDCG" in table
 
@@ -310,6 +427,79 @@ class TestCliRecommendation:
             ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
              "--config", post_cfg, "--data-dir", str(workspace)]
         ) == 0
+
+    def test_in_processing_all_trainers_pinned(self, workspace, tmp_path):
+        trainers = STAGE_MODELS[("recommendation", "in-processing")]
+        cfg = user_config(
+            tmp_path,
+            "c.yaml",
+            {"models": trainers, "K": [5], "log_name": "ip6", "params": {m: {"epochs": 3} for m in trainers}},
+        )
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "in-processing", "--dataset", "synth",
+             "--config", cfg, "--data-dir", str(workspace)]
+        )
+        assert code == 0
+        log_dir = workspace / "log" / "ip6"
+        assert {name: hashlib.sha256((log_dir / name).read_bytes()).hexdigest() for name in INPROC_SHA256} == INPROC_SHA256
+
+    def test_unsupported_metric_fails_before_training(self, workspace, tmp_path):
+        scores_path = workspace / "datasets" / "synth" / "scores.tsv"
+        before = scores_path.read_bytes()
+        cfg = user_config(
+            tmp_path,
+            "c.yaml",
+            {"model": "bpr", "K": [5], "log_name": "badmetric", "metrics": ["ndcg", "alpha_ndcg"],
+             "params": {"bpr": {"epochs": 1}}},
+        )
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "in-processing", "--dataset", "synth",
+             "--config", cfg, "--data-dir", str(workspace)]
+        )
+        assert code == 1
+        log_dir = workspace / "log" / "badmetric"
+        record = (log_dir / "error.txt").read_text()
+        assert record.startswith("ConfigError:") and "alpha_ndcg" in record
+        assert not list(log_dir.glob("model-*"))
+        assert scores_path.read_bytes() == before
+
+    def test_undeclared_param_key_warns_or_fails_under_strict(self, workspace, tmp_path):
+        cfg = user_config(
+            tmp_path, "c.yaml", {"model": "cpfair", "K": [5], "log_name": "pk", "params": {"cpfair": {"lamda": 2}}}
+        )
+        argv = ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+                "--config", cfg, "--data-dir", str(workspace)]
+        with pytest.warns(UserWarning, match="lamda"):
+            assert cli.run(argv) == 0
+        assert cli.run(argv + ["--strict"]) == 1
+        record = (workspace / "log" / "pk" / "error.txt").read_text()
+        assert record.startswith("UnknownKeyError:") and "lamda" in record
+
+    def test_param_values_cast_to_declared_type(self, workspace, tmp_path):
+        reports = []
+        for iters in (50, 50.0):
+            cfg = user_config(
+                tmp_path, "c.yaml", {"model": "welf", "K": [5], "log_name": "cast", "params": {"welf": {"iters": iters}}}
+            )
+            assert cli.run(
+                ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+                 "--config", cfg, "--data-dir", str(workspace)]
+            ) == 0
+            reports.append((workspace / "log" / "cast" / "records.jsonl").read_bytes())
+        assert reports[0] == reports[1]
+        cfg = user_config(
+            tmp_path,
+            "t.yaml",
+            {"model": "bpr", "K": [5], "log_name": "bias", "params": {"bpr": {"epochs": 1, "use_item_bias": True}}},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(
+                ["--task", "recommendation", "--stage", "in-processing", "--dataset", "synth",
+                 "--config", cfg, "--data-dir", str(workspace)]
+            ) == 0
+        manifest = yaml.safe_load((workspace / "log" / "bias" / "model-bpr" / "manifest.yaml").read_text())
+        assert manifest["use_item_bias"] is True
 
     def test_arrival_shuffle_and_proportional_shares(self, workspace, tmp_path):
         cfg = user_config(

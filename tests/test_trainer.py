@@ -10,7 +10,6 @@ from fairrank.trainer import (
     MFModel,
     TrainConfig,
     TrainHooks,
-    bpr_triple_loss,
     exclude_train_items,
     fairdual_step,
     fairness_penalty,
@@ -24,6 +23,7 @@ from fairrank.trainer import (
 )
 
 from conftest import make_catalog
+from reference_trainer import bpr_triple_loss, score
 
 
 def planted_dataset(
@@ -85,9 +85,9 @@ def pairwise_auc(model: MFModel, dataset: SplitDataset) -> float:
     wins, total = 0.0, 0
     for rec in dataset.test.records:
         negs = [it for it in dataset.catalog.items if it not in interacted[rec.user]]
-        pos_score = model.score(rec.user, rec.item)
+        pos_score = score(model, rec.user, rec.item)
         for neg in negs:
-            neg_score = model.score(rec.user, neg)
+            neg_score = score(model, rec.user, neg)
             if pos_score > neg_score:
                 wins += 1.0
             elif pos_score == neg_score:
@@ -335,7 +335,7 @@ class TestTrain:
             sums = {"gA": [], "gB": []}
             for rec in dataset.train.records:
                 g = next(iter(dataset.catalog.item_groups[rec.item]))
-                sums[g].append(model.score(rec.user, rec.item))
+                sums[g].append(score(model, rec.user, rec.item))
             return abs(float(np.mean(sums["gA"])) - float(np.mean(sums["gB"])))
 
         config = TrainConfig(dim=16, epochs=30, lr=0.1, l2=1e-4, seed=2)
