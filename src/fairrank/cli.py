@@ -100,8 +100,9 @@ def _layer(fn: Callable) -> Callable:
     return globals().get(fn.__name__, fn)
 
 
-def _report(cfg: RunConfig, rows: list, allocations: list, titles: tuple[str, ...]) -> BenchmarkReport:
-    """The run's report; each section shows the requested metrics it holds, in ``METRICS`` order."""
+def _report(cfg: RunConfig, rows: list, allocations: list) -> BenchmarkReport:
+    """The run's report; each of the stage's sections shows the requested metrics it holds, in ``METRICS`` order."""
+    titles = M.SECTIONS.get((cfg.task, cfg.stage), ())
     sections = [(t, [n for n, m in M.METRICS.items() if t in m.sections and n in cfg.metrics]) for t in titles]
     return BenchmarkReport(cfg.task, cfg.stage, cfg.dataset, rows, allocations, sections, dict(cfg.raw))
 
@@ -109,7 +110,7 @@ def _report(cfg: RunConfig, rows: list, allocations: list, titles: tuple[str, ..
 def _measure(cfg: RunConfig, dataset, relevant, model: str, rank: Callable, params: dict, scores, shares=None):
     """Rank ``scores`` with ``rank`` at every K: a ``(model, K, metric report, group utility)`` per slate."""
     mode = cfg.raw.get("mode", "exposure")
-    arrival = _arrival_order(cfg, scores.users())
+    arrival = _arrival_order(cfg, scores.user_ids)
     measured = []
     for k in cfg.k_values:
         target = dict(shares) if shares else None
@@ -122,9 +123,9 @@ def _measure(cfg: RunConfig, dataset, relevant, model: str, rank: Callable, para
     return measured
 
 
-def _rec_report(cfg: RunConfig, measured: list, titles: tuple[str, ...]) -> BenchmarkReport:
+def _rec_report(cfg: RunConfig, measured: list) -> BenchmarkReport:
     rows = [(model, k, report) for model, k, report, _ in measured]
-    return _report(cfg, rows, [(model, k, guv) for model, k, _, guv in measured], titles)
+    return _report(cfg, rows, [(model, k, guv) for model, k, _, guv in measured])
 
 
 def _run_process(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
@@ -146,7 +147,7 @@ def _run_process(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
             catalog=catalog,
         )
         write_dataset(dataset, data_root / "datasets" / cfg.dataset)
-    return _report(cfg, [], [], ())
+    return _report(cfg, [], [])
 
 
 def _run_rec_rerank(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
@@ -159,7 +160,7 @@ def _run_rec_rerank(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
     for model in cfg.models:
         rank = _layer(MODELS[cfg.task, cfg.stage][model].fn)
         measured += _measure(cfg, dataset, relevant, model, rank, cfg.params[model], scores, shares)
-    return _rec_report(cfg, measured, ("ranking", "rerank") if cfg.stage == "post-processing" else ("ranking",))
+    return _rec_report(cfg, measured)
 
 
 def _run_rec_inproc(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkReport:
@@ -177,10 +178,9 @@ def _run_rec_inproc(cfg: RunConfig, data_root: Path, log_dir: Path) -> Benchmark
         fitted = _layer(entry.fn)(dataset, TrainConfig(seed=cfg.seed, **config), hooks)
         save_model(fitted, log_dir / f"model-{model}", hooks=hooks)
         scores = predict(fitted, dataset.catalog.users, exclude=exclude_train_items(dataset))
-        write_scores(scores, ds_dir)
         write_scores(scores, log_dir / f"scores-{model}")
         measured += _measure(cfg, dataset, relevant, model, topk, {}, scores)
-    return _rec_report(cfg, measured, ("ranking",))
+    return _rec_report(cfg, measured)
 
 
 def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkReport:
@@ -207,7 +207,7 @@ def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkRepo
         for k in cfg.k_values:
             result = M.Evaluation(k, run=rerun, judgments=judgments, alpha=alpha)
             rows.append((model, k, result.report(cfg.metrics, {"model": model, "dataset": cfg.dataset, "k": k})))
-    return _report(cfg, rows, [], ("diversity",))
+    return _report(cfg, rows, [])
 
 
 def run(argv=None) -> int:

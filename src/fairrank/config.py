@@ -7,8 +7,9 @@ mapping is validated into a :class:`RunConfig`.
 
 :data:`MODELS` declares each model once per (task, stage).  A re-ranker's
 params are its signature's keyword defaults.  Validation rejects metrics
-:data:`~fairrank.metrics.METRICS` does not give the task, treats undeclared
-params like unknown keys and casts each param to its default's type.
+outside the stage's report sections (:data:`~fairrank.metrics.SECTIONS`),
+treats undeclared params, and params of models the task does not register,
+like unknown keys and casts each param to its default's type.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import yaml
 from .diverse_rerank import DiversifyContext, pm2, xquad
 from .errors import ConfigError, UnknownKeyError
 from .fair_rerank import cpfair, fairrec, min_regularizer, pmmf, topk, welf
-from .metrics import METRICS, TASK_SECTIONS
+from .metrics import METRICS, SECTIONS
 from .trainer import TrainConfig, TrainHooks, train
 
 TASKS = ("recommendation", "search")
@@ -141,7 +142,6 @@ KNOWN_KEYS = frozenset(
         "pool_size",
         "arrival",
         "target_shares",
-        "strict",
         # dataset properties
         "type",
         "interactions",
@@ -269,14 +269,19 @@ def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict
         raise ConfigError("K entries must be positive integers")
 
     metrics = list(merged.get("metrics", []))
-    offered = [name for name, metric in METRICS.items() if set(metric.sections) & set(TASK_SECTIONS[task])]
+    sections = set(SECTIONS.get((task, stage), ()))
+    offered = {name for name, metric in METRICS.items() if sections & set(metric.sections)}
     for name in metrics:
         if name not in offered:
-            raise ConfigError(f"metric {name!r} not available for task {task!r}")
+            raise ConfigError(f"metric {name!r} not available for ({task}, {stage})")
 
     given = merged.get("params", {})
     if not isinstance(given, Mapping):
         raise ConfigError("params must be a mapping")
+    task_models = {name for (t, _), stage_models in MODELS.items() if t == task for name in stage_models}
+    for name in given:
+        if name not in task_models:
+            _unknown(f"parameters for model {name!r}, which task {task!r} does not register", strict)
     params = {m: _model_params(m, registry[m], given.get(m) or {}, strict) for m in models} if registry else {}
 
     log_name = merged.get("log_name", "")

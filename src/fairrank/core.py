@@ -2,9 +2,11 @@
 
 Every type here is built once (by ingest, training, or a re-ranker) and then
 treated as an immutable value: nothing in this package mutates a constructed
-instance, which makes them safe to share across threads.  A score matrix
-caches its read-only array view on first use; threads racing there at worst
-build the same view twice.
+instance, which makes them safe to share across threads.  Scores have one
+representation, the read-only arrays of :class:`ScoreMatrix`, which ingest,
+the trainer and the synthetic generator build directly and every re-ranker
+and metric reads.  A score matrix computes its ranking ``order`` on first
+use; threads racing there at worst compute it twice.
 """
 
 from __future__ import annotations
@@ -142,26 +144,48 @@ class InteractionLog:
         return len(self.records)
 
 
-class DenseScores:
-    """Read-only array view of score rows (``user -> {item: score}``).
+class ScoreMatrix:
+    """Per-user candidate relevance scores, held as read-only arrays.
 
-    Users and items are in ascending id order.  ``S`` is -inf where a user
-    has no score for an item, ``valid`` marks the scored entries and
-    ``n_valid`` counts them per user.  ``order`` ranks each row's items by
-    (score desc, item id asc), unscored last; it is computed on first use.
+    ``user_ids`` and ``item_ids`` are in ascending id order, with position
+    maps ``user_pos`` and ``item_pos``.  The item table holds only items
+    that some user scored; a user with no scored item keeps an empty row, so
+    candidate sets may differ between users (e.g. after excluding training
+    items).  ``S`` is -inf where a user has no score for an item, ``valid``
+    marks the scored entries and ``n_valid`` counts them per user.
+    ``order`` ranks each row's items by (score desc, item id asc), unscored
+    last; it is computed on first use and kept with the matrix, so every
+    re-ranker and metric run on one matrix shares it.
+
+    Attributes:
+        semantics: ``"raw"`` for unbounded model scores, ``"probability"``
+            for calibrated click probabilities in [0, 1].
     """
 
-    def __init__(self, rows: Mapping[str, Mapping[str, float]]) -> None:
-        self.users = sorted(rows)
-        self.items = sorted(set().union(*rows.values()))
-        self.user_pos = {user: i for i, user in enumerate(self.users)}
-        item_pos = {item: i for i, item in enumerate(self.items)}
-        self.S = np.full((len(self.users), len(self.items)), -np.inf)
-        for ui, user in enumerate(self.users):
-            row = rows[user]
-            cols = np.fromiter(map(item_pos.__getitem__, row), np.intp, len(row))
-            self.S[ui, cols] = np.fromiter(row.values(), float, len(row))
-        self.valid = np.isfinite(self.S)
+    def __init__(self, user_ids: Sequence[str], item_ids: Sequence[str], scores, valid=None, semantics: str = "raw") -> None:
+        """``scores[u, i]`` is user ``u``'s score of item ``i`` where ``valid`` is set (default: everywhere)."""
+        if semantics not in ("raw", "probability"):
+            raise InvariantViolation(f"unknown score semantics {semantics!r}")
+        user_ids, item_ids = list(user_ids), list(item_ids)
+        scores = np.asarray(scores, dtype=float)
+        valid = np.ones(scores.shape, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+        if not scores.shape == valid.shape == (len(user_ids), len(item_ids)):
+            raise InvariantViolation("score array shape does not match the user and item ids")
+        if len(set(user_ids)) < len(user_ids) or len(set(item_ids)) < len(item_ids):
+            raise InvariantViolation("duplicate user or item ids in score matrix")
+        for u, i in np.argwhere(valid & ~np.isfinite(scores))[:1]:
+            raise InvariantViolation(f"non-finite score for ({user_ids[u]!r}, {item_ids[i]!r})")
+        if semantics == "probability":
+            for u, i in np.argwhere(valid & ((scores < 0.0) | (scores > 1.0)))[:1]:
+                raise InvariantViolation(f"probability score {scores[u, i]} outside [0, 1]")
+        self.semantics = semantics
+        rows = sorted(range(len(user_ids)), key=user_ids.__getitem__)
+        cols = sorted(np.flatnonzero(valid.any(axis=0)).tolist(), key=item_ids.__getitem__)
+        self.user_ids, self.item_ids = [user_ids[u] for u in rows], [item_ids[i] for i in cols]
+        self.user_pos = {user: u for u, user in enumerate(self.user_ids)}
+        self.item_pos = {item: i for i, item in enumerate(self.item_ids)}
+        self.valid = valid[np.ix_(rows, cols)]
+        self.S = np.where(self.valid, scores[np.ix_(rows, cols)], -np.inf)
         self.n_valid = self.valid.sum(axis=1)
         for array in (self.S, self.valid, self.n_valid):
             array.flags.writeable = False
@@ -172,78 +196,37 @@ class DenseScores:
         order.flags.writeable = False
         return order
 
-
-class ScoreMatrix:
-    """Per-user candidate relevance scores.
-
-    Rows are stored as ``user -> {item: score}``; row candidate sets may
-    differ between users (e.g. after excluding training items).  The array
-    view from :meth:`dense` is built on first use and kept with the matrix,
-    so every re-ranker and metric run on one matrix shares it.
-
-    Attributes:
-        semantics: ``"raw"`` for unbounded model scores, ``"probability"``
-            for calibrated click probabilities in [0, 1].
-    """
-
-    def __init__(self, rows: Mapping[str, Mapping[str, float]], semantics: str = "raw") -> None:
-        if semantics not in ("raw", "probability"):
-            raise InvariantViolation(f"unknown score semantics {semantics!r}")
-        self.semantics = semantics
-        self._rows: dict[str, dict[str, float]] = {}
-        for user, row in rows.items():
-            clean: dict[str, float] = {}
-            for item, score in row.items():
-                s = float(score)
-                if not np.isfinite(s):
-                    raise InvariantViolation(f"non-finite score for ({user!r}, {item!r})")
-                if semantics == "probability" and not (0.0 <= s <= 1.0):
-                    raise InvariantViolation(f"probability score {s} outside [0, 1]")
-                clean[item] = s
-            self._rows[user] = clean
-        self._dense: DenseScores | None = None
+    def scores_of(self, user: str, items: Sequence[str]) -> list[float]:
+        """``user``'s scores of ``items``, in order; :class:`UnknownEntity` if one is unscored."""
+        if user not in self.user_pos:
+            raise UnknownEntity(f"user {user!r} not in score matrix")
+        u, cols = self.user_pos[user], [self.item_pos.get(item, -1) for item in items]
+        for item, i in zip(items, cols):
+            if i < 0 or not self.valid[u, i]:
+                raise UnknownEntity(f"no score for ({user!r}, {item!r})")
+        return self.S[u, cols].tolist()
 
     def users(self) -> list[str]:
-        return list(self._rows)
+        return list(self.user_ids)
 
     def row(self, user: str) -> dict[str, float]:
-        try:
-            return self._rows[user]
-        except KeyError:
-            raise UnknownEntity(f"user {user!r} not in score matrix") from None
-
-    def item_score(self, user: str, item: str) -> float:
-        row = self.row(user)
-        try:
-            return row[item]
-        except KeyError:
-            raise UnknownEntity(f"no score for ({user!r}, {item!r})") from None
-
-    def has(self, user: str, item: str) -> bool:
-        return user in self._rows and item in self._rows[user]
-
-    def dense(self) -> DenseScores:
-        """The array view of this matrix (see :class:`DenseScores`)."""
-        if self._dense is None:
-            self._dense = DenseScores(self._rows)
-        return self._dense
+        """``user``'s scores by item id."""
+        if user not in self.user_pos:
+            raise UnknownEntity(f"user {user!r} not in score matrix")
+        cols = np.flatnonzero(self.valid[self.user_pos[user]])
+        return dict(zip([self.item_ids[i] for i in cols.tolist()], self.S[self.user_pos[user], cols].tolist()))
 
     def validate_against(self, catalog: Catalog) -> None:
-        view = self.dense()
-        for user in view.users:
-            if not catalog.has_user(user):
-                raise UnknownEntity(f"user {user!r} not in catalog")
-        for item in view.items:
-            if not catalog.has_item(item):
-                raise UnknownEntity(f"item {item!r} not in catalog")
+        for kind, ids, known in (("user", self.user_ids, catalog.has_user), ("item", self.item_ids, catalog.has_item)):
+            unknown = [x for x in ids if not known(x)]
+            if unknown:
+                raise UnknownEntity(f"{kind} {unknown[0]!r} not in catalog")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreMatrix):
             return NotImplemented
-        return self.semantics == other.semantics and self._rows == other._rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
+        same_ids = (self.user_ids, self.item_ids) == (other.user_ids, other.item_ids)
+        return self.semantics == other.semantics and same_ids and np.array_equal(self.S, other.S)
 
 
 @dataclass
@@ -362,15 +345,6 @@ class DualState:
         return out
 
 
-def _slot_weight(mode: str, scores: ScoreMatrix | None, user: str, item: str) -> float:
-    if mode == "exposure":
-        return 1.0
-    if scores is None:
-        raise UnknownEntity("click mode requires a score matrix")
-    s = scores.item_score(user, item)
-    return min(max(s, 0.0), 1.0)
-
-
 def group_utility(
     slates: RankingSlate,
     scores: ScoreMatrix | None,
@@ -395,22 +369,18 @@ def group_utility(
         raise InvariantViolation(f"unknown mode {mode!r}")
     if axis == "user" and catalog.user_groups is None:
         raise MissingUserGroups("user-axis utility requires catalog.user_groups")
+    if mode == "click" and scores is None:
+        raise UnknownEntity("click mode requires a score matrix")
 
     per_group: dict[str, dict[str, float]] = {g: {} for g in catalog.groups}
     for user in sorted(slates.slates):
-        for item in slates.slates[user]:
+        items = slates.slates[user]
+        weights = [min(max(s, 0.0), 1.0) for s in scores.scores_of(user, items)] if mode == "click" else [1.0] * len(items)
+        owner = [catalog.user_groups[user]] if axis == "user" and user in catalog.user_groups else []  # type: ignore[operator]
+        for item, w in zip(items, weights):
             member_groups = catalog.groups_of(item)
-            w = _slot_weight(mode, scores, user, item)
-            if axis == "item":
-                for g in member_groups:
-                    bucket = per_group[g]
-                    bucket[user] = bucket.get(user, 0.0) + w
-            else:
-                g = catalog.user_groups.get(user)  # type: ignore[union-attr]
-                if g is None:
-                    continue
-                bucket = per_group[g]
-                bucket[user] = bucket.get(user, 0.0) + w
+            for g in member_groups if axis == "item" else owner:
+                per_group[g][user] = per_group[g].get(user, 0.0) + w
 
     values: dict[str, float] = {}
     for g in sorted(catalog.groups):

@@ -10,9 +10,10 @@ key descending, then by the relevance score descending, then by item id
 ascending, and a user's slate holds ``min(K, candidates)`` items.  The
 batched kernel (:func:`_top_mask`, :func:`_ranked`) keeps that contract
 exactly: one partition finds each row's K-th value, and only rows whose
-ties at that value overflow the slate are resolved one by one.  The dense
-user x item arrays come from :meth:`ScoreMatrix.dense`, which is built
-once per score matrix and shared by every (model, K) run on it.
+ties at that value overflow the slate are resolved one by one.  Every
+algorithm reads the user x item arrays of the :class:`ScoreMatrix` itself
+(``S``, ``valid``, ``n_valid`` and the cached ``order``), so every
+(model, K) run on one matrix shares them.
 
 ``min_regularizer`` and ``pmmf`` are online: they process users strictly in
 ``arrival_order`` and carry running state, so they must not be parallelised
@@ -61,10 +62,10 @@ class RerankContext:
         if self.mode not in ("exposure", "click"):
             raise InvariantViolation(f"unknown mode {self.mode!r}")
         self.scores.validate_against(self.catalog)
-        users = self.scores.users()
+        users = self.scores.user_ids
         if self.arrival_order is None:
-            self.arrival_order = sorted(users)
-        elif sorted(self.arrival_order) != sorted(users):
+            self.arrival_order = list(users)
+        elif sorted(self.arrival_order) != users:
             raise InvariantViolation("arrival_order must be a permutation of the scored users")
         if self.target_shares is None:
             n = len(self.catalog.groups)
@@ -92,12 +93,12 @@ def proportional_shares(catalog: Catalog) -> dict[str, float]:
 
 
 class _Dense:
-    """The score matrix's shared arrays plus this context's group data."""
+    """The score matrix's arrays plus this context's group data."""
 
     def __init__(self, ctx: RerankContext) -> None:
-        self.view = view = ctx.scores.dense()
-        self.users, self.items, self.user_pos = view.users, view.items, view.user_pos
-        self.S, self.valid, self.n_valid = view.S, view.valid, view.n_valid
+        self.scores = scores = ctx.scores
+        self.users, self.items, self.user_pos = scores.user_ids, scores.item_ids, scores.user_pos
+        self.S, self.valid, self.n_valid = scores.S, scores.valid, scores.n_valid
         empty = [self.users[i] for i in np.flatnonzero(self.n_valid == 0)]
         if empty:
             raise EmptyCandidates(f"users without candidates: {empty[:5]}")
@@ -118,7 +119,7 @@ class _Dense:
 
     def ranked(self, k: int) -> list[np.ndarray]:
         """Each user's relevance top-k: the original ranking cut to depth."""
-        order = self.view.order
+        order = self.scores.order
         return [order[ui, :depth] for ui, depth in enumerate(np.minimum(k, self.n_valid))]
 
     def exposure_of(self, indices: Sequence[int]) -> np.ndarray:
@@ -344,7 +345,7 @@ def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
 
     for ui in range(n_users):
         # The user's original ranking, minus what phase 1 already placed.
-        ranked = dense.view.order[ui]
+        ranked = dense.scores.order[ui]
         fill = ranked[~in_slate[ui, ranked]][: min(ctx.k, dense.n_valid[ui]) - placed[ui]]
         in_slate[ui, fill] = True
         e += dense.member_f[fill].sum(axis=0)

@@ -14,13 +14,15 @@ Formats handled here:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
 import yaml
 
-from .core import Catalog, Interaction, InteractionLog
+from .core import Catalog, Interaction, InteractionLog, ScoreMatrix
 from .errors import (
     EmptyDataset,
     FormatError,
@@ -503,25 +505,31 @@ def read_dataset(directory: str | Path) -> SplitDataset:
     return dataset
 
 
-def write_scores(scores, directory: str | Path) -> None:
-    """Write a ScoreMatrix into a dataset directory (scores.tsv + sidecar)."""
+def write_scores(scores: ScoreMatrix, directory: str | Path) -> None:
+    """Write a ScoreMatrix into a dataset directory (scores.tsv + sidecar), users and items in id order."""
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "scores.meta.yaml").write_text(
             yaml.safe_dump({"semantics": scores.semantics}, sort_keys=True), encoding="utf-8"
         )
+        items = scores.item_ids
         with (directory / "scores.tsv").open("w", encoding="utf-8") as fh:
             fh.write("user_id\titem_id\tscore\n")
-            for user in scores.users():
-                for item, s in scores.row(user).items():
-                    fh.write(f"{user}\t{item}\t{s!r}\n")
+            for user, scored, row in zip(scores.user_ids, scores.valid, scores.S):
+                cols = np.flatnonzero(scored)
+                fh.write("".join(f"{user}\t{items[i]}\t{s!r}\n" for i, s in zip(cols.tolist(), row[cols].tolist())))
     except OSError as exc:
         raise IoError(f"cannot write scores to {directory}: {exc}") from None
 
 
-def read_scores(directory: str | Path):
-    """Read back a stored ScoreMatrix."""
+def read_scores(directory: str | Path) -> ScoreMatrix:
+    """Read back a stored ScoreMatrix.
+
+    Each line appends its user and item positions and its score to compact
+    buffers, which are scattered into the score array once at the end.  A
+    (user, item) pair on two lines is a :class:`ParseError` naming both.
+    """
     directory = Path(directory)
     table = directory / "scores.tsv"
     if not table.exists():
@@ -530,7 +538,9 @@ def read_scores(directory: str | Path):
     meta_path = directory / "scores.meta.yaml"
     if meta_path.exists():
         semantics = yaml.safe_load(meta_path.read_text(encoding="utf-8")).get("semantics", "raw")
-    rows: dict[str, dict[str, float]] = {}
+    users: dict[str, int] = {}
+    items: dict[str, int] = {}
+    entries, values = array("q"), array("d")  # (user, item, line) positions; scores
     with table.open("r", encoding="utf-8") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
@@ -539,12 +549,22 @@ def read_scores(directory: str | Path):
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
-                raise ParseError(f"line {lineno}: expected 3 fields")
+                raise ParseError(f"{table}: line {lineno}: expected 3 fields")
             user, item, raw = fields
             try:
-                rows.setdefault(user, {})[item] = float(raw)
+                values.append(float(raw))
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-    from .core import ScoreMatrix
-
-    return ScoreMatrix(rows, semantics=semantics)
+                raise ParseError(f"{table}: line {lineno}: {exc}") from None
+            entries.extend((users.setdefault(user, len(users)), items.setdefault(item, len(items)), lineno))
+    rows, cols, lines = np.frombuffer(entries, dtype=np.int64).reshape(-1, 3).T
+    S = np.zeros((len(users), len(items)))
+    valid = np.zeros(S.shape, dtype=bool)
+    S[rows, cols], valid[rows, cols] = np.frombuffer(values), True
+    if np.count_nonzero(valid) < len(values):
+        key = rows * len(items) + cols
+        order = np.argsort(key, kind="stable")
+        j = min(np.flatnonzero(key[order[1:]] == key[order[:-1]]), key=lambda j: order[j + 1])  # earliest repeat
+        first, second = order[j], order[j + 1]
+        pair = (list(users)[rows[first]], list(items)[cols[first]])
+        raise ParseError(f"{table}: lines {lines[first]} and {lines[second]}: repeated score for {pair!r}")
+    return ScoreMatrix(list(users), list(items), S, valid, semantics=semantics)

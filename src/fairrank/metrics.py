@@ -3,8 +3,9 @@
 All functions are pure; averages reduce in a fixed (sorted) order so results
 are reproducible bit-for-bit.  :data:`METRICS` declares each reportable
 metric once (label, direction, report sections, value function over one
-(model, K) :class:`Evaluation`); its order is every section's column order,
-and :data:`TASK_SECTIONS` gives the sections, and so the metrics, of a task.
+(model, K) :class:`Evaluation`); its order is every section's column order.
+:data:`SECTIONS` gives each (task, stage)'s report sections, and so the
+metrics it may request.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import GroupUtilityVector, RankingSlate, ScoreMatrix
-from .errors import InvariantViolation, UndefinedMetric, UnknownEntity
+from .errors import InvariantViolation, UndefinedMetric
 from .ingest import IntentJudgments, QueryJudgments, RunList
 
 
@@ -73,7 +74,13 @@ METRICS: dict[str, Metric] = {
     "s_rec": Metric("S-rec", "up", ("diversity",), lambda e: s_recall(e.run, e.judgments, e.k)),
 }
 
-TASK_SECTIONS = {"recommendation": ("ranking", "rerank"), "search": ("diversity",)}
+SECTIONS: dict[tuple[str, str], tuple[str, ...]] = {
+    ("recommendation", "in-processing"): ("ranking",),
+    ("recommendation", "post-processing"): ("ranking", "rerank"),
+    ("recommendation", "evaluate"): ("ranking",),
+    ("search", "post-processing"): ("diversity",),
+    ("search", "evaluate"): ("diversity",),
+}
 
 
 @dataclass
@@ -167,23 +174,19 @@ def rerank_quality(new_slates: RankingSlate, orig_scores: ScoreMatrix, k: int) -
     """
     if k > new_slates.k:
         raise InvariantViolation(f"k={k} exceeds slate size {new_slates.k}")
-    view = orig_scores.dense()
+    S, order, n_valid = orig_scores.S, orig_scores.order, orig_scores.n_valid
     r_vals = []
     loss_vals = []
     for user in sorted(new_slates.slates):
-        row = orig_scores.row(user)
-        new_items = new_slates.slates[user][:k]
-        for item in new_items:
-            if item not in row:
-                raise UnknownEntity(f"re-ranked item {item!r} has no original score for {user!r}")
-        ui = view.user_pos[user]
-        orig = view.S[ui, view.order[ui, : min(k, len(row))]].tolist()
+        new = orig_scores.scores_of(user, new_slates.slates[user][:k])
+        ui = orig_scores.user_pos[user]
+        orig = S[ui, order[ui, : min(k, n_valid[ui])]].tolist()
         denom_dcg = sum(s * _log2_discount(r) for r, s in enumerate(orig, start=1))
         denom_sum = sum(orig)
         if denom_dcg == 0.0 or denom_sum == 0.0:
             raise UndefinedMetric(f"zero original top-{k} mass for user {user!r}")
-        num_dcg = sum(row[item] * _log2_discount(r) for r, item in enumerate(new_items, start=1))
-        num_sum = sum(row[item] for item in new_items)
+        num_dcg = sum(s * _log2_discount(r) for r, s in enumerate(new, start=1))
+        num_sum = sum(new)
         r_vals.append(num_dcg / denom_dcg)
         loss_vals.append(1.0 - num_sum / denom_sum)
     if not r_vals:

@@ -71,11 +71,7 @@ def synthetic_scores(catalog: Catalog, rng: np.random.Generator, strength: float
     """Positive per-user scores correlated with the planted preferences."""
     aff = _affinity(catalog, rng, strength)
     noisy = np.clip(aff + rng.normal(0.0, noise, size=aff.shape), 0.001, 1.0)
-    rows = {
-        user: {item: float(noisy[ui, ii]) for ii, item in enumerate(catalog.items)}
-        for ui, user in enumerate(catalog.users)
-    }
-    return ScoreMatrix(rows, semantics="probability")
+    return ScoreMatrix(catalog.users, catalog.items, noisy, semantics="probability")
 
 
 def synthetic_interactions(

@@ -426,20 +426,20 @@ def predict(
 
     ``exclude`` removes per-user items (typically training positives) from
     the candidate rows.  Scores are raw dot products plus the optional item
-    bias.
+    bias, one matrix-vector product per user.
     """
-    rows: dict[str, dict[str, float]] = {}
-    item_ids = model.item_ids
-    for user in users:
+    S = np.empty((len(users), len(model.item_ids)))
+    valid = np.ones(S.shape, dtype=bool)
+    for r, user in enumerate(users):
         ui = model._user_index.get(user)
         if ui is None:
             raise UnknownEntity(f"user {user!r} not in model")
-        scores = model.item_vecs @ model.user_vecs[ui]
+        S[r] = model.item_vecs @ model.user_vecs[ui]
         if model.item_bias is not None:
-            scores = scores + model.item_bias
-        banned = exclude.get(user, set()) if exclude else set()
-        rows[user] = {item: float(scores[j]) for j, item in enumerate(item_ids) if item not in banned}
-    return ScoreMatrix(rows, semantics="raw")
+            S[r] += model.item_bias
+        banned = exclude.get(user, ()) if exclude else ()
+        valid[r, [model._item_index[item] for item in banned if item in model._item_index]] = False
+    return ScoreMatrix(users, model.item_ids, S, valid, semantics="raw")
 
 
 def exclude_train_items(dataset: SplitDataset) -> dict[str, set[str]]:

@@ -52,13 +52,7 @@ def random_instance(rng: np.random.Generator, n_users: int, n_items: int, n_grou
         scores = np.round(scores, 1)
         sizes = rng.integers(1, n_items + 1, size=(n_users, 1))
         scored = rng.random((n_users, n_items)).argsort(axis=1) < sizes
-    matrix = ScoreMatrix(
-        {
-            u: {it: float(scores[ui, ii]) for ii, it in enumerate(items) if scored[ui, ii]}
-            for ui, u in enumerate(users)
-        }
-    )
-    return catalog, matrix
+    return catalog, ScoreMatrix(users, items, scores, scored)
 
 
 def full_coverage_instance(rng: np.random.Generator, n_users: int, n_items: int, n_groups: int):
@@ -69,10 +63,21 @@ def full_coverage_instance(rng: np.random.Generator, n_users: int, n_items: int,
     item_groups = {item: frozenset({groups[ii % n_groups]}) for ii, item in enumerate(items)}
     catalog = Catalog(users=users, items=items, groups=groups, item_groups=item_groups)
     scores = rng.uniform(0.01, 1.0, size=(n_users, n_items))
-    matrix = ScoreMatrix(
-        {u: {it: float(scores[ui, ii]) for ii, it in enumerate(items)} for ui, u in enumerate(users)}
-    )
-    return catalog, matrix
+    return catalog, ScoreMatrix(users, items, scores)
+
+
+def score_matrix(rows: dict[str, dict[str, float]], semantics: str = "raw") -> ScoreMatrix:
+    """A ScoreMatrix from ``user -> {item: score}`` rows (a user may have an empty row)."""
+    users = list(rows)
+    items = sorted({item for row in rows.values() for item in row})
+    pos = {item: i for i, item in enumerate(items)}
+    scores = np.zeros((len(users), len(items)))
+    valid = np.zeros(scores.shape, dtype=bool)
+    for u, row in enumerate(rows.values()):
+        cols = [pos[item] for item in row]
+        scores[u, cols] = list(row.values())
+        valid[u, cols] = True
+    return ScoreMatrix(users, items, scores, valid, semantics=semantics)
 
 
 def make_judgments(doc_intents: dict[str, set[str]], intents: list[str]) -> QueryJudgments:

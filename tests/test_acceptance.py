@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 from fairrank import cli
-from fairrank.core import GroupUtilityVector, ScoreMatrix, group_utility
+from fairrank.core import GroupUtilityVector, group_utility
 from fairrank.diverse_rerank import DiversifyContext, pm2, xquad
 from fairrank.fair_rerank import (
     RankingSlate,
@@ -38,7 +38,14 @@ from fairrank.metrics import (
 from fairrank.synth import init_workspace, synthetic_dataset
 from fairrank.trainer import TrainConfig, TrainHooks, train
 
-from conftest import full_coverage_instance, make_catalog, make_judgments, random_diversity_instance, random_instance
+from conftest import (
+    full_coverage_instance,
+    make_catalog,
+    make_judgments,
+    random_diversity_instance,
+    random_instance,
+    score_matrix,
+)
 from reference_diverse import pm2_oracle, xquad_oracle
 from reference_rerank import welf_objective
 from reference_trainer import bpr_triple_loss, score
@@ -159,7 +166,7 @@ def test_c05_welfare_frank_wolfe():
     catalog = make_catalog(
         {"i1": {"g1"}, "i2": {"g1"}, "i3": {"g2"}, "i4": {"g2"}}, users=["u1", "u2"]
     )
-    matrix = ScoreMatrix(
+    matrix = score_matrix(
         {
             "u1": {"i1": 0.9, "i2": 0.8, "i3": 0.2, "i4": 0.1},
             "u2": {"i1": 0.85, "i2": 0.75, "i3": 0.3, "i4": 0.05},

@@ -172,6 +172,27 @@ class TestValidateConfig:
             with pytest.raises(ConfigError, match=bad):
                 validate_config(merged, task, stage, "d")
 
+    def test_metric_outside_stage_sections_rejected(self):
+        for stage, model in [("evaluate", "topk"), ("in-processing", "bpr")]:
+            merged = {"model": model, "K": [5], "log_name": "x", "metrics": ["ndcg", "r_ndcg"]}
+            with pytest.raises(ConfigError, match="r_ndcg"):
+                validate_config(merged, "recommendation", stage, "d")
+        merged = {"model": "topk", "K": [5], "log_name": "x", "metrics": ["ndcg", "r_ndcg"]}
+        assert validate_config(merged, "recommendation", "post-processing", "d").metrics == ["ndcg", "r_ndcg"]
+
+    def test_params_of_unregistered_model(self):
+        merged = {"model": "cpfair", "K": [5], "log_name": "x", "params": {"cpfiar": {"lam": 9.0}}}
+        with pytest.raises(UnknownKeyError, match="cpfiar"):
+            validate_config(merged, "recommendation", "post-processing", "d", strict=True)
+        with pytest.warns(UserWarning, match="cpfiar"):
+            cfg = validate_config(merged, "recommendation", "post-processing", "d")
+        assert cfg.params == {"cpfair": {"lam": 1.0, "swap_budget": 20}}
+        # A model the task registers for another stage is not unknown: one file may serve several stages.
+        merged = {"model": "bpr", "K": [5], "log_name": "x", "params": {"cpfair": {"lam": 9.0}}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            validate_config(merged, "recommendation", "in-processing", "d", strict=True)
+
     def test_undeclared_param_key(self):
         merged = {"model": "cpfair", "K": [5], "log_name": "x", "params": {"cpfair": {"lamda": 2, "lam": 2}}}
         with pytest.raises(UnknownKeyError, match="lamda"):
@@ -420,13 +441,33 @@ class TestCliRecommendation:
         assert (log_dir / "scores-bpr" / "scores.tsv").exists()
         table = (log_dir / "table.txt").read_text()
         assert "NDCG" in table and "R-NDCG" not in table
-        # Trained scores stream into the dataset dir for post-processing.
-        assert (workspace / "datasets" / "synth" / "scores.tsv").exists()
-        post_cfg = user_config(tmp_path, "p.yaml", {"models": ["pmmf"], "K": [5], "log_name": "ip-post"})
+        # Post-processing picks the trained scores from the log dir through the scores key.
+        post_cfg = user_config(
+            tmp_path,
+            "p.yaml",
+            {"models": ["pmmf"], "K": [5], "log_name": "ip-post", "scores": str(log_dir / "scores-bpr")},
+        )
         assert cli.run(
             ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
              "--config", post_cfg, "--data-dir", str(workspace)]
         ) == 0
+
+    def test_in_processing_leaves_dataset_scores_untouched(self, workspace, tmp_path):
+        scores_path = workspace / "datasets" / "synth" / "scores.tsv"
+        before = scores_path.read_bytes()
+        cfg = user_config(
+            tmp_path,
+            "c.yaml",
+            {"models": ["bpr", "reg"], "K": [5], "log_name": "ip2", "params": {"bpr": {"epochs": 1}, "reg": {"epochs": 1}}},
+        )
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "in-processing", "--dataset", "synth",
+             "--config", cfg, "--data-dir", str(workspace)]
+        )
+        assert code == 0
+        assert scores_path.read_bytes() == before
+        for model in ("bpr", "reg"):
+            assert (workspace / "log" / "ip2" / f"scores-{model}" / "scores.tsv").is_file()
 
     def test_in_processing_all_trainers_pinned(self, workspace, tmp_path):
         trainers = STAGE_MODELS[("recommendation", "in-processing")]
@@ -532,6 +573,31 @@ class TestCliRecommendation:
              "--config", cfg, "--data-dir", str(workspace), "--strict"]
         )
         assert code == 1
+
+    def test_strict_key_in_config_file_is_unknown(self, workspace, tmp_path):
+        cfg = user_config(tmp_path, "c.yaml", {"model": "topk", "K": [5], "log_name": "sk", "strict": True, "bogus": 1})
+        argv = ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+                "--config", cfg, "--data-dir", str(workspace)]
+        with pytest.warns(UserWarning) as caught:
+            assert cli.run(argv) == 0
+        assert {"unknown configuration key 'strict'", "unknown configuration key 'bogus'"} <= {
+            str(w.message) for w in caught
+        }
+        assert cli.run(argv + ["--strict"]) == 1
+        record = (workspace / "log" / "sk" / "error.txt").read_text()
+        assert record.startswith("UnknownKeyError: unknown configuration key")
+
+    def test_evaluate_rejects_rerank_metric(self, workspace, tmp_path):
+        cfg = user_config(tmp_path, "c.yaml", {"model": "topk", "K": [5], "log_name": "evr", "metrics": ["ndcg", "r_ndcg"]})
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "evaluate", "--dataset", "synth",
+             "--config", cfg, "--data-dir", str(workspace)]
+        )
+        assert code == 1
+        log_dir = workspace / "log" / "evr"
+        record = (log_dir / "error.txt").read_text()
+        assert record.startswith("ConfigError:") and "r_ndcg" in record
+        assert not (log_dir / "records.jsonl").exists()
 
     def test_data_dir_env_var(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setenv("FAIRRANK_DATA_DIR", str(workspace))

@@ -1,5 +1,6 @@
 """Core domain types and group-utility accounting."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from fairrank.core import (
 )
 from fairrank.errors import InvariantViolation, MissingUserGroups, UnknownEntity
 
-from conftest import make_catalog
+from conftest import make_catalog, score_matrix
 
 
 class TestCatalog:
@@ -62,7 +63,7 @@ class TestGroupUtility:
 
     def test_click_mode_sums_clamped_scores(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g1"}}, users=["u1"])
-        scores = ScoreMatrix({"u1": {"i1": 0.8, "i2": 0.3}})
+        scores = score_matrix({"u1": {"i1": 0.8, "i2": 0.3}})
         slates = RankingSlate(k=2, slates={"u1": ["i1", "i2"]})
         guv = group_utility(slates, scores, catalog, mode="click")
         # Brute-force oracle: sum of clamped scores.
@@ -70,7 +71,7 @@ class TestGroupUtility:
 
     def test_click_mode_clamps_out_of_range(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g1"}}, users=["u1"])
-        scores = ScoreMatrix({"u1": {"i1": 1.7, "i2": -0.4}})
+        scores = score_matrix({"u1": {"i1": 1.7, "i2": -0.4}})
         slates = RankingSlate(k=2, slates={"u1": ["i1", "i2"]})
         guv = group_utility(slates, scores, catalog, mode="click")
         assert guv.values["g1"] == pytest.approx(1.0)
@@ -85,6 +86,13 @@ class TestGroupUtility:
         slates = RankingSlate(k=2, slates={"u1": ["i1", "i2"], "u2": ["i1"]})
         guv = group_utility(slates, None, tiny_catalog, axis="user")
         assert guv.values == {"g1": 2.0, "g2": 1.0}
+
+    def test_user_axis_credits_only_the_users_own_group(self):
+        catalog = make_catalog({"i1": {"g1"}, "i2": {"g1"}}, users=["u1", "u2", "u3"], user_groups={"u1": "g2", "u2": "g2"})
+        scores = score_matrix({u: {"i1": 0.25, "i2": 0.5} for u in catalog.users})
+        slates = RankingSlate(k=2, slates={"u1": ["i1", "i2"], "u2": ["i2"], "u3": ["i1"]})
+        guv = group_utility(slates, scores, catalog, axis="user", mode="click")
+        assert guv.values == {"g1": 0.0, "g2": 1.25}
 
     def test_user_axis_without_user_groups(self):
         catalog = make_catalog({"i1": {"g1"}}, users=["u1"])
@@ -118,15 +126,15 @@ class TestGroupUtility:
         catalog = make_catalog({f"i{j}": {f"g{j % 2}"} for j in range(6)}, users=["u0", "u1"])
         base = {u: {f"i{j}": float(rng.uniform(0.1, 1)) for j in range(6)} for u in catalog.users}
         slates = RankingSlate(k=3, slates={u: sorted(base[u], key=base[u].get, reverse=True)[:3] for u in catalog.users})
-        guv1 = group_utility(slates, ScoreMatrix(base), catalog, mode="exposure")
-        rescaled = ScoreMatrix({u: {i: 3.0 * s + 1.0 for i, s in row.items()} for u, row in base.items()})
+        guv1 = group_utility(slates, score_matrix(base), catalog, mode="exposure")
+        rescaled = score_matrix({u: {i: 3.0 * s + 1.0 for i, s in row.items()} for u, row in base.items()})
         guv2 = group_utility(slates, rescaled, catalog, mode="exposure")
         assert guv1.values == guv2.values
 
     def test_click_bounded_by_exposure(self, rng):
         catalog = make_catalog({f"i{j}": {f"g{j % 2}"} for j in range(6)}, users=["u0", "u1"])
         rows = {u: {f"i{j}": float(rng.uniform(0, 1)) for j in range(6)} for u in catalog.users}
-        scores = ScoreMatrix(rows)
+        scores = score_matrix(rows)
         slates = RankingSlate(k=3, slates={u: list(rows[u])[:3] for u in catalog.users})
         click = group_utility(slates, scores, catalog, mode="click")
         expo = group_utility(slates, scores, catalog, mode="exposure")
@@ -208,3 +216,39 @@ def test_evenness_gap_scales_linearly(values, c):
     v1 = GroupUtilityVector.from_values("item", "exposure", groups)
     v2 = GroupUtilityVector.from_values("item", "exposure", {g: c * x for g, x in groups.items()})
     assert utility_evenness_gap(v2) == pytest.approx(c * utility_evenness_gap(v1), rel=1e-9, abs=1e-9)
+
+
+class TestScoreMatrix:
+    def test_tables_sorted_empty_rows_kept_unscored_items_dropped(self):
+        S = np.array([[0.5, np.nan, 0.2], [0.0, 9.0, 0.0]])
+        valid = np.array([[True, False, True], [False, False, False]])
+        matrix = ScoreMatrix(["u2", "u1"], ["ib", "iz", "ia"], S, valid)
+        assert matrix.user_ids == ["u1", "u2"] and matrix.item_ids == ["ia", "ib"]
+        assert matrix.user_pos == {"u1": 0, "u2": 1} and matrix.item_pos == {"ia": 0, "ib": 1}
+        assert matrix.n_valid.tolist() == [0, 2]
+        assert np.isneginf(matrix.S[0]).all()
+        assert matrix.row("u1") == {} and matrix.row("u2") == {"ia": 0.2, "ib": 0.5}
+        assert matrix.scores_of("u2", ["ib", "ia"]) == [0.5, 0.2]
+        assert matrix.order[1].tolist() == [1, 0]
+
+    @pytest.mark.parametrize(
+        "users, items, S, semantics, match",
+        [
+            (["u"], ["i", "j"], [[0.5, np.inf]], "raw", r"non-finite score for \('u', 'j'\)"),
+            (["u"], ["i"], [[1.5]], "probability", "outside"),
+            (["u", "u"], ["i"], [[0.5], [0.5]], "raw", "duplicate"),
+            (["u"], ["i", "i"], [[0.5, 0.5]], "raw", "duplicate"),
+            (["u"], ["i"], [[0.5, 0.5]], "raw", "shape"),
+            (["u"], ["i"], [[0.5]], "logit", "semantics"),
+        ],
+    )
+    def test_rejects(self, users, items, S, semantics, match):
+        with pytest.raises(InvariantViolation, match=match):
+            ScoreMatrix(users, items, np.array(S), semantics=semantics)
+
+    def test_unscored_entry_unknown(self):
+        matrix = score_matrix({"u1": {"i1": 0.5}, "u2": {"i2": 0.5}})
+        with pytest.raises(UnknownEntity):
+            matrix.scores_of("u1", ["i1", "i2"])
+        with pytest.raises(UnknownEntity):
+            matrix.row("u9")

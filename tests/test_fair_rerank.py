@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fairrank.core import RankingSlate, ScoreMatrix, group_utility
+from fairrank.core import RankingSlate, group_utility
 from fairrank.errors import EmptyCandidates, InvariantViolation
 from fairrank.fair_rerank import (
     RerankContext,
@@ -19,7 +19,7 @@ from fairrank.fair_rerank import (
     welf,
 )
 
-from conftest import full_coverage_instance, make_catalog, random_instance
+from conftest import full_coverage_instance, make_catalog, random_instance, score_matrix
 from reference_rerank import welf_objective
 
 _TINY = 1e-12
@@ -31,7 +31,7 @@ def ctx_for(catalog, matrix, k, **kwargs):
 
 class TestContext:
     def test_bad_target_shares(self, tiny_catalog):
-        matrix = ScoreMatrix({"u1": {"i1": 1.0}, "u2": {"i1": 0.5}})
+        matrix = score_matrix({"u1": {"i1": 1.0}, "u2": {"i1": 0.5}})
         with pytest.raises(InvariantViolation):
             RerankContext(matrix, tiny_catalog, k=1, target_shares={"g1": 0.9, "g2": 0.9})
 
@@ -39,17 +39,17 @@ class TestContext:
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g1"}, "i3": {"g1"}, "i4": {"g2"}}, users=["u"])
         shares = proportional_shares(catalog)
         assert shares == {"g1": 0.75, "g2": 0.25}
-        matrix = ScoreMatrix({"u": {"i1": 0.4, "i2": 0.3, "i3": 0.2, "i4": 0.1}})
+        matrix = score_matrix({"u": {"i1": 0.4, "i2": 0.3, "i3": 0.2, "i4": 0.1}})
         # Accepted as a valid beta by the context.
         RerankContext(matrix, catalog, k=2, target_shares=shares)
 
     def test_bad_arrival_order(self, tiny_catalog):
-        matrix = ScoreMatrix({"u1": {"i1": 1.0}, "u2": {"i1": 0.5}})
+        matrix = score_matrix({"u1": {"i1": 1.0}, "u2": {"i1": 0.5}})
         with pytest.raises(InvariantViolation):
             RerankContext(matrix, tiny_catalog, k=1, arrival_order=["u1"])
 
     def test_empty_candidates(self, tiny_catalog):
-        matrix = ScoreMatrix({"u1": {"i1": 1.0}, "u2": {}})
+        matrix = score_matrix({"u1": {"i1": 1.0}, "u2": {}})
         with pytest.raises(EmptyCandidates):
             topk(ctx_for(tiny_catalog, matrix, k=1))
 
@@ -57,13 +57,13 @@ class TestContext:
 class TestTopk:
     def test_takes_best(self):
         catalog = make_catalog({"i1": {"g"}, "i2": {"g"}}, users=["u"])
-        matrix = ScoreMatrix({"u": {"i1": 0.9, "i2": 0.1}})
+        matrix = score_matrix({"u": {"i1": 0.9, "i2": 0.1}})
         slates = topk(ctx_for(catalog, matrix, k=1))
         assert slates.slates == {"u": ["i1"]}
 
     def test_tie_broken_by_item_id(self):
         catalog = make_catalog({"ia": {"g"}, "ib": {"g"}, "ic": {"g"}}, users=["u"])
-        matrix = ScoreMatrix({"u": {"ib": 0.5, "ia": 0.5, "ic": 0.5}})
+        matrix = score_matrix({"u": {"ib": 0.5, "ia": 0.5, "ic": 0.5}})
         slates = topk(ctx_for(catalog, matrix, k=2))
         assert slates.slates == {"u": ["ia", "ib"]}
 
@@ -71,14 +71,14 @@ class TestTopk:
         items = {f"i{j:03d}": {"g"} for j in range(500)}
         catalog = make_catalog(items, users=["u"])
         row = {item: float(s) for item, s in zip(sorted(items), rng.uniform(0, 1, 500))}
-        matrix = ScoreMatrix({"u": row})
+        matrix = score_matrix({"u": row})
         slates = topk(ctx_for(catalog, matrix, k=10))
         oracle = [it for it, _ in sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))][:10]
         assert slates.slates["u"] == oracle
 
     def test_short_row_keeps_all(self):
         catalog = make_catalog({"i1": {"g"}, "i2": {"g"}}, users=["u"])
-        matrix = ScoreMatrix({"u": {"i1": 0.2, "i2": 0.4}})
+        matrix = score_matrix({"u": {"i1": 0.2, "i2": 0.4}})
         slates = topk(ctx_for(catalog, matrix, k=5))
         assert slates.slates == {"u": ["i2", "i1"]}
 
@@ -90,7 +90,7 @@ class TestMinRegularizer:
 
     def test_large_lambda_serves_starved_group(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g2"}}, users=["u1", "u2"])
-        matrix = ScoreMatrix({u: {"i1": 0.9, "i2": 0.1} for u in ["u1", "u2"]})
+        matrix = score_matrix({u: {"i1": 0.9, "i2": 0.1} for u in ["u1", "u2"]})
         slates = min_regularizer(ctx_for(catalog, matrix, 1), lam=10.0)
         guv = group_utility(slates, matrix, catalog)
         # Exhaustive oracle: over all 4 slate pairs the best achievable
@@ -179,7 +179,7 @@ class TestCpfair:
 
     def test_single_swap_reduces_deviation(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g2"}}, users=["u1", "u2"])
-        matrix = ScoreMatrix({u: {"i1": 0.9, "i2": 0.1} for u in ["u1", "u2"]})
+        matrix = score_matrix({u: {"i1": 0.9, "i2": 0.1} for u in ["u1", "u2"]})
         before = group_utility(topk(ctx_for(catalog, matrix, 1)), matrix, catalog)
         slates = cpfair(ctx_for(catalog, matrix, 1), lam=1e9, swap_budget=1)
         after = group_utility(slates, matrix, catalog)
@@ -311,7 +311,7 @@ class TestWelf:
             {"i1": {"g1"}, "i2": {"g1"}, "i3": {"g2"}, "i4": {"g2"}},
             users=["u1", "u2"],
         )
-        matrix = ScoreMatrix(
+        matrix = score_matrix(
             {
                 "u1": {"i1": 0.9, "i2": 0.8, "i3": 0.2, "i4": 0.1},
                 "u2": {"i1": 0.85, "i2": 0.75, "i3": 0.3, "i4": 0.05},

@@ -1,5 +1,9 @@
 """Parsers, filtering/splitting, and canonical round-trips."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from fairrank.core import Interaction, InteractionLog
@@ -26,9 +30,11 @@ from fairrank.ingest import (
     write_dataset,
     write_scores,
 )
-from fairrank.synth import synthetic_dataset
+from fairrank.synth import init_workspace, synthetic_dataset
 
 from conftest import make_catalog
+
+PROVENANCE = Path(__file__).resolve().parents[1] / "perfbench" / "provenance.json"
 
 
 def write_tsv(path, header, rows):
@@ -280,6 +286,54 @@ class TestCanonicalIo:
         back = read_scores(tmp_path / "ds")
         assert back == scores
         assert back.semantics == scores.semantics
+
+
+class TestScores:
+    @staticmethod
+    def stored(directory, body, semantics=None):
+        (directory / "scores.tsv").write_text("user_id\titem_id\tscore\n" + body, encoding="utf-8")
+        if semantics:
+            (directory / "scores.meta.yaml").write_text(f"semantics: {semantics}\n", encoding="utf-8")
+        return directory
+
+    def test_repeated_pair_names_file_and_both_lines(self, tmp_path):
+        body = "u1\ti1\t0.5\nu1\ti2\t0.1\n\nu2\ti1\t0.3\nu1\ti2\t0.7\nu1\ti2\t0.9\n"
+        with pytest.raises(ParseError, match=r"scores\.tsv: lines 3 and 6: repeated score for \('u1', 'i2'\)"):
+            read_scores(self.stored(tmp_path, body))
+
+    @pytest.mark.parametrize("bad", ["u1\ti1", "u1\ti1\t0.5\textra", "u1\ti1\tabc"])
+    def test_malformed_line_names_file(self, tmp_path, bad):
+        with pytest.raises(ParseError, match=r"scores\.tsv: line 3"):
+            read_scores(self.stored(tmp_path, f"u0\ti0\t0.1\n{bad}\n"))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected(self, tmp_path, bad):
+        with pytest.raises(InvariantViolation, match=r"non-finite score for \('u1', 'i1'\)"):
+            read_scores(self.stored(tmp_path, f"u0\ti0\t0.1\nu1\ti1\t{bad}\n"))
+
+    def test_probability_out_of_range_rejected(self, tmp_path):
+        with pytest.raises(InvariantViolation, match="outside"):
+            read_scores(self.stored(tmp_path, "u0\ti0\t0.1\nu1\ti1\t1.5\n", semantics="probability"))
+
+    def test_tables_sorted_whatever_the_line_order(self, tmp_path):
+        scores = read_scores(self.stored(tmp_path, "u2\tib\t0.5\nu1\tic\t-1.0\nu2\tia\t0.25\n"))
+        assert scores.user_ids == ["u1", "u2"] and scores.item_ids == ["ia", "ib", "ic"]
+        assert scores.row("u1") == {"ic": -1.0}
+        assert scores.row("u2") == {"ia": 0.25, "ib": 0.5}
+
+
+@pytest.mark.parametrize("seed", [77, 1013])
+def test_generated_rec_inputs_match_recorded_bytes(tmp_path, seed):
+    """The rec workloads' inputs (``write_scores`` among the writers) keep the bytes they were recorded with."""
+    recorded = json.loads(PROVENANCE.read_text(encoding="utf-8"))["inputs"]["rec-rerank"][str(seed)]["sha256"]
+    init_workspace(tmp_path, n_users=150, n_items=500, n_groups=10, seed=seed)
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    # bench.yaml is the benchmark's run config, written by perfbench/run.py, not by the generator.
+    assert written == {name: digest for name, digest in recorded.items() if name != "bench.yaml"}
 
 
 class TestItemGroups:

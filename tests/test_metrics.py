@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairrank.core import GroupUtilityVector, RankingSlate, ScoreMatrix
+from fairrank.core import GroupUtilityVector, RankingSlate
 from fairrank.errors import UndefinedMetric, UnknownQuery
 from fairrank.ingest import IntentJudgments, RunList
 from fairrank.metrics import (
@@ -27,7 +27,7 @@ from fairrank.metrics import (
     s_recall_query,
 )
 
-from conftest import make_judgments
+from conftest import make_judgments, score_matrix
 
 
 def guv(values: dict[str, float]) -> GroupUtilityVector:
@@ -85,12 +85,12 @@ class TestHit:
 
 class TestRerankQuality:
     def test_identity_rerank(self):
-        scores = ScoreMatrix({"u": {"a": 1.0, "b": 0.5, "c": 0.2}})
+        scores = score_matrix({"u": {"a": 1.0, "b": 0.5, "c": 0.2}})
         slates = RankingSlate(k=2, slates={"u": ["a", "b"]})
         assert rerank_quality(slates, scores, 2) == (1.0, 0.0)
 
     def test_swap_of_top_two(self):
-        scores = ScoreMatrix({"u": {"a": 1.0, "b": 0.5}})
+        scores = score_matrix({"u": {"a": 1.0, "b": 0.5}})
         slates = RankingSlate(k=2, slates={"u": ["b", "a"]})
         r_ndcg, u_loss = rerank_quality(slates, scores, 2)
         expected = (0.5 + 1.0 / math.log2(3)) / (1.0 + 0.5 / math.log2(3))
@@ -98,13 +98,13 @@ class TestRerankQuality:
         assert u_loss == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_score_replacement(self):
-        scores = ScoreMatrix({"u": {"a": 1.0, "b": 0.5, "z1": 0.0, "z2": 0.0}})
+        scores = score_matrix({"u": {"a": 1.0, "b": 0.5, "z1": 0.0, "z2": 0.0}})
         slates = RankingSlate(k=2, slates={"u": ["z1", "z2"]})
         _, u_loss = rerank_quality(slates, scores, 2)
         assert u_loss == 1.0
 
     def test_zero_mass_undefined(self):
-        scores = ScoreMatrix({"u": {"a": 0.0, "b": 0.0}})
+        scores = score_matrix({"u": {"a": 0.0, "b": 0.0}})
         slates = RankingSlate(k=2, slates={"u": ["a", "b"]})
         with pytest.raises(UndefinedMetric):
             rerank_quality(slates, scores, 2)

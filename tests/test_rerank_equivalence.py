@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_rerank as ref
-from conftest import random_instance
-from fairrank.core import ScoreMatrix
+from conftest import random_instance, score_matrix
 from fairrank.errors import FairrankError, UnknownEntity
 from fairrank.fair_rerank import (
     RerankContext,
@@ -127,12 +126,14 @@ def test_rerank_quality_matches_reference(seed):
 
 def test_dense_view_built_once_per_matrix_and_read_only(rng):
     catalog, matrix = random_instance(rng, 6, 15, 3)
-    view = matrix.dense()
+    assert "order" not in vars(matrix)  # computed on first use
+    orders = []
     for k in (2, 5):
         slates = welf(RerankContext(matrix, catalog, k), lam=1.0, iters=3)
         rerank_quality(slates, matrix, k)
-    assert matrix.dense() is view
-    for array in (view.S, view.valid, view.order):
+        orders.append(vars(matrix)["order"])
+    assert orders[0] is orders[1] is matrix.order
+    for array in (matrix.S, matrix.valid, matrix.order):
         with pytest.raises(ValueError):
             array[0, 0] = array[0, 1]
 
@@ -140,4 +141,4 @@ def test_dense_view_built_once_per_matrix_and_read_only(rng):
 def test_context_still_validates_scores_against_catalog(tiny_catalog):
     for rows in ({"u1": {"i1": 1.0}, "u9": {"i1": 0.5}}, {"u1": {"i1": 1.0}, "u2": {"i9": 0.5}}):
         with pytest.raises(UnknownEntity):
-            RerankContext(ScoreMatrix(rows), tiny_catalog, k=1)
+            RerankContext(score_matrix(rows), tiny_catalog, k=1)

@@ -384,9 +384,9 @@ class TestPredict:
         Q = np.eye(2)
         model = self._model(P, Q, ["u1", "u2"], ["i1", "i2"], 2)
         scores = predict(model, ["u1", "u2"])
-        assert scores.item_score("u1", "i1") == 1.0
-        assert scores.item_score("u1", "i2") == 0.0
-        assert scores.item_score("u2", "i2") == 1.0
+        assert scores.row("u1")["i1"] == 1.0
+        assert scores.row("u1")["i2"] == 0.0
+        assert scores.row("u2")["i2"] == 1.0
 
     def test_matches_naive_dot_products(self, rng):
         P = rng.normal(size=(3, 5))
@@ -397,7 +397,7 @@ class TestPredict:
         scores = predict(model, users)
         for ui, u in enumerate(users):
             for ii, it in enumerate(items):
-                assert scores.item_score(u, it) == pytest.approx(float(P[ui] @ Q[ii]), abs=1e-12)
+                assert scores.row(u)[it] == pytest.approx(float(P[ui] @ Q[ii]), abs=1e-12)
 
     def test_exclude_train_filter(self):
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
