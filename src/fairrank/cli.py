@@ -153,7 +153,7 @@ def _run_process(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
 def _run_rec_rerank(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
     ds_dir = data_root / "datasets" / cfg.dataset
     dataset = read_dataset(ds_dir)
-    scores = read_scores(Path(cfg.raw["scores"]) if cfg.raw.get("scores") else ds_dir)
+    scores = read_scores(data_root / cfg.raw["scores"] if cfg.raw.get("scores") else ds_dir)
     relevant = _relevant_items(dataset)
     shares = _target_shares(cfg, dataset.catalog)
     measured = []

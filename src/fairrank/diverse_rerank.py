@@ -76,42 +76,41 @@ class _Batch:
     """Every query's pool as padded arrays, queries in ascending id order.
 
     ``rel[j, q, d]`` is the relevance of pool position ``d`` of query ``q``
-    to its ``j``-th declared intent and ``prior[q, j]`` is that intent's
-    prior.  ``norm`` holds the normalised run scores and ``taken`` starts
-    True on padded positions.  Padding is 0 everywhere else.
+    to its ``j``-th declared intent, gathered from the judgments' table
+    unless ``intent_relevance`` overrides the query, and ``prior[q, j]`` is
+    that intent's prior.  ``norm`` holds the normalised run scores and
+    ``taken`` starts True on padded positions.  Padding is 0 everywhere
+    else.
     """
 
     def __init__(self, ctx: DiversifyContext) -> None:
         self.qids = sorted(ctx.run.queries)
-        judgs = []
+        rows = []
         self.docs: list[list[str]] = []
         norms = []
         for qid in self.qids:  # same error order as one query at a time
-            judgs.append(ctx.judgments.query(qid))
+            rows.append(ctx.judgments.row(qid))
             docs, norm = _normalized_pool(ctx.run, qid, ctx.pool_size)
             self.docs.append(docs)
             norms.append(norm)
+        judg, rows = ctx.judgments, np.array(rows, dtype=np.intp)
         n_q = len(self.qids)
         n_pool = max((len(docs) for docs in self.docs), default=0)
-        n_int = max((len(judg.intents) for judg in judgs), default=0)
+        n_int = int(judg.n_intents[rows].max(initial=0))
         self.norm = np.zeros((n_q, n_pool))
         self.taken = np.ones((n_q, n_pool), dtype=bool)
-        self.prior = np.zeros((n_q, n_int))
-        self.rel = np.zeros((n_int, n_q, n_pool))
+        self.prior = judg.prior[rows, :n_int]
+        rel = judg.gather(rows, self.docs, n_pool)[:, :, :n_int]
+        self.rel = np.ascontiguousarray(rel.transpose(2, 0, 1), dtype=float)
         tables = ctx.intent_relevance or {}
-        for q, (qid, judg, docs, norm) in enumerate(zip(self.qids, judgs, self.docs, norms)):
+        for q, (qid, row, docs, norm) in enumerate(zip(self.qids, rows.tolist(), self.docs, norms)):
             n = len(docs)
             self.norm[q, :n] = [norm[doc] for doc in docs]
             self.taken[q, :n] = False
-            self.prior[q, : len(judg.intents)] = [judg.priors[intent] for intent in judg.intents]
             if qid in tables:
                 table = tables[qid]
-                for j, intent in enumerate(judg.intents):
+                for j, intent in enumerate(judg.intents[row]):
                     self.rel[j, q, :n] = [table.get((doc, intent), 0.0) for doc in docs]
-            else:
-                col = {intent: (j * n_q + q) * n_pool for j, intent in enumerate(judg.intents)}
-                hits = [col[intent] + d for d, doc in enumerate(docs) for intent in judg.doc_intents.get(doc, ())]
-                self.rel.flat[hits] = 1.0
         self.steps = np.minimum(ctx.k, [len(docs) for docs in self.docs])
         self.rows = np.arange(n_q)
 

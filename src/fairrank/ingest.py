@@ -5,7 +5,9 @@ Formats handled here:
 * interactions: header + TSV ``user_id item_id label timestamp`` (column
   names remappable through a column spec),
 * item groups: TSV ``item_id<TAB>group1|group2|...`` (no header),
-* diversity qrels: whitespace-separated ``qid intent_id doc_id rel``,
+* diversity qrels: whitespace-separated ``qid intent_id doc_id rel``, read
+  in chunks of lines into one query x doc x intent table
+  (:class:`IntentJudgments`),
 * run files: 6-column TREC format ``qid Q0 docid rank score tag``,
 * the canonical dataset directory (versioned line-oriented tables plus a
   small manifest).
@@ -14,8 +16,11 @@ Formats handled here:
 from __future__ import annotations
 
 import math
+import operator
 from array import array
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -59,64 +64,105 @@ class SplitDataset:
         return {"train": self.train, "valid": self.valid, "test": self.test}
 
 
-@dataclass
-class QueryJudgments:
-    """Intent-level binary judgments for one query.
-
-    Attributes:
-        intents: declared intents in ascending id order.
-        priors: intent -> probability in [0, 1], keyed by exactly the
-            declared intents and summing to 1.
-        doc_intents: doc -> set of intents the doc is relevant to (docs with
-            no positive judgment are absent).
-    """
-
-    intents: list[str]
-    priors: dict[str, float]
-    doc_intents: dict[str, frozenset[str]]
-
-    def __post_init__(self) -> None:
-        if not self.intents:
-            raise InvariantViolation("query declares no intents")
-        if sorted(self.priors) != sorted(self.intents):
-            raise InvariantViolation("intent priors are not keyed by exactly the declared intents")
-        for intent, prior in self.priors.items():
-            if not (0.0 <= prior <= 1.0):
-                raise InvariantViolation(f"prior {prior} of intent {intent!r} outside [0, 1]")
-        if abs(sum(self.priors.values()) - 1.0) > 1e-9:
-            raise InvariantViolation("intent priors do not sum to 1")
-        declared = set(self.intents)
-        for doc, its in self.doc_intents.items():
-            if not its <= declared:
-                raise InvariantViolation(f"doc {doc!r} judged for undeclared intents")
-
-    def relevance(self, doc: str, intent: str) -> float:
-        return 1.0 if intent in self.doc_intents.get(doc, frozenset()) else 0.0
-
-    def judged_docs(self) -> list[str]:
-        """Docs with at least one positive judgment, in ascending id order."""
-        return sorted(self.doc_intents)
+def _ascending(ids: Sequence[str]) -> bool:
+    return all(map(operator.lt, ids, ids[1:]))
 
 
-@dataclass
 class IntentJudgments:
-    """Per-query intent sets, priors, and binary doc relevance.
+    """Intent-level binary judgments of every query, held as read-only arrays.
 
-    ``ideal_dcg`` holds the greedy ideal alpha-DCG tables that
-    ``metrics.alpha_ndcg`` computes on first use, one per alpha, and keeps
-    for the lifetime of the judgments; the judgments are read-only once a
-    metric has seen them.
+    ``query_ids`` are in ascending id order, with position map
+    ``query_pos``.  Query ``q`` declares the intents ``intents[q]`` and has
+    the positively judged docs ``docs[q]``, both in ascending id order.
+    ``rel[q, d, j]`` is True when doc ``d`` of query ``q`` is relevant to
+    its ``j``-th intent, and ``prior[q, j]`` is that intent's prior;
+    ``n_docs`` and ``n_intents`` count each query's docs and intents.
+    Padding past a query's docs or intents is False in ``rel`` and 0 in
+    ``prior``.  :meth:`gather` looks docs up by id through a per-query
+    doc -> column index.
+
+    ``ideal_dcg`` holds the greedy ideal alpha-DCG state that
+    ``metrics.alpha_ndcg`` builds on first use, one per alpha, and keeps
+    for the lifetime of the judgments.
     """
 
-    queries: dict[str, QueryJudgments]
-    duplicate_count: int = 0
-    ideal_dcg: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        query_ids: Sequence[str],
+        intents: Sequence[Sequence[str]],
+        docs: Sequence[Sequence[str]],
+        rel,
+        prior=None,
+        duplicate_count: int = 0,
+    ) -> None:
+        """``rel`` is queries x docs x intents; ``prior`` (default: uniform) is queries x intents."""
+        self.query_ids = list(query_ids)
+        self.intents = [list(its) for its in intents]
+        self.docs = [list(ds) for ds in docs]
+        if not len(self.query_ids) == len(self.intents) == len(self.docs):
+            raise InvariantViolation("intents and docs must be given for every query")
+        if not _ascending(self.query_ids):
+            raise InvariantViolation("query ids are not distinct and ascending")
+        for qid, its, ds in zip(self.query_ids, self.intents, self.docs):
+            if not its:
+                raise InvariantViolation(f"query {qid!r} declares no intents")
+            if not (_ascending(its) and _ascending(ds)):
+                raise InvariantViolation(f"intents or docs of query {qid!r} are not distinct and ascending")
+        self.n_intents = np.array([len(its) for its in self.intents], dtype=np.intp)
+        self.n_docs = np.array([len(ds) for ds in self.docs], dtype=np.intp)
+        shape = (len(self.query_ids), int(self.n_docs.max(initial=0)), int(self.n_intents.max(initial=0)))
+        self.rel = np.array(rel, dtype=bool)
+        if self.rel.shape != shape:
+            raise InvariantViolation(f"relevance table has shape {self.rel.shape}, expected {shape}")
+        declared = np.arange(shape[2]) < self.n_intents[:, None]
+        listed = np.arange(shape[1]) < self.n_docs[:, None]
+        for q, d in np.argwhere(self.rel.any(axis=2) != listed)[:1]:
+            if d >= self.n_docs[q]:
+                raise InvariantViolation(f"query {self.query_ids[q]!r} has relevance past its judged docs")
+            doc, qid = self.docs[q][d], self.query_ids[q]
+            raise InvariantViolation(f"doc {doc!r} of query {qid!r} has no positive relevance")
+        for q, d, _ in np.argwhere(self.rel & ~declared[:, None, :])[:1]:
+            raise InvariantViolation(f"doc {self.docs[q][d]!r} judged for undeclared intents")
+        if prior is None:
+            prior = np.where(declared, 1.0 / self.n_intents[:, None], 0.0)
+        self.prior = np.array(prior, dtype=float)
+        if self.prior.shape != (shape[0], shape[2]) or (self.prior[~declared] != 0.0).any():
+            raise InvariantViolation("intent priors are not keyed by exactly the declared intents")
+        for q, j in np.argwhere(declared & ~((self.prior >= 0.0) & (self.prior <= 1.0)))[:1]:
+            raise InvariantViolation(f"prior {self.prior[q, j]} of intent {self.intents[q][j]!r} outside [0, 1]")
+        if (np.abs(self.prior.sum(axis=1) - 1.0) > 1e-9).any():
+            raise InvariantViolation("intent priors do not sum to 1")
+        for table in (self.rel, self.prior, self.n_intents, self.n_docs):
+            table.flags.writeable = False
+        self.query_pos = {qid: q for q, qid in enumerate(self.query_ids)}
+        self._doc_pos = [dict(zip(ds, range(len(ds)))) for ds in self.docs]
+        self.duplicate_count = duplicate_count
+        self.ideal_dcg: dict = {}
 
-    def query(self, qid: str) -> QueryJudgments:
+    def row(self, qid: str) -> int:
+        """``qid``'s position; :class:`UnknownQuery` if it has no judgments."""
         try:
-            return self.queries[qid]
+            return self.query_pos[qid]
         except KeyError:
             raise UnknownQuery(f"query {qid!r} has no intent judgments") from None
+
+    def gather(self, rows: np.ndarray, doc_lists: Sequence[Sequence[str]], depth: int) -> np.ndarray:
+        """Relevance of listed docs, as ``rows`` x ``depth`` x intents.
+
+        Entry ``[i, r, j]`` is the relevance of ``doc_lists[i][r]`` to the
+        ``j``-th intent of query ``rows[i]``; each list holds at most
+        ``depth`` docs.  Docs the query has no positive judgment for, and
+        ranks past a list's end, are False.
+        """
+        cols = []
+        for row, docs in zip(rows.tolist(), doc_lists):
+            cols += map(self._doc_pos[row].get, docs, repeat(-1, len(docs)))
+            cols += repeat(-1, depth - len(docs))
+        cols = np.array(cols, dtype=np.intp).reshape(len(rows), depth)
+        hit = cols >= 0
+        out = np.zeros(cols.shape + self.rel.shape[2:], dtype=bool)
+        out[hit] = self.rel[np.broadcast_to(rows[:, None], cols.shape)[hit], cols[hit]]
+        return out
 
 
 @dataclass
@@ -320,47 +366,90 @@ def filter_and_split(
     )
 
 
+QRELS_CHUNK_CHARS = 1 << 18  # readlines() size hint: bounds the token lists held at once
+
+
+def _check_qrels_chunk(widths: list[int], tokens: list[str], first_lineno: int) -> None:
+    """Raise a :class:`ParseError` naming the earliest line that lacks four fields or a 0/1 relevance."""
+    if set(widths) <= {0, 4} and set(tokens[3::4]) <= {"0", "1"}:
+        return
+    at = 0
+    for lineno, width in enumerate(widths, start=first_lineno):
+        if width == 0:
+            continue
+        if width != 4:
+            raise ParseError(f"line {lineno}: expected 'qid intent doc rel', got {width} fields")
+        if tokens[at + 3] not in ("0", "1"):
+            raise ParseError(f"line {lineno}: relevance {tokens[at + 3]!r} not in {{0, 1}}")
+        at += 4
+
+
+def _ranked(codes: dict[str, int], column: list[int]) -> tuple[list[str], np.ndarray]:
+    """The names in ascending id order, and the position among them of each code in ``column``."""
+    names = list(codes)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(names))
+    return [names[c] for c in order], rank[np.fromiter(column, np.int64, len(column))]
+
+
+def _split(names: list[str], pairs: np.ndarray, n_names: int, n_q: int) -> tuple[list[list[str]], np.ndarray]:
+    """Per-query name lists from ascending ``query * n_names + name`` pairs, and each query's first pair index."""
+    counts = np.bincount(pairs // n_names, minlength=n_q)
+    bounds = np.cumsum(counts)
+    flat = [names[c] for c in (pairs % n_names).tolist()]
+    return [flat[a:b] for a, b in zip([0, *bounds[:-1].tolist()], bounds.tolist())], bounds - counts
+
+
 def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
     """Parse ``qid intent_id doc_id rel`` judgments; priors default to uniform.
 
-    Duplicate (qid, intent, doc) lines are resolved last-wins and counted in
-    ``duplicate_count``.
+    The file is read in chunks of whole lines.  Each chunk's field counts
+    and relevance values are checked (a :class:`ParseError` names the
+    earliest bad line), and its qid, intent and doc columns become int
+    codes.  A query declares every intent it has a line for; its docs are
+    those with a relevance-1 line.  Duplicate (qid, intent, doc) lines are
+    resolved last-wins and counted in ``duplicate_count``.
     """
     path = Path(path)
     if not path.exists():
         raise IoError(f"qrels file not found: {path}")
-    raw: dict[str, dict[tuple[str, str], int]] = {}
-    duplicates = 0
+    tables = (defaultdict(), defaultdict(), defaultdict())  # qid, intent, doc -> code, in first-seen order
+    for table in tables:
+        table.default_factory = table.__len__  # a new name gets the next code
+    columns: tuple[list[int], ...] = ([], [], [])
+    rels = bytearray()
+    lineno = 1
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 4:
-                raise ParseError(f"line {lineno}: expected 'qid intent doc rel', got {len(fields)} fields")
-            qid, intent, doc, rel_raw = fields
-            if rel_raw not in ("0", "1"):
-                raise ParseError(f"line {lineno}: relevance {rel_raw!r} not in {{0, 1}}")
-            per_query = raw.setdefault(qid, {})
-            key = (intent, doc)
-            if key in per_query:
-                duplicates += 1
-            per_query[key] = int(rel_raw)
-
-    queries: dict[str, QueryJudgments] = {}
-    for qid, judgments in raw.items():
-        intents = sorted({intent for intent, _ in judgments})
-        prior = 1.0 / len(intents)
-        doc_pos: dict[str, set[str]] = {}
-        for (intent, doc), rel in judgments.items():
-            if rel == 1:
-                doc_pos.setdefault(doc, set()).add(intent)
-        queries[qid] = QueryJudgments(
-            intents=intents,
-            priors={i: prior for i in intents},
-            doc_intents={d: frozenset(s) for d, s in doc_pos.items()},
-        )
-    return IntentJudgments(queries=queries, duplicate_count=duplicates)
+        while lines := fh.readlines(QRELS_CHUNK_CHARS):
+            widths = list(map(len, map(str.split, lines)))
+            tokens = "".join(lines).split()
+            _check_qrels_chunk(widths, tokens, lineno)
+            lineno += len(lines)
+            for offset, table, column in zip(range(3), tables, columns):
+                column += map(table.__getitem__, tokens[offset::4])
+            rels += "".join(tokens[3::4]).encode("ascii")
+    if not rels:
+        return IntentJudgments([], [], [], np.zeros((0, 0, 0), dtype=bool))
+    (qids, q), (intents, i), (docs, d) = map(_ranked, tables, columns)
+    n_q, n_i, n_d = len(qids), len(intents), len(docs)
+    key = (q * n_i + i) * n_d + d
+    order = np.argsort(key, kind="stable")
+    last = np.append(key[order[1:]] != key[order[:-1]], True)  # the last line of each (qid, intent, doc) wins
+    kept = order[last]
+    q, i, d = q[kept], i[kept], d[kept]
+    positive = np.frombuffer(rels, dtype=np.uint8)[kept] == ord("1")
+    pairs = q * n_i + i  # ascending, as the kept lines are in key order
+    new = np.append(True, pairs[1:] != pairs[:-1])
+    intent_of = np.cumsum(new) - 1
+    query_intents, first_intent = _split(intents, pairs[new], n_i, n_q)
+    col = (intent_of - first_intent[q])[positive]
+    q, d = q[positive], d[positive]
+    pairs, doc_of = np.unique(q * n_d + d, return_inverse=True)
+    query_docs, first_doc = _split(docs, pairs, n_d, n_q)
+    rel = np.zeros((n_q, max(map(len, query_docs)), max(map(len, query_intents))), dtype=bool)
+    rel[q, doc_of - first_doc[q], col] = True
+    return IntentJudgments(qids, query_intents, query_docs, rel, duplicate_count=len(key) - len(kept))
 
 
 def parse_run_file(path: str | Path, truncate: int | None = 50) -> RunList:

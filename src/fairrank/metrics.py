@@ -6,11 +6,18 @@ metric once (label, direction, report sections, value function over one
 (model, K) :class:`Evaluation`); its order is every section's column order.
 :data:`SECTIONS` gives each (task, stage)'s report sections, and so the
 metrics it may request.
+
+The search metrics (alpha-nDCG, ERR-IA, S-recall) gather the run's top-k
+docs into one queries x ranks x intents relevance array from the
+:class:`~fairrank.ingest.IntentJudgments` table and run their per-rank
+recurrences for all queries at once, adding per-intent terms in ascending
+intent id order with the operands of the one-query loops in
+``tests/reference_diverse.py``, so their values are bit-identical to those
+loops.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,7 +27,7 @@ import numpy as np
 
 from .core import GroupUtilityVector, RankingSlate, ScoreMatrix
 from .errors import InvariantViolation, UndefinedMetric
-from .ingest import IntentJudgments, QueryJudgments, RunList
+from .ingest import IntentJudgments, RunList
 
 
 @dataclass
@@ -250,221 +257,124 @@ def min_max_ratio(v: GroupUtilityVector) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _alpha_dcg(docs: Sequence[str], judg: QueryJudgments, alpha: float, k: int) -> float:
-    covered: dict[str, int] = {}
-    dcg = 0.0
-    for rank, doc in enumerate(docs[:k], start=1):
-        intents = judg.doc_intents.get(doc, frozenset())
-        gain = 0.0
-        for intent in sorted(intents):
-            gain += (1.0 - alpha) ** covered.get(intent, 0)
-        dcg += gain * _log2_discount(rank)
-        for intent in intents:
-            covered[intent] = covered.get(intent, 0) + 1
-    return dcg
+def _judged_top(run: RunList, judg: IntentJudgments, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The judgment rows of the run's queries (ascending id) and the relevance of their top-k docs.
 
-
-def _greedy_ideal_table(queries: Sequence[QueryJudgments], alpha: float, depth: int) -> np.ndarray:
-    """Running greedy ideal alpha-DCG of each query, all queries at once.
-
-    Entry ``[q, r]`` is the DCG of the first ``r`` docs of query ``q``'s
-    greedy ideal ordering, for ``r = 0..depth``; past the query's judged
-    pool the entry stays at the full pool's DCG.  Each step picks, per
-    query, the first judged doc (ascending id) of maximal gain, where a
-    doc's gain adds ``(1 - alpha) ** covered`` over its intents in ascending
-    id order (other intents add an exact ``+0.0``).  The DCG adds
-    ``gain * 1 / log2(rank + 1)`` rank by rank.  Greedy orderings at two
-    depths agree on their common prefix, so one table serves every K up to
-    ``depth``.
-    """
-    pools = [judg.judged_docs() for judg in queries]
-    n_pool = np.array([len(pool) for pool in pools], dtype=np.intp)
-    n_int = max((len(judg.intents) for judg in queries), default=0)
-    n_q, width = len(queries), int(n_pool.max(initial=0))
-    member = np.zeros((n_int, n_q, width), dtype=bool)
-    for q, (judg, pool) in enumerate(zip(queries, pools)):
-        col = {intent: (j * n_q + q) * width for j, intent in enumerate(sorted(judg.intents))}
-        hits = [col[intent] + d for d, doc in enumerate(pool) for intent in judg.doc_intents[doc]]
-        member.flat[hits] = True
-    available = np.arange(width) < n_pool[:, None]
-    decay = np.array([(1.0 - alpha) ** c for c in range(depth + 1)])
-    covered = np.zeros((n_q, n_int), dtype=np.intp)
-    rows = np.arange(n_q)
-    table = np.zeros((n_q, depth + 1))
-    for step in range(depth):
-        weight = decay[covered]
-        gain = np.zeros(available.shape)
-        for j in range(n_int):
-            gain += member[j] * weight[:, j, None]
-        best = np.argmax(np.where(available, gain, -np.inf), axis=1)
-        gained = table[:, step] + gain[rows, best] * _log2_discount(step + 1)
-        table[:, step + 1] = np.where(step < n_pool, gained, table[:, step])
-        available[rows, best] = False
-        covered += member[:, rows, best].T
-    return table
-
-
-def _ideal_alpha_dcg(judg: QueryJudgments, alpha: float, k: int, ideal: str) -> float:
-    pool = judg.judged_docs()
-    depth = min(k, len(pool))
-    if depth == 0:
-        return 0.0
-    if ideal == "greedy":
-        return float(_greedy_ideal_table([judg], alpha, depth)[0, depth])
-    if ideal == "exhaustive":
-        if len(pool) > 8:
-            raise InvariantViolation("exhaustive ideal limited to <= 8 judged docs")
-        best = 0.0
-        for perm in itertools.permutations(pool, depth):
-            best = max(best, _alpha_dcg(perm, judg, alpha, k))
-        return best
-    raise InvariantViolation(f"unknown ideal mode {ideal!r}")
-
-
-def _greedy_ideal(judgments: IntentJudgments, alpha: float, k: int) -> dict[str, float]:
-    """Greedy ideal alpha-DCG@k per query, from the table kept on the judgments.
-
-    The table for ``alpha`` is computed once for every query of the
-    judgments and recomputed only when a deeper ``k`` needs more ranks.
-    """
-    entry = judgments.ideal_dcg.get(alpha)
-    if entry is None or entry[1].shape[1] - 1 < min(k, entry[2]):
-        qids = sorted(judgments.queries)
-        queries = [judgments.queries[qid] for qid in qids]
-        max_pool = max((len(judg.doc_intents) for judg in queries), default=0)
-        table = _greedy_ideal_table(queries, alpha, min(k, max_pool))
-        entry = judgments.ideal_dcg[alpha] = (qids, table, max_pool)
-    qids, table, _ = entry
-    return dict(zip(qids, table[:, min(k, table.shape[1] - 1)].tolist()))
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 <= alpha < 1.0):
-        raise InvariantViolation("alpha must lie in [0, 1)")
-
-
-def _alpha_ndcg_given(docs: Sequence[str], judg: QueryJudgments, alpha: float, k: int, ideal_dcg: float) -> float:
-    if ideal_dcg == 0.0:
-        return 0.0
-    return _alpha_dcg(docs, judg, alpha, k) / ideal_dcg
-
-
-def alpha_ndcg_query(docs: Sequence[str], judg: QueryJudgments, alpha: float = 0.5, k: int = 10, ideal: str = "greedy") -> float:
-    """alpha-nDCG@k for one query; gains decay by (1-alpha) per redundant intent."""
-    _check_alpha(alpha)
-    return _alpha_ndcg_given(docs, judg, alpha, k, _ideal_alpha_dcg(judg, alpha, k, ideal))
-
-
-def alpha_ndcg(run: RunList, judg: IntentJudgments, alpha: float = 0.5, k: int = 10, ideal: str = "greedy") -> float:
-    """Mean alpha-nDCG@k over the queries of the run.
-
-    The greedy ideal comes from the table kept on ``judg`` (see
-    :func:`_greedy_ideal`), so repeated calls do not redo the greedy.
+    The relevance array is queries x ranks x intents, ranks cut to the
+    longest of the run's top-k lists; unjudged docs and ranks past a short
+    run are False.
     """
     qids = sorted(run.queries)
-    queries = [judg.query(qid) for qid in qids]
-    if not queries:
+    rows = np.array([judg.row(qid) for qid in qids], dtype=np.intp)
+    if not qids:
         raise UndefinedMetric("run contains no queries")
-    _check_alpha(alpha)
-    if ideal == "greedy":
-        ideals = _greedy_ideal(judg, alpha, k)
-        ideal_dcgs = [ideals[qid] for qid in qids]
-    else:
-        ideal_dcgs = [_ideal_alpha_dcg(query, alpha, k, ideal) for query in queries]
-    vals = [
-        _alpha_ndcg_given(run.docs(qid), query, alpha, k, ideal_dcg)
-        for qid, query, ideal_dcg in zip(qids, queries, ideal_dcgs)
-    ]
-    return float(np.mean(vals))
+    tops = [run.docs(qid)[:k] for qid in qids]
+    return rows, judg.gather(rows, tops, max(map(len, tops)))
 
 
-def err_ia_query(docs: Sequence[str], judg: QueryJudgments, k: int = 10) -> float:
-    """Intent-prior-weighted expected reciprocal rank under the cascade model."""
-    total = 0.0
-    for intent in judg.intents:
-        p_stop = 1.0
-        contrib = 0.0
-        for rank, doc in enumerate(docs[:k], start=1):
-            r = 0.5 * judg.relevance(doc, intent)  # (2^g - 1) / 2^g_max with binary g
-            contrib += p_stop * r / rank
-            p_stop *= 1.0 - r
-        total += judg.priors[intent] * contrib
-    return total
+class _GreedyIdeal:
+    """Running greedy ideal alpha-DCG of every query of the judgments, all queries at once.
+
+    ``table[q, r]`` is the DCG of the first ``r`` docs of query ``q``'s
+    greedy ideal ordering, for ``r <= depth``; past the query's judged docs
+    the entry stays at the full pool's DCG.  Each step picks, per query,
+    the first judged doc (ascending id) of maximal gain, where a doc's gain
+    adds ``(1 - alpha) ** covered`` over its intents in ascending id order
+    (other intents add an exact ``+0.0``).  The DCG adds
+    ``gain * 1 / log2(rank + 1)`` rank by rank.  The greedy's ``covered``
+    counts and ``available`` mask are kept, so :meth:`extend` continues a
+    deeper K from ``depth`` instead of from rank 0.
+    """
+
+    def __init__(self, judg: IntentJudgments, alpha: float) -> None:
+        n_q, width, n_int = judg.rel.shape
+        self.alpha = alpha
+        self.member = np.ascontiguousarray(judg.rel.transpose(2, 0, 1))  # intents x queries x docs
+        self.n_pool = judg.n_docs
+        self.available = np.arange(width) < self.n_pool[:, None]
+        self.covered = np.zeros((n_q, n_int), dtype=np.intp)
+        self.table = np.zeros((n_q, width + 1))
+        self.depth = 0
+
+    def extend(self, depth: int) -> None:
+        """Run the greedy steps ``self.depth .. depth - 1``."""
+        decay = np.array([(1.0 - self.alpha) ** c for c in range(depth + 1)])
+        rows = np.arange(len(self.table))
+        for step in range(self.depth, depth):
+            weight = decay[self.covered]
+            gain = np.zeros(self.available.shape)
+            for j in range(len(self.member)):
+                gain += self.member[j] * weight[:, j, None]
+            best = np.argmax(np.where(self.available, gain, -np.inf), axis=1)
+            gained = self.table[:, step] + gain[rows, best] * _log2_discount(step + 1)
+            self.table[:, step + 1] = np.where(step < self.n_pool, gained, self.table[:, step])
+            self.available[rows, best] = False
+            self.covered += self.member[:, rows, best].T
+        self.depth = depth
+
+
+def _greedy_ideal(judg: IntentJudgments, alpha: float, k: int) -> np.ndarray:
+    """Greedy ideal alpha-DCG@k of every query (in judgment row order), from the state kept on the judgments.
+
+    The state for ``alpha`` is created once per judgments and extended only
+    when a deeper ``k`` needs more ranks.
+    """
+    ideal = judg.ideal_dcg.get(alpha)
+    if ideal is None:
+        ideal = judg.ideal_dcg[alpha] = _GreedyIdeal(judg, alpha)
+    depth = min(k, ideal.table.shape[1] - 1)
+    if ideal.depth < depth:
+        ideal.extend(depth)
+    return ideal.table[:, depth]
+
+
+def alpha_ndcg(run: RunList, judg: IntentJudgments, alpha: float = 0.5, k: int = 10) -> float:
+    """Mean alpha-nDCG@k over the queries of the run; gains decay by (1-alpha) per redundant intent.
+
+    Each rank's gain adds ``(1 - alpha) ** covered`` over the doc's intents
+    in ascending id order, for all queries at once.  The greedy ideal comes
+    from the state kept on ``judg`` (see :func:`_greedy_ideal`); a query
+    whose ideal is 0 scores 0.
+    """
+    rows, top = _judged_top(run, judg, k)
+    if not (0.0 <= alpha < 1.0):
+        raise InvariantViolation("alpha must lie in [0, 1)")
+    decay = np.array([(1.0 - alpha) ** c for c in range(top.shape[1] + 1)])
+    covered = np.zeros((len(rows), top.shape[2]), dtype=np.intp)
+    dcg = np.zeros(len(rows))
+    for rank in range(top.shape[1]):
+        weight = decay[covered]
+        gain = np.zeros(len(rows))
+        for j in range(top.shape[2]):  # other intents add an exact +0.0
+            gain += top[:, rank, j] * weight[:, j]
+        dcg += gain * _log2_discount(rank + 1)
+        covered += top[:, rank]
+    ideal = _greedy_ideal(judg, alpha, k)[rows]
+    return float(np.mean(np.divide(dcg, ideal, out=np.zeros_like(dcg), where=ideal != 0.0)))
 
 
 def err_ia(run: RunList, judg: IntentJudgments, k: int = 10) -> float:
-    vals = [err_ia_query(run.docs(qid), judg.query(qid), k) for qid in sorted(run.queries)]
-    if not vals:
-        raise UndefinedMetric("run contains no queries")
-    return float(np.mean(vals))
+    """Mean intent-prior-weighted expected reciprocal rank@k under the cascade model.
 
-
-def s_recall_query(docs: Sequence[str], judg: QueryJudgments, k: int = 10) -> float:
-    """Fraction of the query's intents covered within the top k."""
-    covered: set[str] = set()
-    for doc in docs[:k]:
-        covered |= judg.doc_intents.get(doc, frozenset())
-    return len(covered) / len(judg.intents)
+    Per intent, rank by rank: ``contrib += p_stop * r / rank`` and
+    ``p_stop *= 1 - r`` with ``r = 0.5 * relevance``; the intents' terms
+    ``prior * contrib`` are then added in declared order.
+    """
+    rows, top = _judged_top(run, judg, k)
+    stop = 0.5 * top  # (2^g - 1) / 2^g_max with binary g
+    p_stop = np.ones((len(rows), top.shape[2]))
+    contrib = np.zeros_like(p_stop)
+    for rank in range(top.shape[1]):
+        contrib += p_stop * stop[:, rank] / (rank + 1)
+        p_stop *= 1.0 - stop[:, rank]
+    prior = judg.prior[rows]
+    total = np.zeros(len(rows))
+    for j in range(prior.shape[1]):
+        total += prior[:, j] * contrib[:, j]
+    return float(np.mean(total))
 
 
 def s_recall(run: RunList, judg: IntentJudgments, k: int = 10) -> float:
-    vals = [s_recall_query(run.docs(qid), judg.query(qid), k) for qid in sorted(run.queries)]
-    if not vals:
-        raise UndefinedMetric("run contains no queries")
-    return float(np.mean(vals))
-
-
-# ---------------------------------------------------------------------------
-# Candidate-list fairness
-# ---------------------------------------------------------------------------
-
-
-def exposure_parity(group_labels: Sequence[str], k: int) -> float:
-    """Worst-group gap between exposure share (log-discounted top-k) and population share."""
-    if not group_labels:
-        raise InvariantViolation("no candidates")
-    population: dict[str, int] = {}
-    for g in group_labels:
-        population[g] = population.get(g, 0) + 1
-    n = len(group_labels)
-    exposure: dict[str, float] = {g: 0.0 for g in population}
-    total_exposure = 0.0
-    for rank, g in enumerate(group_labels[:k], start=1):
-        w = _log2_discount(rank)
-        exposure[g] += w
-        total_exposure += w
-    worst = 0.0
-    for g in sorted(population):
-        share_exp = exposure[g] / total_exposure if total_exposure > 0 else 0.0
-        share_pop = population[g] / n
-        worst = max(worst, abs(share_exp - share_pop))
-    return worst
-
-
-def igf(ranked: Sequence[tuple[float, str]], k: int) -> float:
-    """In-group fairness at cutoff k, averaged over groups with accepted members.
-
-    Per group: ratio of the lowest accepted score to the highest rejected
-    score.  Groups with no rejected members contribute 1; a non-positive
-    highest rejected score also counts as perfectly separated.
-    """
-    accepted: dict[str, list[float]] = {}
-    rejected: dict[str, list[float]] = {}
-    for rank, (score, group) in enumerate(ranked, start=1):
-        if not math.isfinite(score):
-            raise InvariantViolation("non-finite candidate score")
-        bucket = accepted if rank <= k else rejected
-        bucket.setdefault(group, []).append(score)
-    ratios = []
-    for group in sorted(accepted):
-        if group not in rejected:
-            ratios.append(1.0)
-            continue
-        max_rej = max(rejected[group])
-        if max_rej <= 0.0:
-            ratios.append(1.0)
-        else:
-            ratios.append(min(accepted[group]) / max_rej)
-    if not ratios:
-        raise UndefinedMetric("no group has accepted members")
-    return float(np.mean(ratios))
+    """Mean fraction of each query's intents covered within the top k."""
+    rows, top = _judged_top(run, judg, k)
+    return float(np.mean(top.any(axis=1).sum(axis=1) / judg.n_intents[rows]))

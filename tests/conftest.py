@@ -7,7 +7,8 @@ import pytest
 from hypothesis import settings
 
 from fairrank.core import Catalog, ScoreMatrix
-from fairrank.ingest import IntentJudgments, QueryJudgments, RunList
+from fairrank.ingest import IntentJudgments, RunList
+from reference_diverse import Query, judgments_of
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
@@ -80,13 +81,9 @@ def score_matrix(rows: dict[str, dict[str, float]], semantics: str = "raw") -> S
     return ScoreMatrix(users, items, scores, valid, semantics=semantics)
 
 
-def make_judgments(doc_intents: dict[str, set[str]], intents: list[str]) -> QueryJudgments:
-    prior = 1.0 / len(intents)
-    return QueryJudgments(
-        intents=sorted(intents),
-        priors={i: prior for i in sorted(intents)},
-        doc_intents={d: frozenset(s) for d, s in doc_intents.items() if s},
-    )
+def make_judgments(doc_intents: dict[str, set[str]], intents: list[str], qid: str = "q1") -> IntentJudgments:
+    """Judgments of one query with uniform priors, built through the ``IntentJudgments`` constructor."""
+    return judgments_of({qid: Query.uniform(doc_intents, intents)})
 
 
 def random_diversity_instance(rng: np.random.Generator, max_docs: int = 8, max_intents: int = 4):
@@ -100,10 +97,9 @@ def random_diversity_instance(rng: np.random.Generator, max_docs: int = 8, max_i
         member = {i for i in intents if rng.random() < 0.5}
         if member:
             doc_intents[d] = member
-    judg = make_judgments(doc_intents, intents)
     scores = sorted((float(s) for s in rng.uniform(0.0, 1.0, size=n_docs)), reverse=True)
     run = RunList(queries={"q1": list(zip(docs, scores))})
-    return run, IntentJudgments(queries={"q1": judg})
+    return run, make_judgments(doc_intents, intents)
 
 
 @pytest.fixture

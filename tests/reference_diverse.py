@@ -1,9 +1,12 @@
-"""One-query-at-a-time reference loops for the batched search kernels.
+"""One-query-at-a-time reference loops for the batched search code.
 
-``fairrank.diverse_rerank`` runs the xQuAD and PM2 greedy steps for all
-queries at once, and ``fairrank.metrics.alpha_ndcg`` computes the greedy
-ideal alpha-DCG for all queries at once and keeps it on the judgments.
-These loops are the slow, obviously-correct versions; the tests require the
+``fairrank.ingest.parse_diversity_qrels`` parses qrels in chunks into one
+query x doc x intent table (``IntentJudgments``), ``fairrank.diverse_rerank``
+runs the xQuAD and PM2 greedy steps for all queries at once, and
+``fairrank.metrics`` computes alpha-nDCG (with a greedy ideal kept on the
+judgments), ERR-IA and S-recall for all queries at once.  These loops are
+the slow, obviously-correct versions, over the per-query form ``Query``
+(declared intents, priors and per-doc intent sets); the tests require the
 batched code to reproduce them exactly.
 
 They add with builtin ``sum`` (PM2's coverage, the ideal's per-doc gain),
@@ -14,14 +17,112 @@ last bit when relevance is fractional.
 
 from __future__ import annotations
 
-from typing import Mapping
+import itertools
+import math
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from fairrank.diverse_rerank import DiversifyContext
-from fairrank.errors import EmptyCandidates, InvariantViolation, UndefinedMetric
-from fairrank.ingest import IntentJudgments, QueryJudgments, RunList
-from fairrank.metrics import _alpha_dcg
+from fairrank.errors import EmptyCandidates, InvariantViolation, IoError, ParseError, UndefinedMetric
+from fairrank.ingest import IntentJudgments, RunList
+
+
+@dataclass
+class Query:
+    """Intent-level binary judgments of one query.
+
+    Attributes:
+        intents: declared intents in ascending id order.
+        priors: intent -> prior.
+        doc_intents: doc -> set of intents the doc is relevant to (docs with
+            no positive judgment are absent).
+    """
+
+    intents: list[str]
+    priors: dict[str, float]
+    doc_intents: dict[str, frozenset[str]]
+
+    @classmethod
+    def uniform(cls, doc_intents: Mapping[str, set[str]], intents: Sequence[str]) -> Query:
+        """Uniform priors; docs with an empty intent set are dropped."""
+        intents = sorted(intents)
+        priors = {i: 1.0 / len(intents) for i in intents}
+        return cls(intents, priors, {d: frozenset(s) for d, s in doc_intents.items() if s})
+
+    def relevance(self, doc: str, intent: str) -> float:
+        return 1.0 if intent in self.doc_intents.get(doc, frozenset()) else 0.0
+
+    def judged_docs(self) -> list[str]:
+        """Docs with at least one positive judgment, in ascending id order."""
+        return sorted(self.doc_intents)
+
+
+def judgments_of(queries: Mapping[str, Query], duplicate_count: int = 0) -> IntentJudgments:
+    """The ``IntentJudgments`` table holding ``queries``, built through its constructor."""
+    qids = sorted(queries)
+    intents = [queries[qid].intents for qid in qids]
+    docs = [queries[qid].judged_docs() for qid in qids]
+    rel = np.zeros((len(qids), max(map(len, docs), default=0), max(map(len, intents), default=0)), dtype=bool)
+    prior = np.zeros((len(qids), rel.shape[2]))
+    for q, qid in enumerate(qids):
+        query = queries[qid]
+        prior[q, : len(query.intents)] = [query.priors[intent] for intent in query.intents]
+        for d, doc in enumerate(docs[q]):
+            rel[q, d, : len(query.intents)] = [intent in query.doc_intents[doc] for intent in query.intents]
+    return IntentJudgments(qids, intents, docs, rel, prior, duplicate_count)
+
+
+def query_of(judgments: IntentJudgments | Query, qid: str | None = None) -> Query:
+    """Query ``qid`` of the table (by default its only query) in per-query form; a ``Query`` is returned as is."""
+    if isinstance(judgments, Query):
+        return judgments
+    if qid is None:
+        (qid,) = judgments.query_ids
+    q = judgments.row(qid)
+    intents = judgments.intents[q]
+    doc_intents = {
+        doc: frozenset(intent for intent, rel in zip(intents, judgments.rel[q, d]) if rel)
+        for d, doc in enumerate(judgments.docs[q])
+    }
+    return Query(list(intents), dict(zip(intents, judgments.prior[q].tolist())), doc_intents)
+
+
+def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
+    """Per-line version of ``fairrank.ingest.parse_diversity_qrels``."""
+    path = Path(path)
+    if not path.exists():
+        raise IoError(f"qrels file not found: {path}")
+    raw: dict[str, dict[tuple[str, str], int]] = {}
+    duplicates = 0
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 4:
+                raise ParseError(f"line {lineno}: expected 'qid intent doc rel', got {len(fields)} fields")
+            qid, intent, doc, rel_raw = fields
+            if rel_raw not in ("0", "1"):
+                raise ParseError(f"line {lineno}: relevance {rel_raw!r} not in {{0, 1}}")
+            per_query = raw.setdefault(qid, {})
+            key = (intent, doc)
+            if key in per_query:
+                duplicates += 1
+            per_query[key] = int(rel_raw)
+
+    queries: dict[str, Query] = {}
+    for qid, judgments in raw.items():
+        intents = sorted({intent for intent, _ in judgments})
+        prior = 1.0 / len(intents)
+        doc_pos: dict[str, set[str]] = {}
+        for (intent, doc), rel in judgments.items():
+            if rel == 1:
+                doc_pos.setdefault(doc, set()).add(intent)
+        queries[qid] = Query(intents, {i: prior for i in intents}, {d: frozenset(s) for d, s in doc_pos.items()})
+    return judgments_of(queries, duplicates)
 
 
 def normalized_pool(entries: list[tuple[str, float]]) -> tuple[list[str], dict[str, float]]:
@@ -35,7 +136,7 @@ def normalized_pool(entries: list[tuple[str, float]]) -> tuple[list[str], dict[s
     return [d for d, _ in entries], {d: 0.5 for d, _ in entries}
 
 
-def relevance_fn(ctx: DiversifyContext, qid: str, judg: QueryJudgments):
+def relevance_fn(ctx: DiversifyContext, qid: str, judg: Query):
     """Predicted relevance for a query that has a table, binary judgments otherwise."""
     if ctx.intent_relevance is not None and qid in ctx.intent_relevance:
         table = ctx.intent_relevance[qid]
@@ -46,7 +147,7 @@ def relevance_fn(ctx: DiversifyContext, qid: str, judg: QueryJudgments):
 def xquad_query(
     docs: list[str],
     norm_scores: Mapping[str, float],
-    judg: QueryJudgments,
+    judg: Query,
     rel,
     lam: float,
     k: int,
@@ -77,7 +178,7 @@ def xquad_query(
 
 def pm2_query(
     docs: list[str],
-    judg: QueryJudgments,
+    judg: Query,
     rel,
     lam: float,
     k: int,
@@ -119,7 +220,7 @@ def xquad(ctx: DiversifyContext) -> dict[str, list[str]]:
     """Per-query loop version of ``fairrank.diverse_rerank.xquad``."""
     out: dict[str, list[str]] = {}
     for qid in sorted(ctx.run.queries):
-        judg = ctx.judgments.query(qid)
+        judg = query_of(ctx.judgments, qid)
         docs, norm = normalized_pool(ctx.run.queries[qid][: ctx.pool_size])
         out[qid] = xquad_query(docs, norm, judg, relevance_fn(ctx, qid, judg), ctx.lam, ctx.k)
     return out
@@ -129,26 +230,45 @@ def pm2(ctx: DiversifyContext) -> dict[str, list[str]]:
     """Per-query loop version of ``fairrank.diverse_rerank.pm2``."""
     out: dict[str, list[str]] = {}
     for qid in sorted(ctx.run.queries):
-        judg = ctx.judgments.query(qid)
+        judg = query_of(ctx.judgments, qid)
         docs, _ = normalized_pool(ctx.run.queries[qid][: ctx.pool_size])
         out[qid] = pm2_query(docs, judg, relevance_fn(ctx, qid, judg), ctx.lam, ctx.k)
     return out
 
 
-def xquad_oracle(entries: list[tuple[str, float]], judg: QueryJudgments, lam: float, k: int) -> list[str]:
+def xquad_oracle(entries: list[tuple[str, float]], judg: Query | IntentJudgments, lam: float, k: int) -> list[str]:
     """xQuAD over one query's ranked (doc, score) entries with binary relevance."""
+    judg = query_of(judg)
     docs, norm = normalized_pool(entries)
     return xquad_query(docs, norm, judg, judg.relevance, lam, k)
 
 
-def pm2_oracle(entries: list[tuple[str, float]], judg: QueryJudgments, lam: float, k: int) -> list[str]:
+def pm2_oracle(entries: list[tuple[str, float]], judg: Query | IntentJudgments, lam: float, k: int) -> list[str]:
     """PM2 over one query's ranked (doc, score) entries with binary relevance."""
+    judg = query_of(judg)
     docs, _ = normalized_pool(entries)
     return pm2_query(docs, judg, judg.relevance, lam, k)
 
 
-def ideal_alpha_dcg(judg: QueryJudgments, alpha: float, k: int) -> float:
+def alpha_dcg(docs: Sequence[str], judg: Query | IntentJudgments, alpha: float, k: int) -> float:
+    """alpha-DCG@k of one ranking: each doc's intents add ``(1 - alpha) ** covered`` in ascending id order."""
+    judg = query_of(judg)
+    covered: dict[str, int] = {}
+    dcg = 0.0
+    for rank, doc in enumerate(docs[:k], start=1):
+        intents = judg.doc_intents.get(doc, frozenset())
+        gain = 0.0
+        for intent in sorted(intents):
+            gain += (1.0 - alpha) ** covered.get(intent, 0)
+        dcg += gain * (1.0 / math.log2(rank + 1))
+        for intent in intents:
+            covered[intent] = covered.get(intent, 0) + 1
+    return dcg
+
+
+def ideal_alpha_dcg(judg: Query | IntentJudgments, alpha: float, k: int) -> float:
     """Greedy ideal alpha-DCG@k: repeatedly take the judged doc of largest marginal gain."""
+    judg = query_of(judg)
     pool = judg.judged_docs()
     depth = min(k, len(pool))
     if depth == 0:
@@ -168,18 +288,78 @@ def ideal_alpha_dcg(judg: QueryJudgments, alpha: float, k: int) -> float:
         remaining.remove(best_doc)
         for intent in judg.doc_intents[best_doc]:
             covered[intent] = covered.get(intent, 0) + 1
-    return _alpha_dcg(chosen, judg, alpha, k)
+    return alpha_dcg(chosen, judg, alpha, k)
+
+
+def exhaustive_ideal_alpha_dcg(judg: Query | IntentJudgments, alpha: float, k: int) -> float:
+    """Ideal alpha-DCG@k over every ordering of the judged docs (at most 8 of them)."""
+    judg = query_of(judg)
+    pool = judg.judged_docs()
+    if len(pool) > 8:
+        raise InvariantViolation("exhaustive ideal limited to <= 8 judged docs")
+    best = 0.0
+    for perm in itertools.permutations(pool, min(k, len(pool))):
+        best = max(best, alpha_dcg(perm, judg, alpha, k))
+    return best
+
+
+def alpha_ndcg_query(
+    docs: Sequence[str], judg: Query | IntentJudgments, alpha: float = 0.5, k: int = 10, ideal: str = "greedy"
+) -> float:
+    """alpha-nDCG@k for one query against the greedy or the exhaustive ideal; 0 when the ideal is 0."""
+    if not (0.0 <= alpha < 1.0):
+        raise InvariantViolation("alpha must lie in [0, 1)")
+    ideals = {"greedy": ideal_alpha_dcg, "exhaustive": exhaustive_ideal_alpha_dcg}
+    ideal_dcg = ideals[ideal](judg, alpha, k)
+    return 0.0 if ideal_dcg == 0.0 else alpha_dcg(docs, judg, alpha, k) / ideal_dcg
+
+
+def err_ia_query(docs: Sequence[str], judg: Query | IntentJudgments, k: int = 10) -> float:
+    """Intent-prior-weighted expected reciprocal rank under the cascade model."""
+    judg = query_of(judg)
+    total = 0.0
+    for intent in judg.intents:
+        p_stop = 1.0
+        contrib = 0.0
+        for rank, doc in enumerate(docs[:k], start=1):
+            r = 0.5 * judg.relevance(doc, intent)  # (2^g - 1) / 2^g_max with binary g
+            contrib += p_stop * r / rank
+            p_stop *= 1.0 - r
+        total += judg.priors[intent] * contrib
+    return total
+
+
+def s_recall_query(docs: Sequence[str], judg: Query | IntentJudgments, k: int = 10) -> float:
+    """Fraction of the query's intents covered within the top k."""
+    judg = query_of(judg)
+    covered: set[str] = set()
+    for doc in docs[:k]:
+        covered |= judg.doc_intents.get(doc, frozenset())
+    return len(covered) / len(judg.intents)
+
+
+def _mean_over_queries(run: RunList, judgments: IntentJudgments, value) -> float:
+    vals = [value(run.docs(qid), query_of(judgments, qid)) for qid in sorted(run.queries)]
+    if not vals:
+        raise UndefinedMetric("run contains no queries")
+    return float(np.mean(vals))
 
 
 def alpha_ndcg(run: RunList, judgments: IntentJudgments, alpha: float = 0.5, k: int = 10) -> float:
     """Mean alpha-nDCG@k with the ideal recomputed per query and call."""
+    queries = [query_of(judgments, qid) for qid in sorted(run.queries)]  # UnknownQuery before the other errors
+    if not queries:
+        raise UndefinedMetric("run contains no queries")
     if not (0.0 <= alpha < 1.0):
         raise InvariantViolation("alpha must lie in [0, 1)")
-    vals = []
-    for qid in sorted(run.queries):
-        judg = judgments.query(qid)
-        ideal = ideal_alpha_dcg(judg, alpha, k)
-        vals.append(0.0 if ideal == 0.0 else _alpha_dcg(run.docs(qid), judg, alpha, k) / ideal)
-    if not vals:
-        raise UndefinedMetric("run contains no queries")
-    return float(np.mean(vals))
+    return _mean_over_queries(run, judgments, lambda docs, judg: alpha_ndcg_query(docs, judg, alpha, k))
+
+
+def err_ia(run: RunList, judgments: IntentJudgments, k: int = 10) -> float:
+    """Mean ERR-IA@k, one query at a time."""
+    return _mean_over_queries(run, judgments, lambda docs, judg: err_ia_query(docs, judg, k))
+
+
+def s_recall(run: RunList, judgments: IntentJudgments, k: int = 10) -> float:
+    """Mean S-recall@k, one query at a time."""
+    return _mean_over_queries(run, judgments, lambda docs, judg: s_recall_query(docs, judg, k))

@@ -15,6 +15,7 @@ from fairrank import metrics as M
 from fairrank.config import config_merge, resolve_config, validate_config
 from fairrank.core import GroupUtilityVector
 from fairrank.errors import ConfigError, UnknownKeyError
+from fairrank.ingest import read_scores, write_scores
 from fairrank.metrics import MetricReport
 from fairrank.report import BenchmarkReport, emit_report, fmt4
 from fairrank.synth import init_workspace
@@ -451,6 +452,17 @@ class TestCliRecommendation:
             ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
              "--config", post_cfg, "--data-dir", str(workspace)]
         ) == 0
+
+    def test_relative_scores_path_resolves_from_data_root(self, workspace, tmp_path, monkeypatch):
+        write_scores(read_scores(workspace / "datasets" / "synth"), workspace / "log" / "ip" / "scores-bpr")
+        payload = {"models": ["topk"], "K": [5], "log_name": "post", "scores": "log/ip/scores-bpr"}
+        cfg = user_config(tmp_path, "p.yaml", payload)
+        monkeypatch.chdir(workspace.parent)  # the working directory holds no log/ip/scores-bpr
+        assert cli.run(
+            ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+             "--config", cfg, "--data-dir", workspace.name]
+        ) == 0
+        assert (workspace / "log" / "post" / "records.jsonl").is_file()
 
     def test_in_processing_leaves_dataset_scores_untouched(self, workspace, tmp_path):
         scores_path = workspace / "datasets" / "synth" / "scores.tsv"

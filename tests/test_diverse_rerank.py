@@ -5,10 +5,10 @@ import pytest
 
 from fairrank.diverse_rerank import DiversifyContext, pm2, xquad
 from fairrank.errors import EmptyCandidates, InvariantViolation
-from fairrank.ingest import IntentJudgments, RunList
+from fairrank.ingest import RunList
 
 from conftest import make_judgments, random_diversity_instance
-from reference_diverse import pm2_oracle, pm2_query, xquad_oracle
+from reference_diverse import pm2_oracle, pm2_query, query_of, xquad_oracle
 
 
 def run_of(docs_scores: list[tuple[str, float]]) -> RunList:
@@ -19,25 +19,25 @@ class TestXquad:
     def test_lambda_zero_is_original_prefix(self):
         entries = [("d1", 0.9), ("d2", 0.7), ("d3", 0.5), ("d4", 0.2)]
         judg = make_judgments({"d4": {"i1"}}, ["i1"])
-        ctx = DiversifyContext(run_of(entries), IntentJudgments({"q1": judg}), lam=0.0, k=3)
+        ctx = DiversifyContext(run_of(entries), judg, lam=0.0, k=3)
         assert xquad(ctx)["q1"] == ["d1", "d2", "d3"]
 
     def test_pure_diversity_prefers_fresh_intent(self):
         entries = [("d1", 0.9), ("d2", 0.8), ("d3", 0.1)]
         judg = make_judgments({"d1": {"i1"}, "d2": {"i1"}, "d3": {"i2"}}, ["i1", "i2"])
-        ctx = DiversifyContext(run_of(entries), IntentJudgments({"q1": judg}), lam=1.0, k=2)
+        ctx = DiversifyContext(run_of(entries), judg, lam=1.0, k=2)
         assert xquad(ctx)["q1"] == ["d1", "d3"]
 
     def test_identical_coverage_keeps_original_order(self):
         entries = [("d1", 0.9), ("d2", 0.7), ("d3", 0.5)]
         judg = make_judgments({d: {"i1", "i2"} for d in ["d1", "d2", "d3"]}, ["i1", "i2"])
         for lam in (0.0, 0.3, 0.7, 1.0):
-            ctx = DiversifyContext(run_of(entries), IntentJudgments({"q1": judg}), lam=lam, k=3)
+            ctx = DiversifyContext(run_of(entries), judg, lam=lam, k=3)
             assert xquad(ctx)["q1"] == ["d1", "d2", "d3"]
 
     def test_empty_pool_rejected(self):
         judg = make_judgments({"d1": {"i1"}}, ["i1"])
-        ctx = DiversifyContext(RunList(queries={"q1": []}), IntentJudgments({"q1": judg}), k=2)
+        ctx = DiversifyContext(RunList(queries={"q1": []}), judg, k=2)
         with pytest.raises(EmptyCandidates):
             xquad(ctx)
 
@@ -46,7 +46,7 @@ class TestXquad:
         judg = make_judgments({"d1": {"i1"}}, ["i1", "i2"])
         predicted = {"q1": {("d2", "i1"): 1.0, ("d2", "i2"): 1.0}}
         ctx = DiversifyContext(
-            run_of(entries), IntentJudgments({"q1": judg}), intent_relevance=predicted, lam=1.0, k=1
+            run_of(entries), judg, intent_relevance=predicted, lam=1.0, k=1
         )
         assert xquad(ctx)["q1"] == ["d2"]
 
@@ -55,7 +55,7 @@ class TestPm2:
     def test_single_intent_orders_by_relevance(self):
         entries = [("d1", 0.9), ("d2", 0.8), ("d3", 0.7)]
         judg = make_judgments({"d2": {"i1"}, "d3": {"i1"}}, ["i1"])
-        ctx = DiversifyContext(run_of(entries), IntentJudgments({"q1": judg}), lam=0.5, k=3)
+        ctx = DiversifyContext(run_of(entries), judg, lam=0.5, k=3)
         result = pm2(ctx)["q1"]
         assert result == pm2_oracle(entries, judg, 0.5, 3)
         assert result[0] in {"d2", "d3"}  # covering docs first
@@ -64,14 +64,15 @@ class TestPm2:
     def test_zero_relevance_doc_never_displaces_covering(self):
         entries = [("d0", 1.0), ("d1", 0.9), ("d2", 0.8), ("d3", 0.7)]
         judg = make_judgments({"d1": {"i1"}, "d2": {"i2"}, "d3": {"i1"}}, ["i1", "i2"])
-        ctx = DiversifyContext(run_of(entries), IntentJudgments({"q1": judg}), lam=0.5, k=3)
+        ctx = DiversifyContext(run_of(entries), judg, lam=0.5, k=3)
         assert "d0" not in pm2(ctx)["q1"]
 
     def test_disjoint_pools_alternate_seats(self):
         entries = [("d1", 0.9), ("d2", 0.8), ("d3", 0.7), ("d4", 0.6)]
         judg = make_judgments({"d1": {"i1"}, "d3": {"i1"}, "d2": {"i2"}, "d4": {"i2"}}, ["i1", "i2"])
-        ctx = DiversifyContext(run_of(entries), IntentJudgments({"q1": judg}), lam=0.5, k=4)
+        ctx = DiversifyContext(run_of(entries), judg, lam=0.5, k=4)
         result = pm2(ctx)["q1"]
+        judg = query_of(judg)
         per_intent = {
             "i1": sum(1 for d in result if "i1" in judg.doc_intents.get(d, ())),
             "i2": sum(1 for d in result if "i2" in judg.doc_intents.get(d, ())),
@@ -87,7 +88,7 @@ class TestOracleEquivalence:
         for trial in range(60):
             rng = np.random.default_rng(9000 + trial)
             run, judgments = random_diversity_instance(rng)
-            judg = judgments.query("q1")
+            judg = query_of(judgments)
             entries = run.queries["q1"]
             lam = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
             k = int(rng.integers(1, len(entries) + 1))
@@ -112,7 +113,7 @@ class TestOutputInvariants:
 
     def test_pm2_seats_sum_to_covered_selections(self):
         entries = [("d1", 0.9), ("d2", 0.8), ("d3", 0.7), ("d4", 0.6)]
-        judg = make_judgments({"d1": {"i1"}, "d2": {"i2"}, "d3": {"i1", "i2"}}, ["i1", "i2"])
+        judg = query_of(make_judgments({"d1": {"i1"}, "d2": {"i2"}, "d3": {"i1", "i2"}}, ["i1", "i2"]))
         result = pm2_query([d for d, _ in entries], judg, judg.relevance, lam=0.5, k=4)
         covered = sum(1 for d in result if d in judg.doc_intents)
         # Each covered selection distributes exactly one seat unit.
@@ -128,4 +129,4 @@ class TestOutputInvariants:
     def test_invalid_lambda_rejected(self):
         judg = make_judgments({"d1": {"i1"}}, ["i1"])
         with pytest.raises(InvariantViolation):
-            DiversifyContext(run_of([("d1", 1.0)]), IntentJudgments({"q1": judg}), lam=1.5)
+            DiversifyContext(run_of([("d1", 1.0)]), judg, lam=1.5)

@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairrank.core import Interaction, InteractionLog
@@ -17,7 +18,7 @@ from fairrank.errors import (
     VersionError,
 )
 from fairrank.ingest import (
-    QueryJudgments,
+    IntentJudgments,
     build_catalog,
     filter_and_split,
     parse_diversity_qrels,
@@ -33,6 +34,7 @@ from fairrank.ingest import (
 from fairrank.synth import init_workspace, synthetic_dataset
 
 from conftest import make_catalog
+from reference_diverse import query_of
 
 PROVENANCE = Path(__file__).resolve().parents[1] / "perfbench" / "provenance.json"
 
@@ -163,7 +165,7 @@ class TestDiversityQrels:
         path = tmp_path / "qrels"
         path.write_text("1 1 d1 1\n", encoding="utf-8")
         judg = parse_diversity_qrels(path)
-        q = judg.query("1")
+        q = query_of(judg, "1")
         assert q.intents == ["1"]
         assert q.priors == {"1": 1.0}
         assert q.relevance("d1", "1") == 1.0
@@ -171,7 +173,7 @@ class TestDiversityQrels:
     def test_uniform_priors_two_intents(self, tmp_path):
         path = tmp_path / "qrels"
         path.write_text("1 1 d1 1\n1 2 d2 1\n", encoding="utf-8")
-        q = parse_diversity_qrels(path).query("1")
+        q = query_of(parse_diversity_qrels(path), "1")
         assert q.priors == {"1": 0.5, "2": 0.5}
 
     def test_bad_relevance_rejected(self, tmp_path):
@@ -185,7 +187,7 @@ class TestDiversityQrels:
         path.write_text("1 1 d1 1\n1 1 d1 0\n", encoding="utf-8")
         judg = parse_diversity_qrels(path)
         assert judg.duplicate_count == 1
-        assert judg.query("1").relevance("d1", "1") == 0.0
+        assert query_of(judg, "1").relevance("d1", "1") == 0.0
 
     def test_intent_range_fixture(self, tmp_path, rng):
         # Web-track style fixture: every query declares between 3 and 8 intents.
@@ -199,28 +201,67 @@ class TestDiversityQrels:
         path = tmp_path / "qrels"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         judg = parse_diversity_qrels(path)
-        assert len(judg.queries) == 10
-        for q in judg.queries.values():
+        assert len(judg.query_ids) == 10
+        for qid in judg.query_ids:
+            q = query_of(judg, qid)
             assert 3 <= len(q.intents) <= 8
             assert abs(sum(q.priors.values()) - 1.0) < 1e-9
 
 
 class TestQueryJudgments:
+    """Per-query invariants, enforced by the ``IntentJudgments`` constructor."""
+
+    @staticmethod
+    def build(intents, prior, docs=(), rel=None):
+        """Query ``q1`` declaring ``intents`` with ``prior``, or two queries when given two intent lists."""
+        intents = intents if isinstance(intents[0], list) else [intents]
+        qids = [f"q{q + 1}" for q in range(len(intents))]
+        docs = [list(docs)] + [[] for _ in intents[1:]]
+        if rel is None:
+            rel = np.zeros((len(qids), len(docs[0]), max(map(len, intents))), dtype=bool)
+        return IntentJudgments(qids, intents, docs, rel, prior)
+
     def test_priors_keyed_by_other_intents_rejected(self):
         # Summing to 1 is not enough: the priors must cover exactly the declared intents.
         with pytest.raises(InvariantViolation, match="declared intents"):
-            QueryJudgments(intents=["a", "b"], priors={"a": 0.5, "c": 0.5}, doc_intents={"d1": frozenset({"a"})})
+            self.build([["a"], ["a", "b"]], [[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(InvariantViolation, match="declared intents"):
-            QueryJudgments(intents=["a", "b"], priors={"a": 1.0}, doc_intents={})
+            self.build(["a", "b"], [[1.0]])
 
-    @pytest.mark.parametrize("priors", [{"a": 1.5, "b": -0.5}, {"a": float("nan"), "b": 1.0}])
+    @pytest.mark.parametrize("priors", [[1.5, -0.5], [float("nan"), 1.0]])
     def test_prior_outside_unit_interval_rejected(self, priors):
         with pytest.raises(InvariantViolation, match="outside"):
-            QueryJudgments(intents=["a", "b"], priors=priors, doc_intents={})
+            self.build(["a", "b"], [priors])
 
     def test_valid_priors_accepted(self):
-        judg = QueryJudgments(intents=["a", "b"], priors={"a": 0.0, "b": 1.0}, doc_intents={"d1": frozenset({"b"})})
-        assert judg.relevance("d1", "b") == 1.0
+        judg = self.build(["a", "b"], [[0.0, 1.0]], docs=["d1"], rel=[[[False, True]]])
+        assert query_of(judg).relevance("d1", "b") == 1.0
+        assert judg.prior.tolist() == [[0.0, 1.0]]
+
+    def test_default_priors_uniform_with_zero_padding(self):
+        judg = self.build([["a"], ["a", "b", "c"]], None)
+        assert judg.prior.tolist() == [[1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3]]
+        assert not judg.rel.flags.writeable and not judg.prior.flags.writeable
+
+    @pytest.mark.parametrize(
+        "intents, docs, rel, match",
+        [
+            ([[], ["a"]], [[], []], np.zeros((2, 0, 1)), "declares no intents"),
+            ([["b", "a"]], [[]], np.zeros((1, 0, 2)), "not distinct and ascending"),
+            ([["a"]], [["d2", "d1"]], np.ones((1, 2, 1)), "not distinct and ascending"),
+            ([["a"]], [["d1"]], np.ones((1, 2, 1)), "shape"),
+            ([["a"]], [["d1", "d2"]], [[[True], [False]]], "no positive relevance"),
+            ([["a"], ["a", "b"]], [["d1"], []], [[[True, True]], [[False, False]]], "undeclared intents"),
+            ([["a"], ["a"]], [["d1"], []], [[[True]], [[True]]], "past its judged docs"),
+        ],
+    )
+    def test_malformed_tables_rejected(self, intents, docs, rel, match):
+        with pytest.raises(InvariantViolation, match=match):
+            IntentJudgments([f"q{q}" for q in range(len(intents))], intents, docs, rel)
+
+    def test_query_ids_must_ascend(self):
+        with pytest.raises(InvariantViolation, match="query ids"):
+            IntentJudgments(["q2", "q1"], [["a"], ["a"]], [[], []], np.zeros((2, 0, 1)))
 
 
 class TestRunFile:
