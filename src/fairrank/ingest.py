@@ -19,10 +19,11 @@ import math
 import operator
 from array import array
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 import yaml
@@ -175,6 +176,16 @@ class RunList:
         return [doc for doc, _ in self.queries.get(qid, [])]
 
 
+@contextmanager
+def open_text(path: Path) -> Iterator[TextIO]:
+    """Open ``path`` as UTF-8 text; bytes that do not decode anywhere in the block raise a ParseError naming it."""
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
 def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None = None) -> InteractionLog:
     """Parse a header + TSV interaction file into an InteractionLog.
 
@@ -187,7 +198,7 @@ def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None =
     path = Path(path)
     if not path.exists():
         raise IoError(f"interaction file not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header_line = fh.readline()
         if not header_line:
             raise SchemaError(f"empty interaction file: {path}")
@@ -231,7 +242,7 @@ def parse_item_groups(path: str | Path) -> dict[str, frozenset[str]]:
     if not path.exists():
         raise IoError(f"item-group file not found: {path}")
     out: dict[str, frozenset[str]] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -260,7 +271,9 @@ def parse_user_groups(path: str | Path) -> dict[str, str]:
     if not path.exists():
         raise IoError(f"user-group file not found: {path}")
     out: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    with open_text(path) as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if line:
             user, group = _user_group_fields(path, lineno, line)
             out[user] = group
@@ -420,7 +433,7 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
     columns: tuple[list[int], ...] = ([], [], [])
     rels = bytearray()
     lineno = 1
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         while lines := fh.readlines(QRELS_CHUNK_CHARS):
             widths = list(map(len, map(str.split, lines)))
             tokens = "".join(lines).split()
@@ -460,7 +473,7 @@ def parse_run_file(path: str | Path, truncate: int | None = 50) -> RunList:
     queries: dict[str, list[tuple[str, float]]] = {}
     last_rank: dict[str, int] = {}
     seen_docs: dict[str, set[str]] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:
@@ -546,14 +559,15 @@ def read_dataset(directory: str | Path) -> SplitDataset:
     manifest_path = directory / "manifest.yaml"
     if not manifest_path.exists():
         raise IoError(f"no dataset manifest in {directory}")
-    manifest = yaml.safe_load(manifest_path.read_text(encoding="utf-8"))
+    with open_text(manifest_path) as fh:
+        manifest = yaml.safe_load(fh.read())
     version = manifest.get("format_version")
     if version != CANONICAL_FORMAT_VERSION:
         raise VersionError(f"dataset format version {version}, reader supports {CANONICAL_FORMAT_VERSION}")
 
     users: list[str] = []
     user_groups: dict[str, str] = {}
-    with (directory / "users.tsv").open("r", encoding="utf-8") as fh:
+    with open_text(directory / "users.tsv") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -626,11 +640,12 @@ def read_scores(directory: str | Path) -> ScoreMatrix:
     semantics = "raw"
     meta_path = directory / "scores.meta.yaml"
     if meta_path.exists():
-        semantics = yaml.safe_load(meta_path.read_text(encoding="utf-8")).get("semantics", "raw")
+        with open_text(meta_path) as fh:
+            semantics = yaml.safe_load(fh.read()).get("semantics", "raw")
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     entries, values = array("q"), array("d")  # (user, item, line) positions; scores
-    with table.open("r", encoding="utf-8") as fh:
+    with open_text(table) as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")

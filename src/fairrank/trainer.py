@@ -17,7 +17,8 @@ switch is a documented extension point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,7 +34,7 @@ from .errors import (
     VersionError,
     ZeroPopularity,
 )
-from .ingest import SplitDataset
+from .ingest import SplitDataset, open_text
 
 WEIGHT_PROVIDERS = ("static", "ips", "fairdual")
 GROUP_SAMPLERS = ("uniform", "minmax")
@@ -153,14 +154,14 @@ def fairdual_step(
     if target_shares is None:
         target_shares = {g: 1.0 / len(groups) for g in groups}
 
+    sets = Counter(batch_groups)  # distinct group sets in first-seen order, with multiplicities
     counts = {g: 0.0 for g in groups}
-    total = 0.0
-    for gs in batch_groups:
+    for gs, c in sets.items():
         for g in gs:
             if g not in counts:
                 raise UnknownEntity(f"group {g!r} not in dual state")
-            counts[g] += 1.0
-            total += 1.0
+            counts[g] += c
+    total = sum(counts.values())
     shares = {g: counts[g] / total for g in groups} if total > 0 else {g: 0.0 for g in groups}
 
     if state.budget == 0:
@@ -170,7 +171,8 @@ def fairdual_step(
     new_state = state.exp_step(gradient, ascent=True)
     n = len(groups)
     norm_price = {g: n * new_state.prices[g] / new_state.budget for g in groups}
-    weights = np.array([float(np.mean([norm_price[g] for g in sorted(gs)])) for gs in batch_groups])
+    set_weight = {gs: float(np.mean([norm_price[g] for g in sorted(gs)])) for gs in sets}
+    weights = np.fromiter(map(set_weight.__getitem__, batch_groups), float, len(batch_groups))
     return weights, new_state
 
 
@@ -263,12 +265,24 @@ def _draw_negatives(rng: np.random.Generator, user_rows: np.ndarray, pos_mask: n
         neg[bad] = rng.integers(0, n_items, size=bad.size)
 
 
+def _add_rows(A: np.ndarray, rows: np.ndarray, V: np.ndarray) -> None:
+    """``np.add.at(A, rows, V)`` for a C-contiguous 2-D ``A`` via numpy's faster 1-D path (same adds, same order)."""
+    d = A.shape[1]
+    np.add.at(A.reshape(-1), (rows[:, None] * d + np.arange(d)).ravel(), V.ravel())
+
+
 def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFModel:
     """Fit the factorization model on the train split.
 
     One uniformly re-sampled negative per positive; parameters updated by
     plain SGD over batches of ``config.batch_size``.  With neutral hooks the
     arithmetic is identical to an unhooked BPR loop, so results bit-match.
+    The hooks work per batch on arrays: IPS weights are looked up per item,
+    fairdual weights are computed once per distinct group set, group
+    members come from an items x groups membership matrix, and the minmax
+    order takes one draw per epoch.  The per-sample loops they replace are
+    kept in ``tests/reference_trainer.py``, which must give bit-identical
+    models.
     """
     cat = dataset.catalog
     if not dataset.train.records:
@@ -281,41 +295,40 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
     i_index = {it: j for j, it in enumerate(items)}
     g_index = {g: j for j, g in enumerate(groups)}
 
+    pos_u = np.array([u_index[rec.user] for rec in dataset.train.records])
+    pos_i = np.array([i_index[rec.item] for rec in dataset.train.records])
     pos_mask = np.zeros((len(users), len(items)), dtype=bool)
-    pos_u: list[int] = []
-    pos_i: list[int] = []
-    for rec in dataset.train.records:
-        pos_mask[u_index[rec.user], i_index[rec.item]] = True
-        pos_u.append(u_index[rec.user])
-        pos_i.append(i_index[rec.item])
+    pos_mask[pos_u, pos_i] = True
     # Users interacting with every item admit no negative sample; drop their triples.
-    full_rows = set(np.flatnonzero(pos_mask.sum(axis=1) >= len(items)).tolist())
-    keep = [k for k in range(len(pos_u)) if pos_u[k] not in full_rows]
-    if not keep:
+    keep = pos_mask.sum(axis=1)[pos_u] < len(items)
+    if not keep.any():
         raise InvariantViolation("no user admits a negative sample")
-    pos_u_arr = np.array([pos_u[k] for k in keep])
-    pos_i_arr = np.array([pos_i[k] for k in keep])
+    pos_u_arr, pos_i_arr = pos_u[keep], pos_i[keep]
     n_pos = pos_u_arr.size
 
     item_member: list[frozenset[str]] = [cat.item_groups[it] for it in items]
-    group_members_idx: dict[int, np.ndarray] = {}
-    for g in groups:
-        gj = g_index[g]
-        rows = [k for k in range(n_pos) if g in item_member[pos_i_arr[k]]]
-        group_members_idx[gj] = np.array(rows, dtype=int)
+    member = np.zeros((len(items), len(groups)), dtype=bool)
+    for j, gs in enumerate(item_member):
+        member[j, [g_index[g] for g in gs]] = True
+    pos_member = member[pos_i_arr]
+    pool_rows = np.nonzero(pos_member.T)[1]  # each group's positives, ascending, one group after another
+    pool_size = pos_member.sum(axis=0)
+    eligible_groups = np.flatnonzero(pool_size).tolist()
+    pool_size = pool_size[eligible_groups]
+    pool_start = np.cumsum(pool_size) - pool_size
 
     rng = np.random.default_rng(config.seed)
     P = rng.normal(0.0, 0.1, size=(len(users), config.dim))
     Q = rng.normal(0.0, 0.1, size=(len(items), config.dim))
     bias = np.zeros(len(items)) if config.use_item_bias else None
 
-    ips_map: dict[str, float] | None = None
     if hooks.weight_provider == "ips":
         ips_map = ips_weights(dataset.train, cat, smooth=config.ips_smooth)
+        item_ips = np.array([float(np.mean([ips_map[g] for g in sorted(gs)])) for gs in item_member])
     dual = DualState.uniform(hooks.dual_budget, groups, hooks.dual_step)
     sampler_ema: dict[str, float] | None = None
     sampler_q: dict[str, float] = {g: 1.0 / len(groups) for g in groups}
-    eligible_groups = [g_index[g] for g in groups if group_members_idx[g_index[g]].size > 0]
+    regularize = hooks.regularizer != "none" and hooks.reg_weight > 0
 
     loss_curve: list[float] = []
     for epoch in range(config.epochs):
@@ -325,10 +338,8 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
             probs = np.array([sampler_q[groups[gj]] for gj in eligible_groups])
             probs = probs / probs.sum()
             drawn = rng.choice(len(eligible_groups), size=n_pos, p=probs)
-            order = np.empty(n_pos, dtype=int)
-            for k, gsel in enumerate(drawn):
-                pool = group_members_idx[eligible_groups[gsel]]
-                order[k] = pool[rng.integers(0, pool.size)]
+            # One draw over all picks takes the same values from the stream as one scalar draw per pick.
+            order = pool_rows[pool_start[drawn] + rng.integers(0, pool_size[drawn])]
 
         epoch_loss = 0.0
         for start in range(0, n_pos, config.batch_size):
@@ -347,12 +358,9 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
             if hooks.weight_provider == "static":
                 w = np.ones(batch.size)
             elif hooks.weight_provider == "ips":
-                w = np.array(
-                    [float(np.mean([ips_map[g] for g in sorted(item_member[i])])) for i in bi]
-                )
+                w = item_ips[bi]
             else:
-                batch_sets = [item_member[i] for i in bi]
-                w, dual = fairdual_step(dual, batch_sets)
+                w, dual = fairdual_step(dual, list(map(item_member.__getitem__, bi.tolist())))
 
             sig = 1.0 / (1.0 + np.exp(x))
             coef = w * sig
@@ -361,39 +369,35 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
 
             lr = config.lr
             l2 = config.l2
-            np.add.at(P, bu, -lr * (-coef[:, None] * (Qp - Qn) + 2.0 * l2 * Pu))
-            np.add.at(Q, bi, -lr * (-coef[:, None] * Pu + 2.0 * l2 * Qp))
-            np.add.at(Q, bn, -lr * (coef[:, None] * Pu + 2.0 * l2 * Qn))
+            _add_rows(P, bu, -lr * (-coef[:, None] * (Qp - Qn) + 2.0 * l2 * Pu))
+            _add_rows(Q, bi, -lr * (-coef[:, None] * Pu + 2.0 * l2 * Qp))
+            _add_rows(Q, bn, -lr * (coef[:, None] * Pu + 2.0 * l2 * Qn))
             if bias is not None:
                 np.add.at(bias, bi, -lr * (-coef + 2.0 * l2 * bias[bi]))
                 np.add.at(bias, bn, -lr * (coef + 2.0 * l2 * bias[bn]))
 
-            if hooks.regularizer != "none" and hooks.reg_weight > 0:
+            if regularize or hooks.group_sampler == "minmax":
+                in_group = member[bi]  # batch positions of each group present, in sorted group order
+                by_group = {groups[g]: np.flatnonzero(in_group[:, g]) for g in np.flatnonzero(in_group.any(axis=0))}
+
+            if regularize:
                 pos_scores = np.einsum("bd,bd->b", Pu, Qp)
                 if bias is not None:
                     pos_scores = pos_scores + bias[bi]
-                by_group: dict[str, list[int]] = {}
-                for k, i in enumerate(bi):
-                    for g in item_member[i]:
-                        by_group.setdefault(g, []).append(k)
-                scores_by_group = {g: pos_scores[np.array(idx)] for g, idx in sorted(by_group.items())}
+                scores_by_group = {g: pos_scores[idx] for g, idx in by_group.items()}
                 epoch_loss += hooks.reg_weight * fairness_penalty(scores_by_group, hooks.regularizer)
                 grads = fairness_penalty_grad(scores_by_group, hooks.regularizer)
                 ds = np.zeros(batch.size)
-                for g, idx in sorted(by_group.items()):
-                    ds[np.array(idx)] += grads[g]
+                for g, idx in by_group.items():
+                    ds[idx] += grads[g]
                 ds *= hooks.reg_weight
-                np.add.at(P, bu, -lr * ds[:, None] * Qp)
-                np.add.at(Q, bi, -lr * ds[:, None] * Pu)
+                _add_rows(P, bu, -lr * ds[:, None] * Qp)
+                _add_rows(Q, bi, -lr * ds[:, None] * Pu)
                 if bias is not None:
                     np.add.at(bias, bi, -lr * ds)
 
             if hooks.group_sampler == "minmax":
-                losses_by_group: dict[str, list[float]] = {}
-                for k, i in enumerate(bi):
-                    for g in item_member[i]:
-                        losses_by_group.setdefault(g, []).append(float(sample_loss[k]))
-                batch_group_losses = {g: float(np.mean(v)) for g, v in sorted(losses_by_group.items())}
+                batch_group_losses = {g: float(np.mean(sample_loss[idx])) for g, idx in by_group.items()}
                 sampler_q, sampler_ema = minmax_sampler_update(
                     sampler_ema, batch_group_losses, hooks.sampler_step
                 )
@@ -454,7 +458,12 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 
 def save_model(model: MFModel, directory: str | Path, hooks: TrainHooks | None = None) -> None:
-    """Write the model as text embedding tables plus a manifest."""
+    """Write the model as text embedding tables plus a manifest.
+
+    The manifest holds every :class:`TrainConfig` field and, when given,
+    every :class:`TrainHooks` field, so ``TrainHooks(**manifest["hooks"])``
+    and the loaded config retrain the same model.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -466,21 +475,17 @@ def save_model(model: MFModel, directory: str | Path, hooks: TrainHooks | None =
         "l2": model.config.l2,
         "batch_size": model.config.batch_size,
         "use_item_bias": model.config.use_item_bias,
+        "ips_smooth": model.config.ips_smooth,
         "loss_curve": [float(x) for x in model.loss_curve],
     }
     if hooks is not None:
-        manifest["hooks"] = {
-            "weight_provider": hooks.weight_provider,
-            "group_sampler": hooks.group_sampler,
-            "regularizer": hooks.regularizer,
-            "reg_weight": hooks.reg_weight,
-        }
+        manifest["hooks"] = asdict(hooks)
     (directory / "manifest.yaml").write_text(yaml.safe_dump(manifest, sort_keys=True), encoding="utf-8")
 
     def write_table(path, ids, vecs, bias=None):
         with path.open("w", encoding="utf-8") as fh:
             for idx, entity in enumerate(ids):
-                values = "\t".join(repr(float(x)) for x in vecs[idx])
+                values = "\t".join(map(repr, vecs[idx].tolist()))
                 if bias is not None:
                     values += f"\t{float(bias[idx])!r}"
                 fh.write(f"{entity}\t{values}\n")
@@ -495,13 +500,14 @@ def load_model(directory: str | Path) -> MFModel:
     manifest_path = directory / "manifest.yaml"
     if not manifest_path.exists():
         raise IoError(f"no model manifest in {directory}")
-    manifest = yaml.safe_load(manifest_path.read_text(encoding="utf-8"))
+    with open_text(manifest_path) as fh:
+        manifest = yaml.safe_load(fh.read())
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise VersionError(f"checkpoint version {manifest.get('format_version')} unsupported")
 
     def read_table(path, extra_col):
         ids, rows, extras = [], [], []
-        with path.open("r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for line in fh:
                 fields = line.rstrip("\n").split("\t")
                 ids.append(fields[0])
@@ -522,6 +528,7 @@ def load_model(directory: str | Path) -> MFModel:
         batch_size=int(manifest["batch_size"]),
         seed=int(manifest["seed"]),
         use_item_bias=use_bias,
+        ips_smooth=float(manifest.get("ips_smooth", 0.0)),  # absent from checkpoints that predate it
     )
     return MFModel(
         user_ids=user_ids,

@@ -27,6 +27,12 @@ def make_catalog(item_groups: dict[str, set[str]], users: list[str], user_groups
     )
 
 
+def with_bad_line_2(path) -> None:
+    """Put bytes that are not UTF-8 at the start of line 2 of ``path``."""
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\n\xff\xfe" + rest)
+
+
 def random_instance(rng: np.random.Generator, n_users: int, n_items: int, n_groups: int, tie_heavy: bool = False):
     """Random catalog + non-negative score matrix.
 

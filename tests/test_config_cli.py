@@ -20,6 +20,8 @@ from fairrank.metrics import MetricReport
 from fairrank.report import BenchmarkReport, emit_report, fmt4
 from fairrank.synth import init_workspace
 
+from conftest import with_bad_line_2
+
 
 def _hash_dir(paths):
     digest = hashlib.sha256()
@@ -743,6 +745,28 @@ class TestCliSearch:
         ks = {r["k"] for r in records if r["record"] == "row"}
         assert ks == {5, 10, 20}
         assert (search_root / "log" / "s1" / "rerank-xquad.run").exists()
+
+    def test_qrels_not_utf8_fails_with_error_record(self, search_root, tmp_path, capsys):
+        with_bad_line_2(search_root / "raw" / "qrels.div")
+        cfg = user_config(tmp_path, "s.yaml", {"models": ["xquad"], "log_name": "s8"})
+        code = cli.run(
+            ["--task", "search", "--stage", "post-processing", "--dataset", "web",
+             "--config", cfg, "--data-dir", str(search_root)]
+        )
+        assert code == 1
+        record = (search_root / "log" / "s8" / "error.txt").read_text()
+        assert record.startswith("ParseError:") and "qrels.div: not valid UTF-8" in record
+        assert "Traceback" not in capsys.readouterr().out
+
+    def test_config_file_not_utf8_is_a_config_error(self, search_root, tmp_path, capsys):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_bytes(b"models: [xquad]\nlog_name: \xff\xfe\n")
+        code = cli.run(
+            ["--task", "search", "--stage", "post-processing", "--dataset", "web",
+             "--config", str(cfg), "--data-dir", str(search_root)]
+        )
+        assert code == 1
+        assert "error: ConfigError: cannot parse" in capsys.readouterr().out
 
     def test_search_run_files_parse_back(self, search_root, tmp_path):
         from fairrank.ingest import parse_run_file

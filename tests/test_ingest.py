@@ -33,7 +33,7 @@ from fairrank.ingest import (
 )
 from fairrank.synth import init_workspace, synthetic_dataset
 
-from conftest import make_catalog
+from conftest import make_catalog, with_bad_line_2
 from reference_diverse import query_of
 
 PROVENANCE = Path(__file__).resolve().parents[1] / "perfbench" / "provenance.json"
@@ -417,3 +417,41 @@ class TestUserGroups:
         users.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r"users\.tsv: line 3"):
             read_dataset(tmp_path)
+
+
+class TestInvalidUtf8:
+    """A file that is not UTF-8 is a ParseError naming it, whichever reader meets it."""
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (parse_interactions, "user_id\titem_id\tlabel\ttimestamp\nu1\ti1\t1\t1\n"),
+            (parse_item_groups, "i1\tg1\ni2\tg2\n"),
+            (parse_user_groups, "u1\tg1\nu2\tg2\n"),
+            (parse_diversity_qrels, "q1 t1 d1 1\nq1 t2 d2 1\n"),
+            (parse_run_file, "q1 Q0 d1 1 0.5 tag\nq1 Q0 d2 2 0.4 tag\n"),
+        ],
+        ids=["interactions", "item_groups", "user_groups", "qrels", "run_file"],
+    )
+    def test_parser(self, tmp_path, reader, text):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        with_bad_line_2(path)
+        with pytest.raises(ParseError, match=r"input\.txt: not valid UTF-8"):
+            reader(path)
+
+    @pytest.mark.parametrize("name", ["manifest.yaml", "users.tsv", "items.tsv", "train.tsv"])
+    def test_dataset_file(self, tmp_path, name):
+        dataset, _ = synthetic_dataset(n_users=10, n_items=12, n_groups=2, seed=3, per_user=(6, 8))
+        write_dataset(dataset, tmp_path)
+        with_bad_line_2(tmp_path / name)
+        with pytest.raises(ParseError, match=rf"{name}: not valid UTF-8"):
+            read_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", ["scores.tsv", "scores.meta.yaml"])
+    def test_score_file(self, tmp_path, name):
+        _, scores = synthetic_dataset(n_users=5, n_items=6, n_groups=2, seed=5)
+        write_scores(scores, tmp_path)
+        with_bad_line_2(tmp_path / name)
+        with pytest.raises(ParseError, match=rf"{name}: not valid UTF-8"):
+            read_scores(tmp_path)

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from fairrank.core import Catalog, DualState, Interaction, InteractionLog
-from fairrank.errors import DivergenceError, UnknownEntity, ZeroPopularity
+from fairrank.errors import DivergenceError, ParseError, UnknownEntity, ZeroPopularity
 from fairrank.ingest import SplitDataset, filter_and_split
 from fairrank.trainer import (
     MFModel,
@@ -22,7 +23,7 @@ from fairrank.trainer import (
     train,
 )
 
-from conftest import make_catalog
+from conftest import make_catalog, with_bad_line_2
 from reference_trainer import bpr_triple_loss, score
 
 
@@ -431,6 +432,40 @@ class TestCheckpoint:
             # Scores survive the round trip bit for bit.
             users = dataset.catalog.users[:3]
             assert predict(back, users) == predict(model, users)
+
+    def test_retrain_from_checkpoint_is_bit_identical(self, tmp_path):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        for name, config, hooks in (
+            ("ips", TrainConfig(dim=4, epochs=2, seed=4, ips_smooth=1.0), TrainHooks(weight_provider="ips")),
+            ("fairdual", TrainConfig(dim=4, epochs=2, seed=4, use_item_bias=True),
+             TrainHooks(weight_provider="fairdual", dual_budget=2.0, dual_step=0.35)),
+        ):
+            model = train(dataset, config, hooks)
+            save_model(model, tmp_path / name, hooks=hooks)
+            back = load_model(tmp_path / name)
+            assert back.config == config
+            manifest = yaml.safe_load((tmp_path / name / "manifest.yaml").read_text(encoding="utf-8"))
+            again = train(dataset, back.config, TrainHooks(**manifest["hooks"]))
+            assert np.array_equal(again.user_vecs, model.user_vecs)
+            assert np.array_equal(again.item_vecs, model.item_vecs)
+            if config.use_item_bias:
+                assert np.array_equal(again.item_bias, model.item_bias)
+
+    def test_checkpoint_without_ips_smooth_loads_as_zero(self, tmp_path):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        model = train(dataset, TrainConfig(dim=4, epochs=1, seed=0, ips_smooth=1.0), TrainHooks())
+        save_model(model, tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.yaml"
+        manifest.write_text(manifest.read_text().replace("ips_smooth: 1.0\n", ""))
+        assert load_model(tmp_path / "ckpt").config.ips_smooth == 0.0
+
+    @pytest.mark.parametrize("name", ["manifest.yaml", "user_vecs.tsv", "item_vecs.tsv"])
+    def test_file_not_utf8_is_a_parse_error(self, tmp_path, name):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        save_model(train(dataset, TrainConfig(dim=4, epochs=1, seed=0), TrainHooks()), tmp_path, hooks=TrainHooks())
+        with_bad_line_2(tmp_path / name)
+        with pytest.raises(ParseError, match=rf"{name}: not valid UTF-8"):
+            load_model(tmp_path)
 
     def test_version_guard(self, tmp_path):
         from fairrank.errors import VersionError
