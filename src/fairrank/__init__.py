@@ -9,7 +9,6 @@ from .core import (
     RankingSlate,
     ScoreMatrix,
     group_utility,
-    utility_evenness_gap,
 )
 from .fair_rerank import RerankContext, cpfair, fairrec, min_regularizer, pmmf, topk, welf
 from .diverse_rerank import DiversifyContext, pm2, xquad
@@ -58,7 +57,6 @@ __all__ = [
     "read_dataset",
     "topk",
     "train",
-    "utility_evenness_gap",
     "welf",
     "write_dataset",
     "xquad",

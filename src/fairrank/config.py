@@ -175,14 +175,14 @@ class RunConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
 
-def config_merge(*layers: Mapping, strict: bool = False, known: frozenset[str] = KNOWN_KEYS) -> dict:
+def config_merge(*layers: Mapping, strict: bool = False) -> dict:
     """Merge configuration layers; later layers win key by key.
 
     Nested dicts merge recursively; scalars and lists are replaced whole.
     The merge is associative as long as every key keeps one shape (mapping
     vs. scalar) across layers, which the flat-with-one-nesting config format
-    guarantees.  Unknown top-level keys raise :class:`UnknownKeyError` in
-    strict mode and warn otherwise.
+    guarantees.  Top-level keys outside ``KNOWN_KEYS`` raise
+    :class:`UnknownKeyError` in strict mode and warn otherwise.
     """
 
     def merge_into(base: dict, overlay: Mapping) -> dict:
@@ -201,7 +201,7 @@ def config_merge(*layers: Mapping, strict: bool = False, known: frozenset[str] =
         if layer is None:
             continue
         for key in layer:
-            if key not in known:
+            if key not in KNOWN_KEYS:
                 _unknown(f"unknown configuration key {key!r}", strict)
         merged = merge_into(merged, layer)
     return merged

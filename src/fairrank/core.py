@@ -6,7 +6,9 @@ instance, which makes them safe to share across threads.  Scores have one
 representation, the read-only arrays of :class:`ScoreMatrix`, which ingest,
 the trainer and the synthetic generator build directly and every re-ranker
 and metric reads.  A score matrix computes its ranking ``order`` on first
-use; threads racing there at worst compute it twice.
+use; threads racing there at worst compute it twice.  Group membership has
+one representation too, the read-only items x groups ``member`` table of
+:class:`Catalog`, which the re-rankers, the trainer and the generator read.
 """
 
 from __future__ import annotations
@@ -27,14 +29,17 @@ MODES = ("exposure", "click")
 class Catalog:
     """Users, items, groups, and the item -> groups membership map.
 
+    The validating constructor also builds ``user_pos`` and ``item_pos``
+    (id -> position in ``users`` and ``items``), ``group_ids`` (the groups
+    in ascending id order) and ``member``, a read-only bool table of items
+    (in ``items`` order) x ``group_ids``.
+
     Attributes:
         users: unique user identifiers.
         items: unique item identifiers.
         groups: unique group identifiers (non-empty).
         item_groups: item -> non-empty set of member groups.
         user_groups: optional user -> group assignment (may be partial).
-        user_attrs: optional per-user attribute maps (profile data).
-        item_attrs: optional per-item attribute maps.
     """
 
     users: list[str]
@@ -42,8 +47,6 @@ class Catalog:
     groups: list[str]
     item_groups: dict[str, frozenset[str]]
     user_groups: dict[str, str] | None = None
-    user_attrs: dict[str, dict] | None = None
-    item_attrs: dict[str, dict] | None = None
 
     def __post_init__(self) -> None:
         for name, ids in (("users", self.users), ("items", self.items), ("groups", self.groups)):
@@ -70,14 +73,14 @@ class Catalog:
                 raise InvariantViolation("user_groups references undeclared users")
             if not set(self.user_groups.values()) <= declared:
                 raise InvariantViolation("user_groups references undeclared groups")
-        self._user_set = frozenset(self.users)
-        self._item_set = frozenset(self.items)
-
-    def has_user(self, user: str) -> bool:
-        return user in self._user_set
-
-    def has_item(self, item: str) -> bool:
-        return item in self._item_set
+        self.user_pos = {user: u for u, user in enumerate(self.users)}
+        self.item_pos = {item: i for i, item in enumerate(self.items)}
+        self.group_ids = sorted(self.groups)
+        group_pos = {g: j for j, g in enumerate(self.group_ids)}
+        self.member = np.zeros((len(self.items), len(self.group_ids)), dtype=bool)
+        for i, item in enumerate(self.items):
+            self.member[i, [group_pos[g] for g in self.item_groups[item]]] = True
+        self.member.flags.writeable = False
 
     def groups_of(self, item: str) -> frozenset[str]:
         try:
@@ -135,9 +138,9 @@ class InteractionLog:
 
     def validate_against(self, catalog: Catalog) -> None:
         for rec in self.records:
-            if not catalog.has_user(rec.user):
+            if rec.user not in catalog.user_pos:
                 raise UnknownEntity(f"user {rec.user!r} not in catalog")
-            if not catalog.has_item(rec.item):
+            if rec.item not in catalog.item_pos:
                 raise UnknownEntity(f"item {rec.item!r} not in catalog")
 
     def __len__(self) -> int:
@@ -217,8 +220,8 @@ class ScoreMatrix:
         return dict(zip([self.item_ids[i] for i in cols.tolist()], self.S[self.user_pos[user], cols].tolist()))
 
     def validate_against(self, catalog: Catalog) -> None:
-        for kind, ids, known in (("user", self.user_ids, catalog.has_user), ("item", self.item_ids, catalog.has_item)):
-            unknown = [x for x in ids if not known(x)]
+        for kind, ids, known in (("user", self.user_ids, catalog.user_pos), ("item", self.item_ids, catalog.item_pos)):
+            unknown = [x for x in ids if x not in known]
             if unknown:
                 raise UnknownEntity(f"{kind} {unknown[0]!r} not in catalog")
 
@@ -388,10 +391,3 @@ def group_utility(
         values[g] = float(sum(bucket[u] for u in sorted(bucket)))
     return GroupUtilityVector.from_values(axis=axis, mode=mode, values=values)
 
-
-def utility_evenness_gap(v: GroupUtilityVector) -> float:
-    """Spread between the best- and worst-off group; 0 iff perfectly even."""
-    vals = list(v.values.values())
-    if not vals:
-        raise InvariantViolation("utility vector has no groups")
-    return max(vals) - min(vals)

@@ -13,7 +13,8 @@ exactly: one partition finds each row's K-th value, and only rows whose
 ties at that value overflow the slate are resolved one by one.  Every
 algorithm reads the user x item arrays of the :class:`ScoreMatrix` itself
 (``S``, ``valid``, ``n_valid`` and the cached ``order``), so every
-(model, K) run on one matrix shares them.
+(model, K) run on one matrix shares them, and the group data that
+:class:`RerankContext` gathers once from the catalog's membership table.
 
 ``min_regularizer`` and ``pmmf`` are online: they process users strictly in
 ``arrival_order`` and carry running state, so they must not be parallelised
@@ -37,6 +38,12 @@ _TINY = 1e-12
 @dataclass
 class RerankContext:
     """Inputs shared by every re-ranker.
+
+    Construction raises :class:`EmptyCandidates` for a user without
+    candidates and gathers the group data: ``groups`` (the catalog's
+    ``group_ids``), ``member`` and ``member_f`` (its membership table as
+    bool and float, with rows in score-matrix item order, not catalog
+    order) and ``beta`` (the target shares in ``groups`` order).
 
     Attributes:
         scores: per-user candidate scores (read-only).
@@ -77,6 +84,14 @@ class RerankContext:
                 raise InvariantViolation("target shares must be non-negative")
             if abs(sum(self.target_shares.values()) - 1.0) > 1e-9:
                 raise InvariantViolation("target shares must sum to 1")
+        empty = [users[i] for i in np.flatnonzero(self.scores.n_valid == 0)]
+        if empty:
+            raise EmptyCandidates(f"users without candidates: {empty[:5]}")
+        cat = self.catalog
+        self.groups = cat.group_ids
+        self.member = cat.member[[cat.item_pos[item] for item in self.scores.item_ids]]
+        self.member_f = self.member.astype(float)
+        self.beta = np.array([self.target_shares[g] for g in self.groups])
 
 
 def proportional_shares(catalog: Catalog) -> dict[str, float]:
@@ -84,50 +99,14 @@ def proportional_shares(catalog: Catalog) -> dict[str, float]:
 
     Multi-group items count once per membership, matching exposure accounting.
     """
-    counts = {g: 0 for g in catalog.groups}
-    for item in catalog.items:
-        for g in catalog.item_groups[item]:
-            counts[g] += 1
-    total = sum(counts.values())
-    return {g: counts[g] / total for g in catalog.groups}
+    counts = catalog.member.sum(axis=0)
+    shares = dict(zip(catalog.group_ids, (counts / counts.sum()).tolist()))
+    return {g: shares[g] for g in catalog.groups}
 
 
-class _Dense:
-    """The score matrix's arrays plus this context's group data."""
-
-    def __init__(self, ctx: RerankContext) -> None:
-        self.scores = scores = ctx.scores
-        self.users, self.items, self.user_pos = scores.user_ids, scores.item_ids, scores.user_pos
-        self.S, self.valid, self.n_valid = scores.S, scores.valid, scores.n_valid
-        empty = [self.users[i] for i in np.flatnonzero(self.n_valid == 0)]
-        if empty:
-            raise EmptyCandidates(f"users without candidates: {empty[:5]}")
-
-        self.groups = sorted(ctx.catalog.groups)
-        group_pos = {g: i for i, g in enumerate(self.groups)}
-        self.member = np.zeros((len(self.items), len(self.groups)), dtype=bool)
-        for ii, item in enumerate(self.items):
-            for g in ctx.catalog.groups_of(item):
-                self.member[ii, group_pos[g]] = True
-        self.member_f = self.member.astype(float)
-        self.beta = np.array([ctx.target_shares[g] for g in self.groups])
-        # Clamped click weights; exposure mode uses unit weights.
-        if ctx.mode == "click":
-            self.W = np.where(self.valid, np.clip(self.S, 0.0, 1.0), 0.0)
-        else:
-            self.W = self.valid.astype(float)
-
-    def ranked(self, k: int) -> list[np.ndarray]:
-        """Each user's relevance top-k: the original ranking cut to depth."""
-        order = self.scores.order
-        return [order[ui, :depth] for ui, depth in enumerate(np.minimum(k, self.n_valid))]
-
-    def exposure_of(self, indices: Sequence[int]) -> np.ndarray:
-        """Per-group exposure counts of a slate (each membership credited once)."""
-        e = np.zeros(len(self.groups))
-        for i in indices:
-            e += self.member_f[i]
-        return e
+def _relevance_top(scores: ScoreMatrix, k: int) -> list[np.ndarray]:
+    """Each user's relevance top-k: the original ranking cut to depth."""
+    return [scores.order[ui, :depth] for ui, depth in enumerate(np.minimum(k, scores.n_valid))]
 
 
 def _top_mask(primary: np.ndarray, tie: np.ndarray, k: int, n_valid: np.ndarray) -> np.ndarray:
@@ -158,21 +137,21 @@ def _ranked(mask: np.ndarray, primary: np.ndarray, tie: np.ndarray) -> list[np.n
     return np.split(cols[order], np.cumsum(mask.sum(axis=1))[:-1])
 
 
-def _top_row(dense: _Dense, ui: int, primary: np.ndarray, k: int) -> np.ndarray:
+def _top_row(scores: ScoreMatrix, ui: int, primary: np.ndarray, k: int) -> np.ndarray:
     """One user's top-k of ``primary`` with relevance as the tie key."""
-    primary, tie = primary[None], dense.S[ui : ui + 1]
-    return _ranked(_top_mask(primary, tie, k, dense.n_valid[ui : ui + 1]), primary, tie)[0]
+    primary, tie = primary[None], scores.S[ui : ui + 1]
+    return _ranked(_top_mask(primary, tie, k, scores.n_valid[ui : ui + 1]), primary, tie)[0]
 
 
-def _build_slates(dense: _Dense, per_user: Sequence[Sequence[int]], k: int, meta: dict | None = None) -> RankingSlate:
-    slates = {dense.users[ui]: [dense.items[i] for i in idxs] for ui, idxs in enumerate(per_user)}
+def _build_slates(scores: ScoreMatrix, per_user: Sequence[Sequence[int]], k: int, meta: dict | None = None) -> RankingSlate:
+    items = scores.item_ids
+    slates = {scores.user_ids[ui]: [items[i] for i in idxs] for ui, idxs in enumerate(per_user)}
     return RankingSlate(k=k, slates=slates, meta=meta or {})
 
 
 def topk(ctx: RerankContext) -> RankingSlate:
     """Relevance-only baseline: per-user top-k by score, ties by item id."""
-    dense = _Dense(ctx)
-    return _build_slates(dense, dense.ranked(ctx.k), ctx.k)
+    return _build_slates(ctx.scores, _relevance_top(ctx.scores, ctx.k), ctx.k)
 
 
 def min_regularizer(ctx: RerankContext, lam: float = 1.0) -> RankingSlate:
@@ -185,24 +164,26 @@ def min_regularizer(ctx: RerankContext, lam: float = 1.0) -> RankingSlate:
     """
     if lam < 0:
         raise InvariantViolation("lam must be non-negative")
-    dense = _Dense(ctx)
-    util = np.zeros(len(dense.groups))
-    chosen: list[np.ndarray] = [None] * len(dense.users)
+    scores = ctx.scores
+    util = np.zeros(len(ctx.groups))
+    chosen: list[np.ndarray] = [None] * len(scores.user_ids)
     for t, user in enumerate(ctx.arrival_order, start=1):
-        ui = dense.user_pos[user]
+        ui = scores.user_pos[user]
         if lam > 0:
             norm = util / max(1.0, t * ctx.k)
             # Utilities are non-negative, so a masked product realises
             # "max over member groups".
-            item_pen = (dense.member * norm).max(axis=1)
-            adjusted = dense.S[ui] + lam * (norm.min() - item_pen)
+            item_pen = (ctx.member * norm).max(axis=1)
+            adjusted = scores.S[ui] + lam * (norm.min() - item_pen)
         else:
-            adjusted = dense.S[ui]
-        slate = _top_row(dense, ui, adjusted, ctx.k)
+            adjusted = scores.S[ui]
+        slate = _top_row(scores, ui, adjusted, ctx.k)
         chosen[ui] = slate
-        for i in slate:
-            util += dense.member_f[i] * dense.W[ui, i]
-    return _build_slates(dense, chosen, ctx.k)
+        # Clamped click weights; exposure mode uses unit weights.
+        weights = np.clip(scores.S[ui, slate], 0.0, 1.0) if ctx.mode == "click" else np.ones(slate.size)
+        for i, w in zip(slate, weights):
+            util += ctx.member_f[i] * w
+    return _build_slates(scores, chosen, ctx.k)
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +231,25 @@ def cpfair(ctx: RerankContext, lam: float = 1.0, swap_budget: int = 20) -> Ranki
         raise InvariantViolation("lam must be non-negative")
     if swap_budget < 0:
         raise InvariantViolation("swap_budget must be non-negative")
-    dense = _Dense(ctx)
-    S = dense.S
-    in_slate = np.zeros_like(dense.valid)
-    for ui, slate in enumerate(dense.ranked(ctx.k)):
+    S, valid = ctx.scores.S, ctx.scores.valid
+    in_slate = np.zeros_like(valid)
+    for ui, slate in enumerate(_relevance_top(ctx.scores, ctx.k)):
         in_slate[ui, slate] = True
-    e = in_slate.sum(axis=0) @ dense.member_f
-    dev = _deviation(e, dense.beta)
+    e = in_slate.sum(axis=0) @ ctx.member_f
+    dev = _deviation(e, ctx.beta)
 
-    sets, gid = np.unique(dense.member, axis=0, return_inverse=True)
+    sets, gid = np.unique(ctx.member, axis=0, return_inverse=True)
     sets_f, n_sets = sets.astype(float), len(sets)
     out_reps = _reps(S, in_slate, gid, n_sets, np.argmin)
-    in_reps = _reps(S, dense.valid & ~in_slate, gid, n_sets, np.argmax)
-    rows = np.arange(len(dense.users))[:, None]
+    in_reps = _reps(S, valid & ~in_slate, gid, n_sets, np.argmax)
+    rows = np.arange(len(S))[:, None]
 
     swaps_done = 0
     while swaps_done < swap_budget:
         # The deviation after a swap depends only on the (out, in) group-set
         # pair; a swap within one group set leaves it unchanged (zero gain).
         e2 = e - sets_f[:, None, :] + sets_f[None, :, :]
-        new_dev = np.abs(e2 - dense.beta * e2.sum(axis=2, keepdims=True)).sum(axis=2)
+        new_dev = np.abs(e2 - ctx.beta * e2.sum(axis=2, keepdims=True)).sum(axis=2)
         gain = dev - new_dev
         s_out = np.where(out_reps >= 0, S[rows, out_reps], np.nan)
         s_in = np.where(in_reps >= 0, S[rows, in_reps], np.nan)
@@ -284,14 +264,14 @@ def cpfair(ctx: RerankContext, lam: float = 1.0, swap_budget: int = 20) -> Ranki
         ui = users[b]
         in_slate[ui, out_i[b]] = False
         in_slate[ui, in_i[b]] = True
-        e = e - dense.member_f[out_i[b]] + dense.member_f[in_i[b]]
+        e = e - ctx.member_f[out_i[b]] + ctx.member_f[in_i[b]]
         dev = float(new_dev[go[b], gi[b]])
         one = slice(ui, ui + 1)
         out_reps[one] = _reps(S[one], in_slate[one], gid, n_sets, np.argmin)
-        in_reps[one] = _reps(S[one], dense.valid[one] & ~in_slate[one], gid, n_sets, np.argmax)
+        in_reps[one] = _reps(S[one], valid[one] & ~in_slate[one], gid, n_sets, np.argmax)
         swaps_done += 1
 
-    return _build_slates(dense, _ranked(in_slate, S, S), ctx.k, meta={"swaps": swaps_done, "deviation": dev})
+    return _build_slates(ctx.scores, _ranked(in_slate, S, S), ctx.k, meta={"swaps": swaps_done, "deviation": dev})
 
 
 def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
@@ -306,32 +286,33 @@ def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
     """
     if not (0.0 < phi <= 1.0):
         raise InvariantViolation("phi must lie in (0, 1]")
-    dense = _Dense(ctx)
-    n_users = len(dense.users)
-    n_groups = len(dense.groups)
+    scores = ctx.scores
+    S, valid, n_valid = scores.S, scores.valid, scores.n_valid
+    n_users = len(scores.user_ids)
+    n_groups = len(ctx.groups)
     floor_exposure = math.floor(phi * ctx.k * n_users / n_groups + 1e-9)
 
     placed = np.zeros(n_users, dtype=int)
-    in_slate = np.zeros_like(dense.valid)
+    in_slate = np.zeros_like(valid)
     e = np.zeros(n_groups)
 
     if floor_exposure > 0:
         below = e < floor_exposure
-        items_below = dense.member[:, below].any(axis=1)
+        items_below = ctx.member[:, below].any(axis=1)
         while True:
             progress = False
             done = False
             for user in ctx.arrival_order:
-                ui = dense.user_pos[user]
-                if placed[ui] >= min(ctx.k, dense.n_valid[ui]):
+                ui = scores.user_pos[user]
+                if placed[ui] >= min(ctx.k, n_valid[ui]):
                     continue
-                cand = np.where(dense.valid[ui] & ~in_slate[ui] & items_below, dense.S[ui], -np.inf)
+                cand = np.where(valid[ui] & ~in_slate[ui] & items_below, S[ui], -np.inf)
                 best = int(np.argmax(cand))
                 if cand[best] == -np.inf:
                     continue
                 placed[ui] += 1
                 in_slate[ui, best] = True
-                e += dense.member_f[best]
+                e += ctx.member_f[best]
                 progress = True
                 new_below = e < floor_exposure
                 if not new_below.any():
@@ -339,19 +320,19 @@ def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
                     break
                 if not np.array_equal(new_below, below):
                     below = new_below
-                    items_below = dense.member[:, below].any(axis=1)
+                    items_below = ctx.member[:, below].any(axis=1)
             if done or not progress:
                 break
 
     for ui in range(n_users):
         # The user's original ranking, minus what phase 1 already placed.
-        ranked = dense.scores.order[ui]
-        fill = ranked[~in_slate[ui, ranked]][: min(ctx.k, dense.n_valid[ui]) - placed[ui]]
+        ranked = scores.order[ui]
+        fill = ranked[~in_slate[ui, ranked]][: min(ctx.k, n_valid[ui]) - placed[ui]]
         in_slate[ui, fill] = True
-        e += dense.member_f[fill].sum(axis=0)
+        e += ctx.member_f[fill].sum(axis=0)
 
     meta = {"mms_floor": floor_exposure, "min_group_exposure": float(e.min())}
-    return _build_slates(dense, _ranked(in_slate, dense.S, dense.S), ctx.k, meta=meta)
+    return _build_slates(scores, _ranked(in_slate, S, S), ctx.k, meta=meta)
 
 
 def pmmf(
@@ -371,28 +352,27 @@ def pmmf(
         raise InvariantViolation("lam must be non-negative")
     if eta <= 0:
         raise InvariantViolation("eta must be positive")
-    dense = _Dense(ctx)
-    state = DualState.uniform(lam, dense.groups, eta)
-    mu = np.array([state.prices[g] for g in dense.groups])
-    chosen: list[np.ndarray] = [None] * len(dense.users)
+    scores, n_groups = ctx.scores, len(ctx.groups)
+    mu = np.full(n_groups, lam / n_groups if lam > 0 else 0.0)
+    chosen: list[np.ndarray] = [None] * len(scores.user_ids)
     for user in ctx.arrival_order:
-        ui = dense.user_pos[user]
+        ui = scores.user_pos[user]
         if lam > 0:
-            adjusted = dense.S[ui] - dense.member_f @ mu
+            adjusted = scores.S[ui] - ctx.member_f @ mu
         else:
-            adjusted = dense.S[ui]
-        slate = _top_row(dense, ui, adjusted, ctx.k)
+            adjusted = scores.S[ui]
+        slate = _top_row(scores, ui, adjusted, ctx.k)
         chosen[ui] = slate
-        exposure = dense.exposure_of(slate)
-        gradient = dense.beta * ctx.k - exposure
+        gradient = ctx.beta * ctx.k - ctx.member_f[slate].sum(axis=0)
         if lam > 0:
             raw = mu * np.exp(-eta * gradient)
             mu = raw * (lam / raw.sum())
-        state = DualState(budget=lam, prices={g: float(mu[i]) for i, g in enumerate(dense.groups)}, step=eta)
-        state.validate(tol=1e-6)
+        prices = mu.tolist()
+        if abs(sum(prices) - lam) > 1e-6 or min(prices) < 0 or (lam == 0 and any(prices)):
+            raise InvariantViolation(f"group prices {prices} left the simplex of budget {lam}")
         if on_update is not None:
-            on_update(state)
-    return _build_slates(dense, chosen, ctx.k)
+            on_update(DualState(budget=lam, prices=dict(zip(ctx.groups, prices)), step=eta))
+    return _build_slates(scores, chosen, ctx.k)
 
 
 def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 50) -> RankingSlate:
@@ -412,28 +392,28 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
     if iters < 1:
         raise InvariantViolation("iters must be >= 1")
     eps = 1e-3
-    dense = _Dense(ctx)
-    pi = _top_mask(dense.S, dense.S, ctx.k, dense.n_valid).astype(float)
-    expected_row = np.minimum(ctx.k, dense.n_valid).astype(float)
+    S, valid, n_valid = ctx.scores.S, ctx.scores.valid, ctx.scores.n_valid
+    pi = _top_mask(S, S, ctx.k, n_valid).astype(float)
+    expected_row = np.minimum(ctx.k, n_valid).astype(float)
 
-    exposure = pi.sum(axis=0) @ dense.member_f
+    exposure = pi.sum(axis=0) @ ctx.member_f
     gaps: list[float] = []
     max_row_dev = 0.0
     entry_min, entry_max = 0.0, 1.0
-    S0 = np.where(dense.valid, dense.S, 0.0)
+    S0 = np.where(valid, S, 0.0)
 
     for t in range(1, iters + 1):
         if lam > 0:
-            bonus = dense.member_f @ (lam * (exposure + eps) ** (-alpha))
-            grad = dense.S + bonus
+            bonus = ctx.member_f @ (lam * (exposure + eps) ** (-alpha))
+            grad = S + bonus
         else:
-            grad = dense.S
-        head = _top_mask(grad, dense.S, ctx.k, dense.n_valid).astype(float)
-        grad0 = np.where(dense.valid, grad, 0.0)
+            grad = S
+        head = _top_mask(grad, S, ctx.k, n_valid).astype(float)
+        grad0 = np.where(valid, grad, 0.0)
         gaps.append(float(np.sum(grad0 * (head - pi))))
         gamma = 2.0 / (t + 2.0)
         pi = (1.0 - gamma) * pi + gamma * head
-        exposure = pi.sum(axis=0) @ dense.member_f
+        exposure = pi.sum(axis=0) @ ctx.member_f
         max_row_dev = max(max_row_dev, float(np.abs(pi.sum(axis=1) - expected_row).max()))
         entry_min = min(entry_min, float(pi.min()))
         entry_max = max(entry_max, float(pi.max()))
@@ -442,8 +422,8 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
     if lam > 0:
         objective += float(lam * np.sum((exposure + eps) ** (1.0 - alpha) / (1.0 - alpha)))
 
-    primary = np.where(dense.valid, pi, -np.inf)
-    chosen = _ranked(_top_mask(primary, dense.S, ctx.k, dense.n_valid), primary, dense.S)
+    primary = np.where(valid, pi, -np.inf)
+    chosen = _ranked(_top_mask(primary, S, ctx.k, n_valid), primary, S)
     meta = {
         "duality_gaps": gaps,
         "objective": objective,
@@ -451,5 +431,5 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
         "polytope_entry_min": entry_min,
         "polytope_entry_max": entry_max,
     }
-    return _build_slates(dense, chosen, ctx.k, meta=meta)
+    return _build_slates(ctx.scores, chosen, ctx.k, meta=meta)
 

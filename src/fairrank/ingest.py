@@ -216,12 +216,12 @@ def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None =
                 continue
             fields = line.split("\t")
             if len(fields) != len(header):
-                raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
+                raise ParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}")
             try:
                 label = float(fields[positions["label"]])
                 ts = int(fields[positions["timestamp"]])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
+                raise ParseError(f"{path}: line {lineno}: {exc}") from None
             try:
                 records.append(
                     Interaction(
@@ -232,7 +232,7 @@ def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None =
                     )
                 )
             except InvariantViolation as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
+                raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return InteractionLog(records=records)
 
 
@@ -249,11 +249,11 @@ def parse_item_groups(path: str | Path) -> dict[str, frozenset[str]]:
                 continue
             fields = line.split("\t")
             if len(fields) != 2:
-                raise ParseError(f"line {lineno}: expected 'item<TAB>groups', got {len(fields)} fields")
+                raise ParseError(f"{path}: line {lineno}: expected 'item<TAB>groups', got {len(fields)} fields")
             item, raw_groups = fields
             groups = frozenset(g for g in raw_groups.split("|") if g)
             if not groups:
-                raise ParseError(f"line {lineno}: item {item!r} has no groups")
+                raise ParseError(f"{path}: line {lineno}: item {item!r} has no groups")
             out[item] = groups
     return out
 
@@ -350,7 +350,7 @@ def filter_and_split(
     kept_users = sorted(retained)
     kept_items = sorted({r.item for recs in retained.values() for r in recs})
     if catalog is not None:
-        missing = [i for i in kept_items if not catalog.has_item(i)]
+        missing = [i for i in kept_items if i not in catalog.item_pos]
         if missing:
             raise UnknownEntity(f"log references items outside the catalog: {missing[:5]}")
         item_groups = {i: catalog.item_groups[i] for i in kept_items}
@@ -382,8 +382,8 @@ def filter_and_split(
 QRELS_CHUNK_CHARS = 1 << 18  # readlines() size hint: bounds the token lists held at once
 
 
-def _check_qrels_chunk(widths: list[int], tokens: list[str], first_lineno: int) -> None:
-    """Raise a :class:`ParseError` naming the earliest line that lacks four fields or a 0/1 relevance."""
+def _check_qrels_chunk(path: Path, widths: list[int], tokens: list[str], first_lineno: int) -> None:
+    """Raise a :class:`ParseError` naming ``path`` and its earliest line that lacks four fields or a 0/1 relevance."""
     if set(widths) <= {0, 4} and set(tokens[3::4]) <= {"0", "1"}:
         return
     at = 0
@@ -391,9 +391,9 @@ def _check_qrels_chunk(widths: list[int], tokens: list[str], first_lineno: int) 
         if width == 0:
             continue
         if width != 4:
-            raise ParseError(f"line {lineno}: expected 'qid intent doc rel', got {width} fields")
+            raise ParseError(f"{path}: line {lineno}: expected 'qid intent doc rel', got {width} fields")
         if tokens[at + 3] not in ("0", "1"):
-            raise ParseError(f"line {lineno}: relevance {tokens[at + 3]!r} not in {{0, 1}}")
+            raise ParseError(f"{path}: line {lineno}: relevance {tokens[at + 3]!r} not in {{0, 1}}")
         at += 4
 
 
@@ -437,7 +437,7 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
         while lines := fh.readlines(QRELS_CHUNK_CHARS):
             widths = list(map(len, map(str.split, lines)))
             tokens = "".join(lines).split()
-            _check_qrels_chunk(widths, tokens, lineno)
+            _check_qrels_chunk(path, widths, tokens, lineno)
             lineno += len(lines)
             for offset, table, column in zip(range(3), tables, columns):
                 column += map(table.__getitem__, tokens[offset::4])
@@ -479,20 +479,20 @@ def parse_run_file(path: str | Path, truncate: int | None = 50) -> RunList:
             if not fields:
                 continue
             if len(fields) != 6:
-                raise FormatError(f"line {lineno}: expected 6 TREC columns, got {len(fields)}")
+                raise FormatError(f"{path}: line {lineno}: expected 6 TREC columns, got {len(fields)}")
             qid, _q0, doc, rank_raw, score_raw, _tag = fields
             try:
                 rank = int(rank_raw)
                 score = float(score_raw)
             except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
+                raise FormatError(f"{path}: line {lineno}: {exc}") from None
             if not math.isfinite(score):
-                raise FormatError(f"line {lineno}: non-finite score")
+                raise FormatError(f"{path}: line {lineno}: non-finite score")
             if qid in last_rank and rank <= last_rank[qid]:
-                raise FormatError(f"line {lineno}: rank {rank} not strictly increasing for query {qid!r}")
+                raise FormatError(f"{path}: line {lineno}: rank {rank} not strictly increasing for query {qid!r}")
             docs = seen_docs.setdefault(qid, set())
             if doc in docs:
-                raise FormatError(f"line {lineno}: duplicate doc {doc!r} for query {qid!r}")
+                raise FormatError(f"{path}: line {lineno}: duplicate doc {doc!r} for query {qid!r}")
             docs.add(doc)
             last_rank[qid] = rank
             queries.setdefault(qid, []).append((doc, score))
@@ -604,7 +604,7 @@ def read_dataset(directory: str | Path) -> SplitDataset:
     counts = manifest.get("counts", {})
     for name, log in dataset.splits().items():
         if counts.get(name) != len(log):
-            raise FormatError(f"{name} split has {len(log)} records, manifest says {counts.get(name)}")
+            raise FormatError(f"{directory}: {name} split has {len(log)} records, manifest says {counts.get(name)}")
     return dataset
 
 

@@ -55,15 +55,9 @@ def synthetic_catalog(
 def _affinity(catalog: Catalog, rng: np.random.Generator, strength: float) -> np.ndarray:
     """Planted user x item affinity in (0, 1): preferred-group items score higher."""
     n_users, n_items = len(catalog.users), len(catalog.items)
-    groups = sorted(catalog.groups)
-    g_index = {g: i for i, g in enumerate(groups)}
-    pref = rng.integers(0, len(groups), size=n_users)
-    member = np.zeros((n_items, len(groups)))
-    for j, item in enumerate(catalog.items):
-        for g in catalog.item_groups[item]:
-            member[j, g_index[g]] = 1.0
+    pref = rng.integers(0, len(catalog.group_ids), size=n_users)
     base = rng.uniform(0.05, 0.6, size=(n_users, n_items))
-    boost = strength * member[:, pref].T
+    boost = strength * catalog.member[:, pref].T
     return np.clip(base + boost, 0.01, 0.99)
 
 

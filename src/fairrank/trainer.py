@@ -279,24 +279,19 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
     arithmetic is identical to an unhooked BPR loop, so results bit-match.
     The hooks work per batch on arrays: IPS weights are looked up per item,
     fairdual weights are computed once per distinct group set, group
-    members come from an items x groups membership matrix, and the minmax
-    order takes one draw per epoch.  The per-sample loops they replace are
-    kept in ``tests/reference_trainer.py``, which must give bit-identical
-    models.
+    members come from the catalog's items x groups ``member`` table, and
+    the minmax order takes one draw per epoch.  A group the minmax sampler
+    has not yet seen in a batch is drawn with the largest probability of
+    any seen group.  The per-sample loops they replace are kept in
+    ``tests/reference_trainer.py``, which must give bit-identical models.
     """
     cat = dataset.catalog
     if not dataset.train.records:
         raise InvariantViolation("train split is empty")
 
-    users = list(cat.users)
-    items = list(cat.items)
-    groups = sorted(cat.groups)
-    u_index = {u: i for i, u in enumerate(users)}
-    i_index = {it: j for j, it in enumerate(items)}
-    g_index = {g: j for j, g in enumerate(groups)}
-
-    pos_u = np.array([u_index[rec.user] for rec in dataset.train.records])
-    pos_i = np.array([i_index[rec.item] for rec in dataset.train.records])
+    users, items, groups = list(cat.users), list(cat.items), cat.group_ids
+    pos_u = np.array([cat.user_pos[rec.user] for rec in dataset.train.records])
+    pos_i = np.array([cat.item_pos[rec.item] for rec in dataset.train.records])
     pos_mask = np.zeros((len(users), len(items)), dtype=bool)
     pos_mask[pos_u, pos_i] = True
     # Users interacting with every item admit no negative sample; drop their triples.
@@ -307,10 +302,7 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
     n_pos = pos_u_arr.size
 
     item_member: list[frozenset[str]] = [cat.item_groups[it] for it in items]
-    member = np.zeros((len(items), len(groups)), dtype=bool)
-    for j, gs in enumerate(item_member):
-        member[j, [g_index[g] for g in gs]] = True
-    pos_member = member[pos_i_arr]
+    pos_member = cat.member[pos_i_arr]
     pool_rows = np.nonzero(pos_member.T)[1]  # each group's positives, ascending, one group after another
     pool_size = pos_member.sum(axis=0)
     eligible_groups = np.flatnonzero(pool_size).tolist()
@@ -335,7 +327,7 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
         if hooks.group_sampler == "uniform":
             order = rng.permutation(n_pos)
         else:
-            probs = np.array([sampler_q[groups[gj]] for gj in eligible_groups])
+            probs = np.array([sampler_q.get(groups[gj], max(sampler_q.values())) for gj in eligible_groups])
             probs = probs / probs.sum()
             drawn = rng.choice(len(eligible_groups), size=n_pos, p=probs)
             # One draw over all picks takes the same values from the stream as one scalar draw per pick.
@@ -377,7 +369,7 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
                 np.add.at(bias, bn, -lr * (coef + 2.0 * l2 * bias[bn]))
 
             if regularize or hooks.group_sampler == "minmax":
-                in_group = member[bi]  # batch positions of each group present, in sorted group order
+                in_group = cat.member[bi]  # batch positions of each group present, in sorted group order
                 by_group = {groups[g]: np.flatnonzero(in_group[:, g]) for g in np.flatnonzero(in_group.any(axis=0))}
 
             if regularize:

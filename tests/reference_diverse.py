@@ -103,10 +103,10 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
             if not fields:
                 continue
             if len(fields) != 4:
-                raise ParseError(f"line {lineno}: expected 'qid intent doc rel', got {len(fields)} fields")
+                raise ParseError(f"{path}: line {lineno}: expected 'qid intent doc rel', got {len(fields)} fields")
             qid, intent, doc, rel_raw = fields
             if rel_raw not in ("0", "1"):
-                raise ParseError(f"line {lineno}: relevance {rel_raw!r} not in {{0, 1}}")
+                raise ParseError(f"{path}: line {lineno}: relevance {rel_raw!r} not in {{0, 1}}")
             per_query = raw.setdefault(qid, {})
             key = (intent, doc)
             if key in per_query:

@@ -165,7 +165,7 @@ def reference_train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHook
         if hooks.group_sampler == "uniform":
             order = rng.permutation(n_pos)
         else:
-            probs = np.array([sampler_q[groups[gj]] for gj in eligible_groups])
+            probs = np.array([sampler_q.get(groups[gj], max(sampler_q.values())) for gj in eligible_groups])
             probs = probs / probs.sum()
             drawn = rng.choice(len(eligible_groups), size=n_pos, p=probs)
             order = np.empty(n_pos, dtype=int)

@@ -659,6 +659,20 @@ class TestCliRecommendation:
         record = (workspace / "log" / "badusers" / "error.txt").read_text()
         assert record.startswith("ParseError:") and "users.tsv: line 4" in record
 
+    def test_malformed_dataset_test_line_fails_with_error_record(self, workspace, tmp_path):
+        test = workspace / "datasets" / "synth" / "test.tsv"
+        lines = test.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit("\t", 1)[0]  # drop the timestamp column
+        test.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = user_config(tmp_path, "c.yaml", {"model": "topk", "K": [5], "log_name": "badtest"})
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+             "--config", cfg, "--data-dir", str(workspace)]
+        )
+        assert code == 1
+        record = (workspace / "log" / "badtest" / "error.txt").read_text()
+        assert record.startswith("ParseError:") and f"{test}: line 3: expected 4 fields, got 3" in record
+
 
 def raw_rec_root(tmp_path, **props):
     """Raw interaction and item-group files for a process stage on dataset ``tiny``."""

@@ -1,5 +1,7 @@
 """Core domain types and group-utility accounting."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,18 @@ from fairrank.core import (
     RankingSlate,
     ScoreMatrix,
     group_utility,
-    utility_evenness_gap,
 )
 from fairrank.errors import InvariantViolation, MissingUserGroups, UnknownEntity
 
-from conftest import make_catalog, score_matrix
+from conftest import make_catalog, random_instance, score_matrix
+
+
+def utility_evenness_gap(v: GroupUtilityVector) -> float:
+    """Spread between the best- and worst-off group; 0 iff perfectly even."""
+    vals = list(v.values.values())
+    if not vals:
+        raise InvariantViolation("utility vector has no groups")
+    return max(vals) - min(vals)
 
 
 class TestCatalog:
@@ -37,6 +46,58 @@ class TestCatalog:
     def test_groups_of_unknown_item(self, tiny_catalog):
         with pytest.raises(UnknownEntity):
             tiny_catalog.groups_of("nope")
+
+    def test_member_is_read_only_items_by_group_ids(self, tiny_catalog):
+        member = tiny_catalog.member
+        assert member.dtype == bool
+        assert member.shape == (len(tiny_catalog.items), len(tiny_catalog.group_ids))
+        with pytest.raises(ValueError):
+            member[0, 0] = not member[0, 0]
+
+    def test_member_columns_in_ascending_group_id_when_declared_unsorted(self):
+        catalog = Catalog(
+            users=["u"],
+            items=["i1", "i2", "i3"],
+            groups=["gz", "ga", "gm"],
+            item_groups={"i1": {"gz"}, "i2": {"ga"}, "i3": {"gm"}},
+        )
+        assert catalog.groups == ["gz", "ga", "gm"]
+        assert catalog.group_ids == ["ga", "gm", "gz"]
+        assert catalog.member.tolist() == [[False, False, True], [True, False, False], [False, True, False]]
+
+    def test_multi_group_items_set_several_columns(self, rng):
+        for _ in range(20):
+            catalog, _ = random_instance(rng, 2, int(rng.integers(2, 12)), int(rng.integers(1, 5)), tie_heavy=True)
+            for i, item in enumerate(catalog.items):
+                columns = np.flatnonzero(catalog.member[i])
+                assert {catalog.group_ids[j] for j in columns} == catalog.item_groups[item]
+        catalog = make_catalog({"i1": {"g1", "g3"}, "i2": {"g2"}, "i3": {"g1", "g2", "g3"}}, users=["u"])
+        assert catalog.member.sum(axis=1).tolist() == [2, 1, 3]
+
+    def test_position_maps_follow_declared_order(self):
+        catalog = Catalog(users=["u2", "u1"], items=["ib", "ia"], groups=["g"], item_groups={"ia": {"g"}, "ib": {"g"}})
+        assert catalog.user_pos == {"u2": 0, "u1": 1}
+        assert catalog.item_pos == {"ib": 0, "ia": 1}
+        assert catalog.member.tolist() == [[True], [True]]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"users": ["u", "u"]}, "duplicate identifiers in catalog users"),
+            ({"items": ["i1", "i1"]}, "duplicate identifiers in catalog items"),
+            ({"groups": []}, "catalog declares no groups"),
+            ({"items": ["i1", "i2"]}, "items without group membership: ['i2']"),
+            ({"item_groups": {"i1": {"g"}, "i9": {"g"}}}, "item_groups references undeclared items: ['i9']"),
+            ({"item_groups": {"i1": set()}}, "item 'i1' belongs to no group"),
+            ({"item_groups": {"i1": {"g", "h"}}}, "item 'i1' references undeclared groups ['h']"),
+            ({"user_groups": {"u9": "g"}}, "user_groups references undeclared users"),
+            ({"user_groups": {"u": "h"}}, "user_groups references undeclared groups"),
+        ],
+    )
+    def test_validation_messages(self, kwargs, message):
+        fields = {"users": ["u"], "items": ["i1"], "groups": ["g"], "item_groups": {"i1": {"g"}}, **kwargs}
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            Catalog(**fields)
 
 
 class TestRankingSlate:

@@ -184,12 +184,13 @@ def _qrels_text(rng: np.random.Generator) -> str:
     return out.rstrip("\r\n") if rng.random() < 0.3 else out
 
 
-def _parse(parser, text: str, chunk_chars: int):
+def _parse(parsers, text: str, chunk_chars: int):
+    """Each parser's outcome on one file holding ``text``: error messages name the same path."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "QRELS_CHUNK_CHARS", chunk_chars)
         path = Path(tmp) / "qrels"
         path.write_bytes(text.encode("utf-8"))
-        return _outcome(parser, path)
+        return [_outcome(parser, path) for parser in parsers]
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 64, ingest.QRELS_CHUNK_CHARS])
@@ -197,8 +198,7 @@ def _parse(parser, text: str, chunk_chars: int):
 @given(seed=seeds)
 def test_qrels_parser_matches_per_line_parser(chunk_chars, seed):
     text = _qrels_text(np.random.default_rng(seed))
-    got = _parse(ingest.parse_diversity_qrels, text, chunk_chars)
-    want = _parse(ref.parse_diversity_qrels, text, chunk_chars)
+    got, want = _parse((ingest.parse_diversity_qrels, ref.parse_diversity_qrels), text, chunk_chars)
     if isinstance(want, tuple):
         assert got == want
         return

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fairrank.core import RankingSlate, group_utility
+from fairrank.core import Catalog, RankingSlate, group_utility
 from fairrank.errors import EmptyCandidates, InvariantViolation
 from fairrank.fair_rerank import (
     RerankContext,
@@ -52,6 +52,29 @@ class TestContext:
         matrix = score_matrix({"u1": {"i1": 1.0}, "u2": {}})
         with pytest.raises(EmptyCandidates):
             topk(ctx_for(tiny_catalog, matrix, k=1))
+
+    def test_empty_candidates_raise_at_construction(self, tiny_catalog):
+        matrix = score_matrix({"u1": {"i1": 1.0}, "u2": {}})
+        with pytest.raises(EmptyCandidates, match=r"^users without candidates: \['u2'\]$"):
+            RerankContext(matrix, tiny_catalog, k=1)
+
+    def test_member_rows_follow_score_matrix_items(self):
+        catalog = make_catalog({"i1": {"g2"}, "i2": {"g1"}, "i3": {"g1", "g2"}, "i4": {"g3"}}, users=["u"])
+        matrix = score_matrix({"u": {"i4": 0.1, "i2": 0.3}})
+        ctx = ctx_for(catalog, matrix, k=1, target_shares={"g1": 0.5, "g2": 0.25, "g3": 0.25})
+        assert ctx.groups == ["g1", "g2", "g3"]
+        assert matrix.item_ids == ["i2", "i4"]
+        assert ctx.member.tolist() == [[True, False, False], [False, False, True]]
+        assert ctx.member_f.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        assert ctx.beta.tolist() == [0.5, 0.25, 0.25]
+
+    def test_proportional_shares_are_python_floats_in_catalog_order(self):
+        item_groups = {"i1": {"gz"}, "i2": {"ga", "gz"}, "i3": {"gz"}}
+        catalog = Catalog(users=["u"], items=["i1", "i2", "i3"], groups=["gz", "ga"], item_groups=item_groups)
+        shares = proportional_shares(catalog)
+        assert list(shares) == ["gz", "ga"]
+        assert shares == {"gz": 0.75, "ga": 0.25}
+        assert all(type(v) is float for v in shares.values())
 
 
 class TestTopk:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,49 @@ class TestUserGroups:
         lines[2] += "\textra"
         users.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r"users\.tsv: line 3"):
+            read_dataset(tmp_path)
+
+
+class TestErrorsNameTheirFile:
+    """Every malformed line is reported as ``<path>: line N: ...``."""
+
+    HEADER = "user_id\titem_id\tlabel\ttimestamp\n"
+
+    @pytest.mark.parametrize(
+        "reader, text, error, lineno",
+        [
+            (parse_interactions, HEADER + "u1\ti1\t1\t1\nu1\ti2\t1\n", ParseError, 3),
+            (parse_interactions, HEADER + "u1\ti1\t1\t1\nu1\ti2\tx\t2\n", ParseError, 3),
+            (parse_interactions, HEADER + "u1\ti1\t7\t1\n", ParseError, 2),
+            (parse_item_groups, "i1\tg1\ni2\tg1\tg2\n", ParseError, 2),
+            (parse_item_groups, "i1\tg1\ni2\t|\n", ParseError, 2),
+            (parse_user_groups, "u1\tg1\n\nu2\n", ParseError, 3),
+            (parse_diversity_qrels, "q1 t1 d1 1\nq1 t1 d2\n", ParseError, 2),
+            (parse_diversity_qrels, "q1 t1 d1 1\n\nq1 t1 d2 2\n", ParseError, 3),
+            (parse_run_file, "q1 Q0 d1 1 0.5 t\nq1 Q0 d2 2 0.4\n", FormatError, 2),
+            (parse_run_file, "q1 Q0 d1 1 0.5 t\nq1 Q0 d2 x 0.4 t\n", FormatError, 2),
+            (parse_run_file, "q1 Q0 d1 1 nan t\n", FormatError, 1),
+            (parse_run_file, "q1 Q0 d1 2 0.5 t\nq1 Q0 d2 1 0.4 t\n", FormatError, 2),
+            (parse_run_file, "q1 Q0 d1 1 0.5 t\nq1 Q0 d1 2 0.4 t\n", FormatError, 2),
+        ],
+        ids=[
+            "interactions-fields", "interactions-value", "interactions-label", "item_groups-fields",
+            "item_groups-empty", "user_groups", "qrels-fields", "qrels-relevance", "run-columns", "run-rank",
+            "run-score", "run-order", "run-duplicate",
+        ],
+    )
+    def test_reader(self, tmp_path, reader, text, error, lineno):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error, match=rf"^{re.escape(str(path))}: line {lineno}: "):
+            reader(path)
+
+    def test_split_count_names_the_directory(self, tmp_path):
+        dataset, _ = synthetic_dataset(n_users=10, n_items=12, n_groups=2, seed=3, per_user=(6, 8))
+        write_dataset(dataset, tmp_path)
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace("test: ", "test: 1"), encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(tmp_path))}: test split has \d+ records"):
             read_dataset(tmp_path)
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import yaml
 
+from fairrank import cli
 from fairrank.core import Catalog, DualState, Interaction, InteractionLog
 from fairrank.errors import DivergenceError, ParseError, UnknownEntity, ZeroPopularity
-from fairrank.ingest import SplitDataset, filter_and_split
+from fairrank.ingest import SplitDataset, filter_and_split, write_dataset
 from fairrank.trainer import (
     MFModel,
     TrainConfig,
@@ -24,7 +25,7 @@ from fairrank.trainer import (
 )
 
 from conftest import make_catalog, with_bad_line_2
-from reference_trainer import bpr_triple_loss, score
+from reference_trainer import bpr_triple_loss, reference_train, score
 
 
 def planted_dataset(
@@ -362,6 +363,57 @@ class TestTrain:
         ):
             model = train(dataset, config, hooks)
             assert np.all(np.isfinite(model.user_vecs))
+
+
+def sparse_group_dataset() -> SplitDataset:
+    """Five positives over four single-group items: one epoch's draws rarely reach every group."""
+    items = [f"i{j}" for j in range(8)]
+    groups = [f"g{g}" for g in range(4)]
+    catalog = Catalog(
+        users=["u0", "u1", "u2"],
+        items=items,
+        groups=groups,
+        item_groups={item: frozenset({groups[j % 4]}) for j, item in enumerate(items)},
+    )
+
+    def log(picks, t0):
+        return InteractionLog([Interaction(u, i, 1.0, t0 + t) for t, (u, i) in enumerate(picks)])
+
+    train_log = log([("u0", "i0"), ("u0", "i5"), ("u1", "i2"), ("u2", "i3"), ("u2", "i6")], 0)
+    test_log = log([("u0", "i1"), ("u1", "i4"), ("u2", "i7")], 10)
+    return SplitDataset(train_log, InteractionLog([]), test_log, catalog, ((0.8, 0.1, 0.1), 1))
+
+
+class TestMinmaxUnseenGroup:
+    """An eligible group absent from every batch so far is drawn with the largest seen probability."""
+
+    CONFIG = {"dim": 2, "epochs": 3, "batch_size": 2}
+    HOOKS = TrainHooks(group_sampler="minmax", sampler_step=5.0)
+
+    def test_train_matches_reference(self):
+        # Seed 42 draws no g2 positive in the first epoch, which used to end in KeyError: 'g2'.
+        dataset = sparse_group_dataset()
+        config = TrainConfig(seed=42, **self.CONFIG)
+        model = train(dataset, config, self.HOOKS)
+        expected = reference_train(dataset, config, self.HOOKS)
+        assert np.array_equal(model.user_vecs, expected.user_vecs)
+        assert np.array_equal(model.item_vecs, expected.item_vecs)
+        assert model.loss_curve == expected.loss_curve
+        assert len(model.loss_curve) == 3 and np.all(np.isfinite(model.loss_curve))
+
+    def test_cli_run_succeeds(self, tmp_path, capsys):
+        write_dataset(sparse_group_dataset(), tmp_path / "datasets" / "sparse")
+        cfg = tmp_path / "c.yaml"
+        params = {**self.CONFIG, "sampler_step": self.HOOKS.sampler_step}
+        payload = {"model": "minmax_sgd", "K": [2], "log_name": "mm", "params": {"minmax_sgd": params}}
+        cfg.write_text(yaml.safe_dump(payload), encoding="utf-8")
+        argv = ["--task", "recommendation", "--stage", "in-processing", "--dataset", "sparse",
+                "--config", str(cfg), "--data-dir", str(tmp_path)]
+        assert cli.run(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        log_dir = tmp_path / "log" / "mm"
+        assert not (log_dir / "error.txt").exists()
+        assert (log_dir / "scores-minmax_sgd" / "scores.tsv").is_file()
 
 
 class TestPredict:
