@@ -116,8 +116,8 @@ def _measure(cfg: RunConfig, dataset, relevant, model: str, rank: Callable, para
         target = dict(shares) if shares else None
         ctx = RerankContext(scores, dataset.catalog, k, arrival_order=list(arrival), target_shares=target, mode=mode)
         slates = rank(ctx, **params)
-        guv = group_utility(slates, scores, dataset.catalog, axis="item", mode=mode)
-        result = M.Evaluation(k, slates=slates, scores=scores, relevant=relevant, utility=guv)
+        guv = group_utility(slates, dataset.catalog, axis="item", mode=mode)
+        result = M.Evaluation(k, slates=slates, relevant=relevant, utility=guv)
         provenance = {"model": model, "dataset": cfg.dataset, "k": k, "mode": mode}
         measured.append((model, k, result.report(cfg.metrics, provenance), guv))
     return measured

@@ -8,7 +8,9 @@ the trainer and the synthetic generator build directly and every re-ranker
 and metric reads.  A score matrix computes its ranking ``order`` on first
 use; threads racing there at worst compute it twice.  Group membership has
 one representation too, the read-only items x groups ``member`` table of
-:class:`Catalog`, which the re-rankers, the trainer and the generator read.
+:class:`Catalog`.  So have slates: a :class:`RankingSlate` is a read-only
+users x K array of columns of its score matrix, which every re-ranker writes
+and every metric reads, with no item id looked up in between.
 """
 
 from __future__ import annotations
@@ -82,12 +84,6 @@ class Catalog:
             self.member[i, [group_pos[g] for g in self.item_groups[item]]] = True
         self.member.flags.writeable = False
 
-    def groups_of(self, item: str) -> frozenset[str]:
-        try:
-            return self.item_groups[item]
-        except KeyError:
-            raise UnknownEntity(f"item {item!r} not in catalog") from None
-
 
 @dataclass
 class Interaction:
@@ -115,16 +111,10 @@ class InteractionLog:
     records: list[Interaction]
 
     def users(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.user, None)
-        return list(seen)
+        return list(dict.fromkeys(rec.user for rec in self.records))
 
     def items(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.item, None)
-        return list(seen)
+        return list(dict.fromkeys(rec.item for rec in self.records))
 
     def per_user(self) -> dict[str, list[Interaction]]:
         out: dict[str, list[Interaction]] = {}
@@ -133,8 +123,7 @@ class InteractionLog:
         return out
 
     def per_user_chronological(self) -> dict[str, list[Interaction]]:
-        out = self.per_user()
-        return {u: sorted(recs, key=lambda r: r.timestamp) for u, recs in out.items()}
+        return {u: sorted(recs, key=lambda r: r.timestamp) for u, recs in self.per_user().items()}
 
     def validate_against(self, catalog: Catalog) -> None:
         for rec in self.records:
@@ -199,16 +188,6 @@ class ScoreMatrix:
         order.flags.writeable = False
         return order
 
-    def scores_of(self, user: str, items: Sequence[str]) -> list[float]:
-        """``user``'s scores of ``items``, in order; :class:`UnknownEntity` if one is unscored."""
-        if user not in self.user_pos:
-            raise UnknownEntity(f"user {user!r} not in score matrix")
-        u, cols = self.user_pos[user], [self.item_pos.get(item, -1) for item in items]
-        for item, i in zip(items, cols):
-            if i < 0 or not self.valid[u, i]:
-                raise UnknownEntity(f"no score for ({user!r}, {item!r})")
-        return self.S[u, cols].tolist()
-
     def users(self) -> list[str]:
         return list(self.user_ids)
 
@@ -232,26 +211,41 @@ class ScoreMatrix:
         return self.semantics == other.semantics and same_ids and np.array_equal(self.S, other.S)
 
 
-@dataclass
+@dataclass(eq=False)
 class RankingSlate:
-    """Per-user ordered top-K item lists.
+    """Every user's ordered top-K, as columns of the score matrix it was built on.
 
-    ``meta`` carries algorithm diagnostics (e.g. achieved exposure floors,
-    duality gaps) and is excluded from equality comparisons.
+    ``slates`` is a read-only users x K int array: row ``u`` holds the slate
+    of ``scores.user_ids[u]`` in rank order, -1 marking an empty slot (the
+    re-rankers fill each row's first ``min(K, n_valid)``).  The constructor
+    checks it once for every metric: K >= 1, the users x K shape (at most K
+    items a row), no duplicate in a row, every other entry a scored item of
+    its user (:class:`UnknownEntity`).  ``meta`` carries algorithm diagnostics.
     """
 
     k: int
-    slates: dict[str, list[str]]
-    meta: dict = field(default_factory=dict, compare=False)
+    slates: np.ndarray
+    scores: ScoreMatrix
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise InvariantViolation("slate size K must be positive")
-        for user, items in self.slates.items():
-            if len(set(items)) != len(items):
-                raise InvariantViolation(f"duplicate item in slate of user {user!r}")
-            if len(items) > self.k:
-                raise InvariantViolation(f"slate of user {user!r} longer than K={self.k}")
+        users, n_items = self.scores.user_ids, len(self.scores.item_ids)
+        slates = np.array(self.slates, dtype=np.intp)
+        if slates.shape != (len(users), self.k):
+            raise InvariantViolation(f"slates of shape {slates.shape} are not users x K = {(len(users), self.k)}")
+        rows, cols = np.nonzero(slates != -1)[0], slates[slates != -1]
+        scored = (cols >= 0) & (cols < n_items)
+        scored[scored] = self.scores.valid[rows[scored], cols[scored]]
+        for u, i in zip(rows[~scored][:1], cols[~scored][:1]):
+            item = self.scores.item_ids[i] if 0 <= i < n_items else f"column {i}"
+            raise UnknownEntity(f"no score for ({users[u]!r}, {item!r})")
+        ordered = np.sort(slates, axis=1)
+        for u in np.flatnonzero(((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any(axis=1))[:1]:
+            raise InvariantViolation(f"duplicate item in slate of user {users[u]!r}")
+        slates.flags.writeable = False
+        self.slates = slates
 
 
 @dataclass
@@ -349,22 +343,19 @@ class DualState:
 
 
 def group_utility(
-    slates: RankingSlate,
-    scores: ScoreMatrix | None,
-    catalog: Catalog,
-    axis: str = "item",
-    mode: str = "exposure",
+    slates: RankingSlate, catalog: Catalog, axis: str = "item", mode: str = "exposure"
 ) -> GroupUtilityVector:
     """Accumulate per-group utility from the given slates.
 
     Exposure mode credits one unit per slate slot; click mode credits the
-    score clamped into [0, 1].  On the item axis each member group of a
-    slotted item receives the full weight; on the user axis the weight goes
-    to the group of the slate's user (users absent from ``user_groups``
-    contribute nothing).
+    slate's score clamped into [0, 1].  On the item axis each member group
+    of a slotted item (its catalog ``member`` row) receives the full weight;
+    on the user axis the weight goes to the group of the slate's user (users
+    absent from ``user_groups`` contribute nothing).
 
-    Summation order is fixed (group id order, then user id order) so results
-    are bit-reproducible.
+    Summation order is fixed, so results are bit-reproducible: each user's
+    weights add rank by rank (an uncredited slot adds an exact ``+0.0``),
+    then the users one at a time in ascending id order.
     """
     if axis not in AXES:
         raise InvariantViolation(f"unknown axis {axis!r}")
@@ -372,22 +363,25 @@ def group_utility(
         raise InvariantViolation(f"unknown mode {mode!r}")
     if axis == "user" and catalog.user_groups is None:
         raise MissingUserGroups("user-axis utility requires catalog.user_groups")
-    if mode == "click" and scores is None:
-        raise UnknownEntity("click mode requires a score matrix")
 
-    per_group: dict[str, dict[str, float]] = {g: {} for g in catalog.groups}
-    for user in sorted(slates.slates):
-        items = slates.slates[user]
-        weights = [min(max(s, 0.0), 1.0) for s in scores.scores_of(user, items)] if mode == "click" else [1.0] * len(items)
-        owner = [catalog.user_groups[user]] if axis == "user" and user in catalog.user_groups else []  # type: ignore[operator]
-        for item, w in zip(items, weights):
-            member_groups = catalog.groups_of(item)
-            for g in member_groups if axis == "item" else owner:
-                per_group[g][user] = per_group[g].get(user, 0.0) + w
-
-    values: dict[str, float] = {}
-    for g in sorted(catalog.groups):
-        bucket = per_group[g]
-        values[g] = float(sum(bucket[u] for u in sorted(bucket)))
+    scores, cols = slates.scores, slates.slates
+    taken = cols >= 0
+    users, items = np.nonzero(taken)[0], cols[taken]  # row-major: ascending user, then rank
+    rows = np.array([catalog.item_pos.get(item, -1) for item in scores.item_ids], dtype=np.intp)[items]
+    for i in items[rows < 0][:1]:
+        raise UnknownEntity(f"item {scores.item_ids[i]!r} not in catalog")
+    weight = np.clip(scores.S[users, items], 0.0, 1.0) if mode == "click" else np.ones(len(items))
+    if axis == "item":
+        member = catalog.member[rows]
+    else:
+        owner = np.array([(catalog.user_groups or {}).get(user) for user in scores.user_ids], dtype=object)
+        member = owner[users, None] == np.array(catalog.group_ids, dtype=object)
+    credit = np.zeros((*cols.shape, len(catalog.group_ids)))  # each slot's weight for the groups it credits, else 0.0
+    credit[taken] = member * weight[:, None]
+    per_user = np.zeros((len(catalog.group_ids), len(cols)))  # groups x users
+    for r in range(cols.shape[1]):
+        per_user += credit[:, r].T
+    # Users are added one at a time in ascending id order; np.sum would add them pairwise.
+    totals = np.cumsum(per_user, axis=1)[:, -1] if len(cols) else np.zeros(len(per_user))
+    values = dict(zip(catalog.group_ids, totals.tolist()))
     return GroupUtilityVector.from_values(axis=axis, mode=mode, values=values)
-

@@ -1,9 +1,10 @@
 """Post-processing re-rankers that trade relevance for group-exposure fairness.
 
-All algorithms consume a :class:`RerankContext` and emit a
-:class:`~fairrank.core.RankingSlate`.  Ties are broken by (score descending,
-item id ascending) everywhere, so every algorithm is deterministic; with its
-fairness knob at zero each one reduces exactly to :func:`topk`.
+All algorithms consume a :class:`RerankContext` and write a
+:class:`~fairrank.core.RankingSlate`'s users x K array of score-matrix
+columns directly.  Ties are broken by (score descending, item id ascending)
+everywhere, so every algorithm is deterministic; with its fairness knob at
+zero each one reduces exactly to :func:`topk`.
 
 Every slate is a top-k under one tie contract: entries rank by a primary
 key descending, then by the relevance score descending, then by item id
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -104,11 +105,6 @@ def proportional_shares(catalog: Catalog) -> dict[str, float]:
     return {g: shares[g] for g in catalog.groups}
 
 
-def _relevance_top(scores: ScoreMatrix, k: int) -> list[np.ndarray]:
-    """Each user's relevance top-k: the original ranking cut to depth."""
-    return [scores.order[ui, :depth] for ui, depth in enumerate(np.minimum(k, scores.n_valid))]
-
-
 def _top_mask(primary: np.ndarray, tie: np.ndarray, k: int, n_valid: np.ndarray) -> np.ndarray:
     """Mask of each row's ``min(k, n_valid)`` best entries of ``primary``.
 
@@ -143,15 +139,18 @@ def _top_row(scores: ScoreMatrix, ui: int, primary: np.ndarray, k: int) -> np.nd
     return _ranked(_top_mask(primary, tie, k, scores.n_valid[ui : ui + 1]), primary, tie)[0]
 
 
-def _build_slates(scores: ScoreMatrix, per_user: Sequence[Sequence[int]], k: int, meta: dict | None = None) -> RankingSlate:
-    items = scores.item_ids
-    slates = {scores.user_ids[ui]: [items[i] for i in idxs] for ui, idxs in enumerate(per_user)}
-    return RankingSlate(k=k, slates=slates, meta=meta or {})
+def _build_slates(scores: ScoreMatrix, mask: np.ndarray, primary: np.ndarray, k: int, meta: dict) -> RankingSlate:
+    """The slate of each row's masked columns, ranked by (primary desc, score desc, column asc), padded with -1."""
+    slates = np.full((len(mask), k), -1, dtype=np.intp)
+    slates[np.arange(k) < mask.sum(axis=1)[:, None]] = np.concatenate(_ranked(mask, primary, scores.S))
+    return RankingSlate(k, slates, scores, meta)
 
 
 def topk(ctx: RerankContext) -> RankingSlate:
     """Relevance-only baseline: per-user top-k by score, ties by item id."""
-    return _build_slates(ctx.scores, _relevance_top(ctx.scores, ctx.k), ctx.k)
+    scores, k = ctx.scores, ctx.k
+    head = np.pad(scores.order[:, :k], ((0, 0), (0, k - min(k, len(scores.item_ids)))))
+    return RankingSlate(k, np.where(np.arange(k) < scores.n_valid[:, None], head, -1), scores)
 
 
 def min_regularizer(ctx: RerankContext, lam: float = 1.0) -> RankingSlate:
@@ -166,7 +165,7 @@ def min_regularizer(ctx: RerankContext, lam: float = 1.0) -> RankingSlate:
         raise InvariantViolation("lam must be non-negative")
     scores = ctx.scores
     util = np.zeros(len(ctx.groups))
-    chosen: list[np.ndarray] = [None] * len(scores.user_ids)
+    chosen = np.full((len(scores.user_ids), ctx.k), -1, dtype=np.intp)
     for t, user in enumerate(ctx.arrival_order, start=1):
         ui = scores.user_pos[user]
         if lam > 0:
@@ -178,12 +177,12 @@ def min_regularizer(ctx: RerankContext, lam: float = 1.0) -> RankingSlate:
         else:
             adjusted = scores.S[ui]
         slate = _top_row(scores, ui, adjusted, ctx.k)
-        chosen[ui] = slate
+        chosen[ui, : slate.size] = slate
         # Clamped click weights; exposure mode uses unit weights.
         weights = np.clip(scores.S[ui, slate], 0.0, 1.0) if ctx.mode == "click" else np.ones(slate.size)
         for i, w in zip(slate, weights):
             util += ctx.member_f[i] * w
-    return _build_slates(scores, chosen, ctx.k)
+    return RankingSlate(ctx.k, chosen, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +231,9 @@ def cpfair(ctx: RerankContext, lam: float = 1.0, swap_budget: int = 20) -> Ranki
     if swap_budget < 0:
         raise InvariantViolation("swap_budget must be non-negative")
     S, valid = ctx.scores.S, ctx.scores.valid
+    top = topk(ctx).slates
     in_slate = np.zeros_like(valid)
-    for ui, slate in enumerate(_relevance_top(ctx.scores, ctx.k)):
-        in_slate[ui, slate] = True
+    in_slate[np.nonzero(top >= 0)[0], top[top >= 0]] = True
     e = in_slate.sum(axis=0) @ ctx.member_f
     dev = _deviation(e, ctx.beta)
 
@@ -271,7 +270,7 @@ def cpfair(ctx: RerankContext, lam: float = 1.0, swap_budget: int = 20) -> Ranki
         in_reps[one] = _reps(S[one], valid[one] & ~in_slate[one], gid, n_sets, np.argmax)
         swaps_done += 1
 
-    return _build_slates(ctx.scores, _ranked(in_slate, S, S), ctx.k, meta={"swaps": swaps_done, "deviation": dev})
+    return _build_slates(ctx.scores, in_slate, S, ctx.k, {"swaps": swaps_done, "deviation": dev})
 
 
 def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
@@ -332,7 +331,7 @@ def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
         e += ctx.member_f[fill].sum(axis=0)
 
     meta = {"mms_floor": floor_exposure, "min_group_exposure": float(e.min())}
-    return _build_slates(scores, _ranked(in_slate, S, S), ctx.k, meta=meta)
+    return _build_slates(scores, in_slate, S, ctx.k, meta)
 
 
 def pmmf(
@@ -354,7 +353,7 @@ def pmmf(
         raise InvariantViolation("eta must be positive")
     scores, n_groups = ctx.scores, len(ctx.groups)
     mu = np.full(n_groups, lam / n_groups if lam > 0 else 0.0)
-    chosen: list[np.ndarray] = [None] * len(scores.user_ids)
+    chosen = np.full((len(scores.user_ids), ctx.k), -1, dtype=np.intp)
     for user in ctx.arrival_order:
         ui = scores.user_pos[user]
         if lam > 0:
@@ -362,17 +361,18 @@ def pmmf(
         else:
             adjusted = scores.S[ui]
         slate = _top_row(scores, ui, adjusted, ctx.k)
-        chosen[ui] = slate
+        chosen[ui, : slate.size] = slate
         gradient = ctx.beta * ctx.k - ctx.member_f[slate].sum(axis=0)
         if lam > 0:
             raw = mu * np.exp(-eta * gradient)
             mu = raw * (lam / raw.sum())
         prices = mu.tolist()
-        if abs(sum(prices) - lam) > 1e-6 or min(prices) < 0 or (lam == 0 and any(prices)):
-            raise InvariantViolation(f"group prices {prices} left the simplex of budget {lam}")
+        # NaN passes the comparisons below: an overflowing step (too large an eta) leaves NaN prices.
+        if not np.isfinite(mu).all() or abs(sum(prices) - lam) > 1e-6 or min(prices) < 0 or (lam == 0 and any(prices)):
+            raise InvariantViolation(f"group prices {prices} left the simplex of budget {lam} at step size eta={eta}")
         if on_update is not None:
             on_update(DualState(budget=lam, prices=dict(zip(ctx.groups, prices)), step=eta))
-    return _build_slates(scores, chosen, ctx.k)
+    return RankingSlate(ctx.k, chosen, scores)
 
 
 def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 50) -> RankingSlate:
@@ -423,7 +423,6 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
         objective += float(lam * np.sum((exposure + eps) ** (1.0 - alpha) / (1.0 - alpha)))
 
     primary = np.where(valid, pi, -np.inf)
-    chosen = _ranked(_top_mask(primary, S, ctx.k, n_valid), primary, S)
     meta = {
         "duality_gaps": gaps,
         "objective": objective,
@@ -431,5 +430,5 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
         "polytope_entry_min": entry_min,
         "polytope_entry_max": entry_max,
     }
-    return _build_slates(ctx.scores, chosen, ctx.k, meta=meta)
+    return _build_slates(ctx.scores, _top_mask(primary, S, ctx.k, n_valid), primary, ctx.k, meta)
 

@@ -567,6 +567,8 @@ def read_dataset(directory: str | Path) -> SplitDataset:
 
     users: list[str] = []
     user_groups: dict[str, str] = {}
+    if not (directory / "users.tsv").exists():
+        raise IoError(f"user file not found: {directory / 'users.tsv'}")
     with open_text(directory / "users.tsv") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):

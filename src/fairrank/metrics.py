@@ -7,13 +7,15 @@ metric once (label, direction, report sections, value function over one
 :data:`SECTIONS` gives each (task, stage)'s report sections, and so the
 metrics it may request.
 
-The search metrics (alpha-nDCG, ERR-IA, S-recall) gather the run's top-k
-docs into one queries x ranks x intents relevance array from the
-:class:`~fairrank.ingest.IntentJudgments` table and run their per-rank
-recurrences for all queries at once, adding per-intent terms in ascending
-intent id order with the operands of the one-query loops in
-``tests/reference_diverse.py``, so their values are bit-identical to those
-loops.
+The recommendation metrics read a :class:`~fairrank.core.RankingSlate`'s
+users x K array of score-matrix columns, the search metrics (alpha-nDCG,
+ERR-IA, S-recall) the run's top-k docs gathered into one queries x ranks x
+intents array from the :class:`~fairrank.ingest.IntentJudgments` table.
+Both run rank by rank for all users or queries at once with the operands of
+the loops in ``tests/reference_metrics.py`` and ``tests/reference_diverse.py``
+(an exact ``+0.0`` past a row's end, per-intent terms in ascending intent id
+order), so every value is bit-identical to theirs.  An :class:`Evaluation`
+builds each input that several metrics share once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import GroupUtilityVector, RankingSlate, ScoreMatrix
+from .core import GroupUtilityVector, RankingSlate
 from .errors import InvariantViolation, UndefinedMetric
 from .ingest import IntentJudgments, RunList
 
@@ -34,13 +36,12 @@ from .ingest import IntentJudgments, RunList
 class Evaluation:
     """One (model, K) result, as the metric value functions read it.
 
-    Recommendation rows set ``slates``, ``scores``, ``relevant`` and
-    ``utility``; search rows set ``run``, ``judgments`` and ``alpha``.
+    Recommendation rows set ``slates``, ``relevant`` and ``utility``;
+    search rows set ``run``, ``judgments`` and ``alpha``.
     """
 
     k: int
     slates: RankingSlate | None = None
-    scores: ScoreMatrix | None = None
     relevant: Mapping[str, set[str]] | None = None
     utility: GroupUtilityVector | None = None
     run: RunList | None = None
@@ -48,9 +49,19 @@ class Evaluation:
     alpha: float | None = None
 
     @cached_property
+    def hits(self) -> tuple[np.ndarray, np.ndarray]:
+        """One :func:`slate_hits` array serves NDCG, MRR and HR."""
+        return slate_hits(self.slates, self.relevant, self.k)
+
+    @cached_property
     def quality(self) -> tuple[float, float]:
         """``(r_ndcg, u_loss)``: one :func:`rerank_quality` call serves both metrics."""
-        return rerank_quality(self.slates, self.scores, self.k)
+        return rerank_quality(self.slates, self.k)
+
+    @cached_property
+    def judged(self) -> tuple[np.ndarray, np.ndarray]:
+        """One :func:`judged_top` gather serves alpha-nDCG, ERR-IA and S-recall."""
+        return judged_top(self.run, self.judgments, self.k)
 
     def report(self, names: Sequence[str], provenance: dict[str, object]) -> MetricReport:
         return MetricReport({f"{name}@{self.k}": METRICS[name].value(self) for name in names}, provenance)
@@ -67,18 +78,18 @@ class Metric:
 
 
 METRICS: dict[str, Metric] = {
-    "ndcg": Metric("NDCG", "up", ("ranking",), lambda e: ndcg_at_k(e.slates, e.relevant, e.k)),
-    "mrr": Metric("MRR", "up", ("ranking",), lambda e: mrr_at_k(e.slates, e.relevant, e.k)),
-    "hr": Metric("HR", "up", ("ranking",), lambda e: hit_at_k(e.slates, e.relevant, e.k)),
+    "ndcg": Metric("NDCG", "up", ("ranking",), lambda e: ndcg_at_k(e.hits)),
+    "mrr": Metric("MRR", "up", ("ranking",), lambda e: mrr_at_k(e.hits)),
+    "hr": Metric("HR", "up", ("ranking",), lambda e: hit_at_k(e.hits)),
     "r_ndcg": Metric("R-NDCG", "up", ("rerank",), lambda e: e.quality[0]),
     "u_loss": Metric("u-loss", "down", ("rerank",), lambda e: e.quality[1]),
     "mmf": Metric("MMF", "up", ("ranking", "rerank"), lambda e: mmf(e.utility)),
     "gini": Metric("GINI", "down", ("ranking", "rerank"), lambda e: gini(e.utility)),
     "entropy": Metric("Entropy", "up", ("ranking", "rerank"), lambda e: entropy(e.utility)),
     "min_max_ratio": Metric("MinMaxRatio", "up", ("rerank",), lambda e: min_max_ratio(e.utility)),
-    "err_ia": Metric("ERR-IA", "up", ("diversity",), lambda e: err_ia(e.run, e.judgments, e.k)),
-    "alpha_ndcg": Metric("alpha-nDCG", "up", ("diversity",), lambda e: alpha_ndcg(e.run, e.judgments, e.alpha, e.k)),
-    "s_rec": Metric("S-rec", "up", ("diversity",), lambda e: s_recall(e.run, e.judgments, e.k)),
+    "err_ia": Metric("ERR-IA", "up", ("diversity",), lambda e: err_ia(e.judged, e.judgments)),
+    "alpha_ndcg": Metric("alpha-nDCG", "up", ("diversity",), lambda e: alpha_ndcg(e.judged, e.judgments, e.alpha, e.k)),
+    "s_rec": Metric("S-rec", "up", ("diversity",), lambda e: s_recall(e.judged, e.judgments)),
 }
 
 SECTIONS: dict[tuple[str, str], tuple[str, ...]] = {
@@ -107,7 +118,17 @@ class MetricReport:
 
 
 def _log2_discount(rank: int) -> float:
+    """``1 / log2(rank + 1)`` from :func:`math.log2`; ``np.log2`` differs from it in the last bit at rank 1620."""
     return 1.0 / math.log2(rank + 1)
+
+
+def _gains(gain: np.ndarray, taken: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's discounted and plain sums of ``gain``, rank by rank; slots not taken add an exact +0.0."""
+    dcg, total = np.zeros(len(gain)), np.zeros(len(gain))
+    for rank in range(gain.shape[1]):
+        dcg += np.where(taken[:, rank], gain[:, rank] * _log2_discount(rank + 1), 0.0)
+        total += np.where(taken[:, rank], gain[:, rank], 0.0)
+    return dcg, total
 
 
 # ---------------------------------------------------------------------------
@@ -115,90 +136,65 @@ def _log2_discount(rank: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ndcg_at_k(slates: RankingSlate, relevant: Mapping[str, set[str]], k: int) -> float:
+def slate_hits(slates: RankingSlate, relevant: Mapping[str, set[str]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which top-k slots hold a relevant item, for the users with one (ascending id), and their relevant counts.
+
+    Relevant items outside the score matrix's item table fill no slot but count.
+    """
+    if k > slates.k:
+        raise InvariantViolation(f"k={k} exceeds slate size {slates.k}")
+    scores = slates.scores
+    users = [u for u, user in enumerate(scores.user_ids) if relevant.get(user)]
+    if not users:
+        raise UndefinedMetric("no user has relevant items")
+    # One column past the item table, which the -1 padding indexes.
+    is_relevant = np.zeros((len(users), len(scores.item_ids) + 1), dtype=bool)
+    for row, u in enumerate(users):
+        is_relevant[row, [scores.item_pos[i] for i in relevant[scores.user_ids[u]] if i in scores.item_pos]] = True
+    n_relevant = np.array([len(relevant[scores.user_ids[u]]) for u in users])
+    return is_relevant[np.arange(len(users))[:, None], slates.slates[users, :k]], n_relevant
+
+
+def ndcg_at_k(hits: tuple[np.ndarray, np.ndarray]) -> float:
     """Binary NDCG@k averaged over users that have at least one relevant item."""
-    if k > slates.k:
-        raise InvariantViolation(f"k={k} exceeds slate size {slates.k}")
-    vals = []
-    for user in sorted(slates.slates):
-        rel = relevant.get(user, set())
-        if not rel:
-            continue
-        dcg = 0.0
-        for rank, item in enumerate(slates.slates[user][:k], start=1):
-            if item in rel:
-                dcg += _log2_discount(rank)
-        idcg = sum(_log2_discount(r) for r in range(1, min(k, len(rel)) + 1))
-        vals.append(dcg / idcg)
-    if not vals:
-        raise UndefinedMetric("no user has relevant items")
-    return float(np.mean(vals))
+    hit, n_relevant = hits
+    dcg, _ = _gains(np.ones(hit.shape), hit)
+    # np.cumsum adds in order: entry m - 1 is the ideal DCG of m relevant items, ranks 1..m added one by one.
+    ideal = np.cumsum([_log2_discount(rank) for rank in range(1, hit.shape[1] + 1)])
+    return float(np.mean(dcg / ideal[np.minimum(hit.shape[1], n_relevant) - 1]))
 
 
-def mrr_at_k(slates: RankingSlate, relevant: Mapping[str, set[str]], k: int) -> float:
+def mrr_at_k(hits: tuple[np.ndarray, np.ndarray]) -> float:
     """Reciprocal rank of the first relevant item within the top k, averaged."""
-    if k > slates.k:
-        raise InvariantViolation(f"k={k} exceeds slate size {slates.k}")
-    vals = []
-    for user in sorted(slates.slates):
-        rel = relevant.get(user, set())
-        if not rel:
-            continue
-        rr = 0.0
-        for rank, item in enumerate(slates.slates[user][:k], start=1):
-            if item in rel:
-                rr = 1.0 / rank
-                break
-        vals.append(rr)
-    if not vals:
-        raise UndefinedMetric("no user has relevant items")
-    return float(np.mean(vals))
+    hit = hits[0]
+    return float(np.mean(np.where(hit.any(axis=1), 1.0 / (hit.argmax(axis=1) + 1), 0.0)))
 
 
-def hit_at_k(slates: RankingSlate, relevant: Mapping[str, set[str]], k: int) -> float:
+def hit_at_k(hits: tuple[np.ndarray, np.ndarray]) -> float:
     """Fraction of evaluated users with at least one relevant item in the top k."""
-    if k > slates.k:
-        raise InvariantViolation(f"k={k} exceeds slate size {slates.k}")
-    vals = []
-    for user in sorted(slates.slates):
-        rel = relevant.get(user, set())
-        if not rel:
-            continue
-        hit = any(item in rel for item in slates.slates[user][:k])
-        vals.append(1.0 if hit else 0.0)
-    if not vals:
-        raise UndefinedMetric("no user has relevant items")
-    return float(np.mean(vals))
+    return float(np.mean(np.where(hits[0].any(axis=1), 1.0, 0.0)))
 
 
-def rerank_quality(new_slates: RankingSlate, orig_scores: ScoreMatrix, k: int) -> tuple[float, float]:
+def rerank_quality(slates: RankingSlate, k: int) -> tuple[float, float]:
     """Re-ranking quality vs. the score-ordered original top-k.
 
     Returns ``(r_ndcg, u_loss)`` averaged over users: the DCG ratio with
     original scores as gains, and the relative drop in retained score mass.
-    The original top-k is the score matrix's shared ranking (score desc,
-    item id asc) cut to depth.
+    The original top-k is the slate's score matrix's shared ranking (score
+    desc, item id asc) cut to depth.
     """
-    if k > new_slates.k:
-        raise InvariantViolation(f"k={k} exceeds slate size {new_slates.k}")
-    S, order, n_valid = orig_scores.S, orig_scores.order, orig_scores.n_valid
-    r_vals = []
-    loss_vals = []
-    for user in sorted(new_slates.slates):
-        new = orig_scores.scores_of(user, new_slates.slates[user][:k])
-        ui = orig_scores.user_pos[user]
-        orig = S[ui, order[ui, : min(k, n_valid[ui])]].tolist()
-        denom_dcg = sum(s * _log2_discount(r) for r, s in enumerate(orig, start=1))
-        denom_sum = sum(orig)
-        if denom_dcg == 0.0 or denom_sum == 0.0:
-            raise UndefinedMetric(f"zero original top-{k} mass for user {user!r}")
-        num_dcg = sum(s * _log2_discount(r) for r, s in enumerate(new, start=1))
-        num_sum = sum(new)
-        r_vals.append(num_dcg / denom_dcg)
-        loss_vals.append(1.0 - num_sum / denom_sum)
-    if not r_vals:
+    if k > slates.k:
+        raise InvariantViolation(f"k={k} exceeds slate size {slates.k}")
+    scores = slates.scores
+    S, rows, orig, new = scores.S, np.arange(len(scores.S))[:, None], scores.order[:, :k], slates.slates[:, :k]
+    denom_dcg, denom_sum = _gains(S[rows, orig], np.arange(orig.shape[1]) < np.minimum(k, scores.n_valid)[:, None])
+    zero = (denom_dcg == 0.0) | (denom_sum == 0.0)
+    if zero.any():
+        raise UndefinedMetric(f"zero original top-{k} mass for user {scores.user_ids[np.argmax(zero)]!r}")
+    num_dcg, num_sum = _gains(S[rows, new], new >= 0)
+    if not len(S):
         raise UndefinedMetric("no users to evaluate")
-    return float(np.mean(r_vals)), float(np.mean(loss_vals))
+    return float(np.mean(num_dcg / denom_dcg)), float(np.mean(1.0 - num_sum / denom_sum))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +253,7 @@ def min_max_ratio(v: GroupUtilityVector) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _judged_top(run: RunList, judg: IntentJudgments, k: int) -> tuple[np.ndarray, np.ndarray]:
+def judged_top(run: RunList, judg: IntentJudgments, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The judgment rows of the run's queries (ascending id) and the relevance of their top-k docs.
 
     The relevance array is queries x ranks x intents, ranks cut to the
@@ -328,15 +324,16 @@ def _greedy_ideal(judg: IntentJudgments, alpha: float, k: int) -> np.ndarray:
     return ideal.table[:, depth]
 
 
-def alpha_ndcg(run: RunList, judg: IntentJudgments, alpha: float = 0.5, k: int = 10) -> float:
+def alpha_ndcg(judged: tuple[np.ndarray, np.ndarray], judg: IntentJudgments, alpha: float = 0.5, k: int = 10) -> float:
     """Mean alpha-nDCG@k over the queries of the run; gains decay by (1-alpha) per redundant intent.
 
-    Each rank's gain adds ``(1 - alpha) ** covered`` over the doc's intents
-    in ascending id order, for all queries at once.  The greedy ideal comes
+    ``judged`` is the run's :func:`judged_top` at depth ``k``.  Each rank's
+    gain adds ``(1 - alpha) ** covered`` over the doc's intents in ascending
+    id order, for all queries at once.  The greedy ideal comes
     from the state kept on ``judg`` (see :func:`_greedy_ideal`); a query
     whose ideal is 0 scores 0.
     """
-    rows, top = _judged_top(run, judg, k)
+    rows, top = judged
     if not (0.0 <= alpha < 1.0):
         raise InvariantViolation("alpha must lie in [0, 1)")
     decay = np.array([(1.0 - alpha) ** c for c in range(top.shape[1] + 1)])
@@ -353,14 +350,14 @@ def alpha_ndcg(run: RunList, judg: IntentJudgments, alpha: float = 0.5, k: int =
     return float(np.mean(np.divide(dcg, ideal, out=np.zeros_like(dcg), where=ideal != 0.0)))
 
 
-def err_ia(run: RunList, judg: IntentJudgments, k: int = 10) -> float:
-    """Mean intent-prior-weighted expected reciprocal rank@k under the cascade model.
+def err_ia(judged: tuple[np.ndarray, np.ndarray], judg: IntentJudgments) -> float:
+    """Mean intent-prior-weighted expected reciprocal rank@k of the run's :func:`judged_top`, under the cascade model.
 
     Per intent, rank by rank: ``contrib += p_stop * r / rank`` and
     ``p_stop *= 1 - r`` with ``r = 0.5 * relevance``; the intents' terms
     ``prior * contrib`` are then added in declared order.
     """
-    rows, top = _judged_top(run, judg, k)
+    rows, top = judged
     stop = 0.5 * top  # (2^g - 1) / 2^g_max with binary g
     p_stop = np.ones((len(rows), top.shape[2]))
     contrib = np.zeros_like(p_stop)
@@ -374,7 +371,7 @@ def err_ia(run: RunList, judg: IntentJudgments, k: int = 10) -> float:
     return float(np.mean(total))
 
 
-def s_recall(run: RunList, judg: IntentJudgments, k: int = 10) -> float:
-    """Mean fraction of each query's intents covered within the top k."""
-    rows, top = _judged_top(run, judg, k)
+def s_recall(judged: tuple[np.ndarray, np.ndarray], judg: IntentJudgments) -> float:
+    """Mean fraction of each query's intents covered within the top k of the run's :func:`judged_top`."""
+    rows, top = judged
     return float(np.mean(top.any(axis=1).sum(axis=1) / judg.n_intents[rows]))

@@ -30,6 +30,7 @@ from .errors import (
     DivergenceError,
     InvariantViolation,
     IoError,
+    ParseError,
     UnknownEntity,
     VersionError,
     ZeroPopularity,
@@ -499,11 +500,17 @@ def load_model(directory: str | Path) -> MFModel:
 
     def read_table(path, extra_col):
         ids, rows, extras = [], [], []
+        width = 1 + int(manifest["dim"]) + extra_col
         with open_text(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 fields = line.rstrip("\n").split("\t")
+                if len(fields) != width:
+                    raise ParseError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
                 ids.append(fields[0])
-                values = [float(x) for x in fields[1:]]
+                try:
+                    values = [float(x) for x in fields[1:]]
+                except ValueError as exc:
+                    raise ParseError(f"{path}: line {lineno}: {exc}") from None
                 if extra_col:
                     extras.append(values.pop())
                 rows.append(values)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fairrank.core import Catalog, ScoreMatrix
+from fairrank.core import Catalog, RankingSlate, ScoreMatrix
 from fairrank.ingest import IntentJudgments, RunList
 from reference_diverse import Query, judgments_of
 
@@ -85,6 +85,22 @@ def score_matrix(rows: dict[str, dict[str, float]], semantics: str = "raw") -> S
         scores[u, cols] = list(row.values())
         valid[u, cols] = True
     return ScoreMatrix(users, items, scores, valid, semantics=semantics)
+
+
+def slate_of(k: int, rows: dict[str, list[str]], scores: ScoreMatrix | None = None) -> RankingSlate:
+    """A RankingSlate from ``user -> item ids`` in rank order.
+
+    Without ``scores`` the slate is built on a matrix in which each listed
+    user scores each of its listed items 1.0.  Users of the matrix missing
+    from ``rows`` get empty slates; a row longer than ``k`` widens the array
+    past K, which the constructor rejects.
+    """
+    if scores is None:
+        scores = score_matrix({user: dict.fromkeys(items, 1.0) for user, items in rows.items()})
+    cols = np.full((len(scores.user_ids), max([k, *map(len, rows.values())])), -1)
+    for user, items in rows.items():
+        cols[scores.user_pos[user], : len(items)] = [scores.item_pos[item] for item in items]
+    return RankingSlate(k, cols, scores)
 
 
 def make_judgments(doc_intents: dict[str, set[str]], intents: list[str], qid: str = "q1") -> IntentJudgments:

@@ -3,8 +3,10 @@
 These are the loop versions the vectorised code in ``fairrank.fair_rerank``
 and ``fairrank.metrics`` replaced: a dense view rebuilt from the score rows
 on every call, one ``lexsort`` per user slate, group-set keys as tuples, and
-a full per-user sort for the original ranking.  Tests require the fast code
-to reproduce them exactly, slates and diagnostics alike.
+a full per-user sort for the original ranking.  They build slates in the
+string form ``reference_metrics.IdSlates`` (user -> item ids).  Tests
+require the fast code to reproduce them exactly, slates and diagnostics
+alike.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from fairrank.core import DualState, RankingSlate, ScoreMatrix
+from fairrank.core import DualState, ScoreMatrix
 from fairrank.errors import EmptyCandidates, InvariantViolation, UndefinedMetric, UnknownEntity
 from fairrank.fair_rerank import RerankContext, _deviation
 from fairrank.metrics import _log2_discount
+from reference_metrics import IdSlates, groups_of
 
 _TINY = 1e-12
 
@@ -59,7 +62,7 @@ class _Dense:
 
         self.member = np.zeros((n_i, n_g), dtype=bool)
         for item in self.items:
-            for g in ctx.catalog.groups_of(item):
+            for g in groups_of(ctx.catalog, item):
                 self.member[self.item_pos[item], self.group_pos[g]] = True
         self.member_f = self.member.astype(float)
         self.beta = np.array([ctx.target_shares[g] for g in self.groups])
@@ -90,19 +93,19 @@ class _Dense:
         return e
 
 
-def _build_slates(dense: _Dense, per_user: Mapping[int, Sequence[int]], k: int, meta: dict | None = None) -> RankingSlate:
+def _build_slates(dense: _Dense, per_user: Mapping[int, Sequence[int]], k: int, meta: dict | None = None) -> IdSlates:
     slates = {dense.users[ui]: dense.slate_of(ui, idxs) for ui, idxs in sorted(per_user.items())}
-    return RankingSlate(k=k, slates=slates, meta=meta or {})
+    return IdSlates(k=k, slates=slates, meta=meta or {})
 
 
-def topk(ctx: RerankContext) -> RankingSlate:
+def topk(ctx: RerankContext) -> IdSlates:
     """Relevance-only baseline: per-user top-k by score, ties by item id."""
     dense = _Dense(ctx)
     chosen = {ui: dense.top_slate(ui, dense.S[ui]) for ui in range(len(dense.users))}
     return _build_slates(dense, chosen, ctx.k)
 
 
-def min_regularizer(ctx: RerankContext, lam: float) -> RankingSlate:
+def min_regularizer(ctx: RerankContext, lam: float) -> IdSlates:
     """Online score adjustment toward the worst-off group.
 
     Processing users in arrival order, each item's score receives a bonus
@@ -160,7 +163,7 @@ def _in_reps(dense: _Dense, ui: int, in_slate: np.ndarray) -> dict[tuple[int, ..
     return reps
 
 
-def cpfair(ctx: RerankContext, lam: float, swap_budget: int) -> RankingSlate:
+def cpfair(ctx: RerankContext, lam: float, swap_budget: int) -> IdSlates:
     """Greedy knapsack-style swaps that shrink the group-exposure deviation.
 
     Starting from the :func:`topk` slates, repeatedly applies the single
@@ -243,7 +246,7 @@ def cpfair(ctx: RerankContext, lam: float, swap_budget: int) -> RankingSlate:
     return _build_slates(dense, chosen, ctx.k, meta={"swaps": swaps_done, "deviation": dev})
 
 
-def fairrec(ctx: RerankContext, phi: float) -> RankingSlate:
+def fairrec(ctx: RerankContext, phi: float) -> IdSlates:
     """Round-robin allocation guaranteeing each group a max-min exposure share.
 
     Phase 1 walks the arrival order round-robin; each user adds its
@@ -317,7 +320,7 @@ def pmmf(
     lam: float,
     eta: float = 0.1,
     on_update: Callable[[DualState], None] | None = None,
-) -> RankingSlate:
+) -> IdSlates:
     """Online dual mirror descent on group prices.
 
     Each arriving user is ranked by price-adjusted scores (an item pays the
@@ -353,7 +356,7 @@ def pmmf(
     return _build_slates(dense, chosen, ctx.k)
 
 
-def welf(ctx: RerankContext, lam: float, alpha: float = 0.5, iters: int = 50) -> RankingSlate:
+def welf(ctx: RerankContext, lam: float, alpha: float = 0.5, iters: int = 50) -> IdSlates:
     """Frank-Wolfe maximisation of relevance plus concave group welfare.
 
     Maximises ``sum(pi * s) + lam * sum_g psi(E_g + eps)`` with
@@ -420,7 +423,7 @@ def welf(ctx: RerankContext, lam: float, alpha: float = 0.5, iters: int = 50) ->
     return _build_slates(dense, chosen, ctx.k, meta=meta)
 
 
-def welf_objective(ctx: RerankContext, slates: RankingSlate, lam: float, alpha: float = 0.5) -> float:
+def welf_objective(ctx: RerankContext, slates: IdSlates, lam: float, alpha: float = 0.5) -> float:
     """Welfare objective of a deterministic slate assignment (for reference checks)."""
     eps = 1e-3
     dense = _Dense(ctx)
@@ -443,7 +446,7 @@ def _original_topk(row: Mapping[str, float], k: int) -> list[str]:
     return [item for item, _ in sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))[:k]]
 
 
-def rerank_quality(new_slates: RankingSlate, orig_scores: ScoreMatrix, k: int) -> tuple[float, float]:
+def rerank_quality(new_slates: IdSlates, orig_scores: ScoreMatrix, k: int) -> tuple[float, float]:
     """Re-ranking quality vs. the score-ordered original top-k.
 
     Returns ``(r_ndcg, u_loss)`` averaged over users: the DCG ratio with

@@ -16,7 +16,6 @@ from fairrank import cli
 from fairrank.core import GroupUtilityVector, group_utility
 from fairrank.diverse_rerank import DiversifyContext, pm2, xquad
 from fairrank.fair_rerank import (
-    RankingSlate,
     RerankContext,
     cpfair,
     fairrec,
@@ -45,6 +44,7 @@ from conftest import (
     score_matrix,
 )
 from reference_diverse import alpha_ndcg_query, err_ia_query, pm2_oracle, xquad_oracle
+from reference_metrics import IdSlates, ids
 from reference_rerank import welf_objective
 from reference_trainer import bpr_triple_loss, score
 from test_trainer import biased_dataset, pairwise_auc, planted_dataset, reference_bpr
@@ -96,12 +96,12 @@ def test_c02_knob_zero_reductions():
         catalog, matrix = random_instance(rng, n_users, n_items, n_groups)
         k = int(rng.integers(1, min(10, n_items) + 1))
         ctx = lambda: RerankContext(matrix, catalog, k)
-        base = topk(ctx()).slates
-        assert min_regularizer(ctx(), lam=0.0).slates == base
-        assert pmmf(ctx(), lam=0.0).slates == base
-        assert welf(ctx(), lam=0.0).slates == base
-        assert cpfair(ctx(), lam=1.0, swap_budget=0).slates == base
-        assert fairrec(ctx(), phi=1e-12).slates == base
+        base = ids(topk(ctx()))
+        assert ids(min_regularizer(ctx(), lam=0.0)) == base
+        assert ids(pmmf(ctx(), lam=0.0)) == base
+        assert ids(welf(ctx(), lam=0.0)) == base
+        assert ids(cpfair(ctx(), lam=1.0, swap_budget=0)) == base
+        assert ids(fairrec(ctx(), phi=1e-12)) == base
         run, judgments = random_diversity_instance(rng, max_docs=8, max_intents=4)
         pool = run.docs("q1")
         dk = int(rng.integers(1, len(pool) + 1))
@@ -118,7 +118,7 @@ def test_c03_fairrec_max_min_share():
         rng = np.random.default_rng(30_000 + trial)
         catalog, matrix = full_coverage_instance(rng, 20, 50, 5)
         slates = fairrec(RerankContext(matrix, catalog, 5), phi=1.0)
-        exposure = group_utility(slates, matrix, catalog)
+        exposure = group_utility(slates, catalog)
         floor = math.floor(5 * 20 / 5)
         assert floor == 20
         assert all(v >= floor for v in exposure.values.values())
@@ -142,10 +142,10 @@ def test_c04_dual_descent_invariants_and_effect():
     catalog, matrix = full_coverage_instance(local, 20, 30, 3)
     plain = pmmf(RerankContext(matrix, catalog, 3), lam=0.0)
     fair = pmmf(RerankContext(matrix, catalog, 3), lam=10.0)
-    min_plain = min(group_utility(plain, matrix, catalog).values.values())
-    min_fair = min(group_utility(fair, matrix, catalog).values.values())
+    min_plain = min(group_utility(plain, catalog).values.values())
+    min_fair = min(group_utility(fair, catalog).values.values())
     assert min_fair >= min_plain
-    r_ndcg, _ = rerank_quality(fair, matrix, 3)
+    r_ndcg, _ = rerank_quality(fair, 3)
     assert r_ndcg <= 1.0 + 1e-9
     passed(4, f"dual state on simplex everywhere; min exposure {min_plain:.0f} -> {min_fair:.0f}; r-ndcg <= 1")
 
@@ -173,7 +173,7 @@ def test_c05_welfare_frank_wolfe():
     ctx = RerankContext(matrix, catalog, 1)
     result = welf(ctx, lam=1.0, alpha=0.5, iters=200)
     best = max(
-        welf_objective(ctx, RankingSlate(k=1, slates={"u1": [a], "u2": [b]}), lam=1.0, alpha=0.5)
+        welf_objective(ctx, IdSlates(k=1, slates={"u1": [a], "u2": [b]}), lam=1.0, alpha=0.5)
         for a in catalog.items
         for b in catalog.items
     )

@@ -373,7 +373,7 @@ class TestCliRecommendation:
     def test_one_rerank_quality_call_per_model_and_k(self, workspace, tmp_path, monkeypatch):
         calls = []
         original = M.rerank_quality
-        monkeypatch.setattr(M, "rerank_quality", lambda *args: calls.append(args[2]) or original(*args))
+        monkeypatch.setattr(M, "rerank_quality", lambda *args: calls.append(args[1]) or original(*args))
         cfg = user_config(tmp_path, "c.yaml", {"models": ["topk", "pmmf"], "K": [5, 10], "log_name": "rq"})
         assert cli.run(
             ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
@@ -672,6 +672,18 @@ class TestCliRecommendation:
         assert code == 1
         record = (workspace / "log" / "badtest" / "error.txt").read_text()
         assert record.startswith("ParseError:") and f"{test}: line 3: expected 4 fields, got 3" in record
+
+    def test_missing_users_file_fails_with_error_record(self, workspace, tmp_path):
+        users = workspace / "datasets" / "synth" / "users.tsv"
+        users.unlink()
+        cfg = user_config(tmp_path, "c.yaml", {"model": "topk", "K": [5], "log_name": "nousers"})
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+             "--config", cfg, "--data-dir", str(workspace)]
+        )
+        assert code == 1
+        record = (workspace / "log" / "nousers" / "error.txt").read_text()
+        assert record == f"IoError: user file not found: {users}\n"
 
 
 def raw_rec_root(tmp_path, **props):

@@ -19,7 +19,8 @@ from fairrank.core import (
 )
 from fairrank.errors import InvariantViolation, MissingUserGroups, UnknownEntity
 
-from conftest import make_catalog, random_instance, score_matrix
+from conftest import make_catalog, random_instance, score_matrix, slate_of
+from reference_metrics import ids
 
 
 def utility_evenness_gap(v: GroupUtilityVector) -> float:
@@ -42,10 +43,6 @@ class TestCatalog:
     def test_undeclared_group_rejected(self):
         with pytest.raises(InvariantViolation):
             Catalog(users=["u1"], items=["i1"], groups=["g"], item_groups={"i1": frozenset({"h"})})
-
-    def test_groups_of_unknown_item(self, tiny_catalog):
-        with pytest.raises(UnknownEntity):
-            tiny_catalog.groups_of("nope")
 
     def test_member_is_read_only_items_by_group_ids(self, tiny_catalog):
         member = tiny_catalog.member
@@ -103,68 +100,95 @@ class TestCatalog:
 class TestRankingSlate:
     def test_duplicate_item_rejected(self):
         with pytest.raises(InvariantViolation):
-            RankingSlate(k=2, slates={"u1": ["i1", "i1"]})
+            slate_of(2, {"u1": ["i1", "i1"]})
 
     def test_overlong_slate_rejected(self):
         with pytest.raises(InvariantViolation):
-            RankingSlate(k=1, slates={"u1": ["i1", "i2"]})
+            slate_of(1, {"u1": ["i1", "i2"]})
+
+    def test_rows_follow_matrix_users_and_are_read_only(self):
+        matrix = score_matrix({"u2": {"ia": 0.5, "ib": 0.2}, "u1": {"ib": 0.9}})
+        slate = slate_of(3, {"u2": ["ib", "ia"], "u1": ["ib"]}, matrix)
+        assert slate.slates.tolist() == [[1, -1, -1], [1, 0, -1]]
+        assert ids(slate) == {"u1": ["ib"], "u2": ["ib", "ia"]}
+        with pytest.raises(ValueError):
+            slate.slates[0, 0] = 0
+
+    @pytest.mark.parametrize(
+        "rows, error, match",
+        [
+            ([[0, -1], [1, 0]], InvariantViolation, "not users x K"),
+            ([[0, -1, -1], [1, 1, -1]], InvariantViolation, r"^duplicate item in slate of user 'u2'$"),
+            ([[1, -1, -1], [0, -1, -1]], UnknownEntity, r"^no score for \('u1', 'ib'\)$"),
+            ([[0, -1, -1], [2, -1, -1]], UnknownEntity, r"^no score for \('u2', 'column 2'\)$"),
+            ([[0, -1, -1], [-2, -1, -1]], UnknownEntity, r"^no score for \('u2', 'column -2'\)$"),
+        ],
+    )
+    def test_rejects(self, rows, error, match):
+        matrix = score_matrix({"u1": {"ia": 0.5}, "u2": {"ia": 0.1, "ib": 0.2}})
+        with pytest.raises(error, match=match):
+            RankingSlate(3, np.array(rows), matrix)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(InvariantViolation, match="positive"):
+            RankingSlate(0, np.zeros((1, 0), dtype=int), score_matrix({"u": {"i": 1.0}}))
 
 
 class TestGroupUtility:
     def test_unit_exposure_per_slot(self, tiny_catalog):
-        slates = RankingSlate(k=2, slates={"u1": ["i1", "i2"]})
-        guv = group_utility(slates, None, tiny_catalog, axis="item", mode="exposure")
+        slates = slate_of(2, {"u1": ["i1", "i2"]})
+        guv = group_utility(slates, tiny_catalog, axis="item", mode="exposure")
         assert guv.values == {"g1": 1.0, "g2": 1.0}
         assert guv.total == 2.0
 
     def test_empty_slates_all_zero(self, tiny_catalog):
-        slates = RankingSlate(k=2, slates={"u1": [], "u2": []})
-        guv = group_utility(slates, None, tiny_catalog)
+        slates = slate_of(2, {"u1": [], "u2": []})
+        guv = group_utility(slates, tiny_catalog)
         assert guv.values == {"g1": 0.0, "g2": 0.0}
 
     def test_click_mode_sums_clamped_scores(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g1"}}, users=["u1"])
         scores = score_matrix({"u1": {"i1": 0.8, "i2": 0.3}})
-        slates = RankingSlate(k=2, slates={"u1": ["i1", "i2"]})
-        guv = group_utility(slates, scores, catalog, mode="click")
+        slates = slate_of(2, {"u1": ["i1", "i2"]}, scores)
+        guv = group_utility(slates, catalog, mode="click")
         # Brute-force oracle: sum of clamped scores.
         assert guv.values["g1"] == pytest.approx(0.8 + 0.3)
 
     def test_click_mode_clamps_out_of_range(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g1"}}, users=["u1"])
         scores = score_matrix({"u1": {"i1": 1.7, "i2": -0.4}})
-        slates = RankingSlate(k=2, slates={"u1": ["i1", "i2"]})
-        guv = group_utility(slates, scores, catalog, mode="click")
+        slates = slate_of(2, {"u1": ["i1", "i2"]}, scores)
+        guv = group_utility(slates, catalog, mode="click")
         assert guv.values["g1"] == pytest.approx(1.0)
 
     def test_multi_group_item_credits_each_group_fully(self, tiny_catalog):
-        slates = RankingSlate(k=1, slates={"u1": ["i3"]})
-        guv = group_utility(slates, None, tiny_catalog)
+        slates = slate_of(1, {"u1": ["i3"]})
+        guv = group_utility(slates, tiny_catalog)
         assert guv.values == {"g1": 1.0, "g2": 1.0}
         assert guv.total == 2.0
 
     def test_user_axis(self, tiny_catalog):
-        slates = RankingSlate(k=2, slates={"u1": ["i1", "i2"], "u2": ["i1"]})
-        guv = group_utility(slates, None, tiny_catalog, axis="user")
+        slates = slate_of(2, {"u1": ["i1", "i2"], "u2": ["i1"]})
+        guv = group_utility(slates, tiny_catalog, axis="user")
         assert guv.values == {"g1": 2.0, "g2": 1.0}
 
     def test_user_axis_credits_only_the_users_own_group(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g1"}}, users=["u1", "u2", "u3"], user_groups={"u1": "g2", "u2": "g2"})
         scores = score_matrix({u: {"i1": 0.25, "i2": 0.5} for u in catalog.users})
-        slates = RankingSlate(k=2, slates={"u1": ["i1", "i2"], "u2": ["i2"], "u3": ["i1"]})
-        guv = group_utility(slates, scores, catalog, axis="user", mode="click")
+        slates = slate_of(2, {"u1": ["i1", "i2"], "u2": ["i2"], "u3": ["i1"]}, scores)
+        guv = group_utility(slates, catalog, axis="user", mode="click")
         assert guv.values == {"g1": 0.0, "g2": 1.25}
 
     def test_user_axis_without_user_groups(self):
         catalog = make_catalog({"i1": {"g1"}}, users=["u1"])
-        slates = RankingSlate(k=1, slates={"u1": ["i1"]})
+        slates = slate_of(1, {"u1": ["i1"]})
         with pytest.raises(MissingUserGroups):
-            group_utility(slates, None, catalog, axis="user")
+            group_utility(slates, catalog, axis="user")
 
     def test_unknown_item_raises(self, tiny_catalog):
-        slates = RankingSlate(k=1, slates={"u1": ["ghost"]})
-        with pytest.raises(UnknownEntity):
-            group_utility(slates, None, tiny_catalog)
+        slates = slate_of(1, {"u1": ["ghost"]})
+        with pytest.raises(UnknownEntity, match=r"^item 'ghost' not in catalog$"):
+            group_utility(slates, tiny_catalog)
 
     def test_additive_over_user_partition(self, rng):
         catalog = make_catalog(
@@ -175,37 +199,37 @@ class TestGroupUtility:
         slates = {
             u: [items[j] for j in rng.choice(12, size=4, replace=False)] for u in catalog.users
         }
-        whole = group_utility(RankingSlate(k=4, slates=slates), None, catalog)
+        whole = group_utility(slate_of(4, slates), catalog)
         first = {u: slates[u] for u in catalog.users[:3]}
         second = {u: slates[u] for u in catalog.users[3:]}
-        a = group_utility(RankingSlate(k=4, slates=first), None, catalog)
-        b = group_utility(RankingSlate(k=4, slates=second), None, catalog)
+        a = group_utility(slate_of(4, first), catalog)
+        b = group_utility(slate_of(4, second), catalog)
         for g in catalog.groups:
             assert whole.values[g] == pytest.approx(a.values[g] + b.values[g])
 
     def test_exposure_invariant_under_monotone_rescale(self, rng):
         catalog = make_catalog({f"i{j}": {f"g{j % 2}"} for j in range(6)}, users=["u0", "u1"])
         base = {u: {f"i{j}": float(rng.uniform(0.1, 1)) for j in range(6)} for u in catalog.users}
-        slates = RankingSlate(k=3, slates={u: sorted(base[u], key=base[u].get, reverse=True)[:3] for u in catalog.users})
-        guv1 = group_utility(slates, score_matrix(base), catalog, mode="exposure")
+        slates = {u: sorted(base[u], key=base[u].get, reverse=True)[:3] for u in catalog.users}
+        guv1 = group_utility(slate_of(3, slates, score_matrix(base)), catalog, mode="exposure")
         rescaled = score_matrix({u: {i: 3.0 * s + 1.0 for i, s in row.items()} for u, row in base.items()})
-        guv2 = group_utility(slates, rescaled, catalog, mode="exposure")
+        guv2 = group_utility(slate_of(3, slates, rescaled), catalog, mode="exposure")
         assert guv1.values == guv2.values
 
     def test_click_bounded_by_exposure(self, rng):
         catalog = make_catalog({f"i{j}": {f"g{j % 2}"} for j in range(6)}, users=["u0", "u1"])
         rows = {u: {f"i{j}": float(rng.uniform(0, 1)) for j in range(6)} for u in catalog.users}
         scores = score_matrix(rows)
-        slates = RankingSlate(k=3, slates={u: list(rows[u])[:3] for u in catalog.users})
-        click = group_utility(slates, scores, catalog, mode="click")
-        expo = group_utility(slates, scores, catalog, mode="exposure")
+        slates = slate_of(3, {u: list(rows[u])[:3] for u in catalog.users}, scores)
+        click = group_utility(slates, catalog, mode="click")
+        expo = group_utility(slates, catalog, mode="exposure")
         for g in catalog.groups:
             assert click.values[g] <= expo.values[g] + 1e-12
 
     def test_exposure_total_counts_memberships(self, tiny_catalog):
-        slates = RankingSlate(k=2, slates={"u1": ["i1", "i3"], "u2": ["i2", "i3"]})
-        guv = group_utility(slates, None, tiny_catalog)
-        memberships = sum(len(tiny_catalog.item_groups[i]) for u in slates.slates for i in slates.slates[u])
+        slates = {"u1": ["i1", "i3"], "u2": ["i2", "i3"]}
+        guv = group_utility(slate_of(2, slates), tiny_catalog)
+        memberships = sum(len(tiny_catalog.item_groups[i]) for u in slates for i in slates[u])
         assert guv.total == pytest.approx(memberships)
 
 
@@ -289,7 +313,7 @@ class TestScoreMatrix:
         assert matrix.n_valid.tolist() == [0, 2]
         assert np.isneginf(matrix.S[0]).all()
         assert matrix.row("u1") == {} and matrix.row("u2") == {"ia": 0.2, "ib": 0.5}
-        assert matrix.scores_of("u2", ["ib", "ia"]) == [0.5, 0.2]
+        assert matrix.S[1, [1, 0]].tolist() == [0.5, 0.2]
         assert matrix.order[1].tolist() == [1, 0]
 
     @pytest.mark.parametrize(
@@ -309,7 +333,7 @@ class TestScoreMatrix:
 
     def test_unscored_entry_unknown(self):
         matrix = score_matrix({"u1": {"i1": 0.5}, "u2": {"i2": 0.5}})
-        with pytest.raises(UnknownEntity):
-            matrix.scores_of("u1", ["i1", "i2"])
+        with pytest.raises(UnknownEntity, match=r"^no score for \('u1', 'i2'\)$"):
+            slate_of(2, {"u1": ["i1", "i2"]}, matrix)
         with pytest.raises(UnknownEntity):
             matrix.row("u9")

@@ -33,6 +33,10 @@ from fairrank.ingest import RunList
 seeds = st.integers(0, 2**32 - 1)
 
 
+def _alpha_ndcg(run: RunList, judgments, alpha: float, k: int) -> float:
+    return M.alpha_ndcg(M.judged_top(run, judgments, k), judgments, alpha, k)
+
+
 def _query(rng: np.random.Generator, qid: str):
     """One query's ranked entries, judgments and (maybe) predicted relevance."""
     n_docs = int(rng.integers(1, 13))
@@ -110,7 +114,7 @@ def test_alpha_ndcg_cache_matches_fresh_ideal(order, seed):
     # One judgments object throughout: later calls are served from its table.
     for k in ks:
         for alpha in alphas:
-            assert M.alpha_ndcg(run, judgments, alpha=alpha, k=k) == ref.alpha_ndcg(run, judgments, alpha, k)
+            assert _alpha_ndcg(run, judgments, alpha, k) == ref.alpha_ndcg(run, judgments, alpha, k)
     for qid in judgments.query_ids:
         judg = ref.query_of(judgments, qid)
         docs = run.docs(qid)
@@ -118,7 +122,7 @@ def test_alpha_ndcg_cache_matches_fresh_ideal(order, seed):
             fresh = ref.judgments_of({qid: judg})  # no ideal kept yet
             expected = ref.ideal_alpha_dcg(judg, alphas[1], k)
             assert M._greedy_ideal(fresh, alphas[1], k)[0] == expected
-            assert M.alpha_ndcg(RunList({qid: run.queries[qid]}), fresh, alphas[1], k) == (
+            assert _alpha_ndcg(RunList({qid: run.queries[qid]}), fresh, alphas[1], k) == (
                 0.0 if expected == 0.0 else ref.alpha_dcg(docs, judg, alphas[1], k) / expected
             )
 
@@ -149,9 +153,11 @@ def test_search_metrics_match_per_query_loops(seed):
     rerun = RunList(queries)
     k = int(rng.integers(1, 16))
     alpha = float(rng.choice([0.0, 0.5, np.round(rng.uniform(0.0, 0.95), 2), 1.0]))
-    assert _outcome(M.alpha_ndcg, rerun, judgments, alpha, k) == _outcome(ref.alpha_ndcg, rerun, judgments, alpha, k)
-    assert _outcome(M.err_ia, rerun, judgments, k) == _outcome(ref.err_ia, rerun, judgments, k)
-    assert _outcome(M.s_recall, rerun, judgments, k) == _outcome(ref.s_recall, rerun, judgments, k)
+    # One report row: the three metrics share its one gather of the run's top-k.
+    row = M.Evaluation(k, run=rerun, judgments=judgments, alpha=alpha)
+    assert _outcome(M.METRICS["alpha_ndcg"].value, row) == _outcome(ref.alpha_ndcg, rerun, judgments, alpha, k)
+    assert _outcome(M.METRICS["err_ia"].value, row) == _outcome(ref.err_ia, rerun, judgments, k)
+    assert _outcome(M.METRICS["s_rec"].value, row) == _outcome(ref.s_recall, rerun, judgments, k)
 
 
 def _qrels_text(rng: np.random.Generator) -> str:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fairrank.core import Catalog, RankingSlate, group_utility
+from fairrank.core import Catalog, ScoreMatrix, group_utility
 from fairrank.errors import EmptyCandidates, InvariantViolation
 from fairrank.fair_rerank import (
     RerankContext,
@@ -20,6 +20,7 @@ from fairrank.fair_rerank import (
 )
 
 from conftest import full_coverage_instance, make_catalog, random_instance, score_matrix
+from reference_metrics import IdSlates, ids
 from reference_rerank import welf_objective
 
 _TINY = 1e-12
@@ -82,13 +83,13 @@ class TestTopk:
         catalog = make_catalog({"i1": {"g"}, "i2": {"g"}}, users=["u"])
         matrix = score_matrix({"u": {"i1": 0.9, "i2": 0.1}})
         slates = topk(ctx_for(catalog, matrix, k=1))
-        assert slates.slates == {"u": ["i1"]}
+        assert ids(slates) == {"u": ["i1"]}
 
     def test_tie_broken_by_item_id(self):
         catalog = make_catalog({"ia": {"g"}, "ib": {"g"}, "ic": {"g"}}, users=["u"])
         matrix = score_matrix({"u": {"ib": 0.5, "ia": 0.5, "ic": 0.5}})
         slates = topk(ctx_for(catalog, matrix, k=2))
-        assert slates.slates == {"u": ["ia", "ib"]}
+        assert ids(slates) == {"u": ["ia", "ib"]}
 
     def test_matches_full_sort_oracle(self, rng):
         items = {f"i{j:03d}": {"g"} for j in range(500)}
@@ -97,25 +98,25 @@ class TestTopk:
         matrix = score_matrix({"u": row})
         slates = topk(ctx_for(catalog, matrix, k=10))
         oracle = [it for it, _ in sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))][:10]
-        assert slates.slates["u"] == oracle
+        assert ids(slates)["u"] == oracle
 
     def test_short_row_keeps_all(self):
         catalog = make_catalog({"i1": {"g"}, "i2": {"g"}}, users=["u"])
         matrix = score_matrix({"u": {"i1": 0.2, "i2": 0.4}})
         slates = topk(ctx_for(catalog, matrix, k=5))
-        assert slates.slates == {"u": ["i2", "i1"]}
+        assert ids(slates) == {"u": ["i2", "i1"]}
 
 
 class TestMinRegularizer:
     def test_lambda_zero_is_topk(self, rng):
         catalog, matrix = random_instance(rng, 12, 30, 4)
-        assert min_regularizer(ctx_for(catalog, matrix, 5), lam=0.0).slates == topk(ctx_for(catalog, matrix, 5)).slates
+        assert ids(min_regularizer(ctx_for(catalog, matrix, 5), lam=0.0)) == ids(topk(ctx_for(catalog, matrix, 5)))
 
     def test_large_lambda_serves_starved_group(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g2"}}, users=["u1", "u2"])
         matrix = score_matrix({u: {"i1": 0.9, "i2": 0.1} for u in ["u1", "u2"]})
         slates = min_regularizer(ctx_for(catalog, matrix, 1), lam=10.0)
-        guv = group_utility(slates, matrix, catalog)
+        guv = group_utility(slates, catalog)
         # Exhaustive oracle: over all 4 slate pairs the best achievable
         # minimum group exposure is 1 (one user per group).
         best_min = max(
@@ -129,9 +130,9 @@ class TestMinRegularizer:
 
     def test_single_group_any_lambda_is_topk(self, rng):
         catalog, matrix = random_instance(rng, 8, 20, 1)
-        base = topk(ctx_for(catalog, matrix, 4)).slates
+        base = ids(topk(ctx_for(catalog, matrix, 4)))
         for lam in (0.5, 3.0, 100.0):
-            assert min_regularizer(ctx_for(catalog, matrix, 4), lam=lam).slates == base
+            assert ids(min_regularizer(ctx_for(catalog, matrix, 4), lam=lam)) == base
 
 
 def enumerate_best_swap(catalog, matrix, k, lam, beta=None):
@@ -192,20 +193,20 @@ def enumerate_best_swap(catalog, matrix, k, lam, beta=None):
 class TestCpfair:
     def test_lambda_zero_is_topk(self, rng):
         catalog, matrix = random_instance(rng, 10, 25, 3)
-        base = topk(ctx_for(catalog, matrix, 4)).slates
-        assert cpfair(ctx_for(catalog, matrix, 4), lam=0.0, swap_budget=10).slates == base
+        base = ids(topk(ctx_for(catalog, matrix, 4)))
+        assert ids(cpfair(ctx_for(catalog, matrix, 4), lam=0.0, swap_budget=10)) == base
 
     def test_budget_zero_is_topk(self, rng):
         catalog, matrix = random_instance(rng, 10, 25, 3)
-        base = topk(ctx_for(catalog, matrix, 4)).slates
-        assert cpfair(ctx_for(catalog, matrix, 4), lam=5.0, swap_budget=0).slates == base
+        base = ids(topk(ctx_for(catalog, matrix, 4)))
+        assert ids(cpfair(ctx_for(catalog, matrix, 4), lam=5.0, swap_budget=0)) == base
 
     def test_single_swap_reduces_deviation(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g2"}}, users=["u1", "u2"])
         matrix = score_matrix({u: {"i1": 0.9, "i2": 0.1} for u in ["u1", "u2"]})
-        before = group_utility(topk(ctx_for(catalog, matrix, 1)), matrix, catalog)
+        before = group_utility(topk(ctx_for(catalog, matrix, 1)), catalog)
         slates = cpfair(ctx_for(catalog, matrix, 1), lam=1e9, swap_budget=1)
-        after = group_utility(slates, matrix, catalog)
+        after = group_utility(slates, catalog)
 
         def deviation(guv):
             total = guv.total
@@ -216,8 +217,8 @@ class TestCpfair:
         assert oracle is not None
         user, out, in_, new_dev = oracle
         assert slates.meta["deviation"] == pytest.approx(new_dev)
-        assert in_ in slates.slates[user]
-        assert out not in slates.slates[user]
+        assert in_ in ids(slates)[user]
+        assert out not in ids(slates)[user]
 
     def test_first_swap_matches_enumeration_oracle(self, rng):
         for trial in range(20):
@@ -227,14 +228,14 @@ class TestCpfair:
             lam = float(local.uniform(0.05, 1.0))
             result = cpfair(ctx_for(catalog, matrix, k), lam=lam, swap_budget=1)
             oracle = enumerate_best_swap(catalog, matrix, k, lam=lam)
-            base = topk(ctx_for(catalog, matrix, k)).slates
+            base = ids(topk(ctx_for(catalog, matrix, k)))
             if oracle is None:
-                assert result.slates == base
+                assert ids(result) == base
                 continue
             user, out, in_, new_dev = oracle
             assert result.meta["swaps"] == 1
             assert result.meta["deviation"] == pytest.approx(new_dev, abs=1e-9)
-            assert set(result.slates[user]) == (set(base[user]) - {out}) | {in_}
+            assert set(ids(result)[user]) == (set(base[user]) - {out}) | {in_}
 
     def test_swaps_bounded_by_budget(self, rng):
         catalog, matrix = random_instance(rng, 12, 30, 4)
@@ -245,28 +246,28 @@ class TestCpfair:
 class TestFairrec:
     def test_single_group_is_topk(self, rng):
         catalog, matrix = random_instance(rng, 6, 15, 1)
-        base = topk(ctx_for(catalog, matrix, 3)).slates
-        assert fairrec(ctx_for(catalog, matrix, 3), phi=1.0).slates == base
+        base = ids(topk(ctx_for(catalog, matrix, 3)))
+        assert ids(fairrec(ctx_for(catalog, matrix, 3), phi=1.0)) == base
 
     def test_guarantee_met_with_full_coverage(self, rng):
         catalog, matrix = full_coverage_instance(rng, 4, 20, 2)
         slates = fairrec(ctx_for(catalog, matrix, 5), phi=1.0)
-        guv = group_utility(slates, matrix, catalog)
+        guv = group_utility(slates, catalog)
         floor = math.floor(5 * 4 / 2)
         assert slates.meta["mms_floor"] == floor
         assert all(v >= floor for v in guv.values.values())
 
     def test_phi_to_zero_is_topk(self, rng):
         catalog, matrix = random_instance(rng, 8, 24, 4)
-        base = topk(ctx_for(catalog, matrix, 3)).slates
-        assert fairrec(ctx_for(catalog, matrix, 3), phi=1e-9).slates == base
+        base = ids(topk(ctx_for(catalog, matrix, 3)))
+        assert ids(fairrec(ctx_for(catalog, matrix, 3), phi=1e-9)) == base
 
     def test_max_min_share_acceptance_shape(self):
         # 20 users x 50 items, 5 groups, K=5, phi=1 -> floor = 20.
         local = np.random.default_rng(7)
         catalog, matrix = full_coverage_instance(local, 20, 50, 5)
         slates = fairrec(ctx_for(catalog, matrix, 5), phi=1.0)
-        guv = group_utility(slates, matrix, catalog)
+        guv = group_utility(slates, catalog)
         assert all(v >= 20 for v in guv.values.values())
 
 
@@ -289,7 +290,7 @@ def _dp_best_min_exposure(n_users: int, k: int, n_groups: int, cap: int) -> int:
 class TestPmmf:
     def test_lambda_zero_is_topk(self, rng):
         catalog, matrix = random_instance(rng, 10, 30, 3)
-        assert pmmf(ctx_for(catalog, matrix, 4), lam=0.0).slates == topk(ctx_for(catalog, matrix, 4)).slates
+        assert ids(pmmf(ctx_for(catalog, matrix, 4), lam=0.0)) == ids(topk(ctx_for(catalog, matrix, 4)))
 
     def test_simplex_invariant_after_every_user(self, rng):
         catalog, matrix = random_instance(rng, 25, 40, 5)
@@ -304,18 +305,28 @@ class TestPmmf:
     def test_fairness_budget_improves_min_exposure(self):
         local = np.random.default_rng(20240311)
         catalog, matrix = full_coverage_instance(local, 20, 30, 3)
-        base = group_utility(pmmf(ctx_for(catalog, matrix, 3), lam=0.0), matrix, catalog)
-        fair = group_utility(pmmf(ctx_for(catalog, matrix, 3), lam=10.0), matrix, catalog)
+        base = group_utility(pmmf(ctx_for(catalog, matrix, 3), lam=0.0), catalog)
+        fair = group_utility(pmmf(ctx_for(catalog, matrix, 3), lam=10.0), catalog)
         optimum = _dp_best_min_exposure(20, 3, 3, cap=21)
         assert optimum == 20  # integer split of 60 slots over 3 groups
         assert min(fair.values.values()) >= min(base.values.values())
         assert min(fair.values.values()) <= optimum
 
 
+    def test_overflowing_step_raises_instead_of_emptying_slates(self):
+        # eta=1000 overflows np.exp and turns the prices NaN, which passed the
+        # simplex check and left 18 of these 20 users with an empty slate.
+        catalog, matrix = random_instance(np.random.default_rng(0), 20, 30, 3)
+        matrix = ScoreMatrix(matrix.user_ids, matrix.item_ids, matrix.S, semantics="probability")
+        message = r"^group prices \[.*nan.*\] left the simplex of budget 1\.0 at step size eta=1000\.0$"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvariantViolation, match=message):
+            pmmf(ctx_for(catalog, matrix, 5), lam=1.0, eta=1000.0)
+
+
 class TestWelf:
     def test_lambda_zero_is_topk(self, rng):
         catalog, matrix = random_instance(rng, 10, 24, 3)
-        assert welf(ctx_for(catalog, matrix, 4), lam=0.0).slates == topk(ctx_for(catalog, matrix, 4)).slates
+        assert ids(welf(ctx_for(catalog, matrix, 4), lam=0.0)) == ids(topk(ctx_for(catalog, matrix, 4)))
 
     def test_duality_gaps_nonnegative(self, rng):
         catalog, matrix = random_instance(rng, 15, 30, 4)
@@ -346,7 +357,7 @@ class TestWelf:
         best = max(
             welf_objective(
                 ctx,
-                RankingSlate(k=1, slates={"u1": [a], "u2": [b]}),
+                IdSlates(k=1, slates={"u1": [a], "u2": [b]}),
                 lam=lam,
                 alpha=alpha,
             )
@@ -364,12 +375,12 @@ class TestCrossCuttingInvariants:
                 local, int(local.integers(3, 20)), int(local.integers(8, 40)), int(local.integers(2, 6))
             )
             k = int(local.integers(1, 6))
-            base = topk(ctx_for(catalog, matrix, k)).slates
-            assert min_regularizer(ctx_for(catalog, matrix, k), lam=0.0).slates == base
-            assert pmmf(ctx_for(catalog, matrix, k), lam=0.0).slates == base
-            assert welf(ctx_for(catalog, matrix, k), lam=0.0, iters=10).slates == base
-            assert cpfair(ctx_for(catalog, matrix, k), lam=1.0, swap_budget=0).slates == base
-            assert fairrec(ctx_for(catalog, matrix, k), phi=1e-12).slates == base
+            base = ids(topk(ctx_for(catalog, matrix, k)))
+            assert ids(min_regularizer(ctx_for(catalog, matrix, k), lam=0.0)) == base
+            assert ids(pmmf(ctx_for(catalog, matrix, k), lam=0.0)) == base
+            assert ids(welf(ctx_for(catalog, matrix, k), lam=0.0, iters=10)) == base
+            assert ids(cpfair(ctx_for(catalog, matrix, k), lam=1.0, swap_budget=0)) == base
+            assert ids(fairrec(ctx_for(catalog, matrix, k), phi=1e-12)) == base
 
     def test_slate_invariants_and_exposure_conservation(self, rng):
         catalog, matrix = full_coverage_instance(rng, 10, 40, 4)
@@ -383,9 +394,9 @@ class TestCrossCuttingInvariants:
             "welf": welf(ctx_for(catalog, matrix, k), lam=2.0, iters=25),
         }
         for name, slates in outputs.items():
-            for user, items in slates.slates.items():
+            for user, items in ids(slates).items():
                 assert len(items) == k, name
                 assert len(set(items)) == k, name
-            guv = group_utility(slates, matrix, catalog)
+            guv = group_utility(slates, catalog)
             # Single-membership items: total exposure is conserved at K * |U|.
             assert guv.total == pytest.approx(k * 10), name

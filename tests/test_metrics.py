@@ -10,14 +10,13 @@ from typing import Sequence
 
 import numpy as np
 
-from fairrank.core import GroupUtilityVector, RankingSlate
+from fairrank import metrics as M
+from fairrank.core import GroupUtilityVector
 from fairrank.errors import InvariantViolation, UndefinedMetric, UnknownQuery
 from fairrank.ingest import IntentJudgments, RunList
 from fairrank.metrics import (
     MetricReport,
-    alpha_ndcg,
     entropy,
-    err_ia,
     gini,
     hit_at_k,
     min_max_ratio,
@@ -25,10 +24,10 @@ from fairrank.metrics import (
     mrr_at_k,
     ndcg_at_k,
     rerank_quality,
-    s_recall,
+    slate_hits,
 )
 
-from conftest import make_judgments, score_matrix
+from conftest import make_judgments, score_matrix, slate_of
 from reference_diverse import alpha_ndcg_query
 
 
@@ -41,80 +40,121 @@ def run_of(docs: Sequence[str]) -> RunList:
     return RunList(queries={"q1": [(doc, float(len(docs) - r)) for r, doc in enumerate(docs)]})
 
 
+def accuracy(metric, rows: dict[str, list[str]], relevant, k: int) -> float:
+    """An accuracy metric of the slates ``rows`` (item ids; each listed item scored) at ``k``."""
+    return metric(slate_hits(slate_of(k, rows), relevant, k))
+
+
+def alpha_ndcg(run: RunList, judg: IntentJudgments, alpha: float = 0.5, k: int = 10) -> float:
+    return M.alpha_ndcg(M.judged_top(run, judg, k), judg, alpha, k)
+
+
+def err_ia(run: RunList, judg: IntentJudgments, k: int = 10) -> float:
+    return M.err_ia(M.judged_top(run, judg, k), judg)
+
+
+def s_recall(run: RunList, judg: IntentJudgments, k: int = 10) -> float:
+    return M.s_recall(M.judged_top(run, judg, k), judg)
+
+
 class TestNdcg:
     def test_perfect_at_rank_one(self):
-        slates = RankingSlate(k=1, slates={"u": ["i1"]})
-        assert ndcg_at_k(slates, {"u": {"i1"}}, 1) == 1.0
+        assert accuracy(ndcg_at_k, {"u": ["i1"]}, {"u": {"i1"}}, 1) == 1.0
 
     def test_single_relevant_at_rank_two(self):
-        slates = RankingSlate(k=2, slates={"u": ["i2", "i1"]})
-        assert ndcg_at_k(slates, {"u": {"i1"}}, 2) == pytest.approx(1.0 / math.log2(3), abs=1e-4)
+        assert accuracy(ndcg_at_k, {"u": ["i2", "i1"]}, {"u": {"i1"}}, 2) == pytest.approx(1.0 / math.log2(3), abs=1e-4)
 
     def test_miss_is_zero(self):
-        slates = RankingSlate(k=2, slates={"u": ["i2", "i3"]})
-        assert ndcg_at_k(slates, {"u": {"i1"}}, 2) == 0.0
+        assert accuracy(ndcg_at_k, {"u": ["i2", "i3"]}, {"u": {"i1"}}, 2) == 0.0
 
     def test_no_relevant_users_undefined(self):
-        slates = RankingSlate(k=1, slates={"u": ["i1"]})
         with pytest.raises(UndefinedMetric):
-            ndcg_at_k(slates, {}, 1)
+            accuracy(ndcg_at_k, {"u": ["i1"]}, {}, 1)
 
 
 class TestMrr:
     def test_first_relevant_rank_three(self):
-        slates = RankingSlate(k=3, slates={"u": ["a", "b", "i1"]})
-        assert mrr_at_k(slates, {"u": {"i1"}}, 3) == pytest.approx(1 / 3)
+        assert accuracy(mrr_at_k, {"u": ["a", "b", "i1"]}, {"u": {"i1"}}, 3) == pytest.approx(1 / 3)
 
     def test_rank_one(self):
-        slates = RankingSlate(k=3, slates={"u": ["i1", "b", "c"]})
-        assert mrr_at_k(slates, {"u": {"i1"}}, 3) == 1.0
+        assert accuracy(mrr_at_k, {"u": ["i1", "b", "c"]}, {"u": {"i1"}}, 3) == 1.0
 
     def test_none_in_topk(self):
-        slates = RankingSlate(k=2, slates={"u": ["a", "b"]})
-        assert mrr_at_k(slates, {"u": {"i1"}}, 2) == 0.0
+        assert accuracy(mrr_at_k, {"u": ["a", "b"]}, {"u": {"i1"}}, 2) == 0.0
 
 
 class TestHit:
     def test_all_users_hit(self):
-        slates = RankingSlate(k=1, slates={"u1": ["i1"], "u2": ["i2"]})
-        assert hit_at_k(slates, {"u1": {"i1"}, "u2": {"i2"}}, 1) == 1.0
+        assert accuracy(hit_at_k, {"u1": ["i1"], "u2": ["i2"]}, {"u1": {"i1"}, "u2": {"i2"}}, 1) == 1.0
 
     def test_one_of_four(self):
-        slates = RankingSlate(k=1, slates={f"u{i}": ["x"] for i in range(4)} | {"u0": ["i0"]})
+        slates = {f"u{i}": ["x"] for i in range(4)} | {"u0": ["i0"]}
         relevant = {f"u{i}": {f"i{i}"} for i in range(4)}
-        assert hit_at_k(slates, relevant, 1) == 0.25
+        assert accuracy(hit_at_k, slates, relevant, 1) == 0.25
 
     def test_three_of_eight(self):
         slates = {f"u{i}": [f"i{i}"] if i < 3 else ["x"] for i in range(8)}
         relevant = {f"u{i}": {f"i{i}"} for i in range(8)}
-        assert hit_at_k(RankingSlate(k=1, slates=slates), relevant, 1) == 0.375
+        assert accuracy(hit_at_k, slates, relevant, 1) == 0.375
 
 
 class TestRerankQuality:
     def test_identity_rerank(self):
         scores = score_matrix({"u": {"a": 1.0, "b": 0.5, "c": 0.2}})
-        slates = RankingSlate(k=2, slates={"u": ["a", "b"]})
-        assert rerank_quality(slates, scores, 2) == (1.0, 0.0)
+        slates = slate_of(2, {"u": ["a", "b"]}, scores)
+        assert rerank_quality(slates, 2) == (1.0, 0.0)
 
     def test_swap_of_top_two(self):
         scores = score_matrix({"u": {"a": 1.0, "b": 0.5}})
-        slates = RankingSlate(k=2, slates={"u": ["b", "a"]})
-        r_ndcg, u_loss = rerank_quality(slates, scores, 2)
+        slates = slate_of(2, {"u": ["b", "a"]}, scores)
+        r_ndcg, u_loss = rerank_quality(slates, 2)
         expected = (0.5 + 1.0 / math.log2(3)) / (1.0 + 0.5 / math.log2(3))
         assert r_ndcg == pytest.approx(expected, abs=1e-9)
         assert u_loss == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_score_replacement(self):
         scores = score_matrix({"u": {"a": 1.0, "b": 0.5, "z1": 0.0, "z2": 0.0}})
-        slates = RankingSlate(k=2, slates={"u": ["z1", "z2"]})
-        _, u_loss = rerank_quality(slates, scores, 2)
+        slates = slate_of(2, {"u": ["z1", "z2"]}, scores)
+        _, u_loss = rerank_quality(slates, 2)
         assert u_loss == 1.0
 
     def test_zero_mass_undefined(self):
         scores = score_matrix({"u": {"a": 0.0, "b": 0.0}})
-        slates = RankingSlate(k=2, slates={"u": ["a", "b"]})
+        slates = slate_of(2, {"u": ["a", "b"]}, scores)
         with pytest.raises(UndefinedMetric):
-            rerank_quality(slates, scores, 2)
+            rerank_quality(slates, 2)
+
+
+class TestEvaluationSharesInputs:
+    def test_one_hit_array_per_row(self, monkeypatch):
+        calls = []
+        original = M.slate_hits
+        monkeypatch.setattr(M, "slate_hits", lambda *args: calls.append(args[2]) or original(*args))
+        row = M.Evaluation(2, slates=slate_of(2, {"u": ["i2", "i1"]}), relevant={"u": {"i1"}})
+        values = row.report(["ndcg", "mrr", "hr"], {}).values
+        assert values == {"ndcg@2": 1.0 / math.log2(3) / 1.0, "mrr@2": 0.5, "hr@2": 1.0}
+        assert calls == [2]
+
+    def test_one_gather_per_row(self, monkeypatch):
+        calls = []
+        original = M.judged_top
+        monkeypatch.setattr(M, "judged_top", lambda *args: calls.append(args[2]) or original(*args))
+        judg = make_judgments({"d1": {"i1"}, "d2": {"i2"}}, ["i1", "i2"])
+        row = M.Evaluation(1, run=run_of(["d1", "d2"]), judgments=judg, alpha=0.5)
+        values = row.report(["err_ia", "alpha_ndcg", "s_rec"], {}).values
+        assert values == {"err_ia@1": 0.25, "alpha_ndcg@1": 1.0, "s_rec@1": 0.5}
+        assert calls == [1]
+
+    def test_gather_errors_keep_their_order(self):
+        judg = make_judgments({"d1": {"i1"}}, ["i1"])
+        unjudged = M.Evaluation(1, run=RunList(queries={"q9": [("d1", 1.0)]}), judgments=judg, alpha=2.0)
+        with pytest.raises(UnknownQuery):
+            unjudged.report(["alpha_ndcg"], {})
+        empty = M.Evaluation(1, run=RunList(queries={}), judgments=judg, alpha=2.0)
+        with pytest.raises(UndefinedMetric, match="run contains no queries"):
+            empty.report(["alpha_ndcg"], {})
+        with pytest.raises(InvariantViolation, match="alpha"):
+            M.Evaluation(1, run=run_of(["d1"]), judgments=judg, alpha=2.0).report(["alpha_ndcg"], {})
 
 
 class TestGini:

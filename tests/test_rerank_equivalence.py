@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_rerank as ref
+from reference_metrics import id_slates
 from conftest import random_instance, score_matrix
 from fairrank.errors import FairrankError, UnknownEntity
 from fairrank.fair_rerank import (
@@ -64,6 +65,7 @@ def _instance(seed):
 
 
 def _assert_same(got, expected):
+    got = id_slates(got)
     assert got.slates == expected.slates
     assert list(got.slates) == list(expected.slates)
     assert got.meta == expected.meta
@@ -108,9 +110,9 @@ def test_welf_matches_reference(seed):
     _assert_same(welf(ctx, lam=lam, alpha=alpha, iters=iters), ref.welf(ctx, lam=lam, alpha=alpha, iters=iters))
 
 
-def _quality(fn, slates, matrix, k):
+def _quality(fn, *args):
     try:
-        return fn(slates, matrix, k)
+        return fn(*args)
     except FairrankError as exc:
         return type(exc)
 
@@ -121,7 +123,7 @@ def test_rerank_quality_matches_reference(seed):
     rng, ctx = _instance(seed)
     slates = cpfair(ctx, lam=float(rng.choice([0.05, 1.0])), swap_budget=int(rng.integers(0, 6)))
     for k in range(1, ctx.k + 1):
-        assert _quality(rerank_quality, slates, ctx.scores, k) == _quality(ref.rerank_quality, slates, ctx.scores, k)
+        assert _quality(rerank_quality, slates, k) == _quality(ref.rerank_quality, id_slates(slates), ctx.scores, k)
 
 
 def test_dense_view_built_once_per_matrix_and_read_only(rng):
@@ -130,7 +132,7 @@ def test_dense_view_built_once_per_matrix_and_read_only(rng):
     orders = []
     for k in (2, 5):
         slates = welf(RerankContext(matrix, catalog, k), lam=1.0, iters=3)
-        rerank_quality(slates, matrix, k)
+        rerank_quality(slates, k)
         orders.append(vars(matrix)["order"])
     assert orders[0] is orders[1] is matrix.order
     for array in (matrix.S, matrix.valid, matrix.order):

@@ -1,5 +1,7 @@
 """Pairwise trainer, fairness hooks, and gradient correctness."""
 
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -517,6 +519,27 @@ class TestCheckpoint:
         save_model(train(dataset, TrainConfig(dim=4, epochs=1, seed=0), TrainHooks()), tmp_path, hooks=TrainHooks())
         with_bad_line_2(tmp_path / name)
         with pytest.raises(ParseError, match=rf"{name}: not valid UTF-8"):
+            load_model(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, use_bias, edit, message",
+        [
+            ("user_vecs.tsv", False, lambda f: f[:1] + ["x"] + f[2:], "could not convert string to float: 'x'"),
+            ("user_vecs.tsv", False, lambda f: f[:-1], "expected 5 fields, got 4"),
+            ("item_vecs.tsv", False, lambda f: f + ["0.5"], "expected 5 fields, got 6"),
+            ("item_vecs.tsv", True, lambda f: f[:-1], "expected 6 fields, got 5"),
+        ],
+        ids=["non-numeric", "short-row", "long-row", "missing-bias"],
+    )
+    def test_malformed_table_line_is_a_parse_error(self, tmp_path, name, use_bias, edit, message):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        model = train(dataset, TrainConfig(dim=4, epochs=1, seed=0, use_item_bias=use_bias), TrainHooks())
+        save_model(model, tmp_path, hooks=TrainHooks())
+        table = tmp_path / name
+        lines = table.read_text(encoding="utf-8").splitlines()
+        lines[1] = "\t".join(edit(lines[1].split("\t")))
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{table}: line 2: {message}')}$"):
             load_model(tmp_path)
 
     def test_version_guard(self, tmp_path):
