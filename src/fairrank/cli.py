@@ -47,6 +47,7 @@ from .ingest import (
     write_dataset,
     write_run_file,
     write_scores,
+    writing,
 )
 from .report import BenchmarkReport, emit_report
 from .trainer import TrainConfig, TrainHooks, exclude_train_items, predict, save_model, train  # noqa: F401
@@ -210,6 +211,29 @@ def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkRepo
     return _report(cfg, rows, [])
 
 
+def _lock(lock: Path) -> Path:
+    """Create ``lock`` exclusively, holding this process's pid.
+
+    A lock naming a pid that is not running is replaced; any other lock, an
+    empty one included, is an IoError.
+    """
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        lock.unlink(missing_ok=True)
+    except (OSError, ValueError, OverflowError):  # no lock, or one that names no pid
+        pass
+    try:
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        raise IoError(f"log directory {lock.parent} is locked by another run") from None
+    with os.fdopen(fd, "w", encoding="ascii") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return lock
+
+
 def run(argv=None) -> int:
     """Entry point: parse argv, dispatch the stage, emit the report."""
     args = build_parser().parse_args(argv)
@@ -226,13 +250,8 @@ def run(argv=None) -> int:
             log_dir = data_root / "log" / str(user_cfg["log_name"])
         cfg = resolve_config(args.task, args.stage, args.dataset, user_cfg, data_root, strict=args.strict)
         log_dir = data_root / "log" / cfg.log_name
-        log_dir.mkdir(parents=True, exist_ok=True)
-        lock = log_dir / ".lock"
-        try:
-            lock.touch(exist_ok=False)
-        except FileExistsError:
-            lock = None
-            raise IoError(f"log directory {log_dir} is locked by another run") from None
+        with writing(log_dir, "run lock"):
+            lock = _lock(log_dir / ".lock")
 
         if cfg.stage == "process":
             report = _run_process(cfg, data_root)

@@ -21,7 +21,7 @@ from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, TextIO
 
@@ -177,13 +177,69 @@ class RunList:
 
 
 @contextmanager
-def open_text(path: Path) -> Iterator[TextIO]:
-    """Open ``path`` as UTF-8 text; bytes that do not decode anywhere in the block raise a ParseError naming it."""
+def open_text(path: str | Path, what: str) -> Iterator[TextIO]:
+    """Open the ``what`` file ``path`` as UTF-8 text: a missing file is an IoError, and
+    bytes that do not decode anywhere in the block raise a ParseError naming it."""
+    path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as fh:
+        fh = path.open("r", encoding="utf-8")
+    except FileNotFoundError:
+        raise IoError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise IoError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    with fh:
+        try:
             yield fh
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
+def read_table(path: str | Path, what: str, width: int | None = None) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` for each non-blank tab-separated line of ``path``.
+
+    A line with other than ``width`` fields (default: the first line's) is a ParseError.
+    """
+    with open_text(path, what) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if width is None:
+                width = len(fields)
+            if len(fields) != width:
+                raise ParseError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
+            yield lineno, fields
+
+
+def read_yaml(path: str | Path, what: str, required: Sequence[str] = ()) -> dict:
+    """The mapping in the YAML file ``path``; invalid YAML, a document that is not a
+    mapping, or one without a ``required`` key is a ParseError naming the file."""
+    with open_text(path, what) as fh:
+        text = fh.read()
+    try:
+        data = yaml.safe_load(text)
+    except yaml.MarkedYAMLError as exc:
+        raise ParseError(f"{path}: line {exc.problem_mark.line + 1}: not valid YAML ({exc.problem})") from None
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date such as 2024-13-01, an over-long int
+        raise ParseError(f"{path}: not valid YAML ({exc})") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: {what} is not a mapping")
+    for key in required:
+        if key not in data:
+            raise ParseError(f"{path}: {what} has no {key!r} entry")
+    return data
+
+
+@contextmanager
+def writing(directory: str | Path, what: str) -> Iterator[Path]:
+    """Create ``directory`` and turn any OSError raised inside the block into an :class:`IoError`."""
+    directory = Path(directory)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        yield directory
+    except OSError as exc:
+        raise IoError(f"cannot write {what} to {directory}: {exc}") from None
 
 
 def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None = None) -> InteractionLog:
@@ -195,89 +251,49 @@ def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None =
     spec = dict(DEFAULT_COLUMN_SPEC)
     if column_spec:
         spec.update(column_spec)
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"interaction file not found: {path}")
-    with open_text(path) as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise SchemaError(f"empty interaction file: {path}")
-        header = header_line.rstrip("\n").split("\t")
-        positions: dict[str, int] = {}
-        for role in ("user", "item", "label", "timestamp"):
-            name = spec[role]
-            if name not in header:
-                raise SchemaError(f"{role} column {name!r} not found in header of {path}")
-            positions[role] = header.index(name)
-        records: list[Interaction] = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != len(header):
-                raise ParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}")
-            try:
-                label = float(fields[positions["label"]])
-                ts = int(fields[positions["timestamp"]])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            try:
-                records.append(
-                    Interaction(
-                        user=fields[positions["user"]],
-                        item=fields[positions["item"]],
-                        label=label,
-                        timestamp=ts,
-                    )
+    rows = read_table(path, "interaction")
+    _, header = next(rows, (1, []))  # the first non-blank line; an empty file has none
+    positions: dict[str, int] = {}
+    for role in ("user", "item", "label", "timestamp"):
+        name = spec[role]
+        if name not in header:
+            raise SchemaError(f"{role} column {name!r} not found in header of {path}")
+        positions[role] = header.index(name)
+    records: list[Interaction] = []
+    for lineno, fields in rows:
+        try:
+            label = float(fields[positions["label"]])
+            ts = int(fields[positions["timestamp"]])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        try:
+            records.append(
+                Interaction(
+                    user=fields[positions["user"]],
+                    item=fields[positions["item"]],
+                    label=label,
+                    timestamp=ts,
                 )
-            except InvariantViolation as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+            )
+        except InvariantViolation as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return InteractionLog(records=records)
 
 
 def parse_item_groups(path: str | Path) -> dict[str, frozenset[str]]:
     """Parse a TSV ``item_id<TAB>group1|group2|...`` membership file."""
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"item-group file not found: {path}")
     out: dict[str, frozenset[str]] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected 'item<TAB>groups', got {len(fields)} fields")
-            item, raw_groups = fields
-            groups = frozenset(g for g in raw_groups.split("|") if g)
-            if not groups:
-                raise ParseError(f"{path}: line {lineno}: item {item!r} has no groups")
-            out[item] = groups
+    for lineno, (item, raw_groups) in read_table(path, "item-group", 2):
+        groups = frozenset(g for g in raw_groups.split("|") if g)
+        if not groups:
+            raise ParseError(f"{path}: line {lineno}: item {item!r} has no groups")
+        out[item] = groups
     return out
-
-
-def _user_group_fields(path: Path, lineno: int, line: str) -> tuple[str, str]:
-    fields = line.split("\t")
-    if len(fields) != 2:
-        raise ParseError(f"{path}: line {lineno}: expected 'user<TAB>group', got {len(fields)} fields")
-    return fields[0], fields[1]
 
 
 def parse_user_groups(path: str | Path) -> dict[str, str]:
     """Parse a TSV ``user_id<TAB>group`` file (no header)."""
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"user-group file not found: {path}")
-    out: dict[str, str] = {}
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if line:
-            user, group = _user_group_fields(path, lineno, line)
-            out[user] = group
-    return out
+    return {user: group for _, (user, group) in read_table(path, "user-group", 2)}
 
 
 def build_catalog(
@@ -424,16 +440,13 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
     those with a relevance-1 line.  Duplicate (qid, intent, doc) lines are
     resolved last-wins and counted in ``duplicate_count``.
     """
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"qrels file not found: {path}")
     tables = (defaultdict(), defaultdict(), defaultdict())  # qid, intent, doc -> code, in first-seen order
     for table in tables:
         table.default_factory = table.__len__  # a new name gets the next code
     columns: tuple[list[int], ...] = ([], [], [])
     rels = bytearray()
     lineno = 1
-    with open_text(path) as fh:
+    with open_text(path, "qrels") as fh:
         while lines := fh.readlines(QRELS_CHUNK_CHARS):
             widths = list(map(len, map(str.split, lines)))
             tokens = "".join(lines).split()
@@ -467,13 +480,10 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
 
 def parse_run_file(path: str | Path, truncate: int | None = 50) -> RunList:
     """Parse a 6-column TREC run file, keeping the top ``truncate`` docs per query."""
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"run file not found: {path}")
     queries: dict[str, list[tuple[str, float]]] = {}
     last_rank: dict[str, int] = {}
     seen_docs: dict[str, set[str]] = {}
-    with open_text(path) as fh:
+    with open_text(path, "run") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:
@@ -504,8 +514,7 @@ def parse_run_file(path: str | Path, truncate: int | None = 50) -> RunList:
 def write_run_file(run: Mapping[str, Sequence[tuple[str, float]]], path: str | Path, tag: str) -> None:
     """Write per-query ranked docs in 6-column TREC format."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with writing(path.parent, "run file"), path.open("w", encoding="utf-8") as fh:
         for qid in sorted(run):
             for rank, (doc, score) in enumerate(run[qid], start=1):
                 fh.write(f"{qid} Q0 {doc} {rank} {score!r} {tag}\n")
@@ -525,9 +534,7 @@ def _write_log(path: Path, log: InteractionLog) -> None:
 
 def write_dataset(dataset: SplitDataset, directory: str | Path) -> None:
     """Write a SplitDataset as versioned line-oriented tables plus a manifest."""
-    directory = Path(directory)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
+    with writing(directory, "dataset") as directory:
         cat = dataset.catalog
         manifest = {
             "format_version": CANONICAL_FORMAT_VERSION,
@@ -549,36 +556,24 @@ def write_dataset(dataset: SplitDataset, directory: str | Path) -> None:
                 fh.write(f"{item}\t{'|'.join(sorted(cat.item_groups[item]))}\n")
         for name, log in dataset.splits().items():
             _write_log(directory / f"{name}.tsv", log)
-    except OSError as exc:
-        raise IoError(f"cannot write dataset to {directory}: {exc}") from None
 
 
 def read_dataset(directory: str | Path) -> SplitDataset:
     """Read back a canonical dataset directory (round-trip inverse of write_dataset)."""
     directory = Path(directory)
     manifest_path = directory / "manifest.yaml"
-    if not manifest_path.exists():
-        raise IoError(f"no dataset manifest in {directory}")
-    with open_text(manifest_path) as fh:
-        manifest = yaml.safe_load(fh.read())
-    version = manifest.get("format_version")
+    manifest = read_yaml(manifest_path, "dataset manifest", required=("format_version", "counts", "split"))
+    version = manifest["format_version"]
     if version != CANONICAL_FORMAT_VERSION:
         raise VersionError(f"dataset format version {version}, reader supports {CANONICAL_FORMAT_VERSION}")
+    split, counts = manifest["split"], manifest["counts"]
+    if not (isinstance(counts, dict) and isinstance(split, dict) and isinstance(split.get("ratios"), list)
+            and "min_interactions" in split):
+        raise ParseError(f"{manifest_path}: counts must be a mapping, split one with ratios and min_interactions")
 
-    users: list[str] = []
-    user_groups: dict[str, str] = {}
-    if not (directory / "users.tsv").exists():
-        raise IoError(f"user file not found: {directory / 'users.tsv'}")
-    with open_text(directory / "users.tsv") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            user, group = _user_group_fields(directory / "users.tsv", lineno, line)
-            users.append(user)
-            if group:
-                user_groups[user] = group
+    user_rows = [fields for _, fields in islice(read_table(directory / "users.tsv", "user", 2), 1, None)]
+    users = [user for user, _ in user_rows]
+    user_groups = {user: group for user, group in user_rows if group}
 
     item_groups = parse_item_groups(directory / "items.tsv")
     logs: dict[str, InteractionLog] = {}
@@ -593,7 +588,6 @@ def read_dataset(directory: str | Path) -> SplitDataset:
         item_groups=item_groups,
         user_groups=user_groups if manifest.get("has_user_groups") else None,
     )
-    split = manifest["split"]
     dataset = SplitDataset(
         train=logs["train"],
         valid=logs["valid"],
@@ -603,7 +597,6 @@ def read_dataset(directory: str | Path) -> SplitDataset:
     )
     for log in logs.values():
         log.validate_against(catalog)
-    counts = manifest.get("counts", {})
     for name, log in dataset.splits().items():
         if counts.get(name) != len(log):
             raise FormatError(f"{directory}: {name} split has {len(log)} records, manifest says {counts.get(name)}")
@@ -612,9 +605,7 @@ def read_dataset(directory: str | Path) -> SplitDataset:
 
 def write_scores(scores: ScoreMatrix, directory: str | Path) -> None:
     """Write a ScoreMatrix into a dataset directory (scores.tsv + sidecar), users and items in id order."""
-    directory = Path(directory)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
+    with writing(directory, "scores") as directory:
         (directory / "scores.meta.yaml").write_text(
             yaml.safe_dump({"semantics": scores.semantics}, sort_keys=True), encoding="utf-8"
         )
@@ -624,8 +615,6 @@ def write_scores(scores: ScoreMatrix, directory: str | Path) -> None:
             for user, scored, row in zip(scores.user_ids, scores.valid, scores.S):
                 cols = np.flatnonzero(scored)
                 fh.write("".join(f"{user}\t{items[i]}\t{s!r}\n" for i, s in zip(cols.tolist(), row[cols].tolist())))
-    except OSError as exc:
-        raise IoError(f"cannot write scores to {directory}: {exc}") from None
 
 
 def read_scores(directory: str | Path) -> ScoreMatrix:
@@ -634,34 +623,21 @@ def read_scores(directory: str | Path) -> ScoreMatrix:
     Each line appends its user and item positions and its score to compact
     buffers, which are scattered into the score array once at the end.  A
     (user, item) pair on two lines is a :class:`ParseError` naming both.
+    The ``scores.meta.yaml`` sidecar is optional (semantics ``raw``).
     """
     directory = Path(directory)
     table = directory / "scores.tsv"
-    if not table.exists():
-        raise IoError(f"no scores.tsv in {directory}")
-    semantics = "raw"
-    meta_path = directory / "scores.meta.yaml"
-    if meta_path.exists():
-        with open_text(meta_path) as fh:
-            semantics = yaml.safe_load(fh.read()).get("semantics", "raw")
+    meta = directory / "scores.meta.yaml"
+    semantics = read_yaml(meta, "score sidecar", required=("semantics",))["semantics"] if meta.exists() else "raw"
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     entries, values = array("q"), array("d")  # (user, item, line) positions; scores
-    with open_text(table) as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"{table}: line {lineno}: expected 3 fields")
-            user, item, raw = fields
-            try:
-                values.append(float(raw))
-            except ValueError as exc:
-                raise ParseError(f"{table}: line {lineno}: {exc}") from None
-            entries.extend((users.setdefault(user, len(users)), items.setdefault(item, len(items)), lineno))
+    for lineno, (user, item, raw) in islice(read_table(table, "score", 3), 1, None):
+        try:
+            values.append(float(raw))
+        except ValueError as exc:
+            raise ParseError(f"{table}: line {lineno}: {exc}") from None
+        entries.extend((users.setdefault(user, len(users)), items.setdefault(item, len(items)), lineno))
     rows, cols, lines = np.frombuffer(entries, dtype=np.int64).reshape(-1, 3).T
     S = np.zeros((len(users), len(items)))
     valid = np.zeros(S.shape, dtype=bool)

@@ -9,13 +9,15 @@ timing goes to a separate file excluded from that contract.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .core import GroupUtilityVector
-from .errors import InvariantViolation, IoError
+from .errors import InvariantViolation
+from .ingest import writing
 from .metrics import METRICS, MetricReport
 
 
@@ -96,22 +98,23 @@ def _allocation_lines(report: BenchmarkReport) -> list[str]:
 
 
 def emit_report(report: BenchmarkReport, directory: str | Path) -> dict[str, Path]:
-    """Write the report artifacts; returns the emitted paths by artifact name."""
-    directory = Path(directory)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "records": directory / "records.jsonl",
-            "table": directory / "table.txt",
-            "allocations": directory / "allocations.tsv",
-            "config": directory / "config.yaml",
-            "timing": directory / "timing.txt",
-        }
-        paths["records"].write_text("\n".join(_records_lines(report)) + "\n", encoding="utf-8")
-        paths["table"].write_text("\n".join(_table_lines(report)) + "\n", encoding="utf-8")
-        paths["allocations"].write_text("\n".join(_allocation_lines(report)) + "\n", encoding="utf-8")
-        paths["config"].write_text(yaml.safe_dump(report.config_snapshot, sort_keys=True), encoding="utf-8")
-        paths["timing"].write_text(f"wall_clock_seconds: {report.wall_clock:.3f}\n", encoding="utf-8")
-        return paths
-    except OSError as exc:
-        raise IoError(f"cannot write report to {directory}: {exc}") from None
+    """Write the report artifacts; returns the emitted paths by artifact name.
+
+    Each artifact is written to a temporary file in ``directory`` and renamed
+    over its final name, so a run killed mid-write leaves no truncated artifact.
+    """
+    artifacts = {
+        "records": ("records.jsonl", "\n".join(_records_lines(report)) + "\n"),
+        "table": ("table.txt", "\n".join(_table_lines(report)) + "\n"),
+        "allocations": ("allocations.tsv", "\n".join(_allocation_lines(report)) + "\n"),
+        "config": ("config.yaml", yaml.safe_dump(report.config_snapshot, sort_keys=True)),
+        "timing": ("timing.txt", f"wall_clock_seconds: {report.wall_clock:.3f}\n"),
+    }
+    paths = {}
+    with writing(directory, "report") as directory:
+        for name, (filename, text) in artifacts.items():
+            paths[name] = directory / filename
+            temporary = directory / f".{filename}.tmp"
+            temporary.write_text(text, encoding="utf-8")
+            os.replace(temporary, paths[name])
+    return paths

@@ -29,13 +29,12 @@ from .core import Catalog, DualState, InteractionLog, ScoreMatrix
 from .errors import (
     DivergenceError,
     InvariantViolation,
-    IoError,
     ParseError,
     UnknownEntity,
     VersionError,
     ZeroPopularity,
 )
-from .ingest import SplitDataset, open_text
+from .ingest import SplitDataset, read_table, read_yaml, writing
 
 WEIGHT_PROVIDERS = ("static", "ips", "fairdual")
 GROUP_SAMPLERS = ("uniform", "minmax")
@@ -448,6 +447,7 @@ def exclude_train_items(dataset: SplitDataset) -> dict[str, set[str]]:
 
 
 CHECKPOINT_FORMAT_VERSION = 1
+_MANIFEST_KEYS = ("format_version", "dim", "seed", "epochs", "lr", "l2", "batch_size")
 
 
 def save_model(model: MFModel, directory: str | Path, hooks: TrainHooks | None = None) -> None:
@@ -457,8 +457,6 @@ def save_model(model: MFModel, directory: str | Path, hooks: TrainHooks | None =
     every :class:`TrainHooks` field, so ``TrainHooks(**manifest["hooks"])``
     and the loaded config retrain the same model.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "dim": model.config.dim,
@@ -473,7 +471,6 @@ def save_model(model: MFModel, directory: str | Path, hooks: TrainHooks | None =
     }
     if hooks is not None:
         manifest["hooks"] = asdict(hooks)
-    (directory / "manifest.yaml").write_text(yaml.safe_dump(manifest, sort_keys=True), encoding="utf-8")
 
     def write_table(path, ids, vecs, bias=None):
         with path.open("w", encoding="utf-8") as fh:
@@ -483,52 +480,50 @@ def save_model(model: MFModel, directory: str | Path, hooks: TrainHooks | None =
                     values += f"\t{float(bias[idx])!r}"
                 fh.write(f"{entity}\t{values}\n")
 
-    write_table(directory / "user_vecs.tsv", model.user_ids, model.user_vecs)
-    write_table(directory / "item_vecs.tsv", model.item_ids, model.item_vecs, model.item_bias)
+    with writing(directory, "model") as directory:
+        (directory / "manifest.yaml").write_text(yaml.safe_dump(manifest, sort_keys=True), encoding="utf-8")
+        write_table(directory / "user_vecs.tsv", model.user_ids, model.user_vecs)
+        write_table(directory / "item_vecs.tsv", model.item_ids, model.item_vecs, model.item_bias)
 
 
 def load_model(directory: str | Path) -> MFModel:
     """Read back a checkpoint written by :func:`save_model`."""
     directory = Path(directory)
     manifest_path = directory / "manifest.yaml"
-    if not manifest_path.exists():
-        raise IoError(f"no model manifest in {directory}")
-    with open_text(manifest_path) as fh:
-        manifest = yaml.safe_load(fh.read())
-    if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise VersionError(f"checkpoint version {manifest.get('format_version')} unsupported")
+    manifest = read_yaml(manifest_path, "model manifest", required=_MANIFEST_KEYS)
+    if manifest["format_version"] != CHECKPOINT_FORMAT_VERSION:
+        raise VersionError(f"checkpoint version {manifest['format_version']} unsupported")
+    try:
+        config = TrainConfig(
+            dim=int(manifest["dim"]),
+            epochs=int(manifest["epochs"]),
+            lr=float(manifest["lr"]),
+            l2=float(manifest["l2"]),
+            batch_size=int(manifest["batch_size"]),
+            seed=int(manifest["seed"]),
+            use_item_bias=bool(manifest.get("use_item_bias")),
+            ips_smooth=float(manifest.get("ips_smooth", 0.0)),  # absent from checkpoints that predate it
+        )
+        loss_curve = [float(x) for x in manifest.get("loss_curve", [])]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{manifest_path}: {exc}") from None
 
-    def read_table(path, extra_col):
+    def read_vectors(name, extra_col):
         ids, rows, extras = [], [], []
-        width = 1 + int(manifest["dim"]) + extra_col
-        with open_text(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != width:
-                    raise ParseError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
-                ids.append(fields[0])
-                try:
-                    values = [float(x) for x in fields[1:]]
-                except ValueError as exc:
-                    raise ParseError(f"{path}: line {lineno}: {exc}") from None
-                if extra_col:
-                    extras.append(values.pop())
-                rows.append(values)
+        path = directory / name
+        for lineno, fields in read_table(path, "embedding", 1 + config.dim + extra_col):
+            ids.append(fields[0])
+            try:
+                values = [float(x) for x in fields[1:]]
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+            if extra_col:
+                extras.append(values.pop())
+            rows.append(values)
         return ids, np.array(rows), (np.array(extras) if extra_col else None)
 
-    use_bias = bool(manifest.get("use_item_bias"))
-    user_ids, user_vecs, _ = read_table(directory / "user_vecs.tsv", extra_col=False)
-    item_ids, item_vecs, bias = read_table(directory / "item_vecs.tsv", extra_col=use_bias)
-    config = TrainConfig(
-        dim=int(manifest["dim"]),
-        epochs=int(manifest["epochs"]),
-        lr=float(manifest["lr"]),
-        l2=float(manifest["l2"]),
-        batch_size=int(manifest["batch_size"]),
-        seed=int(manifest["seed"]),
-        use_item_bias=use_bias,
-        ips_smooth=float(manifest.get("ips_smooth", 0.0)),  # absent from checkpoints that predate it
-    )
+    user_ids, user_vecs, _ = read_vectors("user_vecs.tsv", extra_col=False)
+    item_ids, item_vecs, bias = read_vectors("item_vecs.tsv", extra_col=config.use_item_bias)
     return MFModel(
         user_ids=user_ids,
         item_ids=item_ids,
@@ -536,5 +531,5 @@ def load_model(directory: str | Path) -> MFModel:
         item_vecs=item_vecs,
         item_bias=bias,
         config=config,
-        loss_curve=[float(x) for x in manifest.get("loss_curve", [])],
+        loss_curve=loss_curve,
     )

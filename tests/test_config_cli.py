@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -297,6 +300,23 @@ class TestEmitReport:
         stable = ["records", "table", "allocations", "config"]
         assert _hash_dir(p1[s] for s in stable) == _hash_dir(p2[s] for s in stable)
 
+    def test_write_killed_midway_leaves_previous_artifact_whole(self, tmp_path, monkeypatch):
+        paths = emit_report(self._report(), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths.values())
+        before = paths["records"].read_bytes()
+        write_text = Path.write_text
+
+        def killed(path, text, **kwargs):
+            write_text(path, text[: len(text) // 2], **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_text", killed)
+        report = self._report()
+        report.dataset = "other"
+        with pytest.raises(KeyboardInterrupt):
+            emit_report(report, tmp_path)
+        assert paths["records"].read_bytes() == before
+
     def test_missing_metric_rejected(self):
         rows = [("topk", 5, MetricReport(values={"ndcg@5": 0.1}))]
         with pytest.raises(Exception):
@@ -409,6 +429,38 @@ class TestCliRecommendation:
         )
         assert code == 1
         assert (lock_dir / "error.txt").exists()
+
+    def test_stale_lock_is_replaced(self, workspace, tmp_path, monkeypatch):
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        assert child.wait(timeout=60) == 0  # reaped: its pid names no running process
+        lock_dir = workspace / "log" / "stale"
+        lock_dir.mkdir(parents=True)
+        (lock_dir / ".lock").write_text(f"{child.pid}\n", encoding="ascii")
+        held = []  # the lock's content while the run holds it
+        emit = cli.emit_report
+        monkeypatch.setattr(cli, "emit_report", lambda rep, d: held.append((d / ".lock").read_text()) or emit(rep, d))
+        cfg = user_config(tmp_path, "c.yaml", {"model": "topk", "K": [5], "log_name": "stale"})
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+             "--config", cfg, "--data-dir", str(workspace)]
+        )
+        assert code == 0 and held == [f"{os.getpid()}\n"]
+        assert not (lock_dir / ".lock").exists()
+
+    @pytest.mark.parametrize("content", ["self", "0", "-7", "not a pid", "99999999999999999999999"])
+    def test_lock_not_naming_an_exited_pid_blocks(self, workspace, tmp_path, content):
+        lock_dir = workspace / "log" / "held"
+        lock_dir.mkdir(parents=True)
+        content = str(os.getpid()) if content == "self" else content
+        (lock_dir / ".lock").write_text(content, encoding="ascii")
+        cfg = user_config(tmp_path, "c.yaml", {"model": "topk", "K": [5], "log_name": "held"})
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+             "--config", cfg, "--data-dir", str(workspace)]
+        )
+        assert code == 1
+        assert (lock_dir / ".lock").read_text(encoding="ascii") == content
+        assert (lock_dir / "error.txt").read_text().startswith("IoError: log directory")
 
     def test_evaluate_stage(self, workspace, tmp_path):
         cfg = user_config(tmp_path, "c.yaml", {"K": [5], "log_name": "ev"})
@@ -685,6 +737,18 @@ class TestCliRecommendation:
         record = (workspace / "log" / "nousers" / "error.txt").read_text()
         assert record == f"IoError: user file not found: {users}\n"
 
+
+    def test_corrupt_dataset_manifest_fails_with_error_record(self, workspace, tmp_path):
+        manifest = workspace / "datasets" / "synth" / "manifest.yaml"
+        manifest.write_text("counts: [unclosed\n", encoding="utf-8")
+        cfg = user_config(tmp_path, "c.yaml", {"model": "topk", "K": [5], "log_name": "badmanifest"})
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+             "--config", cfg, "--data-dir", str(workspace)]
+        )
+        assert code == 1
+        record = (workspace / "log" / "badmanifest" / "error.txt").read_text()
+        assert record.startswith(f"ParseError: {manifest}: line 2: not valid YAML (") and record.count("\n") == 1
 
 def raw_rec_root(tmp_path, **props):
     """Raw interaction and item-group files for a process stage on dataset ``tiny``."""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from fairrank.core import Interaction, InteractionLog
 from fairrank.errors import (
@@ -30,9 +31,11 @@ from fairrank.ingest import (
     read_dataset,
     read_scores,
     write_dataset,
+    write_run_file,
     write_scores,
 )
 from fairrank.synth import init_workspace, synthetic_dataset
+from fairrank.trainer import MFModel, TrainConfig, load_model, save_model
 
 from conftest import make_catalog, with_bad_line_2
 from reference_diverse import query_of
@@ -461,6 +464,59 @@ class TestErrorsNameTheirFile:
         manifest.write_text(manifest.read_text(encoding="utf-8").replace("test: ", "test: 1"), encoding="utf-8")
         with pytest.raises(FormatError, match=rf"^{re.escape(str(tmp_path))}: test split has \d+ records"):
             read_dataset(tmp_path)
+
+
+def _stored_dataset(directory):
+    write_dataset(synthetic_dataset(n_users=10, n_items=12, n_groups=2, seed=3, per_user=(6, 8))[0], directory)
+    return directory / "manifest.yaml", read_dataset, "split"
+
+
+def _stored_scores(directory):
+    write_scores(synthetic_dataset(n_users=5, n_items=6, n_groups=2, seed=5)[1], directory)
+    return directory / "scores.meta.yaml", read_scores, "semantics"
+
+
+def _stored_checkpoint(directory):
+    model = MFModel(["u0"], ["i0"], np.zeros((1, 2)), np.zeros((1, 2)), None, TrainConfig(dim=2))
+    save_model(model, directory)
+    return directory / "manifest.yaml", load_model, "dim"
+
+
+class TestYamlSidecars:
+    """The dataset manifest, the score sidecar and the checkpoint manifest are each read as a mapping."""
+
+    @pytest.mark.parametrize("store", [_stored_dataset, _stored_scores, _stored_checkpoint],
+                             ids=["dataset", "scores", "checkpoint"])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda text, key: "a: [unclosed\n", "not valid YAML"),
+            (lambda text, key: "- 1\n- 2\n", "is not a mapping"),
+            (lambda text, key: yaml.safe_dump({k: v for k, v in yaml.safe_load(text).items() if k != key}),
+             "has no '{key}' entry"),
+        ],
+        ids=["invalid", "list", "missing-key"],
+    )
+    def test_corrupt_sidecar_is_a_parse_error_naming_it(self, tmp_path, store, corrupt, message):
+        path, reader, key = store(tmp_path)
+        path.write_text(corrupt(path.read_text(encoding="utf-8"), key), encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: .*{re.escape(message.format(key=key))}"):
+            reader(tmp_path)
+
+
+class TestReadersAndWritersRaiseIoError:
+    def test_missing_score_table(self, tmp_path):
+        with pytest.raises(IoError, match=rf"^score file not found: {re.escape(str(tmp_path / 'scores.tsv'))}$"):
+            read_scores(tmp_path)
+
+    def test_directory_in_place_of_a_file(self, tmp_path):
+        with pytest.raises(IoError, match=rf"^cannot read run file {re.escape(str(tmp_path))}: "):
+            parse_run_file(tmp_path)
+
+    def test_write_run_file_under_a_regular_file(self, tmp_path):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        with pytest.raises(IoError, match="cannot write run file to"):
+            write_run_file({"q1": [("d1", 1.0)]}, tmp_path / "file" / "x.run", tag="t")
 
 
 class TestInvalidUtf8:

@@ -8,7 +8,7 @@ import yaml
 
 from fairrank import cli
 from fairrank.core import Catalog, DualState, Interaction, InteractionLog
-from fairrank.errors import DivergenceError, ParseError, UnknownEntity, ZeroPopularity
+from fairrank.errors import DivergenceError, IoError, ParseError, UnknownEntity, ZeroPopularity
 from fairrank.ingest import SplitDataset, filter_and_split, write_dataset
 from fairrank.trainer import (
     MFModel,
@@ -541,6 +541,32 @@ class TestCheckpoint:
         table.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"^{re.escape(f'{table}: line 2: {message}')}$"):
             load_model(tmp_path)
+
+    @pytest.mark.parametrize("name", ["user_vecs.tsv", "item_vecs.tsv"])
+    def test_missing_table_is_an_io_error(self, tmp_path, name):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        save_model(train(dataset, TrainConfig(dim=4, epochs=1, seed=0), TrainHooks()), tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(IoError, match=f"^embedding file not found: {re.escape(str(tmp_path / name))}$"):
+            load_model(tmp_path)
+
+    def test_blank_table_lines_are_skipped(self, tmp_path):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        model = train(dataset, TrainConfig(dim=4, epochs=1, seed=0, use_item_bias=True), TrainHooks())
+        save_model(model, tmp_path)
+        for name in ("user_vecs.tsv", "item_vecs.tsv"):
+            table = tmp_path / name
+            table.write_text("\n" + table.read_text(encoding="utf-8").replace("\n", "\n\n", 1), encoding="utf-8")
+        back = load_model(tmp_path)
+        assert back.user_ids == model.user_ids and np.array_equal(back.item_vecs, model.item_vecs)
+        assert np.array_equal(back.item_bias, model.item_bias)
+
+    def test_save_under_a_regular_file_is_an_io_error(self, tmp_path):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        model = train(dataset, TrainConfig(dim=4, epochs=1, seed=0), TrainHooks())
+        with pytest.raises(IoError, match="cannot write model to"):
+            save_model(model, tmp_path / "file" / "ckpt")
 
     def test_version_guard(self, tmp_path):
         from fairrank.errors import VersionError
