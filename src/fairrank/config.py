@@ -25,6 +25,7 @@ import yaml
 from .diverse_rerank import DiversifyContext, pm2, xquad
 from .errors import ConfigError, UnknownKeyError
 from .fair_rerank import cpfair, fairrec, min_regularizer, pmmf, topk, welf
+from .ingest import DEFAULT_COLUMN_SPEC
 from .metrics import METRICS, SECTIONS
 from .trainer import TrainConfig, TrainHooks, train
 
@@ -291,6 +292,20 @@ def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict
     if merged.get("data_type", "pair") != "pair":
         raise ConfigError("only pairwise sampling (data_type: pair) is supported")
 
+    # The process stage's dataset keys, checked here so that a bad value fails before any stage work.
+    columns = merged.get("columns")
+    if columns is not None and not (
+        isinstance(columns, Mapping)
+        and set(columns) <= set(DEFAULT_COLUMN_SPEC)
+        and all(isinstance(name, str) for name in columns.values())
+    ):
+        raise ConfigError(f"columns must map some of {sorted(DEFAULT_COLUMN_SPEC)} to column names, got {columns!r}")
+    _integer(merged, "min_interactions", 5)
+    ratios = merged.get("ratios", [0.8, 0.1, 0.1])
+    if not (isinstance(ratios, (list, tuple)) and len(ratios) == 3
+            and all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios)):
+        raise ConfigError(f"ratios must be a list of three numbers, got {ratios!r}")
+
     return RunConfig(
         task=task,
         stage=stage,
@@ -300,9 +315,18 @@ def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict
         metrics=metrics,
         params=params,
         log_name=str(log_name),
-        seed=int(merged.get("seed", 42)),
+        seed=_integer(merged, "seed", 42),
         raw=dict(merged),
     )
+
+
+def _integer(merged: Mapping, key: str, default: int) -> int:
+    """``merged[key]`` (default ``default``) as the int the stage will use; a ConfigError if it has none."""
+    value = merged.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
 def resolve_config(

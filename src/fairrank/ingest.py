@@ -10,13 +10,22 @@ Formats handled here:
   (:class:`IntentJudgments`),
 * run files: 6-column TREC format ``qid Q0 docid rank score tag``,
 * the canonical dataset directory (versioned line-oriented tables plus a
-  small manifest).
+  small manifest),
+* stored scores: the ``scores.tsv`` import table, or the binary store
+  ``scores.npz`` that in-processing writes, each with a ``scores.meta.yaml``
+  sidecar.
+
+Every writer here writes each file through :func:`replace_file`, so a run that
+stops mid-write leaves the previous file whole.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import operator
+import os
+import zipfile
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager
@@ -240,6 +249,22 @@ def writing(directory: str | Path, what: str) -> Iterator[Path]:
         yield directory
     except OSError as exc:
         raise IoError(f"cannot write {what} to {directory}: {exc}") from None
+
+
+def replace_file(path: Path, data: str | bytes | memoryview) -> None:
+    """Write ``data`` (a str as UTF-8) to ``.<name>.tmp`` beside ``path``, then rename it over ``path``.
+
+    A write that fails leaves ``path`` as it was and no temporary file behind.
+    """
+    temporary = path.with_name(f".{path.name}.tmp")
+    try:
+        if isinstance(data, str):
+            temporary.write_text(data, encoding="utf-8")
+        else:
+            temporary.write_bytes(data)
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None = None) -> InteractionLog:
@@ -526,10 +551,8 @@ def write_run_file(run: Mapping[str, Sequence[tuple[str, float]]], path: str | P
 
 
 def _write_log(path: Path, log: InteractionLog) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("user_id\titem_id\tlabel\ttimestamp\n")
-        for rec in log.records:
-            fh.write(f"{rec.user}\t{rec.item}\t{rec.label!r}\t{rec.timestamp}\n")
+    lines = (f"{rec.user}\t{rec.item}\t{rec.label!r}\t{rec.timestamp}\n" for rec in log.records)
+    replace_file(path, "user_id\titem_id\tlabel\ttimestamp\n" + "".join(lines))
 
 
 def write_dataset(dataset: SplitDataset, directory: str | Path) -> None:
@@ -545,15 +568,12 @@ def write_dataset(dataset: SplitDataset, directory: str | Path) -> None:
             },
             "has_user_groups": cat.user_groups is not None,
         }
-        (directory / "manifest.yaml").write_text(yaml.safe_dump(manifest, sort_keys=True), encoding="utf-8")
-        with (directory / "users.tsv").open("w", encoding="utf-8") as fh:
-            fh.write("user_id\tgroup\n")
-            for user in cat.users:
-                group = "" if cat.user_groups is None else cat.user_groups.get(user, "")
-                fh.write(f"{user}\t{group}\n")
-        with (directory / "items.tsv").open("w", encoding="utf-8") as fh:
-            for item in cat.items:
-                fh.write(f"{item}\t{'|'.join(sorted(cat.item_groups[item]))}\n")
+        replace_file(directory / "manifest.yaml", yaml.safe_dump(manifest, sort_keys=True))
+        user_groups = cat.user_groups or {}
+        users = "".join(f"{user}\t{user_groups.get(user, '')}\n" for user in cat.users)
+        replace_file(directory / "users.tsv", "user_id\tgroup\n" + users)
+        items = "".join(f"{item}\t{'|'.join(sorted(cat.item_groups[item]))}\n" for item in cat.items)
+        replace_file(directory / "items.tsv", items)
         for name, log in dataset.splits().items():
             _write_log(directory / f"{name}.tsv", log)
 
@@ -603,24 +623,98 @@ def read_dataset(directory: str | Path) -> SplitDataset:
     return dataset
 
 
+def _write_sidecar(scores: ScoreMatrix, directory: Path) -> None:
+    replace_file(directory / "scores.meta.yaml", yaml.safe_dump({"semantics": scores.semantics}, sort_keys=True))
+
+
+# The binary store's members and, for each, its dtype (a numpy dtype, or "U" for any
+# str width) and number of dimensions.
+_STORE_MEMBERS = {
+    "S": (np.dtype(np.float64), 2),
+    "valid": (np.dtype(bool), 2),
+    "user_ids": ("U", 1),
+    "item_ids": ("U", 1),
+}
+# What zipfile and np.lib.format.read_array raise on a damaged archive: a missing member
+# is a KeyError, an unknown zip version a NotImplementedError, and a header declaring an
+# array too large to allocate a MemoryError.
+_STORE_FAULTS = (
+    zipfile.BadZipFile, KeyError, OSError, ValueError, EOFError, OverflowError, MemoryError, NotImplementedError
+)
+# Appended to every stored id, because numpy str arrays drop trailing NULs; a str dtype
+# given explicitly keeps an empty id table from defaulting to float64.
+_ID_END = "."
+
+
 def write_scores(scores: ScoreMatrix, directory: str | Path) -> None:
-    """Write a ScoreMatrix into a dataset directory (scores.tsv + sidecar), users and items in id order."""
+    """Write a ScoreMatrix as the binary store ``scores.npz`` plus the ``scores.meta.yaml`` sidecar.
+
+    The store is an uncompressed ``np.savez`` archive of ``S``, ``valid``, ``user_ids``
+    and ``item_ids``, with nothing pickled; ``S`` and ``valid`` are the matrix's own
+    arrays, so users with no scored item keep their empty rows.  A ``scores.tsv`` in
+    ``directory`` is removed.
+    """
     with writing(directory, "scores") as directory:
-        (directory / "scores.meta.yaml").write_text(
-            yaml.safe_dump({"semantics": scores.semantics}, sort_keys=True), encoding="utf-8"
-        )
+        _write_sidecar(scores, directory)
+        ids = {name: np.array([i + _ID_END for i in table], dtype=str)
+               for name, table in (("user_ids", scores.user_ids), ("item_ids", scores.item_ids))}
+        store = io.BytesIO()
+        np.savez(store, S=scores.S, valid=scores.valid, **ids)
+        replace_file(directory / "scores.npz", store.getbuffer())
+        (directory / "scores.tsv").unlink(missing_ok=True)
+
+
+def write_scores_tsv(scores: ScoreMatrix, directory: str | Path) -> None:
+    """Write a ScoreMatrix as the import table ``scores.tsv`` plus the sidecar, users and items in id order.
+
+    A ``scores.npz`` in ``directory`` is removed first, as :func:`read_scores` would
+    prefer it to the table.
+    """
+    with writing(directory, "scores") as directory:
+        (directory / "scores.npz").unlink(missing_ok=True)
+        _write_sidecar(scores, directory)
         items = scores.item_ids
-        with (directory / "scores.tsv").open("w", encoding="utf-8") as fh:
-            fh.write("user_id\titem_id\tscore\n")
-            for user, scored, row in zip(scores.user_ids, scores.valid, scores.S):
-                cols = np.flatnonzero(scored)
-                fh.write("".join(f"{user}\t{items[i]}\t{s!r}\n" for i, s in zip(cols.tolist(), row[cols].tolist())))
+        rows = ["user_id\titem_id\tscore\n"]
+        for user, scored, row in zip(scores.user_ids, scores.valid, scores.S):
+            cols = np.flatnonzero(scored)
+            rows.append("".join(f"{user}\t{items[i]}\t{s!r}\n" for i, s in zip(cols.tolist(), row[cols].tolist())))
+        replace_file(directory / "scores.tsv", "".join(rows))
+
+
+def _read_store(path: Path, semantics: str) -> ScoreMatrix:
+    """The ScoreMatrix in the binary store ``path``; any fault in it is a ParseError naming it."""
+    arrays = {}
+    try:
+        with zipfile.ZipFile(path) as archive:
+            for name, (dtype, ndim) in _STORE_MEMBERS.items():
+                info = archive.getinfo(f"{name}.npy")
+                if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+                    raise ParseError(f"{path}: member {name} is compressed or encrypted")
+                with archive.open(info) as fh:
+                    array = np.lib.format.read_array(fh, allow_pickle=False)
+                if array.ndim != ndim or (array.dtype.kind != dtype if dtype == "U" else array.dtype != dtype):
+                    found = f"{array.ndim}-d {array.dtype}"
+                    raise ParseError(f"{path}: member {name} is {found}, expected {ndim}-d {dtype}")
+                arrays[name] = array
+    except _STORE_FAULTS as exc:
+        raise ParseError(f"{path}: not a readable score store ({type(exc).__name__}: {exc})") from None
+    ids = {}
+    for name in ("user_ids", "item_ids"):
+        table = arrays[name].tolist()
+        if not all(i.endswith(_ID_END) for i in table):
+            raise ParseError(f"{path}: member {name} holds an id without its end mark")
+        ids[name] = [i[:-1] for i in table]
+    try:
+        return ScoreMatrix(ids["user_ids"], ids["item_ids"], arrays["S"], arrays["valid"], semantics=semantics)
+    except InvariantViolation as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def read_scores(directory: str | Path) -> ScoreMatrix:
-    """Read back a stored ScoreMatrix.
+    """Read back a stored ScoreMatrix: the store ``scores.npz`` when the directory holds
+    one, else the table ``scores.tsv``.
 
-    Each line appends its user and item positions and its score to compact
+    Of the table, each line appends its user and item positions and its score to compact
     buffers, which are scattered into the score array once at the end.  A
     (user, item) pair on two lines is a :class:`ParseError` naming both.
     The ``scores.meta.yaml`` sidecar is optional (semantics ``raw``).
@@ -629,6 +723,10 @@ def read_scores(directory: str | Path) -> ScoreMatrix:
     table = directory / "scores.tsv"
     meta = directory / "scores.meta.yaml"
     semantics = read_yaml(meta, "score sidecar", required=("semantics",))["semantics"] if meta.exists() else "raw"
+    if semantics not in ("raw", "probability"):
+        raise ParseError(f"{meta}: unknown score semantics {semantics!r}")
+    if (directory / "scores.npz").exists():
+        return _read_store(directory / "scores.npz", semantics)
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     entries, values = array("q"), array("d")  # (user, item, line) positions; scores

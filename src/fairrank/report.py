@@ -9,7 +9,6 @@ timing goes to a separate file excluded from that contract.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import yaml
 
 from .core import GroupUtilityVector
 from .errors import InvariantViolation
-from .ingest import writing
+from .ingest import replace_file, writing
 from .metrics import METRICS, MetricReport
 
 
@@ -100,8 +99,8 @@ def _allocation_lines(report: BenchmarkReport) -> list[str]:
 def emit_report(report: BenchmarkReport, directory: str | Path) -> dict[str, Path]:
     """Write the report artifacts; returns the emitted paths by artifact name.
 
-    Each artifact is written to a temporary file in ``directory`` and renamed
-    over its final name, so a run killed mid-write leaves no truncated artifact.
+    Each artifact is written through :func:`~fairrank.ingest.replace_file`, so
+    a run killed mid-write leaves no truncated artifact.
     """
     artifacts = {
         "records": ("records.jsonl", "\n".join(_records_lines(report)) + "\n"),
@@ -114,7 +113,5 @@ def emit_report(report: BenchmarkReport, directory: str | Path) -> dict[str, Pat
     with writing(directory, "report") as directory:
         for name, (filename, text) in artifacts.items():
             paths[name] = directory / filename
-            temporary = directory / f".{filename}.tmp"
-            temporary.write_text(text, encoding="utf-8")
-            os.replace(temporary, paths[name])
+            replace_file(paths[name], text)
     return paths

@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from .core import Catalog, Interaction, InteractionLog, ScoreMatrix
-from .ingest import SplitDataset, filter_and_split, write_dataset, write_scores
+from .ingest import SplitDataset, filter_and_split, write_dataset, write_scores_tsv
 
 
 def _uid(i: int) -> str:
@@ -125,7 +125,7 @@ def init_workspace(
     )
     ds_dir = root / "datasets" / name
     write_dataset(dataset, ds_dir)
-    write_scores(scores, ds_dir)
+    write_scores_tsv(scores, ds_dir)
     props_dir = root / "properties" / "dataset"
     props_dir.mkdir(parents=True, exist_ok=True)
     (props_dir / f"{name}.yaml").write_text(

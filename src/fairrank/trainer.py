@@ -34,7 +34,7 @@ from .errors import (
     VersionError,
     ZeroPopularity,
 )
-from .ingest import SplitDataset, read_table, read_yaml, writing
+from .ingest import SplitDataset, read_table, read_yaml, replace_file, writing
 
 WEIGHT_PROVIDERS = ("static", "ips", "fairdual")
 GROUP_SAMPLERS = ("uniform", "minmax")
@@ -473,15 +473,16 @@ def save_model(model: MFModel, directory: str | Path, hooks: TrainHooks | None =
         manifest["hooks"] = asdict(hooks)
 
     def write_table(path, ids, vecs, bias=None):
-        with path.open("w", encoding="utf-8") as fh:
-            for idx, entity in enumerate(ids):
-                values = "\t".join(map(repr, vecs[idx].tolist()))
-                if bias is not None:
-                    values += f"\t{float(bias[idx])!r}"
-                fh.write(f"{entity}\t{values}\n")
+        lines = []
+        for idx, entity in enumerate(ids):
+            values = "\t".join(map(repr, vecs[idx].tolist()))
+            if bias is not None:
+                values += f"\t{float(bias[idx])!r}"
+            lines.append(f"{entity}\t{values}\n")
+        replace_file(path, "".join(lines))
 
     with writing(directory, "model") as directory:
-        (directory / "manifest.yaml").write_text(yaml.safe_dump(manifest, sort_keys=True), encoding="utf-8")
+        replace_file(directory / "manifest.yaml", yaml.safe_dump(manifest, sort_keys=True))
         write_table(directory / "user_vecs.tsv", model.user_ids, model.user_vecs)
         write_table(directory / "item_vecs.tsv", model.item_ids, model.item_vecs, model.item_bias)
 

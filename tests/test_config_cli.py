@@ -18,7 +18,7 @@ from fairrank import metrics as M
 from fairrank.config import config_merge, resolve_config, validate_config
 from fairrank.core import GroupUtilityVector
 from fairrank.errors import ConfigError, UnknownKeyError
-from fairrank.ingest import read_scores, write_scores
+from fairrank.ingest import read_scores, write_scores, write_scores_tsv
 from fairrank.metrics import MetricReport
 from fairrank.report import BenchmarkReport, emit_report, fmt4
 from fairrank.synth import init_workspace
@@ -493,7 +493,9 @@ class TestCliRecommendation:
         assert code == 0
         log_dir = workspace / "log" / "ip"
         assert (log_dir / "model-bpr" / "manifest.yaml").exists()
-        assert (log_dir / "scores-bpr" / "scores.tsv").exists()
+        store = log_dir / "scores-bpr"
+        assert (store / "scores.npz").is_file() and (store / "scores.meta.yaml").is_file()
+        assert not (store / "scores.tsv").exists()
         table = (log_dir / "table.txt").read_text()
         assert "NDCG" in table and "R-NDCG" not in table
         # Post-processing picks the trained scores from the log dir through the scores key.
@@ -533,7 +535,30 @@ class TestCliRecommendation:
         assert code == 0
         assert scores_path.read_bytes() == before
         for model in ("bpr", "reg"):
-            assert (workspace / "log" / "ip2" / f"scores-{model}" / "scores.tsv").is_file()
+            assert (workspace / "log" / "ip2" / f"scores-{model}" / "scores.npz").is_file()
+
+    def test_post_processing_from_trained_store_matches_its_table(self, workspace, tmp_path):
+        # The same matrix, read from the store in-processing wrote and from the text table.
+        train_cfg = user_config(
+            tmp_path, "t.yaml", {"model": "bpr", "K": [5], "log_name": "ipstore", "params": {"bpr": {"epochs": 1}}}
+        )
+        assert cli.run(
+            ["--task", "recommendation", "--stage", "in-processing", "--dataset", "synth",
+             "--config", train_cfg, "--data-dir", str(workspace)]
+        ) == 0
+        store = workspace / "log" / "ipstore" / "scores-bpr"
+        write_scores_tsv(read_scores(store), workspace / "table-bpr")
+        reports = []
+        for log_name, scores in (("from-store", store), ("from-table", workspace / "table-bpr")):
+            payload = {"models": STAGE_MODELS[("recommendation", "post-processing")], "K": [5, 10],
+                       "log_name": log_name, "scores": str(scores)}
+            assert cli.run(
+                ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+                 "--config", user_config(tmp_path, f"{log_name}.yaml", payload), "--data-dir", str(workspace)]
+            ) == 0
+            log_dir = workspace / "log" / log_name
+            reports.append({name: (log_dir / name).read_bytes() for name in ("records.jsonl", "table.txt", "allocations.tsv")})
+        assert reports[0] == reports[1]
 
     def test_in_processing_all_trainers_pinned(self, workspace, tmp_path):
         trainers = STAGE_MODELS[("recommendation", "in-processing")]
@@ -696,6 +721,23 @@ class TestCliRecommendation:
         assert code == 1
         record = (root / "log" / "ug" / "error.txt").read_text()
         assert record.startswith("ParseError:") and "users.tsv: line 2" in record
+
+    @pytest.mark.parametrize(
+        "bad", [{"columns": ["x"]}, {"min_interactions": "x"}, {"ratios": 5}, {"seed": "x"}],
+        ids=["columns", "min_interactions", "ratios", "seed"],
+    )
+    def test_bad_process_value_is_a_config_error(self, tmp_path, capsys, bad):
+        root = raw_rec_root(tmp_path)
+        cfg = user_config(tmp_path, "p.yaml", {"log_name": "badvalue", **bad})
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "process", "--dataset", "tiny",
+             "--config", cfg, "--data-dir", str(root)]
+        )
+        assert code == 1
+        record = (root / "log" / "badvalue" / "error.txt").read_text()
+        assert record.startswith(f"ConfigError: {next(iter(bad))} must ")
+        assert "Traceback" not in capsys.readouterr().out
+        assert not (root / "datasets").exists()
 
     def test_malformed_dataset_users_line_fails_with_error_record(self, workspace, tmp_path):
         users = workspace / "datasets" / "synth" / "users.tsv"

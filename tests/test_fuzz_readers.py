@@ -1,5 +1,6 @@
 """Every reader, fed arbitrary text or bytes in any one of its input files, returns or raises a FairrankError."""
 
+import io
 import shutil
 import tempfile
 from pathlib import Path
@@ -21,6 +22,7 @@ from fairrank.ingest import (
     read_scores,
     write_dataset,
     write_scores,
+    write_scores_tsv,
 )
 from fairrank.synth import synthetic_dataset
 from fairrank.trainer import MFModel, TrainConfig, load_model, save_model
@@ -96,7 +98,7 @@ READERS = {
         ["run.txt"],
     ),
     "scores": (
-        lambda d: write_scores(synthetic_dataset(n_users=4, n_items=5, n_groups=2, seed=5)[1], d),
+        lambda d: write_scores_tsv(synthetic_dataset(n_users=4, n_items=5, n_groups=2, seed=5)[1], d),
         read_scores,
         ["scores.tsv", "scores.meta.yaml"],
     ),
@@ -136,5 +138,60 @@ def test_reader_returns_or_raises_fairrank_error(originals, reader, name, data):
             _write(directory, name, content)
         try:
             READERS[reader][1](directory)
+        except FairrankError:
+            pass
+
+
+def _savez(arrays: dict) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)  # an object array is pickled
+    return buffer.getvalue()
+
+
+# Each edit of one store member; None removes it.
+MEMBER_EDITS = {
+    "removed": lambda a: None,
+    "int": lambda a: np.arange(a.size, dtype=np.int64).reshape(a.shape),
+    "float32": lambda a: a.astype(np.float32) if a.dtype.kind != "U" else a,
+    "object": lambda a: a.astype(object),
+    "bytes": lambda a: a.astype("S") if a.dtype.kind == "U" else a.astype(np.uint8),
+    "flattened": lambda a: a.reshape(-1),
+    "nested": lambda a: a[..., None],
+    "row-dropped": lambda a: a[:-1],
+    "reversed": lambda a: a[::-1],
+    "scalar": lambda a: np.array(a.flat[0]) if a.size else np.array(0),
+}
+
+
+@st.composite
+def edited_store(draw, original: bytes, arrays: dict) -> bytes:
+    """``original`` truncated, with bytes flipped, or with one member replaced by an edited one."""
+    edit = draw(st.sampled_from(["truncate", "flip", "member"]))
+    if edit == "truncate":
+        return original[: draw(st.integers(0, len(original) - 1))]
+    if edit == "flip":
+        data = bytearray(original)
+        flips = st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255))
+        for at, mask in draw(st.lists(flips, min_size=1, max_size=4)):
+            data[at] ^= mask
+        return bytes(data)
+    name = draw(st.sampled_from(sorted(arrays)))
+    edited = {**arrays, name: MEMBER_EDITS[draw(st.sampled_from(sorted(MEMBER_EDITS)))](arrays[name])}
+    return _savez({key: value for key, value in edited.items() if value is not None})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_store_reader_returns_or_raises_fairrank_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        write_scores(synthetic_dataset(n_users=4, n_items=5, n_groups=2, seed=5)[1], directory)
+        original = (directory / "scores.npz").read_bytes()
+        with np.load(directory / "scores.npz") as store:
+            arrays = dict(store)
+        content = data.draw(st.one_of(edited_store(original, arrays), st.binary()), label="scores.npz")
+        (directory / "scores.npz").write_bytes(content)
+        try:
+            read_scores(directory)
         except FairrankError:
             pass

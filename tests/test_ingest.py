@@ -1,15 +1,20 @@
 """Parsers, filtering/splitting, and canonical round-trips."""
 
 import hashlib
+import io
 import json
 import re
+import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fairrank.core import Interaction, InteractionLog
+from fairrank.core import Interaction, InteractionLog, ScoreMatrix
 from fairrank.errors import (
     EmptyDataset,
     FormatError,
@@ -33,6 +38,7 @@ from fairrank.ingest import (
     write_dataset,
     write_run_file,
     write_scores,
+    write_scores_tsv,
 )
 from fairrank.synth import init_workspace, synthetic_dataset
 from fairrank.trainer import MFModel, TrainConfig, load_model, save_model
@@ -332,6 +338,170 @@ class TestCanonicalIo:
         assert back == scores
         assert back.semantics == scores.semantics
 
+    def test_score_table_round_trip(self, tmp_path):
+        _, scores = synthetic_dataset(n_users=15, n_items=20, n_groups=3, seed=5)
+        write_scores_tsv(scores, tmp_path / "ds")
+        assert read_scores(tmp_path / "ds") == scores
+
+
+IDS = st.lists(st.text(max_size=3) | st.text(max_size=2).map(lambda s: s + "\x00"), unique=True, max_size=4)
+EDGE_SCORES = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1.0])
+SCORES = {
+    "raw": EDGE_SCORES | st.floats(allow_nan=False, allow_infinity=False),
+    "probability": EDGE_SCORES | st.floats(0.0, 1.0),
+}
+
+
+@st.composite
+def score_matrices(draw):
+    users, items = draw(IDS), draw(IDS)
+    semantics = draw(st.sampled_from(sorted(SCORES)))
+    n = len(users) * len(items)
+    S = draw(st.lists(SCORES[semantics], min_size=n, max_size=n))
+    valid = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    shape = (len(users), len(items))
+    return ScoreMatrix(users, items, np.reshape(S, shape), np.reshape(valid, shape), semantics=semantics)
+
+
+def _store(directory, **arrays):
+    """A ``scores.npz`` of ``arrays`` in ``directory``, ids given as stored (end mark included)."""
+    np.savez(directory / "scores.npz", **arrays)
+    return directory / "scores.npz"
+
+
+class TestScoreStore:
+    """The binary store in-processing writes: exact round trips, and a ParseError naming it for any fault."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(score_matrices())
+    @example(ScoreMatrix(["", "u\x00", "é\x00\x00"], ["i\x00", "ü"], [[-0.0, 5e-324], [0.5, 1.0], [0.0, 0.0]],
+                         [[True, True], [False, True], [False, False]], semantics="probability"))
+    @example(ScoreMatrix([], [], np.zeros((0, 0))))
+    @example(ScoreMatrix(["u"], [], np.zeros((1, 0))))
+    def test_round_trip_is_bit_exact(self, scores):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_scores(scores, tmp)
+            back = read_scores(tmp)
+        assert back == scores and back.semantics == scores.semantics
+        assert (back.user_ids, back.item_ids) == (scores.user_ids, scores.item_ids)
+        assert np.array_equal(back.valid, scores.valid)
+        assert back.S.tobytes() == scores.S.tobytes()
+
+    def test_writing_one_form_removes_the_other(self, tmp_path):
+        _, scores = synthetic_dataset(n_users=5, n_items=6, n_groups=2, seed=5)
+        names = lambda: sorted(p.name for p in tmp_path.iterdir())
+        write_scores_tsv(scores, tmp_path)
+        write_scores(scores, tmp_path)
+        assert names() == ["scores.meta.yaml", "scores.npz"]
+        write_scores_tsv(scores, tmp_path)
+        assert names() == ["scores.meta.yaml", "scores.tsv"]
+        assert read_scores(tmp_path) == scores
+
+    def test_store_is_read_before_the_table(self, tmp_path):
+        _, scores = synthetic_dataset(n_users=5, n_items=6, n_groups=2, seed=5)
+        write_scores(scores, tmp_path)
+        (tmp_path / "scores.tsv").write_text("not a score table\n", encoding="utf-8")
+        assert read_scores(tmp_path) == scores
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            ({"S": np.zeros((1, 1)), "valid": np.ones((1, 1), bool), "user_ids": np.array(["u."])},
+             "not a readable score store .KeyError"),
+            ({"S": np.zeros((1, 1), np.int64), "valid": np.ones((1, 1), bool),
+              "user_ids": np.array(["u."]), "item_ids": np.array(["i."])}, "member S is 2-d int64"),
+            ({"S": np.zeros(1), "valid": np.ones((1, 1), bool),
+              "user_ids": np.array(["u."]), "item_ids": np.array(["i."])}, "member S is 1-d float64"),
+            ({"S": np.zeros((1, 1)), "valid": np.ones((1, 1), bool),
+              "user_ids": np.array(["u."], dtype=object), "item_ids": np.array(["i."])},
+             "not a readable score store .ValueError: Object arrays cannot be loaded"),
+            ({"S": np.zeros((1, 1)), "valid": np.ones((1, 1), bool),
+              "user_ids": np.array([]), "item_ids": np.array(["i."])}, "member user_ids is 1-d float64"),
+            ({"S": np.zeros((1, 1)), "valid": np.ones((1, 1), bool),
+              "user_ids": np.array(["u"]), "item_ids": np.array(["i."])},
+             "member user_ids holds an id without its end mark"),
+            ({"S": np.zeros((2, 1)), "valid": np.ones((2, 1), bool),
+              "user_ids": np.array(["u."]), "item_ids": np.array(["i."])}, "score array shape does not match"),
+            ({"S": np.full((1, 1), np.nan), "valid": np.ones((1, 1), bool),
+              "user_ids": np.array(["u."]), "item_ids": np.array(["i."])}, "non-finite score"),
+        ],
+        ids=["member-missing", "int-dtype", "wrong-ndim", "pickled", "float-ids", "unmarked-id", "shape", "nan"],
+    )
+    def test_fault_is_a_parse_error_naming_the_store(self, tmp_path, arrays, message):
+        path = _store(tmp_path, **arrays)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {message}"):
+            read_scores(tmp_path)
+
+    @pytest.mark.parametrize("writer", [write_scores, write_scores_tsv])
+    def test_unknown_semantics_names_the_sidecar(self, tmp_path, writer):
+        writer(synthetic_dataset(n_users=5, n_items=6, n_groups=2, seed=5)[1], tmp_path)
+        meta = tmp_path / "scores.meta.yaml"
+        meta.write_text("semantics: logit\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(meta))}: unknown score semantics 'logit'$"):
+            read_scores(tmp_path)
+
+    @pytest.mark.parametrize("cut", [0, 10, -1])
+    def test_truncated_store_is_a_parse_error(self, tmp_path, cut):
+        _, scores = synthetic_dataset(n_users=5, n_items=6, n_groups=2, seed=5)
+        write_scores(scores, tmp_path)
+        path = tmp_path / "scores.npz"
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: not a readable score store"):
+            read_scores(tmp_path)
+
+    def test_compressed_member_is_rejected(self, tmp_path):
+        path = tmp_path / "scores.npz"
+        np.savez_compressed(path, S=np.zeros((1, 1)), valid=np.ones((1, 1), bool),
+                            user_ids=np.array(["u."]), item_ids=np.array(["i."]))
+        with pytest.raises(ParseError, match="member S is compressed or encrypted"):
+            read_scores(tmp_path)
+
+
+def _write_scores(directory, writer):
+    writer(synthetic_dataset(n_users=5, n_items=6, n_groups=2, seed=5)[1], directory)
+
+
+def _write_dataset(directory):
+    write_dataset(synthetic_dataset(n_users=10, n_items=12, n_groups=2, seed=3, per_user=(6, 8))[0], directory)
+
+
+def _write_checkpoint(directory):
+    model = MFModel(["u0", "u1", "u2"], ["i0"], np.ones((3, 2)) / 3, np.ones((1, 2)), np.zeros(1), TrainConfig(dim=2))
+    save_model(model, directory)
+
+
+# writer -> (writes its files into a directory, the files)
+WRITERS = {
+    "store": (lambda d: _write_scores(d, write_scores), ["scores.meta.yaml", "scores.npz"]),
+    "score-table": (lambda d: _write_scores(d, write_scores_tsv), ["scores.meta.yaml", "scores.tsv"]),
+    "dataset": (_write_dataset, ["manifest.yaml", "users.tsv", "items.tsv", "train.tsv", "valid.tsv", "test.tsv"]),
+    "checkpoint": (_write_checkpoint, ["manifest.yaml", "user_vecs.tsv", "item_vecs.tsv"]),
+}
+WRITES = [(writer, name) for writer, (_, names) in WRITERS.items() for name in names]
+
+
+@pytest.mark.parametrize("writer, name", WRITES, ids=[f"{w}-{n}" for w, n in WRITES])
+def test_write_failing_midway_leaves_previous_files_whole(tmp_path, monkeypatch, writer, name):
+    write, names = WRITERS[writer]
+    write(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == sorted(names)
+    failed = []
+    for method in ("write_text", "write_bytes"):
+
+        def half_then_full_disk(path, data, *args, original=getattr(Path, method), **kwargs):
+            if path.name != f".{name}.tmp":
+                return original(path, data, *args, **kwargs)
+            original(path, data[: len(data) // 2], *args, **kwargs)
+            failed.append(name)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, method, half_then_full_disk)
+    with pytest.raises(IoError, match="No space left on device"):
+        write(tmp_path)
+    assert failed == [name]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestScores:
     @staticmethod
@@ -551,7 +721,7 @@ class TestInvalidUtf8:
     @pytest.mark.parametrize("name", ["scores.tsv", "scores.meta.yaml"])
     def test_score_file(self, tmp_path, name):
         _, scores = synthetic_dataset(n_users=5, n_items=6, n_groups=2, seed=5)
-        write_scores(scores, tmp_path)
+        write_scores_tsv(scores, tmp_path)
         with_bad_line_2(tmp_path / name)
         with pytest.raises(ParseError, match=rf"{name}: not valid UTF-8"):
             read_scores(tmp_path)

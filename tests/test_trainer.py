@@ -415,7 +415,7 @@ class TestMinmaxUnseenGroup:
         assert "Traceback" not in capsys.readouterr().err
         log_dir = tmp_path / "log" / "mm"
         assert not (log_dir / "error.txt").exists()
-        assert (log_dir / "scores-minmax_sgd" / "scores.tsv").is_file()
+        assert (log_dir / "scores-minmax_sgd" / "scores.npz").is_file()
 
 
 class TestPredict:
