@@ -81,19 +81,10 @@ def _relevant_items(dataset) -> dict[str, set[str]]:
 
 def _arrival_order(cfg: RunConfig, users: list[str]) -> list[str]:
     order = sorted(users)
-    if cfg.raw.get("arrival", "sorted") == "shuffle":
+    if cfg.arrival == "shuffle":
         rng = np.random.default_rng(cfg.seed)
         order = [order[i] for i in rng.permutation(len(order))]
     return order
-
-
-def _target_shares(cfg: RunConfig, catalog) -> dict[str, float] | None:
-    choice = cfg.raw.get("target_shares", "uniform")
-    if choice == "uniform":
-        return None
-    if choice == "proportional":
-        return proportional_shares(catalog)
-    raise FairrankError(f"unknown target_shares choice {choice!r}")
 
 
 def _layer(fn: Callable) -> Callable:
@@ -110,7 +101,7 @@ def _report(cfg: RunConfig, rows: list, allocations: list) -> BenchmarkReport:
 
 def _measure(cfg: RunConfig, dataset, relevant, model: str, rank: Callable, params: dict, scores, shares=None):
     """Rank ``scores`` with ``rank`` at every K: a ``(model, K, metric report, group utility)`` per slate."""
-    mode = cfg.raw.get("mode", "exposure")
+    mode = cfg.mode
     arrival = _arrival_order(cfg, scores.user_ids)
     measured = []
     for k in cfg.k_values:
@@ -130,22 +121,16 @@ def _rec_report(cfg: RunConfig, measured: list) -> BenchmarkReport:
 
 
 def _run_process(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
-    raw = cfg.raw
     if cfg.task == "search":
-        run_path = data_root / raw["run_file"]
-        qrels_path = data_root / raw["qrels"]
-        parse_run_file(run_path, truncate=raw.get("pool_size", 50))
-        parse_diversity_qrels(qrels_path)
+        parse_run_file(data_root / cfg.run_file, truncate=cfg.pool_size)
+        parse_diversity_qrels(data_root / cfg.qrels)
     else:
-        interactions = parse_interactions(data_root / raw["interactions"], raw.get("columns"))
-        item_groups = parse_item_groups(data_root / raw["item_groups"])
-        user_groups = parse_user_groups(data_root / raw["user_groups"]) if raw.get("user_groups") else None
+        interactions = parse_interactions(data_root / cfg.interactions, cfg.columns)
+        item_groups = parse_item_groups(data_root / cfg.item_groups)
+        user_groups = parse_user_groups(data_root / cfg.user_groups) if cfg.user_groups else None
         catalog = build_catalog(interactions, item_groups, user_groups)
         dataset = filter_and_split(
-            interactions,
-            min_interactions=int(raw.get("min_interactions", 5)),
-            ratios=tuple(raw.get("ratios", (0.8, 0.1, 0.1))),
-            catalog=catalog,
+            interactions, min_interactions=cfg.min_interactions, ratios=cfg.ratios, catalog=catalog
         )
         write_dataset(dataset, data_root / "datasets" / cfg.dataset)
     return _report(cfg, [], [])
@@ -154,9 +139,9 @@ def _run_process(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
 def _run_rec_rerank(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
     ds_dir = data_root / "datasets" / cfg.dataset
     dataset = read_dataset(ds_dir)
-    scores = read_scores(data_root / cfg.raw["scores"] if cfg.raw.get("scores") else ds_dir)
+    scores = read_scores(data_root / cfg.scores if cfg.scores else ds_dir)
     relevant = _relevant_items(dataset)
-    shares = _target_shares(cfg, dataset.catalog)
+    shares = proportional_shares(dataset.catalog) if cfg.target_shares == "proportional" else None
     measured = []
     for model in cfg.models:
         rank = _layer(MODELS[cfg.task, cfg.stage][model].fn)
@@ -168,14 +153,13 @@ def _run_rec_inproc(cfg: RunConfig, data_root: Path, log_dir: Path) -> Benchmark
     ds_dir = data_root / "datasets" / cfg.dataset
     dataset = read_dataset(ds_dir)
     relevant = _relevant_items(dataset)
-    fair_rank = bool(cfg.raw.get("fair_rank", True))
     measured = []
     for model in cfg.models:
         entry = MODELS[cfg.task, cfg.stage][model]
         params = cfg.params[model]
         hook_params = {key: value for key, value in params.items() if key in _HOOK_PARAMS}
         config = {_CONFIG_FIELDS.get(key, key): value for key, value in params.items() if key not in hook_params}
-        hooks = TrainHooks(**entry.hooks, **hook_params) if fair_rank else TrainHooks()
+        hooks = TrainHooks(**entry.hooks, **hook_params) if cfg.fair_rank else TrainHooks()
         fitted = _layer(entry.fn)(dataset, TrainConfig(seed=cfg.seed, **config), hooks)
         save_model(fitted, log_dir / f"model-{model}", hooks=hooks)
         scores = predict(fitted, dataset.catalog.users, exclude=exclude_train_items(dataset))
@@ -185,11 +169,8 @@ def _run_rec_inproc(cfg: RunConfig, data_root: Path, log_dir: Path) -> Benchmark
 
 
 def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkReport:
-    raw = cfg.raw
-    pool_size = int(raw.get("pool_size", 50))
-    alpha = float(raw.get("alpha", 0.5))
-    run = parse_run_file(data_root / raw["run_file"], truncate=pool_size)
-    judgments = parse_diversity_qrels(data_root / raw["qrels"])
+    run = parse_run_file(data_root / cfg.run_file, truncate=cfg.pool_size)
+    judgments = parse_diversity_qrels(data_root / cfg.qrels)
 
     depth = max(cfg.k_values)
     rows = []
@@ -198,7 +179,7 @@ def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkRepo
         if diversify is None:
             reranked = {qid: run.docs(qid)[:depth] for qid in sorted(run.queries)}
         else:
-            ctx = DiversifyContext(run=run, judgments=judgments, k=depth, pool_size=pool_size, **cfg.params[model])
+            ctx = DiversifyContext(run=run, judgments=judgments, k=depth, pool_size=cfg.pool_size, **cfg.params[model])
             reranked = _layer(diversify)(ctx)
         scored = {
             qid: [(doc, float(len(docs) - i)) for i, doc in enumerate(docs)] for qid, docs in reranked.items()
@@ -206,7 +187,7 @@ def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkRepo
         write_run_file(scored, log_dir / f"rerank-{model}.run", tag=model)
         rerun = RunList(queries=scored)
         for k in cfg.k_values:
-            result = M.Evaluation(k, run=rerun, judgments=judgments, alpha=alpha)
+            result = M.Evaluation(k, run=rerun, judgments=judgments, alpha=cfg.alpha)
             rows.append((model, k, result.report(cfg.metrics, {"model": model, "dataset": cfg.dataset, "k": k})))
     return _report(cfg, rows, [])
 
@@ -250,6 +231,7 @@ def run(argv=None) -> int:
             log_dir = data_root / "log" / str(user_cfg["log_name"])
         cfg = resolve_config(args.task, args.stage, args.dataset, user_cfg, data_root, strict=args.strict)
         log_dir = data_root / "log" / cfg.log_name
+        cfg.check_required()
         with writing(log_dir, "run lock"):
             lock = _lock(log_dir / ".lock")
 
@@ -273,7 +255,7 @@ def run(argv=None) -> int:
             try:
                 log_dir.mkdir(parents=True, exist_ok=True)
                 (log_dir / "error.txt").write_text(message + "\n", encoding="utf-8")
-            except OSError:
+            except (OSError, ValueError):  # ValueError: a log_name holding a NUL byte
                 pass
         return 1
     finally:

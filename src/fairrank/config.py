@@ -1,27 +1,31 @@
 """Layered run configuration: defaults, properties files, user overrides.
 
-Resolution order is dataset defaults, then stage defaults, then model
-defaults, then the user file; later layers override earlier ones key by key
-(dicts merge recursively, scalars and lists are replaced whole).  The merged
-mapping is validated into a :class:`RunConfig`.
+Resolution order is the defaults shown at every stage, then dataset
+properties, then stage defaults, then model defaults, then the user file;
+later layers override earlier ones key by key (dicts merge recursively,
+scalars and lists are replaced whole).  The merged mapping is validated into
+a :class:`RunConfig`.
 
-:data:`MODELS` declares each model once per (task, stage).  A re-ranker's
-params are its signature's keyword defaults.  Validation rejects metrics
-outside the stage's report sections (:data:`~fairrank.metrics.SECTIONS`),
-treats undeclared params, and params of models the task does not register,
-like unknown keys and casts each param to its default's type.
+:data:`KEYS` declares each config key once, with its kind and default, and
+:data:`MODELS` each model once per (task, stage).  A re-ranker's params are
+its signature's keyword defaults.  Validation checks every key against its
+entry, rejects metrics outside the stage's report sections
+(:data:`~fairrank.metrics.SECTIONS`), treats undeclared params, and params of
+models the task does not register, like unknown keys and casts each param to
+its default's type.
 """
 
 from __future__ import annotations
 
 import inspect
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import yaml
 
+from .core import MODES
 from .diverse_rerank import DiversifyContext, pm2, xquad
 from .errors import ConfigError, UnknownKeyError
 from .fair_rerank import cpfair, fairrec, min_regularizer, pmmf, topk, welf
@@ -31,6 +35,7 @@ from .trainer import TrainConfig, TrainHooks, train
 
 TASKS = ("recommendation", "search")
 STAGES = ("process", "pre-processing", "in-processing", "post-processing", "evaluate")
+REC, SEARCH = TASKS
 
 
 @dataclass(frozen=True)
@@ -86,83 +91,118 @@ MODELS: dict[tuple[str, str], dict[str, Model]] = {
     ("search", "evaluate"): {"original": Model()},
 }
 
-STAGE_DEFAULTS: dict[tuple[str, str], dict] = {
-    ("recommendation", "process"): {"model": "none", "K": [10, 20]},
-    ("recommendation", "in-processing"): {
-        "model": "bpr",
-        "K": [10, 20],
-        "metrics": ["ndcg", "mrr", "hr", "mmf", "gini", "entropy"],
-        "data_type": "pair",
-        "fair_rank": True,
-    },
-    ("recommendation", "post-processing"): {
-        "model": "topk",
-        "K": [10, 20],
-        "metrics": ["ndcg", "mrr", "hr", "mmf", "gini", "entropy", "r_ndcg", "u_loss", "min_max_ratio"],
-        "mode": "exposure",
-    },
-    ("recommendation", "evaluate"): {
-        "model": "topk",
-        "K": [10, 20],
-        "metrics": ["ndcg", "mrr", "hr", "mmf", "gini", "entropy"],
-        "mode": "exposure",
-    },
-    ("search", "process"): {"model": "none", "K": [5, 10, 20]},
-    ("search", "post-processing"): {
-        "model": "xquad",
-        "K": [5, 10, 20],
-        "metrics": ["err_ia", "alpha_ndcg", "s_rec"],
-        "alpha": 0.5,
-        "pool_size": 50,
-    },
-    ("search", "evaluate"): {
-        "model": "original",
-        "K": [5, 10, 20],
-        "metrics": ["err_ia", "alpha_ndcg", "s_rec"],
-        "alpha": 0.5,
-        "pool_size": 50,
-    },
+
+class Shape(NamedTuple):
+    """The values a key takes where no one type describes them: ``ok`` tells them apart, ``what`` names them."""
+
+    what: str
+    ok: Callable[[object], bool]
+
+
+EVERY = "every stage"
+
+
+@dataclass(frozen=True)
+class Key:
+    """A config key: ``kind`` is the type of its values (``str`` or ``bool``), a tuple of them, or a :class:`Shape`.
+
+    ``default`` is its value where no layer sets it, or where ``shown`` is a mapping, its value at each (task,
+    stage) there.  The snapshot shows the default at the ``shown`` pairs, or at every stage if ``shown`` is
+    :data:`EVERY`.  A key with no default may be unset or ``null``, except where its pairs in ``required`` read it.
+    """
+
+    kind: object
+    default: object = None
+    shown: Mapping | tuple | str = ()
+    required: tuple = ()
+
+    def at(self, task: str, stage: str):
+        """The default at (task, stage)."""
+        return self.shown.get((task, stage), self.default) if isinstance(self.shown, dict) else self.default
+
+
+_PATH = Shape("a path", lambda v: isinstance(v, str) and "\0" not in v)
+_POSITIVE = Shape("a positive integer", lambda v: type(v) is int and v > 0)
+_COUNT = Shape("a non-negative integer", lambda v: type(v) is int and v >= 0)
+_NAMES = Shape("a list of names", lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v))
+_MODEL_NAMES = Shape("a model name or a list of them", lambda v: isinstance(v, str) or _NAMES.ok(v))
+_K = Shape("a positive integer or a non-empty list of them",
+           lambda v: _POSITIVE.ok(v) or (isinstance(v, list) and v != [] and all(map(_POSITIVE.ok, v))))
+_COLUMNS = Shape(f"a mapping from some of {', '.join(DEFAULT_COLUMN_SPEC)} to column names", lambda v: (
+    isinstance(v, Mapping) and set(v) <= set(DEFAULT_COLUMN_SPEC) and _NAMES.ok(list(v.values()))))
+_RATIOS = Shape("a list of three numbers", lambda v: isinstance(v, list) and len(v) == 3 and all(
+    type(r) in (int, float) for r in v))
+_RANKING = ["ndcg", "mrr", "hr", "mmf", "gini", "entropy"]
+_RANKED = ((REC, "post-processing"), (REC, "evaluate"))
+_SEARCHED = ((SEARCH, "post-processing"), (SEARCH, "evaluate"))
+
+KEYS: dict[str, Key] = {
+    "task": Key(TASKS),
+    "stage": Key(STAGES),
+    "dataset": Key(str),
+    "type": Key(TASKS),
+    "model": Key(_MODEL_NAMES, "none", {pair: next(iter(models)) for pair, models in MODELS.items()}),
+    "models": Key(_MODEL_NAMES),
+    "K": Key(_K, [10], {pair: [10, 20] if pair[0] == REC else [5, 10, 20] for pair in MODELS}),
+    "metrics": Key(_NAMES, [], {
+        (REC, "in-processing"): _RANKING, (REC, "post-processing"): _RANKING + ["r_ndcg", "u_loss", "min_max_ratio"],
+        (REC, "evaluate"): _RANKING, **dict.fromkeys(_SEARCHED, ["err_ia", "alpha_ndcg", "s_rec"])}),
+    "params": Key(Shape("a mapping", lambda v: isinstance(v, Mapping)), {}),
+    "log_name": Key(Shape("a non-empty path", lambda v: _PATH.ok(v) and v != ""), "run", EVERY),
+    "seed": Key(_COUNT, 42, EVERY),
+    "arrival": Key(("sorted", "shuffle"), "sorted", EVERY),
+    "data_type": Key(("pair",), "pair", ((REC, "in-processing"),)),
+    "fair_rank": Key(bool, True, ((REC, "in-processing"),)),
+    "mode": Key(MODES, "exposure", _RANKED),
+    "target_shares": Key(("uniform", "proportional"), "uniform"),
+    "alpha": Key(Shape("a number", lambda v: type(v) in (int, float)), 0.5, _SEARCHED),
+    "pool_size": Key(_POSITIVE, 50, _SEARCHED),
+    "scores": Key(_PATH),
+    # Dataset properties; paths are relative to the data root.
+    "interactions": Key(_PATH, required=((REC, "process"),)),
+    "item_groups": Key(_PATH, required=((REC, "process"),)),
+    "user_groups": Key(_PATH),
+    "columns": Key(_COLUMNS),
+    "min_interactions": Key(_COUNT, 5),
+    "ratios": Key(_RATIOS, [0.8, 0.1, 0.1]),
+    "run_file": Key(_PATH, required=((SEARCH, "process"), *_SEARCHED)),
+    "qrels": Key(_PATH, required=((SEARCH, "process"), *_SEARCHED)),
 }
 
-KNOWN_KEYS = frozenset(
-    {
-        "task",
-        "stage",
-        "dataset",
-        "model",
-        "models",
-        "K",
-        "metrics",
-        "params",
-        "log_name",
-        "seed",
-        "data_type",
-        "fair_rank",
-        "mode",
-        "alpha",
-        "pool_size",
-        "arrival",
-        "target_shares",
-        # dataset properties
-        "type",
-        "interactions",
-        "item_groups",
-        "user_groups",
-        "columns",
-        "min_interactions",
-        "ratios",
-        "run_file",
-        "qrels",
-        "scores",
-    }
-)
+BASE_DEFAULTS = {name: key.default for name, key in KEYS.items() if key.shown == EVERY}
+STAGE_DEFAULTS = {
+    pair: {name: key.at(*pair) for name, key in KEYS.items() if key.shown != EVERY and pair in key.shown}
+    for pair in MODELS
+}
+_WHAT = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
-BASE_DEFAULTS = {"seed": 42, "log_name": "run", "arrival": "sorted"}
+
+def _typed(name: str, kind, value):
+    """``value`` as a value of key or param ``name`` of ``kind``, or a ConfigError; a bool is never a number.
+
+    A param's kind is its default's type, and an int or float param is cast to it.
+    """
+    try:
+        if isinstance(kind, Shape):
+            if kind.ok(value):
+                return value
+        elif isinstance(kind, tuple):
+            if value in kind:
+                return value
+        elif kind in (bool, str) or isinstance(value, bool):
+            if type(value) is kind:
+                return value
+        else:
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = kind.what if isinstance(kind, Shape) else _WHAT.get(kind) or f"one of {', '.join(kind)}"
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
 class RunConfig:
-    """Validated run description consumed by the pipeline driver."""
+    """Validated run description consumed by the pipeline driver; ``raw`` is the merged mapping, for the snapshot."""
 
     task: str
     stage: str
@@ -173,7 +213,28 @@ class RunConfig:
     params: dict
     log_name: str
     seed: int
+    arrival: str
+    fair_rank: bool
+    mode: str
+    target_shares: str
+    alpha: float
+    pool_size: int
+    scores: str | None
+    interactions: str | None
+    item_groups: str | None
+    user_groups: str | None
+    columns: Mapping | None
+    min_interactions: int
+    ratios: tuple
+    run_file: str | None
+    qrels: str | None
     raw: dict = field(default_factory=dict, compare=False)
+
+    def check_required(self) -> None:
+        """A ConfigError naming the first key the stage reads that no layer set."""
+        for name, key in KEYS.items():
+            if (self.task, self.stage) in key.required and getattr(self, name) is None:
+                raise ConfigError(f"{name} must be given for ({self.task}, {self.stage})")
 
 
 def config_merge(*layers: Mapping, strict: bool = False) -> dict:
@@ -182,7 +243,7 @@ def config_merge(*layers: Mapping, strict: bool = False) -> dict:
     Nested dicts merge recursively; scalars and lists are replaced whole.
     The merge is associative as long as every key keeps one shape (mapping
     vs. scalar) across layers, which the flat-with-one-nesting config format
-    guarantees.  Top-level keys outside ``KNOWN_KEYS`` raise
+    guarantees.  Top-level keys outside ``KEYS`` raise
     :class:`UnknownKeyError` in strict mode and warn otherwise.
     """
 
@@ -202,7 +263,7 @@ def config_merge(*layers: Mapping, strict: bool = False) -> dict:
         if layer is None:
             continue
         for key in layer:
-            if key not in KNOWN_KEYS:
+            if key not in KEYS:
                 _unknown(f"unknown configuration key {key!r}", strict)
         merged = merge_into(merged, layer)
     return merged
@@ -214,6 +275,13 @@ def _unknown(message: str, strict: bool) -> None:
     warnings.warn(message, stacklevel=3)
 
 
+def _models(config: Mapping, task: str, stage: str) -> list[str]:
+    """The models ``config`` names under ``models``, else ``model``, else the stage's first model."""
+    name = "models" if "models" in config else "model"
+    value = _typed(name, KEYS[name].kind, config.get(name, KEYS["model"].at(task, stage)))
+    return [value] if isinstance(value, str) else list(value)
+
+
 def _model_params(name: str, model: Model, given, strict: bool) -> dict:
     """``model``'s params overlaid with ``given``, cast to their defaults' types; undeclared keys are dropped."""
     if not isinstance(given, Mapping):
@@ -223,11 +291,7 @@ def _model_params(name: str, model: Model, given, strict: bool) -> dict:
         if key not in params:
             _unknown(f"unknown parameter {key!r} for model {name!r}", strict)
             continue
-        kind = type(params[key])
-        try:
-            params[key] = kind(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"parameter {key!r} of model {name!r} must be {kind.__name__}, got {value!r}") from None
+        params[key] = _typed(f"parameter {key!r} of model {name!r}", type(params[key]), value)
     return params
 
 
@@ -247,7 +311,7 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict: bool = False) -> RunConfig:
-    """Check RunConfig invariants on a merged mapping."""
+    """Check every key of a merged mapping against :data:`KEYS` and the models, metrics and params it names."""
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     if stage not in STAGES:
@@ -256,77 +320,35 @@ def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict
     if registry is None and stage != "pre-processing":
         raise ConfigError(f"stage {stage!r} not available for task {task!r}")
 
-    models_raw = merged.get("models", merged.get("model", "none"))
-    models = [models_raw] if isinstance(models_raw, str) else list(models_raw)
+    models = _models(merged, task, stage)
     if registry is not None:
         for m in models:
             if m not in registry:
                 raise ConfigError(f"model {m!r} not registered for ({task}, {stage})")
 
-    k_values = merged.get("K", [10])
-    if isinstance(k_values, int):
-        k_values = [k_values]
-    if not k_values or any((not isinstance(k, int)) or k < 1 for k in k_values):
-        raise ConfigError("K entries must be positive integers")
+    typed = {}
+    for name, key in KEYS.items():
+        default = key.at(task, stage)
+        value = merged.get(name, default)
+        typed[name] = None if value is None and default is None else _typed(name, key.kind, value)
 
-    metrics = list(merged.get("metrics", []))
     sections = set(SECTIONS.get((task, stage), ()))
     offered = {name for name, metric in METRICS.items() if sections & set(metric.sections)}
-    for name in metrics:
+    for name in typed["metrics"]:
         if name not in offered:
             raise ConfigError(f"metric {name!r} not available for ({task}, {stage})")
 
-    given = merged.get("params", {})
-    if not isinstance(given, Mapping):
-        raise ConfigError("params must be a mapping")
+    given = typed["params"]
     task_models = {name for (t, _), stage_models in MODELS.items() if t == task for name in stage_models}
     for name in given:
         if name not in task_models:
             _unknown(f"parameters for model {name!r}, which task {task!r} does not register", strict)
     params = {m: _model_params(m, registry[m], given.get(m) or {}, strict) for m in models} if registry else {}
 
-    log_name = merged.get("log_name", "")
-    if not log_name:
-        raise ConfigError("log_name must be non-empty")
-
-    if merged.get("data_type", "pair") != "pair":
-        raise ConfigError("only pairwise sampling (data_type: pair) is supported")
-
-    # The process stage's dataset keys, checked here so that a bad value fails before any stage work.
-    columns = merged.get("columns")
-    if columns is not None and not (
-        isinstance(columns, Mapping)
-        and set(columns) <= set(DEFAULT_COLUMN_SPEC)
-        and all(isinstance(name, str) for name in columns.values())
-    ):
-        raise ConfigError(f"columns must map some of {sorted(DEFAULT_COLUMN_SPEC)} to column names, got {columns!r}")
-    _integer(merged, "min_interactions", 5)
-    ratios = merged.get("ratios", [0.8, 0.1, 0.1])
-    if not (isinstance(ratios, (list, tuple)) and len(ratios) == 3
-            and all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios)):
-        raise ConfigError(f"ratios must be a list of three numbers, got {ratios!r}")
-
-    return RunConfig(
-        task=task,
-        stage=stage,
-        dataset=dataset,
-        models=models,
-        k_values=list(k_values),
-        metrics=metrics,
-        params=params,
-        log_name=str(log_name),
-        seed=_integer(merged, "seed", 42),
-        raw=dict(merged),
-    )
-
-
-def _integer(merged: Mapping, key: str, default: int) -> int:
-    """``merged[key]`` (default ``default``) as the int the stage will use; a ConfigError if it has none."""
-    value = merged.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    k_values = typed["K"]
+    typed.update(task=task, stage=stage, dataset=dataset, models=models, metrics=list(typed["metrics"]), params=params,
+                 k_values=[k_values] if isinstance(k_values, int) else list(k_values), ratios=tuple(typed["ratios"]))
+    return RunConfig(**{f.name: typed[f.name] for f in fields(RunConfig) if f.name != "raw"}, raw=dict(merged))
 
 
 def resolve_config(
@@ -343,10 +365,8 @@ def resolve_config(
     if props_path.exists():
         dataset_props = load_config_file(props_path)
 
-    stage_defaults = STAGE_DEFAULTS.get((task, stage), {})
     user_config = dict(user_config or {})
-    models_raw = user_config.get("models", user_config.get("model", stage_defaults.get("model", "none")))
-    models = [models_raw] if isinstance(models_raw, str) else list(models_raw)
+    models = _models(user_config, task, stage)
 
     registry = MODELS.get((task, stage), {})
     model_layers = []
@@ -358,13 +378,7 @@ def resolve_config(
         if model_props.exists():
             model_layers.append({"params": {m: load_config_file(model_props)}})
 
-    merged = config_merge(
-        BASE_DEFAULTS,
-        dataset_props,
-        stage_defaults,
-        *model_layers,
-        user_config,
-        strict=strict,
-    )
+    stage_defaults = STAGE_DEFAULTS.get((task, stage), {})
+    merged = config_merge(BASE_DEFAULTS, dataset_props, stage_defaults, *model_layers, user_config, strict=strict)
     merged["models"] = models
     return validate_config(merged, task, stage, dataset, strict=strict)

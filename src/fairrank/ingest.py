@@ -539,10 +539,10 @@ def parse_run_file(path: str | Path, truncate: int | None = 50) -> RunList:
 def write_run_file(run: Mapping[str, Sequence[tuple[str, float]]], path: str | Path, tag: str) -> None:
     """Write per-query ranked docs in 6-column TREC format."""
     path = Path(path)
-    with writing(path.parent, "run file"), path.open("w", encoding="utf-8") as fh:
-        for qid in sorted(run):
-            for rank, (doc, score) in enumerate(run[qid], start=1):
-                fh.write(f"{qid} Q0 {doc} {rank} {score!r} {tag}\n")
+    ranked = ((qid, rank, doc, score) for qid in sorted(run) for rank, (doc, score) in enumerate(run[qid], start=1))
+    lines = (f"{qid} Q0 {doc} {rank} {score!r} {tag}\n" for qid, rank, doc, score in ranked)
+    with writing(path.parent, "run file"):
+        replace_file(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------

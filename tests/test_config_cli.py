@@ -1,6 +1,7 @@
 """Config layering, CLI dispatch, and report emission."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from fairrank import cli
 from fairrank import metrics as M
-from fairrank.config import config_merge, resolve_config, validate_config
+from fairrank.config import KEYS, config_merge, resolve_config, validate_config
 from fairrank.core import GroupUtilityVector
 from fairrank.errors import ConfigError, UnknownKeyError
 from fairrank.ingest import read_scores, write_scores, write_scores_tsv
@@ -151,7 +152,7 @@ class TestValidateConfig:
             validate_config({"model": "mystery", "log_name": "x"}, "recommendation", "post-processing", "d")
 
     def test_nonpositive_k_rejected(self):
-        with pytest.raises(ConfigError, match="K entries"):
+        with pytest.raises(ConfigError, match="K must be a positive integer"):
             validate_config({"model": "topk", "K": [0], "log_name": "x"}, "recommendation", "post-processing", "d")
 
     def test_empty_log_name_rejected(self):
@@ -833,32 +834,33 @@ SEARCH_SHA256 = {
 }
 
 
-class TestCliSearch:
-    @pytest.fixture
-    def search_root(self, tmp_path, rng):
-        root = tmp_path / "sroot"
-        raw = root / "raw"
-        raw.mkdir(parents=True)
-        run_lines = []
-        qrel_lines = []
-        for qid in (1, 2, 3):
-            docs = [f"q{qid}d{j}" for j in range(30)]
-            for rank, doc in enumerate(docs, start=1):
-                run_lines.append(f"{qid} Q0 {doc} {rank} {100 - rank}.0 base")
-            n_intents = int(rng.integers(3, 9))
-            for t in range(1, n_intents + 1):
-                for doc in docs[: int(rng.integers(5, 12))]:
-                    qrel_lines.append(f"{qid} {t} {doc} {int(rng.integers(0, 2))}")
-        (raw / "input.run").write_text("\n".join(run_lines) + "\n", encoding="utf-8")
-        (raw / "qrels.div").write_text("\n".join(qrel_lines) + "\n", encoding="utf-8")
-        props = root / "properties" / "dataset"
-        props.mkdir(parents=True)
-        (props / "web.yaml").write_text(
-            yaml.safe_dump({"type": "search", "run_file": "raw/input.run", "qrels": "raw/qrels.div"}),
-            encoding="utf-8",
-        )
-        return root
+@pytest.fixture
+def search_root(tmp_path, rng):
+    root = tmp_path / "sroot"
+    raw = root / "raw"
+    raw.mkdir(parents=True)
+    run_lines = []
+    qrel_lines = []
+    for qid in (1, 2, 3):
+        docs = [f"q{qid}d{j}" for j in range(30)]
+        for rank, doc in enumerate(docs, start=1):
+            run_lines.append(f"{qid} Q0 {doc} {rank} {100 - rank}.0 base")
+        n_intents = int(rng.integers(3, 9))
+        for t in range(1, n_intents + 1):
+            for doc in docs[: int(rng.integers(5, 12))]:
+                qrel_lines.append(f"{qid} {t} {doc} {int(rng.integers(0, 2))}")
+    (raw / "input.run").write_text("\n".join(run_lines) + "\n", encoding="utf-8")
+    (raw / "qrels.div").write_text("\n".join(qrel_lines) + "\n", encoding="utf-8")
+    props = root / "properties" / "dataset"
+    props.mkdir(parents=True)
+    (props / "web.yaml").write_text(
+        yaml.safe_dump({"type": "search", "run_file": "raw/input.run", "qrels": "raw/qrels.div"}),
+        encoding="utf-8",
+    )
+    return root
 
+
+class TestCliSearch:
     def test_search_post_processing(self, search_root, tmp_path):
         cfg = user_config(tmp_path, "s.yaml", {"models": ["xquad", "pm2"], "log_name": "s1"})
         code = cli.run(
@@ -922,3 +924,93 @@ class TestCliSearch:
             json.loads(l) for l in (search_root / "log" / "s3" / "records.jsonl").read_text().splitlines()
         ]
         assert {r["model"] for r in records if r["record"] == "row"} == {"original"}
+
+
+@pytest.fixture
+def no_stage_work(monkeypatch):
+    """Fail the test if the CLI reaches the first read of any stage."""
+
+    def started(*args, **kwargs):
+        raise AssertionError("stage work started")
+
+    for name in ("read_dataset", "read_scores", "parse_interactions", "parse_run_file", "parse_diversity_qrels"):
+        monkeypatch.setattr(cli, name, started)
+
+
+def _first_error_line(root, task, stage, dataset, payload, tmp_path):
+    cfg = user_config(tmp_path, "bad.yaml", {"log_name": "bad", **payload})
+    code = cli.run(["--task", task, "--stage", stage, "--dataset", dataset, "--config", cfg, "--data-dir", str(root)])
+    assert code == 1
+    log_dir = root / "log" / "bad"
+    assert sorted(p.name for p in log_dir.iterdir()) == ["error.txt"]
+    return (log_dir / "error.txt").read_text(encoding="utf-8").splitlines()[0]
+
+
+class TestConfigValues:
+    # (task, stage, config entries, first line of error.txt): values that, unchecked, escape as raw
+    # exceptions, run with another meaning or fail only after the inputs are read.
+    BAD = {
+        "pool_size-not-int": ("search", "post-processing", {"pool_size": "x"},
+                              "pool_size must be a positive integer, got 'x'"),
+        "alpha-not-number": ("search", "post-processing", {"alpha": "x"}, "alpha must be a number, got 'x'"),
+        "fair_rank-string": ("recommendation", "in-processing", {"fair_rank": "no"},
+                             "fair_rank must be true or false, got 'no'"),
+        "arrival-list": ("recommendation", "post-processing", {"arrival": ["x"]},
+                         "arrival must be one of sorted, shuffle, got ['x']"),
+        "K-bool-entry": ("search", "post-processing", {"K": [True]},
+                         "K must be a positive integer or a non-empty list of them, got [True]"),
+        "seed-bool": ("recommendation", "post-processing", {"seed": True},
+                      "seed must be a non-negative integer, got True"),
+        "pool_size-bool": ("search", "post-processing", {"pool_size": True},
+                           "pool_size must be a positive integer, got True"),
+        "mode-bogus": ("recommendation", "post-processing", {"mode": "bogus"},
+                       "mode must be one of exposure, click, got 'bogus'"),
+        "scores-nul": ("recommendation", "post-processing", {"scores": "log/\0"},
+                       "scores must be a path, got 'log/\\x00'"),
+        "target_shares-bogus": ("recommendation", "post-processing", {"target_shares": "bogus"},
+                                "target_shares must be one of uniform, proportional, got 'bogus'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_value_is_a_config_error_before_stage_work(self, workspace, search_root, tmp_path, no_stage_work,
+                                                           case):
+        task, stage, payload, message = self.BAD[case]
+        root, dataset = (workspace, "synth") if task == "recommendation" else (search_root, "web")
+        assert _first_error_line(root, task, stage, dataset, payload, tmp_path) == f"ConfigError: {message}"
+
+    @pytest.mark.parametrize(
+        "task, stage, missing",
+        [
+            ("recommendation", "process", "interactions"),
+            ("search", "process", "run_file"),
+            ("search", "post-processing", "run_file"),
+            ("search", "evaluate", "qrels"),
+        ],
+    )
+    def test_missing_path_key_is_a_config_error_before_stage_work(self, search_root, tmp_path, no_stage_work,
+                                                                  task, stage, missing):
+        root, dataset = (raw_rec_root(tmp_path), "tiny") if task == "recommendation" else (search_root, "web")
+        props = root / "properties" / "dataset" / f"{dataset}.yaml"
+        entries = yaml.safe_load(props.read_text(encoding="utf-8"))
+        del entries[missing]
+        props.write_text(yaml.safe_dump(entries), encoding="utf-8")
+        line = _first_error_line(root, task, stage, dataset, {}, tmp_path)
+        assert line == f"ConfigError: {missing} must be given for ({task}, {stage})"
+
+    def test_log_name_with_nul_is_a_config_error(self, workspace, tmp_path, capsys):
+        cfg = user_config(tmp_path, "c.yaml", {"log_name": "a\0b"})
+        argv = ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+                "--config", cfg, "--data-dir", str(workspace)]
+        assert cli.run(argv) == 1
+        assert "error: ConfigError: log_name must be a non-empty path, got 'a\\x00b'" in capsys.readouterr().out
+
+    def test_param_bool_is_not_a_number(self):
+        merged = {"model": "welf", "K": [5], "log_name": "x", "params": {"welf": {"iters": True}}}
+        with pytest.raises(ConfigError, match="parameter 'iters' of model 'welf' must be an integer, got True"):
+            validate_config(merged, "recommendation", "post-processing", "d")
+
+    def test_readme_tables_every_key(self):
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("| Key |"))
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines[header + 2:])
+        assert [row.split("|")[1].strip() for row in rows] == [f"`{name}`" for name in KEYS]

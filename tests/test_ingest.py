@@ -470,8 +470,20 @@ def _write_checkpoint(directory):
     save_model(model, directory)
 
 
+def _write_run(directory):
+    write_run_file({"q2": [("d3", 0.5)], "q1": [("d1", 2.0), ("d2", 1 / 3)]}, directory / "rerank-x.run", tag="x")
+
+
+def test_run_file_bytes(tmp_path):
+    _write_run(tmp_path)
+    assert (tmp_path / "rerank-x.run").read_bytes() == (
+        b"q1 Q0 d1 1 2.0 x\nq1 Q0 d2 2 0.3333333333333333 x\nq2 Q0 d3 1 0.5 x\n"
+    )
+
+
 # writer -> (writes its files into a directory, the files)
 WRITERS = {
+    "run-file": (_write_run, ["rerank-x.run"]),
     "store": (lambda d: _write_scores(d, write_scores), ["scores.meta.yaml", "scores.npz"]),
     "score-table": (lambda d: _write_scores(d, write_scores_tsv), ["scores.meta.yaml", "scores.tsv"]),
     "dataset": (_write_dataset, ["manifest.yaml", "users.tsv", "items.tsv", "train.tsv", "valid.tsv", "test.tsv"]),
