@@ -14,7 +14,7 @@ from .fair_rerank import RerankContext, cpfair, fairrec, min_regularizer, pmmf, 
 from .diverse_rerank import DiversifyContext, pm2, xquad
 from .ingest import (
     IntentJudgments,
-    RunList,
+    SearchRun,
     SplitDataset,
     filter_and_split,
     parse_diversity_qrels,
@@ -38,8 +38,8 @@ __all__ = [
     "RankingSlate",
     "RerankContext",
     "DiversifyContext",
-    "RunList",
     "ScoreMatrix",
+    "SearchRun",
     "SplitDataset",
     "TrainConfig",
     "TrainHooks",

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import metrics as M
-from .config import MODELS, STAGES, TASKS, RunConfig, load_config_file, resolve_config
+from .config import KEYS, MODELS, STAGES, TASKS, RunConfig, load_config_file, resolve_config
 from .core import group_utility
 from .errors import FairrankError, IoError, UnsupportedStage
 from .diverse_rerank import DiversifyContext, pm2, xquad  # noqa: F401 (see _layer)
@@ -34,7 +34,6 @@ from .fair_rerank import (  # noqa: F401 (see _layer)
     welf,
 )
 from .ingest import (
-    RunList,
     build_catalog,
     filter_and_split,
     parse_diversity_qrels,
@@ -177,17 +176,14 @@ def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkRepo
     for model in cfg.models:
         diversify = MODELS[cfg.task, cfg.stage][model].fn
         if diversify is None:
-            reranked = {qid: run.docs(qid)[:depth] for qid in sorted(run.queries)}
+            picks = np.arange(min(depth, run.docs.shape[1]))
         else:
             ctx = DiversifyContext(run=run, judgments=judgments, k=depth, pool_size=cfg.pool_size, **cfg.params[model])
-            reranked = _layer(diversify)(ctx)
-        scored = {
-            qid: [(doc, float(len(docs) - i)) for i, doc in enumerate(docs)] for qid, docs in reranked.items()
-        }
-        write_run_file(scored, log_dir / f"rerank-{model}.run", tag=model)
-        rerun = RunList(queries=scored)
+            picks = _layer(diversify)(ctx)
+        reranked = run.rerank(picks)
+        write_run_file(reranked, log_dir / f"rerank-{model}.run", tag=model)
         for k in cfg.k_values:
-            result = M.Evaluation(k, run=rerun, judgments=judgments, alpha=cfg.alpha)
+            result = M.Evaluation(k, run=reranked, judgments=judgments, alpha=cfg.alpha)
             rows.append((model, k, result.report(cfg.metrics, {"model": model, "dataset": cfg.dataset, "k": k})))
     return _report(cfg, rows, [])
 
@@ -226,9 +222,9 @@ def run(argv=None) -> int:
         if args.stage == "pre-processing":
             raise UnsupportedStage("pre-processing models are not implemented in this build")
         user_cfg = load_config_file(args.config) if args.config else {}
-        if isinstance(user_cfg, dict) and user_cfg.get("log_name"):
+        if isinstance(user_cfg, dict) and KEYS["log_name"].kind.ok(user_cfg.get("log_name")):
             # Known early so that even config errors leave an error record.
-            log_dir = data_root / "log" / str(user_cfg["log_name"])
+            log_dir = data_root / "log" / user_cfg["log_name"]
         cfg = resolve_config(args.task, args.stage, args.dataset, user_cfg, data_root, strict=args.strict)
         log_dir = data_root / "log" / cfg.log_name
         cfg.check_required()

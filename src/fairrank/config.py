@@ -130,8 +130,9 @@ _K = Shape("a positive integer or a non-empty list of them",
            lambda v: _POSITIVE.ok(v) or (isinstance(v, list) and v != [] and all(map(_POSITIVE.ok, v))))
 _COLUMNS = Shape(f"a mapping from some of {', '.join(DEFAULT_COLUMN_SPEC)} to column names", lambda v: (
     isinstance(v, Mapping) and set(v) <= set(DEFAULT_COLUMN_SPEC) and _NAMES.ok(list(v.values()))))
-_RATIOS = Shape("a list of three numbers", lambda v: isinstance(v, list) and len(v) == 3 and all(
-    type(r) in (int, float) for r in v))
+_RATIOS = Shape("a list of three positive numbers that sum to 1", lambda v: (
+    isinstance(v, list) and len(v) == 3 and all(type(r) in (int, float) and r > 0 for r in v)
+    and abs(sum(v) - 1.0) <= 1e-9))
 _RANKING = ["ndcg", "mrr", "hr", "mmf", "gini", "entropy"]
 _RANKED = ((REC, "post-processing"), (REC, "evaluate"))
 _SEARCHED = ((SEARCH, "post-processing"), (SEARCH, "evaluate"))
@@ -155,7 +156,7 @@ KEYS: dict[str, Key] = {
     "fair_rank": Key(bool, True, ((REC, "in-processing"),)),
     "mode": Key(MODES, "exposure", _RANKED),
     "target_shares": Key(("uniform", "proportional"), "uniform"),
-    "alpha": Key(Shape("a number", lambda v: type(v) in (int, float)), 0.5, _SEARCHED),
+    "alpha": Key(Shape("a number in [0, 1)", lambda v: type(v) in (int, float) and 0 <= v < 1), 0.5, _SEARCHED),
     "pool_size": Key(_POSITIVE, 50, _SEARCHED),
     "scores": Key(_PATH),
     # Dataset properties; paths are relative to the data root.

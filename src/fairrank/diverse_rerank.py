@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCandidates, InvariantViolation
-from .ingest import IntentJudgments, RunList
+from .ingest import IntentJudgments, SearchRun
 
 
 @dataclass
@@ -39,7 +39,7 @@ class DiversifyContext:
         pool_size: candidate pool truncation depth.
     """
 
-    run: RunList
+    run: SearchRun
     judgments: IntentJudgments
     intent_relevance: dict[str, dict[tuple[str, str], float]] | None = None
     lam: float = 0.5
@@ -58,78 +58,56 @@ class DiversifyContext:
                         raise InvariantViolation(f"intent relevance {value} outside [0, 1] for {key}")
 
 
-def _normalized_pool(run: RunList, qid: str, pool_size: int) -> tuple[list[str], dict[str, float]]:
-    entries = run.queries.get(qid, [])[:pool_size]
-    if not entries:
-        raise EmptyCandidates(f"query {qid!r} has no candidates")
-    docs = [doc for doc, _ in entries]
-    raw = [score for _, score in entries]
-    lo, hi = min(raw), max(raw)
-    if hi > lo:
-        norm = {doc: (score - lo) / (hi - lo) for (doc, _), score in zip(entries, raw)}
-    else:
-        norm = {doc: 0.5 for doc in docs}
-    return docs, norm
-
-
 class _Batch:
-    """Every query's pool as padded arrays, queries in ascending id order.
+    """Every query's pool as padded arrays, queries in the run's (ascending id) order.
 
-    ``rel[j, q, d]`` is the relevance of pool position ``d`` of query ``q``
-    to its ``j``-th declared intent, gathered from the judgments' table
-    unless ``intent_relevance`` overrides the query, and ``prior[q, j]`` is
-    that intent's prior.  ``norm`` holds the normalised run scores and
-    ``taken`` starts True on padded positions.  Padding is 0 everywhere
-    else.
+    ``norm`` holds the run scores normalised per row as ``(s - lo) / (hi - lo)`` (0.5 where all are equal).
+    ``rel[j, q, d]`` is the relevance of pool position ``d`` of query ``q`` to its ``j``-th intent (from the
+    judgments unless ``intent_relevance`` overrides the query), of prior ``prior[q, j]``.  ``taken`` starts True on
+    padding, and ``picks`` collects each step's position, -1 past a query's ``steps``; other padding is 0.
     """
 
     def __init__(self, ctx: DiversifyContext) -> None:
-        self.qids = sorted(ctx.run.queries)
+        run, judg = ctx.run, ctx.judgments
+        sizes = np.minimum(run.lengths, ctx.pool_size)
         rows = []
-        self.docs: list[list[str]] = []
-        norms = []
-        for qid in self.qids:  # same error order as one query at a time
-            rows.append(ctx.judgments.row(qid))
-            docs, norm = _normalized_pool(ctx.run, qid, ctx.pool_size)
-            self.docs.append(docs)
-            norms.append(norm)
-        judg, rows = ctx.judgments, np.array(rows, dtype=np.intp)
-        n_q = len(self.qids)
-        n_pool = max((len(docs) for docs in self.docs), default=0)
+        for qid, size in zip(run.query_ids, sizes.tolist()):  # same error order as one query at a time
+            rows.append(judg.row(qid))
+            if not size:
+                raise EmptyCandidates(f"query {qid!r} has no candidates")
+        rows = np.array(rows, dtype=np.intp)
+        n_pool = int(sizes.max(initial=0))
+        docs, scores = run.docs[:, :n_pool], run.scores[:, :n_pool]
+        self.taken = np.arange(n_pool) >= sizes[:, None]
+        lo = np.where(self.taken, np.inf, scores).min(axis=1, initial=np.inf, keepdims=True)
+        hi = np.where(self.taken, -np.inf, scores).max(axis=1, initial=-np.inf, keepdims=True)
+        spread = hi > lo
+        self.norm = np.where(self.taken, 0.0, np.where(spread, (scores - lo) / np.where(spread, hi - lo, 1.0), 0.5))
         n_int = int(judg.n_intents[rows].max(initial=0))
-        self.norm = np.zeros((n_q, n_pool))
-        self.taken = np.ones((n_q, n_pool), dtype=bool)
         self.prior = judg.prior[rows, :n_int]
-        rel = judg.gather(rows, self.docs, n_pool)[:, :, :n_int]
+        rel = judg.gather(rows, docs, run.doc_ids)[:, :, :n_int]
         self.rel = np.ascontiguousarray(rel.transpose(2, 0, 1), dtype=float)
         tables = ctx.intent_relevance or {}
-        for q, (qid, row, docs, norm) in enumerate(zip(self.qids, rows.tolist(), self.docs, norms)):
-            n = len(docs)
-            self.norm[q, :n] = [norm[doc] for doc in docs]
-            self.taken[q, :n] = False
+        for q, (qid, row, size) in enumerate(zip(run.query_ids, rows.tolist(), sizes.tolist())):
             if qid in tables:
-                table = tables[qid]
+                table, pool = tables[qid], [run.doc_ids[c] for c in docs[q, :size].tolist()]
                 for j, intent in enumerate(judg.intents[row]):
-                    self.rel[j, q, :n] = [table.get((doc, intent), 0.0) for doc in docs]
-        self.steps = np.minimum(ctx.k, [len(docs) for docs in self.docs])
-        self.rows = np.arange(n_q)
+                    self.rel[j, q, :size] = [table.get((doc, intent), 0.0) for doc in pool]
+        self.steps = np.minimum(ctx.k, sizes)
+        self.rows = np.arange(len(rows))
+        self.picks = np.full((len(rows), int(self.steps.max(initial=0))), -1, dtype=np.intp)
 
-    def take_best(self, score: np.ndarray) -> np.ndarray:
-        """Each query's first untaken position of maximal score; mark it taken."""
+    def take_best(self, step: int, score: np.ndarray) -> np.ndarray:
+        """Each query's first untaken position of maximal score: mark it taken, and its pick if ``step < steps``."""
         best = np.argmax(np.where(self.taken, -np.inf, score), axis=1)
         self.taken[self.rows, best] = True
+        self.picks[:, step] = np.where(step < self.steps, best, -1)
         return best
 
-    def slates(self, picks: list[np.ndarray]) -> dict[str, list[str]]:
-        order = np.array(picks, dtype=np.intp).T.tolist()
-        return {
-            qid: [docs[d] for d in order[q][:n]]
-            for q, (qid, docs, n) in enumerate(zip(self.qids, self.docs, self.steps.tolist()))
-        }
 
-
-def xquad(ctx: DiversifyContext) -> dict[str, list[str]]:
-    """Diversify every query of the run with the explicit-intent greedy.
+def xquad(ctx: DiversifyContext) -> np.ndarray:
+    """Diversify every query of the run with the explicit-intent greedy: row ``q`` of the result lists the
+    ``min(k, pool)`` pool positions query ``q`` picks, in order, padded with -1.
 
     A doc scores ``(1 - lam) * norm + lam * sum_i (prior_i * rel_i) * not_covered_i``;
     picking it multiplies each intent's ``not_covered`` by ``1 - rel_i``.
@@ -137,19 +115,17 @@ def xquad(ctx: DiversifyContext) -> dict[str, list[str]]:
     b = _Batch(ctx)
     not_covered = np.ones_like(b.prior)
     base = (1.0 - ctx.lam) * b.norm
-    picks = []
-    for _ in range(int(b.steps.max(initial=0))):
+    for step in range(b.picks.shape[1]):
         div = np.zeros_like(b.norm)
         for j in range(len(b.rel)):  # declared intent order
             div += (b.prior[:, j, None] * b.rel[j]) * not_covered[:, j, None]
-        best = b.take_best(base + ctx.lam * div)
-        picks.append(best)
+        best = b.take_best(step, base + ctx.lam * div)
         not_covered *= 1.0 - b.rel[:, b.rows, best].T
-    return b.slates(picks)
+    return b.picks
 
 
-def pm2(ctx: DiversifyContext) -> dict[str, list[str]]:
-    """Diversify every query of the run with proportional (Sainte-Lague) seat allocation.
+def pm2(ctx: DiversifyContext) -> np.ndarray:
+    """Diversify every query of the run with proportional (Sainte-Lague) seat allocation; return picks as :func:`xquad`.
 
     Each step gives the seat to the intent with the largest quotient
     ``prior / (2 * seats + 1)`` (first in declared order on ties), scores a
@@ -159,8 +135,7 @@ def pm2(ctx: DiversifyContext) -> dict[str, list[str]]:
     """
     b = _Batch(ctx)
     seats = np.zeros_like(b.prior)
-    picks = []
-    for _ in range(int(b.steps.max(initial=0))):
+    for step in range(b.picks.shape[1]):
         qt = b.prior / (2.0 * seats + 1.0)
         # Priors sum to 1, so a padded intent's quotient 0 is below the largest.
         target = np.argmax(qt, axis=1)
@@ -169,12 +144,11 @@ def pm2(ctx: DiversifyContext) -> dict[str, list[str]]:
         others[b.rows, target] = 0.0  # the target's term was added first
         for j in range(len(b.rel)):  # declared intent order
             score += others[:, j, None] * b.rel[j]
-        best = b.take_best(score)
-        picks.append(best)
+        best = b.take_best(step, score)
         chosen = b.rel[:, b.rows, best]
-        coverage = np.zeros(len(b.qids))
+        coverage = np.zeros(len(b.rows))
         for j in range(len(chosen)):
             coverage += chosen[j]
         covered = coverage > 0.0
         seats[covered] += chosen.T[covered] / coverage[covered, None]
-    return b.slates(picks)
+    return b.picks

@@ -8,7 +8,8 @@ Formats handled here:
 * diversity qrels: whitespace-separated ``qid intent_id doc_id rel``, read
   in chunks of lines into one query x doc x intent table
   (:class:`IntentJudgments`),
-* run files: 6-column TREC format ``qid Q0 docid rank score tag``,
+* run files: 6-column TREC format ``qid Q0 docid rank score tag``, read in
+  chunks of lines into one queries x depth array (:class:`SearchRun`),
 * the canonical dataset directory (versioned line-oriented tables plus a
   small manifest),
 * stored scores: the ``scores.tsv`` import table, or the binary store
@@ -30,9 +31,9 @@ from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, count, islice
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 import yaml
@@ -40,6 +41,7 @@ import yaml
 from .core import Catalog, Interaction, InteractionLog, ScoreMatrix
 from .errors import (
     EmptyDataset,
+    FairrankError,
     FormatError,
     InvariantViolation,
     IoError,
@@ -81,58 +83,49 @@ def _ascending(ids: Sequence[str]) -> bool:
 class IntentJudgments:
     """Intent-level binary judgments of every query, held as read-only arrays.
 
-    ``query_ids`` are in ascending id order, with position map
-    ``query_pos``.  Query ``q`` declares the intents ``intents[q]`` and has
-    the positively judged docs ``docs[q]``, both in ascending id order.
-    ``rel[q, d, j]`` is True when doc ``d`` of query ``q`` is relevant to
-    its ``j``-th intent, and ``prior[q, j]`` is that intent's prior;
-    ``n_docs`` and ``n_intents`` count each query's docs and intents.
-    Padding past a query's docs or intents is False in ``rel`` and 0 in
-    ``prior``.  :meth:`gather` looks docs up by id through a per-query
-    doc -> column index.
-
-    ``ideal_dcg`` holds the greedy ideal alpha-DCG state that
-    ``metrics.alpha_ndcg`` builds on first use, one per alpha, and keeps
-    for the lifetime of the judgments.
+    ``query_ids`` ascend (position map ``query_pos``), as do the doc table ``doc_ids`` and each query ``q``'s
+    intents ``intents[q]``.  Query ``q`` lists the docs it judges relevant as ``n_docs[q]`` ascending keys
+    ``q * len(doc_ids) + d`` from ``listed[first_doc[q]]`` on, and ``rel[q, c, j]`` is True when its ``c``-th
+    listed doc is relevant to its ``j``-th intent, of prior ``prior[q, j]``; padding is False or 0.
+    ``ideal_dcg`` keeps the greedy ideal alpha-DCG state that ``metrics.alpha_ndcg`` builds, one per alpha.
     """
 
-    def __init__(
-        self,
-        query_ids: Sequence[str],
-        intents: Sequence[Sequence[str]],
-        docs: Sequence[Sequence[str]],
-        rel,
-        prior=None,
-        duplicate_count: int = 0,
-    ) -> None:
+    def __init__(self, query_ids: Sequence[str], intents: Sequence[Sequence[str]], doc_ids: Sequence[str], listed,
+                 rel, prior=None, duplicate_count: int = 0) -> None:
         """``rel`` is queries x docs x intents; ``prior`` (default: uniform) is queries x intents."""
         self.query_ids = list(query_ids)
         self.intents = [list(its) for its in intents]
-        self.docs = [list(ds) for ds in docs]
-        if not len(self.query_ids) == len(self.intents) == len(self.docs):
-            raise InvariantViolation("intents and docs must be given for every query")
-        if not _ascending(self.query_ids):
-            raise InvariantViolation("query ids are not distinct and ascending")
-        for qid, its, ds in zip(self.query_ids, self.intents, self.docs):
+        self.doc_ids = list(doc_ids)
+        self.listed = np.array(listed, dtype=np.int64).reshape(-1)
+        n_q, n_d = len(self.query_ids), len(self.doc_ids)
+        if len(self.intents) != n_q:
+            raise InvariantViolation("intents must be given for every query")
+        if not (_ascending(self.query_ids) and _ascending(self.doc_ids)):
+            raise InvariantViolation("query ids or doc ids are not distinct and ascending")
+        if ((self.listed < 0) | (self.listed >= n_q * n_d)).any() or (np.diff(self.listed) <= 0).any():
+            raise InvariantViolation("listed doc keys are not distinct and ascending within the query and doc tables")
+        for qid, its in zip(self.query_ids, self.intents):
             if not its:
                 raise InvariantViolation(f"query {qid!r} declares no intents")
-            if not (_ascending(its) and _ascending(ds)):
-                raise InvariantViolation(f"intents or docs of query {qid!r} are not distinct and ascending")
+            if not _ascending(its):
+                raise InvariantViolation(f"intents of query {qid!r} are not distinct and ascending")
         self.n_intents = np.array([len(its) for its in self.intents], dtype=np.intp)
-        self.n_docs = np.array([len(ds) for ds in self.docs], dtype=np.intp)
-        shape = (len(self.query_ids), int(self.n_docs.max(initial=0)), int(self.n_intents.max(initial=0)))
+        self.n_docs = np.bincount(self.listed // max(n_d, 1), minlength=n_q)
+        self.first_doc = np.cumsum(self.n_docs) - self.n_docs
+        shape = (n_q, int(self.n_docs.max(initial=0)), int(self.n_intents.max(initial=0)))
         self.rel = np.array(rel, dtype=bool)
         if self.rel.shape != shape:
             raise InvariantViolation(f"relevance table has shape {self.rel.shape}, expected {shape}")
         declared = np.arange(shape[2]) < self.n_intents[:, None]
-        listed = np.arange(shape[1]) < self.n_docs[:, None]
-        for q, d in np.argwhere(self.rel.any(axis=2) != listed)[:1]:
+        judged = np.arange(shape[1]) < self.n_docs[:, None]
+        for q, d in np.argwhere(self.rel.any(axis=2) != judged)[:1]:
             if d >= self.n_docs[q]:
                 raise InvariantViolation(f"query {self.query_ids[q]!r} has relevance past its judged docs")
-            doc, qid = self.docs[q][d], self.query_ids[q]
+            doc, qid = self.doc_ids[self.listed[self.first_doc[q] + d] % n_d], self.query_ids[q]
             raise InvariantViolation(f"doc {doc!r} of query {qid!r} has no positive relevance")
         for q, d, _ in np.argwhere(self.rel & ~declared[:, None, :])[:1]:
-            raise InvariantViolation(f"doc {self.docs[q][d]!r} judged for undeclared intents")
+            raise InvariantViolation(f"doc {self.doc_ids[self.listed[self.first_doc[q] + d] % n_d]!r} judged for "
+                                     "undeclared intents")
         if prior is None:
             prior = np.where(declared, 1.0 / self.n_intents[:, None], 0.0)
         self.prior = np.array(prior, dtype=float)
@@ -142,10 +135,10 @@ class IntentJudgments:
             raise InvariantViolation(f"prior {self.prior[q, j]} of intent {self.intents[q][j]!r} outside [0, 1]")
         if (np.abs(self.prior.sum(axis=1) - 1.0) > 1e-9).any():
             raise InvariantViolation("intent priors do not sum to 1")
-        for table in (self.rel, self.prior, self.n_intents, self.n_docs):
+        for table in (self.listed, self.rel, self.prior, self.n_intents, self.n_docs, self.first_doc):
             table.flags.writeable = False
         self.query_pos = {qid: q for q, qid in enumerate(self.query_ids)}
-        self._doc_pos = [dict(zip(ds, range(len(ds)))) for ds in self.docs]
+        self._doc_table = np.array(self.doc_ids, dtype=str)
         self.duplicate_count = duplicate_count
         self.ideal_dcg: dict = {}
 
@@ -156,33 +149,54 @@ class IntentJudgments:
         except KeyError:
             raise UnknownQuery(f"query {qid!r} has no intent judgments") from None
 
-    def gather(self, rows: np.ndarray, doc_lists: Sequence[Sequence[str]], depth: int) -> np.ndarray:
-        """Relevance of listed docs, as ``rows`` x ``depth`` x intents.
+    def gather(self, rows: np.ndarray, docs: np.ndarray, doc_ids: Sequence[str]) -> np.ndarray:
+        """Relevance as ``rows`` x ranks x intents of ``docs``, positions in the ascending table ``doc_ids`` (-1: none).
 
-        Entry ``[i, r, j]`` is the relevance of ``doc_lists[i][r]`` to the
-        ``j``-th intent of query ``rows[i]``; each list holds at most
-        ``depth`` docs.  Docs the query has no positive judgment for, and
-        ranks past a list's end, are False.
+        The doc tables are matched as NumPy strings (which drop trailing NULs), then each key is found in ``listed``.
         """
-        cols = []
-        for row, docs in zip(rows.tolist(), doc_lists):
-            cols += map(self._doc_pos[row].get, docs, repeat(-1, len(docs)))
-            cols += repeat(-1, depth - len(docs))
-        cols = np.array(cols, dtype=np.intp).reshape(len(rows), depth)
-        hit = cols >= 0
-        out = np.zeros(cols.shape + self.rel.shape[2:], dtype=bool)
-        out[hit] = self.rel[np.broadcast_to(rows[:, None], cols.shape)[hit], cols[hit]]
+        table, ids = self._doc_table, np.array(doc_ids, dtype=str)
+        at = np.searchsorted(table, ids)
+        found = at < len(table)
+        found[found] = table[at[found]] == ids[found]
+        code = np.append(np.where(found, at, -1), -1)[docs]  # docs' -1 picks the appended -1
+        key = rows[:, None] * len(table) + code
+        pos = np.searchsorted(self.listed, key)
+        hit = (code >= 0) & (np.append(self.listed, -1)[pos] == key)
+        out = np.zeros(docs.shape + self.rel.shape[2:], dtype=bool)
+        out[hit] = self.rel[np.broadcast_to(rows[:, None], docs.shape)[hit], (pos - self.first_doc[rows, None])[hit]]
         return out
 
 
-@dataclass
-class RunList:
-    """Per-query ranked (doc, score) candidate lists in rank order."""
+class SearchRun:
+    """Every query's ranked docs, held as read-only arrays: ``query_ids`` ascend, ``doc_ids`` is an ascending
+    doc table, and row ``q`` of the queries x depth ``docs`` and ``scores`` holds query ``q``'s ``lengths[q]`` doc
+    positions in ``doc_ids`` (each at most once) and finite scores in rank order, padded with -1 and 0."""
 
-    queries: dict[str, list[tuple[str, float]]]
+    def __init__(self, query_ids: Sequence[str], doc_ids: Sequence[str], docs, scores) -> None:
+        self.query_ids, self.doc_ids = list(query_ids), list(doc_ids)
+        self.docs, self.scores = np.array(docs, dtype=np.intp, ndmin=2), np.array(scores, dtype=float)
+        ranked = self.docs >= 0
+        self.lengths = ranked.sum(axis=1)
+        ordered = np.sort(self.docs, axis=1)
+        if not (
+            _ascending(self.query_ids) and _ascending(self.doc_ids)
+            and self.docs.shape == self.scores.shape and len(self.docs) == len(self.query_ids)
+            and (ranked == (np.arange(ranked.shape[1]) < self.lengths[:, None])).all()
+            and self.docs.min(initial=-1) == -1 <= self.docs.max(initial=-1) < len(self.doc_ids)
+            and not ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any()
+            and np.isfinite(self.scores[ranked]).all()
+        ):
+            raise InvariantViolation("a run holds ascending ids, then per query distinct doc positions, -1 padded")
+        for table in (self.docs, self.scores, self.lengths):
+            table.flags.writeable = False
 
-    def docs(self, qid: str) -> list[str]:
-        return [doc for doc, _ in self.queries.get(qid, [])]
+    def rerank(self, positions) -> SearchRun:
+        """The run of each row's docs at ``positions`` (a row per query, or one for all; -1 or past the row's
+        docs: none), scored ``length - rank``."""
+        positions = np.asarray(positions, dtype=np.intp)
+        docs = np.where(positions >= 0, self.docs[np.arange(len(self.query_ids))[:, None], positions], -1)
+        scores = (docs >= 0).sum(axis=1)[:, None] - np.arange(docs.shape[1])
+        return SearchRun(self.query_ids, self.doc_ids, docs, np.where(docs >= 0, scores, 0))
 
 
 @contextmanager
@@ -420,31 +434,38 @@ def filter_and_split(
     )
 
 
-QRELS_CHUNK_CHARS = 1 << 18  # readlines() size hint: bounds the token lists held at once
+QRELS_CHUNK_CHARS = 1 << 18  # readlines() size hint: bounds the lines and tokens a parser holds at once
+_END = "\0"  # marks each line end among a chunk's tokens
 
 
-def _check_qrels_chunk(path: Path, widths: list[int], tokens: list[str], first_lineno: int) -> None:
-    """Raise a :class:`ParseError` naming ``path`` and its earliest line that lacks four fields or a 0/1 relevance."""
-    if set(widths) <= {0, 4} and set(tokens[3::4]) <= {"0", "1"}:
-        return
-    at = 0
-    for lineno, width in enumerate(widths, start=first_lineno):
-        if width == 0:
-            continue
-        if width != 4:
-            raise ParseError(f"{path}: line {lineno}: expected 'qid intent doc rel', got {width} fields")
-        if tokens[at + 3] not in ("0", "1"):
-            raise ParseError(f"{path}: line {lineno}: relevance {tokens[at + 3]!r} not in {{0, 1}}")
-        at += 4
+def _chunks(path: Path, what: str, width: int, error: Callable[[int, int], FairrankError]) -> Iterator[tuple]:
+    """Yield ``(line numbers, tokens, error)`` for each chunk of whole lines of the ``what`` file ``path``: the
+    fields, ``width`` a line, of the non-blank lines before the chunk's first line of another width, and
+    ``error(line number, width)`` of that line or None, for the caller to raise after checking the lines before.
+    A chunk is split once with a mark at each line end, and again line by line only if its marks are misplaced."""
+    lineno = 1
+    with open_text(path, what) as fh:
+        while lines := fh.readlines(QRELS_CHUNK_CHARS):
+            text = "".join(lines).replace("\n", f" {_END} ") + ("" if lines[-1].endswith("\n") else f" {_END}")
+            tokens, n = text.split(), len(lines)
+            if len(tokens) == (width + 1) * n and tokens[width :: width + 1].count(_END) == n == tokens.count(_END):
+                del tokens[width :: width + 1]
+                yield np.arange(lineno, lineno + n), tokens, None
+            else:
+                fields = list(map(str.split, lines))
+                widths = np.fromiter(map(len, fields), np.intp, n)
+                bad = np.append(np.flatnonzero((widths != width) & (widths != 0)), n)[0]
+                error_at = error(lineno + bad, widths[bad]) if bad < n else None
+                yield np.flatnonzero(widths[:bad]) + lineno, list(chain.from_iterable(fields[:bad])), error_at
+            lineno += n
 
 
-def _ranked(codes: dict[str, int], column: list[int]) -> tuple[list[str], np.ndarray]:
-    """The names in ascending id order, and the position among them of each code in ``column``."""
-    names = list(codes)
+def _ranked(names: list[str], column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """``names`` in ascending id order, and the position among them of each index into ``names`` in ``column``."""
     order = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(names), dtype=np.int64)
     rank[order] = np.arange(len(names))
-    return [names[c] for c in order], rank[np.fromiter(column, np.int64, len(column))]
+    return [names[c] for c in order], rank[column]
 
 
 def _split(names: list[str], pairs: np.ndarray, n_names: int, n_q: int) -> tuple[list[list[str]], np.ndarray]:
@@ -465,24 +486,22 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
     those with a relevance-1 line.  Duplicate (qid, intent, doc) lines are
     resolved last-wins and counted in ``duplicate_count``.
     """
-    tables = (defaultdict(), defaultdict(), defaultdict())  # qid, intent, doc -> code, in first-seen order
-    for table in tables:
-        table.default_factory = table.__len__  # a new name gets the next code
-    columns: tuple[list[int], ...] = ([], [], [])
+    tables = tuple(defaultdict(count().__next__) for _ in range(3))  # qid, intent, doc -> code, in first-seen order
+    columns: tuple[list[np.ndarray], ...] = ([], [], [])
     rels = bytearray()
-    lineno = 1
-    with open_text(path, "qrels") as fh:
-        while lines := fh.readlines(QRELS_CHUNK_CHARS):
-            widths = list(map(len, map(str.split, lines)))
-            tokens = "".join(lines).split()
-            _check_qrels_chunk(path, widths, tokens, lineno)
-            lineno += len(lines)
-            for offset, table, column in zip(range(3), tables, columns):
-                column += map(table.__getitem__, tokens[offset::4])
-            rels += "".join(tokens[3::4]).encode("ascii")
+    shape = lambda lineno, n: ParseError(f"{path}: line {lineno}: expected 'qid intent doc rel', got {n} fields")
+    for numbers, tokens, error in _chunks(path, "qrels", 4, shape):
+        if not set(tokens[3::4]) <= {"0", "1"}:
+            at, rel = next((at, rel) for at, rel in enumerate(tokens[3::4]) if rel not in ("0", "1"))
+            raise ParseError(f"{path}: line {numbers[at]}: relevance {rel!r} not in {{0, 1}}")
+        if error is not None:
+            raise error
+        for offset, table, column in zip(range(3), tables, columns):
+            column.append(np.fromiter(map(table.__getitem__, tokens[offset::4]), np.intp))
+        rels += "".join(tokens[3::4]).encode("ascii")
     if not rels:
-        return IntentJudgments([], [], [], np.zeros((0, 0, 0), dtype=bool))
-    (qids, q), (intents, i), (docs, d) = map(_ranked, tables, columns)
+        return IntentJudgments([], [], [], [], np.zeros((0, 0, 0), dtype=bool))
+    (qids, q), (intents, i), (docs, d) = map(_ranked, map(list, tables), map(np.concatenate, columns))
     n_q, n_i, n_d = len(qids), len(intents), len(docs)
     key = (q * n_i + i) * n_d + d
     order = np.argsort(key, kind="stable")
@@ -496,51 +515,79 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
     query_intents, first_intent = _split(intents, pairs[new], n_i, n_q)
     col = (intent_of - first_intent[q])[positive]
     q, d = q[positive], d[positive]
-    pairs, doc_of = np.unique(q * n_d + d, return_inverse=True)
-    query_docs, first_doc = _split(docs, pairs, n_d, n_q)
-    rel = np.zeros((n_q, max(map(len, query_docs)), max(map(len, query_intents))), dtype=bool)
+    listed, doc_of = np.unique(q * n_d + d, return_inverse=True)
+    first_doc = np.searchsorted(listed, np.arange(n_q) * n_d)
+    rel = np.zeros((n_q, np.bincount(listed // n_d, minlength=n_q).max(), max(map(len, query_intents))), dtype=bool)
     rel[q, doc_of - first_doc[q], col] = True
-    return IntentJudgments(qids, query_intents, query_docs, rel, duplicate_count=len(key) - len(kept))
+    return IntentJudgments(qids, query_intents, docs, listed, rel, duplicate_count=len(key) - len(kept))
 
 
-def parse_run_file(path: str | Path, truncate: int | None = 50) -> RunList:
-    """Parse a 6-column TREC run file, keeping the top ``truncate`` docs per query."""
-    queries: dict[str, list[tuple[str, float]]] = {}
-    last_rank: dict[str, int] = {}
-    seen_docs: dict[str, set[str]] = {}
-    with open_text(path, "run") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 6:
-                raise FormatError(f"{path}: line {lineno}: expected 6 TREC columns, got {len(fields)}")
-            qid, _q0, doc, rank_raw, score_raw, _tag = fields
-            try:
-                rank = int(rank_raw)
-                score = float(score_raw)
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
-            if not math.isfinite(score):
-                raise FormatError(f"{path}: line {lineno}: non-finite score")
-            if qid in last_rank and rank <= last_rank[qid]:
-                raise FormatError(f"{path}: line {lineno}: rank {rank} not strictly increasing for query {qid!r}")
-            docs = seen_docs.setdefault(qid, set())
-            if doc in docs:
-                raise FormatError(f"{path}: line {lineno}: duplicate doc {doc!r} for query {qid!r}")
-            docs.add(doc)
-            last_rank[qid] = rank
-            queries.setdefault(qid, []).append((doc, score))
-    if truncate is not None:
-        queries = {qid: docs[:truncate] for qid, docs in queries.items()}
-    return RunList(queries=queries)
+def _run_values(path: Path, numbers: np.ndarray, tokens: list[str]) -> tuple:
+    """The ranks (Python ints, which may pass int64) and scores of a run chunk's lines up to the first whose rank or
+    score is unusable, and a FormatError naming that line, or None."""
+    try:
+        ranks, scores = np.fromiter(map(int, tokens[3::6]), object), np.fromiter(map(float, tokens[4::6]), float)
+        if np.isfinite(scores).all():
+            return ranks, scores, None
+        why = "non-finite score"
+    except ValueError as exc:
+        why = str(exc)
+    if len(numbers) == 1:
+        return np.empty(0, object), np.empty(0), FormatError(f"{path}: line {numbers[0]}: {why}")
+    errors = (_run_values(path, numbers[at : at + 1], tokens[6 * at : 6 * at + 6])[2] for at in range(len(numbers)))
+    at, error = next((at, error) for at, error in enumerate(errors) if error)  # the first bad line, one line at a time
+    return (*_run_values(path, numbers[:at], tokens[: 6 * at])[:2], error)
 
 
-def write_run_file(run: Mapping[str, Sequence[tuple[str, float]]], path: str | Path, tag: str) -> None:
-    """Write per-query ranked docs in 6-column TREC format."""
-    path = Path(path)
-    ranked = ((qid, rank, doc, score) for qid in sorted(run) for rank, (doc, score) in enumerate(run[qid], start=1))
-    lines = (f"{qid} Q0 {doc} {rank} {score!r} {tag}\n" for qid, rank, doc, score in ranked)
+def parse_run_file(path: str | Path, truncate: int | None = 50) -> SearchRun:
+    """Parse a 6-column TREC run file in chunks of lines, keeping the top ``truncate`` docs per query.
+
+    Queries may interleave; each keeps its file order.  A :class:`FormatError` names the earliest line, past
+    ``truncate`` too, of another width, with a rank not an int or not above its query's last, a score not finite,
+    or a doc its query listed before."""
+    tables = (defaultdict(count().__next__), defaultdict(count().__next__))  # qid, doc -> code, in first-seen order
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, object), np.empty(0))]
+    shape, pending = lambda lineno, n: FormatError(f"{path}: line {lineno}: expected 6 TREC columns, got {n}"), None
+    for numbers, tokens, error in _chunks(path, "run", 6, shape):
+        ranks, scores, pending = _run_values(path, numbers, tokens)
+        n = len(ranks)
+        q, d = (np.fromiter(map(t.__getitem__, tokens[at : 6 * n : 6]), np.intp) for at, t in zip((0, 2), tables))
+        parts.append((numbers[:n], q, d, ranks, scores))
+        if pending := pending or error:
+            break
+    numbers, q, d, ranks, scores = (np.concatenate(column) for column in zip(*parts))
+    query_ids, row = _ranked(list(tables[0]), q)
+    order = np.argsort(row, kind="stable")  # each query's lines, in file order
+    later = order[1:][(row[order[1:]] == row[order[:-1]]) & (ranks[order[1:]] <= ranks[order[:-1]])]
+    key = row * len(tables[1]) + d
+    by_key = np.argsort(key, kind="stable")
+    repeated = by_key[1:][key[by_key[1:]] == key[by_key[:-1]]]
+    if (at := min(later.min(initial=len(q)), repeated.min(initial=len(q)))) < len(q):
+        where, qid = f"{path}: line {numbers[at]}", query_ids[row[at]]
+        if at in later:
+            raise FormatError(f"{where}: rank {ranks[at]} not strictly increasing for query {qid!r}")
+        raise FormatError(f"{where}: duplicate doc {list(tables[1])[d[at]]!r} for query {qid!r}")
+    if pending:
+        raise pending
+    row = row[order]
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    if truncate is not None:  # sliced as a list is: a negative truncate drops that many from each query's end
+        keep = rank < (truncate if truncate >= 0 else np.bincount(row)[row] + truncate)
+        order, row, rank = order[keep], row[keep], rank[keep]
+    used, code = np.unique(d[order], return_inverse=True)
+    names = list(tables[1])
+    doc_ids, code = _ranked([names[c] for c in used.tolist()], code)
+    docs = np.full((len(query_ids), rank.max(initial=-1) + 1), -1)
+    table = np.zeros(docs.shape)
+    docs[row, rank], table[row, rank] = code, scores[order]
+    return SearchRun(query_ids, doc_ids, docs, table)
+
+
+def write_run_file(run: SearchRun, path: str | Path, tag: str) -> None:
+    """Write every query's ranked docs in 6-column TREC format."""
+    path, ranked = Path(path), run.docs >= 0
+    entries = zip(*(a.tolist() for a in (*np.nonzero(ranked), run.docs[ranked], run.scores[ranked])))
+    lines = (f"{run.query_ids[q]} Q0 {run.doc_ids[d]} {r + 1} {s!r} {tag}\n" for q, r, d, s in entries)
     with writing(path.parent, "run file"):
         replace_file(path, "".join(lines))
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import GroupUtilityVector, RankingSlate
 from .errors import InvariantViolation, UndefinedMetric
-from .ingest import IntentJudgments, RunList
+from .ingest import IntentJudgments, SearchRun
 
 
 @dataclass
@@ -44,7 +44,7 @@ class Evaluation:
     slates: RankingSlate | None = None
     relevant: Mapping[str, set[str]] | None = None
     utility: GroupUtilityVector | None = None
-    run: RunList | None = None
+    run: SearchRun | None = None
     judgments: IntentJudgments | None = None
     alpha: float | None = None
 
@@ -253,19 +253,18 @@ def min_max_ratio(v: GroupUtilityVector) -> float:
 # ---------------------------------------------------------------------------
 
 
-def judged_top(run: RunList, judg: IntentJudgments, k: int) -> tuple[np.ndarray, np.ndarray]:
+def judged_top(run: SearchRun, judg: IntentJudgments, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The judgment rows of the run's queries (ascending id) and the relevance of their top-k docs.
 
     The relevance array is queries x ranks x intents, ranks cut to the
     longest of the run's top-k lists; unjudged docs and ranks past a short
     run are False.
     """
-    qids = sorted(run.queries)
-    rows = np.array([judg.row(qid) for qid in qids], dtype=np.intp)
-    if not qids:
+    rows = np.array([judg.row(qid) for qid in run.query_ids], dtype=np.intp)
+    if not run.query_ids:
         raise UndefinedMetric("run contains no queries")
-    tops = [run.docs(qid)[:k] for qid in qids]
-    return rows, judg.gather(rows, tops, max(map(len, tops)))
+    depth = int(np.minimum(run.lengths, k).max())
+    return rows, judg.gather(rows, run.docs[:, :depth], run.doc_ids)
 
 
 class _GreedyIdeal:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import settings
 
 from fairrank.core import Catalog, RankingSlate, ScoreMatrix
-from fairrank.ingest import IntentJudgments, RunList
-from reference_diverse import Query, judgments_of
+from fairrank.ingest import IntentJudgments
+from reference_diverse import Query, judgments_of, run_of
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
@@ -120,7 +120,7 @@ def random_diversity_instance(rng: np.random.Generator, max_docs: int = 8, max_i
         if member:
             doc_intents[d] = member
     scores = sorted((float(s) for s in rng.uniform(0.0, 1.0, size=n_docs)), reverse=True)
-    run = RunList(queries={"q1": list(zip(docs, scores))})
+    run = run_of({"q1": list(zip(docs, scores))})
     return run, make_judgments(doc_intents, intents)
 
 

@@ -1,13 +1,16 @@
 """One-query-at-a-time reference loops for the batched search code.
 
 ``fairrank.ingest.parse_diversity_qrels`` parses qrels in chunks into one
-query x doc x intent table (``IntentJudgments``), ``fairrank.diverse_rerank``
-runs the xQuAD and PM2 greedy steps for all queries at once, and
-``fairrank.metrics`` computes alpha-nDCG (with a greedy ideal kept on the
-judgments), ERR-IA and S-recall for all queries at once.  These loops are
-the slow, obviously-correct versions, over the per-query form ``Query``
-(declared intents, priors and per-doc intent sets); the tests require the
-batched code to reproduce them exactly.
+query x doc x intent table (``IntentJudgments``), ``parse_run_file`` parses
+a TREC run in chunks into one queries x depth array (``SearchRun``),
+``fairrank.diverse_rerank`` runs the xQuAD and PM2 greedy steps for all
+queries at once and returns pool positions, and ``fairrank.metrics``
+computes alpha-nDCG (with a greedy ideal kept on the judgments), ERR-IA and
+S-recall for all queries at once.  These loops are the slow,
+obviously-correct versions, over the per-query forms ``Query`` (declared
+intents, priors and per-doc intent sets) and ``RunList`` (per-query
+``(doc, score)`` lists); the tests require the batched code to reproduce
+them exactly.
 
 They add with builtin ``sum`` (PM2's coverage, the ideal's per-doc gain),
 which adds left to right on Python 3.11.  Python 3.12 made ``sum`` of floats
@@ -26,8 +29,83 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from fairrank.diverse_rerank import DiversifyContext
-from fairrank.errors import EmptyCandidates, InvariantViolation, IoError, ParseError, UndefinedMetric
-from fairrank.ingest import IntentJudgments, RunList
+from fairrank.errors import EmptyCandidates, FormatError, InvariantViolation, IoError, ParseError, UndefinedMetric
+from fairrank.ingest import IntentJudgments, SearchRun
+
+
+@dataclass
+class RunList:
+    """Per-query ranked (doc, score) candidate lists in rank order."""
+
+    queries: dict[str, list[tuple[str, float]]]
+
+    def docs(self, qid: str) -> list[str]:
+        return [doc for doc, _ in self.queries.get(qid, [])]
+
+
+def run_of(queries: Mapping[str, Sequence[tuple[str, float]]] | RunList) -> SearchRun:
+    """The ``SearchRun`` holding per-query ``(doc, score)`` lists, built through its constructor."""
+    if isinstance(queries, RunList):
+        queries = queries.queries
+    qids = sorted(queries)
+    doc_ids = sorted({doc for entries in queries.values() for doc, _ in entries})
+    pos = {doc: c for c, doc in enumerate(doc_ids)}
+    docs = np.full((len(qids), max(map(len, queries.values()), default=0)), -1)
+    scores = np.zeros(docs.shape)
+    for q, qid in enumerate(qids):
+        entries = queries[qid]
+        docs[q, : len(entries)] = [pos[doc] for doc, _ in entries]
+        scores[q, : len(entries)] = [score for _, score in entries]
+    return SearchRun(qids, doc_ids, docs, scores)
+
+
+def lists_of(run: SearchRun) -> RunList:
+    """The per-query ``(doc, score)`` lists of a ``SearchRun``."""
+    return RunList({
+        qid: [(run.doc_ids[c], s) for c, s in zip(docs[:n], scores[:n])]
+        for qid, docs, scores, n in zip(run.query_ids, run.docs.tolist(), run.scores.tolist(), run.lengths.tolist())
+    })
+
+
+def picked(run: SearchRun, picks: np.ndarray) -> dict[str, list[str]]:
+    """Each query's docs at the pool positions ``picks`` (a diversifier's result), in order."""
+    return {qid: [doc for doc, _ in entries] for qid, entries in lists_of(run.rerank(picks)).queries.items()}
+
+
+def parse_run_file(path: str | Path, truncate: int | None = 50) -> RunList:
+    """Per-line version of ``fairrank.ingest.parse_run_file``."""
+    path = Path(path)
+    if not path.exists():
+        raise IoError(f"run file not found: {path}")
+    queries: dict[str, list[tuple[str, float]]] = {}
+    last_rank: dict[str, int] = {}
+    seen_docs: dict[str, set[str]] = {}
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 6:
+                raise FormatError(f"{path}: line {lineno}: expected 6 TREC columns, got {len(fields)}")
+            qid, _q0, doc, rank_raw, score_raw, _tag = fields
+            try:
+                rank = int(rank_raw)
+                score = float(score_raw)
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from None
+            if not math.isfinite(score):
+                raise FormatError(f"{path}: line {lineno}: non-finite score")
+            if qid in last_rank and rank <= last_rank[qid]:
+                raise FormatError(f"{path}: line {lineno}: rank {rank} not strictly increasing for query {qid!r}")
+            docs = seen_docs.setdefault(qid, set())
+            if doc in docs:
+                raise FormatError(f"{path}: line {lineno}: duplicate doc {doc!r} for query {qid!r}")
+            docs.add(doc)
+            last_rank[qid] = rank
+            queries.setdefault(qid, []).append((doc, score))
+    if truncate is not None:
+        queries = {qid: docs[:truncate] for qid, docs in queries.items()}
+    return RunList(queries=queries)
 
 
 @dataclass
@@ -60,6 +138,13 @@ class Query:
         return sorted(self.doc_intents)
 
 
+def listed_of(docs: Sequence[Sequence[str]]) -> tuple[list[str], list[int]]:
+    """The doc table and the ``q * len(table) + d`` keys of each query's listed ``docs``, in the order given."""
+    table = sorted({doc for query_docs in docs for doc in query_docs})
+    pos = {doc: d for d, doc in enumerate(table)}
+    return table, [q * len(table) + pos[doc] for q, query_docs in enumerate(docs) for doc in query_docs]
+
+
 def judgments_of(queries: Mapping[str, Query], duplicate_count: int = 0) -> IntentJudgments:
     """The ``IntentJudgments`` table holding ``queries``, built through its constructor."""
     qids = sorted(queries)
@@ -72,7 +157,13 @@ def judgments_of(queries: Mapping[str, Query], duplicate_count: int = 0) -> Inte
         prior[q, : len(query.intents)] = [query.priors[intent] for intent in query.intents]
         for d, doc in enumerate(docs[q]):
             rel[q, d, : len(query.intents)] = [intent in query.doc_intents[doc] for intent in query.intents]
-    return IntentJudgments(qids, intents, docs, rel, prior, duplicate_count)
+    return IntentJudgments(qids, intents, *listed_of(docs), rel, prior, duplicate_count)
+
+
+def docs_of(judgments: IntentJudgments, q: int) -> list[str]:
+    """The ids of the docs row ``q`` of the judgments lists, ascending."""
+    keys = judgments.listed[judgments.first_doc[q] : judgments.first_doc[q] + judgments.n_docs[q]]
+    return [judgments.doc_ids[key % len(judgments.doc_ids)] for key in keys.tolist()]
 
 
 def query_of(judgments: IntentJudgments | Query, qid: str | None = None) -> Query:
@@ -85,7 +176,7 @@ def query_of(judgments: IntentJudgments | Query, qid: str | None = None) -> Quer
     intents = judgments.intents[q]
     doc_intents = {
         doc: frozenset(intent for intent, rel in zip(intents, judgments.rel[q, d]) if rel)
-        for d, doc in enumerate(judgments.docs[q])
+        for d, doc in enumerate(docs_of(judgments, q))
     }
     return Query(list(intents), dict(zip(intents, judgments.prior[q].tolist())), doc_intents)
 
@@ -217,21 +308,21 @@ def pm2_query(
 
 
 def xquad(ctx: DiversifyContext) -> dict[str, list[str]]:
-    """Per-query loop version of ``fairrank.diverse_rerank.xquad``."""
+    """Per-query loop version of ``fairrank.diverse_rerank.xquad``, returning each query's docs."""
     out: dict[str, list[str]] = {}
-    for qid in sorted(ctx.run.queries):
+    for qid, entries in lists_of(ctx.run).queries.items():
         judg = query_of(ctx.judgments, qid)
-        docs, norm = normalized_pool(ctx.run.queries[qid][: ctx.pool_size])
+        docs, norm = normalized_pool(entries[: ctx.pool_size])
         out[qid] = xquad_query(docs, norm, judg, relevance_fn(ctx, qid, judg), ctx.lam, ctx.k)
     return out
 
 
 def pm2(ctx: DiversifyContext) -> dict[str, list[str]]:
-    """Per-query loop version of ``fairrank.diverse_rerank.pm2``."""
+    """Per-query loop version of ``fairrank.diverse_rerank.pm2``, returning each query's docs."""
     out: dict[str, list[str]] = {}
-    for qid in sorted(ctx.run.queries):
+    for qid, entries in lists_of(ctx.run).queries.items():
         judg = query_of(ctx.judgments, qid)
-        docs, _ = normalized_pool(ctx.run.queries[qid][: ctx.pool_size])
+        docs, _ = normalized_pool(entries[: ctx.pool_size])
         out[qid] = pm2_query(docs, judg, relevance_fn(ctx, qid, judg), ctx.lam, ctx.k)
     return out
 

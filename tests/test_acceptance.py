@@ -43,7 +43,7 @@ from conftest import (
     random_instance,
     score_matrix,
 )
-from reference_diverse import alpha_ndcg_query, err_ia_query, pm2_oracle, xquad_oracle
+from reference_diverse import alpha_ndcg_query, err_ia_query, lists_of, picked, pm2_oracle, xquad_oracle
 from reference_metrics import IdSlates, ids
 from reference_rerank import welf_objective
 from reference_trainer import bpr_triple_loss, score
@@ -103,10 +103,10 @@ def test_c02_knob_zero_reductions():
         assert ids(cpfair(ctx(), lam=1.0, swap_budget=0)) == base
         assert ids(fairrec(ctx(), phi=1e-12)) == base
         run, judgments = random_diversity_instance(rng, max_docs=8, max_intents=4)
-        pool = run.docs("q1")
+        pool = lists_of(run).docs("q1")
         dk = int(rng.integers(1, len(pool) + 1))
         dctx = DiversifyContext(run, judgments, lam=0.0, k=dk)
-        assert xquad(dctx)["q1"] == pool[:dk]
+        assert picked(run, xquad(dctx))["q1"] == pool[:dk]
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     passed(2, f"knob-at-zero reductions on 100 instances ({elapsed:.2f}s)")
@@ -186,12 +186,12 @@ def test_c06_greedy_oracle_equivalence():
     for trial in range(200):
         rng = np.random.default_rng(60_000 + trial)
         run, judgments = random_diversity_instance(rng, max_docs=8, max_intents=4)
-        entries = run.queries["q1"]
+        entries = lists_of(run).queries["q1"]
         lam = float(rng.uniform(0.0, 1.0))
         k = int(rng.integers(1, len(entries) + 1))
         ctx = DiversifyContext(run, judgments, lam=lam, k=k)
-        assert xquad(ctx)["q1"] == xquad_oracle(entries, judgments, lam, k)
-        assert pm2(ctx)["q1"] == pm2_oracle(entries, judgments, lam, k)
+        assert picked(run, xquad(ctx))["q1"] == xquad_oracle(entries, judgments, lam, k)
+        assert picked(run, pm2(ctx))["q1"] == pm2_oracle(entries, judgments, lam, k)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     passed(6, f"xquad/pm2 match step-wise oracles on 200 instances ({elapsed:.2f}s)")

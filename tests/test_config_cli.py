@@ -832,6 +832,13 @@ SEARCH_SHA256 = {
     "records.jsonl": "d94ae4ad1885a6e64c76cf6dfa62ed1b76a03cc560cf9536abcea664f02df67a",
     "table.txt": "bb401dfb178e374c618eb4780493698e0bf1910aa3737cdb3cf21b6f634ec1de",
 }
+# The re-ranked run files of the same runs (and of the evaluate stage's cut of the
+# input run), recorded at eb42b66, while runs were still dicts of (doc, score) lists.
+RUN_FILE_SHA256 = {
+    "rerank-xquad.run": "3d2cf3e131f88d0d6645e4a05389e0967654abf9bc0e797d3d46ddd54e7f6cee",
+    "rerank-pm2.run": "6c3893f56dd76db90a91015fb30820519ed5b783ec2fccd2890be3bc1464b9da",
+}
+ORIGINAL_RUN_SHA256 = "7e01a020147ff1bfe7d924ea74adc43d9e7a909e42f240136e92dcf37988f051"
 
 
 @pytest.fixture
@@ -870,6 +877,9 @@ class TestCliSearch:
         assert code == 0
         log_dir = search_root / "log" / "s1"
         assert {name: hashlib.sha256((log_dir / name).read_bytes()).hexdigest() for name in SEARCH_SHA256} == SEARCH_SHA256
+        assert {
+            name: hashlib.sha256((log_dir / name).read_bytes()).hexdigest() for name in RUN_FILE_SHA256
+        } == RUN_FILE_SHA256
         table = (search_root / "log" / "s1" / "table.txt").read_text()
         for col in ("ERR-IA", "alpha-nDCG", "S-rec"):
             assert col in table
@@ -911,7 +921,7 @@ class TestCliSearch:
              "--config", cfg, "--data-dir", str(search_root)]
         )
         out = parse_run_file(search_root / "log" / "s2" / "rerank-pm2.run", truncate=None)
-        assert set(out.queries) == {"1", "2", "3"}
+        assert out.query_ids == ["1", "2", "3"]
 
     def test_search_evaluate_original_ranking(self, search_root, tmp_path):
         cfg = user_config(tmp_path, "s.yaml", {"log_name": "s3"})
@@ -924,6 +934,8 @@ class TestCliSearch:
             json.loads(l) for l in (search_root / "log" / "s3" / "records.jsonl").read_text().splitlines()
         ]
         assert {r["model"] for r in records if r["record"] == "row"} == {"original"}
+        run_file = search_root / "log" / "s3" / "rerank-original.run"
+        assert hashlib.sha256(run_file.read_bytes()).hexdigest() == ORIGINAL_RUN_SHA256
 
 
 @pytest.fixture
@@ -952,7 +964,11 @@ class TestConfigValues:
     BAD = {
         "pool_size-not-int": ("search", "post-processing", {"pool_size": "x"},
                               "pool_size must be a positive integer, got 'x'"),
-        "alpha-not-number": ("search", "post-processing", {"alpha": "x"}, "alpha must be a number, got 'x'"),
+        "alpha-not-number": ("search", "post-processing", {"alpha": "x"}, "alpha must be a number in [0, 1), got 'x'"),
+        "alpha-out-of-range": ("search", "post-processing", {"alpha": 1.5},
+                               "alpha must be a number in [0, 1), got 1.5"),
+        "ratios-zero": ("recommendation", "process", {"ratios": [1, 0, 0]},
+                        "ratios must be a list of three positive numbers that sum to 1, got [1, 0, 0]"),
         "fair_rank-string": ("recommendation", "in-processing", {"fair_rank": "no"},
                              "fair_rank must be true or false, got 'no'"),
         "arrival-list": ("recommendation", "post-processing", {"arrival": ["x"]},
@@ -1003,6 +1019,14 @@ class TestConfigValues:
                 "--config", cfg, "--data-dir", str(workspace)]
         assert cli.run(argv) == 1
         assert "error: ConfigError: log_name must be a non-empty path, got 'a\\x00b'" in capsys.readouterr().out
+
+    def test_unusable_log_name_leaves_no_log_directory(self, workspace, tmp_path, capsys):
+        cfg = user_config(tmp_path, "c.yaml", {"log_name": ["x"], "model": "bogus"})
+        argv = ["--task", "recommendation", "--stage", "post-processing", "--dataset", "synth",
+                "--config", cfg, "--data-dir", str(workspace)]
+        assert cli.run(argv) == 1
+        assert "error: ConfigError: " in capsys.readouterr().out
+        assert not (workspace / "log").exists()
 
     def test_param_bool_is_not_a_number(self):
         merged = {"model": "welf", "K": [5], "log_name": "x", "params": {"welf": {"iters": True}}}

@@ -15,6 +15,7 @@ which is sequential on Python 3.11 but compensated on 3.12+ (see
 ``tests/reference_diverse.py``).
 """
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -27,14 +28,14 @@ import reference_diverse as ref
 from fairrank import ingest
 from fairrank import metrics as M
 from fairrank.diverse_rerank import DiversifyContext, pm2, xquad
-from fairrank.errors import FairrankError
-from fairrank.ingest import RunList
+from fairrank.errors import FairrankError, FormatError
+from reference_diverse import RunList
 
 seeds = st.integers(0, 2**32 - 1)
 
 
 def _alpha_ndcg(run: RunList, judgments, alpha: float, k: int) -> float:
-    return M.alpha_ndcg(M.judged_top(run, judgments, k), judgments, alpha, k)
+    return M.alpha_ndcg(M.judged_top(ref.run_of(run), judgments, k), judgments, alpha, k)
 
 
 def _query(rng: np.random.Generator, qid: str):
@@ -88,15 +89,15 @@ def test_xquad_and_pm2_match_per_query_loops(seed):
     rng, run, judgments, predicted = _instance(seed)
     longest = max(len(entries) for entries in run.queries.values())
     ctx = DiversifyContext(
-        run,
+        ref.run_of(run),
         judgments,
         intent_relevance=predicted if rng.random() < 0.7 else None,
         lam=float(rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform(0.0, 1.0)])),
         k=int(rng.integers(1, longest + 4)),
         pool_size=int(rng.integers(1, longest + 3)),
     )
-    assert xquad(ctx) == ref.xquad(ctx)
-    assert pm2(ctx) == ref.pm2(ctx)
+    assert ref.picked(ctx.run, xquad(ctx)) == ref.xquad(ctx)
+    assert ref.picked(ctx.run, pm2(ctx)) == ref.pm2(ctx)
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "repeated"])
@@ -154,7 +155,7 @@ def test_search_metrics_match_per_query_loops(seed):
     k = int(rng.integers(1, 16))
     alpha = float(rng.choice([0.0, 0.5, np.round(rng.uniform(0.0, 0.95), 2), 1.0]))
     # One report row: the three metrics share its one gather of the run's top-k.
-    row = M.Evaluation(k, run=rerun, judgments=judgments, alpha=alpha)
+    row = M.Evaluation(k, run=ref.run_of(rerun), judgments=judgments, alpha=alpha)
     assert _outcome(M.METRICS["alpha_ndcg"].value, row) == _outcome(ref.alpha_ndcg, rerun, judgments, alpha, k)
     assert _outcome(M.METRICS["err_ia"].value, row) == _outcome(ref.err_ia, rerun, judgments, k)
     assert _outcome(M.METRICS["s_rec"].value, row) == _outcome(ref.s_recall, rerun, judgments, k)
@@ -169,7 +170,8 @@ def _qrels_text(rng: np.random.Generator) -> str:
         q = int(rng.integers(0, n_queries))
         rel = "1" if q not in silent and rng.random() < 0.4 else "0"
         # Small id spaces repeat (qid, intent, doc), so duplicates flip 1 -> 0 and 0 -> 1.
-        lines.append([f"q{q}", f"i{rng.integers(0, 12)}", f"d{rng.integers(0, 8)}", rel])
+        doc = "\0" if rng.random() < 0.02 else f"d{rng.integers(0, 8)}"  # a field equal to the chunks' line-end mark
+        lines.append([f"q{q}", f"i{rng.integers(0, 12)}", doc, rel])
     for _ in range(int(rng.choice([0, 0, 0, 1, 2]))):  # two bad lines: the earlier one must be reported
         bad = lines[int(rng.integers(0, len(lines)))]
         if rng.random() < 0.5:
@@ -178,6 +180,11 @@ def _qrels_text(rng: np.random.Generator) -> str:
             bad.pop()
         else:
             bad.append("extra")
+    return _text(rng, lines)
+
+
+def _text(rng: np.random.Generator, lines: list[list[str]]) -> str:
+    """``lines`` joined with assorted separators, padding, blank lines and line ends."""
     text = []
     for fields in lines:
         while rng.random() < 0.15:
@@ -208,7 +215,86 @@ def test_qrels_parser_matches_per_line_parser(chunk_chars, seed):
     if isinstance(want, tuple):
         assert got == want
         return
-    assert (got.query_ids, got.intents, got.docs) == (want.query_ids, want.intents, want.docs)
+    docs = lambda judg: [ref.docs_of(judg, q) for q in range(len(judg.query_ids))]
+    assert (got.query_ids, got.intents, docs(got)) == (want.query_ids, want.intents, docs(want))
     assert got.rel.shape == want.rel.shape and np.array_equal(got.rel, want.rel)
     assert got.prior.tolist() == want.prior.tolist()
     assert got.duplicate_count == want.duplicate_count
+
+
+def _run_lines(rng: np.random.Generator) -> list[list[str]]:
+    """Valid TREC run lines of up to five queries, interleaved, with ranks that rise by assorted steps and spellings."""
+    n_queries = int(rng.integers(1, 6))
+    last = [0] * n_queries
+    seen: list[set] = [set() for _ in range(n_queries)]
+    lines = []
+    for _ in range(int(rng.integers(1, 40))):
+        q = int(rng.integers(0, n_queries))
+        doc = "\0" if rng.random() < 0.02 else f"d{rng.integers(0, 30)}"  # a field equal to the chunks' line-end mark
+        if doc in seen[q]:
+            continue
+        seen[q].add(doc)
+        last[q] += int(rng.choice([1, 1, 2, 7])) * (10**20 if rng.random() < 0.05 else 1)  # past int64 too
+        rank = str(rng.choice([str(last[q]), f"+{last[q]}", f"00{last[q]}"]))
+        score = str(rng.choice([repr(float(np.round(rng.normal(), 3))), "1e3", "-0", "7"]))
+        lines.append([f"q{q}", "Q0", doc, rank, score, "tag"])
+    return lines
+
+
+BAD_RUN_LINES = {
+    "rank-repeated": lambda fields, previous: fields[:3] + [previous[3]] + fields[4:],
+    "rank-not-int": lambda fields, previous: fields[:3] + ["1.5"] + fields[4:],
+    "doc-repeated": lambda fields, previous: fields[:2] + [previous[2]] + fields[3:],
+    "short": lambda fields, previous: fields[:5],
+    "long": lambda fields, previous: fields + ["extra"],
+    "score-nan": lambda fields, previous: fields[:4] + ["nan"] + fields[5:],
+    "score-inf": lambda fields, previous: fields[:4] + ["-inf"] + fields[5:],
+    "score-not-number": lambda fields, previous: fields[:4] + ["x"] + fields[5:],
+}
+
+
+def _bad_run_lines(rng: np.random.Generator, lines: list[list[str]], kinds: list[str]) -> list[list[str]]:
+    """``lines`` with each of ``kinds`` made of a line at or after the middle, against its query's previous line."""
+    lines = [list(fields) for fields in lines]
+    for kind in kinds:
+        at = int(rng.integers(len(lines) // 2, len(lines)))
+        previous = next((f for f in lines[:at][::-1] if f[0] == lines[at][0]), lines[at])
+        lines[at] = BAD_RUN_LINES[kind](lines[at], previous)
+    return lines
+
+
+def _same_run(got, want) -> None:
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert ref.lists_of(got).queries == want.queries
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 64, ingest.QRELS_CHUNK_CHARS])
+@settings(max_examples=200)
+@given(seed=seeds)
+def test_run_parser_matches_per_line_parser(chunk_chars, seed):
+    rng = np.random.default_rng(seed)
+    lines = _run_lines(rng)
+    kinds = [str(kind) for kind in rng.choice(sorted(BAD_RUN_LINES), size=int(rng.choice([0, 0, 0, 1, 2])))]
+    text = _text(rng, _bad_run_lines(rng, lines, kinds))
+    truncate = rng.choice([None, 0, 1, 2, len(lines) + 1, -1])
+    parsers = (lambda path: ingest.parse_run_file(path, truncate), lambda path: ref.parse_run_file(path, truncate))
+    _same_run(*_parse(parsers, text, chunk_chars))
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_RUN_LINES))
+@pytest.mark.parametrize("truncate", [None, 1, 100])
+def test_run_parser_reports_errors_past_the_first_chunk(kind, truncate):
+    """One 60-line file, read 128 characters at a time: the bad line lies chunks past the first."""
+    rng = np.random.default_rng(5)
+    lines = [[f"q{j % 3}", "Q0", f"d{j}", str(j + 1), f"{1 - j / 100}", "t"] for j in range(60)]
+    text = "".join(" ".join(fields) + "\n" for fields in _bad_run_lines(rng, lines, [kind]))
+    parsers = (lambda path: ingest.parse_run_file(path, truncate), lambda path: ref.parse_run_file(path, truncate))
+    got, want = _parse(parsers, text, 128)
+    _same_run(got, want)
+    assert isinstance(want, tuple) and want[0] is FormatError
+    assert int(re.search(r": line (\d+): ", want[1]).group(1)) > len(text[:128].splitlines())
+    # Clean, the same file parses alike at each chunk size.
+    clean = "".join(" ".join(fields) + "\n" for fields in lines)
+    _same_run(*_parse(parsers, clean, 128))

@@ -26,6 +26,7 @@ from fairrank.errors import (
 )
 from fairrank.ingest import (
     IntentJudgments,
+    SearchRun,
     build_catalog,
     filter_and_split,
     parse_diversity_qrels,
@@ -44,7 +45,7 @@ from fairrank.synth import init_workspace, synthetic_dataset
 from fairrank.trainer import MFModel, TrainConfig, load_model, save_model
 
 from conftest import make_catalog, with_bad_line_2
-from reference_diverse import query_of
+from reference_diverse import listed_of, lists_of, query_of, run_of
 
 PROVENANCE = Path(__file__).resolve().parents[1] / "perfbench" / "provenance.json"
 
@@ -229,7 +230,7 @@ class TestQueryJudgments:
         docs = [list(docs)] + [[] for _ in intents[1:]]
         if rel is None:
             rel = np.zeros((len(qids), len(docs[0]), max(map(len, intents))), dtype=bool)
-        return IntentJudgments(qids, intents, docs, rel, prior)
+        return IntentJudgments(qids, intents, *listed_of(docs), rel, prior)
 
     def test_priors_keyed_by_other_intents_rejected(self):
         # Summing to 1 is not enough: the priors must cover exactly the declared intents.
@@ -267,11 +268,37 @@ class TestQueryJudgments:
     )
     def test_malformed_tables_rejected(self, intents, docs, rel, match):
         with pytest.raises(InvariantViolation, match=match):
-            IntentJudgments([f"q{q}" for q in range(len(intents))], intents, docs, rel)
+            IntentJudgments([f"q{q}" for q in range(len(intents))], intents, *listed_of(docs), rel)
 
     def test_query_ids_must_ascend(self):
         with pytest.raises(InvariantViolation, match="query ids"):
-            IntentJudgments(["q2", "q1"], [["a"], ["a"]], [[], []], np.zeros((2, 0, 1)))
+            IntentJudgments(["q2", "q1"], [["a"], ["a"]], [], [], np.zeros((2, 0, 1)))
+
+
+class TestSearchRun:
+    @pytest.mark.parametrize(
+        "query_ids, doc_ids, docs, scores",
+        [
+            (["q2", "q1"], ["d1"], [[0], [0]], [[1.0], [1.0]]),  # query ids out of order
+            (["q1"], ["d2", "d1"], [[0, 1]], [[2.0, 1.0]]),  # doc table out of order
+            (["q1"], ["d1"], [[0, 1]], [[2.0, 1.0]]),  # a position past the doc table
+            (["q1"], ["d1", "d2"], [[-1, 0]], [[0.0, 1.0]]),  # padding before a doc
+            (["q1"], ["d1", "d2"], [[0, -2]], [[1.0, 0.0]]),  # padding other than -1
+            (["q1"], ["d1", "d2"], [[1, 1]], [[2.0, 1.0]]),  # a doc twice in one query
+            (["q1"], ["d1"], [[0]], [[float("nan")]]),  # a non-finite score
+            (["q1"], ["d1"], [[0]], [[1.0, 0.0]]),  # scores of another shape
+            (["q1", "q2"], ["d1"], [[0]], [[1.0]]),  # fewer rows than queries
+        ],
+    )
+    def test_malformed_arrays_rejected(self, query_ids, doc_ids, docs, scores):
+        with pytest.raises(InvariantViolation, match="a run holds"):
+            SearchRun(query_ids, doc_ids, docs, scores)
+
+    def test_rerank_picks_positions_and_scores_by_rank(self):
+        run = run_of({"q1": [("d1", 0.9), ("d2", 0.5), ("d3", 0.1)], "q2": [("d4", 1.0)]})
+        assert lists_of(run.rerank([[2, 0, -1], [0, -1, -1]])).queries == {
+            "q1": [("d3", 2.0), ("d1", 1.0)], "q2": [("d4", 1.0)]}
+        assert lists_of(run.rerank(np.arange(2))).queries == {"q1": [("d1", 2.0), ("d2", 1.0)], "q2": [("d4", 1.0)]}
 
 
 class TestRunFile:
@@ -282,13 +309,13 @@ class TestRunFile:
     def test_fifty_line_run(self, tmp_path):
         path = tmp_path / "run"
         self._write_run(path, 50)
-        run = parse_run_file(path)
+        run = lists_of(parse_run_file(path))
         assert len(run.queries["1"]) == 50
 
     def test_truncation_to_50(self, tmp_path):
         path = tmp_path / "run"
         self._write_run(path, 100)
-        run = parse_run_file(path, truncate=50)
+        run = lists_of(parse_run_file(path, truncate=50))
         assert len(run.queries["1"]) == 50
         assert run.docs("1")[0] == "d1"
 
@@ -471,7 +498,8 @@ def _write_checkpoint(directory):
 
 
 def _write_run(directory):
-    write_run_file({"q2": [("d3", 0.5)], "q1": [("d1", 2.0), ("d2", 1 / 3)]}, directory / "rerank-x.run", tag="x")
+    run = run_of({"q2": [("d3", 0.5)], "q1": [("d1", 2.0), ("d2", 1 / 3)]})
+    write_run_file(run, directory / "rerank-x.run", tag="x")
 
 
 def test_run_file_bytes(tmp_path):
@@ -626,11 +654,14 @@ class TestErrorsNameTheirFile:
             (parse_run_file, "q1 Q0 d1 1 nan t\n", FormatError, 1),
             (parse_run_file, "q1 Q0 d1 2 0.5 t\nq1 Q0 d2 1 0.4 t\n", FormatError, 2),
             (parse_run_file, "q1 Q0 d1 1 0.5 t\nq1 Q0 d1 2 0.4 t\n", FormatError, 2),
+            # A field that equals the chunk reader's line-end mark, in a line one field too long.
+            (parse_diversity_qrels, "q1 t1 d1 1 \0\nq1 t1 d2\n", ParseError, 1),
+            (parse_run_file, "q1 Q0 d1 1 0.5 t \0\nq1 Q0 d2 2 0.4\n", FormatError, 1),
         ],
         ids=[
             "interactions-fields", "interactions-value", "interactions-label", "item_groups-fields",
             "item_groups-empty", "user_groups", "qrels-fields", "qrels-relevance", "run-columns", "run-rank",
-            "run-score", "run-order", "run-duplicate",
+            "run-score", "run-order", "run-duplicate", "qrels-mark-field", "run-mark-field",
         ],
     )
     def test_reader(self, tmp_path, reader, text, error, lineno):
@@ -698,7 +729,7 @@ class TestReadersAndWritersRaiseIoError:
     def test_write_run_file_under_a_regular_file(self, tmp_path):
         (tmp_path / "file").write_text("", encoding="utf-8")
         with pytest.raises(IoError, match="cannot write run file to"):
-            write_run_file({"q1": [("d1", 1.0)]}, tmp_path / "file" / "x.run", tag="t")
+            write_run_file(run_of({"q1": [("d1", 1.0)]}), tmp_path / "file" / "x.run", tag="t")
 
 
 class TestInvalidUtf8:

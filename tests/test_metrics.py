@@ -13,7 +13,7 @@ import numpy as np
 from fairrank import metrics as M
 from fairrank.core import GroupUtilityVector
 from fairrank.errors import InvariantViolation, UndefinedMetric, UnknownQuery
-from fairrank.ingest import IntentJudgments, RunList
+from fairrank.ingest import IntentJudgments, SearchRun
 from fairrank.metrics import (
     MetricReport,
     entropy,
@@ -28,16 +28,16 @@ from fairrank.metrics import (
 )
 
 from conftest import make_judgments, score_matrix, slate_of
-from reference_diverse import alpha_ndcg_query
+from reference_diverse import alpha_ndcg_query, run_of as search_run
 
 
 def guv(values: dict[str, float]) -> GroupUtilityVector:
     return GroupUtilityVector.from_values("item", "exposure", values)
 
 
-def run_of(docs: Sequence[str]) -> RunList:
+def run_of(docs: Sequence[str]) -> SearchRun:
     """A one-query run ranking ``docs`` in order."""
-    return RunList(queries={"q1": [(doc, float(len(docs) - r)) for r, doc in enumerate(docs)]})
+    return search_run({"q1": [(doc, float(len(docs) - r)) for r, doc in enumerate(docs)]})
 
 
 def accuracy(metric, rows: dict[str, list[str]], relevant, k: int) -> float:
@@ -45,15 +45,15 @@ def accuracy(metric, rows: dict[str, list[str]], relevant, k: int) -> float:
     return metric(slate_hits(slate_of(k, rows), relevant, k))
 
 
-def alpha_ndcg(run: RunList, judg: IntentJudgments, alpha: float = 0.5, k: int = 10) -> float:
+def alpha_ndcg(run: SearchRun, judg: IntentJudgments, alpha: float = 0.5, k: int = 10) -> float:
     return M.alpha_ndcg(M.judged_top(run, judg, k), judg, alpha, k)
 
 
-def err_ia(run: RunList, judg: IntentJudgments, k: int = 10) -> float:
+def err_ia(run: SearchRun, judg: IntentJudgments, k: int = 10) -> float:
     return M.err_ia(M.judged_top(run, judg, k), judg)
 
 
-def s_recall(run: RunList, judg: IntentJudgments, k: int = 10) -> float:
+def s_recall(run: SearchRun, judg: IntentJudgments, k: int = 10) -> float:
     return M.s_recall(M.judged_top(run, judg, k), judg)
 
 
@@ -147,10 +147,10 @@ class TestEvaluationSharesInputs:
 
     def test_gather_errors_keep_their_order(self):
         judg = make_judgments({"d1": {"i1"}}, ["i1"])
-        unjudged = M.Evaluation(1, run=RunList(queries={"q9": [("d1", 1.0)]}), judgments=judg, alpha=2.0)
+        unjudged = M.Evaluation(1, run=search_run({"q9": [("d1", 1.0)]}), judgments=judg, alpha=2.0)
         with pytest.raises(UnknownQuery):
             unjudged.report(["alpha_ndcg"], {})
-        empty = M.Evaluation(1, run=RunList(queries={}), judgments=judg, alpha=2.0)
+        empty = M.Evaluation(1, run=search_run({}), judgments=judg, alpha=2.0)
         with pytest.raises(UndefinedMetric, match="run contains no queries"):
             empty.report(["alpha_ndcg"], {})
         with pytest.raises(InvariantViolation, match="alpha"):
@@ -291,8 +291,8 @@ class TestAlphaNdcg:
             assert exh <= gre + 1e-12
 
     def test_unknown_query(self):
-        run = RunList(queries={"q9": [("d1", 1.0)]})
-        judg = IntentJudgments([], [], [], np.zeros((0, 0, 0), dtype=bool))
+        run = search_run({"q9": [("d1", 1.0)]})
+        judg = IntentJudgments([], [], [], [], np.zeros((0, 0, 0), dtype=bool))
         with pytest.raises(UnknownQuery):
             alpha_ndcg(run, judg)
 
