@@ -85,7 +85,7 @@ class _Batch:
         self.norm = np.where(self.taken, 0.0, np.where(spread, (scores - lo) / np.where(spread, hi - lo, 1.0), 0.5))
         n_int = int(judg.n_intents[rows].max(initial=0))
         self.prior = judg.prior[rows, :n_int]
-        rel = judg.gather(rows, docs, run.doc_ids)[:, :, :n_int]
+        rel = judg.gather(rows, docs, run.codes_in(judg))[:, :, :n_int]
         self.rel = np.ascontiguousarray(rel.transpose(2, 0, 1), dtype=float)
         tables = ctx.intent_relevance or {}
         for q, (qid, row, size) in enumerate(zip(run.query_ids, rows.tolist(), sizes.tolist())):

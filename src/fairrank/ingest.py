@@ -31,7 +31,7 @@ from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
@@ -118,14 +118,13 @@ class IntentJudgments:
             raise InvariantViolation(f"relevance table has shape {self.rel.shape}, expected {shape}")
         declared = np.arange(shape[2]) < self.n_intents[:, None]
         judged = np.arange(shape[1]) < self.n_docs[:, None]
+        doc = lambda q, d: self.doc_ids[self.listed[self.first_doc[q] + d] % n_d]  # query q's d-th listed doc
         for q, d in np.argwhere(self.rel.any(axis=2) != judged)[:1]:
             if d >= self.n_docs[q]:
                 raise InvariantViolation(f"query {self.query_ids[q]!r} has relevance past its judged docs")
-            doc, qid = self.doc_ids[self.listed[self.first_doc[q] + d] % n_d], self.query_ids[q]
-            raise InvariantViolation(f"doc {doc!r} of query {qid!r} has no positive relevance")
+            raise InvariantViolation(f"doc {doc(q, d)!r} of query {self.query_ids[q]!r} has no positive relevance")
         for q, d, _ in np.argwhere(self.rel & ~declared[:, None, :])[:1]:
-            raise InvariantViolation(f"doc {self.doc_ids[self.listed[self.first_doc[q] + d] % n_d]!r} judged for "
-                                     "undeclared intents")
+            raise InvariantViolation(f"doc {doc(q, d)!r} judged for undeclared intents")
         if prior is None:
             prior = np.where(declared, 1.0 / self.n_intents[:, None], 0.0)
         self.prior = np.array(prior, dtype=float)
@@ -138,7 +137,6 @@ class IntentJudgments:
         for table in (self.listed, self.rel, self.prior, self.n_intents, self.n_docs, self.first_doc):
             table.flags.writeable = False
         self.query_pos = {qid: q for q, qid in enumerate(self.query_ids)}
-        self._doc_table = np.array(self.doc_ids, dtype=str)
         self.duplicate_count = duplicate_count
         self.ideal_dcg: dict = {}
 
@@ -149,17 +147,11 @@ class IntentJudgments:
         except KeyError:
             raise UnknownQuery(f"query {qid!r} has no intent judgments") from None
 
-    def gather(self, rows: np.ndarray, docs: np.ndarray, doc_ids: Sequence[str]) -> np.ndarray:
-        """Relevance as ``rows`` x ranks x intents of ``docs``, positions in the ascending table ``doc_ids`` (-1: none).
-
-        The doc tables are matched as NumPy strings (which drop trailing NULs), then each key is found in ``listed``.
-        """
-        table, ids = self._doc_table, np.array(doc_ids, dtype=str)
-        at = np.searchsorted(table, ids)
-        found = at < len(table)
-        found[found] = table[at[found]] == ids[found]
-        code = np.append(np.where(found, at, -1), -1)[docs]  # docs' -1 picks the appended -1
-        key = rows[:, None] * len(table) + code
+    def gather(self, rows: np.ndarray, docs: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Relevance as ``rows`` x ranks x intents of ``docs``, positions in a doc table whose entries sit at ``codes``
+        in ``doc_ids`` (-1: none, as in ``docs``); each ``(query, doc)`` key is found in ``listed``."""
+        code = np.append(codes, -1)[docs]  # docs' -1 picks the appended -1
+        key = rows[:, None] * len(self.doc_ids) + code
         pos = np.searchsorted(self.listed, key)
         hit = (code >= 0) & (np.append(self.listed, -1)[pos] == key)
         out = np.zeros(docs.shape + self.rel.shape[2:], dtype=bool)
@@ -189,6 +181,14 @@ class SearchRun:
             raise InvariantViolation("a run holds ascending ids, then per query distinct doc positions, -1 padded")
         for table in (self.docs, self.scores, self.lengths):
             table.flags.writeable = False
+        self._codes: tuple = (None, None)  # the judgments last matched, and each doc's position in their table
+
+    def codes_in(self, judg: IntentJudgments) -> np.ndarray:
+        """Each doc table entry's position in ``judg.doc_ids`` (-1: none), matched by exact id once per judgments."""
+        if self._codes[0] is not judg:
+            index = dict(zip(judg.doc_ids, count()))
+            self._codes = judg, np.fromiter(map(index.get, self.doc_ids, repeat(-1)), np.intp, len(self.doc_ids))
+        return self._codes[1]
 
     def rerank(self, positions) -> SearchRun:
         """The run of each row's docs at ``positions`` (a row per query, or one for all; -1 or past the row's
@@ -196,7 +196,9 @@ class SearchRun:
         positions = np.asarray(positions, dtype=np.intp)
         docs = np.where(positions >= 0, self.docs[np.arange(len(self.query_ids))[:, None], positions], -1)
         scores = (docs >= 0).sum(axis=1)[:, None] - np.arange(docs.shape[1])
-        return SearchRun(self.query_ids, self.doc_ids, docs, np.where(docs >= 0, scores, 0))
+        out = SearchRun(self.query_ids, self.doc_ids, docs, np.where(docs >= 0, scores, 0))
+        out._codes = self._codes  # the same doc table
+        return out
 
 
 @contextmanager
@@ -402,36 +404,18 @@ def filter_and_split(
         valid.extend(recs[cut1:cut2])
         test.extend(recs[cut2:])
 
-    kept_users = sorted(retained)
     kept_items = sorted({r.item for recs in retained.values() for r in recs})
+    item_groups, user_groups = {i: frozenset(["all"]) for i in kept_items}, None
     if catalog is not None:
         missing = [i for i in kept_items if i not in catalog.item_pos]
         if missing:
             raise UnknownEntity(f"log references items outside the catalog: {missing[:5]}")
         item_groups = {i: catalog.item_groups[i] for i in kept_items}
-        user_groups = None
         if catalog.user_groups is not None:
             user_groups = {u: g for u, g in catalog.user_groups.items() if u in retained}
-        groups = sorted({g for gs in item_groups.values() for g in gs} | set(user_groups.values() if user_groups else ()))
-    else:
-        item_groups = {i: frozenset(["all"]) for i in kept_items}
-        user_groups = None
-        groups = ["all"]
-
-    new_catalog = Catalog(
-        users=kept_users,
-        items=kept_items,
-        groups=groups,
-        item_groups=item_groups,
-        user_groups=user_groups,
-    )
-    return SplitDataset(
-        train=InteractionLog(train),
-        valid=InteractionLog(valid),
-        test=InteractionLog(test),
-        catalog=new_catalog,
-        split_spec=(tuple(ratios), min_interactions),
-    )
+    splits = [InteractionLog(train), InteractionLog(valid), InteractionLog(test)]
+    new_catalog = build_catalog(InteractionLog(train + valid + test), item_groups, user_groups)
+    return SplitDataset(*splits, catalog=new_catalog, split_spec=(tuple(ratios), min_interactions))
 
 
 QRELS_CHUNK_CHARS = 1 << 18  # readlines() size hint: bounds the lines and tokens a parser holds at once
@@ -525,18 +509,22 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
 def _run_values(path: Path, numbers: np.ndarray, tokens: list[str]) -> tuple:
     """The ranks (Python ints, which may pass int64) and scores of a run chunk's lines up to the first whose rank or
     score is unusable, and a FormatError naming that line, or None."""
+    values = lambda n: (np.fromiter(map(int, tokens[3 : 6 * n : 6]), object),
+                        np.fromiter(map(float, tokens[4 : 6 * n : 6]), float))
     try:
-        ranks, scores = np.fromiter(map(int, tokens[3::6]), object), np.fromiter(map(float, tokens[4::6]), float)
+        ranks, scores = values(len(numbers))
         if np.isfinite(scores).all():
             return ranks, scores, None
-        why = "non-finite score"
-    except ValueError as exc:
-        why = str(exc)
-    if len(numbers) == 1:
-        return np.empty(0, object), np.empty(0), FormatError(f"{path}: line {numbers[0]}: {why}")
-    errors = (_run_values(path, numbers[at : at + 1], tokens[6 * at : 6 * at + 6])[2] for at in range(len(numbers)))
-    at, error = next((at, error) for at, error in enumerate(errors) if error)  # the first bad line, one line at a time
-    return (*_run_values(path, numbers[:at], tokens[: 6 * at])[:2], error)
+    except ValueError:
+        pass
+    for at, (rank, score) in enumerate(zip(tokens[3::6], tokens[4::6])):  # the chunk's first bad line
+        try:
+            int(rank)
+            if not math.isfinite(float(score)):
+                raise ValueError("non-finite score")
+        except ValueError as exc:
+            return (*values(at), FormatError(f"{path}: line {numbers[at]}: {exc}"))
+    raise AssertionError("unreachable: the whole chunk failed to convert, so one of its lines does")
 
 
 def parse_run_file(path: str | Path, truncate: int | None = 50) -> SearchRun:
@@ -643,25 +631,11 @@ def read_dataset(directory: str | Path) -> SplitDataset:
     user_groups = {user: group for user, group in user_rows if group}
 
     item_groups = parse_item_groups(directory / "items.tsv")
-    logs: dict[str, InteractionLog] = {}
-    for name in ("train", "valid", "test"):
-        logs[name] = parse_interactions(directory / f"{name}.tsv")
-
+    logs = {name: parse_interactions(directory / f"{name}.tsv") for name in ("train", "valid", "test")}
     groups = sorted({g for gs in item_groups.values() for g in gs} | set(user_groups.values()))
-    catalog = Catalog(
-        users=users,
-        items=sorted(item_groups),
-        groups=groups,
-        item_groups=item_groups,
-        user_groups=user_groups if manifest.get("has_user_groups") else None,
-    )
-    dataset = SplitDataset(
-        train=logs["train"],
-        valid=logs["valid"],
-        test=logs["test"],
-        catalog=catalog,
-        split_spec=(tuple(split["ratios"]), split["min_interactions"]),
-    )
+    user_groups = user_groups if manifest.get("has_user_groups") else None
+    catalog = Catalog(users, sorted(item_groups), groups, item_groups, user_groups)
+    dataset = SplitDataset(**logs, catalog=catalog, split_spec=(tuple(split["ratios"]), split["min_interactions"]))
     for log in logs.values():
         log.validate_against(catalog)
     for name, log in dataset.splits().items():

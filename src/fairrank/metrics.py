@@ -264,7 +264,7 @@ def judged_top(run: SearchRun, judg: IntentJudgments, k: int) -> tuple[np.ndarra
     if not run.query_ids:
         raise UndefinedMetric("run contains no queries")
     depth = int(np.minimum(run.lengths, k).max())
-    return rows, judg.gather(rows, run.docs[:, :depth], run.doc_ids)
+    return rows, judg.gather(rows, run.docs[:, :depth], run.codes_in(judg))
 
 
 class _GreedyIdeal:

@@ -1,6 +1,7 @@
 """Accuracy, fairness, and diversity metric behaviour."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,38 @@ class TestEvaluationSharesInputs:
             empty.report(["alpha_ndcg"], {})
         with pytest.raises(InvariantViolation, match="alpha"):
             M.Evaluation(1, run=run_of(["d1"]), judgments=judg, alpha=2.0).report(["alpha_ndcg"], {})
+
+
+class TestJudgedTopMatchesIdsExactly:
+    @pytest.mark.parametrize("run_doc, judged_doc", [("d\0", "d"), ("d", "d\0"), ("d ", "d"), ("D", "d")])
+    def test_ids_differing_only_at_the_end_do_not_match(self, run_doc, judged_doc):
+        judg = make_judgments({judged_doc: {"i1"}}, ["i1"])
+        _, rel = M.judged_top(run_of([run_doc, judged_doc + "x"]), judg, 2)
+        assert not rel.any()
+        _, rel = M.judged_top(run_of(["x", judged_doc]), judg, 2)
+        assert rel[0, :, 0].tolist() == [False, True]
+
+    def test_a_long_id_does_not_widen_the_doc_table(self):
+        docs = [f"d{i:04d}" for i in range(2000)]
+        judg = make_judgments({doc: {"i1"} for doc in docs[::2]}, ["i1"])
+        run = search_run({"q1": [(doc, 1.0 - r / 4096) for r, doc in enumerate(docs + ["x" * 5_000])]})
+        tracemalloc.start()
+        try:
+            _, rel = M.judged_top(run, judg, 2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rel[0, :, 0].tolist() == [r % 2 == 0 and r < 2000 for r in range(2001)]
+        assert peak < 4 << 20  # fixed-width ids would take 2001 x 5,000 x 4 bytes = 40 MB
+
+    def test_the_doc_tables_are_matched_once_per_run_and_judgments(self):
+        judg = make_judgments({"d1": {"i1"}, "d2": {"i2"}}, ["i1", "i2"])
+        run = run_of(["d2", "d3", "d1"])
+        codes = run.codes_in(judg)
+        assert codes.tolist() == [0, 1, -1]
+        assert run.codes_in(judg) is codes and run.rerank([2, 0]).codes_in(judg) is codes
+        other = make_judgments({"d3": {"i1"}}, ["i1"])
+        assert run.codes_in(other).tolist() == [-1, -1, 0]
 
 
 class TestGini:
