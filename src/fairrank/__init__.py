@@ -4,7 +4,6 @@ from .core import (
     Catalog,
     DualState,
     GroupUtilityVector,
-    Interaction,
     InteractionLog,
     RankingSlate,
     ScoreMatrix,
@@ -31,7 +30,6 @@ __all__ = [
     "Catalog",
     "DualState",
     "GroupUtilityVector",
-    "Interaction",
     "InteractionLog",
     "IntentJudgments",
     "MFModel",

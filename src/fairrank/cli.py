@@ -49,7 +49,7 @@ from .ingest import (
     writing,
 )
 from .report import BenchmarkReport, emit_report
-from .trainer import TrainConfig, TrainHooks, exclude_train_items, predict, save_model, train  # noqa: F401
+from .trainer import TrainConfig, TrainHooks, predict, save_model, train  # noqa: F401
 
 _HOOK_PARAMS = {f.name for f in fields(TrainHooks)}
 _CONFIG_FIELDS = {"smooth": "ips_smooth"}  # trainer param -> TrainConfig field, where the names differ
@@ -68,14 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _data_root(arg: str | None) -> Path:
     return Path(arg or os.environ.get("FAIRRANK_DATA_DIR", "data"))
-
-
-def _relevant_items(dataset) -> dict[str, set[str]]:
-    rel: dict[str, set[str]] = {}
-    for rec in dataset.test.records:
-        if rec.label > 0:
-            rel.setdefault(rec.user, set()).add(rec.item)
-    return rel
 
 
 def _arrival_order(cfg: RunConfig, users: list[str]) -> list[str]:
@@ -98,7 +90,7 @@ def _report(cfg: RunConfig, rows: list, allocations: list) -> BenchmarkReport:
     return BenchmarkReport(cfg.task, cfg.stage, cfg.dataset, rows, allocations, sections, dict(cfg.raw))
 
 
-def _measure(cfg: RunConfig, dataset, relevant, model: str, rank: Callable, params: dict, scores, shares=None):
+def _measure(cfg: RunConfig, dataset, model: str, rank: Callable, params: dict, scores, shares=None):
     """Rank ``scores`` with ``rank`` at every K: a ``(model, K, metric report, group utility)`` per slate."""
     mode = cfg.mode
     arrival = _arrival_order(cfg, scores.user_ids)
@@ -108,7 +100,7 @@ def _measure(cfg: RunConfig, dataset, relevant, model: str, rank: Callable, para
         ctx = RerankContext(scores, dataset.catalog, k, arrival_order=list(arrival), target_shares=target, mode=mode)
         slates = rank(ctx, **params)
         guv = group_utility(slates, dataset.catalog, axis="item", mode=mode)
-        result = M.Evaluation(k, slates=slates, relevant=relevant, utility=guv)
+        result = M.Evaluation(k, slates=slates, relevant=dataset.test, utility=guv)
         provenance = {"model": model, "dataset": cfg.dataset, "k": k, "mode": mode}
         measured.append((model, k, result.report(cfg.metrics, provenance), guv))
     return measured
@@ -139,19 +131,17 @@ def _run_rec_rerank(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
     ds_dir = data_root / "datasets" / cfg.dataset
     dataset = read_dataset(ds_dir)
     scores = read_scores(data_root / cfg.scores if cfg.scores else ds_dir)
-    relevant = _relevant_items(dataset)
     shares = proportional_shares(dataset.catalog) if cfg.target_shares == "proportional" else None
     measured = []
     for model in cfg.models:
         rank = _layer(MODELS[cfg.task, cfg.stage][model].fn)
-        measured += _measure(cfg, dataset, relevant, model, rank, cfg.params[model], scores, shares)
+        measured += _measure(cfg, dataset, model, rank, cfg.params[model], scores, shares)
     return _rec_report(cfg, measured)
 
 
 def _run_rec_inproc(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkReport:
     ds_dir = data_root / "datasets" / cfg.dataset
     dataset = read_dataset(ds_dir)
-    relevant = _relevant_items(dataset)
     measured = []
     for model in cfg.models:
         entry = MODELS[cfg.task, cfg.stage][model]
@@ -161,9 +151,9 @@ def _run_rec_inproc(cfg: RunConfig, data_root: Path, log_dir: Path) -> Benchmark
         hooks = TrainHooks(**entry.hooks, **hook_params) if cfg.fair_rank else TrainHooks()
         fitted = _layer(entry.fn)(dataset, TrainConfig(seed=cfg.seed, **config), hooks)
         save_model(fitted, log_dir / f"model-{model}", hooks=hooks)
-        scores = predict(fitted, dataset.catalog.users, exclude=exclude_train_items(dataset))
+        scores = predict(fitted, dataset.catalog.users, exclude=dataset.train)
         write_scores(scores, log_dir / f"scores-{model}")
-        measured += _measure(cfg, dataset, relevant, model, topk, {}, scores)
+        measured += _measure(cfg, dataset, model, topk, {}, scores)
     return _rec_report(cfg, measured)
 
 

@@ -10,13 +10,17 @@ use; threads racing there at worst compute it twice.  Group membership has
 one representation too, the read-only items x groups ``member`` table of
 :class:`Catalog`.  So have slates: a :class:`RankingSlate` is a read-only
 users x K array of columns of its score matrix, which every re-ranker writes
-and every metric reads, with no item id looked up in between.
+and every metric reads, with no item id looked up in between.  Interactions
+have one representation as well: the id tables and read-only columns of an
+:class:`InteractionLog`, from the parser through the split to the trainer
+and the accuracy metrics, with no per-row object in between.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -85,55 +89,74 @@ class Catalog:
         self.member.flags.writeable = False
 
 
-@dataclass
-class Interaction:
-    """One observed (user, item) event with a label and a timestamp."""
-
-    user: str
-    item: str
-    label: float
-    timestamp: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.label <= 5.0):
-            raise InvariantViolation(f"label {self.label} outside [0, 5]")
+def positions(ids: Sequence[str], pos: Mapping[str, int]) -> np.ndarray:
+    """Each of ``ids``' position in ``pos``, -1 where it has none."""
+    return np.fromiter(map(pos.get, ids, repeat(-1)), np.intp, len(ids))
 
 
-@dataclass
 class InteractionLog:
-    """A sequence of interactions in file order.
+    """Observed (user, item) events in file order, held as read-only columns.
 
-    File order is preserved; the chronological per-user view is obtained via
-    :meth:`per_user_chronological`, which sorts stably by timestamp so ties
-    keep file order.
+    ``user_ids`` and ``item_ids`` are tables of distinct ids.  Row ``r`` is
+    user ``user_ids[user[r]]``'s event on item ``item_ids[item[r]]``, with a
+    ``label[r]`` in [0, 5] and an int64 ``timestamp[r]``.  A split inside a
+    :class:`~fairrank.ingest.SplitDataset` indexes its catalog's own
+    ``users`` and ``items`` tables.  ``relevant`` is computed on first use.
     """
 
-    records: list[Interaction]
+    COLUMNS = ("user", "item", "label", "timestamp")
 
-    def users(self) -> list[str]:
-        return list(dict.fromkeys(rec.user for rec in self.records))
+    def __init__(self, user_ids: Sequence[str], item_ids: Sequence[str], user, item, label, timestamp) -> None:
+        self.user_ids, self.item_ids = list(user_ids), list(item_ids)
+        self.user, self.item = (np.array(column, dtype=np.intp).reshape(-1) for column in (user, item))
+        self.label = np.array(label, dtype=float).reshape(-1)
+        self.timestamp = np.array(timestamp, dtype=np.int64).reshape(-1)
+        if not (
+            len(set(self.user_ids)) == len(self.user_ids) and len(set(self.item_ids)) == len(self.item_ids)
+            and len(self.user) == len(self.item) == len(self.label) == len(self.timestamp)
+            and self.user.min(initial=0) >= 0 and self.user.max(initial=-1) < len(self.user_ids)
+            and self.item.min(initial=0) >= 0 and self.item.max(initial=-1) < len(self.item_ids)
+        ):
+            raise InvariantViolation("a log holds distinct ids, then equal-length columns pointing into them")
+        for r in np.flatnonzero(~((self.label >= 0.0) & (self.label <= 5.0)))[:1]:  # NaN fails both
+            raise InvariantViolation(f"label {float(self.label[r])} outside [0, 5]")
+        for c in self.COLUMNS:
+            getattr(self, c).flags.writeable = False
 
-    def items(self) -> list[str]:
-        return list(dict.fromkeys(rec.item for rec in self.records))
+    def take(self, rows) -> InteractionLog:
+        """The log of the rows at ``rows``, in that order, over the same id tables."""
+        return InteractionLog(self.user_ids, self.item_ids, *(getattr(self, c)[rows] for c in self.COLUMNS))
 
-    def per_user(self) -> dict[str, list[Interaction]]:
-        out: dict[str, list[Interaction]] = {}
-        for rec in self.records:
-            out.setdefault(rec.user, []).append(rec)
-        return out
+    def onto(self, catalog: Catalog) -> InteractionLog:
+        """This log over ``catalog.users`` and ``catalog.items``; the first row whose user or item the catalog
+        lacks is an :class:`UnknownEntity`."""
+        if (self.user_ids, self.item_ids) == (catalog.users, catalog.items):
+            return self
+        user = positions(self.user_ids, catalog.user_pos)[self.user]
+        item = positions(self.item_ids, catalog.item_pos)[self.item]
+        for r in np.flatnonzero((user < 0) | (item < 0))[:1]:
+            kind, ids, at = ("user", self.user_ids, self.user) if user[r] < 0 else ("item", self.item_ids, self.item)
+            raise UnknownEntity(f"{kind} {ids[at[r]]!r} not in catalog")
+        return InteractionLog(catalog.users, catalog.items, user, item, self.label, self.timestamp)
 
-    def per_user_chronological(self) -> dict[str, list[Interaction]]:
-        return {u: sorted(recs, key=lambda r: r.timestamp) for u, recs in self.per_user().items()}
-
-    def validate_against(self, catalog: Catalog) -> None:
-        for rec in self.records:
-            if rec.user not in catalog.user_pos:
-                raise UnknownEntity(f"user {rec.user!r} not in catalog")
-            if rec.item not in catalog.item_pos:
-                raise UnknownEntity(f"item {rec.item!r} not in catalog")
+    @cached_property
+    def relevant(self) -> np.ndarray:
+        """Read-only (users + 1) x (items + 1) bool table, True where the user has an event with a label above 0
+        on the item; the last row and column, which -1 indexes, stay False."""
+        table = np.zeros((len(self.user_ids) + 1, len(self.item_ids) + 1), dtype=bool)
+        positive = self.label > 0.0
+        table[self.user[positive], self.item[positive]] = True
+        table.flags.writeable = False
+        return table
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.label)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InteractionLog):
+            return NotImplemented
+        same_ids = (self.user_ids, self.item_ids) == (other.user_ids, other.item_ids)
+        return same_ids and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in self.COLUMNS)
 
 
 class ScoreMatrix:
@@ -367,7 +390,7 @@ def group_utility(
     scores, cols = slates.scores, slates.slates
     taken = cols >= 0
     users, items = np.nonzero(taken)[0], cols[taken]  # row-major: ascending user, then rank
-    rows = np.array([catalog.item_pos.get(item, -1) for item in scores.item_ids], dtype=np.intp)[items]
+    rows = positions(scores.item_ids, catalog.item_pos)[items]
     for i in items[rows < 0][:1]:
         raise UnknownEntity(f"item {scores.item_ids[i]!r} not in catalog")
     weight = np.clip(scores.S[users, items], 0.0, 1.0) if mode == "click" else np.ones(len(items))

@@ -31,14 +31,14 @@ from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 import yaml
 
-from .core import Catalog, Interaction, InteractionLog, ScoreMatrix
+from .core import Catalog, InteractionLog, ScoreMatrix, positions
 from .errors import (
     EmptyDataset,
     FairrankError,
@@ -64,13 +64,17 @@ DEFAULT_COLUMN_SPEC = {
 
 @dataclass
 class SplitDataset:
-    """Chronologically split interaction data plus the catalog it references."""
+    """Chronologically split interaction data plus the catalog it references, each split put onto the
+    catalog's ``users`` and ``items`` tables by the constructor (:meth:`InteractionLog.onto`)."""
 
     train: InteractionLog
     valid: InteractionLog
     test: InteractionLog
     catalog: Catalog
     split_spec: tuple[tuple[float, float, float], int]
+
+    def __post_init__(self) -> None:
+        self.train, self.valid, self.test = (log.onto(self.catalog) for log in (self.train, self.valid, self.test))
 
     def splits(self) -> dict[str, InteractionLog]:
         return {"train": self.train, "valid": self.valid, "test": self.test}
@@ -186,8 +190,7 @@ class SearchRun:
     def codes_in(self, judg: IntentJudgments) -> np.ndarray:
         """Each doc table entry's position in ``judg.doc_ids`` (-1: none), matched by exact id once per judgments."""
         if self._codes[0] is not judg:
-            index = dict(zip(judg.doc_ids, count()))
-            self._codes = judg, np.fromiter(map(index.get, self.doc_ids, repeat(-1)), np.intp, len(self.doc_ids))
+            self._codes = judg, positions(self.doc_ids, dict(zip(judg.doc_ids, count())))
         return self._codes[1]
 
     def rerank(self, positions) -> SearchRun:
@@ -283,42 +286,49 @@ def replace_file(path: Path, data: str | bytes | memoryview) -> None:
         temporary.unlink(missing_ok=True)
 
 
+def _converted(convert: Callable, dtype, column: Sequence[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """The fields of ``column`` converted by ``convert`` into ``dtype`` up to the first that fails, and that
+    field's row and error, or None."""
+    rest = iter(column)
+    try:
+        return np.fromiter(map(convert, rest), dtype, len(column)), None
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int outside int64, as only timestamps are
+        at = len(column) - operator.length_hint(rest) - 1  # the failing field was the last one taken
+        error = str(exc) if isinstance(exc, ValueError) else f"timestamp {convert(column[at])} outside int64"
+        return np.fromiter(map(convert, column[:at]), dtype, at), (at, error)
+
+
 def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None = None) -> InteractionLog:
     """Parse a header + TSV interaction file into an InteractionLog.
 
     ``column_spec`` maps the roles user/item/label/timestamp to column names
-    in the file.  Record order equals file order.
+    in the file.  Rows keep file order, and the id tables first-seen order.
+    The earliest line whose label (``float``) or timestamp (``int``, within
+    int64) does not convert, or whose label is outside [0, 5], is a ParseError.
     """
     spec = dict(DEFAULT_COLUMN_SPEC)
     if column_spec:
         spec.update(column_spec)
     rows = read_table(path, "interaction")
     _, header = next(rows, (1, []))  # the first non-blank line; an empty file has none
-    positions: dict[str, int] = {}
-    for role in ("user", "item", "label", "timestamp"):
-        name = spec[role]
-        if name not in header:
-            raise SchemaError(f"{role} column {name!r} not found in header of {path}")
-        positions[role] = header.index(name)
-    records: list[Interaction] = []
-    for lineno, fields in rows:
-        try:
-            label = float(fields[positions["label"]])
-            ts = int(fields[positions["timestamp"]])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        try:
-            records.append(
-                Interaction(
-                    user=fields[positions["user"]],
-                    item=fields[positions["item"]],
-                    label=label,
-                    timestamp=ts,
-                )
-            )
-        except InvariantViolation as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    return InteractionLog(records=records)
+    for role in DEFAULT_COLUMN_SPEC:  # user, item, label, timestamp
+        if spec[role] not in header:
+            raise SchemaError(f"{role} column {spec[role]!r} not found in header of {path}")
+    fields = operator.itemgetter(*(header.index(spec[role]) for role in DEFAULT_COLUMN_SPEC))
+    numbers, lines = tuple(zip(*rows)) or ((), ())
+    users, items, labels, stamps = tuple(zip(*map(fields, lines))) or ((),) * 4
+    label, label_fault = _converted(float, np.float64, labels)
+    stamp, stamp_fault = _converted(int, np.int64, stamps)
+    outside = np.flatnonzero(~((label >= 0.0) & (label <= 5.0)))  # NaN fails both
+    range_fault = (outside[0], f"label {float(label[outside[0]])} outside [0, 5]") if outside.size else None
+    # The earliest line wins; on one line, a label that does not convert, then the timestamp, then the range.
+    fault = min(filter(None, (label_fault, stamp_fault, range_fault)), key=operator.itemgetter(0), default=None)
+    if fault:
+        raise ParseError(f"{path}: line {numbers[fault[0]]}: {fault[1]}")
+    user_table, item_table = defaultdict(count().__next__), defaultdict(count().__next__)
+    user = np.fromiter(map(user_table.__getitem__, users), np.intp, len(users))
+    item = np.fromiter(map(item_table.__getitem__, items), np.intp, len(items))
+    return InteractionLog(list(user_table), list(item_table), user, item, label, stamp)
 
 
 def parse_item_groups(path: str | Path) -> dict[str, frozenset[str]]:
@@ -337,6 +347,18 @@ def parse_user_groups(path: str | Path) -> dict[str, str]:
     return {user: group for _, (user, group) in read_table(path, "user-group", 2)}
 
 
+def _present(ids: list[str], column: np.ndarray) -> list[str]:
+    """The ``ids`` that ``column`` points at, in ascending id order."""
+    return sorted(map(ids.__getitem__, np.unique(column).tolist()))
+
+
+def _catalog(users: list[str], item_groups: Mapping[str, frozenset], user_groups: Mapping | None) -> Catalog:
+    """The catalog of ``users`` and the items of ``item_groups``, declaring every group either map names."""
+    groups = {g for gs in item_groups.values() for g in gs} | set((user_groups or {}).values())
+    ug = dict(user_groups) if user_groups is not None else None
+    return Catalog(users, sorted(item_groups), sorted(groups), dict(item_groups), ug)
+
+
 def build_catalog(
     log: InteractionLog,
     item_groups: Mapping[str, frozenset[str]],
@@ -347,22 +369,10 @@ def build_catalog(
     Users come from the log; items come from the membership map (which must
     cover every item in the log); groups are the union of memberships.
     """
-    users = sorted(set(log.users()))
-    items = sorted(item_groups)
-    missing = set(log.items()) - set(items)
+    missing = set(_present(log.item_ids, log.item)) - set(item_groups)
     if missing:
         raise UnknownEntity(f"interactions reference items without groups: {sorted(missing)[:5]}")
-    groups = sorted({g for gs in item_groups.values() for g in gs})
-    ug = dict(user_groups) if user_groups is not None else None
-    if ug is not None:
-        groups = sorted(set(groups) | set(ug.values()))
-    return Catalog(
-        users=users,
-        items=items,
-        groups=groups,
-        item_groups=dict(item_groups),
-        user_groups=ug,
-    )
+    return _catalog(_present(log.user_ids, log.user), item_groups, user_groups)
 
 
 def filter_and_split(
@@ -374,8 +384,9 @@ def filter_and_split(
     """Drop sparse users and split each user's history chronologically.
 
     Users with fewer than ``min_interactions`` records are removed entirely.
-    Each retained user's records are stably sorted by timestamp (file order
-    breaks ties) and cut at ``floor(n*r_train)`` and ``floor(n*(r_train+r_valid))``.
+    The retained records are sorted once, stably, by (user id, timestamp), so
+    file order breaks ties, and each user's ``n`` records are cut at
+    ``floor(n*r_train)`` and ``floor(n*(r_train+r_valid))``.
     The catalog is rebuilt restricted to retained users/items; ``catalog``
     supplies group membership (items default to a single shared group when
     it is omitted).
@@ -385,36 +396,28 @@ def filter_and_split(
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise InvariantViolation("ratios must sum to 1")
 
-    by_user = log.per_user_chronological()
-    retained = {u: recs for u, recs in by_user.items() if len(recs) >= min_interactions}
-    if not retained:
+    kept = log.take(np.flatnonzero(np.bincount(log.user, minlength=len(log.user_ids))[log.user] >= min_interactions))
+    if not len(kept):
         raise EmptyDataset(f"no user has >= {min_interactions} interactions")
-
-    train: list[Interaction] = []
-    valid: list[Interaction] = []
-    test: list[Interaction] = []
-    # The small epsilon keeps floor() at the intended integer when n*r is
-    # representable only as 8.999999... in binary floating point.
-    for user in sorted(retained):
-        recs = retained[user]
-        n = len(recs)
-        cut1 = math.floor(n * ratios[0] + 1e-9)
-        cut2 = math.floor(n * (ratios[0] + ratios[1]) + 1e-9)
-        train.extend(recs[:cut1])
-        valid.extend(recs[cut1:cut2])
-        test.extend(recs[cut2:])
-
-    kept_items = sorted({r.item for recs in retained.values() for r in recs})
-    item_groups, user_groups = {i: frozenset(["all"]) for i in kept_items}, None
+    users, items = _present(kept.user_ids, kept.user), _present(kept.item_ids, kept.item)
+    item_groups, user_groups = {i: frozenset(["all"]) for i in items}, None
     if catalog is not None:
-        missing = [i for i in kept_items if i not in catalog.item_pos]
+        missing = [i for i in items if i not in catalog.item_pos]
         if missing:
             raise UnknownEntity(f"log references items outside the catalog: {missing[:5]}")
-        item_groups = {i: catalog.item_groups[i] for i in kept_items}
+        item_groups = {i: catalog.item_groups[i] for i in items}
         if catalog.user_groups is not None:
-            user_groups = {u: g for u, g in catalog.user_groups.items() if u in retained}
-    splits = [InteractionLog(train), InteractionLog(valid), InteractionLog(test)]
-    new_catalog = build_catalog(InteractionLog(train + valid + test), item_groups, user_groups)
+            user_groups = {u: catalog.user_groups[u] for u in users if u in catalog.user_groups}
+    new_catalog = _catalog(users, item_groups, user_groups)
+    kept = kept.onto(new_catalog)
+    order = np.lexsort((kept.timestamp, kept.user))  # the catalog's users ascend by id
+    user = kept.user[order]
+    n = np.bincount(user)
+    rank = np.arange(len(order)) - (np.cumsum(n) - n)[user]  # each record's place in its user's history
+    # The small epsilon keeps floor() at the intended integer when n*r is
+    # representable only as 8.999999... in binary floating point.
+    cut1, cut2 = (np.floor(n * r + 1e-9)[user] for r in (ratios[0], ratios[0] + ratios[1]))
+    splits = (kept.take(order[part]) for part in (rank < cut1, (rank >= cut1) & (rank < cut2), rank >= cut2))
     return SplitDataset(*splits, catalog=new_catalog, split_spec=(tuple(ratios), min_interactions))
 
 
@@ -586,7 +589,8 @@ def write_run_file(run: SearchRun, path: str | Path, tag: str) -> None:
 
 
 def _write_log(path: Path, log: InteractionLog) -> None:
-    lines = (f"{rec.user}\t{rec.item}\t{rec.label!r}\t{rec.timestamp}\n" for rec in log.records)
+    users, items = map(log.user_ids.__getitem__, log.user.tolist()), map(log.item_ids.__getitem__, log.item.tolist())
+    lines = map("{}\t{}\t{!r}\t{}\n".format, users, items, log.label.tolist(), log.timestamp.tolist())
     replace_file(path, "user_id\titem_id\tlabel\ttimestamp\n" + "".join(lines))
 
 
@@ -632,12 +636,8 @@ def read_dataset(directory: str | Path) -> SplitDataset:
 
     item_groups = parse_item_groups(directory / "items.tsv")
     logs = {name: parse_interactions(directory / f"{name}.tsv") for name in ("train", "valid", "test")}
-    groups = sorted({g for gs in item_groups.values() for g in gs} | set(user_groups.values()))
-    user_groups = user_groups if manifest.get("has_user_groups") else None
-    catalog = Catalog(users, sorted(item_groups), groups, item_groups, user_groups)
+    catalog = _catalog(users, item_groups, user_groups if manifest.get("has_user_groups") else None)
     dataset = SplitDataset(**logs, catalog=catalog, split_spec=(tuple(split["ratios"]), split["min_interactions"]))
-    for log in logs.values():
-        log.validate_against(catalog)
     for name, log in dataset.splits().items():
         if counts.get(name) != len(log):
             raise FormatError(f"{directory}: {name} split has {len(log)} records, manifest says {counts.get(name)}")

@@ -23,11 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from itertools import count
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GroupUtilityVector, RankingSlate
+from .core import GroupUtilityVector, InteractionLog, RankingSlate, positions
 from .errors import InvariantViolation, UndefinedMetric
 from .ingest import IntentJudgments, SearchRun
 
@@ -36,13 +37,13 @@ from .ingest import IntentJudgments, SearchRun
 class Evaluation:
     """One (model, K) result, as the metric value functions read it.
 
-    Recommendation rows set ``slates``, ``relevant`` and ``utility``;
-    search rows set ``run``, ``judgments`` and ``alpha``.
+    Recommendation rows set ``slates``, ``relevant`` (the test split) and
+    ``utility``; search rows set ``run``, ``judgments`` and ``alpha``.
     """
 
     k: int
     slates: RankingSlate | None = None
-    relevant: Mapping[str, set[str]] | None = None
+    relevant: InteractionLog | None = None
     utility: GroupUtilityVector | None = None
     run: SearchRun | None = None
     judgments: IntentJudgments | None = None
@@ -136,23 +137,22 @@ def _gains(gain: np.ndarray, taken: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def slate_hits(slates: RankingSlate, relevant: Mapping[str, set[str]], k: int) -> tuple[np.ndarray, np.ndarray]:
+def slate_hits(slates: RankingSlate, relevant: InteractionLog, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Which top-k slots hold a relevant item, for the users with one (ascending id), and their relevant counts.
 
-    Relevant items outside the score matrix's item table fill no slot but count.
+    An item is relevant to a user with a row of label above 0 on it in the log ``relevant`` (its ``relevant``
+    table).  Relevant items outside the score matrix's item table fill no slot but count.
     """
     if k > slates.k:
         raise InvariantViolation(f"k={k} exceeds slate size {slates.k}")
-    scores = slates.scores
-    users = [u for u, user in enumerate(scores.user_ids) if relevant.get(user)]
-    if not users:
+    scores, table = slates.scores, relevant.relevant
+    rows = positions(scores.user_ids, dict(zip(relevant.user_ids, count())))  # -1: the table's empty last row
+    n_relevant = np.count_nonzero(table, axis=1)[rows]
+    users = np.flatnonzero(n_relevant)
+    if not users.size:
         raise UndefinedMetric("no user has relevant items")
-    # One column past the item table, which the -1 padding indexes.
-    is_relevant = np.zeros((len(users), len(scores.item_ids) + 1), dtype=bool)
-    for row, u in enumerate(users):
-        is_relevant[row, [scores.item_pos[i] for i in relevant[scores.user_ids[u]] if i in scores.item_pos]] = True
-    n_relevant = np.array([len(relevant[scores.user_ids[u]]) for u in users])
-    return is_relevant[np.arange(len(users))[:, None], slates.slates[users, :k]], n_relevant
+    cols = np.append(positions(scores.item_ids, dict(zip(relevant.item_ids, count()))), -1)  # slates' -1 picks -1
+    return table[rows[users, None], cols[slates.slates[users, :k]]], n_relevant[users]
 
 
 def ndcg_at_k(hits: tuple[np.ndarray, np.ndarray]) -> float:

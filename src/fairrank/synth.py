@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .core import Catalog, Interaction, InteractionLog, ScoreMatrix
+from .core import Catalog, InteractionLog, ScoreMatrix
 from .ingest import SplitDataset, filter_and_split, write_dataset, write_scores_tsv
 
 
@@ -76,18 +76,14 @@ def synthetic_interactions(
 ) -> InteractionLog:
     """Sample interactions proportional to the planted affinity, timestamps increasing."""
     aff = _affinity(catalog, rng, strength)
-    records: list[Interaction] = []
-    ts = 0
     n_items = len(catalog.items)
-    for ui, user in enumerate(catalog.users):
-        count = int(rng.integers(per_user[0], per_user[1] + 1))
-        count = min(count, n_items)
-        p = aff[ui] / aff[ui].sum()
-        chosen = rng.choice(n_items, size=count, replace=False, p=p)
-        for ii in chosen:
-            ts += 1
-            records.append(Interaction(user=user, item=catalog.items[int(ii)], label=1.0, timestamp=ts))
-    return InteractionLog(records)
+    chosen = [np.empty(0, dtype=np.intp)]
+    for ui in range(len(catalog.users)):
+        count = min(int(rng.integers(per_user[0], per_user[1] + 1)), n_items)
+        chosen.append(rng.choice(n_items, size=count, replace=False, p=aff[ui] / aff[ui].sum()))
+    user = np.repeat(np.arange(len(chosen) - 1), [len(c) for c in chosen[1:]])
+    item = np.concatenate(chosen)
+    return InteractionLog(catalog.users, catalog.items, user, item, np.ones(len(item)), np.arange(1, len(item) + 1))
 
 
 def synthetic_dataset(

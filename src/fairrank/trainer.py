@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
 
-from .core import Catalog, DualState, InteractionLog, ScoreMatrix
+from .core import Catalog, DualState, InteractionLog, ScoreMatrix, positions
 from .errors import (
     DivergenceError,
     InvariantViolation,
@@ -117,13 +118,10 @@ def ips_weights(log: InteractionLog, catalog: Catalog, smooth: float = 0.0) -> d
     (optionally smoothed by ``smooth`` per item).  A zero-popularity group
     raises :class:`ZeroPopularity`; pass ``smooth=1`` to avoid that.
     """
-    pop: dict[str, float] = {item: smooth for item in catalog.items}
-    for rec in log.records:
-        if rec.item not in pop:
-            raise UnknownEntity(f"item {rec.item!r} not in catalog")
-        pop[rec.item] += 1.0
+    pop = np.full(len(catalog.items), float(smooth))
+    np.add.at(pop, log.onto(catalog).item, 1.0)  # one add per interaction, in log order
     group_pop = {g: 0.0 for g in catalog.groups}
-    for item, p in pop.items():
+    for item, p in zip(catalog.items, pop.tolist()):
         for g in catalog.item_groups[item]:
             group_pop[g] += p
     for g, p in group_pop.items():
@@ -286,12 +284,11 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
     ``tests/reference_trainer.py``, which must give bit-identical models.
     """
     cat = dataset.catalog
-    if not dataset.train.records:
+    if not len(dataset.train):
         raise InvariantViolation("train split is empty")
 
     users, items, groups = list(cat.users), list(cat.items), cat.group_ids
-    pos_u = np.array([cat.user_pos[rec.user] for rec in dataset.train.records])
-    pos_i = np.array([cat.item_pos[rec.item] for rec in dataset.train.records])
+    pos_u, pos_i = dataset.train.user, dataset.train.item  # catalog positions, as in every split
     pos_mask = np.zeros((len(users), len(items)), dtype=bool)
     pos_mask[pos_u, pos_i] = True
     # Users interacting with every item admit no negative sample; drop their triples.
@@ -416,16 +413,16 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
 def predict(
     model: MFModel,
     users: Sequence[str],
-    exclude: Mapping[str, set[str]] | None = None,
+    exclude: InteractionLog | None = None,
 ) -> ScoreMatrix:
     """Score all candidate items for the given users.
 
-    ``exclude`` removes per-user items (typically training positives) from
-    the candidate rows.  Scores are raw dot products plus the optional item
-    bias, one matrix-vector product per user.
+    ``exclude`` removes the (user, item) pairs of its rows (typically the
+    train split) from the candidate rows.  Scores are raw dot products plus
+    the optional item bias, one matrix-vector product per user.
     """
     S = np.empty((len(users), len(model.item_ids)))
-    valid = np.ones(S.shape, dtype=bool)
+    valid = np.ones((len(users) + 1, len(model.item_ids) + 1), dtype=bool)  # a padding row and column, which -1 indexes
     for r, user in enumerate(users):
         ui = model._user_index.get(user)
         if ui is None:
@@ -433,17 +430,10 @@ def predict(
         S[r] = model.item_vecs @ model.user_vecs[ui]
         if model.item_bias is not None:
             S[r] += model.item_bias
-        banned = exclude.get(user, ()) if exclude else ()
-        valid[r, [model._item_index[item] for item in banned if item in model._item_index]] = False
-    return ScoreMatrix(users, model.item_ids, S, valid, semantics="raw")
-
-
-def exclude_train_items(dataset: SplitDataset) -> dict[str, set[str]]:
-    """Per-user train-split items, the standard prediction exclusion set."""
-    out: dict[str, set[str]] = {}
-    for rec in dataset.train.records:
-        out.setdefault(rec.user, set()).add(rec.item)
-    return out
+    if exclude is not None:  # a pair outside the rows or the model's items lands in the last row or column
+        rows = positions(exclude.user_ids, dict(zip(users, count())))[exclude.user]
+        valid[rows, positions(exclude.item_ids, model._item_index)[exclude.item]] = False
+    return ScoreMatrix(users, model.item_ids, S, valid[:-1, :-1], semantics="raw")
 
 
 CHECKPOINT_FORMAT_VERSION = 1

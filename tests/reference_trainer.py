@@ -3,8 +3,9 @@
 ``train`` updates whole batches at once and runs its fairness hooks on
 arrays; ``reference_train`` is the per-sample form it replaced (2-D
 ``np.add.at``, per-sample group lists and weights, one scalar draw per
-minmax pick), and the per-triple and per-pair forms are what the gradient
-and ranking tests compare it against.
+minmax pick, IPS popularity counted one record at a time by
+``reference_ips_weights``), and the per-triple and per-pair forms are what
+the gradient and ranking tests compare it against.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from fairrank.core import DualState
-from fairrank.errors import DivergenceError, InvariantViolation, UnknownEntity
+from fairrank.core import Catalog, DualState
+from fairrank.errors import DivergenceError, InvariantViolation, UnknownEntity, ZeroPopularity
 from fairrank.ingest import SplitDataset
 from fairrank.trainer import (
     MFModel,
@@ -23,9 +24,10 @@ from fairrank.trainer import (
     _draw_negatives,
     fairness_penalty,
     fairness_penalty_grad,
-    ips_weights,
     minmax_sampler_update,
 )
+
+from reference_ingest import Interaction, records_of
 
 
 def score(model: MFModel, user: str, item: str) -> float:
@@ -72,6 +74,25 @@ def bpr_triple_loss(
     return loss + reg, g_pu, g_qpos, g_qneg, g_bpos, g_bneg
 
 
+def reference_ips_weights(records: Sequence[Interaction], catalog: Catalog, smooth: float = 0.0) -> dict[str, float]:
+    """``fairrank.trainer.ips_weights`` over records, one ``+= 1.0`` per record."""
+    pop: dict[str, float] = {item: smooth for item in catalog.items}
+    for rec in records:
+        if rec.item not in pop:
+            raise UnknownEntity(f"item {rec.item!r} not in catalog")
+        pop[rec.item] += 1.0
+    group_pop = {g: 0.0 for g in catalog.groups}
+    for item, p in pop.items():
+        for g in catalog.item_groups[item]:
+            group_pop[g] += p
+    for g, p in group_pop.items():
+        if p <= 0:
+            raise ZeroPopularity(f"group {g!r} has zero popularity (consider smooth=1)")
+    raw = {g: 1.0 / p for g, p in group_pop.items()}
+    mean = sum(raw.values()) / len(raw)
+    return {g: w / mean for g, w in raw.items()}
+
+
 def reference_fairdual_step(
     state: DualState,
     batch_groups: Sequence[frozenset[str]],
@@ -114,7 +135,8 @@ def reference_train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHook
     minmax pick.  ``train`` must give bit-identical models.
     """
     cat = dataset.catalog
-    if not dataset.train.records:
+    train_records = records_of(dataset.train)
+    if not train_records:
         raise InvariantViolation("train split is empty")
 
     users = list(cat.users)
@@ -127,7 +149,7 @@ def reference_train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHook
     pos_mask = np.zeros((len(users), len(items)), dtype=bool)
     pos_u: list[int] = []
     pos_i: list[int] = []
-    for rec in dataset.train.records:
+    for rec in train_records:
         pos_mask[u_index[rec.user], i_index[rec.item]] = True
         pos_u.append(u_index[rec.user])
         pos_i.append(i_index[rec.item])
@@ -154,7 +176,7 @@ def reference_train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHook
 
     ips_map: dict[str, float] | None = None
     if hooks.weight_provider == "ips":
-        ips_map = ips_weights(dataset.train, cat, smooth=config.ips_smooth)
+        ips_map = reference_ips_weights(train_records, cat, smooth=config.ips_smooth)
     dual = DualState.uniform(hooks.dual_budget, groups, hooks.dual_step)
     sampler_ema: dict[str, float] | None = None
     sampler_q: dict[str, float] = {g: 1.0 / len(groups) for g in groups}

@@ -246,9 +246,10 @@ def test_c09_regularizer_shrinks_group_gap():
 
     def group_gap(model):
         sums = {"gA": [], "gB": []}
-        for rec in dataset.train.records:
-            g = next(iter(dataset.catalog.item_groups[rec.item]))
-            sums[g].append(score(model, rec.user, rec.item))
+        train = dataset.train
+        for user, item in zip(map(train.user_ids.__getitem__, train.user), map(train.item_ids.__getitem__, train.item)):
+            g = next(iter(dataset.catalog.item_groups[item]))
+            sums[g].append(score(model, user, item))
         return abs(float(np.mean(sums["gA"])) - float(np.mean(sums["gB"])))
 
     config = TrainConfig(dim=16, epochs=30, lr=0.1, l2=1e-4, seed=2)

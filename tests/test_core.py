@@ -11,15 +11,16 @@ from fairrank.core import (
     Catalog,
     DualState,
     GroupUtilityVector,
-    Interaction,
     InteractionLog,
     RankingSlate,
     ScoreMatrix,
     group_utility,
 )
 from fairrank.errors import InvariantViolation, MissingUserGroups, UnknownEntity
+from fairrank.ingest import filter_and_split
 
 from conftest import make_catalog, random_instance, score_matrix, slate_of
+from reference_ingest import log_of, records_of
 from reference_metrics import ids
 
 
@@ -275,20 +276,48 @@ class TestDualState:
 
 class TestInteractionLog:
     def test_label_range_enforced(self):
-        with pytest.raises(InvariantViolation):
-            Interaction(user="u", item="i", label=7.0, timestamp=0)
+        with pytest.raises(InvariantViolation, match=re.escape("label 7.0 outside [0, 5]")):
+            InteractionLog(["u"], ["i"], [0, 0], [0, 0], [1.0, 7.0], [0, 1])
+
+    @pytest.mark.parametrize("label", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_labels_outside_the_range_or_not_finite_rejected(self, label):
+        with pytest.raises(InvariantViolation, match=re.escape(f"label {label} outside [0, 5]")):
+            InteractionLog(["u"], ["i"], [0, 0], [0, 0], [1.0, label], [0, 1])
 
     def test_chronological_view_sorted_stably(self):
-        log = InteractionLog(
-            [
-                Interaction("u1", "i1", 1.0, 30),
-                Interaction("u1", "i2", 1.0, 10),
-                Interaction("u1", "i3", 1.0, 10),
-            ]
-        )
-        chron = log.per_user_chronological()["u1"]
+        log = log_of([("u1", "i1", 1.0, 30), ("u1", "i2", 1.0, 10), ("u1", "i3", 1.0, 10)])
+        dataset = filter_and_split(log, min_interactions=1, ratios=(0.6, 0.2, 0.2))
+        chron = records_of(dataset.train) + records_of(dataset.valid) + records_of(dataset.test)
         assert [r.item for r in chron] == ["i2", "i3", "i1"]
         assert [r.timestamp for r in chron] == sorted(r.timestamp for r in chron)
+
+    @pytest.mark.parametrize(
+        "tables, columns",
+        [
+            ((["u", "u"], ["i"]), ([0], [0], [1.0], [0])),
+            ((["u"], ["i"]), ([1], [0], [1.0], [0])),
+            ((["u"], ["i"]), ([0], [-1], [1.0], [0])),
+            ((["u"], ["i"]), ([0, 0], [0], [1.0], [0])),
+        ],
+        ids=["duplicate-id", "user-past-table", "negative-item", "short-column"],
+    )
+    def test_malformed_columns_rejected(self, tables, columns):
+        with pytest.raises(InvariantViolation):
+            InteractionLog(*tables, *columns)
+
+    def test_columns_are_read_only(self):
+        log = log_of([("u1", "i1", 1.0, 3)])
+        for column in (log.user, log.item, log.label, log.timestamp, log.relevant):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_onto_names_the_first_unknown_row(self, tiny_catalog):
+        log = log_of([("u1", "i1", 1.0, 1), ("u1", "ghost", 1.0, 2), ("nobody", "i2", 1.0, 3)])
+        with pytest.raises(UnknownEntity, match="^item 'ghost' not in catalog$"):
+            log.onto(tiny_catalog)
+        moved = log.take([0, 2, 0]).take([0, 2]).onto(make_catalog({"i1": {"g1"}}, users=["u0", "u1"]))
+        assert (moved.user_ids, moved.item_ids) == (["u0", "u1"], ["i1"])
+        assert (moved.user.tolist(), moved.item.tolist()) == ([1, 1], [0, 0])
 
 
 @settings(max_examples=50, deadline=None)

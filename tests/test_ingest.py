@@ -14,7 +14,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairrank.core import Interaction, InteractionLog, ScoreMatrix
+from fairrank.core import InteractionLog, RankingSlate, ScoreMatrix
 from fairrank.errors import (
     EmptyDataset,
     FormatError,
@@ -41,11 +41,13 @@ from fairrank.ingest import (
     write_scores,
     write_scores_tsv,
 )
+from fairrank.metrics import slate_hits
 from fairrank.synth import init_workspace, synthetic_dataset
 from fairrank.trainer import MFModel, TrainConfig, load_model, save_model
 
 from conftest import make_catalog, with_bad_line_2
 from reference_diverse import listed_of, lists_of, query_of, run_of
+from reference_ingest import Interaction, RecordLog, log_of, records_of
 
 PROVENANCE = Path(__file__).resolve().parents[1] / "perfbench" / "provenance.json"
 
@@ -65,7 +67,9 @@ class TestParseInteractions:
         )
         log = parse_interactions(path)
         assert len(log) == 3
-        assert log.records[0] == Interaction("u1", "i1", 1.0, 10)
+        assert records_of(log)[0] == Interaction("u1", "i1", 1.0, 10)
+        assert (log.user_ids, log.item_ids) == (["u1", "u2"], ["i1", "i2"])
+        assert (log.user.tolist(), log.item.tolist()) == ([0, 0, 1], [0, 1, 0])
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "inter.tsv"
@@ -82,16 +86,64 @@ class TestParseInteractions:
         with pytest.raises(ParseError, match="line 5"):
             parse_interactions(path)
 
+    @pytest.mark.parametrize(
+        "lines, lineno, message",
+        [
+            ([("9", "1"), ("1", "2"), ("nan", "3")], 2, "label 9.0 outside [0, 5]"),
+            ([("1", "1"), ("nan", "2"), ("-inf", "3")], 3, "label nan outside [0, 5]"),
+            ([("1", "1"), ("inf", "x"), ("7", "3")], 3, "invalid literal for int() with base 10: 'x'"),
+            ([("1", "1"), ("6", "2"), ("x", "3")], 3, "label 6.0 outside [0, 5]"),
+            ([("1", "1"), ("1", "2"), ("x", "y")], 4, "could not convert string to float: 'x'"),
+            ([("1", "2"), ("2", str(2**63)), ("9", "3")], 3, f"timestamp {2**63} outside int64"),
+            ([("1", "2"), ("1", f" -{10**30}")], 3, f"timestamp -{10**30} outside int64"),
+        ],
+        ids=["range-then-nan", "nan-then-inf", "timestamp-before-range", "range-before-value", "value-first",
+             "timestamp-past-int64", "timestamp-below-int64"],
+    )
+    def test_earliest_bad_line_named(self, tmp_path, lines, lineno, message):
+        path = tmp_path / "inter.tsv"
+        write_tsv(path, ["user_id", "item_id", "label", "timestamp"], [["u1", "i1", *line] for line in lines])
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line {lineno}: {re.escape(message)}$"):
+            parse_interactions(path)
+
+    def test_python_spellings_accepted(self, tmp_path):
+        path = tmp_path / "inter.tsv"
+        rows = [["u1", "i1", " 5", "1_000"], ["u1", "i2", "1e0", " 7 "]]
+        write_tsv(path, ["user_id", "item_id", "label", "timestamp"], rows)
+        log = parse_interactions(path)
+        assert (log.label.tolist(), log.timestamp.tolist()) == ([5.0, 1.0], [1000, 7])
+
     def test_column_remapping(self, tmp_path):
         path = tmp_path / "inter.tsv"
         write_tsv(path, ["uid", "iid", "rating", "ts"], [["u1", "i1", 4.5, 1]])
         log = parse_interactions(path, {"user": "uid", "item": "iid", "label": "rating", "timestamp": "ts"})
-        assert log.records[0].label == 4.5
+        assert log.label.tolist() == [4.5]
 
     def test_deterministic(self, tmp_path):
         path = tmp_path / "inter.tsv"
         write_tsv(path, ["user_id", "item_id", "label", "timestamp"], [["u1", "i1", 1, 1], ["u2", "i2", 1, 2]])
         assert parse_interactions(path) == parse_interactions(path)
+
+
+def test_ids_differing_by_a_trailing_nul_stay_distinct(tmp_path):
+    # At t = 2, the last two records of each user, u finds only i\0 relevant and u\0 only i.
+    rows = [
+        [user, item, float(t < 2 or (user == "u") != (item == "i")), t]
+        for t in range(3) for user in ("u", "u\0") for item in ("i", "i\0")
+    ]
+    write_tsv(tmp_path / "inter.tsv", ["user_id", "item_id", "label", "timestamp"], rows)
+    log = parse_interactions(tmp_path / "inter.tsv")
+    assert (log.user_ids, log.item_ids) == (["u", "u\0"], ["i", "i\0"])
+    dataset = filter_and_split(log, min_interactions=1, ratios=(0.5, 0.25, 0.25))
+    assert (dataset.catalog.users, dataset.catalog.items) == (["u", "u\0"], ["i", "i\0"])
+    write_dataset(dataset, tmp_path / "ds")
+    back = read_dataset(tmp_path / "ds")
+    assert back == dataset
+    expected = [("u", "i", 0.0, 2), ("u", "i\0", 1.0, 2), ("u\0", "i", 1.0, 2), ("u\0", "i\0", 0.0, 2)]
+    assert records_of(back.test) == expected
+    matrix = ScoreMatrix(["u", "u\0"], ["i", "i\0"], [[2.0, 1.0], [2.0, 1.0]])
+    hit, n_relevant = slate_hits(RankingSlate(2, [[0, 1], [0, 1]], matrix), back.test, 2)
+    assert hit.tolist() == [[False, True], [True, False]] and n_relevant.tolist() == [1, 1]
 
 
 class TestFilterAndSplit:
@@ -102,7 +154,7 @@ class TestFilterAndSplit:
             for j in range(n):
                 ts += 1
                 records.append(Interaction(user, f"i{j}", 1.0, ts))
-        return InteractionLog(records)
+        return log_of(records)
 
     def test_floor_split_8_1_1(self):
         ds = filter_and_split(self._log({"u1": 10}), min_interactions=5, ratios=(0.8, 0.1, 0.1))
@@ -111,7 +163,7 @@ class TestFilterAndSplit:
     def test_sparse_user_dropped(self):
         ds = filter_and_split(self._log({"u1": 10, "u2": 4}), min_interactions=5)
         for log in ds.splits().values():
-            assert all(r.user == "u1" for r in log.records)
+            assert all(r.user == "u1" for r in records_of(log))
         assert "u2" not in ds.catalog.users
 
     def test_empty_after_filter(self):
@@ -126,20 +178,20 @@ class TestFilterAndSplit:
             for j in range(n):
                 ts += 1
                 records.append(Interaction(f"u{ui:03d}", f"i{j}", 1.0, ts))
-        log = InteractionLog(records)
+        log = log_of(records)
         ds = filter_and_split(log, min_interactions=5)
         total = sum(len(s) for s in ds.splits().values())
         assert total == len(records)
         # No record was invented: every output record exists in the input.
         source = {(r.user, r.item, r.timestamp) for r in records}
         for split in ds.splits().values():
-            for r in split.records:
+            for r in records_of(split):
                 assert (r.user, r.item, r.timestamp) in source
 
     def test_chronological_order_between_splits(self):
         ds = filter_and_split(self._log({"u1": 10}), min_interactions=5)
-        assert max(r.timestamp for r in ds.train.records) <= min(r.timestamp for r in ds.valid.records)
-        assert max(r.timestamp for r in ds.valid.records) <= min(r.timestamp for r in ds.test.records)
+        assert ds.train.timestamp.max() <= ds.valid.timestamp.min()
+        assert ds.valid.timestamp.max() <= ds.test.timestamp.min()
 
     def test_per_user_chronology_across_splits(self, rng):
         # Interleave users so the split has to keep per-user order, not global order.
@@ -150,8 +202,8 @@ class TestFilterAndSplit:
             for ui in range(10):
                 records.append(Interaction(f"u{ui}", f"i{idx}", 1.0, int(stamps[idx])))
                 idx += 1
-        ds = filter_and_split(InteractionLog(records), min_interactions=5)
-        per_user = {name: log.per_user() for name, log in ds.splits().items()}
+        ds = filter_and_split(log_of(records), min_interactions=5)
+        per_user = {name: RecordLog(records_of(log)).per_user() for name, log in ds.splits().items()}
         for user in ds.catalog.users:
             tr = [r.timestamp for r in per_user["train"].get(user, [])]
             va = [r.timestamp for r in per_user["valid"].get(user, [])]
@@ -599,7 +651,7 @@ class TestItemGroups:
         assert groups == {"i1": frozenset({"g1", "g2"}), "i2": frozenset({"g1"})}
 
     def test_build_catalog(self, tmp_path):
-        log = InteractionLog([Interaction("u1", "i1", 1.0, 1)])
+        log = log_of([("u1", "i1", 1.0, 1)])
         catalog = build_catalog(log, {"i1": frozenset({"g1"}), "i2": frozenset({"g2"})})
         assert catalog.users == ["u1"]
         assert catalog.groups == ["g1", "g2"]

@@ -30,6 +30,7 @@ from fairrank.metrics import (
 
 from conftest import make_judgments, score_matrix, slate_of
 from reference_diverse import alpha_ndcg_query, run_of as search_run
+from reference_ingest import log_of
 
 
 def guv(values: dict[str, float]) -> GroupUtilityVector:
@@ -41,9 +42,14 @@ def run_of(docs: Sequence[str]) -> SearchRun:
     return search_run({"q1": [(doc, float(len(docs) - r)) for r, doc in enumerate(docs)]})
 
 
+def relevant_log(relevant: dict[str, set[str]]):
+    """A test split with one label-1 row per (user, relevant item)."""
+    return log_of((user, item, 1.0, 0) for user, items in relevant.items() for item in sorted(items))
+
+
 def accuracy(metric, rows: dict[str, list[str]], relevant, k: int) -> float:
     """An accuracy metric of the slates ``rows`` (item ids; each listed item scored) at ``k``."""
-    return metric(slate_hits(slate_of(k, rows), relevant, k))
+    return metric(slate_hits(slate_of(k, rows), relevant_log(relevant), k))
 
 
 def alpha_ndcg(run: SearchRun, judg: IntentJudgments, alpha: float = 0.5, k: int = 10) -> float:
@@ -131,10 +137,16 @@ class TestEvaluationSharesInputs:
         calls = []
         original = M.slate_hits
         monkeypatch.setattr(M, "slate_hits", lambda *args: calls.append(args[2]) or original(*args))
-        row = M.Evaluation(2, slates=slate_of(2, {"u": ["i2", "i1"]}), relevant={"u": {"i1"}})
+        row = M.Evaluation(2, slates=slate_of(2, {"u": ["i2", "i1"]}), relevant=relevant_log({"u": {"i1"}}))
         values = row.report(["ndcg", "mrr", "hr"], {}).values
         assert values == {"ndcg@2": 1.0 / math.log2(3) / 1.0, "mrr@2": 0.5, "hr@2": 1.0}
         assert calls == [2]
+
+    def test_one_relevance_table_per_test_split(self):
+        test = relevant_log({"u": {"i1"}})
+        rows = [M.Evaluation(k, slates=slate_of(2, {"u": ["i2", "i1"]}), relevant=test) for k in (1, 2)]
+        assert [row.report(["hr"], {}).values for row in rows] == [{"hr@1": 0.0}, {"hr@2": 1.0}]
+        assert test.__dict__["relevant"] is test.relevant  # built by the first row, kept for the second
 
     def test_one_gather_per_row(self, monkeypatch):
         calls = []

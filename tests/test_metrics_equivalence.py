@@ -8,8 +8,12 @@ message.  Instances have rows shorter than K (and empty ones), score ties,
 zero and negative scores (so some users have zero original top-K mass),
 users without relevant items, relevant items outside the score matrix's item
 table, catalogs that miss some scored items and user groups on only some
-users.  The references add with builtin ``sum``, which is sequential on
-Python 3.11 but compensated on 3.12+ (see ``tests/reference_metrics.py``).
+users.  The accuracy metrics read the relevance of a column test split, the
+references the relevant-item dict built from the same records one by one
+(``tests/reference_ingest.py``); the split repeats some (user, item) pairs,
+which count once, and has rows of label 0, which are not relevant.  The
+references add with builtin ``sum``, which is sequential on Python 3.11 but
+compensated on 3.12+ (see ``tests/reference_metrics.py``).
 """
 
 import numpy as np
@@ -17,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_metrics as ref
+from reference_ingest import Interaction, log_of, relevant_items
 from fairrank.core import AXES, MODES, Catalog, RankingSlate, ScoreMatrix, group_utility
 from fairrank.errors import FairrankError
 from fairrank.metrics import hit_at_k, mrr_at_k, ndcg_at_k, rerank_quality, slate_hits
@@ -33,7 +38,7 @@ def _outcome(fn, *args):
 
 
 def _instance(seed: int):
-    """A score matrix, a catalog, a slate on the matrix and test-split relevant items."""
+    """A score matrix, a catalog, a slate on the matrix and the records of a test split."""
     rng = np.random.default_rng(seed)
     n_users, n_items, n_groups = int(rng.integers(1, 40)), int(rng.integers(1, 25)), int(rng.integers(1, 5))
     users = [f"u{i:02d}" for i in range(n_users)]
@@ -74,28 +79,30 @@ def _instance(seed: int):
         cols[u, : row.size] = row
     slate = RankingSlate(k, cols, matrix)
 
-    relevant = {}
+    records = []
     for user in users + ["u99"]:
         if rng.random() < 0.3:
-            continue  # no relevant item
-        rel = {item for item in matrix.item_ids if rng.random() < 0.3}
-        rel |= {f"x{j}" for j in range(int(rng.integers(0, 3)))}  # outside the item table
-        relevant[user] = rel
-    return slate, catalog, relevant
+            continue  # no test record
+        tested = [item for item in matrix.item_ids if rng.random() < 0.3]
+        tested += [f"x{j}" for j in range(int(rng.integers(0, 3)))]  # outside the item table
+        for item in tested:
+            for _ in range(int(rng.integers(1, 3))):  # a repeated (user, item) pair
+                records.append(Interaction(user, item, float(rng.choice([0.0, 0.0, 1.0, 4.5])), int(rng.integers(9))))
+    return slate, catalog, [records[r] for r in rng.permutation(len(records))]
 
 
-def _accuracy(metric, slate, relevant, k):
-    return metric(slate_hits(slate, relevant, k))
+def _accuracy(metric, slate, records, k):
+    return metric(slate_hits(slate, log_of(records), k))
 
 
 @settings(max_examples=300)
 @given(seed=seeds)
 def test_accuracy_metrics_match_per_user_loops(seed):
-    slate, _, relevant = _instance(seed)
-    ids = ref.id_slates(slate)
+    slate, _, records = _instance(seed)
+    ids, relevant = ref.id_slates(slate), relevant_items(records)
     for k in range(1, slate.k + 2):  # k = K + 1 is an error in both
         for metric, reference in ((ndcg_at_k, ref.ndcg_at_k), (mrr_at_k, ref.mrr_at_k), (hit_at_k, ref.hit_at_k)):
-            assert _outcome(_accuracy, metric, slate, relevant, k) == _outcome(reference, ids, relevant, k)
+            assert _outcome(_accuracy, metric, slate, records, k) == _outcome(reference, ids, relevant, k)
 
 
 @settings(max_examples=300)
@@ -129,8 +136,8 @@ def test_deep_slates_match_per_user_loops():
     scores[0, 0] = 0.7
     matrix = ScoreMatrix(["u"], items, scores)
     slate = RankingSlate(n_items, np.roll(np.arange(n_items), 1619)[None], matrix)
-    ids, relevant = ref.id_slates(slate), {"u": {items[0]}}
+    ids, records = ref.id_slates(slate), [Interaction("u", items[0], 1.0, 0)]
     assert ids.slates["u"][1619] == items[0]
     for depth in (1619, 1620, 1700):
         assert rerank_quality(slate, depth) == ref.rerank_quality(ids, matrix, depth)
-        assert _accuracy(ndcg_at_k, slate, relevant, depth) == ref.ndcg_at_k(ids, relevant, depth)
+        assert _accuracy(ndcg_at_k, slate, records, depth) == ref.ndcg_at_k(ids, relevant_items(records), depth)

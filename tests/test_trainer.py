@@ -7,14 +7,13 @@ import pytest
 import yaml
 
 from fairrank import cli
-from fairrank.core import Catalog, DualState, Interaction, InteractionLog
+from fairrank.core import Catalog, DualState, InteractionLog
 from fairrank.errors import DivergenceError, IoError, ParseError, UnknownEntity, ZeroPopularity
 from fairrank.ingest import SplitDataset, filter_and_split, write_dataset
 from fairrank.trainer import (
     MFModel,
     TrainConfig,
     TrainHooks,
-    exclude_train_items,
     fairdual_step,
     fairness_penalty,
     fairness_penalty_grad,
@@ -27,6 +26,7 @@ from fairrank.trainer import (
 )
 
 from conftest import make_catalog, with_bad_line_2
+from reference_ingest import Interaction, log_of, records_of
 from reference_trainer import bpr_triple_loss, reference_train, score
 
 
@@ -57,7 +57,7 @@ def planted_dataset(
         for j in chosen:
             ts += 1
             records.append(Interaction(user, items[j], 1.0, ts))
-    return filter_and_split(InteractionLog(records), min_interactions=5, catalog=catalog)
+    return filter_and_split(log_of(records), min_interactions=5, catalog=catalog)
 
 
 def biased_dataset(seed: int = 3) -> SplitDataset:
@@ -77,17 +77,17 @@ def biased_dataset(seed: int = 3) -> SplitDataset:
         for j in chosen:
             ts += 1
             records.append(Interaction(user, items[int(j)], 1.0, ts))
-    return filter_and_split(InteractionLog(records), min_interactions=5, catalog=catalog)
+    return filter_and_split(log_of(records), min_interactions=5, catalog=catalog)
 
 
 def pairwise_auc(model: MFModel, dataset: SplitDataset) -> float:
     """Held-out AUC: P(score(test positive) > score(never-interacted item))."""
     interacted: dict[str, set[str]] = {}
     for split in dataset.splits().values():
-        for rec in split.records:
+        for rec in records_of(split):
             interacted.setdefault(rec.user, set()).add(rec.item)
     wins, total = 0.0, 0
-    for rec in dataset.test.records:
+    for rec in records_of(dataset.test):
         negs = [it for it in dataset.catalog.items if it not in interacted[rec.user]]
         pos_score = score(model, rec.user, rec.item)
         for neg in negs:
@@ -108,7 +108,7 @@ def reference_bpr(dataset: SplitDataset, config: TrainConfig):
     i_index = {it: j for j, it in enumerate(items)}
     pos_mask = np.zeros((len(users), len(items)), dtype=bool)
     pos_u, pos_i = [], []
-    for rec in dataset.train.records:
+    for rec in records_of(dataset.train):
         pos_mask[u_index[rec.user], i_index[rec.item]] = True
         pos_u.append(u_index[rec.user])
         pos_i.append(i_index[rec.item])
@@ -151,7 +151,7 @@ class TestIpsWeights:
             for _ in range(n):
                 ts += 1
                 records.append(Interaction("u", item, 1.0, ts))
-        return InteractionLog(records)
+        return log_of(records)
 
     def test_reciprocal_and_mean_one(self):
         w = ips_weights(self._log({"i1": 10, "i2": 5}), self._catalog())
@@ -337,7 +337,7 @@ class TestTrain:
 
         def group_gap(model):
             sums = {"gA": [], "gB": []}
-            for rec in dataset.train.records:
+            for rec in records_of(dataset.train):
                 g = next(iter(dataset.catalog.item_groups[rec.item]))
                 sums[g].append(score(model, rec.user, rec.item))
             return abs(float(np.mean(sums["gA"])) - float(np.mean(sums["gB"])))
@@ -379,11 +379,11 @@ def sparse_group_dataset() -> SplitDataset:
     )
 
     def log(picks, t0):
-        return InteractionLog([Interaction(u, i, 1.0, t0 + t) for t, (u, i) in enumerate(picks)])
+        return log_of((u, i, 1.0, t0 + t) for t, (u, i) in enumerate(picks))
 
     train_log = log([("u0", "i0"), ("u0", "i5"), ("u1", "i2"), ("u2", "i3"), ("u2", "i6")], 0)
     test_log = log([("u0", "i1"), ("u1", "i4"), ("u2", "i7")], 10)
-    return SplitDataset(train_log, InteractionLog([]), test_log, catalog, ((0.8, 0.1, 0.1), 1))
+    return SplitDataset(train_log, log([], 0), test_log, catalog, ((0.8, 0.1, 0.1), 1))
 
 
 class TestMinmaxUnseenGroup:
@@ -457,10 +457,20 @@ class TestPredict:
     def test_exclude_train_filter(self):
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
         model = train(dataset, TrainConfig(dim=4, epochs=1, seed=0), TrainHooks())
-        banned = exclude_train_items(dataset)
-        scores = predict(model, dataset.catalog.users, exclude=banned)
+        scores = predict(model, dataset.catalog.users, exclude=dataset.train)
+        banned = {}
+        for rec in records_of(dataset.train):
+            banned.setdefault(rec.user, set()).add(rec.item)
+        assert banned
         for user, items in banned.items():
             assert not (set(scores.row(user)) & items)
+            assert len(scores.row(user)) == len(dataset.catalog.items) - len(items)
+
+    def test_exclude_skips_pairs_outside_the_rows(self):
+        model = self._model(np.eye(2), np.eye(2), ["u1", "u2"], ["i1", "i2"], 2)
+        exclude = log_of([("u2", "i2", 1.0, 0), ("u1", "i1", 0.0, 1), ("u1", "gone", 1.0, 2), ("u2", "i1", 1.0, 3)])
+        scores = predict(model, ["u1"], exclude=exclude)
+        assert scores.row("u1") == {"i2": 0.0}
 
     def test_unknown_user(self):
         model = self._model(np.zeros((1, 2)), np.zeros((1, 2)), ["u"], ["i"], 2)

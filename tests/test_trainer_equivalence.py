@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import make_catalog
 from fairrank.config import MODELS
-from fairrank.core import DualState, Interaction, InteractionLog
-from fairrank.errors import UnknownEntity
+from fairrank.core import DualState
+from fairrank.errors import FairrankError, UnknownEntity
 from fairrank.ingest import SplitDataset
-from fairrank.trainer import TrainConfig, TrainHooks, _add_rows, fairdual_step, train
-from reference_trainer import reference_fairdual_step, reference_train
+from fairrank.trainer import TrainConfig, TrainHooks, _add_rows, fairdual_step, ips_weights, train
+from reference_ingest import log_of, records_of
+from reference_trainer import reference_fairdual_step, reference_ips_weights, reference_train
 
 seeds = st.integers(0, 2**32 - 1)
 INPROC = MODELS["recommendation", "in-processing"]
@@ -38,9 +39,9 @@ def random_dataset(rng: np.random.Generator) -> SplitDataset:
         # Up to every item: a user who has them all admits no negative and is dropped.
         for j in rng.choice(n_items, size=int(rng.integers(1, n_items + 1)), replace=False):
             ts += 1
-            records.append(Interaction(user, f"i{int(j):02d}", 1.0, ts))
-    empty = InteractionLog([])
-    return SplitDataset(InteractionLog(records), empty, empty, make_catalog(item_groups, users), ((0.8, 0.1, 0.1), 1))
+            records.append((user, f"i{int(j):02d}", 1.0, ts))
+    empty = log_of([])
+    return SplitDataset(log_of(records), empty, empty, make_catalog(item_groups, users), ((0.8, 0.1, 0.1), 1))
 
 
 def run_both(dataset, config, hooks):
@@ -98,10 +99,10 @@ def pool_of_one_dataset() -> SplitDataset:
     """Group gB owns one item, which one user has: its minmax pool is a single positive."""
     item_groups = {"i0": {"gA"}, "i1": {"gA"}, "i2": {"gA", "gC"}, "i3": {"gC"}, "i4": {"gB"}, "i5": {"gA"}}
     picks = {"u0": ["i0", "i1", "i4"], "u1": ["i0", "i2", "i3"], "u2": ["i1", "i2", "i3", "i5"], "u3": ["i3", "i5"]}
-    records = [Interaction(u, it, 1.0, ts) for ts, (u, it) in enumerate((u, it) for u in picks for it in picks[u])]
-    empty = InteractionLog([])
+    records = [(u, it, 1.0, ts) for ts, (u, it) in enumerate((u, it) for u in picks for it in picks[u])]
+    empty = log_of([])
     catalog = make_catalog(item_groups, list(picks))
-    return SplitDataset(InteractionLog(records), empty, empty, catalog, ((0.8, 0.1, 0.1), 1))
+    return SplitDataset(log_of(records), empty, empty, catalog, ((0.8, 0.1, 0.1), 1))
 
 
 @pytest.mark.parametrize("model", sorted(INPROC))
@@ -127,6 +128,20 @@ def test_fairdual_step_matches_per_sample_reference(seed):
     ref_w, ref_state = reference_fairdual_step(state, batch)
     assert np.array_equal(got_w, ref_w)
     assert got_state.prices == ref_state.prices
+
+
+@settings(max_examples=100)
+@given(seed=seeds, smooth=st.sampled_from([0.0, 0.1, 1 / 3, 1.0, 2.7]))
+def test_ips_weights_match_per_record_reference(seed, smooth):
+    # A fractional smooth makes the per-record adds round at every step, which the column form must repeat.
+    dataset = random_dataset(np.random.default_rng(seed))
+    outcomes = []
+    for weights, log in ((ips_weights, dataset.train), (reference_ips_weights, records_of(dataset.train))):
+        try:
+            outcomes.append(weights(log, dataset.catalog, smooth=smooth))
+        except FairrankError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_fairdual_step_names_the_first_unknown_group():
