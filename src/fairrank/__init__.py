@@ -2,7 +2,6 @@
 
 from .core import (
     Catalog,
-    DualState,
     GroupUtilityVector,
     InteractionLog,
     RankingSlate,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Catalog",
-    "DualState",
     "GroupUtilityVector",
     "InteractionLog",
     "IntentJudgments",

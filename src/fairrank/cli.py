@@ -96,8 +96,7 @@ def _measure(cfg: RunConfig, dataset, model: str, rank: Callable, params: dict, 
     arrival = _arrival_order(cfg, scores.user_ids)
     measured = []
     for k in cfg.k_values:
-        target = dict(shares) if shares else None
-        ctx = RerankContext(scores, dataset.catalog, k, arrival_order=list(arrival), target_shares=target, mode=mode)
+        ctx = RerankContext(scores, dataset.catalog, k, arrival_order=list(arrival), target_shares=shares, mode=mode)
         slates = rank(ctx, **params)
         guv = group_utility(slates, dataset.catalog, axis="item", mode=mode)
         result = M.Evaluation(k, slates=slates, relevant=dataset.test, utility=guv)

@@ -13,7 +13,11 @@ users x K array of columns of its score matrix, which every re-ranker writes
 and every metric reads, with no item id looked up in between.  Interactions
 have one representation as well: the id tables and read-only columns of an
 :class:`InteractionLog`, from the parser through the split to the trainer
-and the accuracy metrics, with no per-row object in between.
+and the accuracy metrics, with no per-row object in between.  A per-group
+value has one representation too: an array indexed by position in
+``Catalog.group_ids`` (or, on the user axis of :func:`group_utility`, in the
+sorted user-group names), from the trainer's hooks and the re-rankers'
+target shares and prices to :class:`GroupUtilityVector` and the report.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ MODES = ("exposure", "click")
 
 @dataclass
 class Catalog:
-    """Users, items, groups, and the item -> groups membership map.
+    """Users, items, item groups, and the item -> groups membership map.
 
     The validating constructor also builds ``user_pos`` and ``item_pos``
     (id -> position in ``users`` and ``items``), ``group_ids`` (the groups
@@ -43,9 +47,10 @@ class Catalog:
     Attributes:
         users: unique user identifiers.
         items: unique item identifiers.
-        groups: unique group identifiers (non-empty).
+        groups: unique item-group identifiers (non-empty).
         item_groups: item -> non-empty set of member groups.
-        user_groups: optional user -> group assignment (may be partial).
+        user_groups: optional user -> group assignment (may be partial); its
+            group names are separate from the item groups.
     """
 
     users: list[str]
@@ -74,11 +79,9 @@ class Catalog:
                 raise InvariantViolation(f"item {item!r} belongs to no group")
             if not gs <= declared:
                 raise InvariantViolation(f"item {item!r} references undeclared groups {sorted(gs - declared)}")
-        if self.user_groups is not None:
-            if not set(self.user_groups) <= set(self.users):
-                raise InvariantViolation("user_groups references undeclared users")
-            if not set(self.user_groups.values()) <= declared:
-                raise InvariantViolation("user_groups references undeclared groups")
+        user_set = set(self.users)
+        for user in [u for u in self.user_groups or () if u not in user_set][:1]:
+            raise InvariantViolation(f"user_groups references undeclared user {user!r}")
         self.user_pos = {user: u for u, user in enumerate(self.users)}
         self.item_pos = {item: i for i, item in enumerate(self.items)}
         self.group_ids = sorted(self.groups)
@@ -92,6 +95,12 @@ class Catalog:
 def positions(ids: Sequence[str], pos: Mapping[str, int]) -> np.ndarray:
     """Each of ``ids``' position in ``pos``, -1 where it has none."""
     return np.fromiter(map(pos.get, ids, repeat(-1)), np.intp, len(ids))
+
+
+def sequential_sum(a) -> np.ndarray:
+    """``a`` summed along its last axis from 0.0, one element at a time in order (``np.sum`` and ``@`` add pairwise)."""
+    a = np.asarray(a, dtype=float)
+    return np.cumsum(np.concatenate([np.zeros((*a.shape[:-1], 1)), a], axis=-1), axis=-1)[..., -1]
 
 
 class InteractionLog:
@@ -271,98 +280,32 @@ class RankingSlate:
         self.slates = slates
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupUtilityVector:
     """Utility accumulated per group from a set of slates.
 
     ``axis`` selects whether utility is credited to item groups or to the
     group of the receiving user; ``mode`` selects unit exposure vs. clamped
-    click-probability weights.
+    click-probability weights.  ``values`` is a read-only array whose entry
+    ``j`` is the utility of group ``group_ids[j]``.
     """
 
     axis: str
     mode: str
-    values: dict[str, float]
-    total: float
+    group_ids: list[str]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
             raise InvariantViolation(f"unknown axis {self.axis!r}")
         if self.mode not in MODES:
             raise InvariantViolation(f"unknown mode {self.mode!r}")
-        for g, v in self.values.items():
-            if v < 0:
-                raise InvariantViolation(f"negative utility for group {g!r}")
-        if abs(self.total - sum(self.values.values())) > 1e-6:
-            raise InvariantViolation("total does not match the sum of group utilities")
-
-    @classmethod
-    def from_values(cls, axis: str, mode: str, values: Mapping[str, float]) -> "GroupUtilityVector":
-        vals = dict(values)
-        return cls(axis=axis, mode=mode, values=vals, total=float(sum(vals.values())))
-
-    def as_array(self) -> np.ndarray:
-        """Utilities in ascending group-id order."""
-        return np.array([self.values[g] for g in sorted(self.values)], dtype=float)
-
-
-@dataclass
-class DualState:
-    """Group prices on the budget-scaled simplex used by online dual updates.
-
-    Invariant: prices are non-negative and sum to ``budget`` (a zero budget
-    forces all prices to zero).  ``step`` is the multiplicative-update rate.
-    """
-
-    budget: float
-    prices: dict[str, float]
-    step: float
-
-    def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise InvariantViolation("dual budget must be non-negative")
-        if self.step <= 0:
-            raise InvariantViolation("dual step size must be positive")
-
-    @classmethod
-    def uniform(cls, budget: float, groups: Sequence[str], step: float) -> "DualState":
-        n = len(groups)
-        if n == 0:
-            raise InvariantViolation("dual state needs at least one group")
-        price = budget / n if budget > 0 else 0.0
-        return cls(budget=budget, prices={g: price for g in groups}, step=step)
-
-    def validate(self, tol: float = 1e-9) -> None:
-        total = sum(self.prices.values())
-        if abs(total - self.budget) > tol:
-            raise InvariantViolation(f"prices sum {total} != budget {self.budget}")
-        for g, p in self.prices.items():
-            if p < 0:
-                raise InvariantViolation(f"negative price for group {g!r}")
-        if self.budget == 0 and any(p != 0.0 for p in self.prices.values()):
-            raise InvariantViolation("zero budget requires all-zero prices")
-
-    def exp_step(self, gradient: Mapping[str, float], ascent: bool) -> "DualState":
-        """One multiplicative-weights update, rescaled back onto the simplex.
-
-        ``ascent=True`` grows the price of groups with positive gradient,
-        ``ascent=False`` shrinks it.  A zero budget is a fixed point.
-        """
-        if self.budget == 0:
-            return self
-        sign = 1.0 if ascent else -1.0
-        raw = {g: p * float(np.exp(sign * self.step * gradient.get(g, 0.0))) for g, p in self.prices.items()}
-        total = sum(raw.values())
-        if total <= 0:
-            # All mass vanished (cannot happen while prices stay positive); reset uniform.
-            n = len(raw)
-            prices = {g: self.budget / n for g in raw}
-        else:
-            scale = self.budget / total
-            prices = {g: v * scale for g, v in raw.items()}
-        out = DualState(budget=self.budget, prices=prices, step=self.step)
-        out.validate(tol=1e-6)
-        return out
+        self.values = np.array(self.values, dtype=float)
+        if self.values.shape != (len(self.group_ids),):
+            raise InvariantViolation("utility values do not match the group ids")
+        for j in np.flatnonzero(self.values < 0)[:1]:
+            raise InvariantViolation(f"negative utility for group {self.group_ids[j]!r}")
+        self.values.flags.writeable = False
 
 
 def group_utility(
@@ -374,7 +317,8 @@ def group_utility(
     slate's score clamped into [0, 1].  On the item axis each member group
     of a slotted item (its catalog ``member`` row) receives the full weight;
     on the user axis the weight goes to the group of the slate's user (users
-    absent from ``user_groups`` contribute nothing).
+    absent from ``user_groups`` contribute nothing), over the sorted distinct
+    names of ``user_groups``.
 
     Summation order is fixed, so results are bit-reproducible: each user's
     weights add rank by rank (an uncredited slot adds an exact ``+0.0``),
@@ -384,7 +328,7 @@ def group_utility(
         raise InvariantViolation(f"unknown axis {axis!r}")
     if mode not in MODES:
         raise InvariantViolation(f"unknown mode {mode!r}")
-    if axis == "user" and catalog.user_groups is None:
+    if axis == "user" and not catalog.user_groups:
         raise MissingUserGroups("user-axis utility requires catalog.user_groups")
 
     scores, cols = slates.scores, slates.slates
@@ -395,16 +339,15 @@ def group_utility(
         raise UnknownEntity(f"item {scores.item_ids[i]!r} not in catalog")
     weight = np.clip(scores.S[users, items], 0.0, 1.0) if mode == "click" else np.ones(len(items))
     if axis == "item":
-        member = catalog.member[rows]
+        group_ids, member = catalog.group_ids, catalog.member[rows]
     else:
-        owner = np.array([(catalog.user_groups or {}).get(user) for user in scores.user_ids], dtype=object)
-        member = owner[users, None] == np.array(catalog.group_ids, dtype=object)
-    credit = np.zeros((*cols.shape, len(catalog.group_ids)))  # each slot's weight for the groups it credits, else 0.0
+        group_ids = sorted(set(catalog.user_groups.values()))
+        owner = np.array([catalog.user_groups.get(user) for user in scores.user_ids], dtype=object)
+        member = owner[users, None] == np.array(group_ids, dtype=object)
+    credit = np.zeros((*cols.shape, len(group_ids)))  # each slot's weight for the groups it credits, else 0.0
     credit[taken] = member * weight[:, None]
-    per_user = np.zeros((len(catalog.group_ids), len(cols)))  # groups x users
+    per_user = np.zeros((len(group_ids), len(cols)))  # groups x users
     for r in range(cols.shape[1]):
         per_user += credit[:, r].T
-    # Users are added one at a time in ascending id order; np.sum would add them pairwise.
-    totals = np.cumsum(per_user, axis=1)[:, -1] if len(cols) else np.zeros(len(per_user))
-    values = dict(zip(catalog.group_ids, totals.tolist()))
-    return GroupUtilityVector.from_values(axis=axis, mode=mode, values=values)
+    # Users are added one at a time in ascending id order.
+    return GroupUtilityVector(axis, mode, group_ids, sequential_sum(per_user))

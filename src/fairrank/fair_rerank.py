@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Catalog, DualState, RankingSlate, ScoreMatrix
+from .core import Catalog, RankingSlate, ScoreMatrix
 from .errors import EmptyCandidates, InvariantViolation
 
 _TINY = 1e-12
@@ -44,7 +44,7 @@ class RerankContext:
     candidates and gathers the group data: ``groups`` (the catalog's
     ``group_ids``), ``member`` and ``member_f`` (its membership table as
     bool and float, with rows in score-matrix item order, not catalog
-    order) and ``beta`` (the target shares in ``groups`` order).
+    order) and ``beta`` (the target shares, read-only).
 
     Attributes:
         scores: per-user candidate scores (read-only).
@@ -52,8 +52,8 @@ class RerankContext:
         k: slate size.
         arrival_order: user processing order for online algorithms
             (defaults to ascending user id).
-        target_shares: desired per-group exposure shares (defaults to
-            uniform over the catalog's groups).
+        target_shares: desired exposure share of each group, in
+            ``group_ids`` order (defaults to uniform).
         mode: utility weighting, ``"exposure"`` or ``"click"``.
     """
 
@@ -61,7 +61,7 @@ class RerankContext:
     catalog: Catalog
     k: int
     arrival_order: list[str] | None = None
-    target_shares: dict[str, float] | None = None
+    target_shares: np.ndarray | None = None
     mode: str = "exposure"
 
     def __post_init__(self) -> None:
@@ -75,34 +75,31 @@ class RerankContext:
             self.arrival_order = list(users)
         elif sorted(self.arrival_order) != users:
             raise InvariantViolation("arrival_order must be a permutation of the scored users")
-        if self.target_shares is None:
-            n = len(self.catalog.groups)
-            self.target_shares = {g: 1.0 / n for g in self.catalog.groups}
-        else:
-            if set(self.target_shares) != set(self.catalog.groups):
-                raise InvariantViolation("target_shares must cover exactly the catalog groups")
-            if any(b < 0 for b in self.target_shares.values()):
-                raise InvariantViolation("target shares must be non-negative")
-            if abs(sum(self.target_shares.values()) - 1.0) > 1e-9:
-                raise InvariantViolation("target shares must sum to 1")
+        cat = self.catalog
+        self.groups = cat.group_ids
+        n = len(self.groups)
+        self.beta = np.full(n, 1.0 / n) if self.target_shares is None else np.array(self.target_shares, dtype=float)
+        if self.beta.shape != (n,):
+            raise InvariantViolation("target_shares must hold one share per catalog group")
+        if not (self.beta >= 0).all():  # NaN fails too
+            raise InvariantViolation("target shares must be non-negative")
+        if abs(sum(self.beta.tolist()) - 1.0) > 1e-9:
+            raise InvariantViolation("target shares must sum to 1")
+        self.beta.flags.writeable = False
         empty = [users[i] for i in np.flatnonzero(self.scores.n_valid == 0)]
         if empty:
             raise EmptyCandidates(f"users without candidates: {empty[:5]}")
-        cat = self.catalog
-        self.groups = cat.group_ids
         self.member = cat.member[[cat.item_pos[item] for item in self.scores.item_ids]]
         self.member_f = self.member.astype(float)
-        self.beta = np.array([self.target_shares[g] for g in self.groups])
 
 
-def proportional_shares(catalog: Catalog) -> dict[str, float]:
-    """Target shares proportional to each group's catalog item count.
+def proportional_shares(catalog: Catalog) -> np.ndarray:
+    """Target shares proportional to each group's catalog item count, in ``group_ids`` order.
 
     Multi-group items count once per membership, matching exposure accounting.
     """
     counts = catalog.member.sum(axis=0)
-    shares = dict(zip(catalog.group_ids, (counts / counts.sum()).tolist()))
-    return {g: shares[g] for g in catalog.groups}
+    return counts / counts.sum()
 
 
 def _top_mask(primary: np.ndarray, tie: np.ndarray, k: int, n_valid: np.ndarray) -> np.ndarray:
@@ -338,14 +335,15 @@ def pmmf(
     ctx: RerankContext,
     lam: float = 1.0,
     eta: float = 0.1,
-    on_update: Callable[[DualState], None] | None = None,
+    on_update: Callable[[np.ndarray], None] | None = None,
 ) -> RankingSlate:
     """Online dual mirror descent on group prices.
 
     Each arriving user is ranked by price-adjusted scores (an item pays the
     summed price of its member groups); the observed slate exposure then
     drives a multiplicative price update rescaled onto the ``lam``-budget
-    simplex.  ``on_update`` receives the state after every user.
+    simplex.  ``on_update`` receives the read-only price array (in
+    ``groups`` order) after every user.
     """
     if lam < 0:
         raise InvariantViolation("lam must be non-negative")
@@ -353,6 +351,7 @@ def pmmf(
         raise InvariantViolation("eta must be positive")
     scores, n_groups = ctx.scores, len(ctx.groups)
     mu = np.full(n_groups, lam / n_groups if lam > 0 else 0.0)
+    mu.flags.writeable = False
     chosen = np.full((len(scores.user_ids), ctx.k), -1, dtype=np.intp)
     for user in ctx.arrival_order:
         ui = scores.user_pos[user]
@@ -366,12 +365,13 @@ def pmmf(
         if lam > 0:
             raw = mu * np.exp(-eta * gradient)
             mu = raw * (lam / raw.sum())
+            mu.flags.writeable = False
         prices = mu.tolist()
         # NaN passes the comparisons below: an overflowing step (too large an eta) leaves NaN prices.
         if not np.isfinite(mu).all() or abs(sum(prices) - lam) > 1e-6 or min(prices) < 0 or (lam == 0 and any(prices)):
             raise InvariantViolation(f"group prices {prices} left the simplex of budget {lam} at step size eta={eta}")
         if on_update is not None:
-            on_update(DualState(budget=lam, prices=dict(zip(ctx.groups, prices)), step=eta))
+            on_update(mu)
     return RankingSlate(ctx.k, chosen, scores)
 
 

@@ -353,8 +353,8 @@ def _present(ids: list[str], column: np.ndarray) -> list[str]:
 
 
 def _catalog(users: list[str], item_groups: Mapping[str, frozenset], user_groups: Mapping | None) -> Catalog:
-    """The catalog of ``users`` and the items of ``item_groups``, declaring every group either map names."""
-    groups = {g for gs in item_groups.values() for g in gs} | set((user_groups or {}).values())
+    """The catalog of ``users`` and the items of ``item_groups``, declaring the groups ``item_groups`` names."""
+    groups = {g for gs in item_groups.values() for g in gs}
     ug = dict(user_groups) if user_groups is not None else None
     return Catalog(users, sorted(item_groups), sorted(groups), dict(item_groups), ug)
 
@@ -366,13 +366,17 @@ def build_catalog(
 ) -> Catalog:
     """Assemble a catalog from an interaction log and a membership map.
 
-    Users come from the log; items come from the membership map (which must
-    cover every item in the log); groups are the union of memberships.
+    Users come from the log, and ``user_groups`` rows of users absent from
+    it are dropped; items come from the membership map (which must cover
+    every item in the log); groups are the union of item memberships.
     """
     missing = set(_present(log.item_ids, log.item)) - set(item_groups)
     if missing:
         raise UnknownEntity(f"interactions reference items without groups: {sorted(missing)[:5]}")
-    return _catalog(_present(log.user_ids, log.user), item_groups, user_groups)
+    users = _present(log.user_ids, log.user)
+    if user_groups is not None:
+        user_groups = {user: user_groups[user] for user in users if user in user_groups}
+    return _catalog(users, item_groups, user_groups)
 
 
 def filter_and_split(

@@ -204,7 +204,7 @@ def rerank_quality(slates: RankingSlate, k: int) -> tuple[float, float]:
 
 def gini(v: GroupUtilityVector) -> float:
     """Gini index of the group-utility distribution; 0 on uniform or all-zero input."""
-    x = np.sort(v.as_array())
+    x = np.sort(v.values)
     n = x.size
     total = float(x.sum())
     if total == 0.0 or x[0] == x[-1]:
@@ -215,37 +215,30 @@ def gini(v: GroupUtilityVector) -> float:
     return max(0.0, float(np.sum((2 * idx - n - 1) * x) / (n * total)))
 
 
-def entropy(v: GroupUtilityVector, base: float | None = None) -> float:
-    """Shannon entropy of utility shares (natural log by default); 0 if total is 0."""
-    x = v.as_array()
-    total = float(x.sum())
+def entropy(v: GroupUtilityVector) -> float:
+    """Shannon entropy (natural log) of utility shares; 0 if total is 0."""
+    total = float(v.values.sum())
     if total == 0.0:
         return 0.0
-    p = x / total
+    p = v.values / total
     p = p[p > 0]
-    h = float(-np.sum(p * np.log(p)))
-    if base is not None:
-        h /= math.log(base)
-    return h
+    return float(-np.sum(p * np.log(p)))
 
 
-def mmf(v: GroupUtilityVector, normalized: bool = True) -> float:
-    """Max-min fairness: worst group share, scaled so uniform = 1 when normalized."""
-    x = v.as_array()
-    total = float(x.sum())
+def mmf(v: GroupUtilityVector) -> float:
+    """Max-min fairness: the worst group's share, scaled so uniform = 1."""
+    total = float(v.values.sum())
     if total == 0.0:
         return 0.0
-    share = float(x.min()) / total
-    return share * x.size if normalized else share
+    return float(v.values.min()) / total * v.values.size
 
 
 def min_max_ratio(v: GroupUtilityVector) -> float:
     """Ratio of the worst-off to the best-off group; 1 when the max is 0."""
-    x = v.as_array()
-    mx = float(x.max())
+    mx = float(v.values.max())
     if mx == 0.0:
         return 1.0
-    return float(x.min()) / mx
+    return float(v.values.min()) / mx
 
 
 # ---------------------------------------------------------------------------

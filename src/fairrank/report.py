@@ -91,8 +91,8 @@ def _table_lines(report: BenchmarkReport) -> list[str]:
 def _allocation_lines(report: BenchmarkReport) -> list[str]:
     lines = ["model\tk\taxis\tmode\tgroup\tutility"]
     for model, k, guv in report.allocations:
-        for group in sorted(guv.values):
-            lines.append(f"{model}\t{k}\t{guv.axis}\t{guv.mode}\t{group}\t{fmt4(guv.values[group])}")
+        for group, value in zip(guv.group_ids, guv.values.tolist()):
+            lines.append(f"{model}\t{k}\t{guv.axis}\t{guv.mode}\t{group}\t{fmt4(value)}")
     return lines
 
 

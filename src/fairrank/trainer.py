@@ -11,22 +11,21 @@ independent hook slots:
 * ``regularizer``: a differentiable penalty on batch score statistics.
 
 Training is single-threaded and bit-reproducible for a fixed seed; hooks
-observe batch-level statistics.  Hooks act on item groups (a user-group
-switch is a documented extension point).
+observe batch-level statistics and act on item groups, holding every
+per-group value as an array over the catalog's ``group_ids``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import count
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import yaml
 
-from .core import Catalog, DualState, InteractionLog, ScoreMatrix, positions
+from .core import Catalog, InteractionLog, ScoreMatrix, positions, sequential_sum
 from .errors import (
     DivergenceError,
     InvariantViolation,
@@ -83,6 +82,10 @@ class TrainHooks:
             raise InvariantViolation(f"unknown regularizer {self.regularizer!r}")
         if self.reg_weight < 0:
             raise InvariantViolation("reg_weight must be non-negative")
+        if self.dual_budget < 0:
+            raise InvariantViolation("dual budget must be non-negative")
+        if self.dual_step <= 0:
+            raise InvariantViolation("dual step size must be positive")
 
 
 @dataclass
@@ -111,142 +114,125 @@ class MFModel:
 # ---------------------------------------------------------------------------
 
 
-def ips_weights(log: InteractionLog, catalog: Catalog, smooth: float = 0.0) -> dict[str, float]:
-    """Inverse group-popularity weights, rescaled to mean 1.
+def ips_weights(log: InteractionLog, catalog: Catalog, smooth: float = 0.0) -> np.ndarray:
+    """Inverse group-popularity weights in ``group_ids`` order, rescaled to mean 1.
 
     Popularity of a group is the summed interaction count of its items
-    (optionally smoothed by ``smooth`` per item).  A zero-popularity group
-    raises :class:`ZeroPopularity`; pass ``smooth=1`` to avoid that.
+    (optionally smoothed by ``smooth`` per item), added in catalog item
+    order.  A zero-popularity group raises :class:`ZeroPopularity`; pass
+    ``smooth=1`` to avoid that.
     """
     pop = np.full(len(catalog.items), float(smooth))
     np.add.at(pop, log.onto(catalog).item, 1.0)  # one add per interaction, in log order
-    group_pop = {g: 0.0 for g in catalog.groups}
-    for item, p in zip(catalog.items, pop.tolist()):
-        for g in catalog.item_groups[item]:
-            group_pop[g] += p
-    for g, p in group_pop.items():
-        if p <= 0:
-            raise ZeroPopularity(f"group {g!r} has zero popularity (consider smooth=1)")
-    raw = {g: 1.0 / p for g, p in group_pop.items()}
-    mean = sum(raw.values()) / len(raw)
-    return {g: w / mean for g, w in raw.items()}
+    group_pop = sequential_sum(np.where(catalog.member.T, pop, 0.0))
+    for j in np.flatnonzero(group_pop <= 0)[:1]:
+        raise ZeroPopularity(f"group {catalog.group_ids[j]!r} has zero popularity (consider smooth=1)")
+    raw = 1.0 / group_pop
+    return raw / (sequential_sum(raw) / len(raw))
+
+
+def _check_prices(prices: np.ndarray, budget: float) -> None:
+    """Raise unless ``prices`` are non-negative and sum to ``budget`` (all zero for a zero budget)."""
+    if abs(sequential_sum(prices) - budget) > 1e-6 or (prices < 0).any() or (budget == 0 and prices.any()):
+        raise InvariantViolation(f"prices {prices.tolist()} are off the simplex of budget {budget}")
 
 
 def fairdual_step(
-    state: DualState,
-    batch_groups: Sequence[frozenset[str]],
-    target_shares: Mapping[str, float] | None = None,
-) -> tuple[np.ndarray, DualState]:
-    """Dual-mirror-descent re-weighting of one batch.
+    prices: np.ndarray,
+    budget: float,
+    step: float,
+    sets: np.ndarray,
+    batch_sets: np.ndarray,
+    target_shares: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dual-mirror-descent re-weighting of one batch: the sample weights and the new prices.
 
-    The batch is summarised by its per-group share of positive-item
-    memberships; prices move multiplicatively toward groups that fell short
-    of their target share, then samples are weighted by their member groups'
-    normalized prices (``|G| * mu_g / budget``; multi-group items take the
-    mean).  A zero budget leaves the state untouched and all weights at 1.
+    ``sets`` holds distinct group sets as bool rows over ``group_ids`` and
+    ``batch_sets`` the set of each sample.  The batch is summarised by its
+    per-group share of positive-item memberships; the prices (on the
+    ``budget``-scaled simplex) move multiplicatively at rate ``step`` toward
+    groups that fell short of their target share and are rescaled onto the
+    simplex, then samples are weighted by their member groups' normalized
+    prices (``|G| * mu_g / budget``; multi-group items take the mean, once
+    per set).  A zero budget leaves the prices untouched and all weights at 1.
     """
-    state.validate(tol=1e-6)
-    if not batch_groups:
+    _check_prices(prices, budget)
+    if not len(batch_sets):
         raise InvariantViolation("empty batch")
-    groups = sorted(state.prices)
-    if target_shares is None:
-        target_shares = {g: 1.0 / len(groups) for g in groups}
-
-    sets = Counter(batch_groups)  # distinct group sets in first-seen order, with multiplicities
-    counts = {g: 0.0 for g in groups}
-    for gs, c in sets.items():
-        for g in gs:
-            if g not in counts:
-                raise UnknownEntity(f"group {g!r} not in dual state")
-            counts[g] += c
-    total = sum(counts.values())
-    shares = {g: counts[g] / total for g in groups} if total > 0 else {g: 0.0 for g in groups}
-
-    if state.budget == 0:
-        return np.ones(len(batch_groups)), state
-
-    gradient = {g: target_shares[g] - shares[g] for g in groups}
-    new_state = state.exp_step(gradient, ascent=True)
-    n = len(groups)
-    norm_price = {g: n * new_state.prices[g] / new_state.budget for g in groups}
-    set_weight = {gs: float(np.mean([norm_price[g] for g in sorted(gs)])) for gs in sets}
-    weights = np.fromiter(map(set_weight.__getitem__, batch_groups), float, len(batch_groups))
-    return weights, new_state
+    if budget == 0:
+        return np.ones(len(batch_sets)), prices
+    n = len(prices)
+    counts = np.bincount(batch_sets, minlength=len(sets))
+    per_group = counts @ sets  # integer counts: exact in any order
+    total = per_group.sum()
+    shares = per_group / total if total > 0 else np.zeros(n)
+    target = np.full(n, 1.0 / n) if target_shares is None else target_shares
+    raw = prices * np.exp(step * (target - shares))
+    raw_total = sequential_sum(raw)
+    prices = np.full(n, budget / n) if raw_total <= 0 else raw * (budget / raw_total)
+    _check_prices(prices, budget)
+    norm_price = n * prices / budget
+    set_weight = np.zeros(len(sets))
+    for s in np.flatnonzero(counts):
+        set_weight[s] = np.mean(norm_price[sets[s]])
+    return set_weight[batch_sets], prices
 
 
 def minmax_sampler_update(
-    ema: dict[str, float] | None,
-    batch_losses: Mapping[str, float],
-    sampler_step: float = 1.0,
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Update running group-loss averages and return the sampling softmax.
+    ema: np.ndarray, seen: np.ndarray, losses: np.ndarray, present: np.ndarray, sampler_step: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Update the running group-loss averages; return the sampling probabilities, the averages and the seen mask.
 
-    The EMA initialises to the first observed losses, then follows
-    ``0.9 * ema + 0.1 * loss``.  Sampling probabilities are
-    ``softmax(sampler_step * ema)``.
+    Every array is over ``group_ids``; ``losses[present]`` are the batch's
+    group losses.  The first update sets the batch's groups to their losses;
+    after that a group follows ``0.9 * ema + 0.1 * loss``, taking its own
+    loss as the old average when first seen.  The probabilities are
+    ``softmax(sampler_step * ema)`` over the groups seen so far; a group not
+    yet seen gets the largest of them.
     """
-    for g, loss in batch_losses.items():
-        if not np.isfinite(loss):
-            raise InvariantViolation(f"non-finite loss for group {g!r}")
-    if ema is None:
-        new_ema = dict(batch_losses)
-    else:
-        new_ema = dict(ema)
-        for g, loss in batch_losses.items():
-            new_ema[g] = 0.9 * new_ema.get(g, loss) + 0.1 * loss
-    groups = sorted(new_ema)
-    logits = np.array([sampler_step * new_ema[g] for g in groups])
+    fresh = 0.9 * np.where(seen, ema, losses) + 0.1 * losses if seen.any() else losses
+    ema, seen = np.where(present, fresh, ema), seen | present
+    logits = sampler_step * ema[seen]
     logits -= logits.max()
     q = np.exp(logits)
     q /= q.sum()
-    return {g: float(q[i]) for i, g in enumerate(groups)}, new_ema
+    probs = np.full(len(ema), q.max())
+    probs[seen] = q
+    return probs, ema, seen
 
 
-def fairness_penalty(scores_by_group: Mapping[str, np.ndarray], kind: str) -> float:
-    """Batch-level score-parity penalty.
+def fairness_penalty(scores: np.ndarray, member: np.ndarray, kind: str) -> tuple[float, np.ndarray]:
+    """Batch-level score-parity penalty and its analytic gradient w.r.t. each score.
 
-    ``reg``: sum of squared differences between group mean scores over all
-    group pairs.  ``focf``: sum of absolute deviations of group means from
-    their unweighted grand mean.  A single-group batch contributes 0.
+    ``member`` holds the samples' bool rows over ``group_ids``; each group in
+    the batch has one mean score.  ``reg``: sum of squared differences
+    between group means over all group pairs.  ``focf``: sum of absolute
+    deviations of group means from their unweighted grand mean.  A
+    single-group batch contributes 0.  A sample's gradient adds its groups'
+    terms in group order.
     """
     if kind not in ("focf", "reg"):
         raise InvariantViolation(f"unknown penalty kind {kind!r}")
-    groups = sorted(scores_by_group)
-    if len(groups) < 2:
-        return 0.0
-    means = np.array([float(np.mean(scores_by_group[g])) for g in groups])
+    counts = member.sum(axis=0)
+    present = np.flatnonzero(counts)
+    grad = np.zeros(len(scores))
+    n = len(present)
+    if n < 2:
+        return 0.0, grad
+    means = np.array([np.mean(scores[member[:, j]]) for j in present])
     if kind == "reg":
-        total = 0.0
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                total += (means[a] - means[b]) ** 2
-        return float(total)
-    grand = float(np.mean(means))
-    return float(np.sum(np.abs(means - grand)))
-
-
-def fairness_penalty_grad(scores_by_group: Mapping[str, np.ndarray], kind: str) -> dict[str, np.ndarray]:
-    """Analytic gradient of :func:`fairness_penalty` w.r.t. each score."""
-    if kind not in ("focf", "reg"):
-        raise InvariantViolation(f"unknown penalty kind {kind!r}")
-    groups = sorted(scores_by_group)
-    grads = {g: np.zeros(len(scores_by_group[g])) for g in groups}
-    if len(groups) < 2:
-        return grads
-    means = {g: float(np.mean(scores_by_group[g])) for g in groups}
-    if kind == "reg":
-        for g in groups:
-            d_mean = sum(2.0 * (means[g] - means[h]) for h in groups if h != g)
-            grads[g][:] = d_mean / len(scores_by_group[g])
-        return grads
-    n = len(groups)
-    grand = float(np.mean([means[g] for g in groups]))
-    signs = {g: float(np.sign(means[g] - grand)) for g in groups}
-    sign_sum = sum(signs.values())
-    for g in groups:
-        d_mean = signs[g] - sign_sum / n
-        grads[g][:] = d_mean / len(scores_by_group[g])
-    return grads
+        diff = means[:, None] - means[None, :]
+        # ``** 2`` on a float is C pow, as in the per-pair sum; diff * diff differs from it in the last bit.
+        penalty = float(sequential_sum([d**2 for d in diff[np.triu_indices(n, 1)].tolist()]))
+        d_mean = sequential_sum(2.0 * diff[~np.eye(n, dtype=bool)].reshape(n, n - 1))
+    else:
+        grand = float(np.mean(means))
+        penalty = float(np.sum(np.abs(means - grand)))
+        signs = np.sign(means - grand)
+        d_mean = signs - signs.sum() / n  # signs are -1, 0 or 1: exact in any order
+    for j, g in enumerate(present):
+        grad[member[:, g]] += d_mean[j] / counts[g]
+    return penalty, grad
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +261,13 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
     One uniformly re-sampled negative per positive; parameters updated by
     plain SGD over batches of ``config.batch_size``.  With neutral hooks the
     arithmetic is identical to an unhooked BPR loop, so results bit-match.
-    The hooks work per batch on arrays: IPS weights are looked up per item,
-    fairdual weights are computed once per distinct group set, group
-    members come from the catalog's items x groups ``member`` table, and
-    the minmax order takes one draw per epoch.  A group the minmax sampler
-    has not yet seen in a batch is drawn with the largest probability of
-    any seen group.  The per-sample loops they replace are kept in
+    The hooks work per batch on arrays over the catalog's ``group_ids``:
+    IPS weights are looked up per item, fairdual weights are computed once
+    per distinct group set (a distinct row of the catalog's items x groups
+    ``member`` table), group members come from that table, and the minmax
+    order takes one draw per epoch.  A group the minmax sampler has not yet
+    seen in a batch is drawn with the largest probability of any seen group.
+    The per-sample loops and group-keyed dicts they replace are kept in
     ``tests/reference_trainer.py``, which must give bit-identical models.
     """
     cat = dataset.catalog
@@ -288,6 +275,7 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
         raise InvariantViolation("train split is empty")
 
     users, items, groups = list(cat.users), list(cat.items), cat.group_ids
+    sets, set_of = np.unique(cat.member, axis=0, return_inverse=True)  # each item's group set
     pos_u, pos_i = dataset.train.user, dataset.train.item  # catalog positions, as in every split
     pos_mask = np.zeros((len(users), len(items)), dtype=bool)
     pos_mask[pos_u, pos_i] = True
@@ -298,7 +286,6 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
     pos_u_arr, pos_i_arr = pos_u[keep], pos_i[keep]
     n_pos = pos_u_arr.size
 
-    item_member: list[frozenset[str]] = [cat.item_groups[it] for it in items]
     pos_member = cat.member[pos_i_arr]
     pool_rows = np.nonzero(pos_member.T)[1]  # each group's positives, ascending, one group after another
     pool_size = pos_member.sum(axis=0)
@@ -312,11 +299,11 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
     bias = np.zeros(len(items)) if config.use_item_bias else None
 
     if hooks.weight_provider == "ips":
-        ips_map = ips_weights(dataset.train, cat, smooth=config.ips_smooth)
-        item_ips = np.array([float(np.mean([ips_map[g] for g in sorted(gs)])) for gs in item_member])
-    dual = DualState.uniform(hooks.dual_budget, groups, hooks.dual_step)
-    sampler_ema: dict[str, float] | None = None
-    sampler_q: dict[str, float] = {g: 1.0 / len(groups) for g in groups}
+        group_ips = ips_weights(dataset.train, cat, smooth=config.ips_smooth)
+        item_ips = np.array([np.mean(group_ips[row]) for row in sets])[set_of]
+    prices = np.full(len(groups), hooks.dual_budget / len(groups) if hooks.dual_budget > 0 else 0.0)
+    sampler_q = np.full(len(groups), 1.0 / len(groups))
+    sampler_ema, seen = np.zeros(len(groups)), np.zeros(len(groups), dtype=bool)
     regularize = hooks.regularizer != "none" and hooks.reg_weight > 0
 
     loss_curve: list[float] = []
@@ -324,7 +311,7 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
         if hooks.group_sampler == "uniform":
             order = rng.permutation(n_pos)
         else:
-            probs = np.array([sampler_q.get(groups[gj], max(sampler_q.values())) for gj in eligible_groups])
+            probs = sampler_q[eligible_groups]
             probs = probs / probs.sum()
             drawn = rng.choice(len(eligible_groups), size=n_pos, p=probs)
             # One draw over all picks takes the same values from the stream as one scalar draw per pick.
@@ -349,7 +336,7 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
             elif hooks.weight_provider == "ips":
                 w = item_ips[bi]
             else:
-                w, dual = fairdual_step(dual, list(map(item_member.__getitem__, bi.tolist())))
+                w, prices = fairdual_step(prices, hooks.dual_budget, hooks.dual_step, sets, set_of[bi])
 
             sig = 1.0 / (1.0 + np.exp(x))
             coef = w * sig
@@ -365,20 +352,12 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
                 np.add.at(bias, bi, -lr * (-coef + 2.0 * l2 * bias[bi]))
                 np.add.at(bias, bn, -lr * (coef + 2.0 * l2 * bias[bn]))
 
-            if regularize or hooks.group_sampler == "minmax":
-                in_group = cat.member[bi]  # batch positions of each group present, in sorted group order
-                by_group = {groups[g]: np.flatnonzero(in_group[:, g]) for g in np.flatnonzero(in_group.any(axis=0))}
-
             if regularize:
                 pos_scores = np.einsum("bd,bd->b", Pu, Qp)
                 if bias is not None:
                     pos_scores = pos_scores + bias[bi]
-                scores_by_group = {g: pos_scores[idx] for g, idx in by_group.items()}
-                epoch_loss += hooks.reg_weight * fairness_penalty(scores_by_group, hooks.regularizer)
-                grads = fairness_penalty_grad(scores_by_group, hooks.regularizer)
-                ds = np.zeros(batch.size)
-                for g, idx in by_group.items():
-                    ds[idx] += grads[g]
+                penalty, ds = fairness_penalty(pos_scores, cat.member[bi], hooks.regularizer)
+                epoch_loss += hooks.reg_weight * penalty
                 ds *= hooks.reg_weight
                 _add_rows(P, bu, -lr * ds[:, None] * Qp)
                 _add_rows(Q, bi, -lr * ds[:, None] * Pu)
@@ -386,9 +365,15 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
                     np.add.at(bias, bi, -lr * ds)
 
             if hooks.group_sampler == "minmax":
-                batch_group_losses = {g: float(np.mean(sample_loss[idx])) for g, idx in by_group.items()}
-                sampler_q, sampler_ema = minmax_sampler_update(
-                    sampler_ema, batch_group_losses, hooks.sampler_step
+                in_group = cat.member[bi]
+                present = in_group.any(axis=0)
+                losses = np.zeros(len(groups))
+                for g in np.flatnonzero(present):
+                    losses[g] = np.mean(sample_loss[in_group[:, g]])
+                    if not np.isfinite(losses[g]):
+                        raise InvariantViolation(f"non-finite loss for group {groups[g]!r}")
+                sampler_q, sampler_ema, seen = minmax_sampler_update(
+                    sampler_ema, seen, losses, present, hooks.sampler_step
                 )
 
         l2_term = config.l2 * (float(np.sum(P * P)) + float(np.sum(Q * Q)))

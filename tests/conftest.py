@@ -15,13 +15,10 @@ settings.load_profile("repeatable")
 
 
 def make_catalog(item_groups: dict[str, set[str]], users: list[str], user_groups=None) -> Catalog:
-    groups = sorted({g for gs in item_groups.values() for g in gs})
-    if user_groups:
-        groups = sorted(set(groups) | set(user_groups.values()))
     return Catalog(
         users=users,
         items=sorted(item_groups),
-        groups=groups,
+        groups=sorted({g for gs in item_groups.values() for g in gs}),
         item_groups={i: frozenset(gs) for i, gs in item_groups.items()},
         user_groups=user_groups,
     )

@@ -131,9 +131,7 @@ def build_catalog(
     if missing:
         raise UnknownEntity(f"interactions reference items without groups: {sorted(missing)[:5]}")
     groups = sorted({g for gs in item_groups.values() for g in gs})
-    ug = dict(user_groups) if user_groups is not None else None
-    if ug is not None:
-        groups = sorted(set(groups) | set(ug.values()))
+    ug = {u: g for u, g in user_groups.items() if u in users} if user_groups is not None else None
     return Catalog(users=users, items=items, groups=groups, item_groups=dict(item_groups), user_groups=ug)
 
 

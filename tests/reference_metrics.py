@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from fairrank.core import AXES, MODES, Catalog, GroupUtilityVector, RankingSlate, ScoreMatrix
+from fairrank.core import AXES, MODES, Catalog, RankingSlate, ScoreMatrix
 from fairrank.errors import InvariantViolation, MissingUserGroups, UndefinedMetric, UnknownEntity
 from fairrank.metrics import _log2_discount
 
@@ -167,14 +167,14 @@ def group_utility(
     catalog: Catalog,
     axis: str = "item",
     mode: str = "exposure",
-) -> GroupUtilityVector:
-    """Accumulate per-group utility from the given slates.
+) -> dict[str, float]:
+    """Accumulate per-group utility from the given slates, keyed by group.
 
     Exposure mode credits one unit per slate slot; click mode credits the
     score clamped into [0, 1].  On the item axis each member group of a
     slotted item receives the full weight; on the user axis the weight goes
     to the group of the slate's user (users absent from ``user_groups``
-    contribute nothing).
+    contribute nothing), over the distinct user-group names.
 
     Summation order is fixed (group id order, then user id order) so results
     are bit-reproducible.
@@ -183,12 +183,13 @@ def group_utility(
         raise InvariantViolation(f"unknown axis {axis!r}")
     if mode not in MODES:
         raise InvariantViolation(f"unknown mode {mode!r}")
-    if axis == "user" and catalog.user_groups is None:
+    if axis == "user" and not catalog.user_groups:
         raise MissingUserGroups("user-axis utility requires catalog.user_groups")
     if mode == "click" and scores is None:
         raise UnknownEntity("click mode requires a score matrix")
 
-    per_group: dict[str, dict[str, float]] = {g: {} for g in catalog.groups}
+    groups = catalog.groups if axis == "item" else set(catalog.user_groups.values())  # type: ignore[union-attr]
+    per_group: dict[str, dict[str, float]] = {g: {} for g in groups}
     for user in sorted(slates.slates):
         items = slates.slates[user]
         weights = [min(max(s, 0.0), 1.0) for s in scores_of(scores, user, items)] if mode == "click" else [1.0] * len(items)
@@ -199,7 +200,7 @@ def group_utility(
                 per_group[g][user] = per_group[g].get(user, 0.0) + w
 
     values: dict[str, float] = {}
-    for g in sorted(catalog.groups):
+    for g in sorted(groups):
         bucket = per_group[g]
         values[g] = float(sum(bucket[u] for u in sorted(bucket)))
-    return GroupUtilityVector.from_values(axis=axis, mode=mode, values=values)
+    return values

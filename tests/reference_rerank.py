@@ -16,11 +16,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from fairrank.core import DualState, ScoreMatrix
+from fairrank.core import Catalog, ScoreMatrix
 from fairrank.errors import EmptyCandidates, InvariantViolation, UndefinedMetric, UnknownEntity
 from fairrank.fair_rerank import RerankContext, _deviation
 from fairrank.metrics import _log2_discount
 from reference_metrics import IdSlates, groups_of
+from reference_trainer import DualState
 
 _TINY = 1e-12
 
@@ -30,6 +31,18 @@ def top_slate(primary: np.ndarray, tie: np.ndarray | None, depth: int) -> np.nda
     idx = np.arange(primary.size)
     order = np.lexsort((idx, -primary)) if tie is None else np.lexsort((idx, -tie, -primary))
     return order[:depth]
+
+
+def uniform_shares(catalog: Catalog) -> dict[str, float]:
+    """``RerankContext``'s default target shares, keyed by group."""
+    return {g: 1.0 / len(catalog.groups) for g in catalog.groups}
+
+
+def proportional_shares(catalog: Catalog) -> dict[str, float]:
+    """``fairrank.fair_rerank.proportional_shares`` keyed by group, in the catalog's declared group order."""
+    counts = catalog.member.sum(axis=0)
+    shares = dict(zip(catalog.group_ids, (counts / counts.sum()).tolist()))
+    return {g: shares[g] for g in catalog.groups}
 
 
 class _Dense:
@@ -65,7 +78,8 @@ class _Dense:
             for g in groups_of(ctx.catalog, item):
                 self.member[self.item_pos[item], self.group_pos[g]] = True
         self.member_f = self.member.astype(float)
-        self.beta = np.array([ctx.target_shares[g] for g in self.groups])
+        shares = uniform_shares(ctx.catalog) if ctx.target_shares is None else dict(zip(self.groups, ctx.target_shares))
+        self.beta = np.array([shares[g] for g in self.groups])
         self._idx = np.arange(n_i)
         # Clamped click weights; exposure mode uses unit weights.
         if ctx.mode == "click":

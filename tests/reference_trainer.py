@@ -1,31 +1,28 @@
-"""Test-only trainer helpers: the per-sample trainer, a single-triple BPR loss and one-pair scoring.
+"""Test-only trainer helpers: the per-sample trainer, its group-keyed hooks, a single-triple BPR loss and one-pair
+scoring.
 
 ``train`` updates whole batches at once and runs its fairness hooks on
-arrays; ``reference_train`` is the per-sample form it replaced (2-D
-``np.add.at``, per-sample group lists and weights, one scalar draw per
-minmax pick, IPS popularity counted one record at a time by
-``reference_ips_weights``), and the per-triple and per-pair forms are what
-the gradient and ranking tests compare it against.
+arrays over the catalog's ``group_ids``; ``reference_train`` is the
+per-sample form it replaced (2-D ``np.add.at``, per-sample group sets and
+weights, one scalar draw per minmax pick, IPS popularity counted one record
+at a time by ``reference_ips_weights``), with every per-group value in a
+dict keyed by group name: :class:`DualState` prices, the minmax EMA and the
+penalty means and gradients.  The dict forms run over groups in ascending
+id order, as the arrays do.  The per-triple and per-pair forms are what the
+gradient and ranking tests compare it against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from fairrank.core import Catalog, DualState
+from fairrank.core import Catalog
 from fairrank.errors import DivergenceError, InvariantViolation, UnknownEntity, ZeroPopularity
 from fairrank.ingest import SplitDataset
-from fairrank.trainer import (
-    MFModel,
-    TrainConfig,
-    TrainHooks,
-    _draw_negatives,
-    fairness_penalty,
-    fairness_penalty_grad,
-    minmax_sampler_update,
-)
+from fairrank.trainer import MFModel, TrainConfig, TrainHooks, _draw_negatives
 
 from reference_ingest import Interaction, records_of
 
@@ -74,6 +71,135 @@ def bpr_triple_loss(
     return loss + reg, g_pu, g_qpos, g_qneg, g_bpos, g_bneg
 
 
+@dataclass
+class DualState:
+    """Group prices on the budget-scaled simplex used by online dual updates.
+
+    Invariant: prices are non-negative and sum to ``budget`` (a zero budget
+    forces all prices to zero).  ``step`` is the multiplicative-update rate.
+    """
+
+    budget: float
+    prices: dict[str, float]
+    step: float
+
+    def __post_init__(self) -> None:
+        if self.budget < 0:
+            raise InvariantViolation("dual budget must be non-negative")
+        if self.step <= 0:
+            raise InvariantViolation("dual step size must be positive")
+
+    @classmethod
+    def uniform(cls, budget: float, groups: Sequence[str], step: float) -> "DualState":
+        n = len(groups)
+        if n == 0:
+            raise InvariantViolation("dual state needs at least one group")
+        price = budget / n if budget > 0 else 0.0
+        return cls(budget=budget, prices={g: price for g in groups}, step=step)
+
+    def validate(self, tol: float = 1e-9) -> None:
+        total = sum(self.prices.values())
+        if abs(total - self.budget) > tol:
+            raise InvariantViolation(f"prices sum {total} != budget {self.budget}")
+        for g, p in self.prices.items():
+            if p < 0:
+                raise InvariantViolation(f"negative price for group {g!r}")
+        if self.budget == 0 and any(p != 0.0 for p in self.prices.values()):
+            raise InvariantViolation("zero budget requires all-zero prices")
+
+    def exp_step(self, gradient: Mapping[str, float], ascent: bool) -> "DualState":
+        """One multiplicative-weights update, rescaled back onto the simplex.
+
+        ``ascent=True`` grows the price of groups with positive gradient,
+        ``ascent=False`` shrinks it.  A zero budget is a fixed point.
+        """
+        if self.budget == 0:
+            return self
+        sign = 1.0 if ascent else -1.0
+        raw = {g: p * float(np.exp(sign * self.step * gradient.get(g, 0.0))) for g, p in self.prices.items()}
+        total = sum(raw.values())
+        if total <= 0:
+            # All mass vanished (cannot happen while prices stay positive); reset uniform.
+            n = len(raw)
+            prices = {g: self.budget / n for g in raw}
+        else:
+            scale = self.budget / total
+            prices = {g: v * scale for g, v in raw.items()}
+        out = DualState(budget=self.budget, prices=prices, step=self.step)
+        out.validate(tol=1e-6)
+        return out
+
+
+def reference_minmax_sampler_update(
+    ema: dict[str, float] | None,
+    batch_losses: Mapping[str, float],
+    sampler_step: float = 1.0,
+) -> tuple[dict[str, float], dict[str, float]]:
+    """``fairrank.trainer.minmax_sampler_update`` over dicts of the groups seen so far.
+
+    The EMA initialises to the first observed losses, then follows
+    ``0.9 * ema + 0.1 * loss``.  Sampling probabilities are
+    ``softmax(sampler_step * ema)``.
+    """
+    for g, loss in batch_losses.items():
+        if not np.isfinite(loss):
+            raise InvariantViolation(f"non-finite loss for group {g!r}")
+    if ema is None:
+        new_ema = dict(batch_losses)
+    else:
+        new_ema = dict(ema)
+        for g, loss in batch_losses.items():
+            new_ema[g] = 0.9 * new_ema.get(g, loss) + 0.1 * loss
+    groups = sorted(new_ema)
+    logits = np.array([sampler_step * new_ema[g] for g in groups])
+    logits -= logits.max()
+    q = np.exp(logits)
+    q /= q.sum()
+    return {g: float(q[i]) for i, g in enumerate(groups)}, new_ema
+
+
+def reference_fairness_penalty(scores_by_group: Mapping[str, np.ndarray], kind: str) -> float:
+    """``fairrank.trainer.fairness_penalty``'s penalty over a dict of each present group's scores."""
+    if kind not in ("focf", "reg"):
+        raise InvariantViolation(f"unknown penalty kind {kind!r}")
+    groups = sorted(scores_by_group)
+    if len(groups) < 2:
+        return 0.0
+    means = np.array([float(np.mean(scores_by_group[g])) for g in groups])
+    if kind == "reg":
+        total = 0.0
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                total += (means[a] - means[b]) ** 2
+        return float(total)
+    grand = float(np.mean(means))
+    return float(np.sum(np.abs(means - grand)))
+
+
+def reference_fairness_penalty_grad(scores_by_group: Mapping[str, np.ndarray], kind: str) -> dict[str, np.ndarray]:
+    """Analytic gradient of :func:`reference_fairness_penalty` w.r.t. each score."""
+    if kind not in ("focf", "reg"):
+        raise InvariantViolation(f"unknown penalty kind {kind!r}")
+    groups = sorted(scores_by_group)
+    grads = {g: np.zeros(len(scores_by_group[g])) for g in groups}
+    if len(groups) < 2:
+        return grads
+    means = {g: float(np.mean(scores_by_group[g])) for g in groups}
+    if kind == "reg":
+        for g in groups:
+            d_mean = sum(2.0 * (means[g] - means[h]) for h in groups if h != g)
+            grads[g][:] = d_mean / len(scores_by_group[g])
+        return grads
+    n = len(groups)
+    grand = float(np.mean([means[g] for g in groups]))
+    signs = {g: float(np.sign(means[g] - grand)) for g in groups}
+    sign_sum = sum(signs.values())
+    for g in groups:
+        d_mean = signs[g] - sign_sum / n
+        grads[g][:] = d_mean / len(scores_by_group[g])
+    return grads
+
+
 def reference_ips_weights(records: Sequence[Interaction], catalog: Catalog, smooth: float = 0.0) -> dict[str, float]:
     """``fairrank.trainer.ips_weights`` over records, one ``+= 1.0`` per record."""
     pop: dict[str, float] = {item: smooth for item in catalog.items}
@@ -81,7 +207,7 @@ def reference_ips_weights(records: Sequence[Interaction], catalog: Catalog, smoo
         if rec.item not in pop:
             raise UnknownEntity(f"item {rec.item!r} not in catalog")
         pop[rec.item] += 1.0
-    group_pop = {g: 0.0 for g in catalog.groups}
+    group_pop = {g: 0.0 for g in catalog.group_ids}
     for item, p in pop.items():
         for g in catalog.item_groups[item]:
             group_pop[g] += p
@@ -141,7 +267,7 @@ def reference_train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHook
 
     users = list(cat.users)
     items = list(cat.items)
-    groups = sorted(cat.groups)
+    groups = cat.group_ids
     u_index = {u: i for i, u in enumerate(users)}
     i_index = {it: j for j, it in enumerate(items)}
     g_index = {g: j for j, g in enumerate(groups)}
@@ -242,8 +368,8 @@ def reference_train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHook
                     for g in item_member[i]:
                         by_group.setdefault(g, []).append(k)
                 scores_by_group = {g: pos_scores[np.array(idx)] for g, idx in sorted(by_group.items())}
-                epoch_loss += hooks.reg_weight * fairness_penalty(scores_by_group, hooks.regularizer)
-                grads = fairness_penalty_grad(scores_by_group, hooks.regularizer)
+                epoch_loss += hooks.reg_weight * reference_fairness_penalty(scores_by_group, hooks.regularizer)
+                grads = reference_fairness_penalty_grad(scores_by_group, hooks.regularizer)
                 ds = np.zeros(batch.size)
                 for g, idx in sorted(by_group.items()):
                     ds[np.array(idx)] += grads[g]
@@ -259,7 +385,7 @@ def reference_train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHook
                     for g in item_member[i]:
                         losses_by_group.setdefault(g, []).append(float(sample_loss[k]))
                 batch_group_losses = {g: float(np.mean(v)) for g, v in sorted(losses_by_group.items())}
-                sampler_q, sampler_ema = minmax_sampler_update(
+                sampler_q, sampler_ema = reference_minmax_sampler_update(
                     sampler_ema, batch_group_losses, hooks.sampler_step
                 )
 

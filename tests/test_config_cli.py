@@ -269,7 +269,7 @@ class TestEmitReport:
                 values = {f"{m}@{k}": 0.29250001 for m in ("ndcg", "gini")}
                 rows.append((model, k, MetricReport(values=values)))
                 allocations.append(
-                    (model, k, GroupUtilityVector.from_values("item", "exposure", {"g1": 1.0, "g2": 2.0}))
+                    (model, k, GroupUtilityVector("item", "exposure", ["g1", "g2"], [1.0, 2.0]))
                 )
         return BenchmarkReport(
             task="recommendation",
@@ -722,6 +722,42 @@ class TestCliRecommendation:
         assert code == 1
         record = (root / "log" / "ug" / "error.txt").read_text()
         assert record.startswith("ParseError:") and "users.tsv: line 2" in record
+
+    def test_user_groups_of_users_without_interactions_are_dropped(self, tmp_path):
+        root = raw_rec_root(tmp_path, user_groups="raw/users.tsv")
+        (root / "raw" / "users.tsv").write_text("u0\tg0\nu9\tg2\n", encoding="utf-8")
+        cfg = user_config(tmp_path, "p.yaml", {"log_name": "ug"})
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "process", "--dataset", "tiny",
+             "--config", cfg, "--data-dir", str(root)]
+        )
+        assert code == 0
+        users = (root / "datasets" / "tiny" / "users.tsv").read_text(encoding="utf-8").splitlines()
+        assert users[:3] == ["user_id\tgroup", "u0\tg0", "u1\t"]
+        assert not [line for line in users if line.startswith("u9\t")]
+
+    def test_user_groups_stay_out_of_the_item_group_table(self, tmp_path):
+        root = raw_rec_root(tmp_path, user_groups="raw/users.tsv")
+        (root / "raw" / "groups.tsv").write_text("".join(f"i{j}\tg{j % 3}\n" for j in range(10)), encoding="utf-8")
+        sexes = "".join(f"u{u}\t{('female', 'male')[u % 2]}\n" for u in range(8))
+        (root / "raw" / "users.tsv").write_text(sexes, encoding="utf-8")
+        runs = [
+            ("process", {"log_name": "proc"}),
+            ("in-processing", {"models": ["ips"], "K": [3], "log_name": "ips", "params": {"ips": {"smooth": 1.0}}}),
+            ("post-processing", {"models": ["topk", "fairrec", "cpfair"], "K": [3], "log_name": "post",
+                                 "scores": "log/ips/scores-ips"}),
+        ]
+        for stage, payload in runs:
+            cfg = user_config(tmp_path, f"{stage}.yaml", payload)
+            argv = ["--task", "recommendation", "--stage", stage, "--dataset", "tiny", "--config", cfg,
+                    "--data-dir", str(root)]
+            assert cli.run(argv) == 0, (root / "log" / payload["log_name"] / "error.txt").read_text()
+        for log_name in ("ips", "post"):
+            rows = (root / "log" / log_name / "allocations.tsv").read_text(encoding="utf-8").splitlines()[1:]
+            assert {row.split("\t")[4] for row in rows} == {"g0", "g1", "g2"}
+        records = (root / "log" / "post" / "records.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+        metrics = {row["model"]: row["metrics"] for row in map(json.loads, records)}
+        assert metrics["fairrec"]["mmf@3"] > 0 and metrics["fairrec"]["min_max_ratio@3"] > 0
 
     @pytest.mark.parametrize(
         "bad", [{"columns": ["x"]}, {"min_interactions": "x"}, {"ratios": 5}, {"seed": "x"}],

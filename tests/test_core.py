@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fairrank.core import (
     Catalog,
-    DualState,
     GroupUtilityVector,
     InteractionLog,
     RankingSlate,
@@ -22,11 +21,12 @@ from fairrank.ingest import filter_and_split
 from conftest import make_catalog, random_instance, score_matrix, slate_of
 from reference_ingest import log_of, records_of
 from reference_metrics import ids
+from reference_trainer import DualState
 
 
 def utility_evenness_gap(v: GroupUtilityVector) -> float:
     """Spread between the best- and worst-off group; 0 iff perfectly even."""
-    vals = list(v.values.values())
+    vals = v.values.tolist()
     if not vals:
         raise InvariantViolation("utility vector has no groups")
     return max(vals) - min(vals)
@@ -88,14 +88,17 @@ class TestCatalog:
             ({"item_groups": {"i1": {"g"}, "i9": {"g"}}}, "item_groups references undeclared items: ['i9']"),
             ({"item_groups": {"i1": set()}}, "item 'i1' belongs to no group"),
             ({"item_groups": {"i1": {"g", "h"}}}, "item 'i1' references undeclared groups ['h']"),
-            ({"user_groups": {"u9": "g"}}, "user_groups references undeclared users"),
-            ({"user_groups": {"u": "h"}}, "user_groups references undeclared groups"),
+            ({"user_groups": {"u": "g", "u9": "g", "u8": "g"}}, "user_groups references undeclared user 'u9'"),
         ],
     )
     def test_validation_messages(self, kwargs, message):
         fields = {"users": ["u"], "items": ["i1"], "groups": ["g"], "item_groups": {"i1": {"g"}}, **kwargs}
         with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
             Catalog(**fields)
+
+    def test_user_groups_are_not_item_groups(self):
+        catalog = Catalog(["u1", "u2"], ["i1"], ["g"], {"i1": {"g"}}, user_groups={"u1": "female", "u2": "g"})
+        assert (catalog.groups, catalog.group_ids, catalog.member.shape) == (["g"], ["g"], (1, 1))
 
 
 class TestRankingSlate:
@@ -139,13 +142,13 @@ class TestGroupUtility:
     def test_unit_exposure_per_slot(self, tiny_catalog):
         slates = slate_of(2, {"u1": ["i1", "i2"]})
         guv = group_utility(slates, tiny_catalog, axis="item", mode="exposure")
-        assert guv.values == {"g1": 1.0, "g2": 1.0}
-        assert guv.total == 2.0
+        assert (guv.group_ids, guv.values.tolist()) == (["g1", "g2"], [1.0, 1.0])
+        assert guv.values.sum() == 2.0
 
     def test_empty_slates_all_zero(self, tiny_catalog):
         slates = slate_of(2, {"u1": [], "u2": []})
         guv = group_utility(slates, tiny_catalog)
-        assert guv.values == {"g1": 0.0, "g2": 0.0}
+        assert (guv.group_ids, guv.values.tolist()) == (["g1", "g2"], [0.0, 0.0])
 
     def test_click_mode_sums_clamped_scores(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g1"}}, users=["u1"])
@@ -153,32 +156,32 @@ class TestGroupUtility:
         slates = slate_of(2, {"u1": ["i1", "i2"]}, scores)
         guv = group_utility(slates, catalog, mode="click")
         # Brute-force oracle: sum of clamped scores.
-        assert guv.values["g1"] == pytest.approx(0.8 + 0.3)
+        assert guv.values[0] == pytest.approx(0.8 + 0.3)
 
     def test_click_mode_clamps_out_of_range(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g1"}}, users=["u1"])
         scores = score_matrix({"u1": {"i1": 1.7, "i2": -0.4}})
         slates = slate_of(2, {"u1": ["i1", "i2"]}, scores)
         guv = group_utility(slates, catalog, mode="click")
-        assert guv.values["g1"] == pytest.approx(1.0)
+        assert guv.values[0] == pytest.approx(1.0)
 
     def test_multi_group_item_credits_each_group_fully(self, tiny_catalog):
         slates = slate_of(1, {"u1": ["i3"]})
         guv = group_utility(slates, tiny_catalog)
-        assert guv.values == {"g1": 1.0, "g2": 1.0}
-        assert guv.total == 2.0
+        assert (guv.group_ids, guv.values.tolist()) == (["g1", "g2"], [1.0, 1.0])
+        assert guv.values.sum() == 2.0
 
     def test_user_axis(self, tiny_catalog):
         slates = slate_of(2, {"u1": ["i1", "i2"], "u2": ["i1"]})
         guv = group_utility(slates, tiny_catalog, axis="user")
-        assert guv.values == {"g1": 2.0, "g2": 1.0}
+        assert (guv.group_ids, guv.values.tolist()) == (["g1", "g2"], [2.0, 1.0])
 
     def test_user_axis_credits_only_the_users_own_group(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g1"}}, users=["u1", "u2", "u3"], user_groups={"u1": "g2", "u2": "g2"})
         scores = score_matrix({u: {"i1": 0.25, "i2": 0.5} for u in catalog.users})
         slates = slate_of(2, {"u1": ["i1", "i2"], "u2": ["i2"], "u3": ["i1"]}, scores)
         guv = group_utility(slates, catalog, axis="user", mode="click")
-        assert guv.values == {"g1": 0.0, "g2": 1.25}
+        assert (guv.group_ids, guv.values.tolist()) == (["g2"], [1.25])
 
     def test_user_axis_without_user_groups(self):
         catalog = make_catalog({"i1": {"g1"}}, users=["u1"])
@@ -205,8 +208,7 @@ class TestGroupUtility:
         second = {u: slates[u] for u in catalog.users[3:]}
         a = group_utility(slate_of(4, first), catalog)
         b = group_utility(slate_of(4, second), catalog)
-        for g in catalog.groups:
-            assert whole.values[g] == pytest.approx(a.values[g] + b.values[g])
+        assert whole.values == pytest.approx(a.values + b.values)
 
     def test_exposure_invariant_under_monotone_rescale(self, rng):
         catalog = make_catalog({f"i{j}": {f"g{j % 2}"} for j in range(6)}, users=["u0", "u1"])
@@ -215,7 +217,7 @@ class TestGroupUtility:
         guv1 = group_utility(slate_of(3, slates, score_matrix(base)), catalog, mode="exposure")
         rescaled = score_matrix({u: {i: 3.0 * s + 1.0 for i, s in row.items()} for u, row in base.items()})
         guv2 = group_utility(slate_of(3, slates, rescaled), catalog, mode="exposure")
-        assert guv1.values == guv2.values
+        assert np.array_equal(guv1.values, guv2.values)
 
     def test_click_bounded_by_exposure(self, rng):
         catalog = make_catalog({f"i{j}": {f"g{j % 2}"} for j in range(6)}, users=["u0", "u1"])
@@ -224,27 +226,26 @@ class TestGroupUtility:
         slates = slate_of(3, {u: list(rows[u])[:3] for u in catalog.users}, scores)
         click = group_utility(slates, catalog, mode="click")
         expo = group_utility(slates, catalog, mode="exposure")
-        for g in catalog.groups:
-            assert click.values[g] <= expo.values[g] + 1e-12
+        assert (click.values <= expo.values + 1e-12).all()
 
     def test_exposure_total_counts_memberships(self, tiny_catalog):
         slates = {"u1": ["i1", "i3"], "u2": ["i2", "i3"]}
         guv = group_utility(slate_of(2, slates), tiny_catalog)
         memberships = sum(len(tiny_catalog.item_groups[i]) for u in slates for i in slates[u])
-        assert guv.total == pytest.approx(memberships)
+        assert guv.values.sum() == pytest.approx(memberships)
 
 
 class TestEvennessGap:
     def test_uniform_is_zero(self):
-        v = GroupUtilityVector.from_values("item", "exposure", {"a": 2.0, "b": 2.0, "c": 2.0})
+        v = GroupUtilityVector("item", "exposure", ["a", "b", "c"], [2.0, 2.0, 2.0])
         assert utility_evenness_gap(v) == 0.0
 
     def test_max_minus_min(self):
-        v = GroupUtilityVector.from_values("item", "exposure", {"a": 0.0, "b": 1.0, "c": 3.0})
+        v = GroupUtilityVector("item", "exposure", ["a", "b", "c"], [0.0, 1.0, 3.0])
         assert utility_evenness_gap(v) == 3.0
 
     def test_single_group(self):
-        v = GroupUtilityVector.from_values("item", "exposure", {"a": 5.0})
+        v = GroupUtilityVector("item", "exposure", ["a"], [5.0])
         assert utility_evenness_gap(v) == 0.0
 
 
@@ -327,8 +328,8 @@ class TestInteractionLog:
 )
 def test_evenness_gap_scales_linearly(values, c):
     groups = {f"g{i}": v for i, v in enumerate(values)}
-    v1 = GroupUtilityVector.from_values("item", "exposure", groups)
-    v2 = GroupUtilityVector.from_values("item", "exposure", {g: c * x for g, x in groups.items()})
+    v1 = GroupUtilityVector("item", "exposure", list(groups), list(groups.values()))
+    v2 = GroupUtilityVector("item", "exposure", list(groups), [c * x for x in groups.values()])
     assert utility_evenness_gap(v2) == pytest.approx(c * utility_evenness_gap(v1), rel=1e-9, abs=1e-9)
 
 

@@ -60,7 +60,8 @@ def _instance(seed: int):
 
     item_groups = {item: frozenset(g for g in groups if rng.random() < 0.4) or frozenset({groups[0]}) for item in items}
     catalog_items = [item for item in items if rng.random() >= 0.05] if rng.random() < 0.2 else items
-    user_groups = {user: groups[int(rng.integers(n_groups))] for user in users if rng.random() < 0.7}
+    user_group_names = groups + ["female", "male"]  # user groups may share names with item groups, or not
+    user_groups = {user: user_group_names[int(rng.integers(n_groups + 2))] for user in users if rng.random() < 0.7}
     catalog = Catalog(
         users=users,
         items=catalog_items,
@@ -119,12 +120,18 @@ def test_rerank_quality_matches_per_user_loop(seed):
 def test_group_utility_matches_per_user_loop(seed):
     slate, catalog, _ = _instance(seed)
     ids = ref.id_slates(slate)
+
+    def utility(*args):
+        guv = group_utility(*args)
+        assert not guv.values.flags.writeable
+        return dict(zip(guv.group_ids, guv.values.tolist()))
+
     for axis in AXES:
         for mode in MODES:
-            got = _outcome(group_utility, slate, catalog, axis, mode)
+            got = _outcome(utility, slate, catalog, axis, mode)
             assert got == _outcome(ref.group_utility, ids, slate.scores, catalog, axis, mode)
             if not isinstance(got, tuple):
-                assert list(got.values) == sorted(catalog.groups)
+                assert list(got) == (catalog.group_ids if axis == "item" else sorted(set(catalog.user_groups.values())))
 
 
 def test_deep_slates_match_per_user_loops():

@@ -79,7 +79,17 @@ def test_online_rerankers_match_references(seed):
     lam = float(rng.choice([0.0, 0.2, 1.5]))
     _assert_same(min_regularizer(ctx, lam=lam), ref.min_regularizer(ctx, lam=lam))
     lam, eta = float(rng.choice([0.0, 1.0, 5.0])), float(rng.choice([0.1, 0.7]))
-    _assert_same(pmmf(ctx, lam=lam, eta=eta), ref.pmmf(ctx, lam=lam, eta=eta))
+    got, expected = [], []
+    fast = pmmf(ctx, lam=lam, eta=eta, on_update=got.append)
+    _assert_same(fast, ref.pmmf(ctx, lam=lam, eta=eta, on_update=expected.append))
+    assert [prices.tolist() for prices in got] == [[state.prices[g] for g in ctx.groups] for state in expected]
+
+
+@settings(max_examples=100)
+@given(seed=seeds)
+def test_proportional_shares_match_dict_reference(seed):
+    catalog = _instance(seed)[1].catalog
+    assert dict(zip(catalog.group_ids, proportional_shares(catalog).tolist())) == ref.proportional_shares(catalog)
 
 
 @settings(max_examples=60)

@@ -7,8 +7,8 @@ import pytest
 import yaml
 
 from fairrank import cli
-from fairrank.core import Catalog, DualState, InteractionLog
-from fairrank.errors import DivergenceError, IoError, ParseError, UnknownEntity, ZeroPopularity
+from fairrank.core import Catalog, InteractionLog
+from fairrank.errors import DivergenceError, InvariantViolation, IoError, ParseError, UnknownEntity, ZeroPopularity
 from fairrank.ingest import SplitDataset, filter_and_split, write_dataset
 from fairrank.trainer import (
     MFModel,
@@ -16,7 +16,6 @@ from fairrank.trainer import (
     TrainHooks,
     fairdual_step,
     fairness_penalty,
-    fairness_penalty_grad,
     ips_weights,
     load_model,
     minmax_sampler_update,
@@ -155,94 +154,129 @@ class TestIpsWeights:
 
     def test_reciprocal_and_mean_one(self):
         w = ips_weights(self._log({"i1": 10, "i2": 5}), self._catalog())
-        assert w["g1"] == pytest.approx(2 / 3)
-        assert w["g2"] == pytest.approx(4 / 3)
+        assert w.tolist() == pytest.approx([2 / 3, 4 / 3])
 
     def test_equal_popularity_all_one(self):
         w = ips_weights(self._log({"i1": 7, "i2": 7}), self._catalog())
-        assert w == {"g1": pytest.approx(1.0), "g2": pytest.approx(1.0)}
+        assert w.tolist() == pytest.approx([1.0, 1.0])
 
     def test_three_group_arithmetic(self):
         catalog = make_catalog({"i1": {"g1"}, "i2": {"g2"}, "i3": {"g3"}}, users=["u"])
         w = ips_weights(self._log({"i1": 1, "i2": 3, "i3": 4}), catalog)
         mean_raw = (1.0 + 1 / 3 + 1 / 4) / 3
-        assert w["g1"] == pytest.approx(1.0 / mean_raw)
-        assert w["g2"] == pytest.approx((1 / 3) / mean_raw)
-        assert w["g3"] == pytest.approx((1 / 4) / mean_raw)
+        assert w.tolist() == pytest.approx([1.0 / mean_raw, (1 / 3) / mean_raw, (1 / 4) / mean_raw])
 
     def test_zero_popularity_raises_and_smoothing_helps(self):
         log = self._log({"i1": 4})
-        with pytest.raises(ZeroPopularity):
+        with pytest.raises(ZeroPopularity, match="^group 'g2' has zero popularity"):
             ips_weights(log, self._catalog())
         w = ips_weights(log, self._catalog(), smooth=1.0)
-        assert w["g2"] > w["g1"] > 0
+        assert w[1] > w[0] > 0
+
+
+def dual_batch(groups: list[str], batch: list[set[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct group sets of ``batch`` as bool rows over ``groups``, and each sample's set."""
+    sets = sorted({frozenset(gs) for gs in batch}, key=sorted)
+    return np.array([[g in gs for g in groups] for gs in sets]), np.array([sets.index(frozenset(gs)) for gs in batch])
+
+
+def on_simplex(prices: np.ndarray, budget: float, tol: float) -> bool:
+    return abs(sum(prices.tolist()) - budget) <= tol and (prices >= 0).all()
 
 
 class TestFairdualStep:
     def test_zero_budget_all_ones(self):
-        state = DualState.uniform(0.0, ["a", "b"], step=0.1)
-        weights, new_state = fairdual_step(state, [frozenset({"a"}), frozenset({"b"})])
+        prices = np.zeros(2)
+        weights, new_prices = fairdual_step(prices, 0.0, 0.1, *dual_batch(["a", "b"], [{"a"}, {"b"}]))
         assert np.all(weights == 1.0)
-        assert new_state.prices == state.prices
+        assert np.array_equal(new_prices, prices)
 
     def test_balanced_batch_is_fixed_point(self):
-        state = DualState.uniform(2.0, ["a", "b"], step=0.1)
-        batch = [frozenset({"a"}), frozenset({"b"})]
-        weights, new_state = fairdual_step(state, batch)
+        prices = np.full(2, 1.0)
+        weights, new_prices = fairdual_step(prices, 2.0, 0.1, *dual_batch(["a", "b"], [{"a"}, {"b"}]))
         assert np.allclose(weights, 1.0)
-        assert new_state.prices == pytest.approx(state.prices)
+        assert new_prices.tolist() == pytest.approx(prices.tolist())
 
     def test_starved_group_price_increases(self):
-        state = DualState.uniform(2.0, ["a", "b"], step=0.1)
-        weights, new_state = fairdual_step(state, [frozenset({"b"}), frozenset({"b"})])
-        assert new_state.prices["a"] > state.prices["a"]
-        assert new_state.prices["b"] < state.prices["b"]
-        new_state.validate(tol=1e-9)
+        prices = np.full(2, 1.0)
+        weights, new_prices = fairdual_step(prices, 2.0, 0.1, *dual_batch(["a", "b"], [{"b"}, {"b"}]))
+        assert new_prices[0] > prices[0]
+        assert new_prices[1] < prices[1]
+        assert on_simplex(new_prices, 2.0, tol=1e-9)
 
     def test_simplex_preserved_over_many_steps(self, rng):
-        state = DualState.uniform(1.5, ["a", "b", "c"], step=0.3)
-        pool = [frozenset({"a"}), frozenset({"b"}), frozenset({"c"}), frozenset({"a", "b"})]
+        prices = np.full(3, 0.5)
+        pool = [{"a"}, {"b"}, {"c"}, {"a", "b"}]
         for _ in range(50):
             batch = [pool[i] for i in rng.integers(0, len(pool), size=8)]
-            _, state = fairdual_step(state, batch)
-            state.validate(tol=1e-6)
+            _, prices = fairdual_step(prices, 1.5, 0.3, *dual_batch(["a", "b", "c"], batch))
+            assert on_simplex(prices, 1.5, tol=1e-6)
+
+    def test_prices_off_the_simplex_rejected(self):
+        with pytest.raises(InvariantViolation, match="off the simplex of budget 1.0"):
+            fairdual_step(np.array([0.7, 0.7]), 1.0, 0.1, *dual_batch(["a", "b"], [{"a"}]))
+
+
+def first_update(losses: list[float], sampler_step: float = 1.0):
+    """The minmax update of a first batch in which every group has a loss."""
+    n = len(losses)
+    unseen, present = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    return minmax_sampler_update(np.zeros(n), unseen, np.array(losses), present, sampler_step)
 
 
 class TestMinmaxSampler:
     def test_equal_losses_uniform(self):
-        q, _ = minmax_sampler_update(None, {"a": 1.0, "b": 1.0}, sampler_step=1.0)
-        assert q == {"a": pytest.approx(0.5), "b": pytest.approx(0.5)}
+        q, _, _ = first_update([1.0, 1.0])
+        assert q.tolist() == pytest.approx([0.5, 0.5])
 
     def test_larger_loss_oversampled(self):
-        q, _ = minmax_sampler_update(None, {"a": 0.5, "b": 3.0}, sampler_step=1.0)
-        assert q["b"] > 0.5
+        q, _, _ = first_update([0.5, 3.0])
+        assert q[1] > 0.5
 
     def test_softmax_arithmetic(self):
-        q, _ = minmax_sampler_update(None, {"a": 1.0, "b": 2.0}, sampler_step=1.0)
-        assert q["a"] == pytest.approx(0.2689, abs=1e-4)
-        assert q["b"] == pytest.approx(0.7311, abs=1e-4)
+        q, _, _ = first_update([1.0, 2.0])
+        assert q[0] == pytest.approx(0.2689, abs=1e-4)
+        assert q[1] == pytest.approx(0.7311, abs=1e-4)
 
     def test_ema_update_rule(self):
-        _, ema = minmax_sampler_update({"a": 1.0}, {"a": 2.0})
-        assert ema["a"] == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
+        seen = np.array([True, False])
+        _, ema, _ = minmax_sampler_update(np.array([1.0, 0.0]), seen, np.array([2.0, 0.0]), seen)
+        assert ema[0] == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
+
+    def test_unseen_group_gets_the_largest_probability(self):
+        present = np.array([True, True, False])
+        q, ema, seen = minmax_sampler_update(np.zeros(3), np.zeros(3, dtype=bool), np.array([1.0, 2.0, 0.0]), present)
+        assert seen.tolist() == [True, True, False] and ema.tolist() == [1.0, 2.0, 0.0]
+        assert q[2] == q[1] > q[0]
+
+
+def batch_of(groups: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Single-group samples with the given scores, group after group, and their rows over the sorted group names."""
+    names = sorted(groups)
+    member = np.repeat(np.eye(len(names), dtype=bool), [len(groups[g]) for g in names], axis=0)
+    return np.concatenate([groups[g] for g in names]), member
+
+
+def penalty(groups: dict[str, np.ndarray], kind: str) -> float:
+    return fairness_penalty(*batch_of(groups), kind)[0]
 
 
 class TestFairnessPenalty:
     def test_equal_means_zero(self):
         groups = {"a": np.array([1.0, 1.0]), "b": np.array([0.5, 1.5])}
-        assert fairness_penalty(groups, "reg") == 0.0
-        assert fairness_penalty(groups, "focf") == 0.0
+        assert penalty(groups, "reg") == 0.0
+        assert penalty(groups, "focf") == 0.0
 
     def test_reg_definition(self):
         groups = {"a": np.array([1.0]), "b": np.array([0.0])}
-        assert fairness_penalty(groups, "reg") == pytest.approx(1.0)
+        assert penalty(groups, "reg") == pytest.approx(1.0)
 
     def test_focf_hand_value(self):
         groups = {"a": np.array([1.0]), "b": np.array([0.0]), "c": np.array([0.5])}
-        assert fairness_penalty(groups, "focf") == pytest.approx(1.0)
+        assert penalty(groups, "focf") == pytest.approx(1.0)
 
     def test_single_group_zero(self):
-        assert fairness_penalty({"a": np.array([3.0, 4.0])}, "reg") == 0.0
+        assert penalty({"a": np.array([3.0, 4.0])}, "reg") == 0.0
 
     def test_reg_nonnegative_zero_iff_equal(self, rng):
         for _ in range(25):
@@ -250,23 +284,21 @@ class TestFairnessPenalty:
                 f"g{i}": rng.normal(size=int(rng.integers(1, 5)))
                 for i in range(int(rng.integers(2, 5)))
             }
-            assert fairness_penalty(groups, "reg") >= 0.0
+            assert penalty(groups, "reg") >= 0.0
         equal = {"a": np.array([2.0]), "b": np.array([2.0])}
-        assert fairness_penalty(equal, "reg") == 0.0
+        assert penalty(equal, "reg") == 0.0
 
     def test_gradients_match_finite_differences(self, rng):
         for kind in ("reg", "focf"):
-            groups = {f"g{i}": rng.normal(size=int(rng.integers(2, 5))) for i in range(3)}
-            grads = fairness_penalty_grad(groups, kind)
+            scores, member = batch_of({f"g{i}": rng.normal(size=int(rng.integers(2, 5))) for i in range(3)})
+            _, grads = fairness_penalty(scores, member, kind)
             h = 1e-6
-            for g in groups:
-                for j in range(groups[g].size):
-                    plus = {k: v.copy() for k, v in groups.items()}
-                    minus = {k: v.copy() for k, v in groups.items()}
-                    plus[g][j] += h
-                    minus[g][j] -= h
-                    fd = (fairness_penalty(plus, kind) - fairness_penalty(minus, kind)) / (2 * h)
-                    assert grads[g][j] == pytest.approx(fd, abs=1e-5)
+            for j in range(scores.size):
+                plus, minus = scores.copy(), scores.copy()
+                plus[j] += h
+                minus[j] -= h
+                fd = (fairness_penalty(plus, member, kind)[0] - fairness_penalty(minus, member, kind)[0]) / (2 * h)
+                assert grads[j] == pytest.approx(fd, abs=1e-5)
 
 
 class TestTripleGradients:
