@@ -14,7 +14,9 @@ Formats handled here:
   small manifest),
 * stored scores: the ``scores.tsv`` import table, or the binary store
   ``scores.npz`` that in-processing writes, each with a ``scores.meta.yaml``
-  sidecar.
+  sidecar,
+* the binary store itself (:func:`write_store`, :func:`read_store`), which
+  holds both trained scores and model checkpoints, one member spec per kind.
 
 Every writer here writes each file through :func:`replace_file`, so a run that
 stops mid-write leaves the previous file whole.
@@ -652,14 +654,14 @@ def _write_sidecar(scores: ScoreMatrix, directory: Path) -> None:
     replace_file(directory / "scores.meta.yaml", yaml.safe_dump({"semantics": scores.semantics}, sort_keys=True))
 
 
-# The binary store's members and, for each, its dtype (a numpy dtype, or "U" for any
-# str width) and number of dimensions.
-_STORE_MEMBERS = {
-    "S": (np.dtype(np.float64), 2),
-    "valid": (np.dtype(bool), 2),
-    "user_ids": ("U", 1),
-    "item_ids": ("U", 1),
-}
+# Each kind of binary store's members and, for each, its dtype (a numpy dtype, or "U" for
+# an id table of any str width) and number of dimensions.  A model store holds
+# ``item_bias`` exactly when its manifest says ``use_item_bias``.
+_FLOATS = np.dtype(np.float64)
+_ID_TABLES = {"user_ids": ("U", 1), "item_ids": ("U", 1)}
+SCORE_STORE = {"S": (_FLOATS, 2), "valid": (np.dtype(bool), 2), **_ID_TABLES}
+MODEL_STORE = {"user_vecs": (_FLOATS, 2), "item_vecs": (_FLOATS, 2), **_ID_TABLES}
+BIASED_MODEL_STORE = {**MODEL_STORE, "item_bias": (_FLOATS, 1)}
 # What zipfile and np.lib.format.read_array raise on a damaged archive: a missing member
 # is a KeyError, an unknown zip version a NotImplementedError, and a header declaring an
 # array too large to allocate a MemoryError.
@@ -671,21 +673,68 @@ _STORE_FAULTS = (
 _ID_END = "."
 
 
+def write_store(path: Path, members: Mapping[str, tuple], source: object) -> None:
+    """Write the attributes of ``source`` that ``members`` names as the binary store ``path``.
+
+    The store is an uncompressed ``np.savez`` archive with nothing pickled, one
+    ``<name>.npy`` per member; each id of an id table carries the end mark.
+    """
+    arrays = {name: np.array([i + _ID_END for i in getattr(source, name)], dtype=str) if dtype == "U"
+              else getattr(source, name) for name, (dtype, _) in members.items()}
+    store = io.BytesIO()
+    np.savez(store, **arrays)
+    replace_file(path, store.getbuffer())
+
+
+def read_store(path: Path, what: str, members: Mapping[str, tuple], build: Callable):
+    """``build`` called with the ``members`` of the binary ``what`` store ``path`` as keywords.
+
+    Every member is read without unpickling and must be stored uncompressed, with its
+    dtype and number of dimensions; id tables lose their end marks.  A missing ``path``
+    is an IoError.  Any fault in the archive, a member ``members`` does not name, or a
+    value ``build`` rejects with an :class:`InvariantViolation` is a ParseError naming it.
+    """
+    arrays = {}
+    try:
+        with zipfile.ZipFile(path) as archive:
+            for member in (name.removesuffix(".npy") for name in archive.namelist()):
+                if member not in members:
+                    raise ParseError(f"{path}: member {member} is not one of {sorted(members)}")
+            for name, (dtype, ndim) in members.items():
+                info = archive.getinfo(f"{name}.npy")
+                if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+                    raise ParseError(f"{path}: member {name} is compressed or encrypted")
+                with archive.open(info) as fh:
+                    array = np.lib.format.read_array(fh, allow_pickle=False)
+                if array.ndim != ndim or (array.dtype.kind != dtype if dtype == "U" else array.dtype != dtype):
+                    found = f"{array.ndim}-d {array.dtype}"
+                    raise ParseError(f"{path}: member {name} is {found}, expected {ndim}-d {dtype}")
+                if dtype == "U":
+                    array = array.tolist()
+                    if not all(i.endswith(_ID_END) for i in array):
+                        raise ParseError(f"{path}: member {name} holds an id without its end mark")
+                    array = [i[:-1] for i in array]
+                arrays[name] = array
+    except FileNotFoundError:
+        raise IoError(f"{what} store file not found: {path}") from None
+    except _STORE_FAULTS as exc:
+        raise ParseError(f"{path}: not a readable {what} store ({type(exc).__name__}: {exc})") from None
+    try:
+        return build(**arrays)
+    except InvariantViolation as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def write_scores(scores: ScoreMatrix, directory: str | Path) -> None:
     """Write a ScoreMatrix as the binary store ``scores.npz`` plus the ``scores.meta.yaml`` sidecar.
 
-    The store is an uncompressed ``np.savez`` archive of ``S``, ``valid``, ``user_ids``
-    and ``item_ids``, with nothing pickled; ``S`` and ``valid`` are the matrix's own
-    arrays, so users with no scored item keep their empty rows.  A ``scores.tsv`` in
-    ``directory`` is removed.
+    The store (:func:`write_store`) holds the members of ``SCORE_STORE``: ``S`` and
+    ``valid`` are the matrix's own arrays, so users with no scored item keep their
+    empty rows.  A ``scores.tsv`` in ``directory`` is removed.
     """
     with writing(directory, "scores") as directory:
         _write_sidecar(scores, directory)
-        ids = {name: np.array([i + _ID_END for i in table], dtype=str)
-               for name, table in (("user_ids", scores.user_ids), ("item_ids", scores.item_ids))}
-        store = io.BytesIO()
-        np.savez(store, S=scores.S, valid=scores.valid, **ids)
-        replace_file(directory / "scores.npz", store.getbuffer())
+        write_store(directory / "scores.npz", SCORE_STORE, scores)
         (directory / "scores.tsv").unlink(missing_ok=True)
 
 
@@ -706,35 +755,6 @@ def write_scores_tsv(scores: ScoreMatrix, directory: str | Path) -> None:
         replace_file(directory / "scores.tsv", "".join(rows))
 
 
-def _read_store(path: Path, semantics: str) -> ScoreMatrix:
-    """The ScoreMatrix in the binary store ``path``; any fault in it is a ParseError naming it."""
-    arrays = {}
-    try:
-        with zipfile.ZipFile(path) as archive:
-            for name, (dtype, ndim) in _STORE_MEMBERS.items():
-                info = archive.getinfo(f"{name}.npy")
-                if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
-                    raise ParseError(f"{path}: member {name} is compressed or encrypted")
-                with archive.open(info) as fh:
-                    array = np.lib.format.read_array(fh, allow_pickle=False)
-                if array.ndim != ndim or (array.dtype.kind != dtype if dtype == "U" else array.dtype != dtype):
-                    found = f"{array.ndim}-d {array.dtype}"
-                    raise ParseError(f"{path}: member {name} is {found}, expected {ndim}-d {dtype}")
-                arrays[name] = array
-    except _STORE_FAULTS as exc:
-        raise ParseError(f"{path}: not a readable score store ({type(exc).__name__}: {exc})") from None
-    ids = {}
-    for name in ("user_ids", "item_ids"):
-        table = arrays[name].tolist()
-        if not all(i.endswith(_ID_END) for i in table):
-            raise ParseError(f"{path}: member {name} holds an id without its end mark")
-        ids[name] = [i[:-1] for i in table]
-    try:
-        return ScoreMatrix(ids["user_ids"], ids["item_ids"], arrays["S"], arrays["valid"], semantics=semantics)
-    except InvariantViolation as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
 def read_scores(directory: str | Path) -> ScoreMatrix:
     """Read back a stored ScoreMatrix: the store ``scores.npz`` when the directory holds
     one, else the table ``scores.tsv``.
@@ -751,7 +771,8 @@ def read_scores(directory: str | Path) -> ScoreMatrix:
     if semantics not in ("raw", "probability"):
         raise ParseError(f"{meta}: unknown score semantics {semantics!r}")
     if (directory / "scores.npz").exists():
-        return _read_store(directory / "scores.npz", semantics)
+        build = lambda S, valid, user_ids, item_ids: ScoreMatrix(user_ids, item_ids, S, valid, semantics=semantics)
+        return read_store(directory / "scores.npz", "score", SCORE_STORE, build)
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     entries, values = array("q"), array("d")  # (user, item, line) positions; scores

@@ -12,12 +12,15 @@ independent hook slots:
 
 Training is single-threaded and bit-reproducible for a fixed seed; hooks
 observe batch-level statistics and act on item groups, holding every
-per-group value as an array over the catalog's ``group_ids``.
+per-group value as an array over the catalog's ``group_ids``.  A checkpoint
+is a YAML manifest plus the model's arrays in the binary store of
+:mod:`fairrank.ingest`, which owns both file formats.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import count
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +37,8 @@ from .errors import (
     VersionError,
     ZeroPopularity,
 )
-from .ingest import SplitDataset, read_table, read_yaml, replace_file, writing
+from .ingest import (BIASED_MODEL_STORE, MODEL_STORE, SplitDataset, read_store, read_yaml, replace_file,
+                     write_store, writing)
 
 WEIGHT_PROVIDERS = ("static", "ips", "fairdual")
 GROUP_SAMPLERS = ("uniform", "minmax")
@@ -90,7 +94,12 @@ class TrainHooks:
 
 @dataclass
 class MFModel:
-    """Dot-product factorization model with optional item bias."""
+    """Dot-product factorization model with optional item bias.
+
+    Parameters are held as float64 arrays.  The constructor rejects duplicate ids,
+    parameters of the wrong shape or not finite, and an item bias given or missing
+    against ``config.use_item_bias``, so every model it accepts saves and loads back whole.
+    """
 
     user_ids: list[str]
     item_ids: list[str]
@@ -101,12 +110,24 @@ class MFModel:
     loss_curve: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        self.user_vecs, self.item_vecs = np.asarray(self.user_vecs, float), np.asarray(self.item_vecs, float)
+        if self.item_bias is not None:
+            self.item_bias = np.asarray(self.item_bias, float)
         self._user_index = {u: i for i, u in enumerate(self.user_ids)}
         self._item_index = {i: j for j, i in enumerate(self.item_ids)}
+        if len(self._user_index) < len(self.user_ids) or len(self._item_index) < len(self.item_ids):
+            raise InvariantViolation("duplicate user or item ids in model")
         if self.user_vecs.shape != (len(self.user_ids), self.config.dim):
             raise InvariantViolation("user embedding shape mismatch")
         if self.item_vecs.shape != (len(self.item_ids), self.config.dim):
             raise InvariantViolation("item embedding shape mismatch")
+        if (self.item_bias is not None) != self.config.use_item_bias:
+            raise InvariantViolation(f"item bias {'missing' if self.config.use_item_bias else 'given'} "
+                                     f"with use_item_bias={self.config.use_item_bias}")
+        if self.item_bias is not None and self.item_bias.shape != (len(self.item_ids),):
+            raise InvariantViolation("item bias shape mismatch")
+        if not all(np.isfinite(a).all() for a in (self.user_vecs, self.item_vecs, self.item_bias) if a is not None):
+            raise InvariantViolation("non-finite model parameter")
 
 
 # ---------------------------------------------------------------------------
@@ -421,91 +442,41 @@ def predict(
     return ScoreMatrix(users, model.item_ids, S, valid[:-1, :-1], semantics="raw")
 
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 _MANIFEST_KEYS = ("format_version", "dim", "seed", "epochs", "lr", "l2", "batch_size")
 
 
 def save_model(model: MFModel, directory: str | Path, hooks: TrainHooks | None = None) -> None:
-    """Write the model as text embedding tables plus a manifest.
+    """Write the model as the binary store ``model.npz`` plus the manifest ``manifest.yaml``.
 
-    The manifest holds every :class:`TrainConfig` field and, when given,
-    every :class:`TrainHooks` field, so ``TrainHooks(**manifest["hooks"])``
-    and the loaded config retrain the same model.
+    The store (:func:`ingest.write_store`) holds the id tables and embeddings, and
+    ``item_bias`` when the config uses one.  The manifest holds every
+    :class:`TrainConfig` field and, when given, every :class:`TrainHooks` field, so
+    ``TrainHooks(**manifest["hooks"])`` and the loaded config retrain the same model.
     """
-    manifest = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "dim": model.config.dim,
-        "seed": model.config.seed,
-        "epochs": model.config.epochs,
-        "lr": model.config.lr,
-        "l2": model.config.l2,
-        "batch_size": model.config.batch_size,
-        "use_item_bias": model.config.use_item_bias,
-        "ips_smooth": model.config.ips_smooth,
-        "loss_curve": [float(x) for x in model.loss_curve],
-    }
+    manifest = {"format_version": CHECKPOINT_FORMAT_VERSION, **asdict(model.config),
+                "loss_curve": [float(x) for x in model.loss_curve]}
     if hooks is not None:
         manifest["hooks"] = asdict(hooks)
-
-    def write_table(path, ids, vecs, bias=None):
-        lines = []
-        for idx, entity in enumerate(ids):
-            values = "\t".join(map(repr, vecs[idx].tolist()))
-            if bias is not None:
-                values += f"\t{float(bias[idx])!r}"
-            lines.append(f"{entity}\t{values}\n")
-        replace_file(path, "".join(lines))
-
     with writing(directory, "model") as directory:
         replace_file(directory / "manifest.yaml", yaml.safe_dump(manifest, sort_keys=True))
-        write_table(directory / "user_vecs.tsv", model.user_ids, model.user_vecs)
-        write_table(directory / "item_vecs.tsv", model.item_ids, model.item_vecs, model.item_bias)
+        write_store(directory / "model.npz", BIASED_MODEL_STORE if model.config.use_item_bias else MODEL_STORE, model)
 
 
 def load_model(directory: str | Path) -> MFModel:
-    """Read back a checkpoint written by :func:`save_model`."""
+    """Read back a checkpoint written by :func:`save_model`; any other format version is a VersionError."""
     directory = Path(directory)
     manifest_path = directory / "manifest.yaml"
     manifest = read_yaml(manifest_path, "model manifest", required=_MANIFEST_KEYS)
     if manifest["format_version"] != CHECKPOINT_FORMAT_VERSION:
         raise VersionError(f"checkpoint version {manifest['format_version']} unsupported")
     try:
-        config = TrainConfig(
-            dim=int(manifest["dim"]),
-            epochs=int(manifest["epochs"]),
-            lr=float(manifest["lr"]),
-            l2=float(manifest["l2"]),
-            batch_size=int(manifest["batch_size"]),
-            seed=int(manifest["seed"]),
-            use_item_bias=bool(manifest.get("use_item_bias")),
-            ips_smooth=float(manifest.get("ips_smooth", 0.0)),  # absent from checkpoints that predate it
-        )
+        # A field outside _MANIFEST_KEYS, such as ips_smooth, takes its default when absent.
+        fields = asdict(TrainConfig())
+        config = TrainConfig(**{key: type(value)(manifest.get(key, value)) for key, value in fields.items()})
         loss_curve = [float(x) for x in manifest.get("loss_curve", [])]
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, InvariantViolation) as exc:
         raise ParseError(f"{manifest_path}: {exc}") from None
-
-    def read_vectors(name, extra_col):
-        ids, rows, extras = [], [], []
-        path = directory / name
-        for lineno, fields in read_table(path, "embedding", 1 + config.dim + extra_col):
-            ids.append(fields[0])
-            try:
-                values = [float(x) for x in fields[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            if extra_col:
-                extras.append(values.pop())
-            rows.append(values)
-        return ids, np.array(rows), (np.array(extras) if extra_col else None)
-
-    user_ids, user_vecs, _ = read_vectors("user_vecs.tsv", extra_col=False)
-    item_ids, item_vecs, bias = read_vectors("item_vecs.tsv", extra_col=config.use_item_bias)
-    return MFModel(
-        user_ids=user_ids,
-        item_ids=item_ids,
-        user_vecs=user_vecs,
-        item_vecs=item_vecs,
-        item_bias=bias,
-        config=config,
-        loss_curve=loss_curve,
-    )
+    members = BIASED_MODEL_STORE if config.use_item_bias else MODEL_STORE
+    build = partial(MFModel, item_bias=None, config=config, loss_curve=loss_curve)
+    return read_store(directory / "model.npz", "model", members, build)

@@ -107,7 +107,7 @@ READERS = {
         read_dataset,
         ["manifest.yaml", "users.tsv", "items.tsv", "train.tsv", "valid.tsv", "test.tsv"],
     ),
-    "checkpoint": (_checkpoint, load_model, ["manifest.yaml", "user_vecs.tsv", "item_vecs.tsv"]),
+    "checkpoint": (_checkpoint, load_model, ["manifest.yaml"]),
 }
 CASES = [(reader, name) for reader, (_, _, names) in READERS.items() for name in names]
 
@@ -180,18 +180,30 @@ def edited_store(draw, original: bytes, arrays: dict) -> bytes:
     return _savez({key: value for key, value in edited.items() if value is not None})
 
 
+# store -> (writes a valid store and whatever it is read with into a directory, reads that directory)
+STORES = {
+    "scores.npz": (
+        lambda d: write_scores(synthetic_dataset(n_users=4, n_items=5, n_groups=2, seed=5)[1], d),
+        read_scores,
+    ),
+    "model.npz": (_checkpoint, load_model),
+}
+
+
+@pytest.mark.parametrize("name", list(STORES))
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_store_reader_returns_or_raises_fairrank_error(data):
+def test_store_reader_returns_or_raises_fairrank_error(name, data):
+    write, read = STORES[name]
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        write_scores(synthetic_dataset(n_users=4, n_items=5, n_groups=2, seed=5)[1], directory)
-        original = (directory / "scores.npz").read_bytes()
-        with np.load(directory / "scores.npz") as store:
+        write(directory)
+        original = (directory / name).read_bytes()
+        with np.load(directory / name) as store:
             arrays = dict(store)
-        content = data.draw(st.one_of(edited_store(original, arrays), st.binary()), label="scores.npz")
-        (directory / "scores.npz").write_bytes(content)
+        content = data.draw(st.one_of(edited_store(original, arrays), st.binary()), label=name)
+        (directory / name).write_bytes(content)
         try:
-            read_scores(directory)
+            read(directory)
         except FairrankError:
             pass

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import re
 import tempfile
 import zipfile
@@ -442,14 +443,75 @@ def score_matrices(draw):
     return ScoreMatrix(users, items, np.reshape(S, shape), np.reshape(valid, shape), semantics=semantics)
 
 
-def _store(directory, **arrays):
-    """A ``scores.npz`` of ``arrays`` in ``directory``, ids given as stored (end mark included)."""
-    np.savez(directory / "scores.npz", **arrays)
-    return directory / "scores.npz"
+def _store(path, **arrays):
+    """The store ``path`` of ``arrays``, ids given as stored (end mark included)."""
+    np.savez(path, **arrays)
+    return path
 
 
-class TestScoreStore:
+# A fault in a one-user, one-item store: its id, its edit of the store's members (given
+# the float matrix member's name), and the message, formatted with the store's fields.
+STORE_FAULTS = [
+    ("member-missing", lambda a, v: {k: a[k] for k in a if k != "item_ids"}, "not a readable {kind} store .KeyError"),
+    ("int-dtype", lambda a, v: {**a, v: a[v].astype(np.int64)}, "member {values} is 2-d int64"),
+    ("wrong-ndim", lambda a, v: {**a, v: a[v][0]}, "member {values} is 1-d float64"),
+    ("pickled", lambda a, v: {**a, "user_ids": np.array(["u."], dtype=object)},
+     "not a readable {kind} store .ValueError: Object arrays cannot be loaded"),
+    ("float-ids", lambda a, v: {**a, "user_ids": np.array([])}, "member user_ids is 1-d float64"),
+    ("unmarked-id", lambda a, v: {**a, "user_ids": np.array(["u"])},
+     "member user_ids holds an id without its end mark"),
+    ("shape", lambda a, v: {**a, v: np.repeat(a[v], 2, axis=0)}, "{shape}"),
+    ("nan", lambda a, v: {**a, v: np.full_like(a[v], np.nan)}, "{nan}"),
+    ("unlisted-member", lambda a, v: {**a, "extra": np.zeros(1)}, "member extra is not one of "),
+]
+
+
+class StoreFaults:
+    """Faults that make a binary store of any kind a ParseError naming it; each subclass is one kind.
+
+    ``write`` writes a valid store ``FILE`` of the kind (and whatever it is read with),
+    ``read`` reads it back, ``ARRAYS`` are the members of a valid one-user, one-item
+    store, ``VALUES`` names its float matrix member, and ``SHAPE`` and ``NAN`` are the
+    messages for a second row and a NaN in that member.
+    """
+
+    @pytest.mark.parametrize("edit, message", [fault[1:] for fault in STORE_FAULTS],
+                             ids=[fault[0] for fault in STORE_FAULTS])
+    def test_fault_is_a_parse_error_naming_the_store(self, tmp_path, edit, message):
+        self.write(tmp_path)
+        path = _store(tmp_path / self.FILE, **edit(self.ARRAYS, self.VALUES))
+        message = message.format(kind=self.KIND, values=self.VALUES, shape=self.SHAPE, nan=self.NAN)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {message}"):
+            self.read(tmp_path)
+
+    @pytest.mark.parametrize("cut", [0, 10, -1])
+    def test_truncated_store_is_a_parse_error(self, tmp_path, cut):
+        self.write(tmp_path)
+        path = tmp_path / self.FILE
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: not a readable {self.KIND} store"):
+            self.read(tmp_path)
+
+    def test_compressed_member_is_rejected(self, tmp_path):
+        self.write(tmp_path)
+        np.savez_compressed(tmp_path / self.FILE, **self.ARRAYS)
+        with pytest.raises(ParseError, match=f"member {self.VALUES} is compressed or encrypted"):
+            self.read(tmp_path)
+
+
+class TestScoreStore(StoreFaults):
     """The binary store in-processing writes: exact round trips, and a ParseError naming it for any fault."""
+
+    FILE, KIND, VALUES = "scores.npz", "score", "S"
+    ARRAYS = {"S": np.zeros((1, 1)), "valid": np.ones((1, 1), bool),
+              "user_ids": np.array(["u."]), "item_ids": np.array(["i."])}
+    SHAPE, NAN = "score array shape does not match", "non-finite score"
+
+    @staticmethod
+    def write(directory):
+        write_scores(synthetic_dataset(n_users=5, n_items=6, n_groups=2, seed=5)[1], directory)
+
+    read = staticmethod(read_scores)
 
     @settings(max_examples=150, deadline=None)
     @given(score_matrices())
@@ -482,35 +544,6 @@ class TestScoreStore:
         (tmp_path / "scores.tsv").write_text("not a score table\n", encoding="utf-8")
         assert read_scores(tmp_path) == scores
 
-    @pytest.mark.parametrize(
-        "arrays, message",
-        [
-            ({"S": np.zeros((1, 1)), "valid": np.ones((1, 1), bool), "user_ids": np.array(["u."])},
-             "not a readable score store .KeyError"),
-            ({"S": np.zeros((1, 1), np.int64), "valid": np.ones((1, 1), bool),
-              "user_ids": np.array(["u."]), "item_ids": np.array(["i."])}, "member S is 2-d int64"),
-            ({"S": np.zeros(1), "valid": np.ones((1, 1), bool),
-              "user_ids": np.array(["u."]), "item_ids": np.array(["i."])}, "member S is 1-d float64"),
-            ({"S": np.zeros((1, 1)), "valid": np.ones((1, 1), bool),
-              "user_ids": np.array(["u."], dtype=object), "item_ids": np.array(["i."])},
-             "not a readable score store .ValueError: Object arrays cannot be loaded"),
-            ({"S": np.zeros((1, 1)), "valid": np.ones((1, 1), bool),
-              "user_ids": np.array([]), "item_ids": np.array(["i."])}, "member user_ids is 1-d float64"),
-            ({"S": np.zeros((1, 1)), "valid": np.ones((1, 1), bool),
-              "user_ids": np.array(["u"]), "item_ids": np.array(["i."])},
-             "member user_ids holds an id without its end mark"),
-            ({"S": np.zeros((2, 1)), "valid": np.ones((2, 1), bool),
-              "user_ids": np.array(["u."]), "item_ids": np.array(["i."])}, "score array shape does not match"),
-            ({"S": np.full((1, 1), np.nan), "valid": np.ones((1, 1), bool),
-              "user_ids": np.array(["u."]), "item_ids": np.array(["i."])}, "non-finite score"),
-        ],
-        ids=["member-missing", "int-dtype", "wrong-ndim", "pickled", "float-ids", "unmarked-id", "shape", "nan"],
-    )
-    def test_fault_is_a_parse_error_naming_the_store(self, tmp_path, arrays, message):
-        path = _store(tmp_path, **arrays)
-        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {message}"):
-            read_scores(tmp_path)
-
     @pytest.mark.parametrize("writer", [write_scores, write_scores_tsv])
     def test_unknown_semantics_names_the_sidecar(self, tmp_path, writer):
         writer(synthetic_dataset(n_users=5, n_items=6, n_groups=2, seed=5)[1], tmp_path)
@@ -519,21 +552,62 @@ class TestScoreStore:
         with pytest.raises(ParseError, match=rf"^{re.escape(str(meta))}: unknown score semantics 'logit'$"):
             read_scores(tmp_path)
 
-    @pytest.mark.parametrize("cut", [0, 10, -1])
-    def test_truncated_store_is_a_parse_error(self, tmp_path, cut):
-        _, scores = synthetic_dataset(n_users=5, n_items=6, n_groups=2, seed=5)
-        write_scores(scores, tmp_path)
-        path = tmp_path / "scores.npz"
-        path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: not a readable score store"):
-            read_scores(tmp_path)
 
-    def test_compressed_member_is_rejected(self, tmp_path):
-        path = tmp_path / "scores.npz"
-        np.savez_compressed(path, S=np.zeros((1, 1)), valid=np.ones((1, 1), bool),
-                            user_ids=np.array(["u."]), item_ids=np.array(["i."]))
-        with pytest.raises(ParseError, match="member S is compressed or encrypted"):
-            read_scores(tmp_path)
+@st.composite
+def models(draw):
+    users, items = draw(IDS), draw(IDS)
+    dim, use_item_bias = draw(st.integers(1, 3)), draw(st.booleans())
+    values = lambda *shape: np.reshape(draw(st.lists(SCORES["raw"], min_size=math.prod(shape),
+                                                     max_size=math.prod(shape))), shape).astype(float)
+    bias = values(len(items)) if use_item_bias else None
+    config = TrainConfig(dim=dim, use_item_bias=use_item_bias)
+    return MFModel(users, items, values(len(users), dim), values(len(items), dim), bias, config, [0.5])
+
+
+class TestModelStore(StoreFaults):
+    """The binary store a checkpoint keeps its embeddings in, beside its manifest."""
+
+    FILE, KIND, VALUES = "model.npz", "model", "user_vecs"
+    ARRAYS = {"user_vecs": np.zeros((1, 2)), "item_vecs": np.zeros((1, 2)),
+              "user_ids": np.array(["u."]), "item_ids": np.array(["i."])}
+    SHAPE, NAN = "user embedding shape mismatch", "non-finite model parameter"
+
+    @staticmethod
+    def write(directory, use_item_bias=False):
+        config = TrainConfig(dim=2, use_item_bias=use_item_bias)
+        bias = np.zeros(1) if use_item_bias else None
+        save_model(MFModel(["u0"], ["i0"], np.zeros((1, 2)), np.zeros((1, 2)), bias, config), directory)
+
+    read = staticmethod(load_model)
+
+    @settings(max_examples=150, deadline=None)
+    @given(models())
+    @example(MFModel(["", "u\x00", "é\x00\x00"], ["i\x00", "ü"], np.array([[-0.0], [5e-324], [2.5e-310]]),
+                     np.array([[-0.0], [1.0]]), np.array([5e-324, -0.0]), TrainConfig(dim=1, use_item_bias=True)))
+    @example(MFModel([], [], np.zeros((0, 2)), np.zeros((0, 2)), None, TrainConfig(dim=2)))
+    def test_round_trip_is_bit_exact(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(model, tmp)
+            back = load_model(tmp)
+        assert (back.user_ids, back.item_ids) == (model.user_ids, model.item_ids)
+        assert back.config == model.config and back.loss_curve == model.loss_curve
+        for name in ("user_vecs", "item_vecs", "item_bias"):
+            got, expected = getattr(back, name), getattr(model, name)
+            assert (got is None and expected is None) or (got.dtype == expected.dtype and got.shape == expected.shape
+                                                          and got.tobytes() == expected.tobytes())
+
+    def test_bias_the_manifest_does_not_declare_is_a_parse_error(self, tmp_path):
+        self.write(tmp_path)
+        path = _store(tmp_path / "model.npz", **self.ARRAYS, item_bias=np.zeros(1))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: member item_bias is not one of "):
+            load_model(tmp_path)
+
+    def test_declared_bias_that_is_missing_is_a_parse_error(self, tmp_path):
+        self.write(tmp_path, use_item_bias=True)
+        path = _store(tmp_path / "model.npz", **self.ARRAYS)
+        message = "not a readable model store (KeyError: \"There is no item named 'item_bias.npy' in the archive\")"
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_model(tmp_path)
 
 
 def _write_scores(directory, writer):
@@ -545,7 +619,8 @@ def _write_dataset(directory):
 
 
 def _write_checkpoint(directory):
-    model = MFModel(["u0", "u1", "u2"], ["i0"], np.ones((3, 2)) / 3, np.ones((1, 2)), np.zeros(1), TrainConfig(dim=2))
+    config = TrainConfig(dim=2, use_item_bias=True)
+    model = MFModel(["u0", "u1", "u2"], ["i0"], np.ones((3, 2)) / 3, np.ones((1, 2)), np.zeros(1), config)
     save_model(model, directory)
 
 
@@ -567,7 +642,7 @@ WRITERS = {
     "store": (lambda d: _write_scores(d, write_scores), ["scores.meta.yaml", "scores.npz"]),
     "score-table": (lambda d: _write_scores(d, write_scores_tsv), ["scores.meta.yaml", "scores.tsv"]),
     "dataset": (_write_dataset, ["manifest.yaml", "users.tsv", "items.tsv", "train.tsv", "valid.tsv", "test.tsv"]),
-    "checkpoint": (_write_checkpoint, ["manifest.yaml", "user_vecs.tsv", "item_vecs.tsv"]),
+    "checkpoint": (_write_checkpoint, ["manifest.yaml", "model.npz"]),
 }
 WRITES = [(writer, name) for writer, (_, names) in WRITERS.items() for name in names]
 

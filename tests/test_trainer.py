@@ -8,7 +8,15 @@ import yaml
 
 from fairrank import cli
 from fairrank.core import Catalog, InteractionLog
-from fairrank.errors import DivergenceError, InvariantViolation, IoError, ParseError, UnknownEntity, ZeroPopularity
+from fairrank.errors import (
+    DivergenceError,
+    InvariantViolation,
+    IoError,
+    ParseError,
+    UnknownEntity,
+    VersionError,
+    ZeroPopularity,
+)
 from fairrank.ingest import SplitDataset, filter_and_split, write_dataset
 from fairrank.trainer import (
     MFModel,
@@ -510,6 +518,37 @@ class TestPredict:
             predict(model, ["ghost"])
 
 
+class TestModelInvariants:
+    """The model constructor rejects a model that predict or a checkpoint would misread."""
+
+    @pytest.mark.parametrize(
+        "users, items, bias, use_item_bias, message",
+        [
+            (["u0", "u0"], ["i0", "i1"], None, False, "duplicate user or item ids in model"),
+            (["u0", "u1"], ["i0", "i0"], None, False, "duplicate user or item ids in model"),
+            (["u0", "u1"], ["i0", "i1"], np.zeros(5), True, "item bias shape mismatch"),
+            (["u0", "u1"], ["i0", "i1"], np.zeros(2), False, "item bias given with use_item_bias=False"),
+            (["u0", "u1"], ["i0", "i1"], None, True, "item bias missing with use_item_bias=True"),
+            (["u0", "u1"], ["i0", "i1"], np.array([0.0, np.inf]), True, "non-finite model parameter"),
+        ],
+        ids=["duplicate-user", "duplicate-item", "bias-shape", "undeclared-bias", "missing-bias", "non-finite"],
+    )
+    def test_inconsistent_model_is_rejected(self, users, items, bias, use_item_bias, message):
+        config = TrainConfig(dim=2, use_item_bias=use_item_bias)
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            MFModel(users, items, np.zeros((2, 2)), np.zeros((2, 2)), bias, config)
+
+    def test_parameters_are_held_as_float64(self, tmp_path):
+        model = MFModel(["u0"], ["i0", "i1"], np.full((1, 2), 0.1, np.float32), np.arange(4).reshape(2, 2),
+                        [0.5, 1], TrainConfig(dim=2, use_item_bias=True))
+        save_model(model, tmp_path)
+        back = load_model(tmp_path)
+        for name in ("user_vecs", "item_vecs", "item_bias"):
+            assert getattr(model, name).dtype == getattr(back, name).dtype == np.float64
+            assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
+        assert model.user_vecs[0, 0] == np.float32(0.1)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
@@ -555,7 +594,7 @@ class TestCheckpoint:
         manifest.write_text(manifest.read_text().replace("ips_smooth: 1.0\n", ""))
         assert load_model(tmp_path / "ckpt").config.ips_smooth == 0.0
 
-    @pytest.mark.parametrize("name", ["manifest.yaml", "user_vecs.tsv", "item_vecs.tsv"])
+    @pytest.mark.parametrize("name", ["manifest.yaml"])
     def test_file_not_utf8_is_a_parse_error(self, tmp_path, name):
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
         save_model(train(dataset, TrainConfig(dim=4, epochs=1, seed=0), TrainHooks()), tmp_path, hooks=TrainHooks())
@@ -563,45 +602,78 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match=rf"{name}: not valid UTF-8"):
             load_model(tmp_path)
 
+    def test_store_that_is_not_an_archive_is_a_parse_error(self, tmp_path):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        save_model(train(dataset, TrainConfig(dim=4, epochs=1, seed=0), TrainHooks()), tmp_path, hooks=TrainHooks())
+        store = tmp_path / "model.npz"
+        store.write_text("u0\t0.5\t0.25\t-1.0\t2.0\n", encoding="utf-8")
+        message = f"{store}: not a readable model store (BadZipFile: File is not a zip file)"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_model(tmp_path)
+
+    @staticmethod
+    def rewrite_store(directory, edit):
+        """Replace the members of ``directory``'s ``model.npz`` by ``edit`` of them, in the same order."""
+        with np.load(directory / "model.npz") as store:
+            arrays = dict(store)
+        np.savez(directory / "model.npz", **edit(arrays))
+
     @pytest.mark.parametrize(
-        "name, use_bias, edit, message",
+        "use_bias, edit, message",
         [
-            ("user_vecs.tsv", False, lambda f: f[:1] + ["x"] + f[2:], "could not convert string to float: 'x'"),
-            ("user_vecs.tsv", False, lambda f: f[:-1], "expected 5 fields, got 4"),
-            ("item_vecs.tsv", False, lambda f: f + ["0.5"], "expected 5 fields, got 6"),
-            ("item_vecs.tsv", True, lambda f: f[:-1], "expected 6 fields, got 5"),
+            (False, lambda a: {**a, "user_vecs": a["user_vecs"].astype("U8")},
+             "member user_vecs is 2-d <U8, expected 2-d float64"),
+            (False, lambda a: {**a, "user_vecs": a["user_vecs"][:, :-1]}, "user embedding shape mismatch"),
+            (False, lambda a: {**a, "item_vecs": np.hstack([a["item_vecs"], a["item_vecs"][:, :1]])},
+             "item embedding shape mismatch"),
+            (True, lambda a: {**a, "item_bias": a["item_bias"][:-1]}, "item bias shape mismatch"),
         ],
-        ids=["non-numeric", "short-row", "long-row", "missing-bias"],
+        ids=["non-numeric", "short-row", "long-row", "short-bias"],
     )
-    def test_malformed_table_line_is_a_parse_error(self, tmp_path, name, use_bias, edit, message):
+    def test_malformed_member_is_a_parse_error(self, tmp_path, use_bias, edit, message):
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
         model = train(dataset, TrainConfig(dim=4, epochs=1, seed=0, use_item_bias=use_bias), TrainHooks())
         save_model(model, tmp_path, hooks=TrainHooks())
-        table = tmp_path / name
-        lines = table.read_text(encoding="utf-8").splitlines()
-        lines[1] = "\t".join(edit(lines[1].split("\t")))
-        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=f"^{re.escape(f'{table}: line 2: {message}')}$"):
+        self.rewrite_store(tmp_path, edit)
+        store = tmp_path / "model.npz"
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{store}: {message}')}$"):
             load_model(tmp_path)
 
-    @pytest.mark.parametrize("name", ["user_vecs.tsv", "item_vecs.tsv"])
-    def test_missing_table_is_an_io_error(self, tmp_path, name):
+    def test_missing_store_is_an_io_error(self, tmp_path):
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
         save_model(train(dataset, TrainConfig(dim=4, epochs=1, seed=0), TrainHooks()), tmp_path)
-        (tmp_path / name).unlink()
-        with pytest.raises(IoError, match=f"^embedding file not found: {re.escape(str(tmp_path / name))}$"):
+        (tmp_path / "model.npz").unlink()
+        with pytest.raises(IoError, match=f"^model store file not found: {re.escape(str(tmp_path / 'model.npz'))}$"):
             load_model(tmp_path)
 
-    def test_blank_table_lines_are_skipped(self, tmp_path):
+    def test_store_members_load_in_any_order(self, tmp_path):
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
         model = train(dataset, TrainConfig(dim=4, epochs=1, seed=0, use_item_bias=True), TrainHooks())
         save_model(model, tmp_path)
-        for name in ("user_vecs.tsv", "item_vecs.tsv"):
-            table = tmp_path / name
-            table.write_text("\n" + table.read_text(encoding="utf-8").replace("\n", "\n\n", 1), encoding="utf-8")
+        self.rewrite_store(tmp_path, lambda arrays: dict(reversed(arrays.items())))
         back = load_model(tmp_path)
         assert back.user_ids == model.user_ids and np.array_equal(back.item_vecs, model.item_vecs)
         assert np.array_equal(back.item_bias, model.item_bias)
+
+    def test_text_checkpoint_of_version_1_is_a_version_error(self, tmp_path):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        save_model(train(dataset, TrainConfig(dim=2, epochs=1, seed=0), TrainHooks()), tmp_path)
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(manifest.read_text().replace("format_version: 2", "format_version: 1"))
+        (tmp_path / "model.npz").unlink()
+        (tmp_path / "user_vecs.tsv").write_text("u0\t0.5\t0.25\n", encoding="utf-8")
+        (tmp_path / "item_vecs.tsv").write_text("i0\t-1.0\t2.0\n", encoding="utf-8")
+        with pytest.raises(VersionError, match="^checkpoint version 1 unsupported$"):
+            load_model(tmp_path)
+
+    def test_manifest_value_the_config_rejects_is_a_parse_error(self, tmp_path):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        save_model(train(dataset, TrainConfig(dim=2, epochs=1, seed=0), TrainHooks()), tmp_path)
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(manifest.read_text().replace("dim: 2", "dim: 0"))
+        message = f"{manifest}: dim, epochs, and batch_size must be positive"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_model(tmp_path)
 
     def test_save_under_a_regular_file_is_an_io_error(self, tmp_path):
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
@@ -611,12 +683,10 @@ class TestCheckpoint:
             save_model(model, tmp_path / "file" / "ckpt")
 
     def test_version_guard(self, tmp_path):
-        from fairrank.errors import VersionError
-
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
         model = train(dataset, TrainConfig(dim=4, epochs=1, seed=0), TrainHooks())
         save_model(model, tmp_path / "ckpt")
         manifest = tmp_path / "ckpt" / "manifest.yaml"
-        manifest.write_text(manifest.read_text().replace("format_version: 1", "format_version: 9"))
+        manifest.write_text(manifest.read_text().replace("format_version: 2", "format_version: 9"))
         with pytest.raises(VersionError):
             load_model(tmp_path / "ckpt")
