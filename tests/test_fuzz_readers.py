@@ -70,6 +70,13 @@ def _checkpoint(d: Path) -> None:
     save_model(MFModel(["u0", "u1"], ["i0", "i1", "i2"], vecs[:2], vecs, np.ones(3), config, [0.5]), d)
 
 
+def _checkpoint_over_version_1(d: Path) -> None:
+    """A checkpoint saved where a version-1 one was: its text tables stay behind, and no reader may use them."""
+    _write(d, "user_vecs.tsv", "u0\t0.5\t0.25\nu1\t-1.0\t2.0\n")
+    _write(d, "item_vecs.tsv", "i0\t0.5\t0.25\t1.0\ni1\t-1.0\t2.0\t0.0\n")
+    _checkpoint(d)
+
+
 # reader -> (writes valid input files into a directory, reads that directory, the files)
 READERS = {
     "interactions": (
@@ -107,7 +114,7 @@ READERS = {
         read_dataset,
         ["manifest.yaml", "users.tsv", "items.tsv", "train.tsv", "valid.tsv", "test.tsv"],
     ),
-    "checkpoint": (_checkpoint, load_model, ["manifest.yaml"]),
+    "checkpoint": (_checkpoint_over_version_1, load_model, ["manifest.yaml", "user_vecs.tsv", "item_vecs.tsv"]),
 }
 CASES = [(reader, name) for reader, (_, _, names) in READERS.items() for name in names]
 

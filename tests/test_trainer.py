@@ -628,9 +628,9 @@ class TestCheckpoint:
              "item embedding shape mismatch"),
             (True, lambda a: {**a, "item_bias": a["item_bias"][:-1]}, "item bias shape mismatch"),
         ],
-        ids=["non-numeric", "short-row", "long-row", "short-bias"],
+        ids=["non-numeric", "short-row", "long-row", "missing-bias"],
     )
-    def test_malformed_member_is_a_parse_error(self, tmp_path, use_bias, edit, message):
+    def test_malformed_table_line_is_a_parse_error(self, tmp_path, use_bias, edit, message):
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
         model = train(dataset, TrainConfig(dim=4, epochs=1, seed=0, use_item_bias=use_bias), TrainHooks())
         save_model(model, tmp_path, hooks=TrainHooks())
@@ -643,6 +643,16 @@ class TestCheckpoint:
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
         save_model(train(dataset, TrainConfig(dim=4, epochs=1, seed=0), TrainHooks()), tmp_path)
         (tmp_path / "model.npz").unlink()
+        with pytest.raises(IoError, match=f"^model store file not found: {re.escape(str(tmp_path / 'model.npz'))}$"):
+            load_model(tmp_path)
+
+    @pytest.mark.parametrize("name", ["user_vecs.tsv", "item_vecs.tsv"])
+    def test_missing_table_is_an_io_error(self, tmp_path, name):
+        """A version-1 text table left beside the manifest does not stand in for a missing ``model.npz``."""
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        save_model(train(dataset, TrainConfig(dim=2, epochs=1, seed=0), TrainHooks()), tmp_path)
+        (tmp_path / "model.npz").unlink()
+        (tmp_path / name).write_text("u0\t0.5\t0.25\n", encoding="utf-8")
         with pytest.raises(IoError, match=f"^model store file not found: {re.escape(str(tmp_path / 'model.npz'))}$"):
             load_model(tmp_path)
 
