@@ -210,10 +210,10 @@ def run(argv=None) -> int:
     try:
         if args.stage == "pre-processing":
             raise UnsupportedStage("pre-processing models are not implemented in this build")
+        log_dir = data_root / "log" / KEYS["log_name"].default  # where a config file that cannot be read is reported
         user_cfg = load_config_file(args.config) if args.config else {}
-        if isinstance(user_cfg, dict) and KEYS["log_name"].kind.ok(user_cfg.get("log_name")):
-            # Known early so that even config errors leave an error record.
-            log_dir = data_root / "log" / user_cfg["log_name"]
+        log_name = user_cfg.get("log_name")  # known early so that even config errors leave an error record
+        log_dir = data_root / "log" / log_name if KEYS["log_name"].kind.ok(log_name) else None
         cfg = resolve_config(args.task, args.stage, args.dataset, user_cfg, data_root, strict=args.strict)
         log_dir = data_root / "log" / cfg.log_name
         cfg.check_required()

@@ -302,13 +302,11 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+    except (yaml.YAMLError, OSError, ValueError) as exc:  # ValueError: not UTF-8, or a date such as 2024-13-01
         raise ConfigError(f"cannot parse {path}: {exc}") from None
-    if data is None:
-        return {}
-    if not isinstance(data, dict):
+    if not isinstance(data, (dict, type(None))):  # an empty file holds None
         raise ConfigError(f"config file {path} must contain a mapping")
-    return data
+    return data or {}
 
 
 def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict: bool = False) -> RunConfig:

@@ -18,6 +18,9 @@ Formats handled here:
 * the binary store itself (:func:`write_store`, :func:`read_store`), which
   holds both trained scores and model checkpoints, one member spec per kind.
 
+Every text file above is read by one chunk reader, which splits bounded chunks
+of whole lines into fields (on tabs in tables, on any whitespace in qrels and run
+files); the parsers convert whole columns, and an error names the earliest bad line.
 Every writer here writes each file through :func:`replace_file`, so a run that
 stops mid-write leaves the previous file whole.
 """
@@ -25,11 +28,9 @@ stops mid-write leaves the previous file whole.
 from __future__ import annotations
 
 import io
-import math
 import operator
 import os
 import zipfile
-from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -43,7 +44,6 @@ import yaml
 from .core import Catalog, InteractionLog, ScoreMatrix, positions
 from .errors import (
     EmptyDataset,
-    FairrankError,
     FormatError,
     InvariantViolation,
     IoError,
@@ -224,22 +224,51 @@ def open_text(path: str | Path, what: str) -> Iterator[TextIO]:
             raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
-def read_table(path: str | Path, what: str, width: int | None = None) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, fields)`` for each non-blank tab-separated line of ``path``.
+CHUNK_CHARS = 1 << 18  # readlines() size hint: bounds the lines and tokens a reader holds at once
+_END = "\0"  # marks each line end among a chunk's tokens
 
-    A line with other than ``width`` fields (default: the first line's) is a ParseError.
-    """
+
+def _chunks(path: Path, what: str, width: int | None, sep: str | None = None, error: Callable | None = None,
+            header: bool = False) -> Iterator[tuple[np.ndarray, list[str]]]:
+    """Yield ``(line numbers, tokens)`` for each chunk of whole lines of the ``what`` file ``path``: the fields,
+    ``width`` a line, of its non-blank lines.  A chunk ends before a line of another width, and asking for the
+    next one raises ``error(line number, width)`` of that line (by default a ParseError), so the caller checks
+    the lines before it first; asking for it also empties the tokens list, so one chunk is held at a time.
+    Fields are split on ``sep``, or on any whitespace; a line is blank when it has no fields, which split on
+    ``sep`` only an empty line has.  With ``header``, the first non-blank line comes first, as a chunk of its
+    own, and a ``width`` of None is its width.
+    A chunk is split once with a mark at each line end, and again line by line only if its marks are misplaced."""
+    error = error or (lambda lineno, n: ParseError(f"{path}: line {lineno}: expected {width} fields, got {n}"))
+    split = lambda line: line.split(sep) if line else []
+    gap, lineno = sep or " ", 1
     with open_text(path, what) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if width is None:
-                width = len(fields)
-            if len(fields) != width:
-                raise ParseError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
-            yield lineno, fields
+        while header and (line := fh.readline()):
+            if fields := split(line.removesuffix("\n")):
+                if len(fields) != (width := width or len(fields)):
+                    raise error(lineno, len(fields))
+                yield np.array([lineno]), fields
+                header = False
+            lineno += 1
+        while lines := fh.readlines(CHUNK_CHARS):
+            n, blank, text = len(lines), "\n" in lines, "".join(lines).removesuffix("\n")
+            del lines
+            tokens = (text.replace("\n", f"{gap}{_END}{gap}") + gap + _END).split(sep)
+            # An empty line split on ``sep`` is one empty field, so it can pass as a line of width 1.
+            if (len(tokens) == (width + 1) * n and tokens[width :: width + 1].count(_END) == n == tokens.count(_END)
+                    and not blank):
+                del tokens[width :: width + 1], text
+                numbers, bad = np.arange(lineno, lineno + n), n
+            else:
+                fields = list(map(split, text.split("\n")))
+                widths = np.fromiter(map(len, fields), np.intp, n)
+                bad = np.append(np.flatnonzero((widths != width) & (widths != 0)), n)[0]
+                numbers, tokens = np.flatnonzero(widths[:bad]) + lineno, list(chain.from_iterable(fields[:bad]))
+                del fields, text
+            yield numbers, tokens
+            tokens.clear()
+            if bad < n:
+                raise error(lineno + bad, widths[bad])
+            lineno += n
 
 
 def read_yaml(path: str | Path, what: str, required: Sequence[str] = ()) -> dict:
@@ -288,16 +317,21 @@ def replace_file(path: Path, data: str | bytes | memoryview) -> None:
         temporary.unlink(missing_ok=True)
 
 
-def _converted(convert: Callable, dtype, column: Sequence[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """The fields of ``column`` converted by ``convert`` into ``dtype`` up to the first that fails, and that
-    field's row and error, or None."""
+def _converted(convert: Callable, dtype, column: Sequence[str], name: str) -> tuple[np.ndarray, tuple | None]:
+    """The fields of the ``name`` column converted by ``convert`` into ``dtype`` up to the first that fails, and
+    that field's row and error, or None."""
     rest = iter(column)
     try:
         return np.fromiter(map(convert, rest), dtype, len(column)), None
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int outside int64, as only timestamps are
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int outside an int dtype
         at = len(column) - operator.length_hint(rest) - 1  # the failing field was the last one taken
-        error = str(exc) if isinstance(exc, ValueError) else f"timestamp {convert(column[at])} outside int64"
+        error = str(exc) if isinstance(exc, ValueError) else f"{name} {convert(column[at])} outside {np.dtype(dtype)}"
         return np.fromiter(map(convert, column[:at]), dtype, at), (at, error)
+
+
+def _codes(table: defaultdict, column: Sequence[str]) -> np.ndarray:
+    """The code in ``table`` of each id in ``column``; ``table`` gives an id it does not hold the next code."""
+    return np.fromiter(map(table.__getitem__, column), np.intp, len(column))
 
 
 def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None = None) -> InteractionLog:
@@ -305,48 +339,47 @@ def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None =
 
     ``column_spec`` maps the roles user/item/label/timestamp to column names
     in the file.  Rows keep file order, and the id tables first-seen order.
-    The earliest line whose label (``float``) or timestamp (``int``, within
-    int64) does not convert, or whose label is outside [0, 5], is a ParseError.
+    The earliest line of another width than the header, whose label
+    (``float``) or timestamp (``int``, within int64) does not convert, or
+    whose label is outside [0, 5], is a ParseError.
     """
-    spec = dict(DEFAULT_COLUMN_SPEC)
-    if column_spec:
-        spec.update(column_spec)
-    rows = read_table(path, "interaction")
-    _, header = next(rows, (1, []))  # the first non-blank line; an empty file has none
+    spec = {**DEFAULT_COLUMN_SPEC, **(column_spec or {})}
+    chunks = _chunks(path, "interaction", None, "\t", header=True)
+    _, header = next(chunks, (None, []))  # an empty file has no header
     for role in DEFAULT_COLUMN_SPEC:  # user, item, label, timestamp
         if spec[role] not in header:
             raise SchemaError(f"{role} column {spec[role]!r} not found in header of {path}")
-    fields = operator.itemgetter(*(header.index(spec[role]) for role in DEFAULT_COLUMN_SPEC))
-    numbers, lines = tuple(zip(*rows)) or ((), ())
-    users, items, labels, stamps = tuple(zip(*map(fields, lines))) or ((),) * 4
-    label, label_fault = _converted(float, np.float64, labels)
-    stamp, stamp_fault = _converted(int, np.int64, stamps)
-    outside = np.flatnonzero(~((label >= 0.0) & (label <= 5.0)))  # NaN fails both
-    range_fault = (outside[0], f"label {float(label[outside[0]])} outside [0, 5]") if outside.size else None
-    # The earliest line wins; on one line, a label that does not convert, then the timestamp, then the range.
-    fault = min(filter(None, (label_fault, stamp_fault, range_fault)), key=operator.itemgetter(0), default=None)
-    if fault:
-        raise ParseError(f"{path}: line {numbers[fault[0]]}: {fault[1]}")
-    user_table, item_table = defaultdict(count().__next__), defaultdict(count().__next__)
-    user = np.fromiter(map(user_table.__getitem__, users), np.intp, len(users))
-    item = np.fromiter(map(item_table.__getitem__, items), np.intp, len(items))
-    return InteractionLog(list(user_table), list(item_table), user, item, label, stamp)
+    user_at, item_at, label_at, stamp_at = (header.index(spec[role]) for role in DEFAULT_COLUMN_SPEC)
+    width, users, items = len(header), defaultdict(count().__next__), defaultdict(count().__next__)
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), np.empty(0, np.int64))]
+    for numbers, tokens in chunks:
+        label, label_fault = _converted(float, np.float64, tokens[label_at::width], "label")
+        stamp, stamp_fault = _converted(int, np.int64, tokens[stamp_at::width], "timestamp")
+        outside = np.flatnonzero(~((label >= 0.0) & (label <= 5.0)))  # NaN fails both
+        range_fault = (outside[0], f"label {float(label[outside[0]])} outside [0, 5]") if outside.size else None
+        # The earliest line wins; on one line, a label that does not convert, then the timestamp, then the range.
+        if fault := min(filter(None, (label_fault, stamp_fault, range_fault)), key=operator.itemgetter(0), default=None):
+            raise ParseError(f"{path}: line {numbers[fault[0]]}: {fault[1]}")
+        parts.append((_codes(users, tokens[user_at::width]), _codes(items, tokens[item_at::width]), label, stamp))
+    user, item, label, stamp = map(np.concatenate, zip(*parts))
+    return InteractionLog(list(users), list(items), user, item, label, stamp)
 
 
 def parse_item_groups(path: str | Path) -> dict[str, frozenset[str]]:
-    """Parse a TSV ``item_id<TAB>group1|group2|...`` membership file."""
+    """Parse a TSV ``item_id<TAB>group1|group2|...`` membership file; a repeated item's last line wins."""
     out: dict[str, frozenset[str]] = {}
-    for lineno, (item, raw_groups) in read_table(path, "item-group", 2):
-        groups = frozenset(g for g in raw_groups.split("|") if g)
-        if not groups:
-            raise ParseError(f"{path}: line {lineno}: item {item!r} has no groups")
-        out[item] = groups
+    for numbers, tokens in _chunks(path, "item-group", 2, "\t"):
+        groups = [frozenset(filter(None, raw.split("|"))) for raw in tokens[1::2]]
+        if frozenset() in groups:
+            at = groups.index(frozenset())
+            raise ParseError(f"{path}: line {numbers[at]}: item {tokens[2 * at]!r} has no groups")
+        out.update(zip(tokens[0::2], groups))
     return out
 
 
 def parse_user_groups(path: str | Path) -> dict[str, str]:
     """Parse a TSV ``user_id<TAB>group`` file (no header)."""
-    return {user: group for _, (user, group) in read_table(path, "user-group", 2)}
+    return dict(row for _, tokens in _chunks(path, "user-group", 2, "\t") for row in zip(tokens[0::2], tokens[1::2]))
 
 
 def _present(ids: list[str], column: np.ndarray) -> list[str]:
@@ -427,32 +460,6 @@ def filter_and_split(
     return SplitDataset(*splits, catalog=new_catalog, split_spec=(tuple(ratios), min_interactions))
 
 
-QRELS_CHUNK_CHARS = 1 << 18  # readlines() size hint: bounds the lines and tokens a parser holds at once
-_END = "\0"  # marks each line end among a chunk's tokens
-
-
-def _chunks(path: Path, what: str, width: int, error: Callable[[int, int], FairrankError]) -> Iterator[tuple]:
-    """Yield ``(line numbers, tokens, error)`` for each chunk of whole lines of the ``what`` file ``path``: the
-    fields, ``width`` a line, of the non-blank lines before the chunk's first line of another width, and
-    ``error(line number, width)`` of that line or None, for the caller to raise after checking the lines before.
-    A chunk is split once with a mark at each line end, and again line by line only if its marks are misplaced."""
-    lineno = 1
-    with open_text(path, what) as fh:
-        while lines := fh.readlines(QRELS_CHUNK_CHARS):
-            text = "".join(lines).replace("\n", f" {_END} ") + ("" if lines[-1].endswith("\n") else f" {_END}")
-            tokens, n = text.split(), len(lines)
-            if len(tokens) == (width + 1) * n and tokens[width :: width + 1].count(_END) == n == tokens.count(_END):
-                del tokens[width :: width + 1]
-                yield np.arange(lineno, lineno + n), tokens, None
-            else:
-                fields = list(map(str.split, lines))
-                widths = np.fromiter(map(len, fields), np.intp, n)
-                bad = np.append(np.flatnonzero((widths != width) & (widths != 0)), n)[0]
-                error_at = error(lineno + bad, widths[bad]) if bad < n else None
-                yield np.flatnonzero(widths[:bad]) + lineno, list(chain.from_iterable(fields[:bad])), error_at
-            lineno += n
-
-
 def _ranked(names: list[str], column: np.ndarray) -> tuple[list[str], np.ndarray]:
     """``names`` in ascending id order, and the position among them of each index into ``names`` in ``column``."""
     order = sorted(range(len(names)), key=names.__getitem__)
@@ -483,14 +490,12 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
     columns: tuple[list[np.ndarray], ...] = ([], [], [])
     rels = bytearray()
     shape = lambda lineno, n: ParseError(f"{path}: line {lineno}: expected 'qid intent doc rel', got {n} fields")
-    for numbers, tokens, error in _chunks(path, "qrels", 4, shape):
+    for numbers, tokens in _chunks(path, "qrels", 4, error=shape):
         if not set(tokens[3::4]) <= {"0", "1"}:
             at, rel = next((at, rel) for at, rel in enumerate(tokens[3::4]) if rel not in ("0", "1"))
             raise ParseError(f"{path}: line {numbers[at]}: relevance {rel!r} not in {{0, 1}}")
-        if error is not None:
-            raise error
         for offset, table, column in zip(range(3), tables, columns):
-            column.append(np.fromiter(map(table.__getitem__, tokens[offset::4]), np.intp))
+            column.append(_codes(table, tokens[offset::4]))
         rels += "".join(tokens[3::4]).encode("ascii")
     if not rels:
         return IntentJudgments([], [], [], [], np.zeros((0, 0, 0), dtype=bool))
@@ -515,27 +520,6 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
     return IntentJudgments(qids, query_intents, docs, listed, rel, duplicate_count=len(key) - len(kept))
 
 
-def _run_values(path: Path, numbers: np.ndarray, tokens: list[str]) -> tuple:
-    """The ranks (Python ints, which may pass int64) and scores of a run chunk's lines up to the first whose rank or
-    score is unusable, and a FormatError naming that line, or None."""
-    values = lambda n: (np.fromiter(map(int, tokens[3 : 6 * n : 6]), object),
-                        np.fromiter(map(float, tokens[4 : 6 * n : 6]), float))
-    try:
-        ranks, scores = values(len(numbers))
-        if np.isfinite(scores).all():
-            return ranks, scores, None
-    except ValueError:
-        pass
-    for at, (rank, score) in enumerate(zip(tokens[3::6], tokens[4::6])):  # the chunk's first bad line
-        try:
-            int(rank)
-            if not math.isfinite(float(score)):
-                raise ValueError("non-finite score")
-        except ValueError as exc:
-            return (*values(at), FormatError(f"{path}: line {numbers[at]}: {exc}"))
-    raise AssertionError("unreachable: the whole chunk failed to convert, so one of its lines does")
-
-
 def parse_run_file(path: str | Path, truncate: int | None = 50) -> SearchRun:
     """Parse a 6-column TREC run file in chunks of lines, keeping the top ``truncate`` docs per query.
 
@@ -545,13 +529,21 @@ def parse_run_file(path: str | Path, truncate: int | None = 50) -> SearchRun:
     tables = (defaultdict(count().__next__), defaultdict(count().__next__))  # qid, doc -> code, in first-seen order
     parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, object), np.empty(0))]
     shape, pending = lambda lineno, n: FormatError(f"{path}: line {lineno}: expected 6 TREC columns, got {n}"), None
-    for numbers, tokens, error in _chunks(path, "run", 6, shape):
-        ranks, scores, pending = _run_values(path, numbers, tokens)
-        n = len(ranks)
-        q, d = (np.fromiter(map(t.__getitem__, tokens[at : 6 * n : 6]), np.intp) for at, t in zip((0, 2), tables))
-        parts.append((numbers[:n], q, d, ranks, scores))
-        if pending := pending or error:
-            break
+    try:
+        for numbers, tokens in _chunks(path, "run", 6, error=shape):
+            ranks, rank_fault = _converted(int, object, tokens[3::6], "rank")  # Python ints, which may pass int64
+            scores, score_fault = _converted(float, np.float64, tokens[4::6], "score")
+            infinite = np.flatnonzero(~np.isfinite(scores))
+            infinite_fault = (infinite[0], "non-finite score") if infinite.size else None
+            fault = min(filter(None, (rank_fault, score_fault, infinite_fault)), key=operator.itemgetter(0), default=None)
+            n = fault[0] if fault else len(numbers)
+            q, d = _codes(tables[0], tokens[0 : 6 * n : 6]), _codes(tables[1], tokens[2 : 6 * n : 6])
+            parts.append((numbers[:n], q, d, ranks[:n], scores[:n]))
+            if fault:
+                pending = FormatError(f"{path}: line {numbers[n]}: {fault[1]}")
+                break
+    except FormatError as exc:  # a line of another width, raised once the lines before it are parsed
+        pending = exc
     numbers, q, d, ranks, scores = (np.concatenate(column) for column in zip(*parts))
     query_ids, row = _ranked(list(tables[0]), q)
     order = np.argsort(row, kind="stable")  # each query's lines, in file order
@@ -636,9 +628,9 @@ def read_dataset(directory: str | Path) -> SplitDataset:
             and "min_interactions" in split):
         raise ParseError(f"{manifest_path}: counts must be a mapping, split one with ratios and min_interactions")
 
-    user_rows = [fields for _, fields in islice(read_table(directory / "users.tsv", "user", 2), 1, None)]
-    users = [user for user, _ in user_rows]
-    user_groups = {user: group for user, group in user_rows if group}
+    chunks = islice(_chunks(directory / "users.tsv", "user", 2, "\t", header=True), 1, None)  # past the header
+    rows = [row for _, tokens in chunks for row in zip(tokens[0::2], tokens[1::2])]
+    users, user_groups = [user for user, _ in rows], {user: group for user, group in rows if group}
 
     item_groups = parse_item_groups(directory / "items.tsv")
     logs = {name: parse_interactions(directory / f"{name}.tsv") for name in ("train", "valid", "test")}
@@ -759,9 +751,10 @@ def read_scores(directory: str | Path) -> ScoreMatrix:
     """Read back a stored ScoreMatrix: the store ``scores.npz`` when the directory holds
     one, else the table ``scores.tsv``.
 
-    Of the table, each line appends its user and item positions and its score to compact
-    buffers, which are scattered into the score array once at the end.  A
-    (user, item) pair on two lines is a :class:`ParseError` naming both.
+    The table is read in chunks of lines, each turned into user and item codes and
+    scores, which are scattered into the score array once at the end.  The earliest
+    line of another width or with a score that does not convert is a ParseError, and
+    after them a (user, item) pair on two lines is one naming both.
     The ``scores.meta.yaml`` sidecar is optional (semantics ``raw``).
     """
     directory = Path(directory)
@@ -773,24 +766,24 @@ def read_scores(directory: str | Path) -> ScoreMatrix:
     if (directory / "scores.npz").exists():
         build = lambda S, valid, user_ids, item_ids: ScoreMatrix(user_ids, item_ids, S, valid, semantics=semantics)
         return read_store(directory / "scores.npz", "score", SCORE_STORE, build)
-    users: dict[str, int] = {}
-    items: dict[str, int] = {}
-    entries, values = array("q"), array("d")  # (user, item, line) positions; scores
-    for lineno, (user, item, raw) in islice(read_table(table, "score", 3), 1, None):
-        try:
-            values.append(float(raw))
-        except ValueError as exc:
-            raise ParseError(f"{table}: line {lineno}: {exc}") from None
-        entries.extend((users.setdefault(user, len(users)), items.setdefault(item, len(items)), lineno))
-    rows, cols, lines = np.frombuffer(entries, dtype=np.int64).reshape(-1, 3).T
+    users, items, parts = defaultdict(count().__next__), defaultdict(count().__next__), []
+    lines = lambda: islice(_chunks(table, "score", 3, "\t", header=True), 1, None)  # past the header
+    for numbers, tokens in lines():
+        values, fault = _converted(float, np.float64, tokens[2::3], "score")
+        if fault:
+            raise ParseError(f"{table}: line {numbers[fault[0]]}: {fault[1]}")
+        parts.append((_codes(users, tokens[0::3]), _codes(items, tokens[1::3]), values))
     S = np.zeros((len(users), len(items)))
     valid = np.zeros(S.shape, dtype=bool)
-    S[rows, cols], valid[rows, cols] = np.frombuffer(values), True
-    if np.count_nonzero(valid) < len(values):
+    for rows, cols, values in parts:
+        S[rows, cols], valid[rows, cols] = values, True
+    if np.count_nonzero(valid) < sum(len(part[2]) for part in parts):
+        rows, cols, _ = map(np.concatenate, zip(*parts))
+        numbers = np.concatenate([numbers for numbers, _ in lines()])  # read again only to name a repeated pair
         key = rows * len(items) + cols
         order = np.argsort(key, kind="stable")
         j = min(np.flatnonzero(key[order[1:]] == key[order[:-1]]), key=lambda j: order[j + 1])  # earliest repeat
         first, second = order[j], order[j + 1]
         pair = (list(users)[rows[first]], list(items)[cols[first]])
-        raise ParseError(f"{table}: lines {lines[first]} and {lines[second]}: repeated score for {pair!r}")
+        raise ParseError(f"{table}: lines {numbers[first]} and {numbers[second]}: repeated score for {pair!r}")
     return ScoreMatrix(list(users), list(items), S, valid, semantics=semantics)

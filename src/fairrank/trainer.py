@@ -444,6 +444,7 @@ def predict(
 
 CHECKPOINT_FORMAT_VERSION = 2
 _MANIFEST_KEYS = ("format_version", "dim", "seed", "epochs", "lr", "l2", "batch_size")
+_KINDS = {bool: "true or false", int: "an integer", float: "a number"}
 
 
 def save_model(model: MFModel, directory: str | Path, hooks: TrainHooks | None = None) -> None:
@@ -470,12 +471,20 @@ def load_model(directory: str | Path) -> MFModel:
     manifest = read_yaml(manifest_path, "model manifest", required=_MANIFEST_KEYS)
     if manifest["format_version"] != CHECKPOINT_FORMAT_VERSION:
         raise VersionError(f"checkpoint version {manifest['format_version']} unsupported")
+    # A field outside _MANIFEST_KEYS, such as ips_smooth, takes its default when absent.  As in a config file, a
+    # bool field takes only a bool, an int field only an int, and a float field an int or a float.
+    defaults = asdict(TrainConfig())
+    values = {key: manifest.get(key, default) for key, default in defaults.items()}
+    for key, value in values.items():
+        if not (type(value) is type(defaults[key]) or type(value) is int and type(defaults[key]) is float):
+            raise ParseError(f"{manifest_path}: {key} must be {_KINDS[type(defaults[key])]}, got {value!r}")
+    loss_curve = manifest.get("loss_curve", [])
+    if not (type(loss_curve) is list and all(type(x) in (int, float) for x in loss_curve)):
+        raise ParseError(f"{manifest_path}: loss_curve must be a list of numbers, got {loss_curve!r}")
     try:
-        # A field outside _MANIFEST_KEYS, such as ips_smooth, takes its default when absent.
-        fields = asdict(TrainConfig())
-        config = TrainConfig(**{key: type(value)(manifest.get(key, value)) for key, value in fields.items()})
-        loss_curve = [float(x) for x in manifest.get("loss_curve", [])]
-    except (TypeError, ValueError, OverflowError, InvariantViolation) as exc:
+        config = TrainConfig(**{key: type(defaults[key])(value) for key, value in values.items()})
+        loss_curve = [float(x) for x in loss_curve]
+    except (OverflowError, InvariantViolation) as exc:  # OverflowError: an int too large for a float
         raise ParseError(f"{manifest_path}: {exc}") from None
     members = BIASED_MODEL_STORE if config.use_item_bias else MODEL_STORE
     build = partial(MFModel, item_bias=None, config=config, loss_curve=loss_curve)

@@ -1,4 +1,4 @@
-"""Per-record reference for the column interaction log.
+"""Per-record and per-line references for the column readers of ``fairrank.ingest``.
 
 ``fairrank.core.InteractionLog`` holds its rows as id tables plus user,
 item, label and timestamp columns, and the parser, the split, the dataset
@@ -8,19 +8,27 @@ list-based ``RecordLog`` with its per-user views, the per-line parser, the
 per-user split, the per-record writer and the relevant-item dict the CLI
 built for the accuracy metrics.  The tests require the column code to give
 the same logs, splits, catalogs, bytes and relevance.
+
+Every text table is read by ``ingest``'s chunk reader.  ``read_table`` is the
+per-line reader it replaced, and ``read_scores``, ``parse_item_groups``,
+``parse_user_groups`` and ``read_users`` are the per-line table parsers built
+on it; the tests require the chunked parsers to give the same tables, or the
+same first error.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+import numpy as np
 import yaml
 
-from fairrank.core import Catalog, InteractionLog
+from fairrank.core import Catalog, InteractionLog, ScoreMatrix
 from fairrank.errors import EmptyDataset, InvariantViolation, ParseError, SchemaError, UnknownEntity
-from fairrank.ingest import CANONICAL_FORMAT_VERSION, DEFAULT_COLUMN_SPEC, read_table, replace_file, writing
+from fairrank.ingest import CANONICAL_FORMAT_VERSION, DEFAULT_COLUMN_SPEC, open_text, replace_file, writing
 
 
 class Interaction(NamedTuple):
@@ -93,6 +101,74 @@ class RecordLog:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+def read_table(path: str | Path, what: str, width: int | None = None) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` for each non-blank tab-separated line of ``path``.
+
+    A line with other than ``width`` fields (default: the first line's) is a ParseError.
+    """
+    with open_text(path, what) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if width is None:
+                width = len(fields)
+            if len(fields) != width:
+                raise ParseError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
+            yield lineno, fields
+
+
+def read_scores(directory: str | Path) -> ScoreMatrix:
+    """The per-line reader of a ``scores.tsv`` table (semantics ``raw``): each line converts its score and
+    appends its user and item positions, and a repeated (user, item) pair is a ParseError naming both lines."""
+    table = Path(directory) / "scores.tsv"
+    users: dict[str, int] = {}
+    items: dict[str, int] = {}
+    entries: list[tuple[int, int, int]] = []
+    values: list[float] = []
+    for lineno, (user, item, raw) in islice(read_table(table, "score", 3), 1, None):
+        try:
+            values.append(float(raw))
+        except ValueError as exc:
+            raise ParseError(f"{table}: line {lineno}: {exc}") from None
+        entries.append((users.setdefault(user, len(users)), items.setdefault(item, len(items)), lineno))
+    rows, cols, lines = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    S = np.zeros((len(users), len(items)))
+    valid = np.zeros(S.shape, dtype=bool)
+    S[rows, cols], valid[rows, cols] = values, True
+    if np.count_nonzero(valid) < len(values):
+        key = rows * len(items) + cols
+        order = np.argsort(key, kind="stable")
+        j = min(np.flatnonzero(key[order[1:]] == key[order[:-1]]), key=lambda j: order[j + 1])  # earliest repeat
+        first, second = order[j], order[j + 1]
+        pair = (list(users)[rows[first]], list(items)[cols[first]])
+        raise ParseError(f"{table}: lines {lines[first]} and {lines[second]}: repeated score for {pair!r}")
+    return ScoreMatrix(list(users), list(items), S, valid)
+
+
+def parse_item_groups(path: str | Path) -> dict[str, frozenset[str]]:
+    """The per-line reader of a TSV ``item_id<TAB>group1|group2|...`` membership file."""
+    out: dict[str, frozenset[str]] = {}
+    for lineno, (item, raw_groups) in read_table(path, "item-group", 2):
+        groups = frozenset(g for g in raw_groups.split("|") if g)
+        if not groups:
+            raise ParseError(f"{path}: line {lineno}: item {item!r} has no groups")
+        out[item] = groups
+    return out
+
+
+def parse_user_groups(path: str | Path) -> dict[str, str]:
+    """The per-line reader of a TSV ``user_id<TAB>group`` file (no header)."""
+    return {user: group for _, (user, group) in read_table(path, "user-group", 2)}
+
+
+def read_users(path: str | Path) -> tuple[list[str], dict[str, str]]:
+    """The per-line reader of a dataset's ``users.tsv``: its users, and the group of each user given one."""
+    user_rows = [fields for _, fields in islice(read_table(path, "user", 2), 1, None)]
+    return [user for user, _ in user_rows], {user: group for user, group in user_rows if group}
 
 
 def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None = None) -> RecordLog:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fairrank import cli
 from fairrank import metrics as M
-from fairrank.config import KEYS, config_merge, resolve_config, validate_config
+from fairrank.config import KEYS, config_merge, load_config_file, resolve_config, validate_config
 from fairrank.core import GroupUtilityVector
 from fairrank.errors import ConfigError, UnknownKeyError
 from fairrank.ingest import read_scores, write_scores, write_scores_tsv
@@ -947,6 +947,29 @@ class TestCliSearch:
         )
         assert code == 1
         assert "error: ConfigError: cannot parse" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [None, "seed: 2024-13-01\n"], ids=["directory", "bad-date"])
+    def test_unreadable_config_file_is_a_config_error_with_record(self, search_root, tmp_path, capsys, content):
+        """A config file that cannot be read names no log_name, so its record goes to the default log directory."""
+        cfg = tmp_path / "s.yaml"
+        if content is None:
+            cfg.mkdir()
+        else:
+            cfg.write_text(content, encoding="utf-8")
+        code = cli.run(
+            ["--task", "search", "--stage", "post-processing", "--dataset", "web",
+             "--config", str(cfg), "--data-dir", str(search_root)]
+        )
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().out
+        record = (search_root / "log" / "run" / "error.txt").read_text(encoding="utf-8")
+        assert record.startswith(f"ConfigError: cannot parse {cfg}: ")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n"], ids=["empty", "comment"])
+    def test_empty_config_file_loads_as_an_empty_mapping(self, tmp_path, text):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        assert load_config_file(cfg) == {}
 
     def test_search_run_files_parse_back(self, search_root, tmp_path):
         from fairrank.ingest import parse_run_file

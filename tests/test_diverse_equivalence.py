@@ -200,13 +200,13 @@ def _text(rng: np.random.Generator, lines: list[list[str]]) -> str:
 def _parse(parsers, text: str, chunk_chars: int):
     """Each parser's outcome on one file holding ``text``: error messages name the same path."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "QRELS_CHUNK_CHARS", chunk_chars)
+        patch.setattr(ingest, "CHUNK_CHARS", chunk_chars)
         path = Path(tmp) / "qrels"
         path.write_bytes(text.encode("utf-8"))
         return [_outcome(parser, path) for parser in parsers]
 
 
-@pytest.mark.parametrize("chunk_chars", [1, 64, ingest.QRELS_CHUNK_CHARS])
+@pytest.mark.parametrize("chunk_chars", [1, 64, ingest.CHUNK_CHARS])
 @settings(max_examples=200)
 @given(seed=seeds)
 def test_qrels_parser_matches_per_line_parser(chunk_chars, seed):
@@ -270,7 +270,7 @@ def _same_run(got, want) -> None:
         assert ref.lists_of(got).queries == want.queries
 
 
-@pytest.mark.parametrize("chunk_chars", [1, 64, ingest.QRELS_CHUNK_CHARS])
+@pytest.mark.parametrize("chunk_chars", [1, 64, ingest.CHUNK_CHARS])
 @settings(max_examples=200)
 @given(seed=seeds)
 def test_run_parser_matches_per_line_parser(chunk_chars, seed):

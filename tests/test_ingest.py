@@ -107,6 +107,20 @@ class TestParseInteractions:
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line {lineno}: {re.escape(message)}$"):
             parse_interactions(path)
 
+    def test_bad_value_before_a_line_of_another_width_wins(self, tmp_path):
+        path = tmp_path / "inter.tsv"
+        write_tsv(path, ["user_id", "item_id", "label", "timestamp"],
+                  [["u1", "i1", "x", 1], ["u1", "i2", 1, 2], ["u1", "i3", 1]])
+        message = f"{path}: line 2: could not convert string to float: 'x'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_interactions(path)
+
+    def test_one_column_file_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "inter.tsv"
+        path.write_text("x\n1\n\n2\n", encoding="utf-8")
+        log = parse_interactions(path, dict.fromkeys(["user", "item", "label", "timestamp"], "x"))
+        assert (log.user_ids, log.label.tolist(), log.timestamp.tolist()) == (["1", "2"], [1.0, 2.0], [1, 2])
+
     def test_python_spellings_accepted(self, tmp_path):
         path = tmp_path / "inter.tsv"
         rows = [["u1", "i1", " 5", "1_000"], ["u1", "i2", "1e0", " 7 "]]

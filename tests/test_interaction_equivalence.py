@@ -90,7 +90,10 @@ def test_parser_matches_per_line_reference(seed, tmp_path_factory):
             continue
         label = LABELS[int(rng.integers(len(LABELS)))] if rng.random() < 0.15 else "1"
         stamp = STAMPS[int(rng.integers(len(STAMPS)))] if rng.random() < 0.15 else str(int(rng.integers(0, 9)))
-        lines.append(f"i{int(rng.integers(4))}\t{stamp}\tu{int(rng.integers(3))}\t{label}")
+        fields = [f"i{int(rng.integers(4))}", stamp, f"u{int(rng.integers(3))}", label]
+        if rng.random() < 0.08:  # a line of another width than the header's
+            fields = fields[:-1] if rng.random() < 0.5 else [*fields, "extra"]
+        lines.append("\t".join(fields))
     path = tmp_path_factory.mktemp("parse") / "inter.tsv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     spec = {"timestamp": "ts"}

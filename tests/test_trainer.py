@@ -685,6 +685,34 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             load_model(tmp_path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("loss_curve", "12", "loss_curve must be a list of numbers, got '12'"),
+            ("dim", 2.9, "dim must be an integer, got 2.9"),
+            ("epochs", "3", "epochs must be an integer, got '3'"),
+            ("lr", True, "lr must be a number, got True"),
+            ("use_item_bias", "no", "use_item_bias must be true or false, got 'no'"),
+        ],
+        ids=["loss_curve-string", "dim-float", "epochs-string", "lr-bool", "use_item_bias-string"],
+    )
+    def test_manifest_value_of_another_type_is_a_parse_error(self, tmp_path, key, value, message):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        save_model(train(dataset, TrainConfig(dim=2, epochs=1, seed=0), TrainHooks()), tmp_path)
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(yaml.safe_dump({**yaml.safe_load(manifest.read_text()), key: value}))
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{manifest}: {message}')}$"):
+            load_model(tmp_path)
+
+    def test_manifest_int_for_a_float_field_loads_as_a_float(self, tmp_path):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        save_model(train(dataset, TrainConfig(dim=2, epochs=1, seed=0), TrainHooks()), tmp_path)
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(yaml.safe_dump({**yaml.safe_load(manifest.read_text()), "lr": 1, "loss_curve": [2, 0.5]}))
+        back = load_model(tmp_path)
+        assert (back.config.lr, back.loss_curve) == (1.0, [2.0, 0.5])
+        assert type(back.config.lr) is float and all(type(x) is float for x in back.loss_curve)
+
     def test_save_under_a_regular_file_is_an_io_error(self, tmp_path):
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
         (tmp_path / "file").write_text("", encoding="utf-8")
