@@ -10,12 +10,18 @@ Every slate is a top-k under one tie contract: entries rank by a primary
 key descending, then by the relevance score descending, then by item id
 ascending, and a user's slate holds ``min(K, candidates)`` items.  The
 batched kernel (:func:`_top_mask`, :func:`_ranked`) keeps that contract
-exactly: one partition finds each row's K-th value, and only rows whose
-ties at that value overflow the slate are resolved one by one.  Every
-algorithm reads the user x item arrays of the :class:`ScoreMatrix` itself
-(``S``, ``valid``, ``n_valid`` and the cached ``order``), so every
-(model, K) run on one matrix shares them, and the group data that
-:class:`RerankContext` gathers once from the catalog's membership table.
+exactly: one partition finds each row's K-th value and one compare takes
+every entry at or above it; only rows that take more than their slate
+(ties at that value, or fewer than K candidates) are resolved one by one.
+The online algorithms rank one user at a time with :func:`_top_row`: a
+1-D partition, then a lexsort of just the entries at or above the K-th
+value.  welf's Frank-Wolfe steps write preallocated users x items buffers
+in place, and fairrec's round-robin scan resumes each user's ranking
+where it last stopped.  Every algorithm reads the user x item arrays of
+the :class:`ScoreMatrix` itself (``S``, ``valid``, ``n_valid`` and the
+cached ``order``), so every (model, K) run on one matrix shares them, and
+the group data that :class:`RerankContext` gathers once from the
+catalog's membership table.
 
 ``min_regularizer`` and ``pmmf`` are online: they process users strictly in
 ``arrival_order`` and carry running state, so they must not be parallelised
@@ -44,7 +50,8 @@ class RerankContext:
     candidates and gathers the group data: ``groups`` (the catalog's
     ``group_ids``), ``member`` and ``member_f`` (its membership table as
     bool and float, with rows in score-matrix item order, not catalog
-    order) and ``beta`` (the target shares, read-only).
+    order) and ``beta`` (the target shares, read-only).  ``depth`` lists
+    each user's slate size, ``min(k, n_valid)``, by score-matrix row.
 
     Attributes:
         scores: per-user candidate scores (read-only).
@@ -91,6 +98,7 @@ class RerankContext:
             raise EmptyCandidates(f"users without candidates: {empty[:5]}")
         self.member = cat.member[[cat.item_pos[item] for item in self.scores.item_ids]]
         self.member_f = self.member.astype(float)
+        self.depth = np.minimum(self.k, self.scores.n_valid).tolist()
 
 
 def proportional_shares(catalog: Catalog) -> np.ndarray:
@@ -106,20 +114,23 @@ def _top_mask(primary: np.ndarray, tie: np.ndarray, k: int, n_valid: np.ndarray)
     """Mask of each row's ``min(k, n_valid)`` best entries of ``primary``.
 
     Entries rank by (primary desc, tie desc, column asc); primary must be
-    -inf exactly at invalid entries.  Entries above the row's k-th value are
-    taken, and those equal to it fill the remaining slots.
+    -inf exactly at invalid entries.  Entries at or above the row's k-th
+    value are taken; a row where they are more than ``min(k, n_valid)`` (ties
+    at the k-th value, or fewer than k valid entries) keeps those above it
+    and fills the remaining slots from those equal to it.
     """
     m = primary.shape[1]
     cut = m - min(k, m)
     kth = np.partition(primary, cut, axis=1)[:, cut, None]
-    take = primary > kth
-    at = primary == kth
-    need = np.minimum(k, n_valid) - take.sum(axis=1)
-    n_at = at.sum(axis=1)
-    take |= at & (need == n_at)[:, None]
-    for r in np.flatnonzero((need > 0) & (need < n_at)):
-        cols = np.flatnonzero(at[r])
-        take[r, cols[np.argsort(-tie[r, cols], kind="stable")[: need[r]]]] = True
+    take = primary >= kth
+    want = np.minimum(k, n_valid)
+    if np.count_nonzero(take) == want.sum():  # no row takes fewer than want, so none takes more
+        return take
+    for r in np.flatnonzero(np.count_nonzero(take, axis=1) > want):
+        row, at = primary[r], kth[r, 0]
+        take[r] = row > at
+        cols = np.flatnonzero(row == at)
+        take[r, cols[np.argsort(-tie[r, cols], kind="stable")[: want[r] - np.count_nonzero(take[r])]]] = True
     return take
 
 
@@ -130,10 +141,17 @@ def _ranked(mask: np.ndarray, primary: np.ndarray, tie: np.ndarray) -> list[np.n
     return np.split(cols[order], np.cumsum(mask.sum(axis=1))[:-1])
 
 
-def _top_row(scores: ScoreMatrix, ui: int, primary: np.ndarray, k: int) -> np.ndarray:
-    """One user's top-k of ``primary`` with relevance as the tie key."""
-    primary, tie = primary[None], scores.S[ui : ui + 1]
-    return _ranked(_top_mask(primary, tie, k, scores.n_valid[ui : ui + 1]), primary, tie)[0]
+def _top_row(primary: np.ndarray, tie: np.ndarray, depth: int) -> np.ndarray:
+    """One row's first ``depth`` columns by (primary desc, tie desc, column asc).
+
+    ``primary`` must be -inf exactly at invalid entries, and ``depth`` at
+    least 1 and at most the number of valid ones.  One partition finds the
+    ``depth``-th value; only the entries at or above it are sorted.
+    """
+    cut = primary.size - depth
+    cols = np.flatnonzero(primary >= np.partition(primary, cut)[cut])
+    # lexsort is stable, so columns stay ascending within ties.
+    return cols[np.lexsort((-tie[cols], -primary[cols]))[:depth]]
 
 
 def _build_slates(scores: ScoreMatrix, mask: np.ndarray, primary: np.ndarray, k: int, meta: dict) -> RankingSlate:
@@ -173,7 +191,7 @@ def min_regularizer(ctx: RerankContext, lam: float = 1.0) -> RankingSlate:
             adjusted = scores.S[ui] + lam * (norm.min() - item_pen)
         else:
             adjusted = scores.S[ui]
-        slate = _top_row(scores, ui, adjusted, ctx.k)
+        slate = _top_row(adjusted, scores.S[ui], ctx.depth[ui])
         chosen[ui, : slate.size] = slate
         # Clamped click weights; exposure mode uses unit weights.
         weights = np.clip(scores.S[ui, slate], 0.0, 1.0) if ctx.mode == "click" else np.ones(slate.size)
@@ -288,42 +306,45 @@ def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
     n_groups = len(ctx.groups)
     floor_exposure = math.floor(phi * ctx.k * n_users / n_groups + 1e-9)
 
-    placed = np.zeros(n_users, dtype=int)
+    placed = [0] * n_users
     in_slate = np.zeros_like(valid)
     e = np.zeros(n_groups)
 
     if floor_exposure > 0:
-        below = e < floor_exposure
-        items_below = ctx.member[:, below].any(axis=1)
-        while True:
+        # Each user's scan of its ranking resumes at a cursor: every entry it
+        # passed was placed or in no group below the floor, and neither ever
+        # stops holding, so the first candidate is never behind the cursor.
+        rows = [scores.user_pos[user] for user in ctx.arrival_order]
+        cursor, ends = [0] * n_users, n_valid.tolist()
+        n_below = n_groups
+        items_below = ctx.member.any(axis=1)
+        progress = True
+        while progress and n_below:
             progress = False
-            done = False
-            for user in ctx.arrival_order:
-                ui = scores.user_pos[user]
-                if placed[ui] >= min(ctx.k, n_valid[ui]):
+            for ui in rows:
+                if placed[ui] >= ctx.depth[ui]:
                     continue
-                cand = np.where(valid[ui] & ~in_slate[ui] & items_below, S[ui], -np.inf)
-                best = int(np.argmax(cand))
-                if cand[best] == -np.inf:
+                ok = items_below[scores.order[ui, cursor[ui] : ends[ui]]]
+                if not ok.any():
+                    cursor[ui] = ends[ui]
                     continue
+                cursor[ui] += int(ok.argmax()) + 1
+                best = scores.order[ui, cursor[ui] - 1]
                 placed[ui] += 1
                 in_slate[ui, best] = True
                 e += ctx.member_f[best]
                 progress = True
-                new_below = e < floor_exposure
-                if not new_below.any():
-                    done = True
-                    break
-                if not np.array_equal(new_below, below):
-                    below = new_below
+                below = e < floor_exposure
+                if np.count_nonzero(below) < n_below:
+                    n_below = np.count_nonzero(below)
+                    if not n_below:
+                        break
                     items_below = ctx.member[:, below].any(axis=1)
-            if done or not progress:
-                break
 
     for ui in range(n_users):
         # The user's original ranking, minus what phase 1 already placed.
         ranked = scores.order[ui]
-        fill = ranked[~in_slate[ui, ranked]][: min(ctx.k, n_valid[ui]) - placed[ui]]
+        fill = ranked[~in_slate[ui, ranked]][: ctx.depth[ui] - placed[ui]]
         in_slate[ui, fill] = True
         e += ctx.member_f[fill].sum(axis=0)
 
@@ -359,7 +380,7 @@ def pmmf(
             adjusted = scores.S[ui] - ctx.member_f @ mu
         else:
             adjusted = scores.S[ui]
-        slate = _top_row(scores, ui, adjusted, ctx.k)
+        slate = _top_row(adjusted, scores.S[ui], ctx.depth[ui])
         chosen[ui, : slate.size] = slate
         gradient = ctx.beta * ctx.k - ctx.member_f[slate].sum(axis=0)
         if lam > 0:
@@ -394,31 +415,37 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
     eps = 1e-3
     S, valid, n_valid = ctx.scores.S, ctx.scores.valid, ctx.scores.n_valid
     pi = _top_mask(S, S, ctx.k, n_valid).astype(float)
-    expected_row = np.minimum(ctx.k, n_valid).astype(float)
+    expected_row = np.array(ctx.depth, dtype=float)
 
     exposure = pi.sum(axis=0) @ ctx.member_f
     gaps: list[float] = []
     max_row_dev = 0.0
     entry_min, entry_max = 0.0, 1.0
     S0 = np.where(valid, S, 0.0)
+    # Every step writes these users x items buffers in place.  The gap's
+    # gradient factor is S0 + bonus: head - pi is +0.0 wherever valid is
+    # False, so each product, and with it the full-layout sum, equals the one
+    # taken with the gradient zeroed at invalid entries.
+    grad, head, scratch = np.empty_like(S), np.empty_like(S), np.empty_like(S)
 
     for t in range(1, iters + 1):
         if lam > 0:
             bonus = ctx.member_f @ (lam * (exposure + eps) ** (-alpha))
-            grad = S + bonus
+            np.copyto(head, _top_mask(np.add(S, bonus, out=grad), S, ctx.k, n_valid))
+            grad0 = np.add(S0, bonus, out=grad)
         else:
-            grad = S
-        head = _top_mask(grad, S, ctx.k, n_valid).astype(float)
-        grad0 = np.where(valid, grad, 0.0)
-        gaps.append(float(np.sum(grad0 * (head - pi))))
+            np.copyto(head, _top_mask(S, S, ctx.k, n_valid))
+            grad0 = S0
+        np.subtract(head, pi, out=scratch)
+        gaps.append(float(np.sum(np.multiply(grad0, scratch, out=scratch))))
         gamma = 2.0 / (t + 2.0)
-        pi = (1.0 - gamma) * pi + gamma * head
+        np.add(np.multiply(pi, 1.0 - gamma, out=pi), np.multiply(head, gamma, out=head), out=pi)
         exposure = pi.sum(axis=0) @ ctx.member_f
         max_row_dev = max(max_row_dev, float(np.abs(pi.sum(axis=1) - expected_row).max()))
         entry_min = min(entry_min, float(pi.min()))
         entry_max = max(entry_max, float(pi.max()))
 
-    objective = float(np.sum(pi * S0))
+    objective = float(np.sum(np.multiply(pi, S0, out=scratch)))
     if lam > 0:
         objective += float(lam * np.sum((exposure + eps) ** (1.0 - alpha) / (1.0 - alpha)))
 

@@ -36,7 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, count, islice
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 import yaml
@@ -586,6 +586,17 @@ def write_run_file(run: SearchRun, path: str | Path, tag: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+_FIELD_BREAKS = "\t\n\r"  # what the table readers split fields and lines on
+
+
+def _refuse_unreadable(path: Path, kind: str, ids: Iterable[str], breaks: str = _FIELD_BREAKS) -> None:
+    """Raise a FormatError naming the first of ``ids`` that holds one of ``breaks``: written into the
+    table ``path``, it would split a field or a line, and the table would not read back."""
+    chars = frozenset(breaks)
+    for bad in (x for x in ids if not chars.isdisjoint(x)):
+        raise FormatError(f"cannot write {kind} {bad!r} to {path}: it holds one of {breaks!r} and would not read back")
+
+
 def _write_log(path: Path, log: InteractionLog) -> None:
     users, items = map(log.user_ids.__getitem__, log.user.tolist()), map(log.item_ids.__getitem__, log.item.tolist())
     lines = map("{}\t{}\t{!r}\t{}\n".format, users, items, log.label.tolist(), log.timestamp.tolist())
@@ -593,9 +604,17 @@ def _write_log(path: Path, log: InteractionLog) -> None:
 
 
 def write_dataset(dataset: SplitDataset, directory: str | Path) -> None:
-    """Write a SplitDataset as versioned line-oriented tables plus a manifest."""
+    """Write a SplitDataset as versioned line-oriented tables plus a manifest.
+
+    An id or group name that a table could not read back is a FormatError raised before any file is written.
+    """
+    cat, directory = dataset.catalog, Path(directory)
+    user_groups = cat.user_groups or {}
+    for name, kind, ids in (("users.tsv", "user id", cat.users), ("users.tsv", "user group", user_groups.values()),
+                            ("items.tsv", "item id", cat.items)):
+        _refuse_unreadable(directory / name, kind, ids)
+    _refuse_unreadable(directory / "items.tsv", "item group", cat.group_ids, _FIELD_BREAKS + "|")
     with writing(directory, "dataset") as directory:
-        cat = dataset.catalog
         manifest = {
             "format_version": CANONICAL_FORMAT_VERSION,
             "counts": {name: len(log) for name, log in dataset.splits().items()},
@@ -606,7 +625,6 @@ def write_dataset(dataset: SplitDataset, directory: str | Path) -> None:
             "has_user_groups": cat.user_groups is not None,
         }
         replace_file(directory / "manifest.yaml", yaml.safe_dump(manifest, sort_keys=True))
-        user_groups = cat.user_groups or {}
         users = "".join(f"{user}\t{user_groups.get(user, '')}\n" for user in cat.users)
         replace_file(directory / "users.tsv", "user_id\tgroup\n" + users)
         items = "".join(f"{item}\t{'|'.join(sorted(cat.item_groups[item]))}\n" for item in cat.items)
@@ -734,8 +752,11 @@ def write_scores_tsv(scores: ScoreMatrix, directory: str | Path) -> None:
     """Write a ScoreMatrix as the import table ``scores.tsv`` plus the sidecar, users and items in id order.
 
     A ``scores.npz`` in ``directory`` is removed first, as :func:`read_scores` would
-    prefer it to the table.
+    prefer it to the table.  An id the table could not read back is a FormatError
+    raised before any file is touched.
     """
+    for kind, ids in (("user id", scores.user_ids), ("item id", scores.item_ids)):
+        _refuse_unreadable(Path(directory) / "scores.tsv", kind, ids)
     with writing(directory, "scores") as directory:
         (directory / "scores.npz").unlink(missing_ok=True)
         _write_sidecar(scores, directory)

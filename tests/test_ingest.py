@@ -28,6 +28,7 @@ from fairrank.errors import (
 from fairrank.ingest import (
     IntentJudgments,
     SearchRun,
+    SplitDataset,
     build_catalog,
     filter_and_split,
     parse_diversity_qrels,
@@ -682,6 +683,63 @@ def test_write_failing_midway_leaves_previous_files_whole(tmp_path, monkeypatch,
         write(tmp_path)
     assert failed == [name]
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+BREAKS = {"tab": "\t", "newline": "\n", "carriage-return": "\r"}
+
+
+def _refused(directory, write, what, kind, bad):
+    """``write()`` raises the FormatError naming ``bad`` and the table ``what``, leaving ``directory`` as it was."""
+    before = {p.name: p.read_bytes() for p in directory.iterdir()}
+    message = f"cannot write {kind} {bad!r} to {directory / what}: it holds one of "
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+        write()
+    assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+
+
+@pytest.mark.parametrize("kind", ["user id", "item id"])
+@pytest.mark.parametrize("brk", BREAKS.values(), ids=BREAKS)
+def test_score_table_refuses_an_id_that_would_not_read_back(tmp_path, kind, brk):
+    _write_scores(tmp_path, write_scores)  # a store that the refused table write must not remove
+    ids = {"user id": ["u0", "u1"], "item id": ["i0", "i1"]}
+    bad = ids[kind][1] = f"x{brk}1"
+    matrix = ScoreMatrix(ids["user id"], ids["item id"], [[0.5, 0.25], [0.75, 1.0]])
+    _refused(tmp_path, lambda: write_scores_tsv(matrix, tmp_path), "scores.tsv", kind, bad)
+
+
+def _tiny_dataset(user="u1", user_group="f", item="i1", item_group="g1"):
+    catalog = make_catalog({"i0": {"g0"}, item: {item_group}}, users=["u0", user], user_groups={user: user_group})
+    log = InteractionLog(catalog.users, catalog.items, [0, 1], [0, 1], [1.0, 1.0], [1, 2])
+    return SplitDataset(log, log.take([]), log.take([]), catalog, ((0.8, 0.1, 0.1), 1))
+
+
+# (field of _tiny_dataset, what the error calls it, the table it goes into, the characters it may not hold)
+DATASET_FIELDS = [
+    ("user", "user id", "users.tsv", BREAKS),
+    ("user_group", "user group", "users.tsv", BREAKS),
+    ("item", "item id", "items.tsv", BREAKS),
+    ("item_group", "item group", "items.tsv", {**BREAKS, "bar": "|"}),
+]
+DATASET_BREAKS = [(field, kind, what, brk) for field, kind, what, breaks in DATASET_FIELDS for brk in breaks.values()]
+
+
+@pytest.mark.parametrize(
+    "field, kind, what, brk", DATASET_BREAKS,
+    ids=[f"{field}-{name}" for field, _, _, breaks in DATASET_FIELDS for name in breaks],
+)
+def test_dataset_refuses_an_id_or_group_that_would_not_read_back(tmp_path, field, kind, what, brk):
+    _write_dataset(tmp_path)
+    bad = f"x{brk}1"
+    _refused(tmp_path, lambda: write_dataset(_tiny_dataset(**{field: bad}), tmp_path), what, kind, bad)
+
+
+def test_ids_holding_a_bar_or_spaces_still_round_trip(tmp_path):
+    dataset = _tiny_dataset(user="u 1", user_group="f|m", item="i|1", item_group="g 1")
+    write_dataset(dataset, tmp_path)
+    assert read_dataset(tmp_path) == dataset
+    matrix = ScoreMatrix(["u 1"], ["i|1"], [[0.5]])
+    write_scores_tsv(matrix, tmp_path)
+    assert read_scores(tmp_path) == matrix
 
 
 class TestScores:

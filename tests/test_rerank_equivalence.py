@@ -18,6 +18,7 @@ from fairrank.fair_rerank import (
     RerankContext,
     _ranked,
     _top_mask,
+    _top_row,
     cpfair,
     fairrec,
     min_regularizer,
@@ -31,9 +32,8 @@ from fairrank.metrics import rerank_quality
 seeds = st.integers(0, 2**32 - 1)
 
 
-@settings(max_examples=200)
-@given(seed=seeds)
-def test_top_k_kernel_matches_per_row_lexsort(seed):
+def _tie_heavy_rows(seed):
+    """``(primary, tie, n_valid, k)``: a few rows, some with fewer valid entries than k (or none)."""
     rng = np.random.default_rng(seed)
     n_rows, n_cols = int(rng.integers(1, 8)), int(rng.integers(1, 30))
     k = int(rng.integers(1, n_cols + 3))
@@ -41,7 +41,14 @@ def test_top_k_kernel_matches_per_row_lexsort(seed):
     # Few distinct values, both signs of zero, -inf exactly at invalid entries.
     primary = np.where(valid, rng.integers(-2, 3, (n_rows, n_cols)) / 2 * rng.choice([1.0, -1.0], (n_rows, n_cols)), -np.inf)
     tie = np.where(valid, rng.integers(0, 3, (n_rows, n_cols)) / 2, -np.inf)
-    n_valid = valid.sum(axis=1)
+    return primary, tie, valid.sum(axis=1), k
+
+
+@settings(max_examples=200)
+@given(seed=seeds)
+def test_top_k_kernel_matches_per_row_lexsort(seed):
+    primary, tie, n_valid, k = _tie_heavy_rows(seed)
+    n_rows = len(primary)
 
     mask = _top_mask(primary, tie, k, n_valid)
     got = _ranked(mask, primary, tie)
@@ -50,6 +57,15 @@ def test_top_k_kernel_matches_per_row_lexsort(seed):
         expected = ref.top_slate(primary[r], tie[r], min(k, int(n_valid[r])))
         assert got[r].tolist() == expected.tolist()
         assert np.flatnonzero(mask[r]).tolist() == sorted(expected.tolist())
+
+
+@settings(max_examples=200)
+@given(seed=seeds)
+def test_one_row_kernel_matches_per_row_lexsort(seed):
+    primary, tie, n_valid, k = _tie_heavy_rows(seed)
+    for r in np.flatnonzero(n_valid):  # a user without candidates never reaches the kernel
+        depth = min(k, int(n_valid[r]))
+        assert _top_row(primary[r], tie[r], depth).tolist() == ref.top_slate(primary[r], tie[r], depth).tolist()
 
 
 def _instance(seed):
@@ -118,6 +134,22 @@ def test_welf_matches_reference(seed):
     lam, alpha = float(rng.choice([0.0, 0.5, 3.0])), float(rng.choice([0.2, 0.5, 0.9]))
     iters = int(rng.integers(1, 12))
     _assert_same(welf(ctx, lam=lam, alpha=alpha, iters=iters), ref.welf(ctx, lam=lam, alpha=alpha, iters=iters))
+
+
+@pytest.mark.parametrize("k", [10, 20])
+@pytest.mark.parametrize("tie_heavy", [False, True], ids=["distinct", "tie-heavy"])
+def test_rerankers_match_references_on_rows_much_longer_than_k(k, tie_heavy):
+    rng = np.random.default_rng(2024 + k)
+    catalog, matrix = random_instance(rng, 60, 300, 8, tie_heavy=tie_heavy)
+    ctx = RerankContext(matrix, catalog, k)
+    if tie_heavy:  # rows whose ties overflow the slate at the k-th score, and rows shorter than k
+        S, n_valid = ctx.scores.S, ctx.scores.n_valid
+        kth = -np.sort(-S, axis=1)[:, k - 1 : k]
+        assert ((S >= kth).sum(axis=1) > k)[n_valid >= k].any() and (n_valid < k).any() and (n_valid > 10 * k).any()
+    _assert_same(welf(ctx), ref.welf(ctx, lam=1.0))
+    _assert_same(fairrec(ctx), ref.fairrec(ctx, phi=0.5))
+    _assert_same(min_regularizer(ctx), ref.min_regularizer(ctx, lam=1.0))
+    _assert_same(pmmf(ctx, lam=5.0), ref.pmmf(ctx, lam=5.0))
 
 
 def _quality(fn, *args):
