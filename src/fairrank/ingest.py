@@ -461,9 +461,10 @@ def filter_and_split(
 
 
 def _ranked(names: list[str], column: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """``names`` in ascending id order, and the position among them of each index into ``names`` in ``column``."""
+    """``names`` in ascending id order, and the position among them of each index into ``names`` in ``column``,
+    of ``column``'s dtype."""
     order = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), dtype=np.int64)
+    rank = np.empty(len(names), dtype=column.dtype)
     rank[order] = np.arange(len(names))
     return [names[c] for c in order], rank[column]
 
@@ -481,10 +482,14 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
 
     The file is read in chunks of whole lines.  Each chunk's field counts
     and relevance values are checked (a :class:`ParseError` names the
-    earliest bad line), and its qid, intent and doc columns become int
-    codes.  A query declares every intent it has a line for; its docs are
-    those with a relevance-1 line.  Duplicate (qid, intent, doc) lines are
-    resolved last-wins and counted in ``duplicate_count``.
+    earliest bad line), and its qid, intent and doc columns become int32
+    codes (a code counts distinct ids, so it stays below 2**31 for any file
+    that fits in memory).  Each column is then joined and ranked on its own,
+    and the three become one int64 key ``(q * n_i + i) * n_d + d`` per line;
+    one stable sort of the keys resolves duplicate (qid, intent, doc) lines
+    last-wins, counted in ``duplicate_count``, and only the kept lines' keys
+    go on.  A query declares every intent it has a line for; its docs are
+    those with a relevance-1 line.
     """
     tables = tuple(defaultdict(count().__next__) for _ in range(3))  # qid, intent, doc -> code, in first-seen order
     columns: tuple[list[np.ndarray], ...] = ([], [], [])
@@ -495,29 +500,39 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
             at, rel = next((at, rel) for at, rel in enumerate(tokens[3::4]) if rel not in ("0", "1"))
             raise ParseError(f"{path}: line {numbers[at]}: relevance {rel!r} not in {{0, 1}}")
         for offset, table, column in zip(range(3), tables, columns):
-            column.append(_codes(table, tokens[offset::4]))
+            column.append(_codes(table, tokens[offset::4]).astype(np.int32))
         rels += "".join(tokens[3::4]).encode("ascii")
     if not rels:
         return IntentJudgments([], [], [], [], np.zeros((0, 0, 0), dtype=bool))
-    (qids, q), (intents, i), (docs, d) = map(_ranked, map(list, tables), map(np.concatenate, columns))
+    ranked = []
+    for table, column in zip(tables, columns):  # one column at a time, its chunk parts released once joined
+        joined = np.concatenate(column)
+        column.clear()
+        ranked.append(_ranked(list(table), joined))
+    (qids, q), (intents, i), (docs, d) = ranked
+    del ranked, joined
     n_q, n_i, n_d = len(qids), len(intents), len(docs)
-    key = (q * n_i + i) * n_d + d
+    key = (q.astype(np.int64) * n_i + i) * n_d + d  # int32 times an int stays int32, and the key may pass 2**31
+    del q, i, d
     order = np.argsort(key, kind="stable")
-    last = np.append(key[order[1:]] != key[order[:-1]], True)  # the last line of each (qid, intent, doc) wins
-    kept = order[last]
-    q, i, d = q[kept], i[kept], d[kept]
-    positive = np.frombuffer(rels, dtype=np.uint8)[kept] == ord("1")
-    pairs = q * n_i + i  # ascending, as the kept lines are in key order
-    new = np.append(True, pairs[1:] != pairs[:-1])
-    intent_of = np.cumsum(new) - 1
-    query_intents, first_intent = _split(intents, pairs[new], n_i, n_q)
-    col = (intent_of - first_intent[q])[positive]
-    q, d = q[positive], d[positive]
+    key = key[order]
+    last = np.append(key[1:] != key[:-1], True)  # the last line of each (qid, intent, doc) wins
+    duplicate_count = len(key) - int(np.count_nonzero(last))
+    key = key[last]
+    positive = np.frombuffer(rels, dtype=np.uint8)[order[last]] == ord("1")
+    del order, last, rels
+    pairs = key // n_d  # q * n_i + i, ascending
+    declared = pairs[np.append(True, pairs[1:] != pairs[:-1])]  # each query's intents, as pairs
+    query_intents, first_intent = _split(intents, declared, n_i, n_q)
+    pairs, d = pairs[positive], key[positive] % n_d
+    del key, positive
+    q = pairs // n_i
+    col = np.searchsorted(declared, pairs) - first_intent[q]
     listed, doc_of = np.unique(q * n_d + d, return_inverse=True)
     first_doc = np.searchsorted(listed, np.arange(n_q) * n_d)
     rel = np.zeros((n_q, np.bincount(listed // n_d, minlength=n_q).max(), max(map(len, query_intents))), dtype=bool)
     rel[q, doc_of - first_doc[q], col] = True
-    return IntentJudgments(qids, query_intents, docs, listed, rel, duplicate_count=len(key) - len(kept))
+    return IntentJudgments(qids, query_intents, docs, listed, rel, duplicate_count=duplicate_count)
 
 
 def parse_run_file(path: str | Path, truncate: int | None = 50) -> SearchRun:
@@ -573,8 +588,16 @@ def parse_run_file(path: str | Path, truncate: int | None = 50) -> SearchRun:
 
 
 def write_run_file(run: SearchRun, path: str | Path, tag: str) -> None:
-    """Write every query's ranked docs in 6-column TREC format."""
+    """Write every query's ranked docs in 6-column TREC format.
+
+    An id in the run's tables, or a tag, that is empty or holds whitespace would not read back as one column: it
+    is a FormatError raised before the file is touched.
+    """
     path, ranked = Path(path), run.docs >= 0
+    for kind, ids in (("query id", run.query_ids), ("doc id", run.doc_ids), ("tag", [tag])):
+        for bad in (x for x in ids if x.split() != [x]):  # str.split() splits the run file's columns
+            raise FormatError(f"cannot write {kind} {bad!r} to {path}: it is empty or holds whitespace and would not "
+                              "read back")
     entries = zip(*(a.tolist() for a in (*np.nonzero(ranked), run.docs[ranked], run.scores[ranked])))
     lines = (f"{run.query_ids[q]} Q0 {run.doc_ids[d]} {r + 1} {s!r} {tag}\n" for q, r, d, s in entries)
     with writing(path.parent, "run file"):
@@ -606,7 +629,8 @@ def _write_log(path: Path, log: InteractionLog) -> None:
 def write_dataset(dataset: SplitDataset, directory: str | Path) -> None:
     """Write a SplitDataset as versioned line-oriented tables plus a manifest.
 
-    An id or group name that a table could not read back is a FormatError raised before any file is written.
+    An id or group name that a table could not read back, or a group that no item belongs to, is a FormatError
+    raised before any file is written.
     """
     cat, directory = dataset.catalog, Path(directory)
     user_groups = cat.user_groups or {}
@@ -614,6 +638,9 @@ def write_dataset(dataset: SplitDataset, directory: str | Path) -> None:
                             ("items.tsv", "item id", cat.items)):
         _refuse_unreadable(directory / name, kind, ids)
     _refuse_unreadable(directory / "items.tsv", "item group", cat.group_ids, _FIELD_BREAKS + "|")
+    for j in np.flatnonzero(~cat.member.any(axis=0))[:1]:  # items.tsv holds groups only as memberships
+        raise FormatError(f"cannot write item group {cat.group_ids[j]!r} to {directory / 'items.tsv'}: no item "
+                          "belongs to it, so it would not read back")
     with writing(directory, "dataset") as directory:
         manifest = {
             "format_version": CANONICAL_FORMAT_VERSION,

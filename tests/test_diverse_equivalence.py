@@ -222,6 +222,24 @@ def test_qrels_parser_matches_per_line_parser(chunk_chars, seed):
     assert got.duplicate_count == want.duplicate_count
 
 
+def test_qrels_keys_past_int32_match_per_line_parser(tmp_path):
+    """2,000 queries x 10 intents x 110,000 docs, one line a doc, then every 1,000th line again with the other
+    relevance: the parser's line keys ``(q * n_i + i) * n_d + d`` pass 2**31, where int32 arithmetic would wrap."""
+    n_q, n_i, n_d = 2000, 10, 110_000
+    assert n_q * n_i * n_d > 2**31
+    line = lambda j, rel: f"q{j % n_q:04d} i{j // n_q % n_i} d{j:06d} {rel}\n"
+    lines = [line(j, int(j % 3 > 0)) for j in range(n_d)] + [line(j, int(j % 3 == 0)) for j in range(0, n_d, 1000)]
+    path = tmp_path / "qrels"
+    path.write_text("".join(lines), encoding="utf-8")
+    got, want = ingest.parse_diversity_qrels(path), ref.parse_diversity_qrels(path)
+    assert (len(got.query_ids), len(got.doc_ids), max(map(len, got.intents))) == (n_q, n_d, n_i)
+    docs = lambda judg: [ref.docs_of(judg, q) for q in range(len(judg.query_ids))]
+    assert (got.query_ids, got.intents, docs(got)) == (want.query_ids, want.intents, docs(want))
+    assert got.rel.shape == want.rel.shape and np.array_equal(got.rel, want.rel)
+    assert got.prior.tolist() == want.prior.tolist()
+    assert got.duplicate_count == want.duplicate_count == n_d // 1000
+
+
 def _run_lines(rng: np.random.Generator) -> list[list[str]]:
     """Valid TREC run lines of up to five queries, interleaved, with ranks that rise by assorted steps and spellings."""
     n_queries = int(rng.integers(1, 6))

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairrank.core import InteractionLog, RankingSlate, ScoreMatrix
+from fairrank.core import Catalog, InteractionLog, RankingSlate, ScoreMatrix
 from fairrank.errors import (
     EmptyDataset,
     FormatError,
@@ -285,6 +286,23 @@ class TestDiversityQrels:
             q = query_of(judg, qid)
             assert 3 <= len(q.intents) <= 8
             assert abs(sum(q.priors.values()) - 1.0) < 1e-9
+
+    def test_parse_peak_memory_per_line(self, tmp_path):
+        # Shaped like perfbench/searchgen.py: each query judges each of its docs for each of its 6 intents.
+        rel = np.random.default_rng(5).random((100, 100, 6)) < 0.15
+        lines = [f"q{q:04d} i{i} d{q:04d}-{j:03d} {int(rel[q, j, i])}\n"
+                 for q in range(100) for j in range(100) for i in range(6)]
+        path = tmp_path / "qrels"
+        path.write_text("".join(lines), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            judg = parse_diversity_qrels(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert judg.rel.sum() == rel.sum()
+        # Measured at about 74 B a line; int64 code columns and their whole-file temporaries take about 129.
+        assert peak / len(lines) < 88
 
 
 class TestQueryJudgments:
@@ -688,10 +706,10 @@ def test_write_failing_midway_leaves_previous_files_whole(tmp_path, monkeypatch,
 BREAKS = {"tab": "\t", "newline": "\n", "carriage-return": "\r"}
 
 
-def _refused(directory, write, what, kind, bad):
+def _refused(directory, write, what, kind, bad, reason="it holds one of "):
     """``write()`` raises the FormatError naming ``bad`` and the table ``what``, leaving ``directory`` as it was."""
     before = {p.name: p.read_bytes() for p in directory.iterdir()}
-    message = f"cannot write {kind} {bad!r} to {directory / what}: it holds one of "
+    message = f"cannot write {kind} {bad!r} to {directory / what}: {reason}"
     with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
         write()
     assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
@@ -731,6 +749,30 @@ def test_dataset_refuses_an_id_or_group_that_would_not_read_back(tmp_path, field
     _write_dataset(tmp_path)
     bad = f"x{brk}1"
     _refused(tmp_path, lambda: write_dataset(_tiny_dataset(**{field: bad}), tmp_path), what, kind, bad)
+
+
+def test_dataset_refuses_a_group_that_no_item_belongs_to(tmp_path):
+    _write_dataset(tmp_path)
+    item_groups = {"i0": frozenset({"g0"}), "i1": frozenset({"g1"})}
+    catalog = Catalog(users=["u0"], items=["i0", "i1"], groups=["g0", "g1", "g2"], item_groups=item_groups)
+    log = InteractionLog(catalog.users, catalog.items, [0], [0], [1.0], [1])
+    dataset = SplitDataset(log, log.take([]), log.take([]), catalog, ((0.8, 0.1, 0.1), 1))
+    _refused(tmp_path, lambda: write_dataset(dataset, tmp_path), "items.tsv", "item group", "g2",
+             "no item belongs to it")
+
+
+UNSPLITTABLE = {"space": "d 1", "tab": "d\t1", "line-separator": "d\u20281", "empty": ""}
+
+
+@pytest.mark.parametrize("kind", ["query id", "doc id", "tag"])
+@pytest.mark.parametrize("bad", UNSPLITTABLE.values(), ids=UNSPLITTABLE)
+def test_run_file_refuses_an_id_that_would_not_read_back(tmp_path, kind, bad):
+    _write_run(tmp_path)  # a run file that the refused write must leave as it was
+    ids = {"query id": "q1", "doc id": "d2", "tag": "x"}
+    ids[kind] = bad
+    run = run_of({"q0": [("d0", 2.0)], ids["query id"]: [("d1", 1.0), (ids["doc id"], 0.5)]})
+    write = lambda: write_run_file(run, tmp_path / "rerank-x.run", tag=ids["tag"])
+    _refused(tmp_path, write, "rerank-x.run", kind, bad, "it is empty or holds whitespace")
 
 
 def test_ids_holding_a_bar_or_spaces_still_round_trip(tmp_path):
