@@ -6,10 +6,9 @@ Formats handled here:
   names remappable through a column spec),
 * item groups: TSV ``item_id<TAB>group1|group2|...`` (no header),
 * diversity qrels: whitespace-separated ``qid intent_id doc_id rel``, read
-  in chunks of lines into one query x doc x intent table
-  (:class:`IntentJudgments`),
-* run files: 6-column TREC format ``qid Q0 docid rank score tag``, read in
-  chunks of lines into one queries x depth array (:class:`SearchRun`),
+  into one query x doc x intent table (:class:`IntentJudgments`),
+* run files: 6-column TREC format ``qid Q0 docid rank score tag``, read into
+  one queries x depth array (:class:`SearchRun`),
 * the canonical dataset directory (versioned line-oriented tables plus a
   small manifest),
 * stored scores: the ``scores.tsv`` import table, or the binary store
@@ -18,9 +17,12 @@ Formats handled here:
 * the binary store itself (:func:`write_store`, :func:`read_store`), which
   holds both trained scores and model checkpoints, one member spec per kind.
 
-Every text file above is read by one chunk reader, which splits bounded chunks
-of whole lines into fields (on tabs in tables, on any whitespace in qrels and run
-files); the parsers convert whole columns, and an error names the earliest bad line.
+Every text file above is read by one column reader, :func:`_read`, from the
+column spec its parser declares: each column's name, field and kind (an id coded
+into a first-seen table, an int, a float, a {0, 1} flag or raw text).  It splits
+bounded chunks of whole lines into fields (on tabs in tables, on any whitespace in
+qrels and run files), converts each chunk's columns, and joins each column once;
+an error names the earliest bad line.
 Every writer here writes each file through :func:`replace_file`, so a run that
 stops mid-write leaves the previous file whole.
 """
@@ -36,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, count, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 import yaml
@@ -228,28 +230,90 @@ CHUNK_CHARS = 1 << 18  # readlines() size hint: bounds the lines and tokens a re
 _END = "\0"  # marks each line end among a chunk's tokens
 
 
-def _chunks(path: Path, what: str, width: int | None, sep: str | None = None, error: Callable | None = None,
-            header: bool = False) -> Iterator[tuple[np.ndarray, list[str]]]:
-    """Yield ``(line numbers, tokens)`` for each chunk of whole lines of the ``what`` file ``path``: the fields,
-    ``width`` a line, of its non-blank lines.  A chunk ends before a line of another width, and asking for the
-    next one raises ``error(line number, width)`` of that line (by default a ParseError), so the caller checks
-    the lines before it first; asking for it also empties the tokens list, so one chunk is held at a time.
-    Fields are split on ``sep``, or on any whitespace; a line is blank when it has no fields, which split on
-    ``sep`` only an empty line has.  With ``header``, the first non-blank line comes first, as a chunk of its
-    own, and a ``width`` of None is its width.
-    A chunk is split once with a mark at each line end, and again line by line only if its marks are misplaced."""
-    error = error or (lambda lineno, n: ParseError(f"{path}: line {lineno}: expected {width} fields, got {n}"))
-    split = lambda line: line.split(sep) if line else []
-    gap, lineno = sep or " ", 1
+class _Kind(NamedTuple):
+    """A column kind: ``convert`` turns each field into ``dtype`` (into ``wide``, if given, in a chunk with a value
+    that overflows ``dtype``), and ``valid`` marks the values in range, ``fault`` wording one that is not from the
+    column's ``name``, the ``value`` and the line's ``fields``.  An id column (no ``convert``) becomes int32 codes in
+    a first-seen table of its own (a code counts distinct ids, so it stays below 2**31 for any file that fits in
+    memory), and a text column (no ``dtype``) keeps its fields."""
+
+    convert: Callable | None = None
+    dtype: object = None
+    wide: object = None
+    valid: Callable | None = None
+    fault: str = ""
+
+
+class _Flags(dict):
+    def __missing__(self, field: str) -> bool:
+        raise ValueError(f"relevance {field!r} not in {{0, 1}}")
+
+
+_ID, _TEXT = _Kind(dtype=np.dtype(np.int32)), _Kind()
+_INT, _FLOAT = _Kind(int, np.dtype(np.int64)), _Kind(float, np.dtype(np.float64))
+_RANK = _INT._replace(wide=object)  # a chunk with a rank past int64 holds Python ints, compared exactly
+_FLAG = _Kind(_Flags({"0": False, "1": True}).__getitem__, bool)
+_FINITE = _FLOAT._replace(valid=np.isfinite, fault="non-finite {name}")
+_LABEL = _FLOAT._replace(valid=lambda v: (v >= 0.0) & (v <= 5.0), fault="{name} {value} outside [0, 5]")
+_GROUPS = _Kind(lambda raw: frozenset(filter(None, raw.split("|"))), object, valid=lambda v: v.astype(bool),
+                fault="item {fields[0]!r} has no groups")
+
+
+def _converted(kind: _Kind, fields: list[str], name: str) -> tuple[np.ndarray, tuple | None]:
+    """``fields`` converted as ``kind`` up to the first that fails, and that field's row and error, or None."""
+    rest = iter(fields)
+    try:
+        return np.fromiter(map(kind.convert, rest), kind.dtype, len(fields)), None
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int outside an int dtype
+        if kind.wide and isinstance(exc, OverflowError):
+            return _converted(kind._replace(dtype=kind.wide, wide=None), fields, name)
+        at = len(fields) - operator.length_hint(rest) - 1  # the failing field was the last one taken
+        error = str(exc) if isinstance(exc, ValueError) else f"{name} {kind.convert(fields[at])} outside {kind.dtype}"
+        return np.fromiter(map(kind.convert, fields[:at]), kind.dtype, at), (at, error)
+
+
+def _repeat(key: np.ndarray) -> tuple[int, int] | None:
+    """The rows of the earliest line whose ``key`` an earlier line has and of the latest such earlier line, or
+    None."""
+    order = np.argsort(key, kind="stable")
+    same = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    j = same[np.argmin(order[same + 1])] if same.size else None
+    return None if j is None else (int(order[j]), int(order[j + 1]))
+
+
+def _refuse_repeats(path: str | Path, key: np.ndarray, line: Callable[[int], int], what: Callable[[int], str]) -> None:
+    """Raise a ParseError naming the earliest line of ``path`` whose ``key`` an earlier line has, the latest such
+    earlier line, and ``what`` of its row; ``line`` gives a row's line number."""
+    if repeat := _repeat(key):
+        raise ParseError(f"{path}: lines {line(repeat[0])} and {line(repeat[1])}: repeated {what(repeat[0])}")
+
+
+def _read(path: str | Path, what: str, width: int | None, columns: tuple | Callable, sep: str | None = "\t",
+          header: bool = False, error: type = ParseError, shape: str = "expected {width} fields, got {n}",
+          defer: bool = False) -> tuple[dict, Callable[[int], int], Exception | None]:
+    """The ``columns``, as ``(name, kind, field)``, of the ``what`` file ``path``, whose non-blank lines hold
+    ``width`` fields split on ``sep`` (or on any whitespace; split on ``sep``, only an empty line is blank).  With
+    ``header``, the first non-blank line is a header: ``width`` may be None for its width, and ``columns`` a function
+    of its fields.  The earliest line of another width (worded by ``shape``), with a field that does not convert or
+    with a value out of range (on one line: a conversion, then a range, each by column) ends the rows with an
+    ``error``, raised here unless ``defer``.
+    Returns each column by name (an id column as its ids, in first-seen order, and their codes), a function giving
+    a row's line number, and the error, or None.
+    The file is read in chunks of whole lines, one held at a time.  A chunk is split once with a mark at each line
+    end, and again line by line only if its marks are misplaced; its columns are then converted.  Each column is
+    joined once the file is read, releasing its chunk parts."""
+    split, gap, numbers_of, pending = (lambda line: line.split(sep) if line else []), sep or " ", [], None
     with open_text(path, what) as fh:
-        while header and (line := fh.readline()):
-            if fields := split(line.removesuffix("\n")):
-                if len(fields) != (width := width or len(fields)):
-                    raise error(lineno, len(fields))
-                yield np.array([lineno]), fields
-                header = False
-            lineno += 1
-        while lines := fh.readlines(CHUNK_CHARS):
+        fields, lineno = [], 1
+        while header and not fields and (line := fh.readline()):
+            fields, lineno = split(line.removesuffix("\n")), lineno + 1
+        columns = columns(fields) if callable(columns) else columns
+        width = width or len(fields)
+        if len(fields) not in (0, width):
+            pending = error(f"{path}: line {lineno - 1}: " + shape.format(width=width, n=len(fields)))
+        tables = {name: defaultdict(count().__next__) for name, kind, _ in columns if kind is _ID}
+        parts: dict[str, list] = {name: [] for name, _, _ in columns}
+        while not pending and (lines := fh.readlines(CHUNK_CHARS)):
             n, blank, text = len(lines), "\n" in lines, "".join(lines).removesuffix("\n")
             del lines
             tokens = (text.replace("\n", f"{gap}{_END}{gap}") + gap + _END).split(sep)
@@ -257,18 +321,40 @@ def _chunks(path: Path, what: str, width: int | None, sep: str | None = None, er
             if (len(tokens) == (width + 1) * n and tokens[width :: width + 1].count(_END) == n == tokens.count(_END)
                     and not blank):
                 del tokens[width :: width + 1], text
-                numbers, bad = np.arange(lineno, lineno + n), n
-            else:
+                numbers, faults = range(lineno, lineno + n), []
+            else:  # line by line; a line of another width ends the rows, after every row before it
                 fields = list(map(split, text.split("\n")))
                 widths = np.fromiter(map(len, fields), np.intp, n)
                 bad = np.append(np.flatnonzero((widths != width) & (widths != 0)), n)[0]
-                numbers, tokens = np.flatnonzero(widths[:bad]) + lineno, list(chain.from_iterable(fields[:bad]))
+                numbers, tokens = np.flatnonzero(widths[: bad + 1]) + lineno, list(chain.from_iterable(fields[:bad]))
+                faults = [(len(numbers) - 1, shape.format(width=width, n=widths[bad]))] if bad < n else []
                 del fields, text
-            yield numbers, tokens
-            tokens.clear()
-            if bad < n:
-                raise error(lineno + bad, widths[bad])
+            values = {name: _converted(kind, tokens[at::width], name) for name, kind, at in columns if kind.convert}
+            faults += [fault for _, fault in values.values()]
+            for name, kind, _ in columns:  # on one line, a value out of range comes after any field that fails
+                for out in np.flatnonzero(~kind.valid(values[name][0]))[:1] if kind.valid else ():
+                    fields = tokens[width * out : width * (out + 1)]
+                    faults.append((out, kind.fault.format(name=name, value=values[name][0][out], fields=fields)))
+            rows, fault = min(filter(None, faults), key=operator.itemgetter(0), default=(len(numbers), None))
+            for name, kind, at in columns:
+                part = values[name][0][:rows] if kind.convert else tokens[at : width * rows : width]
+                if kind is _ID:
+                    part = np.fromiter(map(tables[name].__getitem__, part), kind.dtype, rows)
+                parts[name].append(part)
+            numbers_of.append(numbers[:rows])
+            if fault:
+                pending = error(f"{path}: line {numbers[rows]}: {fault}")
+            del tokens, values
             lineno += n
+    if pending and not defer:
+        raise pending
+    for name, kind, _ in columns:  # one column at a time, its chunk parts released once joined
+        part = parts[name]
+        parts[name] = np.concatenate([np.empty(0, kind.dtype), *part]) if kind.dtype else [*chain.from_iterable(part)]
+        part.clear()
+        if name in tables:
+            parts[name] = list(tables.pop(name)), parts[name]
+    return parts, lambda row: int(next(islice(chain.from_iterable(numbers_of), row, None))), pending
 
 
 def read_yaml(path: str | Path, what: str, required: Sequence[str] = ()) -> dict:
@@ -317,23 +403,6 @@ def replace_file(path: Path, data: str | bytes | memoryview) -> None:
         temporary.unlink(missing_ok=True)
 
 
-def _converted(convert: Callable, dtype, column: Sequence[str], name: str) -> tuple[np.ndarray, tuple | None]:
-    """The fields of the ``name`` column converted by ``convert`` into ``dtype`` up to the first that fails, and
-    that field's row and error, or None."""
-    rest = iter(column)
-    try:
-        return np.fromiter(map(convert, rest), dtype, len(column)), None
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int outside an int dtype
-        at = len(column) - operator.length_hint(rest) - 1  # the failing field was the last one taken
-        error = str(exc) if isinstance(exc, ValueError) else f"{name} {convert(column[at])} outside {np.dtype(dtype)}"
-        return np.fromiter(map(convert, column[:at]), dtype, at), (at, error)
-
-
-def _codes(table: defaultdict, column: Sequence[str]) -> np.ndarray:
-    """The code in ``table`` of each id in ``column``; ``table`` gives an id it does not hold the next code."""
-    return np.fromiter(map(table.__getitem__, column), np.intp, len(column))
-
-
 def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None = None) -> InteractionLog:
     """Parse a header + TSV interaction file into an InteractionLog.
 
@@ -344,42 +413,26 @@ def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None =
     whose label is outside [0, 5], is a ParseError.
     """
     spec = {**DEFAULT_COLUMN_SPEC, **(column_spec or {})}
-    chunks = _chunks(path, "interaction", None, "\t", header=True)
-    _, header = next(chunks, (None, []))  # an empty file has no header
-    for role in DEFAULT_COLUMN_SPEC:  # user, item, label, timestamp
-        if spec[role] not in header:
-            raise SchemaError(f"{role} column {spec[role]!r} not found in header of {path}")
-    user_at, item_at, label_at, stamp_at = (header.index(spec[role]) for role in DEFAULT_COLUMN_SPEC)
-    width, users, items = len(header), defaultdict(count().__next__), defaultdict(count().__next__)
-    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), np.empty(0, np.int64))]
-    for numbers, tokens in chunks:
-        label, label_fault = _converted(float, np.float64, tokens[label_at::width], "label")
-        stamp, stamp_fault = _converted(int, np.int64, tokens[stamp_at::width], "timestamp")
-        outside = np.flatnonzero(~((label >= 0.0) & (label <= 5.0)))  # NaN fails both
-        range_fault = (outside[0], f"label {float(label[outside[0]])} outside [0, 5]") if outside.size else None
-        # The earliest line wins; on one line, a label that does not convert, then the timestamp, then the range.
-        if fault := min(filter(None, (label_fault, stamp_fault, range_fault)), key=operator.itemgetter(0), default=None):
-            raise ParseError(f"{path}: line {numbers[fault[0]]}: {fault[1]}")
-        parts.append((_codes(users, tokens[user_at::width]), _codes(items, tokens[item_at::width]), label, stamp))
-    user, item, label, stamp = map(np.concatenate, zip(*parts))
-    return InteractionLog(list(users), list(items), user, item, label, stamp)
+
+    def columns(header: list[str]) -> tuple:
+        for role in DEFAULT_COLUMN_SPEC:  # user, item, label, timestamp
+            if spec[role] not in header:
+                raise SchemaError(f"{role} column {spec[role]!r} not found in header of {path}")
+        kinds = zip(DEFAULT_COLUMN_SPEC, (_ID, _ID, _LABEL, _INT))
+        return tuple((role, kind, header.index(spec[role])) for role, kind in kinds)
+
+    (users, user), (items, item), label, stamp = _read(path, "interaction", None, columns, header=True)[0].values()
+    return InteractionLog(users, items, user, item, label, stamp)
 
 
 def parse_item_groups(path: str | Path) -> dict[str, frozenset[str]]:
     """Parse a TSV ``item_id<TAB>group1|group2|...`` membership file; a repeated item's last line wins."""
-    out: dict[str, frozenset[str]] = {}
-    for numbers, tokens in _chunks(path, "item-group", 2, "\t"):
-        groups = [frozenset(filter(None, raw.split("|"))) for raw in tokens[1::2]]
-        if frozenset() in groups:
-            at = groups.index(frozenset())
-            raise ParseError(f"{path}: line {numbers[at]}: item {tokens[2 * at]!r} has no groups")
-        out.update(zip(tokens[0::2], groups))
-    return out
+    return dict(zip(*_read(path, "item-group", 2, (("item", _TEXT, 0), ("groups", _GROUPS, 1)))[0].values()))
 
 
 def parse_user_groups(path: str | Path) -> dict[str, str]:
     """Parse a TSV ``user_id<TAB>group`` file (no header)."""
-    return dict(row for _, tokens in _chunks(path, "user-group", 2, "\t") for row in zip(tokens[0::2], tokens[1::2]))
+    return dict(zip(*_read(path, "user-group", 2, (("user", _TEXT, 0), ("group", _TEXT, 1)))[0].values()))
 
 
 def _present(ids: list[str], column: np.ndarray) -> list[str]:
@@ -480,37 +533,19 @@ def _split(names: list[str], pairs: np.ndarray, n_names: int, n_q: int) -> tuple
 def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
     """Parse ``qid intent_id doc_id rel`` judgments; priors default to uniform.
 
-    The file is read in chunks of whole lines.  Each chunk's field counts
-    and relevance values are checked (a :class:`ParseError` names the
-    earliest bad line), and its qid, intent and doc columns become int32
-    codes (a code counts distinct ids, so it stays below 2**31 for any file
-    that fits in memory).  Each column is then joined and ranked on its own,
-    and the three become one int64 key ``(q * n_i + i) * n_d + d`` per line;
-    one stable sort of the keys resolves duplicate (qid, intent, doc) lines
-    last-wins, counted in ``duplicate_count``, and only the kept lines' keys
-    go on.  A query declares every intent it has a line for; its docs are
-    those with a relevance-1 line.
+    The qid, intent and doc codes (:func:`_read`) are each ranked to
+    ascending ids on their own, one column at a time, and the three become
+    one int64 key ``(q * n_i + i) * n_d + d`` per line; one stable sort of
+    the keys resolves duplicate (qid, intent, doc) lines last-wins, counted
+    in ``duplicate_count``, and only the kept lines' keys go on.  A query
+    declares every intent it has a line for; its docs are those with a
+    relevance-1 line.
     """
-    tables = tuple(defaultdict(count().__next__) for _ in range(3))  # qid, intent, doc -> code, in first-seen order
-    columns: tuple[list[np.ndarray], ...] = ([], [], [])
-    rels = bytearray()
-    shape = lambda lineno, n: ParseError(f"{path}: line {lineno}: expected 'qid intent doc rel', got {n} fields")
-    for numbers, tokens in _chunks(path, "qrels", 4, error=shape):
-        if not set(tokens[3::4]) <= {"0", "1"}:
-            at, rel = next((at, rel) for at, rel in enumerate(tokens[3::4]) if rel not in ("0", "1"))
-            raise ParseError(f"{path}: line {numbers[at]}: relevance {rel!r} not in {{0, 1}}")
-        for offset, table, column in zip(range(3), tables, columns):
-            column.append(_codes(table, tokens[offset::4]).astype(np.int32))
-        rels += "".join(tokens[3::4]).encode("ascii")
-    if not rels:
+    columns = _read(path, "qrels", 4, (("qid", _ID, 0), ("intent", _ID, 1), ("doc", _ID, 2), ("relevance", _FLAG, 3)),
+                    None, shape="expected 'qid intent doc rel', got {n} fields")[0]
+    if not len(columns["relevance"]):
         return IntentJudgments([], [], [], [], np.zeros((0, 0, 0), dtype=bool))
-    ranked = []
-    for table, column in zip(tables, columns):  # one column at a time, its chunk parts released once joined
-        joined = np.concatenate(column)
-        column.clear()
-        ranked.append(_ranked(list(table), joined))
-    (qids, q), (intents, i), (docs, d) = ranked
-    del ranked, joined
+    (qids, q), (intents, i), (docs, d) = (_ranked(*columns.pop(name)) for name in ("qid", "intent", "doc"))
     n_q, n_i, n_d = len(qids), len(intents), len(docs)
     key = (q.astype(np.int64) * n_i + i) * n_d + d  # int32 times an int stays int32, and the key may pass 2**31
     del q, i, d
@@ -519,8 +554,8 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
     last = np.append(key[1:] != key[:-1], True)  # the last line of each (qid, intent, doc) wins
     duplicate_count = len(key) - int(np.count_nonzero(last))
     key = key[last]
-    positive = np.frombuffer(rels, dtype=np.uint8)[order[last]] == ord("1")
-    del order, last, rels
+    positive = columns.pop("relevance")[order[last]]
+    del order, last
     pairs = key // n_d  # q * n_i + i, ascending
     declared = pairs[np.append(True, pairs[1:] != pairs[:-1])]  # each query's intents, as pairs
     query_intents, first_intent = _split(intents, declared, n_i, n_q)
@@ -541,36 +576,20 @@ def parse_run_file(path: str | Path, truncate: int | None = 50) -> SearchRun:
     Queries may interleave; each keeps its file order.  A :class:`FormatError` names the earliest line, past
     ``truncate`` too, of another width, with a rank not an int or not above its query's last, a score not finite,
     or a doc its query listed before."""
-    tables = (defaultdict(count().__next__), defaultdict(count().__next__))  # qid, doc -> code, in first-seen order
-    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, object), np.empty(0))]
-    shape, pending = lambda lineno, n: FormatError(f"{path}: line {lineno}: expected 6 TREC columns, got {n}"), None
-    try:
-        for numbers, tokens in _chunks(path, "run", 6, error=shape):
-            ranks, rank_fault = _converted(int, object, tokens[3::6], "rank")  # Python ints, which may pass int64
-            scores, score_fault = _converted(float, np.float64, tokens[4::6], "score")
-            infinite = np.flatnonzero(~np.isfinite(scores))
-            infinite_fault = (infinite[0], "non-finite score") if infinite.size else None
-            fault = min(filter(None, (rank_fault, score_fault, infinite_fault)), key=operator.itemgetter(0), default=None)
-            n = fault[0] if fault else len(numbers)
-            q, d = _codes(tables[0], tokens[0 : 6 * n : 6]), _codes(tables[1], tokens[2 : 6 * n : 6])
-            parts.append((numbers[:n], q, d, ranks[:n], scores[:n]))
-            if fault:
-                pending = FormatError(f"{path}: line {numbers[n]}: {fault[1]}")
-                break
-    except FormatError as exc:  # a line of another width, raised once the lines before it are parsed
-        pending = exc
-    numbers, q, d, ranks, scores = (np.concatenate(column) for column in zip(*parts))
-    query_ids, row = _ranked(list(tables[0]), q)
+    columns, line, pending = _read(path, "run", 6, (("qid", _ID, 0), ("doc", _ID, 2), ("rank", _RANK, 3),
+                                                    ("score", _FINITE, 4)), None, error=FormatError,
+                                   shape="expected 6 TREC columns, got {n}", defer=True)
+    (query_ids, row), (names, d), ranks, scores = columns.values()
+    query_ids, row = _ranked(query_ids, row)
+    n = len(row)
     order = np.argsort(row, kind="stable")  # each query's lines, in file order
     later = order[1:][(row[order[1:]] == row[order[:-1]]) & (ranks[order[1:]] <= ranks[order[:-1]])]
-    key = row * len(tables[1]) + d
-    by_key = np.argsort(key, kind="stable")
-    repeated = by_key[1:][key[by_key[1:]] == key[by_key[:-1]]]
-    if (at := min(later.min(initial=len(q)), repeated.min(initial=len(q)))) < len(q):
-        where, qid = f"{path}: line {numbers[at]}", query_ids[row[at]]
+    repeat = _repeat(row.astype(np.int64) * len(names) + d)
+    if (at := min(later.min(initial=n), repeat[1] if repeat else n)) < n:
+        where, qid = f"{path}: line {line(at)}", query_ids[row[at]]
         if at in later:
             raise FormatError(f"{where}: rank {ranks[at]} not strictly increasing for query {qid!r}")
-        raise FormatError(f"{where}: duplicate doc {list(tables[1])[d[at]]!r} for query {qid!r}")
+        raise FormatError(f"{where}: duplicate doc {names[d[at]]!r} for query {qid!r}")
     if pending:
         raise pending
     row = row[order]
@@ -579,7 +598,6 @@ def parse_run_file(path: str | Path, truncate: int | None = 50) -> SearchRun:
         keep = rank < (truncate if truncate >= 0 else np.bincount(row)[row] + truncate)
         order, row, rank = order[keep], row[keep], rank[keep]
     used, code = np.unique(d[order], return_inverse=True)
-    names = list(tables[1])
     doc_ids, code = _ranked([names[c] for c in used.tolist()], code)
     docs = np.full((len(query_ids), rank.max(initial=-1) + 1), -1)
     table = np.zeros(docs.shape)
@@ -673,9 +691,11 @@ def read_dataset(directory: str | Path) -> SplitDataset:
             and "min_interactions" in split):
         raise ParseError(f"{manifest_path}: counts must be a mapping, split one with ratios and min_interactions")
 
-    chunks = islice(_chunks(directory / "users.tsv", "user", 2, "\t", header=True), 1, None)  # past the header
-    rows = [row for _, tokens in chunks for row in zip(tokens[0::2], tokens[1::2])]
-    users, user_groups = [user for user, _ in rows], {user: group for user, group in rows if group}
+    path = directory / "users.tsv"
+    columns, line, _ = _read(path, "user", 2, (("user", _ID, 0), ("group", _TEXT, 1)), header=True)
+    (users, user), groups = columns.values()
+    _refuse_repeats(path, user, line, lambda row: f"user {users[user[row]]!r}")
+    user_groups = {user: group for user, group in zip(users, groups) if group}
 
     item_groups = parse_item_groups(directory / "items.tsv")
     logs = {name: parse_interactions(directory / f"{name}.tsv") for name in ("train", "valid", "test")}
@@ -696,6 +716,9 @@ def _write_sidecar(scores: ScoreMatrix, directory: Path) -> None:
 # ``item_bias`` exactly when its manifest says ``use_item_bias``.
 _FLOATS = np.dtype(np.float64)
 _ID_TABLES = {"user_ids": ("U", 1), "item_ids": ("U", 1)}
+# The most users x items cells a score table may scatter into: 9 GiB of ``S`` and ``valid``, a hundred times
+# the cells of a 5000 x 2000 table.
+SCORE_CELL_LIMIT = 1 << 30
 SCORE_STORE = {"S": (_FLOATS, 2), "valid": (np.dtype(bool), 2), **_ID_TABLES}
 MODEL_STORE = {"user_vecs": (_FLOATS, 2), "item_vecs": (_FLOATS, 2), **_ID_TABLES}
 BIASED_MODEL_STORE = {**MODEL_STORE, "item_bias": (_FLOATS, 1)}
@@ -799,10 +822,10 @@ def read_scores(directory: str | Path) -> ScoreMatrix:
     """Read back a stored ScoreMatrix: the store ``scores.npz`` when the directory holds
     one, else the table ``scores.tsv``.
 
-    The table is read in chunks of lines, each turned into user and item codes and
-    scores, which are scattered into the score array once at the end.  The earliest
-    line of another width or with a score that does not convert is a ParseError, and
-    after them a (user, item) pair on two lines is one naming both.
+    The table is read as user and item codes and scores, scattered into the score
+    array.  The earliest line of another width or with a score that does not convert
+    is a ParseError, and after them a (user, item) pair on two lines is one naming
+    both; so is a table whose distinct users times items pass ``SCORE_CELL_LIMIT``.
     The ``scores.meta.yaml`` sidecar is optional (semantics ``raw``).
     """
     directory = Path(directory)
@@ -814,24 +837,15 @@ def read_scores(directory: str | Path) -> ScoreMatrix:
     if (directory / "scores.npz").exists():
         build = lambda S, valid, user_ids, item_ids: ScoreMatrix(user_ids, item_ids, S, valid, semantics=semantics)
         return read_store(directory / "scores.npz", "score", SCORE_STORE, build)
-    users, items, parts = defaultdict(count().__next__), defaultdict(count().__next__), []
-    lines = lambda: islice(_chunks(table, "score", 3, "\t", header=True), 1, None)  # past the header
-    for numbers, tokens in lines():
-        values, fault = _converted(float, np.float64, tokens[2::3], "score")
-        if fault:
-            raise ParseError(f"{table}: line {numbers[fault[0]]}: {fault[1]}")
-        parts.append((_codes(users, tokens[0::3]), _codes(items, tokens[1::3]), values))
+    columns, line, _ = _read(table, "score", 3, (("user", _ID, 0), ("item", _ID, 1), ("score", _FLOAT, 2)), header=True)
+    (users, rows), (items, cols), values = columns.values()
+    if len(users) * len(items) > SCORE_CELL_LIMIT:
+        raise ParseError(f"{table}: {len(users)} users x {len(items)} items make {len(users) * len(items)} score "
+                         f"cells, more than the limit of {SCORE_CELL_LIMIT}")
     S = np.zeros((len(users), len(items)))
     valid = np.zeros(S.shape, dtype=bool)
-    for rows, cols, values in parts:
-        S[rows, cols], valid[rows, cols] = values, True
-    if np.count_nonzero(valid) < sum(len(part[2]) for part in parts):
-        rows, cols, _ = map(np.concatenate, zip(*parts))
-        numbers = np.concatenate([numbers for numbers, _ in lines()])  # read again only to name a repeated pair
-        key = rows * len(items) + cols
-        order = np.argsort(key, kind="stable")
-        j = min(np.flatnonzero(key[order[1:]] == key[order[:-1]]), key=lambda j: order[j + 1])  # earliest repeat
-        first, second = order[j], order[j + 1]
-        pair = (list(users)[rows[first]], list(items)[cols[first]])
-        raise ParseError(f"{table}: lines {numbers[first]} and {numbers[second]}: repeated score for {pair!r}")
-    return ScoreMatrix(list(users), list(items), S, valid, semantics=semantics)
+    S[rows, cols], valid[rows, cols] = values, True
+    if np.count_nonzero(valid) < len(values):
+        key = rows.astype(np.int64) * len(items) + cols  # int32 times an int stays int32, and may wrap
+        _refuse_repeats(table, key, line, lambda row: f"score for {(users[rows[row]], items[cols[row]])!r}")
+    return ScoreMatrix(users, items, S, valid, semantics=semantics)

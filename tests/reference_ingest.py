@@ -166,9 +166,15 @@ def parse_user_groups(path: str | Path) -> dict[str, str]:
 
 
 def read_users(path: str | Path) -> tuple[list[str], dict[str, str]]:
-    """The per-line reader of a dataset's ``users.tsv``: its users, and the group of each user given one."""
-    user_rows = [fields for _, fields in islice(read_table(path, "user", 2), 1, None)]
-    return [user for user, _ in user_rows], {user: group for user, group in user_rows if group}
+    """The per-line reader of a dataset's ``users.tsv``: its users, and the group of each user given one.  Once
+    every line is read, a user on two lines is a ParseError naming both."""
+    user_rows = list(islice(read_table(path, "user", 2), 1, None))
+    first: dict[str, int] = {}
+    for lineno, (user, _) in user_rows:
+        if user in first:
+            raise ParseError(f"{path}: lines {first[user]} and {lineno}: repeated user {user!r}")
+        first[user] = lineno
+    return [user for _, (user, _) in user_rows], {user: group for _, (user, group) in user_rows if group}
 
 
 def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None = None) -> RecordLog:

@@ -417,6 +417,24 @@ class TestRunFile:
         with pytest.raises(FormatError):
             parse_run_file(path)
 
+    def test_parse_peak_memory_per_line(self, tmp_path):
+        # Shaped like perfbench/searchgen.py: 300 queries each rank 100 docs of their own by descending score.
+        rng = np.random.default_rng(5)
+        ranked = [zip(rng.permutation(100).tolist(), np.sort(rng.random(100))[::-1].tolist()) for _ in range(300)]
+        lines = [f"q{q:04d} Q0 d{q:04d}-{j:03d} {r + 1} {s!r} bm25\n" for q, docs in enumerate(ranked)
+                 for r, (j, s) in enumerate(docs)]
+        path = tmp_path / "run"
+        path.write_text("".join(lines), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            run = parse_run_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.docs.shape == (300, 50)
+        # Measured at about 208 B a line; intp code columns and an object column of Python-int ranks take about 280.
+        assert peak / len(lines) < 240
+
 
 class TestCanonicalIo:
     def test_round_trip_identity(self, tmp_path):
@@ -811,6 +829,17 @@ class TestScores:
         with pytest.raises(InvariantViolation, match="outside"):
             read_scores(self.stored(tmp_path, "u0\ti0\t0.1\nu1\ti1\t1.5\n", semantics="probability"))
 
+    @pytest.mark.parametrize("limit", [5, 6])
+    def test_table_past_the_cell_limit_names_its_shape(self, tmp_path, monkeypatch, limit):
+        monkeypatch.setattr("fairrank.ingest.SCORE_CELL_LIMIT", limit)
+        directory = self.stored(tmp_path, "u1\ti1\t0.5\nu2\ti2\t0.1\nu1\ti3\t0.3\n")
+        if limit == 6:
+            assert read_scores(directory).n_valid.tolist() == [2, 1]
+            return
+        with pytest.raises(ParseError, match=r"scores\.tsv: 2 users x 3 items make 6 score cells, more than the limit "
+                                             r"of 5$"):
+            read_scores(directory)
+
     def test_tables_sorted_whatever_the_line_order(self, tmp_path):
         scores = read_scores(self.stored(tmp_path, "u2\tib\t0.5\nu1\tic\t-1.0\nu2\tia\t0.25\n"))
         assert scores.user_ids == ["u1", "u2"] and scores.item_ids == ["ia", "ib", "ic"]
@@ -862,6 +891,17 @@ class TestUserGroups:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             parse_user_groups(tmp_path / "absent.tsv")
+
+    def test_repeated_dataset_user_names_both_lines(self, tmp_path):
+        dataset, _ = synthetic_dataset(n_users=10, n_items=12, n_groups=2, seed=3, per_user=(6, 8))
+        write_dataset(dataset, tmp_path)
+        users = tmp_path / "users.tsv"
+        lines = users.read_text(encoding="utf-8").splitlines()
+        users.write_text("\n".join([*lines, lines[1]]) + "\n", encoding="utf-8")
+        user = lines[1].split("\t")[0]
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(users))}: lines 2 and {len(lines) + 1}: repeated user "
+                                             rf"{re.escape(repr(user))}$"):
+            read_dataset(tmp_path)
 
     def test_malformed_dataset_users_line_named(self, tmp_path):
         dataset, _ = synthetic_dataset(n_users=10, n_items=12, n_groups=2, seed=3, per_user=(6, 8))
