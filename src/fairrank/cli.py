@@ -4,7 +4,9 @@ Dispatches one of the pipeline stages (process, in-processing,
 post-processing, evaluate) for a task and dataset, then writes a
 :class:`~fairrank.report.BenchmarkReport` under ``<data_root>/log/<log_name>``.
 The data root comes from ``--data-dir`` or the ``FAIRRANK_DATA_DIR``
-environment variable (default ``./data``).
+environment variable (default ``./data``).  Every stage that reads a score
+table, a run file or qrels keeps what it parses in the data root's
+``cache`` directory, so a later stage or run on the same bytes skips the parse.
 """
 
 from __future__ import annotations
@@ -112,8 +114,8 @@ def _rec_report(cfg: RunConfig, measured: list) -> BenchmarkReport:
 
 def _run_process(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
     if cfg.task == "search":
-        parse_run_file(data_root / cfg.run_file, truncate=cfg.pool_size)
-        parse_diversity_qrels(data_root / cfg.qrels)
+        parse_run_file(data_root / cfg.run_file, truncate=cfg.pool_size, cache=data_root / "cache")
+        parse_diversity_qrels(data_root / cfg.qrels, cache=data_root / "cache")
     else:
         interactions = parse_interactions(data_root / cfg.interactions, cfg.columns)
         item_groups = parse_item_groups(data_root / cfg.item_groups)
@@ -129,7 +131,7 @@ def _run_process(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
 def _run_rec_rerank(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
     ds_dir = data_root / "datasets" / cfg.dataset
     dataset = read_dataset(ds_dir)
-    scores = read_scores(data_root / cfg.scores if cfg.scores else ds_dir)
+    scores = read_scores(data_root / cfg.scores if cfg.scores else ds_dir, cache=data_root / "cache")
     shares = proportional_shares(dataset.catalog) if cfg.target_shares == "proportional" else None
     measured = []
     for model in cfg.models:
@@ -157,8 +159,8 @@ def _run_rec_inproc(cfg: RunConfig, data_root: Path, log_dir: Path) -> Benchmark
 
 
 def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkReport:
-    run = parse_run_file(data_root / cfg.run_file, truncate=cfg.pool_size)
-    judgments = parse_diversity_qrels(data_root / cfg.qrels)
+    run = parse_run_file(data_root / cfg.run_file, truncate=cfg.pool_size, cache=data_root / "cache")
+    judgments = parse_diversity_qrels(data_root / cfg.qrels, cache=data_root / "cache")
 
     depth = max(cfg.k_values)
     rows = []

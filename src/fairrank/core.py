@@ -33,6 +33,9 @@ from .errors import InvariantViolation, MissingUserGroups, UnknownEntity
 
 AXES = ("item", "user")
 MODES = ("exposure", "click")
+# The most users x items cells a score matrix may hold: 9 GiB of ``S`` and ``valid``, a hundred times the cells of
+# a 5000 x 2000 matrix.
+SCORE_CELL_LIMIT = 1 << 30
 
 
 @dataclass
@@ -187,11 +190,14 @@ class ScoreMatrix:
     """
 
     def __init__(self, user_ids: Sequence[str], item_ids: Sequence[str], scores, valid=None, semantics: str = "raw") -> None:
-        """``scores[u, i]`` is user ``u``'s score of item ``i`` where ``valid`` is set (default: everywhere)."""
+        """``scores[u, i]`` is user ``u``'s score of item ``i`` where ``valid`` is set (default: everywhere); an
+        array of more than ``SCORE_CELL_LIMIT`` cells is refused before anything is allocated."""
         if semantics not in ("raw", "probability"):
             raise InvariantViolation(f"unknown score semantics {semantics!r}")
         user_ids, item_ids = list(user_ids), list(item_ids)
         scores = np.asarray(scores, dtype=float)
+        if scores.size > SCORE_CELL_LIMIT:
+            raise InvariantViolation(f"score array of {scores.size} cells, more than the limit of {SCORE_CELL_LIMIT}")
         valid = np.ones(scores.shape, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
         if not scores.shape == valid.shape == (len(user_ids), len(item_ids)):
             raise InvariantViolation("score array shape does not match the user and item ids")

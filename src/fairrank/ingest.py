@@ -12,10 +12,8 @@ Formats handled here:
 * the canonical dataset directory (versioned line-oriented tables plus a
   small manifest),
 * stored scores: the ``scores.tsv`` import table, or the binary store
-  ``scores.npz`` that in-processing writes, each with a ``scores.meta.yaml``
-  sidecar,
-* the binary store itself (:func:`write_store`, :func:`read_store`), which
-  holds both trained scores and model checkpoints, one member spec per kind.
+  ``scores.npz`` that in-processing writes (:mod:`fairrank.store`), each with a
+  ``scores.meta.yaml`` sidecar.
 
 Every text file above is read by one column reader, :func:`_read`, from the
 column spec its parser declares: each column's name, field and kind (an id coded
@@ -23,27 +21,30 @@ into a first-seen table, an int, a float, a {0, 1} flag or raw text).  It splits
 bounded chunks of whole lines into fields (on tabs in tables, on any whitespace in
 qrels and run files), converts each chunk's columns, and joins each column once;
 an error names the earliest bad line.
-Every writer here writes each file through :func:`replace_file`, so a run that
-stops mid-write leaves the previous file whole.
+Every writer here writes each file through :func:`~fairrank.store.replace_file`, so
+a run that stops mid-write leaves the previous file whole.
+Given a ``cache`` directory, the score table, run and qrels readers keep what they
+parse there as a binary store keyed by the input's content
+(:func:`~fairrank.store.cached`), and later reads of the same bytes rebuild it from
+the store.
 """
 
 from __future__ import annotations
 
-import io
 import operator
-import os
-import zipfile
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, count, islice
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 import yaml
 
-from .core import Catalog, InteractionLog, ScoreMatrix, positions
+from .core import SCORE_CELL_LIMIT, Catalog, InteractionLog, ScoreMatrix, positions
 from .errors import (
     EmptyDataset,
     FormatError,
@@ -55,6 +56,7 @@ from .errors import (
     UnknownQuery,
     VersionError,
 )
+from .store import cached, read_store, replace_file, write_store
 
 CANONICAL_FORMAT_VERSION = 1
 
@@ -387,22 +389,6 @@ def writing(directory: str | Path, what: str) -> Iterator[Path]:
         raise IoError(f"cannot write {what} to {directory}: {exc}") from None
 
 
-def replace_file(path: Path, data: str | bytes | memoryview) -> None:
-    """Write ``data`` (a str as UTF-8) to ``.<name>.tmp`` beside ``path``, then rename it over ``path``.
-
-    A write that fails leaves ``path`` as it was and no temporary file behind.
-    """
-    temporary = path.with_name(f".{path.name}.tmp")
-    try:
-        if isinstance(data, str):
-            temporary.write_text(data, encoding="utf-8")
-        else:
-            temporary.write_bytes(data)
-        os.replace(temporary, path)
-    finally:
-        temporary.unlink(missing_ok=True)
-
-
 def parse_interactions(path: str | Path, column_spec: Mapping[str, str] | None = None) -> InteractionLog:
     """Parse a header + TSV interaction file into an InteractionLog.
 
@@ -530,8 +516,9 @@ def _split(names: list[str], pairs: np.ndarray, n_names: int, n_q: int) -> tuple
     return [flat[a:b] for a, b in zip([0, *bounds[:-1].tolist()], bounds.tolist())], bounds - counts
 
 
-def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
-    """Parse ``qid intent_id doc_id rel`` judgments; priors default to uniform.
+def parse_diversity_qrels(path: str | Path, cache: Path | None = None) -> IntentJudgments:
+    """Parse ``qid intent_id doc_id rel`` judgments, kept in the parse cache ``cache``
+    (:func:`~fairrank.store.cached`); priors default to uniform.
 
     The qid, intent and doc codes (:func:`_read`) are each ranked to
     ascending ids on their own, one column at a time, and the three become
@@ -541,6 +528,18 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
     declares every intent it has a line for; its docs are those with a
     relevance-1 line.
     """
+    return cached(cache, "qrels", path, (), _QRELS_STORE, partial(_parse_diversity_qrels, path), _judgments,
+                   lambda judg: SimpleNamespace(**vars(judg), intent_ids=list(chain.from_iterable(judg.intents))))
+
+
+def _judgments(query_ids, intent_ids, n_intents, doc_ids, listed, rel, duplicate_count) -> IntentJudgments:
+    """The judgments of a parse-cache entry: ``intent_ids`` cut into each query's ``n_intents``."""
+    bounds = np.cumsum(n_intents).tolist()
+    intents = [intent_ids[a:b] for a, b in zip([0, *bounds], bounds)]
+    return IntentJudgments(query_ids, intents, doc_ids, listed, rel, duplicate_count=int(duplicate_count))
+
+
+def _parse_diversity_qrels(path: str | Path) -> IntentJudgments:
     columns = _read(path, "qrels", 4, (("qid", _ID, 0), ("intent", _ID, 1), ("doc", _ID, 2), ("relevance", _FLAG, 3)),
                     None, shape="expected 'qid intent doc rel', got {n} fields")[0]
     if not len(columns["relevance"]):
@@ -570,12 +569,17 @@ def parse_diversity_qrels(path: str | Path) -> IntentJudgments:
     return IntentJudgments(qids, query_intents, docs, listed, rel, duplicate_count=duplicate_count)
 
 
-def parse_run_file(path: str | Path, truncate: int | None = 50) -> SearchRun:
-    """Parse a 6-column TREC run file in chunks of lines, keeping the top ``truncate`` docs per query.
+def parse_run_file(path: str | Path, truncate: int | None = 50, cache: Path | None = None) -> SearchRun:
+    """Parse a 6-column TREC run file in chunks of lines, keeping the top ``truncate`` docs per query, kept in the
+    parse cache ``cache`` (:func:`~fairrank.store.cached`).
 
     Queries may interleave; each keeps its file order.  A :class:`FormatError` names the earliest line, past
     ``truncate`` too, of another width, with a rank not an int or not above its query's last, a score not finite,
     or a doc its query listed before."""
+    return cached(cache, "run", path, (truncate,), _RUN_STORE, partial(_parse_run_file, path, truncate), SearchRun)
+
+
+def _parse_run_file(path: str | Path, truncate: int | None) -> SearchRun:
     columns, line, pending = _read(path, "run", 6, (("qid", _ID, 0), ("doc", _ID, 2), ("rank", _RANK, 3),
                                                     ("score", _FINITE, 4)), None, error=FormatError,
                                    shape="expected 6 TREC columns, got {n}", defer=True)
@@ -711,78 +715,19 @@ def _write_sidecar(scores: ScoreMatrix, directory: Path) -> None:
     replace_file(directory / "scores.meta.yaml", yaml.safe_dump({"semantics": scores.semantics}, sort_keys=True))
 
 
-# Each kind of binary store's members and, for each, its dtype (a numpy dtype, or "U" for
-# an id table of any str width) and number of dimensions.  A model store holds
+# Each kind of binary store's members (see ``store.write_store``).  A model store holds
 # ``item_bias`` exactly when its manifest says ``use_item_bias``.
 _FLOATS = np.dtype(np.float64)
 _ID_TABLES = {"user_ids": ("U", 1), "item_ids": ("U", 1)}
-# The most users x items cells a score table may scatter into: 9 GiB of ``S`` and ``valid``, a hundred times
-# the cells of a 5000 x 2000 table.
-SCORE_CELL_LIMIT = 1 << 30
 SCORE_STORE = {"S": (_FLOATS, 2), "valid": (np.dtype(bool), 2), **_ID_TABLES}
 MODEL_STORE = {"user_vecs": (_FLOATS, 2), "item_vecs": (_FLOATS, 2), **_ID_TABLES}
 BIASED_MODEL_STORE = {**MODEL_STORE, "item_bias": (_FLOATS, 1)}
-# What zipfile and np.lib.format.read_array raise on a damaged archive: a missing member
-# is a KeyError, an unknown zip version a NotImplementedError, and a header declaring an
-# array too large to allocate a MemoryError.
-_STORE_FAULTS = (
-    zipfile.BadZipFile, KeyError, OSError, ValueError, EOFError, OverflowError, MemoryError, NotImplementedError
-)
-# Appended to every stored id, because numpy str arrays drop trailing NULs; a str dtype
-# given explicitly keeps an empty id table from defaulting to float64.
-_ID_END = "."
-
-
-def write_store(path: Path, members: Mapping[str, tuple], source: object) -> None:
-    """Write the attributes of ``source`` that ``members`` names as the binary store ``path``.
-
-    The store is an uncompressed ``np.savez`` archive with nothing pickled, one
-    ``<name>.npy`` per member; each id of an id table carries the end mark.
-    """
-    arrays = {name: np.array([i + _ID_END for i in getattr(source, name)], dtype=str) if dtype == "U"
-              else getattr(source, name) for name, (dtype, _) in members.items()}
-    store = io.BytesIO()
-    np.savez(store, **arrays)
-    replace_file(path, store.getbuffer())
-
-
-def read_store(path: Path, what: str, members: Mapping[str, tuple], build: Callable):
-    """``build`` called with the ``members`` of the binary ``what`` store ``path`` as keywords.
-
-    Every member is read without unpickling and must be stored uncompressed, with its
-    dtype and number of dimensions; id tables lose their end marks.  A missing ``path``
-    is an IoError.  Any fault in the archive, a member ``members`` does not name, or a
-    value ``build`` rejects with an :class:`InvariantViolation` is a ParseError naming it.
-    """
-    arrays = {}
-    try:
-        with zipfile.ZipFile(path) as archive:
-            for member in (name.removesuffix(".npy") for name in archive.namelist()):
-                if member not in members:
-                    raise ParseError(f"{path}: member {member} is not one of {sorted(members)}")
-            for name, (dtype, ndim) in members.items():
-                info = archive.getinfo(f"{name}.npy")
-                if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
-                    raise ParseError(f"{path}: member {name} is compressed or encrypted")
-                with archive.open(info) as fh:
-                    array = np.lib.format.read_array(fh, allow_pickle=False)
-                if array.ndim != ndim or (array.dtype.kind != dtype if dtype == "U" else array.dtype != dtype):
-                    found = f"{array.ndim}-d {array.dtype}"
-                    raise ParseError(f"{path}: member {name} is {found}, expected {ndim}-d {dtype}")
-                if dtype == "U":
-                    array = array.tolist()
-                    if not all(i.endswith(_ID_END) for i in array):
-                        raise ParseError(f"{path}: member {name} holds an id without its end mark")
-                    array = [i[:-1] for i in array]
-                arrays[name] = array
-    except FileNotFoundError:
-        raise IoError(f"{what} store file not found: {path}") from None
-    except _STORE_FAULTS as exc:
-        raise ParseError(f"{path}: not a readable {what} store ({type(exc).__name__}: {exc})") from None
-    try:
-        return build(**arrays)
-    except InvariantViolation as exc:
-        raise ParseError(f"{path}: {exc}") from None
+# A parse-cache entry of a run file or of qrels: the constructor inputs of a SearchRun, and of an
+# IntentJudgments with each query's intents joined into one table, cut by ``n_intents``.
+_RUN_STORE = {"query_ids": ("U", 1), "doc_ids": ("U", 1), "docs": (np.dtype(np.intp), 2), "scores": (_FLOATS, 2)}
+_QRELS_STORE = {"query_ids": ("U", 1), "intent_ids": ("U", 1), "n_intents": (np.dtype(np.intp), 1),
+                "doc_ids": ("U", 1), "listed": (np.dtype(np.int64), 1), "rel": (np.dtype(bool), 3),
+                "duplicate_count": (np.dtype(np.int64), 0)}
 
 
 def write_scores(scores: ScoreMatrix, directory: str | Path) -> None:
@@ -818,9 +763,9 @@ def write_scores_tsv(scores: ScoreMatrix, directory: str | Path) -> None:
         replace_file(directory / "scores.tsv", "".join(rows))
 
 
-def read_scores(directory: str | Path) -> ScoreMatrix:
+def read_scores(directory: str | Path, cache: Path | None = None) -> ScoreMatrix:
     """Read back a stored ScoreMatrix: the store ``scores.npz`` when the directory holds
-    one, else the table ``scores.tsv``.
+    one, else the table ``scores.tsv``, kept in the parse cache ``cache`` (:func:`~fairrank.store.cached`).
 
     The table is read as user and item codes and scores, scattered into the score
     array.  The earliest line of another width or with a score that does not convert
@@ -834,9 +779,13 @@ def read_scores(directory: str | Path) -> ScoreMatrix:
     semantics = read_yaml(meta, "score sidecar", required=("semantics",))["semantics"] if meta.exists() else "raw"
     if semantics not in ("raw", "probability"):
         raise ParseError(f"{meta}: unknown score semantics {semantics!r}")
+    build = lambda S, valid, user_ids, item_ids: ScoreMatrix(user_ids, item_ids, S, valid, semantics=semantics)
     if (directory / "scores.npz").exists():
-        build = lambda S, valid, user_ids, item_ids: ScoreMatrix(user_ids, item_ids, S, valid, semantics=semantics)
         return read_store(directory / "scores.npz", "score", SCORE_STORE, build)
+    return cached(cache, "scores", table, (), SCORE_STORE, partial(_read_score_table, table, semantics), build)
+
+
+def _read_score_table(table: Path, semantics: str) -> ScoreMatrix:
     columns, line, _ = _read(table, "score", 3, (("user", _ID, 0), ("item", _ID, 1), ("score", _FLOAT, 2)), header=True)
     (users, rows), (items, cols), values = columns.values()
     if len(users) * len(items) > SCORE_CELL_LIMIT:

@@ -16,8 +16,9 @@ import yaml
 
 from .core import GroupUtilityVector
 from .errors import InvariantViolation
-from .ingest import replace_file, writing
+from .ingest import writing
 from .metrics import METRICS, MetricReport
+from .store import replace_file
 
 
 def fmt4(value: float) -> str:
@@ -99,7 +100,7 @@ def _allocation_lines(report: BenchmarkReport) -> list[str]:
 def emit_report(report: BenchmarkReport, directory: str | Path) -> dict[str, Path]:
     """Write the report artifacts; returns the emitted paths by artifact name.
 
-    Each artifact is written through :func:`~fairrank.ingest.replace_file`, so
+    Each artifact is written through :func:`~fairrank.store.replace_file`, so
     a run killed mid-write leaves no truncated artifact.
     """
     artifacts = {

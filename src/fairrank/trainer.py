@@ -37,8 +37,8 @@ from .errors import (
     VersionError,
     ZeroPopularity,
 )
-from .ingest import (BIASED_MODEL_STORE, MODEL_STORE, SplitDataset, read_store, read_yaml, replace_file,
-                     write_store, writing)
+from .ingest import BIASED_MODEL_STORE, MODEL_STORE, SplitDataset, read_yaml, writing
+from .store import read_store, replace_file, write_store
 
 WEIGHT_PROVIDERS = ("static", "ips", "fairdual")
 GROUP_SAMPLERS = ("uniform", "minmax")
@@ -450,7 +450,7 @@ _KINDS = {bool: "true or false", int: "an integer", float: "a number"}
 def save_model(model: MFModel, directory: str | Path, hooks: TrainHooks | None = None) -> None:
     """Write the model as the binary store ``model.npz`` plus the manifest ``manifest.yaml``.
 
-    The store (:func:`ingest.write_store`) holds the id tables and embeddings, and
+    The store (:func:`store.write_store`) holds the id tables and embeddings, and
     ``item_bias`` when the config uses one.  The manifest holds every
     :class:`TrainConfig` field and, when given, every :class:`TrainHooks` field, so
     ``TrainHooks(**manifest["hooks"])`` and the loaded config retrain the same model.

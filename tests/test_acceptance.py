@@ -319,6 +319,7 @@ def test_c11_end_to_end_benchmark(tmp_path):
     stable = ["records.jsonl", "table.txt", "allocations.tsv", "config.yaml"]
     first = {name: hashlib.sha256((log_dir / name).read_bytes()).hexdigest() for name in stable}
     assert first == C11_SHA256
+    assert len(list((tmp_path / "cache").glob("scores-*.npz"))) == 1  # so the second run reads the scores warm
 
     table = (log_dir / "table.txt").read_text()
     sections = {}

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -475,6 +476,11 @@ class TestCliRecommendation:
         table = (log_dir / "table.txt").read_text()
         assert "R-NDCG" not in table
         assert "NDCG" in table
+        (entry,) = (workspace / "cache").iterdir()  # the score table, parsed once, read warm below
+        assert entry.name.startswith("scores-")
+        assert cli.run(["--task", "recommendation", "--stage", "evaluate", "--dataset", "synth",
+                        "--config", cfg, "--data-dir", str(workspace)]) == 0
+        assert {name: hashlib.sha256((log_dir / name).read_bytes()).hexdigest() for name in EVALUATE_SHA256} == EVALUATE_SHA256
 
     def test_in_processing_stage(self, workspace, tmp_path):
         cfg = user_config(
@@ -981,6 +987,57 @@ class TestCliSearch:
         )
         out = parse_run_file(search_root / "log" / "s2" / "rerank-pm2.run", truncate=None)
         assert out.query_ids == ["1", "2", "3"]
+
+    def _search(self, root, tmp_path, stage="post-processing", log_name="s1"):
+        cfg = user_config(tmp_path, f"{log_name}.yaml", {"models": ["xquad", "pm2"], "log_name": log_name}
+                          if stage == "post-processing" else {"log_name": log_name})
+        return cli.run(["--task", "search", "--stage", stage, "--dataset", "web", "--config", cfg,
+                        "--data-dir", str(root)])
+
+    @staticmethod
+    def _report_bytes(log_dir):
+        return {p.name: p.read_bytes() for p in log_dir.iterdir() if p.name != "timing.txt"}
+
+    def test_warm_run_writes_the_cold_run_report(self, search_root, tmp_path):
+        assert self._search(search_root, tmp_path) == 0
+        cold = self._report_bytes(search_root / "log" / "s1")
+        assert sorted(p.name[: p.name.index("-")] for p in (search_root / "cache").iterdir()) == ["qrels", "run"]
+        assert self._search(search_root, tmp_path) == 0
+        assert self._report_bytes(search_root / "log" / "s1") == cold
+        hashes = {name: hashlib.sha256(data).hexdigest() for name, data in cold.items()}
+        assert hashes == {**hashes, **SEARCH_SHA256, **RUN_FILE_SHA256}
+
+    def test_process_stage_leaves_the_inputs_parsed(self, search_root, tmp_path, monkeypatch):
+        assert self._search(search_root, tmp_path, stage="process", log_name="p") == 0
+
+        def parse(*args, **kwargs):
+            raise AssertionError("parsed, not read from the cache")
+
+        monkeypatch.setattr("fairrank.ingest._read", parse)
+        assert self._search(search_root, tmp_path) == 0
+        log_dir = search_root / "log" / "s1"
+        assert {name: hashlib.sha256((log_dir / name).read_bytes()).hexdigest() for name in SEARCH_SHA256} == SEARCH_SHA256
+        assert self._search(search_root, tmp_path, stage="evaluate", log_name="s3") == 0
+        run_file = search_root / "log" / "s3" / "rerank-original.run"
+        assert hashlib.sha256(run_file.read_bytes()).hexdigest() == ORIGINAL_RUN_SHA256
+
+    def test_unwritable_cache_gives_the_same_report_and_leaves_no_temporary(self, search_root, tmp_path):
+        log_dir = search_root / "log" / "s1"
+        assert self._search(search_root, tmp_path) == 0
+        cold = self._report_bytes(log_dir)
+        for entry in (search_root / "cache").iterdir():
+            entry.write_bytes(entry.read_bytes()[:100])
+        (search_root / "cache").chmod(0o555)  # read-only, unless the tests run as root
+        try:
+            assert self._search(search_root, tmp_path) == 0
+        finally:
+            (search_root / "cache").chmod(0o755)
+        assert self._report_bytes(log_dir) == cold
+        shutil.rmtree(search_root / "cache")
+        (search_root / "cache").write_text("not a directory", encoding="utf-8")
+        assert self._search(search_root, tmp_path) == 0
+        assert self._report_bytes(log_dir) == cold
+        assert [p for p in search_root.rglob("*") if p.name.endswith(".tmp")] == []
 
     def test_search_evaluate_original_ranking(self, search_root, tmp_path):
         cfg = user_config(tmp_path, "s.yaml", {"log_name": "s3"})

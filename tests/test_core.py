@@ -1,6 +1,7 @@
 """Core domain types and group-utility accounting."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairrank.core import (
+    SCORE_CELL_LIMIT,
     Catalog,
     GroupUtilityVector,
     InteractionLog,
@@ -360,6 +362,20 @@ class TestScoreMatrix:
     def test_rejects(self, users, items, S, semantics, match):
         with pytest.raises(InvariantViolation, match=match):
             ScoreMatrix(users, items, np.array(S), semantics=semantics)
+
+    def test_more_cells_than_the_limit_refused_before_allocating(self):
+        users, items = [f"u{u}" for u in range(1 << 16)], [f"i{i}" for i in range(1 << 15)]
+        S = np.broadcast_to(np.float64(0.5), (len(users), len(items)))  # 2**31 cells, zero strides: no memory
+        assert S.size == 2 * SCORE_CELL_LIMIT
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvariantViolation, match=rf"^score array of {S.size} cells, more than the limit of "
+                                                         rf"{SCORE_CELL_LIMIT}$"):
+                ScoreMatrix(users, items, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 24
 
     def test_unscored_entry_unknown(self):
         matrix = score_matrix({"u1": {"i1": 0.5}, "u2": {"i2": 0.5}})

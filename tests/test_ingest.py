@@ -1,9 +1,11 @@
 """Parsers, filtering/splitting, and canonical round-trips."""
 
 import hashlib
+import importlib.util
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import tracemalloc
@@ -16,9 +18,11 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairrank import ingest
 from fairrank.core import Catalog, InteractionLog, RankingSlate, ScoreMatrix
 from fairrank.errors import (
     EmptyDataset,
+    FairrankError,
     FormatError,
     InvariantViolation,
     IoError,
@@ -45,6 +49,7 @@ from fairrank.ingest import (
     write_scores_tsv,
 )
 from fairrank.metrics import slate_hits
+from fairrank.store import replace_file
 from fairrank.synth import init_workspace, synthetic_dataset
 from fairrank.trainer import MFModel, TrainConfig, load_model, save_model
 
@@ -708,7 +713,7 @@ def test_write_failing_midway_leaves_previous_files_whole(tmp_path, monkeypatch,
     for method in ("write_text", "write_bytes"):
 
         def half_then_full_disk(path, data, *args, original=getattr(Path, method), **kwargs):
-            if path.name != f".{name}.tmp":
+            if path.name != f".{name}.{os.getpid()}.tmp":
                 return original(path, data, *args, **kwargs)
             original(path, data[: len(data) // 2], *args, **kwargs)
             failed.append(name)
@@ -1049,3 +1054,225 @@ class TestInvalidUtf8:
         with_bad_line_2(tmp_path / name)
         with pytest.raises(ParseError, match=rf"{name}: not valid UTF-8"):
             read_scores(tmp_path)
+
+
+def test_replace_file_leaves_a_foreign_temporary_alone(tmp_path):
+    """Two processes writing one path each write their own temporary: another's is neither truncated nor removed."""
+    target, foreign = tmp_path / "entry.npz", tmp_path / ".entry.npz.tmp"
+    foreign.write_bytes(b"half of another process's entry")
+    replace_file(target, b"whole")
+    assert target.read_bytes() == b"whole"
+    assert foreign.read_bytes() == b"half of another process's entry"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".entry.npz.tmp", "entry.npz"]
+
+
+def _searchgen():
+    """perfbench/searchgen.py, the search workload's input generator."""
+    spec = importlib.util.spec_from_file_location("searchgen", PROVENANCE.parent / "searchgen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench_inputs(tmp_path_factory):
+    """The seed-77 inputs of the benchmark's workloads: the rec workloads' data root and the search run and qrels."""
+    root = tmp_path_factory.mktemp("bench77")
+    init_workspace(root / "rec", n_users=150, n_items=500, n_groups=10, seed=77)
+    _searchgen().write_search_inputs(root / "input.run", root / "qrels", 77)
+    return root
+
+
+def _small(directory, name, text):
+    path = directory / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _score_table(directory, body, semantics="raw"):
+    directory.mkdir(exist_ok=True)
+    _small(directory, "scores.meta.yaml", f"semantics: {semantics}\n")
+    _small(directory, "scores.tsv", "user_id\titem_id\tscore\n" + body)
+    return directory
+
+
+# A parse-cache case: (entry kind, writes the input under a directory and returns what the reader reads, reader).
+CACHED = {
+    "scores-seed77": ("scores", lambda d, bench: bench / "rec" / "datasets" / "synth", read_scores),
+    "scores-probability": ("scores", lambda d, bench: _score_table(d / "s", "u2\ti1\t0.5\nu1\ti2\t1.0\n",
+                                                                   "probability"), read_scores),
+    "run-seed77-truncate-50": ("run", lambda d, bench: bench / "input.run", parse_run_file),
+    "run-seed77-truncate-none": ("run", lambda d, bench: bench / "input.run",
+                                 lambda p, cache: parse_run_file(p, None, cache=cache)),
+    "run-seed77-truncate-minus-1": ("run", lambda d, bench: bench / "input.run",
+                                    lambda p, cache: parse_run_file(p, -1, cache=cache)),
+    # truncate -1 drops q1's only doc: a query with no ranked doc keeps an empty row.
+    "run-empty-row": ("run", lambda d, bench: _small(d, "run", "q1 Q0 d1 1 0.5 t\nq2 Q0 d2 1 0.4 t\n"
+                                                                "q2 Q0 d3 2 0.3 t\n"),
+                      lambda p, cache: parse_run_file(p, -1, cache=cache)),
+    "qrels-seed77": ("qrels", lambda d, bench: bench / "qrels", parse_diversity_qrels),
+    "qrels-empty": ("qrels", lambda d, bench: _small(d, "qrels", ""), parse_diversity_qrels),
+    "qrels-duplicates": ("qrels", lambda d, bench: _small(d, "qrels", "q1 a d1 1\nq1 a d1 0\nq1 b d2 1\nq2 a d1 1\n"),
+                         parse_diversity_qrels),
+}
+
+
+def assert_same(cold, warm):
+    """``warm`` holds exactly ``cold``'s members: equal ids, counts and maps, and arrays of one dtype, shape, write
+    flag and values."""
+    assert type(warm) is type(cold) and vars(warm).keys() == vars(cold).keys()
+    for name, value in vars(cold).items():
+        other = getattr(warm, name)
+        if isinstance(value, np.ndarray):
+            assert (other.dtype, other.shape, other.flags.writeable) == (value.dtype, value.shape,
+                                                                        value.flags.writeable), name
+            assert np.array_equal(other, value), name
+        else:
+            assert other == value, name
+
+
+def _no_parse(monkeypatch):
+    """Make every text parse fail, so a read that returns came from the parse cache."""
+    def parse(*args, **kwargs):
+        raise AssertionError("parsed, not read from the cache")
+
+    monkeypatch.setattr("fairrank.ingest._read", parse)
+
+
+class TestParseCache:
+    @pytest.mark.parametrize("case", sorted(CACHED))
+    def test_warm_read_equals_cold_member_for_member(self, tmp_path, bench_inputs, monkeypatch, case):
+        kind, write, read = CACHED[case]
+        path, cache = write(tmp_path, bench_inputs), tmp_path / "cache"
+        cold = read(path, cache=None)
+        assert_same(cold, read(path, cache=cache))
+        (entry,) = cache.iterdir()
+        assert re.fullmatch(rf"{kind}-[0-9a-f]{{20,}}\.npz", entry.name)
+        with monkeypatch.context() as patched:
+            _no_parse(patched)
+            assert_same(cold, read(path, cache=cache))
+        assert list(cache.iterdir()) == [entry]
+
+    def test_entries_differ_by_reader_argument(self, bench_inputs, tmp_path):
+        for truncate in (None, -1, 50):
+            parse_run_file(bench_inputs / "input.run", truncate, cache=tmp_path)
+        assert len(list(tmp_path.glob("run-*.npz"))) == 3
+
+    def test_score_store_directory_bypasses_the_cache(self, tmp_path):
+        # A user with no scored item keeps an empty row in the store, which the table cannot hold.
+        scores = ScoreMatrix(["u1", "u2"], ["i1", "i2"], [[0.5, 0.0], [0.0, 0.0]], [[True, False], [False, False]])
+        write_scores(scores, tmp_path / "s")
+        assert_same(read_scores(tmp_path / "s"), read_scores(tmp_path / "s", cache=tmp_path / "cache"))
+        assert read_scores(tmp_path / "s", cache=tmp_path / "cache").n_valid.tolist() == [1, 0]
+        assert not (tmp_path / "cache").exists()
+
+    # kind -> (the input, the input edited to the same length, the name it is written as, reader, the member the
+    # edit changes)
+    EDITS = {
+        "scores": ("user_id\titem_id\tscore\nu1\ti1\t0.5\n", "user_id\titem_id\tscore\nu1\ti1\t0.7\n", "scores.tsv",
+                   lambda d, cache: read_scores(d, cache=cache), "S"),
+        "run": ("q1 Q0 d1 1 0.5 t\n", "q1 Q0 d1 1 0.7 t\n", "run",
+                lambda d, cache: parse_run_file(d / "run", cache=cache), "scores"),
+        "qrels": ("q1 a d1 1\nq1 a d2 1\n", "q1 a d1 1\nq1 a d2 0\n", "qrels",
+                  lambda d, cache: parse_diversity_qrels(d / "qrels", cache=cache), "rel"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(EDITS))
+    def test_input_edited_to_the_same_length_misses(self, tmp_path, kind):
+        text, edited, name, read, member = self.EDITS[kind]
+        (tmp_path / "in").mkdir()
+        _small(tmp_path / "in", name, text)
+        first = read(tmp_path / "in", tmp_path / "cache")
+        _small(tmp_path / "in", name, edited)
+        second = read(tmp_path / "in", tmp_path / "cache")
+        assert_same(read(tmp_path / "in", None), second)
+        assert not np.array_equal(getattr(first, member), getattr(second, member))
+        assert len(list((tmp_path / "cache").iterdir())) == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "foreign", "directory"])
+    @pytest.mark.parametrize("case", ["run-seed77-truncate-50", "qrels-seed77", "scores-seed77"])
+    def test_damaged_or_foreign_entry_is_parsed_again_and_rewritten(self, tmp_path, bench_inputs, monkeypatch, case,
+                                                                     damage):
+        kind, write, read = CACHED[case]
+        path, cache = write(tmp_path, bench_inputs), tmp_path / "cache"
+        cold = read(path, cache=cache)
+        (entry,) = cache.iterdir()
+        if damage == "directory":
+            entry.unlink()
+            entry.mkdir()
+        else:
+            foreign = io.BytesIO()
+            np.savez(foreign, x=np.zeros(3))
+            entry.write_bytes({"truncated": entry.read_bytes()[:100], "empty": b"",
+                               "foreign": foreign.getvalue()}[damage])
+        assert_same(cold, read(path, cache=cache))
+        if damage == "directory":  # an entry that cannot be replaced is parsed each time
+            assert entry.is_dir()
+            return
+        with monkeypatch.context() as patched:
+            _no_parse(patched)
+            assert_same(cold, read(path, cache=cache))
+        assert list(cache.iterdir()) == [entry]
+
+    @pytest.mark.parametrize("case", ["run-seed77-truncate-50", "qrels-seed77", "scores-probability"])
+    def test_unwritable_cache_parses_and_leaves_nothing(self, tmp_path, bench_inputs, monkeypatch, case):
+        kind, write, read = CACHED[case]
+        path = write(tmp_path, bench_inputs)
+        cold = read(path, cache=None)
+        (tmp_path / "file").write_text("not a directory", encoding="utf-8")
+        assert_same(cold, read(path, cache=tmp_path / "file"))
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "not a directory"
+        (tmp_path / "full").mkdir()
+
+        def full_disk(self, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", full_disk)
+        assert_same(cold, read(path, cache=tmp_path / "full"))
+        assert list((tmp_path / "full").iterdir()) == []
+
+    def test_input_edited_while_parsed_writes_no_entry(self, tmp_path, monkeypatch):
+        path = _small(tmp_path, "qrels", "q1 a d1 1\n")
+        read = ingest._read
+
+        def read_then_edit(*args, **kwargs):
+            columns = read(*args, **kwargs)
+            path.write_text("q1 a d1 1\nq1 a d2 1\n", encoding="utf-8")
+            return columns
+
+        monkeypatch.setattr("fairrank.ingest._read", read_then_edit)
+        assert parse_diversity_qrels(path, cache=tmp_path / "cache").doc_ids == ["d1"]
+        assert not (tmp_path / "cache").exists()
+
+    # kind -> (a bad input, the name it is written as, reader)
+    BAD = {
+        "scores-value": ("user_id\titem_id\tscore\nu1\ti1\tx\n", "scores.tsv", lambda d, c: read_scores(d, cache=c)),
+        "scores-probability": ("user_id\titem_id\tscore\nu1\ti1\t1.5\n", "scores.tsv",
+                               lambda d, c: read_scores(d, cache=c)),
+        "scores-missing": (None, "scores.tsv", lambda d, c: read_scores(d, cache=c)),
+        "run-rank": ("q1 Q0 d1 2 0.5 t\nq1 Q0 d2 1 0.4 t\n", "run", lambda d, c: parse_run_file(d / "run", cache=c)),
+        "run-not-utf8": ("q1 Q0 d1 1 0.5 t\nq1 Q0 d2 2 0.4 t\n", "run",
+                         lambda d, c: parse_run_file(d / "run", cache=c)),
+        "qrels-relevance": ("q1 a d1 1\nq1 a d2 2\n", "qrels",
+                            lambda d, c: parse_diversity_qrels(d / "qrels", cache=c)),
+        "qrels-missing": (None, "qrels", lambda d, c: parse_diversity_qrels(d / "qrels", cache=c)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_failed_parse_writes_no_entry_and_gives_the_same_error_twice(self, tmp_path, case):
+        text, name, read = self.BAD[case]
+        directory = tmp_path / "in"
+        directory.mkdir()
+        if case == "scores-probability":
+            _small(directory, "scores.meta.yaml", "semantics: probability\n")
+        if text is not None:
+            _small(directory, name, text)
+        if case.endswith("not-utf8"):
+            with_bad_line_2(directory / name)
+        errors = []
+        for cache in (None, tmp_path / "cache", tmp_path / "cache"):
+            with pytest.raises(FairrankError) as raised:
+                read(directory, cache)
+            errors.append((type(raised.value), str(raised.value)))
+        assert errors[0] == errors[1] == errors[2]
+        assert not (tmp_path / "cache").exists()
