@@ -723,10 +723,12 @@ SCORE_STORE = {"S": (_FLOATS, 2), "valid": (np.dtype(bool), 2), **_ID_TABLES}
 MODEL_STORE = {"user_vecs": (_FLOATS, 2), "item_vecs": (_FLOATS, 2), **_ID_TABLES}
 BIASED_MODEL_STORE = {**MODEL_STORE, "item_bias": (_FLOATS, 1)}
 # A parse-cache entry of a run file or of qrels: the constructor inputs of a SearchRun, and of an
-# IntentJudgments with each query's intents joined into one table, cut by ``n_intents``.
-_RUN_STORE = {"query_ids": ("U", 1), "doc_ids": ("U", 1), "docs": (np.dtype(np.intp), 2), "scores": (_FLOATS, 2)}
-_QRELS_STORE = {"query_ids": ("U", 1), "intent_ids": ("U", 1), "n_intents": (np.dtype(np.intp), 1),
-                "doc_ids": ("U", 1), "listed": (np.dtype(np.int64), 1), "rel": (np.dtype(bool), 3),
+# IntentJudgments with each query's intents joined into one table, cut by ``n_intents``.  Their ids
+# are whitespace-split fields, so they hold no line break and are kept as "lines" tables.
+_RUN_STORE = {"query_ids": ("lines", 1), "doc_ids": ("lines", 1), "docs": (np.dtype(np.intp), 2),
+              "scores": (_FLOATS, 2)}
+_QRELS_STORE = {"query_ids": ("lines", 1), "intent_ids": ("lines", 1), "n_intents": (np.dtype(np.intp), 1),
+                "doc_ids": ("lines", 1), "listed": (np.dtype(np.int64), 1), "rel": (np.dtype(bool), 3),
                 "duplicate_count": (np.dtype(np.int64), 0)}
 
 

@@ -10,13 +10,14 @@
 
 from __future__ import annotations
 
-import io
+import glob
 import os
 import zipfile
-import zlib
 from functools import partial
+from importlib.util import source_hash
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from stat import S_ISREG
+from typing import BinaryIO, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -28,21 +29,31 @@ from .errors import InvariantViolation, IoError, ParseError
 _STORE_FAULTS = (
     zipfile.BadZipFile, KeyError, OSError, ValueError, EOFError, OverflowError, MemoryError, NotImplementedError
 )
-# Appended to every stored id, because numpy str arrays drop trailing NULs; a str dtype
-# given explicitly keeps an empty id table from defaulting to float64.
+# Appended to every id of a "U" id table, because numpy str arrays drop trailing NULs; a str
+# dtype given explicitly keeps an empty id table from defaulting to float64.
 _ID_END = "."
+_LINES = np.dtype(np.uint8)
 
 
-def replace_file(path: Path, data: str | bytes | memoryview) -> None:
-    """Write ``data`` (a str as UTF-8) to ``.<name>.<pid>.tmp`` beside ``path``, then rename it over ``path``.
+def replace_file(path: Path, data: str | bytes | memoryview | Callable[[BinaryIO], object]) -> None:
+    """Write ``data`` to ``.<name>.<pid>.tmp`` beside ``path``, then rename it over ``path``.
 
+    ``data`` is a str (written as UTF-8), bytes, or a function that writes to the open temporary.
     A write that fails leaves ``path`` as it was and no temporary file behind.  The temporary is this
-    process's own, so two processes writing one path (say, one parse-cache entry) never share it.
+    process's own, so two processes writing one path (say, one parse-cache entry) never share it; one
+    that a process no longer running left beside ``path`` is removed first.
     """
+    for stale in path.parent.glob(f".{glob.escape(path.name)}.*.tmp"):
+        pid = stale.name[len(path.name) + 2:-len(".tmp")]
+        if pid.isascii() and pid.isdigit() and not _running(int(pid)):
+            stale.unlink(missing_ok=True)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         if isinstance(data, str):
             temporary.write_text(data, encoding="utf-8")
+        elif callable(data):
+            with temporary.open("wb") as fh:
+                data(fh)
         else:
             temporary.write_bytes(data)
         os.replace(temporary, path)
@@ -50,26 +61,51 @@ def replace_file(path: Path, data: str | bytes | memoryview) -> None:
         temporary.unlink(missing_ok=True)
 
 
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` runs on this machine (on a system without POSIX signals, assumed so)."""
+    if os.name != "posix":
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):  # another user's process, or not a pid at all
+        pass
+    return True
+
+
 def write_store(path: Path, members: Mapping[str, tuple], source: object) -> None:
     """Write the attributes of ``source`` that ``members`` names as the binary store ``path``.
 
-    ``members`` maps each member's name to its dtype (a numpy dtype, or "U" for an id
-    table of any str width) and number of dimensions.  The store is an uncompressed
-    ``np.savez`` archive with nothing pickled, one ``<name>.npy`` per member; each id of
-    an id table carries the end mark.
+    ``members`` maps each member's name to its dtype and number of dimensions.  The dtype
+    is a numpy dtype, "U" for an id table kept as a str array of any width, each id with
+    the end mark, or "lines" for one whose ids hold no line break, kept as their UTF-8
+    text, an id to a line, in a uint8 array (a quarter the size, and a few times faster to
+    write and read back).  The store is an uncompressed ``np.savez`` archive with nothing
+    pickled, one ``<name>.npy`` per member, streamed to the temporary file, so no copy of
+    the arrays is held in memory.
     """
-    arrays = {name: np.array([i + _ID_END for i in getattr(source, name)], dtype=str) if dtype == "U"
-              else getattr(source, name) for name, (dtype, _) in members.items()}
-    store = io.BytesIO()
-    np.savez(store, **arrays)
-    replace_file(path, store.getbuffer())
+    arrays = {name: _id_table(getattr(source, name), dtype) if dtype in ("U", "lines") else getattr(source, name)
+              for name, (dtype, _) in members.items()}
+    replace_file(path, partial(np.savez, **arrays))
+
+
+def _id_table(ids: list[str], dtype: str) -> np.ndarray:
+    """The stored form of the id table ``ids`` as a "U" or a "lines" member."""
+    if dtype == "U":
+        return np.array([i + _ID_END for i in ids], dtype=str)
+    text = "\n".join(ids) + "\n" if ids else ""
+    if text.count("\n") != len(ids):
+        raise InvariantViolation("an id of a lines table holds a line break")
+    return np.frombuffer(text.encode("utf-8"), _LINES)
 
 
 def read_store(path: Path, what: str, members: Mapping[str, tuple], build: Callable):
     """``build`` called with the ``members`` of the binary ``what`` store ``path`` as keywords.
 
     Every member is read without unpickling and must be stored uncompressed, with its
-    dtype and number of dimensions; id tables lose their end marks.  A missing ``path``
+    dtype and number of dimensions; id tables come back as lists of str (a "U" table's ids
+    without their end marks, a "lines" table split at its line breaks).  A missing ``path``
     is an IoError.  Any fault in the archive, a member ``members`` does not name, or a
     value ``build`` rejects with an :class:`InvariantViolation` is a ParseError naming it.
     """
@@ -85,14 +121,19 @@ def read_store(path: Path, what: str, members: Mapping[str, tuple], build: Calla
                     raise ParseError(f"{path}: member {name} is compressed or encrypted")
                 with archive.open(info) as fh:
                     array = np.lib.format.read_array(fh, allow_pickle=False)
-                if array.ndim != ndim or (array.dtype.kind != dtype if dtype == "U" else array.dtype != dtype):
+                expected = _LINES if dtype == "lines" else dtype
+                if array.ndim != ndim or (array.dtype.kind != "U" if dtype == "U" else array.dtype != expected):
                     found = f"{array.ndim}-d {array.dtype}"
-                    raise ParseError(f"{path}: member {name} is {found}, expected {ndim}-d {dtype}")
+                    raise ParseError(f"{path}: member {name} is {found}, expected {ndim}-d {expected}")
                 if dtype == "U":
                     array = array.tolist()
                     if not all(i.endswith(_ID_END) for i in array):
                         raise ParseError(f"{path}: member {name} holds an id without its end mark")
                     array = [i[:-1] for i in array]
+                elif dtype == "lines":
+                    array = array.tobytes().decode("utf-8").split("\n")
+                    if array.pop():
+                        raise ParseError(f"{path}: member {name} does not end its last id with a line break")
                 arrays[name] = array
     except FileNotFoundError:
         raise IoError(f"{what} store file not found: {path}") from None
@@ -105,51 +146,65 @@ def read_store(path: Path, what: str, members: Mapping[str, tuple], build: Calla
 
 
 def _checksum(blocks: Iterable[bytes]) -> str:
-    """The crc32 and adler32 (64 bits together) and the length of ``blocks`` joined, in hex."""
-    crc, adler, size = 0, 1, 0
+    """The 64-bit SipHash (``importlib.util.source_hash``) of the hashes of ``blocks``, one by one, and their total
+    length, in hex."""
+    hashes, size = [], 0
     for block in blocks:
-        crc, adler, size = zlib.crc32(block, crc), zlib.adler32(block, adler), size + len(block)
-    return f"{crc:08x}{adler:08x}{size:x}"
+        hashes.append(source_hash(block))
+        size += len(block)
+    return f"{source_hash(b''.join(hashes)).hex()}{size:x}"
 
 
-def _stamp(path: str | Path) -> tuple[int, int, int]:
-    """What changes when a file is written or replaced: its inode, size and modification time."""
+def _digest(path: str | Path) -> str:
+    """The :func:`_checksum` of the file ``path``, read in 1 MiB blocks."""
+    with open(path, "rb") as fh:
+        return _checksum(iter(partial(fh.read, 1 << 20), b""))
+
+
+def _stamp(path: str | Path) -> tuple[int, int, int] | None:
+    """What changes when a file is written or replaced: its inode, size and modification time (None for what is
+    not a regular file, such as a pipe, which can be read only once)."""
     stat = os.stat(path)
-    return stat.st_ino, stat.st_size, stat.st_mtime_ns
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns) if S_ISREG(stat.st_mode) else None
 
 
 def cached(cache: Path | None, kind: str, path: str | Path, args: tuple, members: Mapping[str, tuple],
            parse: Callable, build: Callable, values: Callable = lambda parsed: parsed):
-    """``parse()`` of the input ``path``, kept in the parse cache directory ``cache`` (None: parse only).
+    """``parse()`` of the input ``path``, kept in the parse cache directory ``cache`` (None, or an input that is
+    not a regular file: parse only).
 
-    The entry ``<kind>-<digest>.npz`` is a binary store of ``members`` (:func:`write_store`), which ``values``
-    gives of the parsed object.  Its digest is the :func:`_checksum` of this package's source files with ``kind``
-    and ``args``, then that of ``path``, read in 1 MiB blocks, so an edit to a parser, a constructor or the input
-    misses.  A hit is ``build`` called with the members (:func:`read_store`, so through the validating
-    constructor); an entry that does not read back is a miss.  A miss parses, then writes the entry, unless the
-    parse fails or ``path`` changed meanwhile; a write that fails (any ``OSError``) leaves no entry.  So every
-    error is the parser's own.
+    The entry ``<kind>-<slot>-<digest>.npz`` is a binary store of ``members`` (:func:`write_store`), which
+    ``values`` gives of the parsed object.  Its slot is the :func:`_checksum` of ``path`` made absolute and of
+    ``args``; its digest is that of this package's source files, then that of ``path``'s bytes, so an edit to a
+    parser, a constructor or the input misses.  A hit is ``build`` called with the members (:func:`read_store`,
+    so through the validating constructor); an entry that does not read back is a miss.  A miss parses, then
+    writes the entry and removes the slot's other entries, unless the parse fails or ``path`` changed meanwhile
+    (its stamp, or its bytes read again); a write that fails (any ``OSError`` or ``MemoryError``) leaves no
+    entry.  So every error is the parser's own, and the cache holds one entry per input path and arguments.
     """
-    if cache is None:
-        return parse()
     try:
-        stamp = _stamp(path)
-        with open(path, "rb") as fh:
-            digest = _checksum(iter(partial(fh.read, 1 << 20), b""))
-        sources = sorted(Path(__file__).parent.glob("*.py"))
-        digest = _checksum([*map(Path.read_bytes, sources), repr((kind, args)).encode()]) + digest
+        stamp = cache and _stamp(path)
+        if stamp:
+            digest = _digest(path)
+            slot = _checksum([os.fsencode(Path(path).absolute()), repr(args).encode()])
+            source = _checksum(map(Path.read_bytes, sorted(Path(__file__).parent.glob("*.py"))))
     except OSError:  # an input that cannot be read fails in parse(), as it does without a cache
+        stamp = None
+    if not stamp:
         return parse()
-    entry = Path(cache) / f"{kind}-{digest}.npz"
+    entry = Path(cache) / f"{kind}-{slot}-{source}{digest}.npz"
     try:
         return read_store(entry, kind, members, build)
     except (IoError, ParseError):  # no entry, or one damaged or foreign
         pass
     parsed = parse()
     try:
-        if _stamp(path) == stamp:
+        if _stamp(path) == stamp and _digest(path) == digest:
             entry.parent.mkdir(parents=True, exist_ok=True)
             write_store(entry, members, values(parsed))
-    except OSError:
+            for old in entry.parent.glob(f"{kind}-{slot}-*.npz"):
+                if old != entry:
+                    old.unlink()
+    except (OSError, MemoryError):
         pass
     return parsed

@@ -1,5 +1,6 @@
 """Parsers, filtering/splitting, and canonical round-trips."""
 
+import contextlib
 import hashlib
 import importlib.util
 import io
@@ -8,9 +9,11 @@ import math
 import os
 import re
 import tempfile
+import threading
 import tracemalloc
 import zipfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,7 +52,7 @@ from fairrank.ingest import (
     write_scores_tsv,
 )
 from fairrank.metrics import slate_hits
-from fairrank.store import replace_file
+from fairrank.store import read_store, replace_file, write_store
 from fairrank.synth import init_workspace, synthetic_dataset
 from fairrank.trainer import MFModel, TrainConfig, load_model, save_model
 
@@ -720,6 +723,20 @@ def test_write_failing_midway_leaves_previous_files_whole(tmp_path, monkeypatch,
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(Path, method, half_then_full_disk)
+
+    class HalfThenFullDisk(io.FileIO):  # a streamed write: half of its first block lands, then the disk is full
+        def write(self, data):
+            if name not in failed:
+                super().write(bytes(data)[: len(data) // 2])
+                failed.append(name)
+            raise OSError(28, "No space left on device")
+
+    def open_half_then_full_disk(path, mode="r", *args, original=Path.open, **kwargs):
+        if path.name != f".{name}.{os.getpid()}.tmp" or mode != "wb":  # write_text and write_bytes open too
+            return original(path, mode, *args, **kwargs)
+        return HalfThenFullDisk(path, mode)
+
+    monkeypatch.setattr(Path, "open", open_half_then_full_disk)
     with pytest.raises(IoError, match="No space left on device"):
         write(tmp_path)
     assert failed == [name]
@@ -1066,6 +1083,42 @@ def test_replace_file_leaves_a_foreign_temporary_alone(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [".entry.npz.tmp", "entry.npz"]
 
 
+def test_replace_file_removes_the_temporaries_of_processes_no_longer_running(tmp_path):
+    """A temporary whose pid runs no process (1 << 22 is past every Linux pid_max) is removed; one of a running
+    process, or not named by a pid, is left."""
+    kept = [tmp_path / f".entry.npz.{os.getppid()}.tmp", tmp_path / ".entry.npz.x1.tmp", tmp_path / ".other.1.tmp"]
+    for temporary in [*kept, tmp_path / f".entry.npz.{1 << 22}.tmp"]:
+        temporary.write_bytes(b"half")
+    replace_file(tmp_path / "entry.npz", b"whole")
+    assert sorted(tmp_path.iterdir()) == sorted([*kept, tmp_path / "entry.npz"])
+
+
+LINES_STORE = {"ids": ("lines", 1)}
+
+
+@pytest.mark.parametrize("ids", [[], [""], ["a", "", "b\0", "\u00e9 c"]], ids=["none", "empty-id", "mixed"])
+def test_lines_id_table_round_trips(tmp_path, ids):
+    write_store(tmp_path / "s.npz", LINES_STORE, SimpleNamespace(ids=ids))
+    assert read_store(tmp_path / "s.npz", "test", LINES_STORE, lambda ids: ids) == ids
+
+
+def test_lines_id_table_refuses_an_id_with_a_line_break(tmp_path):
+    with pytest.raises(InvariantViolation, match="line break"):
+        write_store(tmp_path / "s.npz", LINES_STORE, SimpleNamespace(ids=["a", "b\nc"]))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stored, fault", [
+    (np.frombuffer(b"a\nb", np.uint8), "member ids does not end its last id with a line break"),
+    (np.frombuffer(b"a\n\xff\n", np.uint8), "UnicodeDecodeError"),
+    (np.array(["a."]), "member ids is 1-d <U2, expected 1-d uint8"),
+], ids=["unended", "not-utf8", "str-array"])
+def test_damaged_lines_id_table_is_a_parse_error(tmp_path, stored, fault):
+    np.savez(tmp_path / "s.npz", ids=stored)
+    with pytest.raises(ParseError, match=re.escape(fault)):
+        read_store(tmp_path / "s.npz", "test", LINES_STORE, lambda ids: ids)
+
+
 def _searchgen():
     """perfbench/searchgen.py, the search workload's input generator."""
     spec = importlib.util.spec_from_file_location("searchgen", PROVENANCE.parent / "searchgen.py")
@@ -1147,7 +1200,7 @@ class TestParseCache:
         cold = read(path, cache=None)
         assert_same(cold, read(path, cache=cache))
         (entry,) = cache.iterdir()
-        assert re.fullmatch(rf"{kind}-[0-9a-f]{{20,}}\.npz", entry.name)
+        assert re.fullmatch(rf"{kind}-[0-9a-f]{{10,}}-[0-9a-f]{{20,}}\.npz", entry.name)
         with monkeypatch.context() as patched:
             _no_parse(patched)
             assert_same(cold, read(path, cache=cache))
@@ -1183,11 +1236,24 @@ class TestParseCache:
         (tmp_path / "in").mkdir()
         _small(tmp_path / "in", name, text)
         first = read(tmp_path / "in", tmp_path / "cache")
+        (old,) = (tmp_path / "cache").iterdir()
         _small(tmp_path / "in", name, edited)
         second = read(tmp_path / "in", tmp_path / "cache")
         assert_same(read(tmp_path / "in", None), second)
         assert not np.array_equal(getattr(first, member), getattr(second, member))
-        assert len(list((tmp_path / "cache").iterdir())) == 2
+        (new,) = (tmp_path / "cache").iterdir()  # the edited input's entry replaced the old one
+        assert new.name != old.name and new.name.rsplit("-", 1)[0] == old.name.rsplit("-", 1)[0]
+
+    def test_new_entry_removes_its_slots_other_entries_only(self, tmp_path, bench_inputs):
+        """An entry left by an older source or input in the same slot (input path and arguments) is removed when
+        the slot is written; another slot's entry stays."""
+        parse_run_file(bench_inputs / "input.run", None, cache=tmp_path)
+        (other,) = tmp_path.iterdir()
+        parse_run_file(bench_inputs / "input.run", 50, cache=tmp_path)
+        (entry,) = set(tmp_path.iterdir()) - {other}
+        entry.rename(orphan := entry.with_name(entry.name.rsplit("-", 1)[0] + "-00000000000000000.npz"))
+        parse_run_file(bench_inputs / "input.run", 50, cache=tmp_path)
+        assert set(tmp_path.iterdir()) == {other, entry} and not orphan.exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "foreign", "directory"])
     @pytest.mark.parametrize("case", ["run-seed77-truncate-50", "qrels-seed77", "scores-seed77"])
@@ -1214,8 +1280,9 @@ class TestParseCache:
             assert_same(cold, read(path, cache=cache))
         assert list(cache.iterdir()) == [entry]
 
+    @pytest.mark.parametrize("fault", [OSError(28, "No space left on device"), MemoryError()], ids=["disk", "memory"])
     @pytest.mark.parametrize("case", ["run-seed77-truncate-50", "qrels-seed77", "scores-probability"])
-    def test_unwritable_cache_parses_and_leaves_nothing(self, tmp_path, bench_inputs, monkeypatch, case):
+    def test_unwritable_cache_parses_and_leaves_nothing(self, tmp_path, bench_inputs, monkeypatch, case, fault):
         kind, write, read = CACHED[case]
         path = write(tmp_path, bench_inputs)
         cold = read(path, cache=None)
@@ -1224,24 +1291,52 @@ class TestParseCache:
         assert (tmp_path / "file").read_text(encoding="utf-8") == "not a directory"
         (tmp_path / "full").mkdir()
 
-        def full_disk(self, data):
-            raise OSError(28, "No space left on device")
+        def write_part_then_fail(file, **arrays):
+            file.write(b"PK")
+            raise fault
 
-        monkeypatch.setattr(Path, "write_bytes", full_disk)
+        monkeypatch.setattr(np, "savez", write_part_then_fail)
         assert_same(cold, read(path, cache=tmp_path / "full"))
         assert list((tmp_path / "full").iterdir()) == []
 
-    def test_input_edited_while_parsed_writes_no_entry(self, tmp_path, monkeypatch):
+    # An edit during the parse: one that changes the file's size, and one in place to the same length with the
+    # modification time set back, which only reading the bytes again can see.
+    @pytest.mark.parametrize("edit", ["q1 a d1 1\nq1 a d2 1\n", "q1 a d9 1\n"], ids=["grown", "same-stamp"])
+    def test_input_edited_while_parsed_writes_no_entry(self, tmp_path, monkeypatch, edit):
         path = _small(tmp_path, "qrels", "q1 a d1 1\n")
-        read = ingest._read
+        stat, read = path.stat(), ingest._read
 
         def read_then_edit(*args, **kwargs):
             columns = read(*args, **kwargs)
-            path.write_text("q1 a d1 1\nq1 a d2 1\n", encoding="utf-8")
+            with open(path, "r+", encoding="utf-8") as fh:
+                fh.write(edit)
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
             return columns
 
         monkeypatch.setattr("fairrank.ingest._read", read_then_edit)
         assert parse_diversity_qrels(path, cache=tmp_path / "cache").doc_ids == ["d1"]
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_parsed_without_an_entry(self, tmp_path):
+        """A pipe can be read only once, so a checksum before the parse would leave the parser nothing."""
+        path = tmp_path / "qrels"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("q1 a d1 1\n",), kwargs={"encoding": "utf-8"})
+
+        def release():  # a second open that waits for a writer gets an empty pipe, so a fault fails, not hangs
+            with contextlib.suppress(OSError):
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+        watchdog = threading.Timer(10, release)
+        writer.start()
+        watchdog.start()
+        try:
+            judgments = parse_diversity_qrels(path, cache=tmp_path / "cache")
+        finally:
+            watchdog.cancel()
+            writer.join()
+        assert judgments.doc_ids == ["d1"]
         assert not (tmp_path / "cache").exists()
 
     # kind -> (a bad input, the name it is written as, reader)
