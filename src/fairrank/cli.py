@@ -51,6 +51,7 @@ from .ingest import (
     writing,
 )
 from .report import BenchmarkReport, emit_report
+from .store import running
 from .trainer import TrainConfig, TrainHooks, predict, save_model, train  # noqa: F401
 
 _HOOK_PARAMS = {f.name for f in fields(TrainHooks)}
@@ -187,12 +188,10 @@ def _lock(lock: Path) -> Path:
     """
     try:
         pid = int(lock.read_text(encoding="ascii"))
-        if pid > 0:
-            os.kill(pid, 0)
-    except ProcessLookupError:
+    except (OSError, ValueError):  # no lock, or one that names no pid
+        pid = 0
+    if pid > 0 and not running(pid):
         lock.unlink(missing_ok=True)
-    except (OSError, ValueError, OverflowError):  # no lock, or one that names no pid
-        pass
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:

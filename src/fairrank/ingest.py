@@ -39,7 +39,7 @@ from functools import partial
 from itertools import chain, count, islice
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 import yaml
@@ -56,7 +56,7 @@ from .errors import (
     UnknownQuery,
     VersionError,
 )
-from .store import cached, read_store, replace_file, write_store
+from .store import cached, read_store, refuse_unreadable, replace_file, write_store
 
 CANONICAL_FORMAT_VERSION = 1
 
@@ -634,14 +634,6 @@ def write_run_file(run: SearchRun, path: str | Path, tag: str) -> None:
 _FIELD_BREAKS = "\t\n\r"  # what the table readers split fields and lines on
 
 
-def _refuse_unreadable(path: Path, kind: str, ids: Iterable[str], breaks: str = _FIELD_BREAKS) -> None:
-    """Raise a FormatError naming the first of ``ids`` that holds one of ``breaks``: written into the
-    table ``path``, it would split a field or a line, and the table would not read back."""
-    chars = frozenset(breaks)
-    for bad in (x for x in ids if not chars.isdisjoint(x)):
-        raise FormatError(f"cannot write {kind} {bad!r} to {path}: it holds one of {breaks!r} and would not read back")
-
-
 def _write_log(path: Path, log: InteractionLog) -> None:
     users, items = map(log.user_ids.__getitem__, log.user.tolist()), map(log.item_ids.__getitem__, log.item.tolist())
     lines = map("{}\t{}\t{!r}\t{}\n".format, users, items, log.label.tolist(), log.timestamp.tolist())
@@ -658,8 +650,8 @@ def write_dataset(dataset: SplitDataset, directory: str | Path) -> None:
     user_groups = cat.user_groups or {}
     for name, kind, ids in (("users.tsv", "user id", cat.users), ("users.tsv", "user group", user_groups.values()),
                             ("items.tsv", "item id", cat.items)):
-        _refuse_unreadable(directory / name, kind, ids)
-    _refuse_unreadable(directory / "items.tsv", "item group", cat.group_ids, _FIELD_BREAKS + "|")
+        refuse_unreadable(directory / name, kind, ids, _FIELD_BREAKS)
+    refuse_unreadable(directory / "items.tsv", "item group", cat.group_ids, _FIELD_BREAKS + "|")
     for j in np.flatnonzero(~cat.member.any(axis=0))[:1]:  # items.tsv holds groups only as memberships
         raise FormatError(f"cannot write item group {cat.group_ids[j]!r} to {directory / 'items.tsv'}: no item "
                           "belongs to it, so it would not read back")
@@ -718,13 +710,12 @@ def _write_sidecar(scores: ScoreMatrix, directory: Path) -> None:
 # Each kind of binary store's members (see ``store.write_store``).  A model store holds
 # ``item_bias`` exactly when its manifest says ``use_item_bias``.
 _FLOATS = np.dtype(np.float64)
-_ID_TABLES = {"user_ids": ("U", 1), "item_ids": ("U", 1)}
+_ID_TABLES = {"user_ids": ("lines", 1), "item_ids": ("lines", 1)}
 SCORE_STORE = {"S": (_FLOATS, 2), "valid": (np.dtype(bool), 2), **_ID_TABLES}
 MODEL_STORE = {"user_vecs": (_FLOATS, 2), "item_vecs": (_FLOATS, 2), **_ID_TABLES}
 BIASED_MODEL_STORE = {**MODEL_STORE, "item_bias": (_FLOATS, 1)}
 # A parse-cache entry of a run file or of qrels: the constructor inputs of a SearchRun, and of an
-# IntentJudgments with each query's intents joined into one table, cut by ``n_intents``.  Their ids
-# are whitespace-split fields, so they hold no line break and are kept as "lines" tables.
+# IntentJudgments with each query's intents joined into one table, cut by ``n_intents``.
 _RUN_STORE = {"query_ids": ("lines", 1), "doc_ids": ("lines", 1), "docs": (np.dtype(np.intp), 2),
               "scores": (_FLOATS, 2)}
 _QRELS_STORE = {"query_ids": ("lines", 1), "intent_ids": ("lines", 1), "n_intents": (np.dtype(np.intp), 1),
@@ -737,11 +728,12 @@ def write_scores(scores: ScoreMatrix, directory: str | Path) -> None:
 
     The store (:func:`write_store`) holds the members of ``SCORE_STORE``: ``S`` and
     ``valid`` are the matrix's own arrays, so users with no scored item keep their
-    empty rows.  A ``scores.tsv`` in ``directory`` is removed.
+    empty rows.  A ``scores.tsv`` in ``directory`` is removed.  An id holding a line
+    break is a FormatError raised before any file is touched.
     """
     with writing(directory, "scores") as directory:
-        _write_sidecar(scores, directory)
         write_store(directory / "scores.npz", SCORE_STORE, scores)
+        _write_sidecar(scores, directory)
         (directory / "scores.tsv").unlink(missing_ok=True)
 
 
@@ -753,7 +745,7 @@ def write_scores_tsv(scores: ScoreMatrix, directory: str | Path) -> None:
     raised before any file is touched.
     """
     for kind, ids in (("user id", scores.user_ids), ("item id", scores.item_ids)):
-        _refuse_unreadable(Path(directory) / "scores.tsv", kind, ids)
+        refuse_unreadable(Path(directory) / "scores.tsv", kind, ids, _FIELD_BREAKS)
     with writing(directory, "scores") as directory:
         (directory / "scores.npz").unlink(missing_ok=True)
         _write_sidecar(scores, directory)

@@ -21,7 +21,7 @@ from typing import BinaryIO, Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvariantViolation, IoError, ParseError
+from .errors import FormatError, InvariantViolation, IoError, ParseError
 
 # What zipfile and np.lib.format.read_array raise on a damaged archive: a missing member
 # is a KeyError, an unknown zip version a NotImplementedError, and a header declaring an
@@ -29,10 +29,7 @@ from .errors import InvariantViolation, IoError, ParseError
 _STORE_FAULTS = (
     zipfile.BadZipFile, KeyError, OSError, ValueError, EOFError, OverflowError, MemoryError, NotImplementedError
 )
-# Appended to every id of a "U" id table, because numpy str arrays drop trailing NULs; a str
-# dtype given explicitly keeps an empty id table from defaulting to float64.
-_ID_END = "."
-_LINES = np.dtype(np.uint8)
+_LINES = np.dtype(np.uint8)  # an id table's stored dtype
 
 
 def replace_file(path: Path, data: str | bytes | memoryview | Callable[[BinaryIO], object]) -> None:
@@ -45,7 +42,7 @@ def replace_file(path: Path, data: str | bytes | memoryview | Callable[[BinaryIO
     """
     for stale in path.parent.glob(f".{glob.escape(path.name)}.*.tmp"):
         pid = stale.name[len(path.name) + 2:-len(".tmp")]
-        if pid.isascii() and pid.isdigit() and not _running(int(pid)):
+        if pid.isascii() and pid.isdigit() and not running(int(pid)):
             stale.unlink(missing_ok=True)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -61,7 +58,7 @@ def replace_file(path: Path, data: str | bytes | memoryview | Callable[[BinaryIO
         temporary.unlink(missing_ok=True)
 
 
-def _running(pid: int) -> bool:
+def running(pid: int) -> bool:
     """Whether process ``pid`` runs on this machine (on a system without POSIX signals, assumed so)."""
     if os.name != "posix":
         return True
@@ -74,39 +71,41 @@ def _running(pid: int) -> bool:
     return True
 
 
+def refuse_unreadable(path: Path, kind: str, ids: Iterable[str], breaks: str) -> None:
+    """Raise a FormatError naming the first of ``ids`` that holds one of ``breaks``: written into the
+    file ``path``, it would split a field or a line, and the file would not read back."""
+    chars = frozenset(breaks)
+    for bad in (x for x in ids if not chars.isdisjoint(x)):
+        raise FormatError(f"cannot write {kind} {bad!r} to {path}: it holds one of {breaks!r} and would not read back")
+
+
 def write_store(path: Path, members: Mapping[str, tuple], source: object) -> None:
     """Write the attributes of ``source`` that ``members`` names as the binary store ``path``.
 
     ``members`` maps each member's name to its dtype and number of dimensions.  The dtype
-    is a numpy dtype, "U" for an id table kept as a str array of any width, each id with
-    the end mark, or "lines" for one whose ids hold no line break, kept as their UTF-8
-    text, an id to a line, in a uint8 array (a quarter the size, and a few times faster to
-    write and read back).  The store is an uncompressed ``np.savez`` archive with nothing
-    pickled, one ``<name>.npy`` per member, streamed to the temporary file, so no copy of
-    the arrays is held in memory.
+    is a numpy dtype, or "lines" for an id table, kept as its ids' UTF-8 text (lone
+    surrogates passed through), an id to a line, in a uint8 array; an id holding a line
+    break is a FormatError raised before any file is touched.  The store is an
+    uncompressed ``np.savez`` archive with nothing pickled, one ``<name>.npy`` per member,
+    streamed to the temporary file, so no copy of the arrays is held in memory.
     """
-    arrays = {name: _id_table(getattr(source, name), dtype) if dtype in ("U", "lines") else getattr(source, name)
-              for name, (dtype, _) in members.items()}
+    arrays = {name: getattr(source, name) for name in members}
+    for name, (dtype, _) in members.items():
+        if dtype == "lines":
+            ids = arrays[name]
+            text = "\n".join(ids) + "\n" if ids else ""
+            if text.count("\n") != len(ids):
+                refuse_unreadable(path, name, ids, "\n")
+            arrays[name] = np.frombuffer(text.encode("utf-8", "surrogatepass"), _LINES)
     replace_file(path, partial(np.savez, **arrays))
-
-
-def _id_table(ids: list[str], dtype: str) -> np.ndarray:
-    """The stored form of the id table ``ids`` as a "U" or a "lines" member."""
-    if dtype == "U":
-        return np.array([i + _ID_END for i in ids], dtype=str)
-    text = "\n".join(ids) + "\n" if ids else ""
-    if text.count("\n") != len(ids):
-        raise InvariantViolation("an id of a lines table holds a line break")
-    return np.frombuffer(text.encode("utf-8"), _LINES)
 
 
 def read_store(path: Path, what: str, members: Mapping[str, tuple], build: Callable):
     """``build`` called with the ``members`` of the binary ``what`` store ``path`` as keywords.
 
     Every member is read without unpickling and must be stored uncompressed, with its
-    dtype and number of dimensions; id tables come back as lists of str (a "U" table's ids
-    without their end marks, a "lines" table split at its line breaks).  A missing ``path``
-    is an IoError.  Any fault in the archive, a member ``members`` does not name, or a
+    dtype and number of dimensions; id tables come back as lists of str, split at their
+    line breaks.  A missing ``path`` is an IoError.  Any fault in the archive, a member ``members`` does not name, or a
     value ``build`` rejects with an :class:`InvariantViolation` is a ParseError naming it.
     """
     arrays = {}
@@ -122,16 +121,11 @@ def read_store(path: Path, what: str, members: Mapping[str, tuple], build: Calla
                 with archive.open(info) as fh:
                     array = np.lib.format.read_array(fh, allow_pickle=False)
                 expected = _LINES if dtype == "lines" else dtype
-                if array.ndim != ndim or (array.dtype.kind != "U" if dtype == "U" else array.dtype != expected):
+                if array.ndim != ndim or array.dtype != expected:
                     found = f"{array.ndim}-d {array.dtype}"
                     raise ParseError(f"{path}: member {name} is {found}, expected {ndim}-d {expected}")
-                if dtype == "U":
-                    array = array.tolist()
-                    if not all(i.endswith(_ID_END) for i in array):
-                        raise ParseError(f"{path}: member {name} holds an id without its end mark")
-                    array = [i[:-1] for i in array]
-                elif dtype == "lines":
-                    array = array.tobytes().decode("utf-8").split("\n")
+                if dtype == "lines":
+                    array = array.tobytes().decode("utf-8", "surrogatepass").split("\n")
                     if array.pop():
                         raise ParseError(f"{path}: member {name} does not end its last id with a line break")
                 arrays[name] = array
@@ -156,9 +150,9 @@ def _checksum(blocks: Iterable[bytes]) -> str:
 
 
 def _digest(path: str | Path) -> str:
-    """The :func:`_checksum` of the file ``path``, read in 1 MiB blocks."""
+    """The :func:`_checksum` of the file ``path``, read in 64 KiB blocks."""
     with open(path, "rb") as fh:
-        return _checksum(iter(partial(fh.read, 1 << 20), b""))
+        return _checksum(iter(partial(fh.read, 1 << 16), b""))
 
 
 def _stamp(path: str | Path) -> tuple[int, int, int] | None:

@@ -14,7 +14,7 @@ Training is single-threaded and bit-reproducible for a fixed seed; hooks
 observe batch-level statistics and act on item groups, holding every
 per-group value as an array over the catalog's ``group_ids``.  A checkpoint
 is a YAML manifest plus the model's arrays in the binary store of
-:mod:`fairrank.ingest`, which owns both file formats.
+:mod:`fairrank.store`, which owns both file formats.
 """
 
 from __future__ import annotations
@@ -442,7 +442,7 @@ def predict(
     return ScoreMatrix(users, model.item_ids, S, valid[:-1, :-1], semantics="raw")
 
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 _MANIFEST_KEYS = ("format_version", "dim", "seed", "epochs", "lr", "l2", "batch_size")
 _KINDS = {bool: "true or false", int: "an integer", float: "a number"}
 
@@ -454,14 +454,15 @@ def save_model(model: MFModel, directory: str | Path, hooks: TrainHooks | None =
     ``item_bias`` when the config uses one.  The manifest holds every
     :class:`TrainConfig` field and, when given, every :class:`TrainHooks` field, so
     ``TrainHooks(**manifest["hooks"])`` and the loaded config retrain the same model.
+    An id holding a line break is a FormatError raised before any file is touched.
     """
     manifest = {"format_version": CHECKPOINT_FORMAT_VERSION, **asdict(model.config),
                 "loss_curve": [float(x) for x in model.loss_curve]}
     if hooks is not None:
         manifest["hooks"] = asdict(hooks)
     with writing(directory, "model") as directory:
-        replace_file(directory / "manifest.yaml", yaml.safe_dump(manifest, sort_keys=True))
         write_store(directory / "model.npz", BIASED_MODEL_STORE if model.config.use_item_bias else MODEL_STORE, model)
+        replace_file(directory / "manifest.yaml", yaml.safe_dump(manifest, sort_keys=True))
 
 
 def load_model(directory: str | Path) -> MFModel:

@@ -483,7 +483,10 @@ class TestCanonicalIo:
         assert read_scores(tmp_path / "ds") == scores
 
 
-IDS = st.lists(st.text(max_size=3) | st.text(max_size=2).map(lambda s: s + "\x00"), unique=True, max_size=4)
+# No line break: a store refuses it (``test_line_break_id_is_a_format_error``).
+CHARS = st.characters(exclude_characters="\n")
+IDS = st.lists(st.text(CHARS, max_size=3) | st.text(CHARS, max_size=2).map(lambda s: s + "\x00"), unique=True,
+               max_size=4)
 EDGE_SCORES = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1.0])
 SCORES = {
     "raw": EDGE_SCORES | st.floats(allow_nan=False, allow_infinity=False),
@@ -503,7 +506,7 @@ def score_matrices(draw):
 
 
 def _store(path, **arrays):
-    """The store ``path`` of ``arrays``, ids given as stored (end mark included)."""
+    """The store ``path`` of ``arrays``, ids given as stored (their lines' UTF-8 bytes)."""
     np.savez(path, **arrays)
     return path
 
@@ -514,11 +517,11 @@ STORE_FAULTS = [
     ("member-missing", lambda a, v: {k: a[k] for k in a if k != "item_ids"}, "not a readable {kind} store .KeyError"),
     ("int-dtype", lambda a, v: {**a, v: a[v].astype(np.int64)}, "member {values} is 2-d int64"),
     ("wrong-ndim", lambda a, v: {**a, v: a[v][0]}, "member {values} is 1-d float64"),
-    ("pickled", lambda a, v: {**a, "user_ids": np.array(["u."], dtype=object)},
+    ("pickled", lambda a, v: {**a, "user_ids": np.array(["u"], dtype=object)},
      "not a readable {kind} store .ValueError: Object arrays cannot be loaded"),
     ("float-ids", lambda a, v: {**a, "user_ids": np.array([])}, "member user_ids is 1-d float64"),
-    ("unmarked-id", lambda a, v: {**a, "user_ids": np.array(["u"])},
-     "member user_ids holds an id without its end mark"),
+    # A str array of end-marked ids: an id table as older versions stored it.
+    ("str-ids", lambda a, v: {**a, "user_ids": np.array(["u."])}, "member user_ids is 1-d <U2, expected 1-d uint8"),
     ("shape", lambda a, v: {**a, v: np.repeat(a[v], 2, axis=0)}, "{shape}"),
     ("nan", lambda a, v: {**a, v: np.full_like(a[v], np.nan)}, "{nan}"),
     ("unlisted-member", lambda a, v: {**a, "extra": np.zeros(1)}, "member extra is not one of "),
@@ -563,7 +566,7 @@ class TestScoreStore(StoreFaults):
 
     FILE, KIND, VALUES = "scores.npz", "score", "S"
     ARRAYS = {"S": np.zeros((1, 1)), "valid": np.ones((1, 1), bool),
-              "user_ids": np.array(["u."]), "item_ids": np.array(["i."])}
+              "user_ids": np.frombuffer(b"u\n", np.uint8), "item_ids": np.frombuffer(b"i\n", np.uint8)}
     SHAPE, NAN = "score array shape does not match", "non-finite score"
 
     @staticmethod
@@ -578,6 +581,7 @@ class TestScoreStore(StoreFaults):
                          [[True, True], [False, True], [False, False]], semantics="probability"))
     @example(ScoreMatrix([], [], np.zeros((0, 0))))
     @example(ScoreMatrix(["u"], [], np.zeros((1, 0))))
+    @example(ScoreMatrix([" ", "\r"], ["\ud800"], np.zeros((2, 1))))
     def test_round_trip_is_bit_exact(self, scores):
         with tempfile.TemporaryDirectory() as tmp:
             write_scores(scores, tmp)
@@ -586,6 +590,16 @@ class TestScoreStore(StoreFaults):
         assert (back.user_ids, back.item_ids) == (scores.user_ids, scores.item_ids)
         assert np.array_equal(back.valid, scores.valid)
         assert back.S.tobytes() == scores.S.tobytes()
+
+    @pytest.mark.parametrize("table", ["user_ids", "item_ids"])
+    def test_line_break_id_is_a_format_error(self, tmp_path, table):
+        _write_scores(tmp_path, write_scores_tsv)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        ids = {"user_ids": ["u"], "item_ids": ["i"], table: ["a\nb"]}
+        message = f"cannot write {table} 'a\\nb' to {tmp_path / 'scores.npz'}: it holds one of '\\n'"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+            write_scores(ScoreMatrix(**ids, scores=np.ones((1, 1)), semantics="raw"), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_writing_one_form_removes_the_other(self, tmp_path):
         _, scores = synthetic_dataset(n_users=5, n_items=6, n_groups=2, seed=5)
@@ -628,7 +642,7 @@ class TestModelStore(StoreFaults):
 
     FILE, KIND, VALUES = "model.npz", "model", "user_vecs"
     ARRAYS = {"user_vecs": np.zeros((1, 2)), "item_vecs": np.zeros((1, 2)),
-              "user_ids": np.array(["u."]), "item_ids": np.array(["i."])}
+              "user_ids": np.frombuffer(b"u\n", np.uint8), "item_ids": np.frombuffer(b"i\n", np.uint8)}
     SHAPE, NAN = "user embedding shape mismatch", "non-finite model parameter"
 
     @staticmethod
@@ -644,6 +658,7 @@ class TestModelStore(StoreFaults):
     @example(MFModel(["", "u\x00", "é\x00\x00"], ["i\x00", "ü"], np.array([[-0.0], [5e-324], [2.5e-310]]),
                      np.array([[-0.0], [1.0]]), np.array([5e-324, -0.0]), TrainConfig(dim=1, use_item_bias=True)))
     @example(MFModel([], [], np.zeros((0, 2)), np.zeros((0, 2)), None, TrainConfig(dim=2)))
+    @example(MFModel([" ", "\r"], ["\ud800"], np.zeros((2, 1)), np.zeros((1, 1)), None, TrainConfig(dim=1)))
     def test_round_trip_is_bit_exact(self, model):
         with tempfile.TemporaryDirectory() as tmp:
             save_model(model, tmp)
@@ -654,6 +669,17 @@ class TestModelStore(StoreFaults):
             got, expected = getattr(back, name), getattr(model, name)
             assert (got is None and expected is None) or (got.dtype == expected.dtype and got.shape == expected.shape
                                                           and got.tobytes() == expected.tobytes())
+
+    @pytest.mark.parametrize("table", ["user_ids", "item_ids"])
+    def test_line_break_id_is_a_format_error(self, tmp_path, table):
+        self.write(tmp_path, use_item_bias=True)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        ids = {"user_ids": ["u"], "item_ids": ["i"], table: ["a\nb"]}
+        message = f"cannot write {table} 'a\\nb' to {tmp_path / 'model.npz'}: it holds one of '\\n'"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+            save_model(MFModel(**ids, user_vecs=np.ones((1, 2)), item_vecs=np.ones((1, 2)), item_bias=None,
+                               config=TrainConfig(dim=2)), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_bias_the_manifest_does_not_declare_is_a_parse_error(self, tmp_path):
         self.write(tmp_path)
@@ -1103,7 +1129,8 @@ def test_lines_id_table_round_trips(tmp_path, ids):
 
 
 def test_lines_id_table_refuses_an_id_with_a_line_break(tmp_path):
-    with pytest.raises(InvariantViolation, match="line break"):
+    message = f"cannot write ids 'b\\nc' to {tmp_path / 's.npz'}: it holds one of '\\n' and would not read back"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         write_store(tmp_path / "s.npz", LINES_STORE, SimpleNamespace(ids=["a", "b\nc"]))
     assert list(tmp_path.iterdir()) == []
 

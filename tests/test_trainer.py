@@ -669,11 +669,23 @@ class TestCheckpoint:
         dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
         save_model(train(dataset, TrainConfig(dim=2, epochs=1, seed=0), TrainHooks()), tmp_path)
         manifest = tmp_path / "manifest.yaml"
-        manifest.write_text(manifest.read_text().replace("format_version: 2", "format_version: 1"))
+        manifest.write_text(manifest.read_text().replace("format_version: 3", "format_version: 1"))
         (tmp_path / "model.npz").unlink()
         (tmp_path / "user_vecs.tsv").write_text("u0\t0.5\t0.25\n", encoding="utf-8")
         (tmp_path / "item_vecs.tsv").write_text("i0\t-1.0\t2.0\n", encoding="utf-8")
         with pytest.raises(VersionError, match="^checkpoint version 1 unsupported$"):
+            load_model(tmp_path)
+
+    def test_checkpoint_of_version_2_is_a_version_error(self, tmp_path):
+        """Version 2 kept its id tables as str arrays of end-marked ids."""
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        save_model(train(dataset, TrainConfig(dim=2, epochs=1, seed=0), TrainHooks()), tmp_path)
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(manifest.read_text().replace("format_version: 3", "format_version: 2"))
+        end_marked = lambda ids: np.array([f"{i}." for i in ids.tobytes().decode().splitlines()])
+        self.rewrite_store(tmp_path, lambda a: {**a, "user_ids": end_marked(a["user_ids"]),
+                                                "item_ids": end_marked(a["item_ids"])})
+        with pytest.raises(VersionError, match="^checkpoint version 2 unsupported$"):
             load_model(tmp_path)
 
     def test_manifest_value_the_config_rejects_is_a_parse_error(self, tmp_path):
@@ -725,6 +737,6 @@ class TestCheckpoint:
         model = train(dataset, TrainConfig(dim=4, epochs=1, seed=0), TrainHooks())
         save_model(model, tmp_path / "ckpt")
         manifest = tmp_path / "ckpt" / "manifest.yaml"
-        manifest.write_text(manifest.read_text().replace("format_version: 2", "format_version: 9"))
+        manifest.write_text(manifest.read_text().replace("format_version: 3", "format_version: 9"))
         with pytest.raises(VersionError):
             load_model(tmp_path / "ckpt")
