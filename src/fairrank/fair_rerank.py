@@ -15,9 +15,12 @@ every entry at or above it; only rows that take more than their slate
 (ties at that value, or fewer than K candidates) are resolved one by one.
 The online algorithms rank one user at a time with :func:`_top_row`: a
 1-D partition, then a lexsort of just the entries at or above the K-th
-value.  welf's Frank-Wolfe steps write preallocated users x items buffers
-in place, and fairrec's round-robin scan resumes each user's ranking
-where it last stopped.  Every algorithm reads the user x item arrays of
+value.  welf's Frank-Wolfe steps write three users x items float buffers
+in place: the iterate, the gradient (scores plus the welfare bonus, the
+bonus alone at unscored entries) and a scratch array for the kernel's
+partition; each step moves the iterate toward a bool top-k mask, under
+that mask.  fairrec's round-robin scan resumes each user's ranking where
+it last stopped.  Every algorithm reads the user x item arrays of
 the :class:`ScoreMatrix` itself (``S``, ``valid``, ``n_valid`` and the
 cached ``order``), so every (model, K) run on one matrix shares them, and
 the group data that :class:`RerankContext` gathers once from the
@@ -110,18 +113,22 @@ def proportional_shares(catalog: Catalog) -> np.ndarray:
     return counts / counts.sum()
 
 
-def _top_mask(primary: np.ndarray, tie: np.ndarray, k: int, n_valid: np.ndarray) -> np.ndarray:
+def _top_mask(primary: np.ndarray, tie: np.ndarray, k: int, n_valid: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Mask of each row's ``min(k, n_valid)`` best entries of ``primary``.
 
     Entries rank by (primary desc, tie desc, column asc); primary must be
     -inf exactly at invalid entries.  Entries at or above the row's k-th
     value are taken; a row where they are more than ``min(k, n_valid)`` (ties
     at the k-th value, or fewer than k valid entries) keeps those above it
-    and fills the remaining slots from those equal to it.
+    and fills the remaining slots from those equal to it.  The k-th values
+    are found by partitioning a copy of ``primary`` in ``scratch``, an array
+    of its shape and dtype that is overwritten.
     """
     m = primary.shape[1]
     cut = m - min(k, m)
-    kth = np.partition(primary, cut, axis=1)[:, cut, None]
+    np.copyto(scratch, primary)
+    scratch.partition(cut, axis=1)
+    kth = scratch[:, cut, None]
     take = primary >= kth
     want = np.minimum(k, n_valid)
     if np.count_nonzero(take) == want.sum():  # no row takes fewer than want, so none takes more
@@ -414,42 +421,49 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
         raise InvariantViolation("iters must be >= 1")
     eps = 1e-3
     S, valid, n_valid = ctx.scores.S, ctx.scores.valid, ctx.scores.n_valid
-    pi = _top_mask(S, S, ctx.k, n_valid).astype(float)
+    invalid = ~valid
+    # The only users x items float buffers, each written in place: the
+    # fractional slates pi, the gradient and a scratch array for the
+    # partition copies, the gap terms and the objective.  The gradient is
+    # where(valid, S, 0) + bonus, written as S + bonus with bonus copied over
+    # its invalid entries, where the gap's factor head - pi is +0.0.  The
+    # linear maximiser head is a bool mask, and pi gains gamma where it is
+    # set; with lam == 0 head is the initial top-k at every step.  No product
+    # reads S where it is -inf.
+    scratch, grad = np.empty_like(S), np.empty_like(S)
+    head = _top_mask(S, S, ctx.k, n_valid, scratch)
+    pi = head.astype(float)
+    if lam == 0:
+        np.copyto(grad, S)
+        np.copyto(grad, 0.0, where=invalid)
     expected_row = np.array(ctx.depth, dtype=float)
 
     exposure = pi.sum(axis=0) @ ctx.member_f
     gaps: list[float] = []
     max_row_dev = 0.0
     entry_min, entry_max = 0.0, 1.0
-    S0 = np.where(valid, S, 0.0)
-    # Every step writes these users x items buffers in place.  The gap's
-    # gradient factor is S0 + bonus: head - pi is +0.0 wherever valid is
-    # False, so each product, and with it the full-layout sum, equals the one
-    # taken with the gradient zeroed at invalid entries.
-    grad, head, scratch = np.empty_like(S), np.empty_like(S), np.empty_like(S)
 
     for t in range(1, iters + 1):
         if lam > 0:
             bonus = ctx.member_f @ (lam * (exposure + eps) ** (-alpha))
-            np.copyto(head, _top_mask(np.add(S, bonus, out=grad), S, ctx.k, n_valid))
-            grad0 = np.add(S0, bonus, out=grad)
-        else:
-            np.copyto(head, _top_mask(S, S, ctx.k, n_valid))
-            grad0 = S0
+            head = _top_mask(np.add(S, bonus, out=grad), S, ctx.k, n_valid, scratch)
+            np.copyto(grad, bonus, where=invalid)
         np.subtract(head, pi, out=scratch)
-        gaps.append(float(np.sum(np.multiply(grad0, scratch, out=scratch))))
+        gaps.append(float(np.sum(np.multiply(grad, scratch, out=scratch))))
         gamma = 2.0 / (t + 2.0)
-        np.add(np.multiply(pi, 1.0 - gamma, out=pi), np.multiply(head, gamma, out=head), out=pi)
+        pi *= 1.0 - gamma
+        np.add(pi, gamma, out=pi, where=head)
         exposure = pi.sum(axis=0) @ ctx.member_f
         max_row_dev = max(max_row_dev, float(np.abs(pi.sum(axis=1) - expected_row).max()))
         entry_min = min(entry_min, float(pi.min()))
         entry_max = max(entry_max, float(pi.max()))
 
-    objective = float(np.sum(np.multiply(pi, S0, out=scratch)))
+    scratch.fill(0.0)
+    objective = float(np.sum(np.multiply(pi, S, out=scratch, where=valid)))
     if lam > 0:
         objective += float(lam * np.sum((exposure + eps) ** (1.0 - alpha) / (1.0 - alpha)))
 
-    primary = np.where(valid, pi, -np.inf)
+    np.copyto(pi, -np.inf, where=invalid)  # pi is now the primary key of the final top-k
     meta = {
         "duality_gaps": gaps,
         "objective": objective,
@@ -457,5 +471,5 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
         "polytope_entry_min": entry_min,
         "polytope_entry_max": entry_max,
     }
-    return _build_slates(ctx.scores, _top_mask(primary, S, ctx.k, n_valid), primary, ctx.k, meta)
+    return _build_slates(ctx.scores, _top_mask(pi, S, ctx.k, n_valid, scratch), pi, ctx.k, meta)
 

@@ -39,7 +39,7 @@ from functools import partial
 from itertools import chain, count, islice
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 import yaml
@@ -423,7 +423,7 @@ def parse_user_groups(path: str | Path) -> dict[str, str]:
 
 def _present(ids: list[str], column: np.ndarray) -> list[str]:
     """The ``ids`` that ``column`` points at, in ascending id order."""
-    return sorted(map(ids.__getitem__, np.unique(column).tolist()))
+    return sorted(map(ids.__getitem__, np.flatnonzero(np.bincount(column, minlength=len(ids))).tolist()))
 
 
 def _catalog(users: list[str], item_groups: Mapping[str, frozenset], user_groups: Mapping | None) -> Catalog:
@@ -609,17 +609,30 @@ def _parse_run_file(path: str | Path, truncate: int | None) -> SearchRun:
     return SearchRun(query_ids, doc_ids, docs, table)
 
 
+def _refuse_surrogates(path: Path, kind: str, ids: Iterable[str]) -> None:
+    """Raise a FormatError naming the first of ``ids`` that holds a lone surrogate, which the UTF-8 text file
+    ``path`` cannot hold."""
+    for bad in (x for x in ids if not x.isascii()):
+        try:
+            bad.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FormatError(f"cannot write {kind} {bad!r} to {path}: it holds a lone surrogate, which UTF-8 text "
+                              "cannot encode") from None
+
+
 def write_run_file(run: SearchRun, path: str | Path, tag: str) -> None:
     """Write every query's ranked docs in 6-column TREC format.
 
-    An id in the run's tables, or a tag, that is empty or holds whitespace would not read back as one column: it
-    is a FormatError raised before the file is touched.
+    An id in the run's tables, or a tag, that is empty or holds whitespace would not read back as one column, and
+    one holding a lone surrogate cannot be written as UTF-8: either is a FormatError raised before the file is
+    touched.
     """
     path, ranked = Path(path), run.docs >= 0
     for kind, ids in (("query id", run.query_ids), ("doc id", run.doc_ids), ("tag", [tag])):
         for bad in (x for x in ids if x.split() != [x]):  # str.split() splits the run file's columns
             raise FormatError(f"cannot write {kind} {bad!r} to {path}: it is empty or holds whitespace and would not "
                               "read back")
+        _refuse_surrogates(path, kind, ids)
     entries = zip(*(a.tolist() for a in (*np.nonzero(ranked), run.docs[ranked], run.scores[ranked])))
     lines = (f"{run.query_ids[q]} Q0 {run.doc_ids[d]} {r + 1} {s!r} {tag}\n" for q, r, d, s in entries)
     with writing(path.parent, "run file"):
@@ -643,15 +656,17 @@ def _write_log(path: Path, log: InteractionLog) -> None:
 def write_dataset(dataset: SplitDataset, directory: str | Path) -> None:
     """Write a SplitDataset as versioned line-oriented tables plus a manifest.
 
-    An id or group name that a table could not read back, or a group that no item belongs to, is a FormatError
-    raised before any file is written.
+    An id or group name that a table could not read back or that holds a lone surrogate, or a group that no item
+    belongs to, is a FormatError raised before any file is written.
     """
     cat, directory = dataset.catalog, Path(directory)
     user_groups = cat.user_groups or {}
-    for name, kind, ids in (("users.tsv", "user id", cat.users), ("users.tsv", "user group", user_groups.values()),
-                            ("items.tsv", "item id", cat.items)):
-        refuse_unreadable(directory / name, kind, ids, _FIELD_BREAKS)
-    refuse_unreadable(directory / "items.tsv", "item group", cat.group_ids, _FIELD_BREAKS + "|")
+    for name, kind, ids, breaks in (("users.tsv", "user id", cat.users, _FIELD_BREAKS),
+                                    ("users.tsv", "user group", user_groups.values(), _FIELD_BREAKS),
+                                    ("items.tsv", "item id", cat.items, _FIELD_BREAKS),
+                                    ("items.tsv", "item group", cat.group_ids, _FIELD_BREAKS + "|")):
+        refuse_unreadable(directory / name, kind, ids, breaks)
+        _refuse_surrogates(directory / name, kind, ids)
     for j in np.flatnonzero(~cat.member.any(axis=0))[:1]:  # items.tsv holds groups only as memberships
         raise FormatError(f"cannot write item group {cat.group_ids[j]!r} to {directory / 'items.tsv'}: no item "
                           "belongs to it, so it would not read back")
@@ -741,11 +756,12 @@ def write_scores_tsv(scores: ScoreMatrix, directory: str | Path) -> None:
     """Write a ScoreMatrix as the import table ``scores.tsv`` plus the sidecar, users and items in id order.
 
     A ``scores.npz`` in ``directory`` is removed first, as :func:`read_scores` would
-    prefer it to the table.  An id the table could not read back is a FormatError
-    raised before any file is touched.
+    prefer it to the table.  An id the table could not read back or that holds a
+    lone surrogate is a FormatError raised before any file is touched.
     """
     for kind, ids in (("user id", scores.user_ids), ("item id", scores.item_ids)):
         refuse_unreadable(Path(directory) / "scores.tsv", kind, ids, _FIELD_BREAKS)
+        _refuse_surrogates(Path(directory) / "scores.tsv", kind, ids)
     with writing(directory, "scores") as directory:
         (directory / "scores.npz").unlink(missing_ok=True)
         _write_sidecar(scores, directory)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,6 +382,20 @@ class TestWelf:
             for b in catalog.items
         )
         assert result.meta["objective"] >= 0.95 * best
+
+    @pytest.mark.parametrize("lam", [1.0, 0.0])
+    def test_working_set_is_three_users_by_items_buffers(self, lam):
+        catalog, matrix = random_instance(np.random.default_rng(0), 300, 400, 6, tie_heavy=True)
+        assert 0.4 < 1 - matrix.valid.mean() < 0.6
+        ctx = ctx_for(catalog, matrix, 10)
+        tracemalloc.start()
+        try:
+            welf(ctx, lam=lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # pi, the gradient and one scratch array of S's size, plus bool masks of an eighth of it.
+        assert peak <= 4 * matrix.S.nbytes
 
 
 class TestCrossCuttingInvariants:

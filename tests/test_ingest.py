@@ -8,6 +8,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -841,6 +843,38 @@ def test_run_file_refuses_an_id_that_would_not_read_back(tmp_path, kind, bad):
     _refused(tmp_path, write, "rerank-x.run", kind, bad, "it is empty or holds whitespace")
 
 
+LONE_SURROGATE = "x\ud8001"  # a str that strict UTF-8 cannot encode
+
+
+@pytest.mark.parametrize("kind", ["user id", "item id"])
+def test_score_table_refuses_an_id_holding_a_lone_surrogate(tmp_path, kind):
+    _write_scores(tmp_path, write_scores)  # a store and sidecar that the refused table write must leave as they were
+    ids = {"user id": ["u0", "u1"], "item id": ["i0", "i1"]}
+    ids[kind][1] = LONE_SURROGATE
+    matrix = ScoreMatrix(ids["user id"], ids["item id"], [[0.5, 0.25], [0.75, 1.0]])
+    write = lambda: write_scores_tsv(matrix, tmp_path)
+    _refused(tmp_path, write, "scores.tsv", kind, LONE_SURROGATE, "it holds a lone surrogate")
+    write_scores(matrix, tmp_path)  # the binary store keeps it
+    assert read_scores(tmp_path) == matrix
+
+
+@pytest.mark.parametrize("field, kind, what", [f[:3] for f in DATASET_FIELDS], ids=[f[0] for f in DATASET_FIELDS])
+def test_dataset_refuses_an_id_or_group_holding_a_lone_surrogate(tmp_path, field, kind, what):
+    _write_dataset(tmp_path)
+    write = lambda: write_dataset(_tiny_dataset(**{field: LONE_SURROGATE}), tmp_path)
+    _refused(tmp_path, write, what, kind, LONE_SURROGATE, "it holds a lone surrogate")
+
+
+@pytest.mark.parametrize("kind", ["query id", "doc id", "tag"])
+def test_run_file_refuses_an_id_holding_a_lone_surrogate(tmp_path, kind):
+    _write_run(tmp_path)
+    ids = {"query id": "q1", "doc id": "d2", "tag": "x"}
+    ids[kind] = LONE_SURROGATE
+    run = run_of({"q0": [("d0", 2.0)], ids["query id"]: [("d1", 1.0), (ids["doc id"], 0.5)]})
+    write = lambda: write_run_file(run, tmp_path / "rerank-x.run", tag=ids["tag"])
+    _refused(tmp_path, write, "rerank-x.run", kind, LONE_SURROGATE, "it holds a lone surrogate")
+
+
 def test_ids_holding_a_bar_or_spaces_still_round_trip(tmp_path):
     dataset = _tiny_dataset(user="u 1", user_group="f|m", item="i|1", item_group="g 1")
     write_dataset(dataset, tmp_path)
@@ -907,6 +941,32 @@ def test_generated_rec_inputs_match_recorded_bytes(tmp_path, seed):
     }
     # bench.yaml is the benchmark's run config, written by perfbench/run.py, not by the generator.
     assert written == {name: digest for name, digest in recorded.items() if name != "bench.yaml"}
+
+
+@settings(max_examples=100)
+@given(codes=st.lists(st.integers(0, 39), max_size=60))
+@example(codes=[])
+def test_present_ids_are_the_sorted_distinct_ids_a_column_names(codes):
+    ids = [f"id{(7 * j) % 41:02d}" for j in range(40)]  # codes are not in id order
+    assert ingest._present(ids, np.array(codes, dtype=np.int32)) == sorted({ids[c] for c in codes})
+
+
+def test_synth_leaves_numpy_ma_unimported(tmp_path):
+    """``python -m fairrank.synth`` does not pay for importing ``numpy.ma`` (``np.unique`` imports it)."""
+    script = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('fairrank.synth', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    args = ["--root", str(tmp_path), "--users", "20", "--items", "15", "--groups", "3"]
+    src = str(Path(ingest.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "datasets" / "synth" / "scores.tsv").exists()
 
 
 class TestItemGroups:

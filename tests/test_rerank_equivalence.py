@@ -50,7 +50,7 @@ def test_top_k_kernel_matches_per_row_lexsort(seed):
     primary, tie, n_valid, k = _tie_heavy_rows(seed)
     n_rows = len(primary)
 
-    mask = _top_mask(primary, tie, k, n_valid)
+    mask = _top_mask(primary, tie, k, n_valid, np.empty_like(primary))
     got = _ranked(mask, primary, tie)
     assert len(got) == n_rows
     for r in range(n_rows):
