@@ -7,16 +7,20 @@ The data root comes from ``--data-dir`` or the ``FAIRRANK_DATA_DIR``
 environment variable (default ``./data``).  Every stage that reads a score
 table, a run file or qrels keeps what it parses in the data root's
 ``cache`` directory, so a later stage or run on the same bytes skips the parse.
+The in-processing stage trains each model single-threaded; on Linux, with more
+than one usable CPU, the later models train ahead in forked workers while this
+process trains the first ones, and every output is the same as a one-CPU run's.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import time
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -141,21 +145,99 @@ def _run_rec_rerank(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
     return _rec_report(cfg, measured)
 
 
+def _train(cfg: RunConfig, dataset, model: str) -> tuple:
+    """``model`` trained on ``dataset`` as ``cfg`` sets it up: its hooks and the fitted model."""
+    entry = MODELS[cfg.task, cfg.stage][model]
+    params = cfg.params[model]
+    hook_params = {key: value for key, value in params.items() if key in _HOOK_PARAMS}
+    config = {_CONFIG_FIELDS.get(key, key): value for key, value in params.items() if key not in hook_params}
+    hooks = TrainHooks(**entry.hooks, **hook_params) if cfg.fair_rank else TrainHooks()
+    return hooks, _layer(entry.fn)(dataset, TrainConfig(seed=cfg.seed, **config), hooks)
+
+
+def _trained(train: Callable, models: list[str]) -> Iterator:
+    """``train(model)`` for each model in order, with the later models trained ahead in forked workers.
+
+    The models are cut into one contiguous chunk per usable CPU.  The first chunk trains here, each model
+    when its result is asked for; each other chunk trains at once in a forked worker, which pickles a list
+    of ``(ok, result or exception)`` into a pipe, stopping at its first exception.  A worker's exception
+    is raised at its model's turn, so the caller's side effects and first error come as in a one-CPU run.
+    Workers not yet read when the generator closes are killed and reaped.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    chunks = max(1, min(len(models), cpus))
+    bounds = [len(models) * i // chunks for i in range(chunks + 1)]
+    workers = []  # (pid, read end of its pipe, its models)
+    reaped = 0
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            fds = ()
+            try:
+                fds = os.pipe()
+                pid = os.fork()
+            except OSError as exc:
+                for fd in fds:
+                    os.close(fd)
+                raise IoError(f"cannot start a training worker: {exc}") from None
+            read_fd, write_fd = fds
+            if pid == 0:  # the worker: it never returns into the caller's frames
+                code = 1
+                try:
+                    os.close(read_fd)
+                    results = []
+                    for model in models[lo:hi]:
+                        try:
+                            results.append((True, train(model)))
+                        except Exception as exc:
+                            results.append((False, exc))
+                            break
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(results, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            workers.append((pid, open(read_fd, "rb"), models[lo:hi]))
+        for model in models[: bounds[1]]:
+            yield train(model)
+        for pid, pipe, chunk in workers:
+            with pipe:
+                try:
+                    results = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # cut short: the exit status tells why
+                    results = None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if code != 0 or results is None:
+                raise IoError(f"the training worker for {', '.join(chunk)} exited with status {code} "
+                              "without a whole result")
+            for ok, value in results:
+                if not ok:
+                    raise value
+                yield value
+    finally:
+        if workers[reaped:]:
+            import signal  # only a failed run gets here, so others do not pay for the import
+
+            for pid, pipe, _ in workers[reaped:]:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def _run_rec_inproc(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkReport:
     ds_dir = data_root / "datasets" / cfg.dataset
     dataset = read_dataset(ds_dir)
     measured = []
-    for model in cfg.models:
-        entry = MODELS[cfg.task, cfg.stage][model]
-        params = cfg.params[model]
-        hook_params = {key: value for key, value in params.items() if key in _HOOK_PARAMS}
-        config = {_CONFIG_FIELDS.get(key, key): value for key, value in params.items() if key not in hook_params}
-        hooks = TrainHooks(**entry.hooks, **hook_params) if cfg.fair_rank else TrainHooks()
-        fitted = _layer(entry.fn)(dataset, TrainConfig(seed=cfg.seed, **config), hooks)
-        save_model(fitted, log_dir / f"model-{model}", hooks=hooks)
-        scores = predict(fitted, dataset.catalog.users, exclude=dataset.train)
-        write_scores(scores, log_dir / f"scores-{model}")
-        measured += _measure(cfg, dataset, model, topk, {}, scores)
+    trained = _trained(lambda model: _train(cfg, dataset, model), cfg.models)
+    try:
+        for model, (hooks, fitted) in zip(cfg.models, trained):
+            save_model(fitted, log_dir / f"model-{model}", hooks=hooks)
+            scores = predict(fitted, dataset.catalog.users, exclude=dataset.train)
+            write_scores(scores, log_dir / f"scores-{model}")
+            measured += _measure(cfg, dataset, model, topk, {}, scores)
+    finally:
+        trained.close()
     return _rec_report(cfg, measured)
 
 

@@ -280,7 +280,14 @@ def _models(config: Mapping, task: str, stage: str) -> list[str]:
     """The models ``config`` names under ``models``, else ``model``, else the stage's first model."""
     name = "models" if "models" in config else "model"
     value = _typed(name, KEYS[name].kind, config.get(name, KEYS["model"].at(task, stage)))
-    return [value] if isinstance(value, str) else list(value)
+    return [value] if isinstance(value, str) else _distinct(name, list(value))
+
+
+def _distinct(name: str, values: list) -> list:
+    """``values``, or a ConfigError if key ``name`` lists one of them twice."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{name} must list distinct values, got {values!r}")
+    return values
 
 
 def _model_params(name: str, model: Model, given, strict: bool) -> dict:
@@ -344,9 +351,9 @@ def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict
             _unknown(f"parameters for model {name!r}, which task {task!r} does not register", strict)
     params = {m: _model_params(m, registry[m], given.get(m) or {}, strict) for m in models} if registry else {}
 
-    k_values = typed["K"]
+    k_values = [typed["K"]] if isinstance(typed["K"], int) else _distinct("K", list(typed["K"]))
     typed.update(task=task, stage=stage, dataset=dataset, models=models, metrics=list(typed["metrics"]), params=params,
-                 k_values=[k_values] if isinstance(k_values, int) else list(k_values), ratios=tuple(typed["ratios"]))
+                 k_values=k_values, ratios=tuple(typed["ratios"]))
     return RunConfig(**{f.name: typed[f.name] for f in fields(RunConfig) if f.name != "raw"}, raw=dict(merged))
 
 

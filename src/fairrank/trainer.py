@@ -10,9 +10,11 @@ independent hook slots:
   group-loss averages),
 * ``regularizer``: a differentiable penalty on batch score statistics.
 
-Training is single-threaded and bit-reproducible for a fixed seed; hooks
-observe batch-level statistics and act on item groups, holding every
-per-group value as an array over the catalog's ``group_ids``.  A checkpoint
+Each model trains single-threaded and bit-reproducibly for a fixed seed, so
+the CLI may train later models in forked workers (on Linux, with more than
+one usable CPU) and write the same files; hooks observe batch-level
+statistics and act on item groups, holding every per-group value as an
+array over the catalog's ``group_ids``.  A checkpoint
 is a YAML manifest plus the model's arrays in the binary store of
 :mod:`fairrank.store`, which owns both file formats.
 """

@@ -1,10 +1,12 @@
 """Config layering, CLI dispatch, and report emission."""
 
+import contextlib
 import hashlib
 import itertools
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -19,7 +21,7 @@ from fairrank import cli
 from fairrank import metrics as M
 from fairrank.config import KEYS, config_merge, load_config_file, resolve_config, validate_config
 from fairrank.core import GroupUtilityVector
-from fairrank.errors import ConfigError, UnknownKeyError
+from fairrank.errors import ConfigError, IoError, UnknownKeyError
 from fairrank.ingest import read_scores, write_scores, write_scores_tsv
 from fairrank.metrics import MetricReport
 from fairrank.report import BenchmarkReport, emit_report, fmt4
@@ -835,6 +837,129 @@ class TestCliRecommendation:
         record = (workspace / "log" / "badmanifest" / "error.txt").read_text()
         assert record.startswith(f"ParseError: {manifest}: line 2: not valid YAML (") and record.count("\n") == 1
 
+
+@pytest.fixture
+def watchdog(monkeypatch):
+    """Fail a test that hangs: after 60 s, kill the workers it forked that still run, then raise in the main thread."""
+    forked, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def expired(signum, frame):
+        for pid in forked:
+            with contextlib.suppress(ChildProcessError):  # reaped already
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):  # still running, so the pid is not reused
+                    os.kill(pid, signal.SIGKILL)
+        raise TimeoutError("watchdog expired")
+
+    monkeypatch.setattr(os, "fork", recorded)
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _log_files(log_dir):
+    """Every file under ``log_dir`` but ``timing.txt``, by path relative to it, with its bytes."""
+    return {str(path.relative_to(log_dir)): path.read_bytes()
+            for path in sorted(log_dir.rglob("*")) if path.is_file() and path.name != "timing.txt"}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="in-processing workers need os.sched_getaffinity")
+@pytest.mark.usefixtures("watchdog")
+class TestInProcessingWorkers:
+    """In-processing with the later models trained in forked workers, against the same run on one CPU."""
+
+    @staticmethod
+    def _train(root, tmp_path, monkeypatch, cpus, payload):
+        """Run in-processing as if ``cpus`` CPUs were usable; the exit code and the log directory, moved aside."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        code = cli.run(["--task", "recommendation", "--stage", "in-processing", "--dataset", "synth",
+                        "--config", user_config(tmp_path, "w.yaml", payload), "--data-dir", str(root)])
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        log_dir = root / "log" / payload["log_name"]
+        return code, log_dir.rename(root / "log" / f"{payload['log_name']}-{cpus}")
+
+    def test_all_trainers_write_the_one_cpu_files(self, workspace, tmp_path, monkeypatch):
+        trainers = STAGE_MODELS[("recommendation", "in-processing")]
+        payload = {"models": trainers, "K": [5], "log_name": "ip6", "params": {m: {"epochs": 3} for m in trainers}}
+        code, one = self._train(workspace, tmp_path, monkeypatch, 1, payload)
+        assert code == 0
+        code, three = self._train(workspace, tmp_path, monkeypatch, 3, payload)
+        assert code == 0
+        files = _log_files(three)
+        assert {f"model-{m}/model.npz" for m in trainers} <= set(files)
+        assert files == _log_files(one)
+        assert {name: hashlib.sha256(files[name]).hexdigest() for name in INPROC_SHA256} == INPROC_SHA256
+
+    @pytest.mark.parametrize("models", [["bpr", "fairdual", "reg"], ["reg", "bpr", "fairdual"]])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_divergence_ends_as_on_one_cpu(self, workspace, tmp_path, monkeypatch, capsys, models, cpus):
+        """reg diverges at epoch 0; the models before it are written, the ones after it are not."""
+        payload = {"models": models, "K": [5], "log_name": "div",
+                   "params": {"reg": {"lr": 1.0e+200}, "bpr": {"epochs": 3}, "fairdual": {"epochs": 3}}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow that ends in the DivergenceError
+            runs = [self._train(workspace, tmp_path, monkeypatch, n, payload) for n in (1, cpus)]
+        assert [code for code, _ in runs] == [1, 1]
+        one, many = (_log_files(log_dir) for _, log_dir in runs)
+        assert one["error.txt"] == b"DivergenceError: non-finite loss at epoch 0\n"
+        assert many == one
+        written = models[:models.index("reg")]
+        assert sorted({name.split("/")[0] for name in many}) == sorted(
+            ["error.txt", *(f"model-{m}" for m in written), *(f"scores-{m}" for m in written)])
+        assert "Traceback" not in capsys.readouterr().out
+
+    def test_dead_worker_is_an_io_error(self, workspace, tmp_path, monkeypatch, capsys):
+        parent, train = os.getpid(), cli.train
+
+        def dies_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", dies_in_a_worker)
+        payload = {"models": ["bpr", "reg"], "K": [5], "log_name": "dead", "params": {"bpr": {"epochs": 1}}}
+        code, log_dir = self._train(workspace, tmp_path, monkeypatch, 2, payload)
+        assert code == 1
+        assert (log_dir / "error.txt").read_text() == (
+            "IoError: the training worker for reg exited with status 3 without a whole result\n")
+        assert sorted(p.name for p in log_dir.iterdir()) == ["error.txt", "model-bpr", "scores-bpr"]
+        out = capsys.readouterr().out
+        assert "Traceback" not in out and "error: IoError: the training worker for reg" in out
+
+    def test_failed_fork_is_an_io_error(self, workspace, tmp_path, monkeypatch):
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        payload = {"models": ["bpr", "reg"], "K": [5], "log_name": "nofork"}
+        code, log_dir = self._train(workspace, tmp_path, monkeypatch, 2, payload)
+        assert code == 1
+        assert (log_dir / "error.txt").read_text().startswith("IoError: cannot start a training worker: ")
+        assert sorted(p.name for p in log_dir.iterdir()) == ["error.txt"]
+
+    def test_early_failure_kills_the_workers(self, workspace, tmp_path, monkeypatch):
+        """A failure in the first chunk's writes kills the workers, which would train for minutes, and reaps them."""
+
+        def fails(scores, directory):
+            raise IoError(f"cannot write {directory}")
+
+        monkeypatch.setattr(cli, "write_scores", fails)
+        trainers = STAGE_MODELS[("recommendation", "in-processing")]
+        params = {m: {"epochs": 1 if m in ("bpr", "ips") else 10**6} for m in trainers}  # bpr and ips train here
+        payload = {"models": trainers, "K": [5], "log_name": "early", "params": params}
+        code, log_dir = self._train(workspace, tmp_path, monkeypatch, 3, payload)
+        assert code == 1
+        assert (log_dir / "error.txt").read_text().startswith("IoError: cannot write ")
+
+
 def raw_rec_root(tmp_path, **props):
     """Raw interaction and item-group files for a process stage on dataset ``tiny``."""
     root = tmp_path / "root"
@@ -1101,6 +1226,11 @@ class TestConfigValues:
                        "scores must be a path, got 'log/\\x00'"),
         "target_shares-bogus": ("recommendation", "post-processing", {"target_shares": "bogus"},
                                 "target_shares must be one of uniform, proportional, got 'bogus'"),
+        "models-repeated": ("recommendation", "in-processing", {"models": ["bpr", "bpr"]},
+                            "models must list distinct values, got ['bpr', 'bpr']"),
+        "model-list-repeated": ("search", "post-processing", {"model": ["xquad", "pm2", "xquad"]},
+                                "model must list distinct values, got ['xquad', 'pm2', 'xquad']"),
+        "K-repeated": ("recommendation", "post-processing", {"K": [5, 5]}, "K must list distinct values, got [5, 5]"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD))
