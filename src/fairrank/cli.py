@@ -90,31 +90,24 @@ def _layer(fn: Callable) -> Callable:
     return globals().get(fn.__name__, fn)
 
 
-def _report(cfg: RunConfig, rows: list, allocations: list) -> BenchmarkReport:
+def _report(cfg: RunConfig, rows: list) -> BenchmarkReport:
     """The run's report; each of the stage's sections shows the requested metrics it holds, in ``METRICS`` order."""
-    titles = M.SECTIONS.get((cfg.task, cfg.stage), ())
-    sections = [(t, [n for n, m in M.METRICS.items() if t in m.sections and n in cfg.metrics]) for t in titles]
-    return BenchmarkReport(cfg.task, cfg.stage, cfg.dataset, rows, allocations, sections, dict(cfg.raw))
+    sections = [(t, [n for n in names if n in cfg.metrics]) for t, names in M.report_sections(cfg.task, cfg.stage)]
+    return BenchmarkReport(cfg.task, cfg.stage, cfg.dataset, rows, sections, dict(cfg.raw))
 
 
 def _measure(cfg: RunConfig, dataset, model: str, rank: Callable, params: dict, scores, shares=None):
-    """Rank ``scores`` with ``rank`` at every K: a ``(model, K, metric report, group utility)`` per slate."""
+    """Rank ``scores`` with ``rank`` at every K: a report row ``(model, K, metric values, group utility)`` per slate."""
     mode = cfg.mode
     arrival = _arrival_order(cfg, scores.user_ids)
-    measured = []
+    rows = []
     for k in cfg.k_values:
         ctx = RerankContext(scores, dataset.catalog, k, arrival_order=list(arrival), target_shares=shares, mode=mode)
         slates = rank(ctx, **params)
         guv = group_utility(slates, dataset.catalog, axis="item", mode=mode)
         result = M.Evaluation(k, slates=slates, relevant=dataset.test, utility=guv)
-        provenance = {"model": model, "dataset": cfg.dataset, "k": k, "mode": mode}
-        measured.append((model, k, result.report(cfg.metrics, provenance), guv))
-    return measured
-
-
-def _rec_report(cfg: RunConfig, measured: list) -> BenchmarkReport:
-    rows = [(model, k, report) for model, k, report, _ in measured]
-    return _report(cfg, rows, [(model, k, guv) for model, k, _, guv in measured])
+        rows.append((model, k, result.values(cfg.metrics), guv))
+    return rows
 
 
 def _run_process(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
@@ -130,7 +123,7 @@ def _run_process(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
             interactions, min_interactions=cfg.min_interactions, ratios=cfg.ratios, catalog=catalog
         )
         write_dataset(dataset, data_root / "datasets" / cfg.dataset)
-    return _report(cfg, [], [])
+    return _report(cfg, [])
 
 
 def _run_rec_rerank(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
@@ -138,11 +131,11 @@ def _run_rec_rerank(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
     dataset = read_dataset(ds_dir)
     scores = read_scores(data_root / cfg.scores if cfg.scores else ds_dir, cache=data_root / "cache")
     shares = proportional_shares(dataset.catalog) if cfg.target_shares == "proportional" else None
-    measured = []
+    rows = []
     for model in cfg.models:
         rank = _layer(MODELS[cfg.task, cfg.stage][model].fn)
-        measured += _measure(cfg, dataset, model, rank, cfg.params[model], scores, shares)
-    return _rec_report(cfg, measured)
+        rows += _measure(cfg, dataset, model, rank, cfg.params[model], scores, shares)
+    return _report(cfg, rows)
 
 
 def _train(cfg: RunConfig, dataset, model: str) -> tuple:
@@ -228,17 +221,17 @@ def _trained(train: Callable, models: list[str]) -> Iterator:
 def _run_rec_inproc(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkReport:
     ds_dir = data_root / "datasets" / cfg.dataset
     dataset = read_dataset(ds_dir)
-    measured = []
+    rows = []
     trained = _trained(lambda model: _train(cfg, dataset, model), cfg.models)
     try:
         for model, (hooks, fitted) in zip(cfg.models, trained):
             save_model(fitted, log_dir / f"model-{model}", hooks=hooks)
             scores = predict(fitted, dataset.catalog.users, exclude=dataset.train)
             write_scores(scores, log_dir / f"scores-{model}")
-            measured += _measure(cfg, dataset, model, topk, {}, scores)
+            rows += _measure(cfg, dataset, model, topk, {}, scores)
     finally:
         trained.close()
-    return _rec_report(cfg, measured)
+    return _report(cfg, rows)
 
 
 def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkReport:
@@ -258,8 +251,8 @@ def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkRepo
         write_run_file(reranked, log_dir / f"rerank-{model}.run", tag=model)
         for k in cfg.k_values:
             result = M.Evaluation(k, run=reranked, judgments=judgments, alpha=cfg.alpha)
-            rows.append((model, k, result.report(cfg.metrics, {"model": model, "dataset": cfg.dataset, "k": k})))
-    return _report(cfg, rows, [])
+            rows.append((model, k, result.values(cfg.metrics), None))
+    return _report(cfg, rows)
 
 
 def _lock(lock: Path) -> Path:

@@ -8,11 +8,11 @@ a :class:`RunConfig`.
 
 :data:`KEYS` declares each config key once, with its kind and default, and
 :data:`MODELS` each model once per (task, stage).  A re-ranker's params are
-its signature's keyword defaults.  Validation checks every key against its
-entry, rejects metrics outside the stage's report sections
-(:data:`~fairrank.metrics.SECTIONS`), treats undeclared params, and params of
-models the task does not register, like unknown keys and casts each param to
-its default's type.
+its signature's keyword defaults.  A stage's default ``metrics`` are the
+metrics its report sections show (:func:`~fairrank.metrics.stage_metrics`),
+and validation rejects any other.  Validation checks every key against its
+entry, treats undeclared params, and params of models the task does not
+register, like unknown keys and casts each param to its default's type.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .diverse_rerank import DiversifyContext, pm2, xquad
 from .errors import ConfigError, UnknownKeyError
 from .fair_rerank import cpfair, fairrec, min_regularizer, pmmf, topk, welf
 from .ingest import DEFAULT_COLUMN_SPEC
-from .metrics import METRICS, SECTIONS
+from .metrics import SECTIONS, stage_metrics
 from .trainer import TrainConfig, TrainHooks, train
 
 TASKS = ("recommendation", "search")
@@ -133,7 +133,6 @@ _COLUMNS = Shape(f"a mapping from some of {', '.join(DEFAULT_COLUMN_SPEC)} to co
 _RATIOS = Shape("a list of three positive numbers that sum to 1", lambda v: (
     isinstance(v, list) and len(v) == 3 and all(type(r) in (int, float) and r > 0 for r in v)
     and abs(sum(v) - 1.0) <= 1e-9))
-_RANKING = ["ndcg", "mrr", "hr", "mmf", "gini", "entropy"]
 _RANKED = ((REC, "post-processing"), (REC, "evaluate"))
 _SEARCHED = ((SEARCH, "post-processing"), (SEARCH, "evaluate"))
 
@@ -145,9 +144,7 @@ KEYS: dict[str, Key] = {
     "model": Key(_MODEL_NAMES, "none", {pair: next(iter(models)) for pair, models in MODELS.items()}),
     "models": Key(_MODEL_NAMES),
     "K": Key(_K, [10], {pair: [10, 20] if pair[0] == REC else [5, 10, 20] for pair in MODELS}),
-    "metrics": Key(_NAMES, [], {
-        (REC, "in-processing"): _RANKING, (REC, "post-processing"): _RANKING + ["r_ndcg", "u_loss", "min_max_ratio"],
-        (REC, "evaluate"): _RANKING, **dict.fromkeys(_SEARCHED, ["err_ia", "alpha_ndcg", "s_rec"])}),
+    "metrics": Key(_NAMES, [], {pair: stage_metrics(*pair) for pair in SECTIONS}),
     "params": Key(Shape("a mapping", lambda v: isinstance(v, Mapping)), {}),
     "log_name": Key(Shape("a non-empty path", lambda v: _PATH.ok(v) and v != ""), "run", EVERY),
     "seed": Key(_COUNT, 42, EVERY),
@@ -323,14 +320,13 @@ def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
     registry = MODELS.get((task, stage))
-    if registry is None and stage != "pre-processing":
+    if registry is None:
         raise ConfigError(f"stage {stage!r} not available for task {task!r}")
 
     models = _models(merged, task, stage)
-    if registry is not None:
-        for m in models:
-            if m not in registry:
-                raise ConfigError(f"model {m!r} not registered for ({task}, {stage})")
+    for m in models:
+        if m not in registry:
+            raise ConfigError(f"model {m!r} not registered for ({task}, {stage})")
 
     typed = {}
     for name, key in KEYS.items():
@@ -338,8 +334,7 @@ def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict
         value = merged.get(name, default)
         typed[name] = None if value is None and default is None else _typed(name, key.kind, value)
 
-    sections = set(SECTIONS.get((task, stage), ()))
-    offered = {name for name, metric in METRICS.items() if sections & set(metric.sections)}
+    offered = stage_metrics(task, stage)
     for name in typed["metrics"]:
         if name not in offered:
             raise ConfigError(f"metric {name!r} not available for ({task}, {stage})")
@@ -349,7 +344,7 @@ def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict
     for name in given:
         if name not in task_models:
             _unknown(f"parameters for model {name!r}, which task {task!r} does not register", strict)
-    params = {m: _model_params(m, registry[m], given.get(m) or {}, strict) for m in models} if registry else {}
+    params = {m: _model_params(m, registry[m], given.get(m) or {}, strict) for m in models}
 
     k_values = [typed["K"]] if isinstance(typed["K"], int) else _distinct("K", list(typed["K"]))
     typed.update(task=task, stage=stage, dataset=dataset, models=models, metrics=list(typed["metrics"]), params=params,

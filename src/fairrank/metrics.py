@@ -4,8 +4,9 @@ All functions are pure; averages reduce in a fixed (sorted) order so results
 are reproducible bit-for-bit.  :data:`METRICS` declares each reportable
 metric once (label, direction, report sections, value function over one
 (model, K) :class:`Evaluation`); its order is every section's column order.
-:data:`SECTIONS` gives each (task, stage)'s report sections, and so the
-metrics it may request.
+:data:`SECTIONS` gives each (task, stage)'s report sections, and
+:func:`stage_metrics` derives from the two the metrics the stage offers,
+which are also its default ``metrics``.
 
 The recommendation metrics read a :class:`~fairrank.core.RankingSlate`'s
 users x K array of score-matrix columns, the search metrics (alpha-nDCG,
@@ -21,7 +22,7 @@ builds each input that several metrics share once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from typing import Callable, Sequence
@@ -64,8 +65,13 @@ class Evaluation:
         """One :func:`judged_top` gather serves alpha-nDCG, ERR-IA and S-recall."""
         return judged_top(self.run, self.judgments, self.k)
 
-    def report(self, names: Sequence[str], provenance: dict[str, object]) -> MetricReport:
-        return MetricReport({f"{name}@{self.k}": METRICS[name].value(self) for name in names}, provenance)
+    def values(self, names: Sequence[str]) -> dict[str, float]:
+        """The value of each metric ``names`` lists; a non-finite one is an InvariantViolation."""
+        values = {name: METRICS[name].value(self) for name in names}
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise InvariantViolation(f"non-finite value for metric '{name}@{self.k}'")
+        return values
 
 
 @dataclass(frozen=True)
@@ -102,20 +108,15 @@ SECTIONS: dict[tuple[str, str], tuple[str, ...]] = {
 }
 
 
-@dataclass
-class MetricReport:
-    """Named metric values (``name@K``) plus run provenance."""
+def report_sections(task: str, stage: str) -> list[tuple[str, list[str]]]:
+    """The (task, stage)'s report sections in :data:`SECTIONS` order, each with its metrics in :data:`METRICS` order."""
+    return [(title, [name for name, metric in METRICS.items() if title in metric.sections])
+            for title in SECTIONS.get((task, stage), ())]
 
-    values: dict[str, float]
-    provenance: dict[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        for name, value in self.values.items():
-            base = name.split("@", 1)[0]
-            if base not in METRICS:
-                raise InvariantViolation(f"unregistered metric {name!r}")
-            if not math.isfinite(value):
-                raise InvariantViolation(f"non-finite value for metric {name!r}")
+def stage_metrics(task: str, stage: str) -> list[str]:
+    """The metrics the (task, stage) offers and reports by default: its sections' metrics in turn, each once."""
+    return list(dict.fromkeys(name for _, names in report_sections(task, stage) for name in names))
 
 
 def _log2_discount(rank: int) -> float:

@@ -17,7 +17,7 @@ import yaml
 from .core import GroupUtilityVector
 from .errors import InvariantViolation
 from .ingest import writing
-from .metrics import METRICS, MetricReport
+from .metrics import METRICS
 from .store import replace_file
 
 
@@ -28,22 +28,25 @@ def fmt4(value: float) -> str:
 
 @dataclass
 class BenchmarkReport:
-    """All rows, allocations, and provenance of one benchmark run."""
+    """One benchmark run: a row per (model, K), the sections its table shows, and its config snapshot.
+
+    A row is ``(model, K, {metric: value}, group utility or None)``.  A recommendation row's group
+    utility gives its lines of ``allocations.tsv``; a search row has none.
+    """
 
     task: str
     stage: str
     dataset: str
-    rows: list[tuple[str, int, MetricReport]]
-    allocations: list[tuple[str, int, GroupUtilityVector]]
+    rows: list[tuple[str, int, dict[str, float], GroupUtilityVector | None]]
     sections: list[tuple[str, list[str]]]
     config_snapshot: dict
     wall_clock: float = 0.0
 
     def __post_init__(self) -> None:
         requested = {m for _, names in self.sections for m in names}
-        for model, k, rep in self.rows:
+        for model, k, values, _ in self.rows:
             for m in requested:
-                if f"{m}@{k}" not in rep.values:
+                if m not in values:
                     raise InvariantViolation(f"row ({model}, {k}) is missing metric {m!r}")
         if "seed" not in self.config_snapshot:
             raise InvariantViolation("config snapshot must include the seed")
@@ -60,12 +63,12 @@ def _records_lines(report: BenchmarkReport) -> list[str]:
         "directions": {m: METRICS[m].direction for m in metric_names},
     }
     lines = [json.dumps(meta, sort_keys=True)]
-    for model, k, rep in report.rows:
+    for model, k, values, _ in report.rows:
         row = {
             "record": "row",
             "model": model,
             "k": k,
-            "metrics": {name: float(fmt4(value)) for name, value in sorted(rep.values.items())},
+            "metrics": {f"{name}@{k}": float(fmt4(value)) for name, value in values.items()},
         }
         lines.append(json.dumps(row, sort_keys=True))
     return lines
@@ -79,8 +82,8 @@ def _table_lines(report: BenchmarkReport) -> list[str]:
         lines.append(f"## {title}")
         header = ["Model", "K"] + [METRICS[m].label for m in names]
         body = []
-        for model, k, rep in report.rows:
-            body.append([model, str(k)] + [fmt4(rep.values[f"{m}@{k}"]) for m in names])
+        for model, k, values, _ in report.rows:
+            body.append([model, str(k)] + [fmt4(values[m]) for m in names])
         widths = [max(len(row[c]) for row in [header] + body) for c in range(len(header))]
         lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
         for row in body:
@@ -91,8 +94,8 @@ def _table_lines(report: BenchmarkReport) -> list[str]:
 
 def _allocation_lines(report: BenchmarkReport) -> list[str]:
     lines = ["model\tk\taxis\tmode\tgroup\tutility"]
-    for model, k, guv in report.allocations:
-        for group, value in zip(guv.group_ids, guv.values.tolist()):
+    for model, k, _, guv in report.rows:
+        for group, value in zip(guv.group_ids, guv.values.tolist()) if guv is not None else ():
             lines.append(f"{model}\t{k}\t{guv.axis}\t{guv.mode}\t{group}\t{fmt4(value)}")
     return lines
 

@@ -32,10 +32,10 @@ _STORE_FAULTS = (
 _LINES = np.dtype(np.uint8)  # an id table's stored dtype
 
 
-def replace_file(path: Path, data: str | bytes | memoryview | Callable[[BinaryIO], object]) -> None:
+def replace_file(path: Path, data: str | Callable[[BinaryIO], object]) -> None:
     """Write ``data`` to ``.<name>.<pid>.tmp`` beside ``path``, then rename it over ``path``.
 
-    ``data`` is a str (written as UTF-8), bytes, or a function that writes to the open temporary.
+    ``data`` is a str (written as UTF-8) or a function that writes to the open temporary.
     A write that fails leaves ``path`` as it was and no temporary file behind.  The temporary is this
     process's own, so two processes writing one path (say, one parse-cache entry) never share it; one
     that a process no longer running left beside ``path`` is removed first.
@@ -48,11 +48,9 @@ def replace_file(path: Path, data: str | bytes | memoryview | Callable[[BinaryIO
     try:
         if isinstance(data, str):
             temporary.write_text(data, encoding="utf-8")
-        elif callable(data):
+        else:
             with temporary.open("wb") as fh:
                 data(fh)
-        else:
-            temporary.write_bytes(data)
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)

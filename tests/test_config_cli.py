@@ -23,7 +23,6 @@ from fairrank.config import KEYS, config_merge, load_config_file, resolve_config
 from fairrank.core import GroupUtilityVector
 from fairrank.errors import ConfigError, IoError, UnknownKeyError
 from fairrank.ingest import read_scores, write_scores, write_scores_tsv
-from fairrank.metrics import MetricReport
 from fairrank.report import BenchmarkReport, emit_report, fmt4
 from fairrank.synth import init_workspace
 
@@ -171,6 +170,12 @@ class TestValidateConfig:
         )
         assert cfg.models == ["topk", "pmmf"]
 
+    def test_pre_processing_not_available(self, tmp_path):
+        for task in ("recommendation", "search"):
+            with pytest.raises(ConfigError, match=f"^stage 'pre-processing' not available for task '{task}'$"):
+                validate_config({"log_name": "x"}, task, "pre-processing", "d")
+            with pytest.raises(ConfigError, match=f"^stage 'pre-processing' not available for task '{task}'$"):
+                resolve_config(task, "pre-processing", "d", {}, tmp_path)
 
     def test_metric_outside_task_rejected(self):
         for task, stage, model, metrics, bad in [
@@ -266,20 +271,15 @@ class TestResolveConfig:
 class TestEmitReport:
     def _report(self):
         rows = []
-        allocations = []
         for model in ("topk", "pmmf"):
             for k in (5, 10):
-                values = {f"{m}@{k}": 0.29250001 for m in ("ndcg", "gini")}
-                rows.append((model, k, MetricReport(values=values)))
-                allocations.append(
-                    (model, k, GroupUtilityVector("item", "exposure", ["g1", "g2"], [1.0, 2.0]))
-                )
+                guv = GroupUtilityVector("item", "exposure", ["g1", "g2"], [1.0, 2.0])
+                rows.append((model, k, {"ndcg": 0.29250001, "gini": 0.29250001}, guv))
         return BenchmarkReport(
             task="recommendation",
             stage="post-processing",
             dataset="synth",
             rows=rows,
-            allocations=allocations,
             sections=[("ranking", ["ndcg", "gini"])],
             config_snapshot={"seed": 42, "log_name": "t"},
             wall_clock=1.23,
@@ -291,6 +291,7 @@ class TestEmitReport:
         rows = [json.loads(l) for l in lines]
         assert rows[0]["record"] == "meta"
         assert sum(1 for r in rows if r["record"] == "row") == 4
+        assert rows[1]["metrics"] == {"gini@5": 0.2925, "ndcg@5": 0.2925}
 
     def test_four_decimal_formatting(self, tmp_path):
         assert fmt4(0.29250001) == "0.2925"
@@ -322,14 +323,13 @@ class TestEmitReport:
         assert paths["records"].read_bytes() == before
 
     def test_missing_metric_rejected(self):
-        rows = [("topk", 5, MetricReport(values={"ndcg@5": 0.1}))]
+        rows = [("topk", 5, {"ndcg": 0.1}, None)]
         with pytest.raises(Exception):
             BenchmarkReport(
                 task="recommendation",
                 stage="post-processing",
                 dataset="synth",
                 rows=rows,
-                allocations=[],
                 sections=[("ranking", ["ndcg", "gini"])],
                 config_snapshot={"seed": 42},
             )
@@ -415,12 +415,16 @@ class TestCliRecommendation:
         ) == 0
         assert scores_path.read_bytes() == before
 
-    def test_pre_processing_unsupported(self, workspace):
+    def test_pre_processing_unsupported(self, workspace, capsys):
         code = cli.run(
             ["--task", "recommendation", "--stage", "pre-processing", "--dataset", "synth",
              "--data-dir", str(workspace)]
         )
         assert code == 1
+        assert capsys.readouterr().out == (
+            "error: UnsupportedStage: pre-processing models are not implemented in this build\n"
+        )
+        assert not (workspace / "log").exists()
 
     def test_lock_blocks_concurrent_run(self, workspace, tmp_path):
         cfg = user_config(tmp_path, "c.yaml", {"model": "topk", "K": [5], "log_name": "locked"})

@@ -1163,7 +1163,7 @@ def test_replace_file_leaves_a_foreign_temporary_alone(tmp_path):
     """Two processes writing one path each write their own temporary: another's is neither truncated nor removed."""
     target, foreign = tmp_path / "entry.npz", tmp_path / ".entry.npz.tmp"
     foreign.write_bytes(b"half of another process's entry")
-    replace_file(target, b"whole")
+    replace_file(target, "whole")
     assert target.read_bytes() == b"whole"
     assert foreign.read_bytes() == b"half of another process's entry"
     assert sorted(p.name for p in tmp_path.iterdir()) == [".entry.npz.tmp", "entry.npz"]
@@ -1175,7 +1175,7 @@ def test_replace_file_removes_the_temporaries_of_processes_no_longer_running(tmp
     kept = [tmp_path / f".entry.npz.{os.getppid()}.tmp", tmp_path / ".entry.npz.x1.tmp", tmp_path / ".other.1.tmp"]
     for temporary in [*kept, tmp_path / f".entry.npz.{1 << 22}.tmp"]:
         temporary.write_bytes(b"half")
-    replace_file(tmp_path / "entry.npz", b"whole")
+    replace_file(tmp_path / "entry.npz", "whole")
     assert sorted(tmp_path.iterdir()) == sorted([*kept, tmp_path / "entry.npz"])
 
 

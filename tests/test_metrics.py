@@ -16,7 +16,6 @@ from fairrank.core import GroupUtilityVector
 from fairrank.errors import InvariantViolation, UndefinedMetric, UnknownQuery
 from fairrank.ingest import IntentJudgments, SearchRun
 from fairrank.metrics import (
-    MetricReport,
     entropy,
     gini,
     hit_at_k,
@@ -138,14 +137,14 @@ class TestEvaluationSharesInputs:
         original = M.slate_hits
         monkeypatch.setattr(M, "slate_hits", lambda *args: calls.append(args[2]) or original(*args))
         row = M.Evaluation(2, slates=slate_of(2, {"u": ["i2", "i1"]}), relevant=relevant_log({"u": {"i1"}}))
-        values = row.report(["ndcg", "mrr", "hr"], {}).values
-        assert values == {"ndcg@2": 1.0 / math.log2(3) / 1.0, "mrr@2": 0.5, "hr@2": 1.0}
+        values = row.values(["ndcg", "mrr", "hr"])
+        assert values == {"ndcg": 1.0 / math.log2(3) / 1.0, "mrr": 0.5, "hr": 1.0}
         assert calls == [2]
 
     def test_one_relevance_table_per_test_split(self):
         test = relevant_log({"u": {"i1"}})
         rows = [M.Evaluation(k, slates=slate_of(2, {"u": ["i2", "i1"]}), relevant=test) for k in (1, 2)]
-        assert [row.report(["hr"], {}).values for row in rows] == [{"hr@1": 0.0}, {"hr@2": 1.0}]
+        assert [row.values(["hr"]) for row in rows] == [{"hr": 0.0}, {"hr": 1.0}]
         assert test.__dict__["relevant"] is test.relevant  # built by the first row, kept for the second
 
     def test_one_gather_per_row(self, monkeypatch):
@@ -154,20 +153,20 @@ class TestEvaluationSharesInputs:
         monkeypatch.setattr(M, "judged_top", lambda *args: calls.append(args[2]) or original(*args))
         judg = make_judgments({"d1": {"i1"}, "d2": {"i2"}}, ["i1", "i2"])
         row = M.Evaluation(1, run=run_of(["d1", "d2"]), judgments=judg, alpha=0.5)
-        values = row.report(["err_ia", "alpha_ndcg", "s_rec"], {}).values
-        assert values == {"err_ia@1": 0.25, "alpha_ndcg@1": 1.0, "s_rec@1": 0.5}
+        values = row.values(["err_ia", "alpha_ndcg", "s_rec"])
+        assert values == {"err_ia": 0.25, "alpha_ndcg": 1.0, "s_rec": 0.5}
         assert calls == [1]
 
     def test_gather_errors_keep_their_order(self):
         judg = make_judgments({"d1": {"i1"}}, ["i1"])
         unjudged = M.Evaluation(1, run=search_run({"q9": [("d1", 1.0)]}), judgments=judg, alpha=2.0)
         with pytest.raises(UnknownQuery):
-            unjudged.report(["alpha_ndcg"], {})
+            unjudged.values(["alpha_ndcg"])
         empty = M.Evaluation(1, run=search_run({}), judgments=judg, alpha=2.0)
         with pytest.raises(UndefinedMetric, match="run contains no queries"):
-            empty.report(["alpha_ndcg"], {})
+            empty.values(["alpha_ndcg"])
         with pytest.raises(InvariantViolation, match="alpha"):
-            M.Evaluation(1, run=run_of(["d1"]), judgments=judg, alpha=2.0).report(["alpha_ndcg"], {})
+            M.Evaluation(1, run=run_of(["d1"]), judgments=judg, alpha=2.0).values(["alpha_ndcg"])
 
 
 class TestJudgedTopMatchesIdsExactly:
@@ -485,11 +484,11 @@ class TestIgf:
             igf([], k=1)
 
 
-class TestMetricReport:
-    def test_rejects_unregistered_name(self):
-        with pytest.raises(Exception):
-            MetricReport(values={"bogus@10": 1.0})
-
-    def test_accepts_registered(self):
-        rep = MetricReport(values={"ndcg@10": 0.5, "gini@10": 0.2})
-        assert rep.values["ndcg@10"] == 0.5
+class TestEvaluationValues:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_value(self, monkeypatch, bad):
+        monkeypatch.setattr(M, "ndcg_at_k", lambda hits: bad)
+        row = M.Evaluation(10, slates=slate_of(10, {"u": ["i2", "i1"]}), relevant=relevant_log({"u": {"i1"}}),
+                           utility=guv({"g1": 1.0, "g2": 1.0}))
+        with pytest.raises(InvariantViolation, match=r"^non-finite value for metric 'ndcg@10'$"):
+            row.values(["gini", "ndcg"])
