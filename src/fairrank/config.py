@@ -18,6 +18,7 @@ register, like unknown keys and casts each param to its default's type.
 from __future__ import annotations
 
 import inspect
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -172,13 +173,14 @@ STAGE_DEFAULTS = {
     pair: {name: key.at(*pair) for name, key in KEYS.items() if key.shown != EVERY and pair in key.shown}
     for pair in MODELS
 }
-_WHAT = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_WHAT = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
 def _typed(name: str, kind, value):
     """``value`` as a value of key or param ``name`` of ``kind``, or a ConfigError; a bool is never a number.
 
-    A param's kind is its default's type, and an int or float param is cast to it.
+    A param's kind is its default's type, and an int or float param is cast to it; a float
+    param must be finite.
     """
     try:
         if isinstance(kind, Shape):
@@ -191,7 +193,9 @@ def _typed(name: str, kind, value):
             if type(value) is kind:
                 return value
         else:
-            return kind(value)
+            cast = kind(value)
+            if kind is not float or math.isfinite(cast):
+                return cast
     except (TypeError, ValueError, OverflowError):
         pass
     what = kind.what if isinstance(kind, Shape) else _WHAT.get(kind) or f"one of {', '.join(kind)}"

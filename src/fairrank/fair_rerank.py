@@ -15,16 +15,16 @@ every entry at or above it; only rows that take more than their slate
 (ties at that value, or fewer than K candidates) are resolved one by one.
 The online algorithms rank one user at a time with :func:`_top_row`: a
 1-D partition, then a lexsort of just the entries at or above the K-th
-value.  welf's Frank-Wolfe steps write three users x items float buffers
-in place: the iterate, the gradient (scores plus the welfare bonus, the
-bonus alone at unscored entries) and a scratch array for the kernel's
-partition; each step moves the iterate toward a bool top-k mask, under
-that mask.  fairrec's round-robin scan resumes each user's ranking where
-it last stopped.  Every algorithm reads the user x item arrays of
-the :class:`ScoreMatrix` itself (``S``, ``valid``, ``n_valid`` and the
-cached ``order``), so every (model, K) run on one matrix shares them, and
-the group data that :class:`RerankContext` gathers once from the
-catalog's membership table.
+value.  welf's Frank-Wolfe steps work on a band of each row's ranking:
+the prefix of ``order`` that holds every item the step's welfare bonus
+can lift into the row's top k, widened as the bonus spreads; one users x
+items buffer, zero outside the band, keeps the rounding of its
+full-layout sums.  fairrec's round-robin scan resumes each user's
+ranking where it last stopped.  Every algorithm reads the user x item
+arrays of the :class:`ScoreMatrix` itself (``S``, ``valid``, ``n_valid``
+and the cached ``order``), so every (model, K) run on one matrix shares
+them, and the group data that :class:`RerankContext` gathers once from
+the catalog's membership table.
 
 ``min_regularizer`` and ``pmmf`` are online: they process users strictly in
 ``arrival_order`` and carry running state, so they must not be parallelised
@@ -183,7 +183,7 @@ def min_regularizer(ctx: RerankContext, lam: float = 1.0) -> RankingSlate:
     utility and the item's best-off member group.  ``lam`` scales the bonus;
     0 reproduces :func:`topk`.
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN fails too
         raise InvariantViolation("lam must be non-negative")
     scores = ctx.scores
     util = np.zeros(len(ctx.groups))
@@ -248,7 +248,7 @@ def cpfair(ctx: RerankContext, lam: float = 1.0, swap_budget: int = 20) -> Ranki
     candidate), and all users' swaps are scored at once: an array of
     users x group sets^2 per swap.
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN fails too
         raise InvariantViolation("lam must be non-negative")
     if swap_budget < 0:
         raise InvariantViolation("swap_budget must be non-negative")
@@ -373,9 +373,9 @@ def pmmf(
     simplex.  ``on_update`` receives the read-only price array (in
     ``groups`` order) after every user.
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN fails too
         raise InvariantViolation("lam must be non-negative")
-    if eta <= 0:
+    if not eta > 0:
         raise InvariantViolation("eta must be positive")
     scores, n_groups = ctx.scores, len(ctx.groups)
     mu = np.full(n_groups, lam / n_groups if lam > 0 else 0.0)
@@ -403,6 +403,34 @@ def pmmf(
     return RankingSlate(ctx.k, chosen, scores)
 
 
+def _band_width(scores: ScoreMatrix, k: int, width: int, bonus: np.ndarray) -> int:
+    """The width, at least ``width``, of the prefix of ``scores.order`` that can hold a row's top k of ``S + bonus``.
+
+    ``bonus`` holds one value per item.  Item j can reach row u's top k only
+    if ``fl(S[u, j] + bonus.max()) >= fl(S_k(u) + bonus.min())``, where
+    ``S_k(u)`` is the row's k-th best score: the row's k best items all get
+    at least the right side, and rounding is monotone in each operand.  The
+    bound falls along the order, so the items meeting it are a prefix of
+    it.  A row with fewer than k scored items is not bounded: it takes them
+    all, and they are its first columns, inside any width of at least k.
+    The width doubles from the first column that still meets the bound
+    until one column meets it in no row, then stops after the last column
+    that meets it.
+    """
+    S, order, m = scores.S, scores.order, scores.S.shape[1]
+    deep = np.flatnonzero(scores.n_valid >= k)
+    if width >= m or not deep.size:
+        return width
+    top, bound = bonus.max(), S[deep, order[deep, k - 1]] + bonus.min()
+    stop = width
+    while stop < m and (S[deep, order[deep, stop]] + top >= bound).any():
+        stop = min(m, 2 * stop)
+    if stop == width:
+        return width
+    reach = S[deep[:, None], order[deep, width:stop]] + top >= bound[:, None]
+    return width + int(np.count_nonzero(reach, axis=1).max())
+
+
 def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 50) -> RankingSlate:
     """Frank-Wolfe maximisation of relevance plus concave group welfare.
 
@@ -412,33 +440,60 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
     of the gradient as the linear maximiser and averages with step
     ``2 / (t + 2)``.  Duality gaps, the final objective, and polytope
     diagnostics are recorded in the slate metadata.
+
+    Each step works on a band of every row's ranking, ``order[:, :width]``:
+    the gradient row is ``S[u] + bonus`` with one bonus vector over items,
+    so only the prefix that :func:`_band_width` finds can hold the row's
+    top k.  The band starts at the first k columns and only grows, so the
+    iterate is zero outside it.  The top k come from partitioning the band,
+    where ties at the k-th value already lie in tie order.  Every reduction
+    keeps the full layout's rounding.  Column sums are ``np.bincount`` over
+    the band in user order, the order in which ``pi.sum(axis=0)`` adds
+    users.  The duality gap, the row sums and the objective are numpy
+    pairwise sums, whose rounding depends on each term's place in the users
+    x items layout, so they run over one users x items buffer that is zero
+    outside the band and holds the band's terms at its positions; numpy's
+    sum starts from +0.0, so the signs of the zeros cannot show.  The entry
+    min and max are the band's, the 0.0 outside it being their starting
+    values.  Slates and diagnostics are bit for bit the full-layout ones.
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN fails too
         raise InvariantViolation("lam must be non-negative")
     if not (0.0 < alpha < 1.0):
         raise InvariantViolation("alpha must lie in (0, 1)")
     if iters < 1:
         raise InvariantViolation("iters must be >= 1")
     eps = 1e-3
-    S, valid, n_valid = ctx.scores.S, ctx.scores.valid, ctx.scores.n_valid
-    invalid = ~valid
-    # The only users x items float buffers, each written in place: the
-    # fractional slates pi, the gradient and a scratch array for the
-    # partition copies, the gap terms and the objective.  The gradient is
-    # where(valid, S, 0) + bonus, written as S + bonus with bonus copied over
-    # its invalid entries, where the gap's factor head - pi is +0.0.  The
-    # linear maximiser head is a bool mask, and pi gains gamma where it is
-    # set; with lam == 0 head is the initial top-k at every step.  No product
-    # reads S where it is -inf.
-    scratch, grad = np.empty_like(S), np.empty_like(S)
-    head = _top_mask(S, S, ctx.k, n_valid, scratch)
+    scores, k = ctx.scores, ctx.k
+    S, n_valid, order = scores.S, scores.n_valid, scores.order
+    m = S.shape[1]
+    rows = np.arange(len(S))[:, None]
+    # The only users x items float buffer.  It is zero outside the band and
+    # takes, at the band's positions, the gap's terms, then the iterate for
+    # its row sums, then the objective's terms and the final slates' key.
+    layout = np.zeros_like(S)
+    cells = layout.reshape(-1)  # the same memory, indexed by flat position
+
+    def gather(width: int):
+        """The band's columns, flat positions, scores and invalid entries, and gradient and scratch arrays."""
+        cols = order[:, :width].copy()
+        flat = cols + rows * m
+        band_S = S.take(flat)
+        invalid = np.arange(width) >= n_valid[:, None]  # scored items come first in the order
+        return cols, flat, band_S, invalid, np.empty_like(band_S), np.empty_like(band_S)
+
+    width = min(k, m)
+    cols, flat, band_S, invalid, grad, scratch = gather(width)
+    # Each row's initial top k is the head of its ranking; with lam == 0 it
+    # is the linear maximiser at every step, against where(valid, S, 0).
+    head = np.arange(width) < np.array(ctx.depth)[:, None]
     pi = head.astype(float)
     if lam == 0:
-        np.copyto(grad, S)
+        np.copyto(grad, band_S)
         np.copyto(grad, 0.0, where=invalid)
     expected_row = np.array(ctx.depth, dtype=float)
 
-    exposure = pi.sum(axis=0) @ ctx.member_f
+    exposure = np.bincount(cols.ravel(), pi.ravel(), m) @ ctx.member_f
     gaps: list[float] = []
     max_row_dev = 0.0
     entry_min, entry_max = 0.0, 1.0
@@ -446,24 +501,39 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
     for t in range(1, iters + 1):
         if lam > 0:
             bonus = ctx.member_f @ (lam * (exposure + eps) ** (-alpha))
-            head = _top_mask(np.add(S, bonus, out=grad), S, ctx.k, n_valid, scratch)
-            np.copyto(grad, bonus, where=invalid)
+            wider = _band_width(scores, k, width, bonus)
+            if wider > width:
+                pi = np.pad(pi, ((0, 0), (0, wider - width)))
+                width = wider
+                cols, flat, band_S, invalid, grad, scratch = gather(width)
+            np.add(band_S, bonus.take(cols), out=grad)
+            head = _top_mask(grad, band_S, k, n_valid, scratch)
+            np.copyto(grad, 0.0, where=invalid)  # the gap's factor head - pi is +0.0 there
         np.subtract(head, pi, out=scratch)
-        gaps.append(float(np.sum(np.multiply(grad, scratch, out=scratch))))
+        cells[flat] = np.multiply(grad, scratch, out=scratch)
+        gaps.append(float(np.sum(layout)))
         gamma = 2.0 / (t + 2.0)
         pi *= 1.0 - gamma
         np.add(pi, gamma, out=pi, where=head)
-        exposure = pi.sum(axis=0) @ ctx.member_f
-        max_row_dev = max(max_row_dev, float(np.abs(pi.sum(axis=1) - expected_row).max()))
+        cells[flat] = pi
+        exposure = np.bincount(cols.ravel(), pi.ravel(), m) @ ctx.member_f
+        max_row_dev = max(max_row_dev, float(np.abs(layout.sum(axis=1) - expected_row).max()))
+        # pi is 0.0 outside the band, and entry_min starts at 0.0.
         entry_min = min(entry_min, float(pi.min()))
         entry_max = max(entry_max, float(pi.max()))
 
     scratch.fill(0.0)
-    objective = float(np.sum(np.multiply(pi, S, out=scratch, where=valid)))
+    cells[flat] = np.multiply(pi, band_S, out=scratch, where=~invalid)
+    objective = float(np.sum(layout))
     if lam > 0:
         objective += float(lam * np.sum((exposure + eps) ** (1.0 - alpha) / (1.0 - alpha)))
 
-    np.copyto(pi, -np.inf, where=invalid)  # pi is now the primary key of the final top-k
+    # The final top k by pi lies in the band: pi is 0.0 outside it, and the
+    # band is a prefix of the tie order (score desc, item id asc).
+    cells[flat] = pi
+    np.copyto(pi, -np.inf, where=invalid)
+    take = np.zeros(S.shape, dtype=bool)
+    take.put(flat[_top_mask(pi, band_S, k, n_valid, scratch)], True)
     meta = {
         "duality_gaps": gaps,
         "objective": objective,
@@ -471,5 +541,4 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
         "polytope_entry_min": entry_min,
         "polytope_entry_max": entry_max,
     }
-    return _build_slates(ctx.scores, _top_mask(pi, S, ctx.k, n_valid, scratch), pi, ctx.k, meta)
-
+    return _build_slates(scores, take, layout, k, meta)

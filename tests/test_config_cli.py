@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import os
 import shutil
 import signal
@@ -1235,6 +1236,17 @@ class TestConfigValues:
         "model-list-repeated": ("search", "post-processing", {"model": ["xquad", "pm2", "xquad"]},
                                 "model must list distinct values, got ['xquad', 'pm2', 'xquad']"),
         "K-repeated": ("recommendation", "post-processing", {"K": [5, 5]}, "K must list distinct values, got [5, 5]"),
+        # A float param must be finite: each of these ran to a report, min_regularizer's at ndcg 0.0.
+        "welf-lam-nan": ("recommendation", "post-processing", {"model": "welf", "params": {"welf": {"lam": math.nan}}},
+                         "parameter 'lam' of model 'welf' must be a finite number, got nan"),
+        "cpfair-lam-nan": ("recommendation", "post-processing",
+                           {"model": "cpfair", "params": {"cpfair": {"lam": math.nan}}},
+                           "parameter 'lam' of model 'cpfair' must be a finite number, got nan"),
+        "pmmf-lam-nan": ("recommendation", "post-processing", {"model": "pmmf", "params": {"pmmf": {"lam": math.nan}}},
+                         "parameter 'lam' of model 'pmmf' must be a finite number, got nan"),
+        "min_regularizer-lam-inf": ("recommendation", "post-processing",
+                                    {"model": "min_regularizer", "params": {"min_regularizer": {"lam": math.inf}}},
+                                    "parameter 'lam' of model 'min_regularizer' must be a finite number, got inf"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD))

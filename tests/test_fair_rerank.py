@@ -340,6 +340,23 @@ class TestPmmf:
             pmmf(ctx_for(catalog, matrix, 5), lam=1.0, eta=1000.0)
 
 
+@pytest.mark.parametrize(
+    "rerank, params, message",
+    [
+        (welf, {"lam": math.nan}, "lam must be non-negative"),
+        (cpfair, {"lam": math.nan}, "lam must be non-negative"),
+        (min_regularizer, {"lam": math.nan}, "lam must be non-negative"),
+        (pmmf, {"lam": math.nan}, "lam must be non-negative"),
+        (pmmf, {"eta": math.nan}, "eta must be positive"),
+    ],
+    ids=["welf-lam", "cpfair-lam", "min_regularizer-lam", "pmmf-lam", "pmmf-eta"],
+)
+def test_nan_param_fails_the_guard(tiny_catalog, rerank, params, message):
+    matrix = score_matrix({"u1": {"i1": 1.0, "i2": 0.5}, "u2": {"i1": 0.5, "i3": 0.2}})
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        rerank(ctx_for(tiny_catalog, matrix, k=1), **params)
+
+
 class TestWelf:
     def test_lambda_zero_is_topk(self, rng):
         catalog, matrix = random_instance(rng, 10, 24, 3)

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 import reference_rerank as ref
 from reference_metrics import id_slates
 from conftest import random_instance, score_matrix
+from fairrank import fair_rerank
+from fairrank.core import ScoreMatrix
 from fairrank.errors import FairrankError, UnknownEntity
 from fairrank.fair_rerank import (
     RerankContext,
+    _band_width,
     _ranked,
     _top_mask,
     _top_row,
@@ -186,3 +189,99 @@ def test_context_still_validates_scores_against_catalog(tiny_catalog):
     for rows in ({"u1": {"i1": 1.0}, "u9": {"i1": 0.5}}, {"u1": {"i1": 1.0}, "u2": {"i9": 0.5}}):
         with pytest.raises(UnknownEntity):
             RerankContext(score_matrix(rows), tiny_catalog, k=1)
+
+
+# welf's band: each step works on a prefix order[:, :width] of every row's ranking, widened
+# by _band_width whenever the bound admits a column past it.  These cases drive the band
+# where it is easiest to get wrong and compare against the full-layout reference, repr and all.
+
+
+@pytest.fixture
+def band_widths(monkeypatch):
+    """The (width in, width out) of every _band_width call, one per welf step with lam > 0."""
+    calls = []
+
+    def recorded(scores, k, width, bonus):
+        calls.append((width, _band_width(scores, k, width, bonus)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fair_rerank, "_band_width", recorded)
+    return calls
+
+
+def _assert_band_same(ctx, **params):
+    got, expected = welf(ctx, **params), ref.welf(ctx, **params)
+    _assert_same(got, expected)
+    assert repr(got.meta) == repr(expected.meta)
+
+
+def _shifted(matrix, shift):
+    """``matrix`` with every score moved by ``shift``."""
+    return ScoreMatrix(matrix.user_ids, matrix.item_ids, np.where(matrix.valid, matrix.S + shift, 0.0), matrix.valid)
+
+
+@pytest.mark.parametrize("shift", [-0.6, -2.0])
+def test_welf_band_on_raw_scores_with_negatives(shift):
+    catalog, matrix = random_instance(np.random.default_rng(31), 40, 80, 5, tie_heavy=True)
+    matrix = _shifted(matrix, shift)
+    assert (matrix.S[matrix.valid] < 0).mean() > 0.5
+    ctx = RerankContext(matrix, catalog, 6)
+    for lam in (0.0, 0.3, 2.0):
+        _assert_band_same(ctx, lam=lam, iters=15)
+
+
+def test_welf_band_spanning_whole_rows(band_widths):
+    catalog, matrix = random_instance(np.random.default_rng(32), 25, 60, 4)
+    ctx = RerankContext(matrix, catalog, 5)
+    _assert_band_same(ctx, lam=1e3, iters=12)
+    assert max(out for _, out in band_widths) == len(matrix.item_ids)
+
+
+def test_welf_band_with_rows_shorter_than_k_next_to_long_rows(band_widths):
+    catalog, matrix = random_instance(np.random.default_rng(33), 30, 90, 6)
+    valid = np.ones(matrix.S.shape, dtype=bool)
+    valid[::3, 4:] = False  # every third user scores 4 items, fewer than K
+    matrix = ScoreMatrix(matrix.user_ids, matrix.item_ids, np.where(valid, matrix.S, 0.0), valid)
+    ctx = RerankContext(matrix, catalog, 8)
+    assert (matrix.n_valid < 8).any() and (matrix.n_valid > 10 * 8).any()
+    _assert_band_same(ctx, lam=1.0, iters=20)
+    assert band_widths and max(out for _, out in band_widths) < len(matrix.item_ids)
+
+
+def test_welf_band_with_ties_at_the_kth_score_past_the_first_band(band_widths):
+    catalog, matrix = random_instance(np.random.default_rng(34), 30, 120, 5, tie_heavy=True)
+    k = 6
+    S = matrix.S
+    kth = -np.sort(-S, axis=1)[:, k - 1 : k]
+    assert ((S >= kth).sum(axis=1) > k)[matrix.n_valid >= k].any()  # some row's ties overflow order[:, :k]
+    ctx = RerankContext(matrix, catalog, k)
+    _assert_band_same(ctx, lam=0.05, iters=10)
+    assert band_widths[0][0] == k and band_widths[0][1] > k
+
+
+def test_welf_band_widening_after_the_first_step(band_widths):
+    catalog, matrix = random_instance(np.random.default_rng(35), 40, 150, 6)
+    ctx = RerankContext(matrix, catalog, 10)
+    _assert_band_same(ctx, lam=3.0, iters=30)
+    assert any(out > width for width, out in band_widths[1:])
+    assert band_widths[-1][1] < len(matrix.item_ids)
+
+
+@settings(max_examples=150)
+@given(seed=seeds)
+def test_band_holds_every_entry_at_or_above_the_kth_value(seed):
+    rng = np.random.default_rng(seed)
+    catalog, matrix = random_instance(
+        rng, int(rng.integers(1, 12)), int(rng.integers(1, 40)), int(rng.integers(1, 4)), tie_heavy=True
+    )
+    matrix = _shifted(matrix, float(rng.choice([0.0, -0.5, -1.0])))
+    k = int(rng.integers(1, 10))
+    offset = np.round(rng.uniform(0, float(rng.choice([0.05, 0.5, 5.0])), len(matrix.item_ids)), int(rng.integers(1, 4)))
+    m = len(matrix.item_ids)
+    width = _band_width(matrix, k, min(k, m), offset)
+    assert min(k, m) <= width <= m
+    for u, row in enumerate(matrix.S + offset):
+        band = set(matrix.order[u, :width].tolist())
+        n = int(matrix.n_valid[u])
+        kth = np.sort(row)[m - min(k, n)]  # -inf invalid entries sort first
+        assert set(np.flatnonzero((row >= kth) & matrix.valid[u]).tolist()) <= band
