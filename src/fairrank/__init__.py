@@ -1,29 +1,32 @@
-"""Fairness- and diversity-aware re-ranking engine and benchmark harness."""
+"""Fairness- and diversity-aware re-ranking engine and benchmark harness.
 
-from .core import (
-    Catalog,
-    GroupUtilityVector,
-    InteractionLog,
-    RankingSlate,
-    ScoreMatrix,
-    group_utility,
-)
-from .fair_rerank import RerankContext, cpfair, fairrec, min_regularizer, pmmf, topk, welf
-from .diverse_rerank import DiversifyContext, pm2, xquad
-from .ingest import (
-    IntentJudgments,
-    SearchRun,
-    SplitDataset,
-    filter_and_split,
-    parse_diversity_qrels,
-    parse_interactions,
-    parse_run_file,
-    read_dataset,
-    write_dataset,
-)
-from .trainer import MFModel, TrainConfig, TrainHooks, predict, train
+The names below are resolved on first use (PEP 562), so importing one
+submodule, as ``python -m fairrank.synth`` does, loads only what that
+submodule imports.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_HOME = {
+    "core": ("Catalog", "GroupUtilityVector", "InteractionLog", "RankingSlate", "ScoreMatrix", "group_utility"),
+    "fair_rerank": ("RerankContext", "cpfair", "fairrec", "min_regularizer", "pmmf", "topk", "welf"),
+    "diverse_rerank": ("DiversifyContext", "pm2", "xquad"),
+    "ingest": (
+        "IntentJudgments",
+        "SearchRun",
+        "SplitDataset",
+        "filter_and_split",
+        "parse_diversity_qrels",
+        "parse_interactions",
+        "parse_run_file",
+        "read_dataset",
+        "write_dataset",
+    ),
+    "trainer": ("MFModel", "TrainConfig", "TrainHooks", "predict", "train"),
+}
+_MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
 
 __all__ = [
     "Catalog",
@@ -57,3 +60,11 @@ __all__ = [
     "write_dataset",
     "xquad",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -20,11 +20,15 @@ the prefix of ``order`` that holds every item the step's welfare bonus
 can lift into the row's top k, widened as the bonus spreads; one users x
 items buffer, zero outside the band, keeps the rounding of its
 full-layout sums.  fairrec's round-robin scan resumes each user's
-ranking where it last stopped.  Every algorithm reads the user x item
-arrays of the :class:`ScoreMatrix` itself (``S``, ``valid``, ``n_valid``
-and the cached ``order``), so every (model, K) run on one matrix shares
-them, and the group data that :class:`RerankContext` gathers once from
-the catalog's membership table.
+ranking where it last stopped.  Items with one set of member groups are
+interchangeable for group accounting, so cpfair and min_regularizer work
+per group set (:attr:`RerankContext.group_sets`): min_regularizer's
+bonus is one value per set, and cpfair keeps one out-item and one in-item
+per (user, set) and one best user per (out set, in set) pair.  Every
+algorithm reads the user x item arrays of the :class:`ScoreMatrix` itself
+(``S``, ``valid``, ``n_valid`` and the cached ``order``), so every
+(model, K) run on one matrix shares them, and the group data that
+:class:`RerankContext` gathers once from the catalog's membership table.
 
 ``min_regularizer`` and ``pmmf`` are online: they process users strictly in
 ``arrival_order`` and carry running state, so they must not be parallelised
@@ -35,11 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .core import Catalog, RankingSlate, ScoreMatrix
+from .core import Catalog, RankingSlate, ScoreMatrix, sequential_sum
 from .errors import EmptyCandidates, InvariantViolation
 
 _TINY = 1e-12
@@ -54,7 +59,8 @@ class RerankContext:
     ``group_ids``), ``member`` and ``member_f`` (its membership table as
     bool and float, with rows in score-matrix item order, not catalog
     order) and ``beta`` (the target shares, read-only).  ``depth`` lists
-    each user's slate size, ``min(k, n_valid)``, by score-matrix row.
+    each user's slate size, ``min(k, n_valid)``, by score-matrix row, and
+    ``group_sets`` the distinct rows of ``member``, on first use.
 
     Attributes:
         scores: per-user candidate scores (read-only).
@@ -103,6 +109,24 @@ class RerankContext:
         self.member_f = self.member.astype(float)
         self.depth = np.minimum(self.k, self.scores.n_valid).tolist()
 
+    @cached_property
+    def group_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sets, set_of)``: the distinct rows of ``member`` in ascending order, and each item's row among them.
+
+        Items with one member-group set are interchangeable for group
+        accounting; the table is computed on first use.  It is what
+        ``np.unique(member, axis=0, return_inverse=True)`` gives, from one
+        lexsort of the rows (column 0 most significant), about ten times
+        faster on a table of a few groups.
+        """
+        by = np.lexsort(self.member.T[::-1])
+        rows = self.member[by]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        set_of = np.empty(len(rows), dtype=np.intp)
+        set_of[by] = np.cumsum(first) - 1
+        return rows[first], set_of
+
 
 def proportional_shares(catalog: Catalog) -> np.ndarray:
     """Target shares proportional to each group's catalog item count, in ``group_ids`` order.
@@ -111,6 +135,13 @@ def proportional_shares(catalog: Catalog) -> np.ndarray:
     """
     counts = catalog.member.sum(axis=0)
     return counts / counts.sum()
+
+
+def _finite(**params: float) -> None:
+    """Refuse an infinite value of any of ``params``: a re-ranker scaling by it would rank on inf * 0 = NaN."""
+    for name, value in params.items():
+        if value == math.inf:
+            raise InvariantViolation(f"{name} must be finite")
 
 
 def _top_mask(primary: np.ndarray, tie: np.ndarray, k: int, n_valid: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -182,10 +213,18 @@ def min_regularizer(ctx: RerankContext, lam: float = 1.0) -> RankingSlate:
     proportional to the gap between the worst-off group's running normalized
     utility and the item's best-off member group.  ``lam`` scales the bonus;
     0 reproduces :func:`topk`.
+
+    Items with one member-group set get one bonus, so each user's bonus is
+    computed once per group set of :attr:`RerankContext.group_sets` and
+    gathered onto the items.  A slate's utility is one
+    :func:`~fairrank.core.sequential_sum` that adds its items' weighted
+    memberships to the running utility in slate order, one at a time.
     """
     if not lam >= 0:  # NaN fails too
         raise InvariantViolation("lam must be non-negative")
+    _finite(lam=lam)
     scores = ctx.scores
+    sets, set_of = ctx.group_sets
     util = np.zeros(len(ctx.groups))
     chosen = np.full((len(scores.user_ids), ctx.k), -1, dtype=np.intp)
     for t, user in enumerate(ctx.arrival_order, start=1):
@@ -194,16 +233,17 @@ def min_regularizer(ctx: RerankContext, lam: float = 1.0) -> RankingSlate:
             norm = util / max(1.0, t * ctx.k)
             # Utilities are non-negative, so a masked product realises
             # "max over member groups".
-            item_pen = (ctx.member * norm).max(axis=1)
-            adjusted = scores.S[ui] + lam * (norm.min() - item_pen)
+            set_pen = (sets * norm).max(axis=1)
+            adjusted = scores.S[ui] + (lam * (norm.min() - set_pen))[set_of]
         else:
             adjusted = scores.S[ui]
         slate = _top_row(adjusted, scores.S[ui], ctx.depth[ui])
         chosen[ui, : slate.size] = slate
-        # Clamped click weights; exposure mode uses unit weights.
-        weights = np.clip(scores.S[ui, slate], 0.0, 1.0) if ctx.mode == "click" else np.ones(slate.size)
-        for i, w in zip(slate, weights):
-            util += ctx.member_f[i] * w
+        # Click mode weights each item by its score clamped into [0, 1], exposure mode by 1.
+        credit = ctx.member_f[slate].T
+        if ctx.mode == "click":
+            credit = credit * np.clip(scores.S[ui, slate], 0.0, 1.0)
+        util = sequential_sum(np.column_stack([util, credit]))
     return RankingSlate(ctx.k, chosen, scores)
 
 
@@ -216,20 +256,36 @@ def _deviation(e: np.ndarray, beta: np.ndarray) -> float:
     return float(np.abs(e - beta * e.sum()).sum())
 
 
-def _reps(S: np.ndarray, mask: np.ndarray, gid: np.ndarray, n_sets: int, pick) -> np.ndarray:
-    """Per (row, group-set id), the masked column that ``pick`` selects.
+def _set_reps(reps: np.ndarray, rows, cols: np.ndarray, set_of: np.ndarray, *ties: np.ndarray) -> None:
+    """Give each (row, group set) of the entries ``(rows, cols)`` whose rep is still -1 its first entry's column.
 
-    ``pick`` is ``np.argmax`` or ``np.argmin`` over the row's scores; both
-    return the first extremum, so ties go to the smallest item index.  Rows
-    with no masked column in a group set get -1.
+    Entries of one (row, set) rank by the ``np.lexsort`` keys ``ties``
+    (the last most significant), then by their place in ``cols``.
     """
-    fill = -np.inf if pick is np.argmax else np.inf
-    reps = np.full((S.shape[0], n_sets), -1)
-    for g in range(n_sets):
-        vals = np.where(mask & (gid == g), S, fill)
-        best = pick(vals, axis=1)
-        reps[:, g] = np.where(vals[np.arange(len(best)), best] != fill, best, -1)
-    return reps
+    key = rows * reps.shape[1] + set_of[cols]
+    by = np.lexsort((*ties, key))
+    by = by[reps.flat[key[by]] < 0]
+    first = np.ones(by.size, dtype=bool)
+    np.not_equal(key[by[1:]], key[by[:-1]], out=first[1:])
+    reps.flat[key[by[first]]] = cols[by[first]]
+
+
+def _rep_scores(S: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """The scores of ``reps`` (columns of ``S``'s rows), NaN where a rep is -1."""
+    return np.where(reps >= 0, np.take_along_axis(S, reps, axis=-1), np.nan)
+
+
+def _best_users(loss: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of a users x pairs ``loss`` array, the user of the smallest loss at most ``cap`` and that loss.
+
+    Ties go to the lowest user; a column without such a user gets -1.  NaN
+    marks a user without the pair, and fails the cap.
+    """
+    ok = loss <= cap
+    low = np.where(ok, loss, np.inf).min(axis=0)
+    user = np.argmax(ok & (loss == low), axis=0)
+    user[~ok.any(axis=0)] = -1
+    return user, loss[user, np.arange(loss.shape[1])]
 
 
 def cpfair(ctx: RerankContext, lam: float = 1.0, swap_budget: int = 20) -> RankingSlate:
@@ -238,32 +294,64 @@ def cpfair(ctx: RerankContext, lam: float = 1.0, swap_budget: int = 20) -> Ranki
     Starting from the :func:`topk` slates, repeatedly applies the single
     (user, out-item, in-item) swap with the best deviation reduction per
     unit of relevance lost, subject to a per-swap relevance-loss cap ``lam``
-    and a total ``swap_budget``.  Ties prefer smaller loss, then the
-    lexicographically smallest (user, out item, in item).  Modified slates
-    are re-sorted by (score desc, item id asc).
+    (inf lifts it) and a total ``swap_budget``.  Ties prefer smaller loss,
+    then the lexicographically smallest (user, out item, in item).
+    Modified slates are re-sorted by (score desc, item id asc).
 
     Items with the same member-group set are interchangeable for the
     deviation, so each user offers one out-item per group set (the lowest
-    scored slate item) and one in-item per group set (the highest scored
-    candidate), and all users' swaps are scored at once: an array of
-    users x group sets^2 per swap.
+    scored slate item, lowest column on ties) and one in-item per group set
+    (the first candidate of its ranking ``order`` past its slate).  The
+    gain of a swap depends only on its (out set, in set) pair, and its ratio
+    ``gain / max(loss, tiny)`` never rises with the loss, so within a pair
+    the best swap is that of the candidate user with the smallest (loss,
+    user).  A sets x sets table keeps that user per pair, and each swap is
+    chosen among those pair-bests.  A swap changes one user's representatives: the pairs
+    that user was best in are recomputed over all users, and every other
+    pair compares its best against that user's new loss.  Nothing of users
+    x sets^2 is held.
     """
     if not lam >= 0:  # NaN fails too
         raise InvariantViolation("lam must be non-negative")
     if swap_budget < 0:
         raise InvariantViolation("swap_budget must be non-negative")
-    S, valid = ctx.scores.S, ctx.scores.valid
-    top = topk(ctx).slates
-    in_slate = np.zeros_like(valid)
-    in_slate[np.nonzero(top >= 0)[0], top[top >= 0]] = True
+    scores = ctx.scores
+    S, order, n_valid = scores.S, scores.order, scores.n_valid
+    sets, set_of = ctx.group_sets
+    sets_f, n_sets = sets.astype(float), len(sets)
+    n_users, m = S.shape
+    depth = np.array(ctx.depth)
+    cap = lam + _TINY
+
+    # The topk slates: each row's first depth columns of its ranking.
+    rows, pos = np.nonzero(np.arange(min(ctx.k, m)) < depth[:, None])
+    cols = order[rows, pos]
+    in_slate = np.zeros(S.shape, dtype=bool)
+    in_slate[rows, cols] = True
     e = in_slate.sum(axis=0) @ ctx.member_f
     dev = _deviation(e, ctx.beta)
 
-    sets, gid = np.unique(ctx.member, axis=0, return_inverse=True)
-    sets_f, n_sets = sets.astype(float), len(sets)
-    out_reps = _reps(S, in_slate, gid, n_sets, np.argmin)
-    in_reps = _reps(S, valid & ~in_slate, gid, n_sets, np.argmax)
-    rows = np.arange(len(S))[:, None]
+    # Out-reps: per (user, set), the slate item of lowest (score, column).
+    out_reps = np.full((n_users, n_sets), -1)
+    _set_reps(out_reps, rows, cols, set_of, cols, S[rows, cols])
+    # In-reps: per (user, set), the first candidate in the ranking past the
+    # slate, found on blocks of the ranking that double until every row has
+    # every set or no candidate left.
+    in_reps = np.full((n_users, n_sets), -1)
+    pending, lo, hi = np.arange(n_users), 0, min(m, 2 * ctx.k)
+    while pending.size:
+        at = np.arange(lo, hi)
+        r, c = np.nonzero((at >= depth[pending, None]) & (at < n_valid[pending, None]))
+        _set_reps(in_reps, pending[r], order[pending[r], lo + c], set_of)
+        done = (hi >= n_valid[pending]) | (in_reps[pending] >= 0).all(axis=1)
+        pending, lo, hi = pending[~done], hi, min(m, 2 * hi)
+
+    s_out, s_in = _rep_scores(S, out_reps), _rep_scores(S, in_reps)
+    # Per (out set, in set), the user of the smallest loss within the cap.
+    best = np.empty((n_sets, n_sets), dtype=np.intp)
+    best_loss = np.empty((n_sets, n_sets))
+    for go in range(n_sets):
+        best[go], best_loss[go] = _best_users(s_out[:, go, None] - s_in, cap)
 
     swaps_done = 0
     while swaps_done < swap_budget:
@@ -272,27 +360,40 @@ def cpfair(ctx: RerankContext, lam: float = 1.0, swap_budget: int = 20) -> Ranki
         e2 = e - sets_f[:, None, :] + sets_f[None, :, :]
         new_dev = np.abs(e2 - ctx.beta * e2.sum(axis=2, keepdims=True)).sum(axis=2)
         gain = dev - new_dev
-        s_out = np.where(out_reps >= 0, S[rows, out_reps], np.nan)
-        s_in = np.where(in_reps >= 0, S[rows, in_reps], np.nan)
-        loss = s_out[:, :, None] - s_in[:, None, :]
-        users, go, gi = np.nonzero((loss <= lam + _TINY) & (gain > _TINY))
-        if users.size == 0:
+        go, gi = np.nonzero((best >= 0) & (gain > _TINY))
+        if go.size == 0:
             break
-        loss = loss[users, go, gi]
+        who, loss = best[go, gi], best_loss[go, gi]
         ratio = gain[go, gi] / np.maximum(loss, _TINY)
-        out_i, in_i = out_reps[users, go], in_reps[users, gi]
-        b = np.lexsort((in_i, out_i, users, loss, -ratio))[0]
-        ui = users[b]
+        out_i, in_i = out_reps[who, go], in_reps[who, gi]
+        b = np.lexsort((in_i, out_i, who, loss, -ratio))[0]
+        ui = who[b]
         in_slate[ui, out_i[b]] = False
         in_slate[ui, in_i[b]] = True
         e = e - ctx.member_f[out_i[b]] + ctx.member_f[in_i[b]]
         dev = float(new_dev[go[b], gi[b]])
-        one = slice(ui, ui + 1)
-        out_reps[one] = _reps(S[one], in_slate[one], gid, n_sets, np.argmin)
-        in_reps[one] = _reps(S[one], valid[one] & ~in_slate[one], gid, n_sets, np.argmax)
         swaps_done += 1
 
-    return _build_slates(ctx.scores, in_slate, S, ctx.k, {"swaps": swaps_done, "deviation": dev})
+        # The swapped user's representatives, from its row alone.
+        out_reps[ui], in_reps[ui] = -1, -1
+        slate = np.flatnonzero(in_slate[ui])
+        _set_reps(out_reps, ui, slate, set_of, slate, S[ui, slate])
+        ranked = order[ui, : n_valid[ui]]
+        _set_reps(in_reps, ui, ranked[~in_slate[ui, ranked]], set_of)
+        s_out[ui], s_in[ui] = _rep_scores(S[ui], out_reps[ui]), _rep_scores(S[ui], in_reps[ui])
+
+        # Pairs the user was best in are recomputed over all users; every
+        # other pair compares its best against the user's new loss.
+        stale = best == ui
+        loss = s_out[ui, :, None] - s_in[ui]
+        better = (loss <= cap) & ~stale & ((best < 0) | (loss < best_loss) | ((loss == best_loss) & (ui < best)))
+        best[better], best_loss[better] = ui, loss[better]
+        go, gi = np.nonzero(stale)
+        for at in range(0, go.size, n_sets):
+            pairs = go[at : at + n_sets], gi[at : at + n_sets]
+            best[pairs], best_loss[pairs] = _best_users(s_out[:, pairs[0]] - s_in[:, pairs[1]], cap)
+
+    return _build_slates(scores, in_slate, S, ctx.k, {"swaps": swaps_done, "deviation": dev})
 
 
 def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
@@ -377,6 +478,7 @@ def pmmf(
         raise InvariantViolation("lam must be non-negative")
     if not eta > 0:
         raise InvariantViolation("eta must be positive")
+    _finite(lam=lam, eta=eta)
     scores, n_groups = ctx.scores, len(ctx.groups)
     mu = np.full(n_groups, lam / n_groups if lam > 0 else 0.0)
     mu.flags.writeable = False
@@ -459,6 +561,7 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
     """
     if not lam >= 0:  # NaN fails too
         raise InvariantViolation("lam must be non-negative")
+    _finite(lam=lam)
     if not (0.0 < alpha < 1.0):
         raise InvariantViolation("alpha must lie in (0, 1)")
     if iters < 1:

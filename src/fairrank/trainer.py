@@ -21,6 +21,7 @@ is a YAML manifest plus the model's arrays in the binary store of
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import count
@@ -63,7 +64,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.dim < 1 or self.epochs < 1 or self.batch_size < 1:
             raise InvariantViolation("dim, epochs, and batch_size must be positive")
-        if self.lr <= 0 or self.l2 < 0:
+        if not (0 < self.lr < math.inf and 0 <= self.l2 < math.inf):  # NaN fails too
             raise InvariantViolation("lr must be positive and l2 non-negative")
 
 
@@ -86,12 +87,15 @@ class TrainHooks:
             raise InvariantViolation(f"unknown group sampler {self.group_sampler!r}")
         if self.regularizer not in REGULARIZERS:
             raise InvariantViolation(f"unknown regularizer {self.regularizer!r}")
-        if self.reg_weight < 0:
+        # NaN fails each comparison, and inf the upper bound.
+        if not 0 <= self.reg_weight < math.inf:
             raise InvariantViolation("reg_weight must be non-negative")
-        if self.dual_budget < 0:
+        if not 0 <= self.dual_budget < math.inf:
             raise InvariantViolation("dual budget must be non-negative")
-        if self.dual_step <= 0:
+        if not 0 < self.dual_step < math.inf:
             raise InvariantViolation("dual step size must be positive")
+        if not math.isfinite(self.sampler_step):
+            raise InvariantViolation("sampler_step must be finite")
 
 
 @dataclass

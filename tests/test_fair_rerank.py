@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,30 @@ class TestCpfair:
         result = cpfair(ctx_for(catalog, matrix, 5), lam=1.0, swap_budget=3)
         assert result.meta["swaps"] <= 3
 
+    def test_infinite_loss_cap_is_no_cap(self):
+        catalog = make_catalog({"i1": {"g1"}, "i2": {"g2"}}, users=["u1", "u2"])
+        matrix = score_matrix({u: {"i1": 0.9, "i2": 0.1} for u in ["u1", "u2"]})
+        slates = cpfair(ctx_for(catalog, matrix, 1), lam=math.inf)
+        assert slates.meta["swaps"] == 1
+        assert ids(slates) == ids(cpfair(ctx_for(catalog, matrix, 1), lam=1e9))
+
+    @pytest.mark.parametrize("tie_heavy", [True, False], ids=["tie-heavy", "distinct"])
+    def test_working_set_holds_no_users_by_group_set_pairs_table(self, tie_heavy):
+        catalog, matrix = random_instance(np.random.default_rng(0), 300, 400, 6, tie_heavy=tie_heavy)
+        ctx = ctx_for(catalog, matrix, 10)
+        sets = len(np.unique(catalog.member, axis=0))
+        assert sets > 30 if tie_heavy else sets == 6
+        tracemalloc.start()
+        try:
+            cpfair(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The ranking order (S's size) and its sort key, plus users x sets tables and an eighth
+        # of S for the slate mask.  A users x sets^2 float table alone is 4.2 S on the tie-heavy
+        # instance.
+        assert peak <= 3 * matrix.S.nbytes
+
 
 class TestFairrec:
     def test_single_group_is_topk(self, rng):
@@ -355,6 +380,25 @@ def test_nan_param_fails_the_guard(tiny_catalog, rerank, params, message):
     matrix = score_matrix({"u1": {"i1": 1.0, "i2": 0.5}, "u2": {"i1": 0.5, "i3": 0.2}})
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
         rerank(ctx_for(tiny_catalog, matrix, k=1), **params)
+
+
+@pytest.mark.parametrize(
+    "rerank, params, message",
+    [
+        (welf, {"lam": math.inf}, "lam must be finite"),
+        (min_regularizer, {"lam": math.inf}, "lam must be finite"),
+        (pmmf, {"lam": math.inf}, "lam must be finite"),
+        (pmmf, {"eta": math.inf}, "eta must be finite"),
+    ],
+    ids=["welf-lam", "min_regularizer-lam", "pmmf-lam", "pmmf-eta"],
+)
+def test_infinite_param_fails_the_guard(tiny_catalog, rerank, params, message):
+    # Each of these ranked on NaN scores (inf * 0.0), with a RuntimeWarning as the only sign.
+    matrix = score_matrix({"u1": {"i1": 1.0, "i2": 0.5}, "u2": {"i1": 0.5, "i3": 0.2}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            rerank(ctx_for(tiny_catalog, matrix, k=1), **params)
 
 
 class TestWelf:

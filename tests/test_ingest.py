@@ -969,6 +969,48 @@ def test_synth_leaves_numpy_ma_unimported(tmp_path):
     assert (tmp_path / "datasets" / "synth" / "scores.tsv").exists()
 
 
+def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(Path(ingest.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_synth_loads_only_the_modules_it_imports(tmp_path):
+    """The package resolves its names on first use, so ``python -m fairrank.synth`` compiles no
+    trainer or re-ranker."""
+    script = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('fairrank.synth', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'fairrank')))\n"
+    )
+    done = _run_python(script, "--root", str(tmp_path), "--users", "20", "--items", "15", "--groups", "3")
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.splitlines()[-1].split()
+    assert loaded == ["fairrank", "fairrank.core", "fairrank.errors", "fairrank.ingest", "fairrank.store"]
+
+
+def test_every_package_name_resolves():
+    script = (
+        "import fairrank\n"
+        "names = {}\n"
+        "exec('from fairrank import *', names)\n"
+        "assert sorted(set(names) - {'__builtins__'}) == sorted(fairrank.__all__), names\n"
+        "for name in fairrank.__all__:\n"
+        "    value = getattr(fairrank, name)\n"
+        "    assert value.__name__ == name and value.__module__.startswith('fairrank.'), (name, value)\n"
+        "try:\n"
+        "    fairrank.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = _run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "module 'fairrank' has no attribute 'no_such_name'\n"
+
+
 class TestItemGroups:
     def test_parse(self, tmp_path):
         path = tmp_path / "groups.tsv"

@@ -5,6 +5,8 @@ arithmetic, so slates, diagnostics and metric values must be bit-identical
 on tie-heavy instances (rounded scores, multi-group items, short rows).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,17 @@ def test_online_rerankers_match_references(seed):
     fast = pmmf(ctx, lam=lam, eta=eta, on_update=got.append)
     _assert_same(fast, ref.pmmf(ctx, lam=lam, eta=eta, on_update=expected.append))
     assert [prices.tolist() for prices in got] == [[state.prices[g] for g in ctx.groups] for state in expected]
+
+
+@settings(max_examples=100)
+@given(seed=seeds)
+def test_group_sets_are_numpy_unique_rows(seed):
+    rng = np.random.default_rng(seed)
+    catalog, matrix = random_instance(rng, 3, int(rng.integers(1, 60)), int(rng.integers(1, 70)), tie_heavy=True)
+    ctx = RerankContext(matrix, catalog, 2)
+    sets, set_of = np.unique(ctx.member, axis=0, return_inverse=True)
+    assert np.array_equal(ctx.group_sets[0], sets)
+    assert ctx.group_sets[1].tolist() == set_of.reshape(-1).tolist()
 
 
 @settings(max_examples=100)
@@ -285,3 +298,63 @@ def test_band_holds_every_entry_at_or_above_the_kth_value(seed):
         n = int(matrix.n_valid[u])
         kth = np.sort(row)[m - min(k, n)]  # -inf invalid entries sort first
         assert set(np.flatnonzero((row >= kth) & matrix.valid[u]).tolist()) <= band
+
+
+# cpfair works per group set: each user offers one out-item and one in-item per group set, and a
+# sets x sets table keeps the best user of each (out set, in set) pair.  A swap recomputes the
+# pairs its user was best in over all users.  These cases drive the table where it is easiest
+# to get wrong and compare against the per-user reference, repr and all.
+
+
+@pytest.fixture
+def best_user_scans(monkeypatch):
+    """The number of pairs of every _best_users call: the first table, one out set a call, then recomputations."""
+    calls, best_users = [], fair_rerank._best_users
+
+    def recorded(loss, cap):
+        calls.append(loss.shape[1])
+        return best_users(loss, cap)
+
+    monkeypatch.setattr(fair_rerank, "_best_users", recorded)
+    return calls
+
+
+def _tied_reps(ctx):
+    """Whether some (user, group set) has two lowest-scored items in the first slate, and some two
+    highest-scored candidates past it."""
+    _, set_of = ctx.group_sets
+    ties = set()
+    for u, n in enumerate(ctx.scores.n_valid):
+        ranked, d = ctx.scores.order[u, :n], ctx.depth[u]
+        for side, part, pick in (("out", ranked[:d], np.min), ("in", ranked[d:], np.max)):
+            for g in np.unique(set_of[part]):
+                s = ctx.scores.S[u, part[set_of[part] == g]]
+                if np.count_nonzero(s == pick(s)) > 1:
+                    ties.add(side)
+    return ties == {"out", "in"}
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.4, math.inf])
+@pytest.mark.parametrize("shift", [0.0, -0.6], ids=["non-negative", "negative"])
+def test_cpfair_pair_table_on_shared_group_sets_and_ties(lam, shift, best_user_scans):
+    catalog, matrix = random_instance(np.random.default_rng(44), 24, 36, 4, tie_heavy=True)
+    matrix = _shifted(matrix, shift)
+    ctx = RerankContext(matrix, catalog, 5)
+    sets, _ = ctx.group_sets
+    assert (sets.sum(axis=1) > 1).any() and (matrix.n_valid < 5).any() and _tied_reps(ctx)
+    got, expected = cpfair(ctx, lam=lam, swap_budget=400), ref.cpfair(ctx, lam=lam, swap_budget=400)
+    _assert_same(got, expected)
+    assert repr(got.meta) == repr(expected.meta)
+    if lam > 0:  # the swaps ran out before the budget, and some swap's user was the best of a pair
+        assert 0 < got.meta["swaps"] < 400
+        assert len(best_user_scans) > len(sets)
+
+
+@pytest.mark.parametrize("lam", [0.2, 1.5])
+def test_min_regularizer_click_mode_with_shuffled_arrival(lam):
+    catalog, matrix = random_instance(np.random.default_rng(42), 30, 50, 4, tie_heavy=True)
+    matrix = _shifted(matrix, -0.3)  # some clamped click weights are 0.0
+    arrival = list(matrix.user_ids)
+    np.random.default_rng(43).shuffle(arrival)
+    ctx = RerankContext(matrix, catalog, 5, arrival_order=arrival, mode="click")
+    _assert_same(min_regularizer(ctx, lam=lam), ref.min_regularizer(ctx, lam=lam))

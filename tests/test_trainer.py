@@ -1,5 +1,6 @@
 """Pairwise trainer, fairness hooks, and gradient correctness."""
 
+import math
 import re
 
 import numpy as np
@@ -516,6 +517,30 @@ class TestPredict:
         model = self._model(np.zeros((1, 2)), np.zeros((1, 2)), ["u"], ["i"], 2)
         with pytest.raises(UnknownEntity):
             predict(model, ["ghost"])
+
+
+@pytest.mark.parametrize(
+    "make, field, value, message",
+    [
+        (TrainConfig, "lr", math.nan, "lr must be positive and l2 non-negative"),
+        (TrainConfig, "lr", math.inf, "lr must be positive and l2 non-negative"),
+        (TrainConfig, "l2", math.nan, "lr must be positive and l2 non-negative"),
+        (TrainConfig, "l2", math.inf, "lr must be positive and l2 non-negative"),
+        (TrainHooks, "reg_weight", math.nan, "reg_weight must be non-negative"),
+        (TrainHooks, "reg_weight", math.inf, "reg_weight must be non-negative"),
+        (TrainHooks, "dual_budget", math.nan, "dual budget must be non-negative"),
+        (TrainHooks, "dual_step", math.nan, "dual step size must be positive"),
+        (TrainHooks, "dual_step", math.inf, "dual step size must be positive"),
+        (TrainHooks, "sampler_step", math.nan, "sampler_step must be finite"),
+        (TrainHooks, "sampler_step", -math.inf, "sampler_step must be finite"),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, float) else getattr(v, "__name__", None),
+)
+def test_non_finite_hyperparameter_is_rejected(make, field, value, message):
+    # Each comparison in these guards is False for NaN, so a guard written as
+    # "refuse if value < 0" let every one of these through.
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        make(**{field: value})
 
 
 class TestModelInvariants:
