@@ -27,7 +27,7 @@ import numpy as np
 from . import metrics as M
 from .config import KEYS, MODELS, STAGES, TASKS, RunConfig, load_config_file, resolve_config
 from .core import group_utility
-from .errors import FairrankError, IoError, UnsupportedStage
+from .errors import ConfigError, FairrankError, IoError, UnsupportedStage
 from .diverse_rerank import DiversifyContext, pm2, xquad  # noqa: F401 (see _layer)
 from .fair_rerank import (  # noqa: F401 (see _layer)
     RerankContext,
@@ -40,6 +40,7 @@ from .fair_rerank import (  # noqa: F401 (see _layer)
     welf,
 )
 from .ingest import (
+    DATASET_FILES,
     build_catalog,
     filter_and_split,
     parse_diversity_qrels,
@@ -54,12 +55,13 @@ from .ingest import (
     write_scores,
     writing,
 )
-from .report import BenchmarkReport, emit_report
+from .report import REPORT_FILES, BenchmarkReport, emit_report
 from .store import running
 from .trainer import TrainConfig, TrainHooks, predict, save_model, train  # noqa: F401
 
 _HOOK_PARAMS = {f.name for f in fields(TrainHooks)}
 _CONFIG_FIELDS = {"smooth": "ips_smooth"}  # trainer param -> TrainConfig field, where the names differ
+_INPUT_KEYS = ("run_file", "qrels", "interactions", "item_groups", "user_groups")  # config keys naming input files
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,6 +85,26 @@ def _arrival_order(cfg: RunConfig, users: list[str]) -> list[str]:
         rng = np.random.default_rng(cfg.seed)
         order = [order[i] for i in rng.permutation(len(order))]
     return order
+
+
+def _refuse_overwriting_inputs(cfg: RunConfig, data_root: Path, log_dir: Path) -> None:
+    """A ConfigError naming the first input file of the config that the stage would write over.
+
+    The stage writes the report artifacts, the process stage of recommendation
+    the dataset's tables, and the other search stages one re-ranked run file
+    per model.  Paths are compared with symlinks and ``..`` resolved.
+    """
+    writes = [log_dir / name for name in REPORT_FILES.values()]
+    if cfg.task == "recommendation" and cfg.stage == "process":
+        writes += [data_root / "datasets" / cfg.dataset / name for name in DATASET_FILES]
+    elif cfg.task == "search" and cfg.stage != "process":
+        writes += [log_dir / f"rerank-{model}.run" for model in cfg.models]
+    written = set(map(os.path.realpath, writes))
+    for key in _INPUT_KEYS:
+        path = getattr(cfg, key)
+        if path is not None and os.path.realpath(data_root / path) in written:
+            raise ConfigError(f"{key} {data_root / path} is also an output of the {cfg.stage} stage, which would "
+                              "overwrite it")
 
 
 def _layer(fn: Callable) -> Callable:
@@ -293,6 +315,7 @@ def run(argv=None) -> int:
         cfg = resolve_config(args.task, args.stage, args.dataset, user_cfg, data_root, strict=args.strict)
         log_dir = data_root / "log" / cfg.log_name
         cfg.check_required()
+        _refuse_overwriting_inputs(cfg, data_root, log_dir)
         with writing(log_dir, "run lock"):
             lock = _lock(log_dir / ".lock")
 

@@ -106,6 +106,15 @@ def sequential_sum(a) -> np.ndarray:
     return np.cumsum(np.concatenate([np.zeros((*a.shape[:-1], 1)), a], axis=-1), axis=-1)[..., -1]
 
 
+def simplex_tolerance(n: int, budget: float) -> float:
+    """How far a sum of ``n`` prices on the simplex of ``budget`` may miss it.
+
+    That is 1e-6, or where larger ``n * eps * budget``, the rounding bound of
+    scaling the prices onto the budget and adding them up.
+    """
+    return max(1e-6, n * np.finfo(float).eps * budget)
+
+
 class InteractionLog:
     """Observed (user, item) events in file order, held as read-only columns.
 

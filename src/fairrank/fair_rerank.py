@@ -9,20 +9,21 @@ zero each one reduces exactly to :func:`topk`.
 Every slate is a top-k under one tie contract: entries rank by a primary
 key descending, then by the relevance score descending, then by item id
 ascending, and a user's slate holds ``min(K, candidates)`` items.  The
-batched kernel (:func:`_top_mask`, :func:`_ranked`) keeps that contract
-exactly: one partition finds each row's K-th value and one compare takes
-every entry at or above it; only rows that take more than their slate
-(ties at that value, or fewer than K candidates) are resolved one by one.
-The online algorithms rank one user at a time with :func:`_top_row`: a
-1-D partition, then a lexsort of just the entries at or above the K-th
-value.  welf's Frank-Wolfe steps work on a band of each row's ranking:
-the prefix of ``order`` that holds every item the step's welfare bonus
-can lift into the row's top k, widened as the bonus spreads; one users x
-items buffer, zero outside the band, keeps the rounding of its
-full-layout sums.  fairrec's round-robin scan resumes each user's
-ranking where it last stopped.  Items with one set of member groups are
-interchangeable for group accounting, so cpfair and min_regularizer work
-per group set (:attr:`RerankContext.group_sets`): min_regularizer's
+order-free algorithms read their slates from positions of
+``ScoreMatrix.order``, which ranks each row by that contract's last two
+keys: :func:`_head` takes each row's first ``min(K, candidates)``, cpfair
+rewrites a swapped user's row in ranking order, fairrec marks each pick at
+its ranking position, and welf sorts a prefix of the ranking stably by its
+final iterate.  The online algorithms rank one user at a time with
+:func:`_top_row`: a 1-D partition, then a lexsort of just the entries at or
+above the K-th value.  welf's Frank-Wolfe steps work on a band of each
+row's ranking: the prefix of ``order`` that holds every item the step's
+welfare bonus can lift into the row's top k, widened as the bonus spreads;
+:func:`_top_mask` takes its top k, and one users x items buffer, zero
+outside it, keeps the rounding of full-layout sums.  fairrec's round-robin
+scan resumes each user's ranking where it last stopped.  Items with one set of member groups
+are interchangeable for group accounting, so cpfair and min_regularizer
+work per group set (:attr:`RerankContext.group_sets`): min_regularizer's
 bonus is one value per set, and cpfair keeps one out-item and one in-item
 per (user, set) and one best user per (out set, in set) pair.  Every
 algorithm reads the user x item arrays of the :class:`ScoreMatrix` itself
@@ -44,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Catalog, RankingSlate, ScoreMatrix, sequential_sum
+from .core import Catalog, RankingSlate, ScoreMatrix, sequential_sum, simplex_tolerance
 from .errors import EmptyCandidates, InvariantViolation
 
 _TINY = 1e-12
@@ -144,16 +145,15 @@ def _finite(**params: float) -> None:
             raise InvariantViolation(f"{name} must be finite")
 
 
-def _top_mask(primary: np.ndarray, tie: np.ndarray, k: int, n_valid: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Mask of each row's ``min(k, n_valid)`` best entries of ``primary``.
+def _top_mask(primary: np.ndarray, k: int, n_valid: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Mask of each row's ``min(k, n_valid)`` best entries of ``primary``, ties to the lowest column.
 
-    Entries rank by (primary desc, tie desc, column asc); primary must be
-    -inf exactly at invalid entries.  Entries at or above the row's k-th
-    value are taken; a row where they are more than ``min(k, n_valid)`` (ties
-    at the k-th value, or fewer than k valid entries) keeps those above it
-    and fills the remaining slots from those equal to it.  The k-th values
-    are found by partitioning a copy of ``primary`` in ``scratch``, an array
-    of its shape and dtype that is overwritten.
+    ``primary`` must be -inf exactly at invalid entries.  Entries at or above
+    the row's k-th value are taken; a row where they are more than
+    ``min(k, n_valid)`` (ties at the k-th value, or fewer than k valid
+    entries) keeps those above it and fills the rest from those equal to it,
+    lowest column first.  The k-th values are found by partitioning a copy of
+    ``primary`` in ``scratch``, an array of its shape and dtype that is overwritten.
     """
     m = primary.shape[1]
     cut = m - min(k, m)
@@ -167,16 +167,16 @@ def _top_mask(primary: np.ndarray, tie: np.ndarray, k: int, n_valid: np.ndarray,
     for r in np.flatnonzero(np.count_nonzero(take, axis=1) > want):
         row, at = primary[r], kth[r, 0]
         take[r] = row > at
-        cols = np.flatnonzero(row == at)
-        take[r, cols[np.argsort(-tie[r, cols], kind="stable")[: want[r] - np.count_nonzero(take[r])]]] = True
+        take[r, np.flatnonzero(row == at)[: want[r] - np.count_nonzero(take[r])]] = True
     return take
 
 
-def _ranked(mask: np.ndarray, primary: np.ndarray, tie: np.ndarray) -> list[np.ndarray]:
-    """Each row's masked columns ordered by (primary desc, tie desc, column asc)."""
-    rows, cols = np.nonzero(mask)
-    order = np.lexsort((cols, -tie[rows, cols], -primary[rows, cols], rows))
-    return np.split(cols[order], np.cumsum(mask.sum(axis=1))[:-1])
+def _head(ranked: np.ndarray, k: int, depth) -> np.ndarray:
+    """Each row's first ``depth`` entries of ``ranked``, as a users x k array padded with -1."""
+    w = min(k, ranked.shape[1])
+    head = np.full((len(ranked), k), -1, dtype=np.intp)
+    head[:, :w] = np.where(np.arange(w) < np.asarray(depth)[:, None], ranked[:, :w], -1)
+    return head
 
 
 def _top_row(primary: np.ndarray, tie: np.ndarray, depth: int) -> np.ndarray:
@@ -192,18 +192,9 @@ def _top_row(primary: np.ndarray, tie: np.ndarray, depth: int) -> np.ndarray:
     return cols[np.lexsort((-tie[cols], -primary[cols]))[:depth]]
 
 
-def _build_slates(scores: ScoreMatrix, mask: np.ndarray, primary: np.ndarray, k: int, meta: dict) -> RankingSlate:
-    """The slate of each row's masked columns, ranked by (primary desc, score desc, column asc), padded with -1."""
-    slates = np.full((len(mask), k), -1, dtype=np.intp)
-    slates[np.arange(k) < mask.sum(axis=1)[:, None]] = np.concatenate(_ranked(mask, primary, scores.S))
-    return RankingSlate(k, slates, scores, meta)
-
-
 def topk(ctx: RerankContext) -> RankingSlate:
     """Relevance-only baseline: per-user top-k by score, ties by item id."""
-    scores, k = ctx.scores, ctx.k
-    head = np.pad(scores.order[:, :k], ((0, 0), (0, k - min(k, len(scores.item_ids)))))
-    return RankingSlate(k, np.where(np.arange(k) < scores.n_valid[:, None], head, -1), scores)
+    return RankingSlate(ctx.k, _head(ctx.scores.order, ctx.k, ctx.depth), ctx.scores)
 
 
 def min_regularizer(ctx: RerankContext, lam: float = 1.0) -> RankingSlate:
@@ -229,14 +220,11 @@ def min_regularizer(ctx: RerankContext, lam: float = 1.0) -> RankingSlate:
     chosen = np.full((len(scores.user_ids), ctx.k), -1, dtype=np.intp)
     for t, user in enumerate(ctx.arrival_order, start=1):
         ui = scores.user_pos[user]
-        if lam > 0:
-            norm = util / max(1.0, t * ctx.k)
-            # Utilities are non-negative, so a masked product realises
-            # "max over member groups".
-            set_pen = (sets * norm).max(axis=1)
-            adjusted = scores.S[ui] + (lam * (norm.min() - set_pen))[set_of]
-        else:
-            adjusted = scores.S[ui]
+        norm = util / max(1.0, t * ctx.k)
+        # Utilities are non-negative, so a masked product realises "max over
+        # member groups".  With lam 0 the bonus is -0.0, which leaves S as it is.
+        set_pen = (sets * norm).max(axis=1)
+        adjusted = scores.S[ui] + (lam * (norm.min() - set_pen))[set_of]
         slate = _top_row(adjusted, scores.S[ui], ctx.depth[ui])
         chosen[ui, : slate.size] = slate
         # Click mode weights each item by its score clamped into [0, 1], exposure mode by 1.
@@ -324,8 +312,8 @@ def cpfair(ctx: RerankContext, lam: float = 1.0, swap_budget: int = 20) -> Ranki
     cap = lam + _TINY
 
     # The topk slates: each row's first depth columns of its ranking.
-    rows, pos = np.nonzero(np.arange(min(ctx.k, m)) < depth[:, None])
-    cols = order[rows, pos]
+    slates = _head(order, ctx.k, depth)
+    rows, cols = np.nonzero(slates >= 0)[0], slates[slates >= 0]
     in_slate = np.zeros(S.shape, dtype=bool)
     in_slate[rows, cols] = True
     e = in_slate.sum(axis=0) @ ctx.member_f
@@ -379,6 +367,7 @@ def cpfair(ctx: RerankContext, lam: float = 1.0, swap_budget: int = 20) -> Ranki
         slate = np.flatnonzero(in_slate[ui])
         _set_reps(out_reps, ui, slate, set_of, slate, S[ui, slate])
         ranked = order[ui, : n_valid[ui]]
+        slates[ui, : depth[ui]] = ranked[in_slate[ui, ranked]]
         _set_reps(in_reps, ui, ranked[~in_slate[ui, ranked]], set_of)
         s_out[ui], s_in[ui] = _rep_scores(S[ui], out_reps[ui]), _rep_scores(S[ui], in_reps[ui])
 
@@ -393,7 +382,7 @@ def cpfair(ctx: RerankContext, lam: float = 1.0, swap_budget: int = 20) -> Ranki
             pairs = go[at : at + n_sets], gi[at : at + n_sets]
             best[pairs], best_loss[pairs] = _best_users(s_out[:, pairs[0]] - s_in[:, pairs[1]], cap)
 
-    return _build_slates(scores, in_slate, S, ctx.k, {"swaps": swaps_done, "deviation": dev})
+    return RankingSlate(ctx.k, slates, scores, {"swaps": swaps_done, "deviation": dev})
 
 
 def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
@@ -402,20 +391,20 @@ def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
     Phase 1 walks the arrival order round-robin; each user adds its
     highest-scored unused item belonging to some group still below the floor
     ``floor(phi * K * |U| / |G|)``.  Phase 2 fills the remaining slots per
-    user greedily by score.  Final slates are re-sorted by (score desc,
-    item id asc); the achieved minimum group exposure lands in the slate
-    metadata.
+    user greedily by score.  Each slate lists its items in ranking order
+    (score desc, item id asc); the achieved minimum group exposure lands in
+    the slate metadata.
     """
     if not (0.0 < phi <= 1.0):
         raise InvariantViolation("phi must lie in (0, 1]")
     scores = ctx.scores
-    S, valid, n_valid = scores.S, scores.valid, scores.n_valid
-    n_users = len(scores.user_ids)
+    order, n_valid = scores.order, scores.n_valid
+    n_users, m = order.shape
     n_groups = len(ctx.groups)
     floor_exposure = math.floor(phi * ctx.k * n_users / n_groups + 1e-9)
 
     placed = [0] * n_users
-    in_slate = np.zeros_like(valid)
+    taken = np.zeros(order.shape, dtype=bool)  # by ranking position
     e = np.zeros(n_groups)
 
     if floor_exposure > 0:
@@ -432,15 +421,14 @@ def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
             for ui in rows:
                 if placed[ui] >= ctx.depth[ui]:
                     continue
-                ok = items_below[scores.order[ui, cursor[ui] : ends[ui]]]
+                ok = items_below[order[ui, cursor[ui] : ends[ui]]]
                 if not ok.any():
                     cursor[ui] = ends[ui]
                     continue
                 cursor[ui] += int(ok.argmax()) + 1
-                best = scores.order[ui, cursor[ui] - 1]
                 placed[ui] += 1
-                in_slate[ui, best] = True
-                e += ctx.member_f[best]
+                taken[ui, cursor[ui] - 1] = True
+                e += ctx.member_f[order[ui, cursor[ui] - 1]]
                 progress = True
                 below = e < floor_exposure
                 if np.count_nonzero(below) < n_below:
@@ -449,15 +437,19 @@ def fairrec(ctx: RerankContext, phi: float = 0.5) -> RankingSlate:
                         break
                     items_below = ctx.member[:, below].any(axis=1)
 
-    for ui in range(n_users):
-        # The user's original ranking, minus what phase 1 already placed.
-        ranked = scores.order[ui]
-        fill = ranked[~in_slate[ui, ranked]][: ctx.depth[ui] - placed[ui]]
-        in_slate[ui, fill] = True
-        e += ctx.member_f[fill].sum(axis=0)
+    # Phase 2 fills each row from its ranking, past phase 1's picks, of which at most placed lie in its first
+    # depth positions, so the fill does too.  e adds integer counts, which is exact in any order.
+    depth = np.array(ctx.depth)
+    w = min(ctx.k, m)
+    free = ~taken[:, :w]
+    fill = free & (np.cumsum(free, axis=1) <= (depth - placed)[:, None])
+    taken[:, :w] |= fill
+    e += np.bincount(order[:, :w][fill], minlength=m) @ ctx.member_f
+    slates = np.full((n_users, ctx.k), -1, dtype=np.intp)
+    slates[np.arange(ctx.k) < depth[:, None]] = order[taken]
 
     meta = {"mms_floor": floor_exposure, "min_group_exposure": float(e.min())}
-    return _build_slates(scores, in_slate, S, ctx.k, meta)
+    return RankingSlate(ctx.k, slates, scores, meta)
 
 
 def pmmf(
@@ -480,25 +472,23 @@ def pmmf(
         raise InvariantViolation("eta must be positive")
     _finite(lam=lam, eta=eta)
     scores, n_groups = ctx.scores, len(ctx.groups)
-    mu = np.full(n_groups, lam / n_groups if lam > 0 else 0.0)
+    mu = np.full(n_groups, lam / n_groups)
     mu.flags.writeable = False
+    tol = simplex_tolerance(n_groups, lam)
     chosen = np.full((len(scores.user_ids), ctx.k), -1, dtype=np.intp)
     for user in ctx.arrival_order:
         ui = scores.user_pos[user]
-        if lam > 0:
-            adjusted = scores.S[ui] - ctx.member_f @ mu
-        else:
-            adjusted = scores.S[ui]
-        slate = _top_row(adjusted, scores.S[ui], ctx.depth[ui])
+        # With lam 0 the prices are +0.0, which leaves S as it is.
+        slate = _top_row(scores.S[ui] - ctx.member_f @ mu, scores.S[ui], ctx.depth[ui])
         chosen[ui, : slate.size] = slate
         gradient = ctx.beta * ctx.k - ctx.member_f[slate].sum(axis=0)
-        if lam > 0:
+        if lam > 0:  # with lam 0 the rescale would be 0 * (0 / 0)
             raw = mu * np.exp(-eta * gradient)
             mu = raw * (lam / raw.sum())
             mu.flags.writeable = False
         prices = mu.tolist()
         # NaN passes the comparisons below: an overflowing step (too large an eta) leaves NaN prices.
-        if not np.isfinite(mu).all() or abs(sum(prices) - lam) > 1e-6 or min(prices) < 0 or (lam == 0 and any(prices)):
+        if not np.isfinite(mu).all() or abs(sum(prices) - lam) > tol or min(prices) < 0 or (lam == 0 and any(prices)):
             raise InvariantViolation(f"group prices {prices} left the simplex of budget {lam} at step size eta={eta}")
         if on_update is not None:
             on_update(mu)
@@ -573,7 +563,7 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
     rows = np.arange(len(S))[:, None]
     # The only users x items float buffer.  It is zero outside the band and
     # takes, at the band's positions, the gap's terms, then the iterate for
-    # its row sums, then the objective's terms and the final slates' key.
+    # its row sums, then the objective's terms.
     layout = np.zeros_like(S)
     cells = layout.reshape(-1)  # the same memory, indexed by flat position
 
@@ -587,14 +577,9 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
 
     width = min(k, m)
     cols, flat, band_S, invalid, grad, scratch = gather(width)
-    # Each row's initial top k is the head of its ranking; with lam == 0 it
-    # is the linear maximiser at every step, against where(valid, S, 0).
-    head = np.arange(width) < np.array(ctx.depth)[:, None]
-    pi = head.astype(float)
-    if lam == 0:
-        np.copyto(grad, band_S)
-        np.copyto(grad, 0.0, where=invalid)
-    expected_row = np.array(ctx.depth, dtype=float)
+    depth = np.array(ctx.depth)
+    pi = (np.arange(width) < depth[:, None]).astype(float)  # each row's initial top k: the head of its ranking
+    expected_row = depth.astype(float)
 
     exposure = np.bincount(cols.ravel(), pi.ravel(), m) @ ctx.member_f
     gaps: list[float] = []
@@ -602,16 +587,17 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
     entry_min, entry_max = 0.0, 1.0
 
     for t in range(1, iters + 1):
-        if lam > 0:
-            bonus = ctx.member_f @ (lam * (exposure + eps) ** (-alpha))
-            wider = _band_width(scores, k, width, bonus)
-            if wider > width:
-                pi = np.pad(pi, ((0, 0), (0, wider - width)))
-                width = wider
-                cols, flat, band_S, invalid, grad, scratch = gather(width)
-            np.add(band_S, bonus.take(cols), out=grad)
-            head = _top_mask(grad, band_S, k, n_valid, scratch)
-            np.copyto(grad, 0.0, where=invalid)  # the gap's factor head - pi is +0.0 there
+        # With lam 0 the bonus is +0.0, which leaves S as it is.
+        bonus = ctx.member_f @ (lam * (exposure + eps) ** (-alpha))
+        wider = _band_width(scores, k, width, bonus)
+        if wider > width:
+            pi = np.pad(pi, ((0, 0), (0, wider - width)))
+            width = wider
+            cols, flat, band_S, invalid, grad, scratch = gather(width)
+        np.add(band_S, bonus.take(cols), out=grad)
+        # band_S never rises along a row, so ties to the lowest column are ties by score.
+        head = _top_mask(grad, k, n_valid, scratch)
+        np.copyto(grad, 0.0, where=invalid)  # the gap's factor head - pi is +0.0 there
         np.subtract(head, pi, out=scratch)
         cells[flat] = np.multiply(grad, scratch, out=scratch)
         gaps.append(float(np.sum(layout)))
@@ -632,11 +618,10 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
         objective += float(lam * np.sum((exposure + eps) ** (1.0 - alpha) / (1.0 - alpha)))
 
     # The final top k by pi lies in the band: pi is 0.0 outside it, and the
-    # band is a prefix of the tie order (score desc, item id asc).
-    cells[flat] = pi
+    # band is a prefix of the tie order (score desc, item id asc), which the
+    # stable sort keeps among equal pi.
     np.copyto(pi, -np.inf, where=invalid)
-    take = np.zeros(S.shape, dtype=bool)
-    take.put(flat[_top_mask(pi, band_S, k, n_valid, scratch)], True)
+    by_pi = np.argsort(-pi, axis=1, kind="stable")[:, :k]
     meta = {
         "duality_gaps": gaps,
         "objective": objective,
@@ -644,4 +629,4 @@ def welf(ctx: RerankContext, lam: float = 1.0, alpha: float = 0.5, iters: int = 
         "polytope_entry_min": entry_min,
         "polytope_entry_max": entry_max,
     }
-    return _build_slates(scores, take, layout, k, meta)
+    return RankingSlate(k, _head(np.take_along_axis(cols, by_pi, axis=1), k, depth), scores, meta)

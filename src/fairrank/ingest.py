@@ -653,6 +653,10 @@ def _write_log(path: Path, log: InteractionLog) -> None:
     replace_file(path, "user_id\titem_id\tlabel\ttimestamp\n" + "".join(lines))
 
 
+# The files of a dataset directory that write_dataset writes.
+DATASET_FILES = ("manifest.yaml", "users.tsv", "items.tsv", "train.tsv", "valid.tsv", "test.tsv")
+
+
 def write_dataset(dataset: SplitDataset, directory: str | Path) -> None:
     """Write a SplitDataset as versioned line-oriented tables plus a manifest.
 

@@ -100,22 +100,32 @@ def _allocation_lines(report: BenchmarkReport) -> list[str]:
     return lines
 
 
+# The file of each report artifact, by artifact name.
+REPORT_FILES = {
+    "records": "records.jsonl",
+    "table": "table.txt",
+    "allocations": "allocations.tsv",
+    "config": "config.yaml",
+    "timing": "timing.txt",
+}
+
+
 def emit_report(report: BenchmarkReport, directory: str | Path) -> dict[str, Path]:
     """Write the report artifacts; returns the emitted paths by artifact name.
 
     Each artifact is written through :func:`~fairrank.store.replace_file`, so
     a run killed mid-write leaves no truncated artifact.
     """
-    artifacts = {
-        "records": ("records.jsonl", "\n".join(_records_lines(report)) + "\n"),
-        "table": ("table.txt", "\n".join(_table_lines(report)) + "\n"),
-        "allocations": ("allocations.tsv", "\n".join(_allocation_lines(report)) + "\n"),
-        "config": ("config.yaml", yaml.safe_dump(report.config_snapshot, sort_keys=True)),
-        "timing": ("timing.txt", f"wall_clock_seconds: {report.wall_clock:.3f}\n"),
+    texts = {
+        "records": "\n".join(_records_lines(report)) + "\n",
+        "table": "\n".join(_table_lines(report)) + "\n",
+        "allocations": "\n".join(_allocation_lines(report)) + "\n",
+        "config": yaml.safe_dump(report.config_snapshot, sort_keys=True),
+        "timing": f"wall_clock_seconds: {report.wall_clock:.3f}\n",
     }
     paths = {}
     with writing(directory, "report") as directory:
-        for name, (filename, text) in artifacts.items():
-            paths[name] = directory / filename
+        for name, text in texts.items():
+            paths[name] = directory / REPORT_FILES[name]
             replace_file(paths[name], text)
     return paths

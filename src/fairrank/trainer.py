@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .core import Catalog, InteractionLog, ScoreMatrix, positions, sequential_sum
+from .core import Catalog, InteractionLog, ScoreMatrix, positions, sequential_sum, simplex_tolerance
 from .errors import (
     DivergenceError,
     InvariantViolation,
@@ -160,7 +160,8 @@ def ips_weights(log: InteractionLog, catalog: Catalog, smooth: float = 0.0) -> n
 
 def _check_prices(prices: np.ndarray, budget: float) -> None:
     """Raise unless ``prices`` are non-negative and sum to ``budget`` (all zero for a zero budget)."""
-    if abs(sequential_sum(prices) - budget) > 1e-6 or (prices < 0).any() or (budget == 0 and prices.any()):
+    off_sum = abs(sequential_sum(prices) - budget) > simplex_tolerance(len(prices), budget)
+    if off_sum or (prices < 0).any() or (budget == 0 and prices.any()):
         raise InvariantViolation(f"prices {prices.tolist()} are off the simplex of budget {budget}")
 
 

@@ -23,7 +23,7 @@ from fairrank import metrics as M
 from fairrank.config import KEYS, config_merge, load_config_file, resolve_config, validate_config
 from fairrank.core import GroupUtilityVector
 from fairrank.errors import ConfigError, IoError, UnknownKeyError
-from fairrank.ingest import read_scores, write_scores, write_scores_tsv
+from fairrank.ingest import DATASET_FILES, read_scores, write_scores, write_scores_tsv
 from fairrank.report import BenchmarkReport, emit_report, fmt4
 from fairrank.synth import init_workspace
 
@@ -724,6 +724,27 @@ class TestCliRecommendation:
         assert code == 0
         assert (root / "datasets" / "tiny" / "manifest.yaml").exists()
 
+    def test_process_stage_writes_the_dataset_files_it_guards(self, tmp_path):
+        root = raw_rec_root(tmp_path)
+        cfg = user_config(tmp_path, "p.yaml", {"log_name": "proc"})
+        argv = ["--task", "recommendation", "--stage", "process", "--dataset", "tiny", "--data-dir", str(root)]
+        assert cli.run(argv + ["--config", cfg]) == 0
+        assert sorted(path.name for path in (root / "datasets" / "tiny").iterdir()) == sorted(DATASET_FILES)
+
+    def test_process_output_over_its_input_is_a_config_error(self, workspace, tmp_path, capsys):
+        train = workspace / "datasets" / "synth" / "train.tsv"
+        before = train.read_bytes()
+        given = "datasets/synth/../synth/train.tsv"
+        cfg = user_config(tmp_path, "p.yaml", {"log_name": "proc", "interactions": given,
+                                               "item_groups": "datasets/synth/items.tsv"})
+        code = cli.run(["--task", "recommendation", "--stage", "process", "--dataset", "synth", "--config", cfg,
+                        "--data-dir", str(workspace)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "Traceback" not in out
+        assert f"error: ConfigError: interactions {workspace / given} is also an output of the process stage" in out
+        assert train.read_bytes() == before
+
     def test_malformed_user_groups_line_fails_with_error_record(self, tmp_path):
         root = raw_rec_root(tmp_path, user_groups="raw/users.tsv")
         (root / "raw" / "users.tsv").write_text("u0\tg0\nu1\tg1\tg0\n", encoding="utf-8")
@@ -1061,6 +1082,21 @@ class TestCliSearch:
         ks = {r["k"] for r in records if r["record"] == "row"}
         assert ks == {5, 10, 20}
         assert (search_root / "log" / "s1" / "rerank-xquad.run").exists()
+
+    def test_run_file_that_the_stage_writes_is_a_config_error(self, search_root, tmp_path, capsys):
+        assert self._search(search_root, tmp_path) == 0
+        run_file = search_root / "log" / "s1" / "rerank-xquad.run"
+        before = run_file.read_bytes()
+        cfg = user_config(tmp_path, "over.yaml", {"models": ["xquad"], "log_name": "s1",
+                                                  "run_file": "log/s1/rerank-xquad.run"})
+        code = cli.run(["--task", "search", "--stage", "post-processing", "--dataset", "web", "--config", cfg,
+                        "--data-dir", str(search_root)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "Traceback" not in out
+        assert f"error: ConfigError: run_file {run_file} is also an output of the post-processing stage" in out
+        assert (search_root / "log" / "s1" / "error.txt").read_text().startswith("ConfigError: run_file ")
+        assert run_file.read_bytes() == before
 
     def test_qrels_not_utf8_fails_with_error_record(self, search_root, tmp_path, capsys):
         with_bad_line_2(search_root / "raw" / "qrels.div")

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fairrank.core import Catalog, ScoreMatrix, group_utility
+from fairrank.core import Catalog, ScoreMatrix, group_utility, simplex_tolerance
 from fairrank.errors import EmptyCandidates, InvariantViolation
 from fairrank.fair_rerank import (
     RerankContext,
@@ -354,6 +354,16 @@ class TestPmmf:
         assert min(fair.values) >= min(base.values)
         assert min(fair.values) <= optimum
 
+
+    def test_budget_far_above_one_stays_on_the_simplex(self, rng):
+        # A fixed tolerance of 1e-6 refused lam 1e10: the prices' sum rounds by about n * eps * lam.
+        catalog, matrix = random_instance(rng, 25, 40, 8)
+        traces = []
+        pmmf(ctx_for(catalog, matrix, 3), lam=1e12, eta=0.2, on_update=traces.append)
+        assert len(traces) == 25
+        for prices in traces:
+            assert abs(sum(prices.tolist()) - 1e12) <= simplex_tolerance(8, 1e12) and (prices >= 0).all()
+        assert simplex_tolerance(8, 4.0) == 1e-6  # unchanged at budgets where the fixed tolerance passed
 
     def test_overflowing_step_raises_instead_of_emptying_slates(self):
         # eta=1000 overflows np.exp and turns the prices NaN, which passed the

@@ -21,7 +21,6 @@ from fairrank.errors import FairrankError, UnknownEntity
 from fairrank.fair_rerank import (
     RerankContext,
     _band_width,
-    _ranked,
     _top_mask,
     _top_row,
     cpfair,
@@ -52,15 +51,11 @@ def _tie_heavy_rows(seed):
 @settings(max_examples=200)
 @given(seed=seeds)
 def test_top_k_kernel_matches_per_row_lexsort(seed):
-    primary, tie, n_valid, k = _tie_heavy_rows(seed)
-    n_rows = len(primary)
-
-    mask = _top_mask(primary, tie, k, n_valid, np.empty_like(primary))
-    got = _ranked(mask, primary, tie)
-    assert len(got) == n_rows
-    for r in range(n_rows):
-        expected = ref.top_slate(primary[r], tie[r], min(k, int(n_valid[r])))
-        assert got[r].tolist() == expected.tolist()
+    primary, _, n_valid, k = _tie_heavy_rows(seed)
+    mask = _top_mask(primary, k, n_valid, np.empty_like(primary))
+    assert mask.shape == primary.shape
+    for r in range(len(primary)):
+        expected = ref.top_slate(primary[r], None, min(k, int(n_valid[r])))
         assert np.flatnonzero(mask[r]).tolist() == sorted(expected.tolist())
 
 
@@ -358,3 +353,70 @@ def test_min_regularizer_click_mode_with_shuffled_arrival(lam):
     np.random.default_rng(43).shuffle(arrival)
     ctx = RerankContext(matrix, catalog, 5, arrival_order=arrival, mode="click")
     _assert_same(min_regularizer(ctx, lam=lam), ref.min_regularizer(ctx, lam=lam))
+
+
+# Every fair re-ranker reads its slates from ranking positions: fairrec marks phase 1's picks and
+# phase 2's fill in its users' rankings, cpfair rewrites a swapped user's row from its ranking, and
+# welf ranks its band by the final iterate with a stable sort.  These cases drive the reads where
+# they are easiest to get wrong and compare against the references, repr and all.
+
+
+def _assert_same_repr(got, expected):
+    _assert_same(got, expected)
+    assert repr(got.meta) == repr(expected.meta)
+
+
+def _shuffled_context(seed, k):
+    catalog, matrix = random_instance(np.random.default_rng(seed), 30, 60, 4, tie_heavy=True)
+    arrival = list(matrix.user_ids)
+    np.random.default_rng(seed + 1).shuffle(arrival)
+    return RerankContext(matrix, catalog, k, arrival_order=arrival)
+
+
+def test_fairrec_phase_one_picks_past_the_slate_depth():
+    ctx = _shuffled_context(42, 8)
+    got = fairrec(ctx, phi=1.0)
+    _assert_same_repr(got, ref.fairrec(ctx, phi=1.0))
+    order, depth = ctx.scores.order, ctx.depth
+    # Some slate holds an item past its row's first depth ranking positions: phase 1 placed it.
+    past = [np.isin(got.slates[u, : depth[u]], order[u, : depth[u]], invert=True).any() for u in range(len(order))]
+    assert any(past) and (ctx.scores.n_valid < ctx.k).any()
+
+
+def test_cpfair_swaps_one_user_several_times():
+    ctx = _shuffled_context(42, 8)
+    got = cpfair(ctx, lam=1.0, swap_budget=200)
+    _assert_same_repr(got, ref.cpfair(ctx, lam=1.0, swap_budget=200))
+    swapped_in = [np.setdiff1d(row, head).size for row, head in zip(got.slates, topk(ctx).slates)]
+    assert max(swapped_in) >= 2  # a user swapped at least twice
+
+
+@pytest.fixture
+def reference_slate_keys(monkeypatch):
+    """The ``(primary, depth)`` of every slate the references take; welf's last ones rank its final iterate."""
+    calls, top_slate = [], ref.top_slate
+
+    def recorded(primary, tie, depth):
+        calls.append((primary.copy(), depth))
+        return top_slate(primary, tie, depth)
+
+    monkeypatch.setattr(ref, "top_slate", recorded)
+    return calls
+
+
+def test_welf_final_ties_across_a_band_wider_than_k(band_widths, reference_slate_keys):
+    catalog, matrix = random_instance(np.random.default_rng(38), 30, 60, 4, tie_heavy=True)
+    ctx = RerankContext(matrix, catalog, 5)
+    _assert_band_same(ctx, lam=1e3, iters=2)
+    assert max(out for _, out in band_widths) > ctx.k
+    # Some row's final iterate ties at its slate's last value with an entry that the slate leaves out.
+    final = reference_slate_keys[-len(matrix.user_ids) :]
+    assert any(np.count_nonzero(key >= -np.sort(-key)[depth - 1]) > depth for key, depth in final)
+
+
+def test_welf_with_fewer_items_than_k():
+    catalog, matrix = random_instance(np.random.default_rng(39), 12, 6, 3, tie_heavy=True)
+    ctx = RerankContext(matrix, catalog, 10)
+    assert len(matrix.item_ids) < ctx.k
+    for lam in (0.0, 1.0, 50.0):
+        _assert_band_same(ctx, lam=lam, iters=6)

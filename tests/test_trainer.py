@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from fairrank import cli
-from fairrank.core import Catalog, InteractionLog
+from fairrank.core import Catalog, InteractionLog, simplex_tolerance
 from fairrank.errors import (
     DivergenceError,
     InvariantViolation,
@@ -220,6 +220,15 @@ class TestFairdualStep:
             batch = [pool[i] for i in rng.integers(0, len(pool), size=8)]
             _, prices = fairdual_step(prices, 1.5, 0.3, *dual_batch(["a", "b", "c"], batch))
             assert on_simplex(prices, 1.5, tol=1e-6)
+
+    def test_budget_far_above_one_stays_on_the_simplex(self, rng):
+        # A fixed tolerance of 1e-6 refused budget 1e10: the prices' sum rounds by about n * eps * budget.
+        groups = [f"g{i}" for i in range(20)]
+        prices = np.full(20, 1e12 / 20)
+        for _ in range(30):
+            batch = [set(rng.choice(groups, int(rng.integers(1, 4)), replace=False).tolist()) for _ in range(8)]
+            _, prices = fairdual_step(prices, 1e12, 0.5, *dual_batch(groups, batch))
+            assert on_simplex(prices, 1e12, tol=simplex_tolerance(20, 1e12))
 
     def test_prices_off_the_simplex_rejected(self):
         with pytest.raises(InvariantViolation, match="off the simplex of budget 1.0"):
