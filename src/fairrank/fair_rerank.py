@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Catalog, RankingSlate, ScoreMatrix, sequential_sum, simplex_tolerance
+from .core import Catalog, RankingSlate, ScoreMatrix, group_sets, sequential_sum, simplex_tolerance
 from .errors import EmptyCandidates, InvariantViolation
 
 _TINY = 1e-12
@@ -115,18 +115,9 @@ class RerankContext:
         """``(sets, set_of)``: the distinct rows of ``member`` in ascending order, and each item's row among them.
 
         Items with one member-group set are interchangeable for group
-        accounting; the table is computed on first use.  It is what
-        ``np.unique(member, axis=0, return_inverse=True)`` gives, from one
-        lexsort of the rows (column 0 most significant), about ten times
-        faster on a table of a few groups.
+        accounting; the table (:func:`core.group_sets`) is computed on first use.
         """
-        by = np.lexsort(self.member.T[::-1])
-        rows = self.member[by]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        set_of = np.empty(len(rows), dtype=np.intp)
-        set_of[by] = np.cumsum(first) - 1
-        return rows[first], set_of
+        return group_sets(self.member)
 
 
 def proportional_shares(catalog: Catalog) -> np.ndarray:

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .core import Catalog, InteractionLog, ScoreMatrix, positions, sequential_sum, simplex_tolerance
+from .core import Catalog, InteractionLog, ScoreMatrix, group_sets, positions, sequential_sum, simplex_tolerance
 from .errors import (
     DivergenceError,
     InvariantViolation,
@@ -66,6 +66,8 @@ class TrainConfig:
             raise InvariantViolation("dim, epochs, and batch_size must be positive")
         if not (0 < self.lr < math.inf and 0 <= self.l2 < math.inf):  # NaN fails too
             raise InvariantViolation("lr must be positive and l2 non-negative")
+        if not 0 <= self.ips_smooth < math.inf:
+            raise InvariantViolation(f"smooth must be non-negative and finite, got {self.ips_smooth!r}")
 
 
 @dataclass
@@ -165,6 +167,45 @@ def _check_prices(prices: np.ndarray, budget: float) -> None:
         raise InvariantViolation(f"prices {prices.tolist()} are off the simplex of budget {budget}")
 
 
+def _by_group(member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The present groups of the samples x groups table ``member``, their sample counts and their samples, group-major.
+
+    The samples of ``present[j]`` are ``rows``' ``j``-th slice of ``counts[j]`` entries, ascending.
+    """
+    group, rows = np.nonzero(member.T)
+    counts = np.bincount(group, minlength=member.shape[1])
+    present = np.flatnonzero(counts)
+    return present, counts[present], rows
+
+
+def _slice_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mean of each of the consecutive slices of ``counts`` entries of ``values``, with ``np.mean``'s bits.
+
+    A contiguous slice's sum adds the elements of a masked copy in the same
+    pairwise order, and ``np.mean`` divides that sum by the count.
+    """
+    ends = np.cumsum(counts).tolist()
+    return np.array([np.add.reduce(values[a:b]) for a, b in zip([0, *ends], ends)]) / counts
+
+
+def _size_classes(sets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The distinct group sets by member count ``k``: each class's set indices and its ``(sets, k)`` groups."""
+    sizes = sets.sum(axis=1)
+    classes = []
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique(sizes) imports numpy.ma, about 1 MiB
+        of_k = np.flatnonzero(sizes == k)
+        classes.append((of_k, np.nonzero(sets[of_k])[1].reshape(len(of_k), k)))
+    return classes
+
+
+def _set_means(values: np.ndarray, classes: list[tuple[np.ndarray, np.ndarray]], n_sets: int) -> np.ndarray:
+    """Each set's mean of its groups' ``values``: per class, one row sum over the count, with ``np.mean``'s bits."""
+    means = np.empty(n_sets)
+    for of_k, groups in classes:
+        means[of_k] = values[groups].sum(axis=1) / groups.shape[1]
+    return means
+
+
 def fairdual_step(
     prices: np.ndarray,
     budget: float,
@@ -183,7 +224,23 @@ def fairdual_step(
     simplex, then samples are weighted by their member groups' normalized
     prices (``|G| * mu_g / budget``; multi-group items take the mean, once
     per set).  A zero budget leaves the prices untouched and all weights at 1.
+    The set means are computed per class of sets with ``k`` members, as one
+    gather and row sum divided by ``k``: numpy sums each row of ``k`` entries
+    as it sums their masked copy, so each mean has ``np.mean``'s bits.
     """
+    return _dual_step(prices, budget, step, sets, _size_classes(sets), batch_sets, target_shares)
+
+
+def _dual_step(
+    prices: np.ndarray,
+    budget: float,
+    step: float,
+    sets: np.ndarray,
+    classes: list[tuple[np.ndarray, np.ndarray]],
+    batch_sets: np.ndarray,
+    target_shares: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fairdual_step` over the sets' :func:`_size_classes`, which ``train`` builds once."""
     _check_prices(prices, budget)
     if not len(batch_sets):
         raise InvariantViolation("empty batch")
@@ -200,10 +257,7 @@ def fairdual_step(
     prices = np.full(n, budget / n) if raw_total <= 0 else raw * (budget / raw_total)
     _check_prices(prices, budget)
     norm_price = n * prices / budget
-    set_weight = np.zeros(len(sets))
-    for s in np.flatnonzero(counts):
-        set_weight[s] = np.mean(norm_price[sets[s]])
-    return set_weight[batch_sets], prices
+    return _set_means(norm_price, classes, len(sets))[batch_sets], prices
 
 
 def minmax_sampler_update(
@@ -229,6 +283,21 @@ def minmax_sampler_update(
     return probs, ema, seen
 
 
+def _group_losses(sample_loss: np.ndarray, member: np.ndarray, groups: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The minmax sampler's batch input: each group's mean sample loss (0 where absent) and the present groups' mask.
+
+    The means come from one group-major gather (:func:`_by_group`) and have
+    ``np.mean``'s bits; a non-finite one is an error naming the first such group.
+    """
+    present, counts, rows = _by_group(member)
+    means = _slice_means(sample_loss[rows], counts)
+    for g in present[~np.isfinite(means)][:1]:
+        raise InvariantViolation(f"non-finite loss for group {groups[g]!r}")
+    losses = np.zeros(len(groups))
+    losses[present] = means
+    return losses, np.bincount(present, minlength=len(groups)) > 0
+
+
 def fairness_penalty(scores: np.ndarray, member: np.ndarray, kind: str) -> tuple[float, np.ndarray]:
     """Batch-level score-parity penalty and its analytic gradient w.r.t. each score.
 
@@ -237,29 +306,32 @@ def fairness_penalty(scores: np.ndarray, member: np.ndarray, kind: str) -> tuple
     between group means over all group pairs.  ``focf``: sum of absolute
     deviations of group means from their unweighted grand mean.  A
     single-group batch contributes 0.  A sample's gradient adds its groups'
-    terms in group order.
+    terms in group order.  Both come from one group-major gather of the
+    scores (:func:`_by_group`): each group's mean is its contiguous slice's
+    sum over its count, which has ``np.mean``'s bits, and the gradient is one
+    ``np.add.at`` in the gather's order, which is group order for each sample.
     """
     if kind not in ("focf", "reg"):
         raise InvariantViolation(f"unknown penalty kind {kind!r}")
-    counts = member.sum(axis=0)
-    present = np.flatnonzero(counts)
+    present, counts, rows = _by_group(member)
     grad = np.zeros(len(scores))
     n = len(present)
     if n < 2:
         return 0.0, grad
-    means = np.array([np.mean(scores[member[:, j]]) for j in present])
+    means = _slice_means(scores[rows], counts)
     if kind == "reg":
         diff = means[:, None] - means[None, :]
-        # ``** 2`` on a float is C pow, as in the per-pair sum; diff * diff differs from it in the last bit.
-        penalty = float(sequential_sum([d**2 for d in diff[np.triu_indices(n, 1)].tolist()]))
-        d_mean = sequential_sum(2.0 * diff[~np.eye(n, dtype=bool)].reshape(n, n - 1))
+        col = np.arange(n)
+        # The pairs i < j in row-major order.  ``** 2`` on a float is C pow, as in the per-pair sum; diff * diff
+        # differs from it in the last bit.
+        penalty = float(sequential_sum([d**2 for d in diff[col[:, None] < col].tolist()]))
+        d_mean = sequential_sum(2.0 * diff[col[:, None] != col].reshape(n, n - 1))
     else:
         grand = float(np.mean(means))
         penalty = float(np.sum(np.abs(means - grand)))
         signs = np.sign(means - grand)
         d_mean = signs - signs.sum() / n  # signs are -1, 0 or 1: exact in any order
-    for j, g in enumerate(present):
-        grad[member[:, g]] += d_mean[j] / counts[g]
+    np.add.at(grad, rows, np.repeat(d_mean / counts, counts))
     return penalty, grad
 
 
@@ -277,10 +349,15 @@ def _draw_negatives(rng: np.random.Generator, user_rows: np.ndarray, pos_mask: n
         neg[bad] = rng.integers(0, n_items, size=bad.size)
 
 
-def _add_rows(A: np.ndarray, rows: np.ndarray, V: np.ndarray) -> None:
-    """``np.add.at(A, rows, V)`` for a C-contiguous 2-D ``A`` via numpy's faster 1-D path (same adds, same order)."""
-    d = A.shape[1]
-    np.add.at(A.reshape(-1), (rows[:, None] * d + np.arange(d)).ravel(), V.ravel())
+def _add_rows(A: np.ndarray, rows: np.ndarray, V: np.ndarray, cells: np.ndarray | None = None) -> None:
+    """``np.add.at(A, rows, V)`` for a C-contiguous 2-D ``A`` via numpy's faster 1-D path (same adds, same order).
+
+    ``cells`` is a table of flat cell indices, ``np.arange(m * d).reshape(m, d)`` for ``A``'s ``d`` columns and
+    at least its rows (by default ``A``'s own): a row gather from it is faster than building the rows' indices.
+    """
+    if cells is None:
+        cells = np.arange(A.size).reshape(A.shape)
+    np.add.at(A.reshape(-1), cells.take(rows, axis=0).ravel(), V.ravel())
 
 
 def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFModel:
@@ -295,6 +372,11 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
     ``member`` table), group members come from that table, and the minmax
     order takes one draw per epoch.  A group the minmax sampler has not yet
     seen in a batch is drawn with the largest probability of any seen group.
+    The group-set table (:func:`core.group_sets`) and its classes by set
+    size are built once per call; each batch's per-group means (the penalty's
+    and the minmax losses) come from one group-major gather, each group's
+    contiguous slice summed and divided by its count, and each set's mean
+    from one row sum per set size, which give ``np.mean``'s bits.
     The per-sample loops and group-keyed dicts they replace are kept in
     ``tests/reference_trainer.py``, which must give bit-identical models.
     """
@@ -303,7 +385,8 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
         raise InvariantViolation("train split is empty")
 
     users, items, groups = list(cat.users), list(cat.items), cat.group_ids
-    sets, set_of = np.unique(cat.member, axis=0, return_inverse=True)  # each item's group set
+    sets, set_of = group_sets(cat.member)  # each item's group set
+    classes = _size_classes(sets)
     pos_u, pos_i = dataset.train.user, dataset.train.item  # catalog positions, as in every split
     pos_mask = np.zeros((len(users), len(items)), dtype=bool)
     pos_mask[pos_u, pos_i] = True
@@ -314,21 +397,19 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
     pos_u_arr, pos_i_arr = pos_u[keep], pos_i[keep]
     n_pos = pos_u_arr.size
 
-    pos_member = cat.member[pos_i_arr]
-    pool_rows = np.nonzero(pos_member.T)[1]  # each group's positives, ascending, one group after another
-    pool_size = pos_member.sum(axis=0)
-    eligible_groups = np.flatnonzero(pool_size).tolist()
-    pool_size = pool_size[eligible_groups]
+    # Each group's positives, ascending, one group after another.
+    eligible_groups, pool_size, pool_rows = _by_group(cat.member[pos_i_arr])
     pool_start = np.cumsum(pool_size) - pool_size
 
     rng = np.random.default_rng(config.seed)
     P = rng.normal(0.0, 0.1, size=(len(users), config.dim))
     Q = rng.normal(0.0, 0.1, size=(len(items), config.dim))
     bias = np.zeros(len(items)) if config.use_item_bias else None
+    cells = np.arange(max(P.size, Q.size)).reshape(-1, config.dim)  # for _add_rows on P and on Q
 
     if hooks.weight_provider == "ips":
         group_ips = ips_weights(dataset.train, cat, smooth=config.ips_smooth)
-        item_ips = np.array([np.mean(group_ips[row]) for row in sets])[set_of]
+        item_ips = _set_means(group_ips, classes, len(sets))[set_of]
     prices = np.full(len(groups), hooks.dual_budget / len(groups) if hooks.dual_budget > 0 else 0.0)
     sampler_q = np.full(len(groups), 1.0 / len(groups))
     sampler_ema, seen = np.zeros(len(groups)), np.zeros(len(groups), dtype=bool)
@@ -352,10 +433,11 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
             bi = pos_i_arr[batch]
             bn = _draw_negatives(rng, bu, pos_mask, len(items))
 
-            Pu = P[bu]
-            Qp = Q[bi]
-            Qn = Q[bn]
-            x = np.einsum("bd,bd->b", Pu, Qp) - np.einsum("bd,bd->b", Pu, Qn)
+            Pu = P.take(bu, axis=0)
+            Qp = Q.take(bi, axis=0)
+            Qn = Q.take(bn, axis=0)
+            pos_dot = np.einsum("bd,bd->b", Pu, Qp)
+            x = pos_dot - np.einsum("bd,bd->b", Pu, Qn)
             if bias is not None:
                 x = x + bias[bi] - bias[bn]
 
@@ -364,7 +446,7 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
             elif hooks.weight_provider == "ips":
                 w = item_ips[bi]
             else:
-                w, prices = fairdual_step(prices, hooks.dual_budget, hooks.dual_step, sets, set_of[bi])
+                w, prices = _dual_step(prices, hooks.dual_budget, hooks.dual_step, sets, classes, set_of[bi])
 
             sig = 1.0 / (1.0 + np.exp(x))
             coef = w * sig
@@ -373,33 +455,39 @@ def train(dataset: SplitDataset, config: TrainConfig, hooks: TrainHooks) -> MFMo
 
             lr = config.lr
             l2 = config.l2
-            _add_rows(P, bu, -lr * (-coef[:, None] * (Qp - Qn) + 2.0 * l2 * Pu))
-            _add_rows(Q, bi, -lr * (-coef[:, None] * Pu + 2.0 * l2 * Qp))
-            _add_rows(Q, bn, -lr * (coef[:, None] * Pu + 2.0 * l2 * Qn))
+            # The steps -lr * (-coef * (Qp - Qn) + 2 l2 Pu), -lr * (-coef * Pu + 2 l2 Qp) and
+            # -lr * (coef * Pu + 2 l2 Qn), in place: a product with -coef is the negated product with coef, and
+            # y + -z is y - z, so each element is rounded as in the written form.
+            c, decay = coef[:, None], 2.0 * l2
+            cP = c * Pu
+            step = Qp - Qn
+            step *= c
+            np.subtract(decay * Pu, step, out=step)
+            step *= -lr
+            _add_rows(P, bu, step, cells)
+            step = decay * Qp
+            step -= cP
+            step *= -lr
+            _add_rows(Q, bi, step, cells)
+            cP += decay * Qn
+            cP *= -lr
+            _add_rows(Q, bn, cP, cells)
             if bias is not None:
                 np.add.at(bias, bi, -lr * (-coef + 2.0 * l2 * bias[bi]))
                 np.add.at(bias, bn, -lr * (coef + 2.0 * l2 * bias[bn]))
 
             if regularize:
-                pos_scores = np.einsum("bd,bd->b", Pu, Qp)
-                if bias is not None:
-                    pos_scores = pos_scores + bias[bi]
+                pos_scores = pos_dot if bias is None else pos_dot + bias[bi]
                 penalty, ds = fairness_penalty(pos_scores, cat.member[bi], hooks.regularizer)
                 epoch_loss += hooks.reg_weight * penalty
                 ds *= hooks.reg_weight
-                _add_rows(P, bu, -lr * ds[:, None] * Qp)
-                _add_rows(Q, bi, -lr * ds[:, None] * Pu)
+                _add_rows(P, bu, -lr * ds[:, None] * Qp, cells)
+                _add_rows(Q, bi, -lr * ds[:, None] * Pu, cells)
                 if bias is not None:
                     np.add.at(bias, bi, -lr * ds)
 
             if hooks.group_sampler == "minmax":
-                in_group = cat.member[bi]
-                present = in_group.any(axis=0)
-                losses = np.zeros(len(groups))
-                for g in np.flatnonzero(present):
-                    losses[g] = np.mean(sample_loss[in_group[:, g]])
-                    if not np.isfinite(losses[g]):
-                        raise InvariantViolation(f"non-finite loss for group {groups[g]!r}")
+                losses, present = _group_losses(sample_loss, cat.member[bi], groups)
                 sampler_q, sampler_ema, seen = minmax_sampler_update(
                     sampler_ema, seen, losses, present, hooks.sampler_step
                 )
@@ -494,6 +582,8 @@ def load_model(directory: str | Path) -> MFModel:
         loss_curve = [float(x) for x in loss_curve]
     except (OverflowError, InvariantViolation) as exc:  # OverflowError: an int too large for a float
         raise ParseError(f"{manifest_path}: {exc}") from None
+    if not all(map(math.isfinite, loss_curve)):  # train raises DivergenceError before it records one
+        raise ParseError(f"{manifest_path}: loss_curve must hold finite numbers, got {loss_curve!r}")
     members = BIASED_MODEL_STORE if config.use_item_bias else MODEL_STORE
     build = partial(MFModel, item_bias=None, config=config, loss_curve=loss_curve)
     return read_store(directory / "model.npz", "model", members, build)

@@ -609,6 +609,21 @@ class TestCliRecommendation:
         assert not list(log_dir.glob("model-*"))
         assert scores_path.read_bytes() == before
 
+    @pytest.mark.parametrize("smooth", [-0.5, -100.0])
+    def test_negative_ips_smooth_fails_with_error_record(self, workspace, tmp_path, smooth):
+        # -0.5 once trained and wrote a report; -100.0 ended in a ZeroPopularity error that blamed the data.
+        cfg = user_config(tmp_path, "c.yaml", {"model": "ips", "K": [5], "log_name": "smooth",
+                                               "params": {"ips": {"smooth": smooth, "epochs": 1}}})
+        code = cli.run(
+            ["--task", "recommendation", "--stage", "in-processing", "--dataset", "synth",
+             "--config", cfg, "--data-dir", str(workspace)]
+        )
+        assert code == 1
+        log_dir = workspace / "log" / "smooth"
+        record = (log_dir / "error.txt").read_text().splitlines()[0]
+        assert record == f"InvariantViolation: smooth must be non-negative and finite, got {smooth!r}"
+        assert not (log_dir / "records.jsonl").exists() and not list(log_dir.glob("model-*"))
+
     def test_undeclared_param_key_warns_or_fails_under_strict(self, workspace, tmp_path):
         cfg = user_config(
             tmp_path, "c.yaml", {"model": "cpfair", "K": [5], "log_name": "pk", "params": {"cpfair": {"lamda": 2}}}

@@ -15,6 +15,7 @@ from fairrank.core import (
     InteractionLog,
     RankingSlate,
     ScoreMatrix,
+    group_sets,
     group_utility,
 )
 from fairrank.errors import InvariantViolation, MissingUserGroups, UnknownEntity
@@ -333,6 +334,31 @@ def test_evenness_gap_scales_linearly(values, c):
     v1 = GroupUtilityVector("item", "exposure", list(groups), list(groups.values()))
     v2 = GroupUtilityVector("item", "exposure", list(groups), [c * x for x in groups.values()])
     assert utility_evenness_gap(v2) == pytest.approx(c * utility_evenness_gap(v1), rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 60), n_cols=st.integers(1, 12))
+def test_group_sets_match_np_unique(seed, n_rows, n_cols):
+    """One lexsort gives ``np.unique(axis=0, return_inverse=True)``'s sets and inverse, duplicate rows included."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.random((int(rng.integers(1, n_rows + 1)), n_cols)) < rng.uniform(0.1, 0.9)
+    member = distinct[rng.integers(0, len(distinct), n_rows)]  # rows drawn with repeats
+    sets, set_of = group_sets(member)
+    expected_sets, expected_of = np.unique(member, axis=0, return_inverse=True)
+    assert sets.dtype == bool and np.array_equal(sets, expected_sets)
+    assert set_of.tolist() == expected_of.ravel().tolist()
+
+
+@pytest.mark.parametrize(
+    "member",
+    [[[True]], [[False], [True], [False]], [[True, False, True]], [[True, True], [True, True]]],
+    ids=["one-cell", "one-column", "one-row", "all-duplicates"],
+)
+def test_group_sets_of_edge_shapes(member):
+    member = np.array(member)
+    sets, set_of = group_sets(member)
+    expected_sets, expected_of = np.unique(member, axis=0, return_inverse=True)
+    assert np.array_equal(sets, expected_sets) and set_of.tolist() == expected_of.ravel().tolist()
 
 
 class TestScoreMatrix:

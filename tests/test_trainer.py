@@ -535,6 +535,11 @@ class TestPredict:
         (TrainConfig, "lr", math.inf, "lr must be positive and l2 non-negative"),
         (TrainConfig, "l2", math.nan, "lr must be positive and l2 non-negative"),
         (TrainConfig, "l2", math.inf, "lr must be positive and l2 non-negative"),
+        # A negative smooth lowers each group's popularity: a run trained on it or ended in ZeroPopularity.
+        (TrainConfig, "ips_smooth", -0.5, "smooth must be non-negative and finite, got -0.5"),
+        (TrainConfig, "ips_smooth", math.nan, "smooth must be non-negative and finite, got nan"),
+        (TrainConfig, "ips_smooth", math.inf, "smooth must be non-negative and finite, got inf"),
+        (TrainConfig, "ips_smooth", -math.inf, "smooth must be non-negative and finite, got -inf"),
         (TrainHooks, "reg_weight", math.nan, "reg_weight must be non-negative"),
         (TrainHooks, "reg_weight", math.inf, "reg_weight must be non-negative"),
         (TrainHooks, "dual_budget", math.nan, "dual budget must be non-negative"),
@@ -748,6 +753,17 @@ class TestCheckpoint:
         manifest = tmp_path / "manifest.yaml"
         manifest.write_text(yaml.safe_dump({**yaml.safe_load(manifest.read_text()), key: value}))
         with pytest.raises(ParseError, match=f"^{re.escape(f'{manifest}: {message}')}$"):
+            load_model(tmp_path)
+
+    @pytest.mark.parametrize("entry", [".nan", ".inf", "-.inf"])
+    def test_manifest_non_finite_loss_curve_entry_is_a_parse_error(self, tmp_path, entry):
+        dataset = planted_dataset(n_per_cluster=4, items_per_cluster=6, preferred=4, other=1)
+        save_model(train(dataset, TrainConfig(dim=2, epochs=2, seed=0), TrainHooks()), tmp_path)
+        manifest = tmp_path / "manifest.yaml"
+        text = manifest.read_text()
+        first = re.search(r"^loss_curve:\n- (\S+)$", text, re.M)
+        manifest.write_text(text[: first.start(1)] + entry + text[first.end(1) :])
+        with pytest.raises(ParseError, match=f"^{re.escape(str(manifest))}: loss_curve must hold finite numbers, got "):
             load_model(tmp_path)
 
     def test_manifest_int_for_a_float_field_loads_as_a_float(self, tmp_path):

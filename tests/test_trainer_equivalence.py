@@ -24,6 +24,7 @@ from fairrank.trainer import (
     TrainConfig,
     TrainHooks,
     _add_rows,
+    _group_losses,
     fairdual_step,
     fairness_penalty,
     ips_weights,
@@ -228,6 +229,93 @@ def test_fairness_penalty_and_gradient_match_dict_reference(seed, kind):
         expected_grad[idx] += grads[g]
     assert got_penalty == reference_fairness_penalty(scores_by_group, kind)
     assert np.array_equal(got_grad, expected_grad)
+
+
+# The batched hooks sum each group's or set's values as one contiguous slice or row.  The cases below reach the
+# real batch shape: numpy's pairwise sum adds 8 or more values with eight partial sums, and splits more than 128
+# values in two, so a slice summed in any other order than the masked copy's would round differently.
+
+
+def sets_at_the_batch_shape(rng: np.random.Generator, n_groups: int) -> np.ndarray:
+    """Up to 40 distinct non-empty group sets over ``n_groups`` groups, one of them holding every group."""
+    rows = rng.random((int(rng.integers(1, 40)), n_groups)) < rng.uniform(0.2, 0.95)
+    rows[np.arange(len(rows)), rng.integers(0, n_groups, len(rows))] = True
+    return np.unique(np.vstack([rows, np.ones((1, n_groups), dtype=bool)]), axis=0)
+
+
+@settings(max_examples=100)
+@given(seed=seeds)
+def test_fairdual_step_matches_per_sample_reference_at_the_batch_shape(seed):
+    rng = np.random.default_rng(seed)
+    groups = [f"g{g:02d}" for g in range(int(rng.integers(1, 13)))]
+    sets = sets_at_the_batch_shape(rng, len(groups))
+    budget, step = float(rng.choice([1.0, 2.5])), float(rng.choice([0.1, 0.9, 3.0]))
+    shares = rng.dirichlet(np.ones(len(groups))) if rng.random() < 0.3 else None
+    state = DualState.uniform(budget, groups, step)
+    prices = np.array([state.prices[g] for g in groups])
+    for _ in range(int(rng.integers(1, 6))):
+        batch = rng.integers(0, len(sets), size=int(rng.integers(1, 301)))
+        named = [frozenset(g for g, m in zip(groups, sets[s]) if m) for s in batch]
+        got_w, prices = fairdual_step(prices, budget, step, sets, batch, shares)
+        ref_w, state = reference_fairdual_step(state, named, None if shares is None else dict(zip(groups, shares)))
+        assert np.array_equal(got_w, ref_w)
+        assert prices.tolist() == [state.prices[g] for g in groups]
+
+
+def member_at_the_batch_shape(rng: np.random.Generator) -> np.ndarray:
+    """A batch of 200 to 300 samples over up to 12 groups; group 0 holds about 90 % of them, more than 128."""
+    n_groups, batch = int(rng.integers(1, 13)), int(rng.integers(200, 301))
+    member = rng.random((batch, n_groups)) < rng.uniform(0.05, 0.6)
+    member[:, 0] |= rng.random(batch) < 0.9
+    member[np.arange(batch), rng.integers(0, n_groups, batch)] = True
+    return member
+
+
+@settings(max_examples=100)
+@given(seed=seeds, kind=st.sampled_from(["reg", "focf"]))
+def test_fairness_penalty_and_gradient_match_dict_reference_at_the_batch_shape(seed, kind):
+    rng = np.random.default_rng(seed)
+    member = member_at_the_batch_shape(rng)
+    scores = rng.normal(size=len(member)) * 10.0 ** rng.integers(-3, 4)
+    got_penalty, got_grad = fairness_penalty(scores, member, kind)
+    by_group = {f"g{j:02d}": np.flatnonzero(member[:, j]) for j in np.flatnonzero(member.any(axis=0))}
+    scores_by_group = {g: scores[idx] for g, idx in by_group.items()}
+    grads = reference_fairness_penalty_grad(scores_by_group, kind)
+    expected_grad = np.zeros(len(member))
+    for g, idx in by_group.items():
+        expected_grad[idx] += grads[g]
+    assert got_penalty == reference_fairness_penalty(scores_by_group, kind)
+    assert np.array_equal(got_grad, expected_grad)
+
+
+@settings(max_examples=100)
+@given(seed=seeds)
+def test_group_losses_match_per_group_mean_at_the_batch_shape(seed):
+    """The minmax sampler's group losses against ``reference_train``'s mean of each group's list of losses."""
+    rng = np.random.default_rng(seed)
+    member = member_at_the_batch_shape(rng)
+    groups = [f"g{j:02d}" for j in range(member.shape[1])]
+    sample_loss = rng.exponential(size=len(member)) * 10.0 ** rng.integers(-3, 4)
+    losses, present = _group_losses(sample_loss, member, groups)
+    expected = {groups[j]: float(np.mean([float(sample_loss[k]) for k in np.flatnonzero(member[:, j])]))
+                for j in np.flatnonzero(member.any(axis=0))}
+    assert {groups[j]: float(losses[j]) for j in np.flatnonzero(present)} == expected
+    assert not losses[~present].any()
+
+
+@pytest.mark.parametrize("bad", [(np.inf, np.nan), (np.nan, np.inf), (-np.inf, np.inf)])
+def test_group_losses_name_the_first_of_two_non_finite_groups(bad):
+    """Groups g01 and g03 have non-finite losses; both forms name g01, the first in group order."""
+    groups = ["g00", "g01", "g02", "g03"]
+    member = np.zeros((6, 4), dtype=bool)
+    member[[0, 1, 2, 3, 4, 5], [0, 3, 1, 2, 3, 1]] = True
+    sample_loss = np.array([0.5, bad[1], bad[0], 0.25, 1.0, 2.0])
+    message = "^non-finite loss for group 'g01'$"
+    with np.errstate(invalid="ignore"), pytest.raises(FairrankError, match=message):
+        _group_losses(sample_loss, member, groups)
+    batch_losses = {g: float(np.mean(sample_loss[member[:, j]])) for j, g in enumerate(groups)}
+    with np.errstate(invalid="ignore"), pytest.raises(FairrankError, match=message):
+        reference_minmax_sampler_update(None, batch_losses)
 
 
 @settings(max_examples=100)
