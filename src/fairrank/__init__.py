@@ -24,7 +24,7 @@ _HOME = {
         "read_dataset",
         "write_dataset",
     ),
-    "trainer": ("MFModel", "TrainConfig", "TrainHooks", "predict", "train"),
+    "trainer": ("MFModel", "TrainConfig", "TrainHooks", "predict", "save_model", "train"),
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
 
@@ -54,6 +54,7 @@ __all__ = [
     "pmmf",
     "predict",
     "read_dataset",
+    "save_model",
     "topk",
     "train",
     "welf",

@@ -10,35 +10,32 @@ table, a run file or qrels keeps what it parses in the data root's
 The in-processing stage trains each model single-threaded; on Linux, with more
 than one usable CPU, the later models train ahead in forked workers while this
 process trains the first ones, and every output is the same as a one-CPU run's.
+
+Each stage imports only the model modules it runs: ``trainer``,
+``fair_rerank`` and ``diverse_rerank`` are loaded by the stage that calls
+them.  Their public names resolve on first use as attributes of this module
+(PEP 562), and a stage calls each of them through :func:`_layer`, so a name
+rebound here (by a test, or by perfbench/child.py to time the layer) is the
+one called.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import time
 from dataclasses import fields
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
 
+from . import _MODULE_OF
 from . import metrics as M
 from .config import KEYS, MODELS, STAGES, TASKS, RunConfig, load_config_file, resolve_config
 from .core import group_utility
 from .errors import ConfigError, FairrankError, IoError, UnsupportedStage
-from .diverse_rerank import DiversifyContext, pm2, xquad  # noqa: F401 (see _layer)
-from .fair_rerank import (  # noqa: F401 (see _layer)
-    RerankContext,
-    cpfair,
-    fairrec,
-    min_regularizer,
-    pmmf,
-    proportional_shares,
-    topk,
-    welf,
-)
 from .ingest import (
     DATASET_FILES,
     build_catalog,
@@ -57,9 +54,7 @@ from .ingest import (
 )
 from .report import REPORT_FILES, BenchmarkReport, emit_report
 from .store import running
-from .trainer import TrainConfig, TrainHooks, predict, save_model, train  # noqa: F401
 
-_HOOK_PARAMS = {f.name for f in fields(TrainHooks)}
 _CONFIG_FIELDS = {"smooth": "ips_smooth"}  # trainer param -> TrainConfig field, where the names differ
 _INPUT_KEYS = ("run_file", "qrels", "interactions", "item_groups", "user_groups")  # config keys naming input files
 
@@ -107,9 +102,22 @@ def _refuse_overwriting_inputs(cfg: RunConfig, data_root: Path, log_dir: Path) -
                               "overwrite it")
 
 
-def _layer(fn: Callable) -> Callable:
-    """``fn`` as bound in this module, where perfbench/child.py rebinds each layer's name to time it."""
-    return globals().get(fn.__name__, fn)
+def __getattr__(name: str):
+    """A public name of the package (such as ``train`` or ``xquad``), imported on its first lookup here and then
+    bound in this module."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(import_module(f"{__package__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+def _layer(name: str) -> Callable:
+    """The layer ``name`` as bound in this module now, resolved by :func:`__getattr__` on first use.
+
+    Stages call every model-module name through this, never through a name bound at import, so a
+    rebinding of the module attribute (perfbench/child.py's spans, a test's monkeypatch) takes effect.
+    """
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 def _report(cfg: RunConfig, rows: list) -> BenchmarkReport:
@@ -124,7 +132,8 @@ def _measure(cfg: RunConfig, dataset, model: str, rank: Callable, params: dict, 
     arrival = _arrival_order(cfg, scores.user_ids)
     rows = []
     for k in cfg.k_values:
-        ctx = RerankContext(scores, dataset.catalog, k, arrival_order=list(arrival), target_shares=shares, mode=mode)
+        ctx = _layer("RerankContext")(scores, dataset.catalog, k, arrival_order=list(arrival), target_shares=shares,
+                                      mode=mode)
         slates = rank(ctx, **params)
         guv = group_utility(slates, dataset.catalog, axis="item", mode=mode)
         result = M.Evaluation(k, slates=slates, relevant=dataset.test, utility=guv)
@@ -152,22 +161,28 @@ def _run_rec_rerank(cfg: RunConfig, data_root: Path) -> BenchmarkReport:
     ds_dir = data_root / "datasets" / cfg.dataset
     dataset = read_dataset(ds_dir)
     scores = read_scores(data_root / cfg.scores if cfg.scores else ds_dir, cache=data_root / "cache")
-    shares = proportional_shares(dataset.catalog) if cfg.target_shares == "proportional" else None
+    shares = None
+    if cfg.target_shares == "proportional":
+        from .fair_rerank import proportional_shares
+
+        shares = proportional_shares(dataset.catalog)
     rows = []
     for model in cfg.models:
-        rank = _layer(MODELS[cfg.task, cfg.stage][model].fn)
-        rows += _measure(cfg, dataset, model, rank, cfg.params[model], scores, shares)
+        rows += _measure(cfg, dataset, model, _layer(model), cfg.params[model], scores, shares)
     return _report(cfg, rows)
 
 
 def _train(cfg: RunConfig, dataset, model: str) -> tuple:
     """``model`` trained on ``dataset`` as ``cfg`` sets it up: its hooks and the fitted model."""
+    from .trainer import TrainConfig, TrainHooks
+
     entry = MODELS[cfg.task, cfg.stage][model]
     params = cfg.params[model]
-    hook_params = {key: value for key, value in params.items() if key in _HOOK_PARAMS}
+    hook_fields = {f.name for f in fields(TrainHooks)}
+    hook_params = {key: value for key, value in params.items() if key in hook_fields}
     config = {_CONFIG_FIELDS.get(key, key): value for key, value in params.items() if key not in hook_params}
     hooks = TrainHooks(**entry.hooks, **hook_params) if cfg.fair_rank else TrainHooks()
-    return hooks, _layer(entry.fn)(dataset, TrainConfig(seed=cfg.seed, **config), hooks)
+    return hooks, _layer("train")(dataset, TrainConfig(seed=cfg.seed, **config), hooks)
 
 
 def _trained(train: Callable, models: list[str]) -> Iterator:
@@ -179,6 +194,8 @@ def _trained(train: Callable, models: list[str]) -> Iterator:
     is raised at its model's turn, so the caller's side effects and first error come as in a one-CPU run.
     Workers not yet read when the generator closes are killed and reaped.
     """
+    import pickle  # only this stage moves objects between processes
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     chunks = max(1, min(len(models), cpus))
     bounds = [len(models) * i // chunks for i in range(chunks + 1)]
@@ -241,16 +258,19 @@ def _trained(train: Callable, models: list[str]) -> Iterator:
 
 
 def _run_rec_inproc(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkReport:
+    # Resolved, and fair_rerank imported, before any array is allocated: imported after the first model
+    # trained, the module raised this process's peak RSS by about 1.3 MiB on a 150 x 500 synth root.
+    rank = _layer("topk")
     ds_dir = data_root / "datasets" / cfg.dataset
     dataset = read_dataset(ds_dir)
     rows = []
     trained = _trained(lambda model: _train(cfg, dataset, model), cfg.models)
     try:
         for model, (hooks, fitted) in zip(cfg.models, trained):
-            save_model(fitted, log_dir / f"model-{model}", hooks=hooks)
-            scores = predict(fitted, dataset.catalog.users, exclude=dataset.train)
+            _layer("save_model")(fitted, log_dir / f"model-{model}", hooks=hooks)
+            scores = _layer("predict")(fitted, dataset.catalog.users, exclude=dataset.train)
             write_scores(scores, log_dir / f"scores-{model}")
-            rows += _measure(cfg, dataset, model, topk, {}, scores)
+            rows += _measure(cfg, dataset, model, rank, {}, scores)
     finally:
         trained.close()
     return _report(cfg, rows)
@@ -267,8 +287,10 @@ def _run_search(cfg: RunConfig, data_root: Path, log_dir: Path) -> BenchmarkRepo
         if diversify is None:
             picks = np.arange(min(depth, run.docs.shape[1]))
         else:
+            from .diverse_rerank import DiversifyContext
+
             ctx = DiversifyContext(run=run, judgments=judgments, k=depth, pool_size=cfg.pool_size, **cfg.params[model])
-            picks = _layer(diversify)(ctx)
+            picks = _layer(model)(ctx)
         reranked = run.rerank(picks)
         write_run_file(reranked, log_dir / f"rerank-{model}.run", tag=model)
         for k in cfg.k_values:

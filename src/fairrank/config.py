@@ -8,7 +8,10 @@ a :class:`RunConfig`.
 
 :data:`KEYS` declares each config key once, with its kind and default, and
 :data:`MODELS` each model once per (task, stage).  A re-ranker's params are
-its signature's keyword defaults.  A stage's default ``metrics`` are the
+its signature's keyword defaults.  :data:`MODELS` builds a (task, stage)'s
+entries, importing the module that holds its models, on the first lookup of
+that pair, so a stage loads only its own models; :data:`MODEL_NAMES` gives
+every pair's model names without a build.  A stage's default ``metrics`` are the
 metrics its report sections show (:func:`~fairrank.metrics.stage_metrics`),
 and validation rejects any other.  Validation checks every key against its
 entry, treats undeclared params, and params of models the task does not
@@ -21,18 +24,17 @@ import inspect
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from importlib import import_module
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from types import ModuleType
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import yaml
 
 from .core import MODES
-from .diverse_rerank import DiversifyContext, pm2, xquad
 from .errors import ConfigError, UnknownKeyError
-from .fair_rerank import cpfair, fairrec, min_regularizer, pmmf, topk, welf
 from .ingest import DEFAULT_COLUMN_SPEC
 from .metrics import SECTIONS, stage_metrics
-from .trainer import TrainConfig, TrainHooks, train
 
 TASKS = ("recommendation", "search")
 STAGES = ("process", "pre-processing", "in-processing", "post-processing", "evaluate")
@@ -61,36 +63,83 @@ def _defaults(cls, *names: str) -> dict:
     return {name: getattr(cls, name) for name in names}
 
 
-def _reranker(fn: Callable) -> Model:
-    """Params are the keyword defaults of ``fn``, less callbacks (default ``None``)."""
+# A builder makes model ``name``'s entry from the module that holds its stage's models.
+_Builder = Callable[[ModuleType, str], Model]
+
+
+def _nothing(module: None, name: str) -> Model:
+    return Model()
+
+
+def _reranker(module: ModuleType, name: str) -> Model:
+    """Params are the keyword defaults of the function ``name``, less callbacks (default ``None``)."""
+    fn = getattr(module, name)
     sig = inspect.signature(fn).parameters.values()
     return Model(fn, {p.name: p.default for p in sig if p.default is not p.empty and p.default is not None})
 
 
-def _trainer(hooks: Mapping, **params) -> Model:
-    base = _defaults(TrainConfig, "dim", "epochs", "lr", "l2", "batch_size")
-    return Model(train, {**base, **params}, hooks, _defaults(TrainConfig, "use_item_bias"))
+def _diversifier(module: ModuleType, name: str) -> Model:
+    return Model(getattr(module, name), _defaults(module.DiversifyContext, "lam"))
 
 
-MODELS: dict[tuple[str, str], dict[str, Model]] = {
-    ("recommendation", "process"): {"none": Model()},
-    ("recommendation", "in-processing"): {
+def _trainer(hooks: Mapping, *hook_params: str, **params) -> _Builder:
+    """The builder of a trainer that selects the :class:`TrainHooks` slots ``hooks``.
+
+    Its params are the shared ``TrainConfig`` ones, then the ``TrainHooks`` defaults of ``hook_params``,
+    then ``params``.
+    """
+
+    def build(module: ModuleType, name: str) -> Model:
+        base = _defaults(module.TrainConfig, "dim", "epochs", "lr", "l2", "batch_size")
+        own = {**_defaults(module.TrainHooks, *hook_params), **params}
+        return Model(module.train, {**base, **own}, hooks, _defaults(module.TrainConfig, "use_item_bias"))
+
+    return build
+
+
+# Each (task, stage)'s models: the module that holds them (``None``: no module) and each model's builder.
+_DECLARED: dict[tuple[str, str], tuple[str | None, dict[str, _Builder]]] = {
+    ("recommendation", "process"): (None, {"none": _nothing}),
+    ("recommendation", "in-processing"): ("trainer", {
         "bpr": _trainer({}),
         # smooth and reg_weight default to 1 here but to 0 in TrainConfig/TrainHooks.
         "ips": _trainer({"weight_provider": "ips"}, smooth=1.0),
-        "fairdual": _trainer({"weight_provider": "fairdual"}, **_defaults(TrainHooks, "dual_budget", "dual_step")),
-        "minmax_sgd": _trainer({"group_sampler": "minmax"}, **_defaults(TrainHooks, "sampler_step")),
+        "fairdual": _trainer({"weight_provider": "fairdual"}, "dual_budget", "dual_step"),
+        "minmax_sgd": _trainer({"group_sampler": "minmax"}, "sampler_step"),
         "focf": _trainer({"regularizer": "focf"}, reg_weight=1.0),
         "reg": _trainer({"regularizer": "reg"}, reg_weight=1.0),
-    },
-    ("recommendation", "post-processing"): {
-        fn.__name__: _reranker(fn) for fn in (topk, min_regularizer, cpfair, fairrec, pmmf, welf)
-    },
-    ("recommendation", "evaluate"): {"topk": _reranker(topk)},
-    ("search", "process"): {"none": Model()},
-    ("search", "post-processing"): {fn.__name__: Model(fn, _defaults(DiversifyContext, "lam")) for fn in (xquad, pm2)},
-    ("search", "evaluate"): {"original": Model()},
+    }),
+    ("recommendation", "post-processing"): (
+        "fair_rerank", dict.fromkeys(("topk", "min_regularizer", "cpfair", "fairrec", "pmmf", "welf"), _reranker)),
+    ("recommendation", "evaluate"): ("fair_rerank", {"topk": _reranker}),
+    ("search", "process"): (None, {"none": _nothing}),
+    ("search", "post-processing"): ("diverse_rerank", dict.fromkeys(("xquad", "pm2"), _diversifier)),
+    ("search", "evaluate"): (None, {"original": _nothing}),
 }
+MODEL_NAMES: dict[tuple[str, str], tuple[str, ...]] = {pair: tuple(models) for pair, (_, models) in _DECLARED.items()}
+
+
+class _Registry(Mapping):
+    """(task, stage) -> {model name: :class:`Model`}, each pair's entries built on its first lookup."""
+
+    def __init__(self) -> None:
+        self._built: dict[tuple[str, str], dict[str, Model]] = {}
+
+    def __getitem__(self, pair: tuple[str, str]) -> dict[str, Model]:
+        if pair not in self._built:
+            home, builders = _DECLARED[pair]
+            module = import_module(f"{__package__}.{home}") if home else None
+            self._built[pair] = {name: build(module, name) for name, build in builders.items()}
+        return self._built[pair]
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(_DECLARED)
+
+    def __len__(self) -> int:
+        return len(_DECLARED)
+
+
+MODELS: Mapping[tuple[str, str], dict[str, Model]] = _Registry()
 
 
 class Shape(NamedTuple):
@@ -126,7 +175,8 @@ _PATH = Shape("a path", lambda v: isinstance(v, str) and "\0" not in v)
 _POSITIVE = Shape("a positive integer", lambda v: type(v) is int and v > 0)
 _COUNT = Shape("a non-negative integer", lambda v: type(v) is int and v >= 0)
 _NAMES = Shape("a list of names", lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v))
-_MODEL_NAMES = Shape("a model name or a list of them", lambda v: isinstance(v, str) or _NAMES.ok(v))
+_MODEL_NAMES = Shape("a model name or a non-empty list of them",
+                     lambda v: isinstance(v, str) or (_NAMES.ok(v) and v != []))
 _K = Shape("a positive integer or a non-empty list of them",
            lambda v: _POSITIVE.ok(v) or (isinstance(v, list) and v != [] and all(map(_POSITIVE.ok, v))))
 _COLUMNS = Shape(f"a mapping from some of {', '.join(DEFAULT_COLUMN_SPEC)} to column names", lambda v: (
@@ -142,7 +192,7 @@ KEYS: dict[str, Key] = {
     "stage": Key(STAGES),
     "dataset": Key(str),
     "type": Key(TASKS),
-    "model": Key(_MODEL_NAMES, "none", {pair: next(iter(models)) for pair, models in MODELS.items()}),
+    "model": Key(_MODEL_NAMES, "none", {pair: names[0] for pair, names in MODEL_NAMES.items()}),
     "models": Key(_MODEL_NAMES),
     "K": Key(_K, [10], {pair: [10, 20] if pair[0] == REC else [5, 10, 20] for pair in MODELS}),
     "metrics": Key(_NAMES, [], {pair: stage_metrics(*pair) for pair in SECTIONS}),
@@ -323,13 +373,13 @@ def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict
         raise ConfigError(f"unknown task {task!r}")
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
-    registry = MODELS.get((task, stage))
-    if registry is None:
+    names = MODEL_NAMES.get((task, stage))
+    if names is None:
         raise ConfigError(f"stage {stage!r} not available for task {task!r}")
 
     models = _models(merged, task, stage)
     for m in models:
-        if m not in registry:
+        if m not in names:
             raise ConfigError(f"model {m!r} not registered for ({task}, {stage})")
 
     typed = {}
@@ -344,10 +394,11 @@ def validate_config(merged: Mapping, task: str, stage: str, dataset: str, strict
             raise ConfigError(f"metric {name!r} not available for ({task}, {stage})")
 
     given = typed["params"]
-    task_models = {name for (t, _), stage_models in MODELS.items() if t == task for name in stage_models}
+    task_models = {name for (t, _), stage_models in MODEL_NAMES.items() if t == task for name in stage_models}
     for name in given:
         if name not in task_models:
             _unknown(f"parameters for model {name!r}, which task {task!r} does not register", strict)
+    registry = MODELS[task, stage]
     params = {m: _model_params(m, registry[m], given.get(m) or {}, strict) for m in models}
 
     k_values = [typed["K"]] if isinstance(typed["K"], int) else _distinct("K", list(typed["K"]))
@@ -373,12 +424,11 @@ def resolve_config(
     user_config = dict(user_config or {})
     models = _models(user_config, task, stage)
 
-    registry = MODELS.get((task, stage), {})
     model_layers = []
     for m in models:
-        if m in registry:
+        if m in MODEL_NAMES.get((task, stage), ()):
             # "none", the process stage's model, runs nothing and has no params section.
-            model_layers.append({"params": {} if m == "none" else {m: dict(registry[m].params)}})
+            model_layers.append({"params": {} if m == "none" else {m: dict(MODELS[task, stage][m].params)}})
         model_props = data_root / "properties" / "models" / f"{m}.yaml"
         if model_props.exists():
             model_layers.append({"params": {m: load_config_file(model_props)}})
